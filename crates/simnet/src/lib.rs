@@ -18,7 +18,8 @@
 //!   stack design).
 //! * **Control-plane queueing.** Each node models a single-server FIFO
 //!   control CPU: handlers call [`Context::busy`] to account processing
-//!   time, and deliveries that arrive while the CPU is busy wait in line.
+//!   time, and deliveries that arrive while the CPU is busy wait in line
+//!   (see *Overload model* for the queue's contract).
 //!   This is what makes *load* translate into *convergence delay
 //!   variance*, the effect behind Fig. 11's BGP-vs-LISP gap.
 //! * **Links.** Latency per directed pair with a default, plus optional
@@ -35,7 +36,8 @@
 //! * **Crash / restart** ([`Fault::Crash`], [`Fault::Restart`]). While a
 //!   node is down, every delivery addressed to it — including messages
 //!   already in flight — is dropped (`simnet.fault_msg_drops`) and its
-//!   control-CPU backlog is discarded. Timers still fire, so periodic
+//!   control-CPU backlog is discarded (how exactly: *Crash and restart*
+//!   under the overload model). Timers still fire, so periodic
 //!   re-arm discipline survives the outage; the node is told about both
 //!   transitions via [`Node::on_fault`] and models volatile-state loss
 //!   there (a restarted node must rebuild from whatever it considers
@@ -78,6 +80,48 @@
 //! [`Simulator::ingress_drops`]. Depth and peak are tracked for
 //! unbounded nodes too, so a scenario can *measure* a queue it chose
 //! not to cap.
+//!
+//! ### What the ingress queue is
+//!
+//! * **One FIFO per node.** A delivery that finds the CPU busy
+//!   (`busy_until > now`) is parked at the back — the cap is checked and
+//!   the peak updated at that moment — and parked deliveries are served
+//!   strictly in that order. A delivery that finds the CPU free is
+//!   served on the spot, whatever is parked.
+//! * **One wake per busy period.** The first delivery to be parked
+//!   schedules a single wake event at `busy_until`. The wake serves from
+//!   the front for as long as the CPU stays free — a handler that
+//!   accounts no [`Context::busy`] time drains the whole queue at that
+//!   instant — and re-arms itself at the new `busy_until` as soon as a
+//!   handler takes the CPU.
+//! * **O(1) events per delivery.** A backlog of *n* costs *n* deliveries
+//!   plus at most *n* wakes, however deep the queue
+//!   ([`Simulator::events_processed`] counts both).
+//! * **Same-nanosecond tie.** Events order by `(time, seq)`, so a
+//!   delivery due at exactly `busy_until` that was scheduled *before*
+//!   the queue's first delivery was parked pops ahead of the wake,
+//!   finds the CPU free and is served first; the wake then finds the
+//!   CPU taken and re-arms. One scheduled after goes to the back.
+//!
+//! ### What it is not
+//!
+//! * No priority classes and no reordering: nothing parked is ever
+//!   overtaken by something parked later.
+//! * Timers never queue. They fire on time on a busy (or crashed) node,
+//!   and a timer handler's `busy()` *replaces* `busy_until`: the wake
+//!   already scheduled still fires at the old instant and re-arms if
+//!   the CPU is taken then.
+//! * Not a link model: the queue sits at the receiver, after link
+//!   latency and loss.
+//!
+//! ### Crash and restart
+//!
+//! A crash frees the CPU (`busy_until = now`) but does not touch the
+//! queue. Parked deliveries die when their wake fires on a node that is
+//! still down — one `simnet.fault_msg_drops` each, depth back to 0 —
+//! so an outage that ends *before* the interrupted service would have
+//! still serves them, at that old instant. Deliveries that arrive while
+//! the node is down are dropped on arrival and never queue.
 //!
 //! A tail-drop is indistinguishable from link loss to the sender — by
 //! design: saturation recovery rides the same retransmit machinery as

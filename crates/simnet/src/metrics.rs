@@ -30,7 +30,13 @@ impl Metrics {
 
     /// Adds `delta` to counter `name`.
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_default() += delta;
+        // `entry` wants an owned key; only a counter's first touch pays
+        // for the `String`.
+        if let Some(counter) = self.counters.get_mut(name) {
+            *counter += delta;
+        } else {
+            self.counters.insert(name.to_string(), delta);
+        }
     }
 
     /// Reads counter `name` (0 when never touched).
@@ -40,10 +46,11 @@ impl Metrics {
 
     /// Records one observation into sample set `name`.
     pub fn observe(&mut self, name: &str, value: f64) {
-        self.samples
-            .entry(name.to_string())
-            .or_default()
-            .push(value);
+        if let Some(samples) = self.samples.get_mut(name) {
+            samples.push(value);
+        } else {
+            self.samples.insert(name.to_string(), vec![value]);
+        }
     }
 
     /// All observations of sample set `name`.
@@ -53,10 +60,11 @@ impl Metrics {
 
     /// Appends a `(time, value)` point to series `name`.
     pub fn record(&mut self, name: &str, at: SimTime, value: f64) {
-        self.series
-            .entry(name.to_string())
-            .or_default()
-            .push((at, value));
+        if let Some(points) = self.series.get_mut(name) {
+            points.push((at, value));
+        } else {
+            self.series.insert(name.to_string(), vec![(at, value)]);
+        }
     }
 
     /// The points of series `name`.

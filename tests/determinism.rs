@@ -88,3 +88,60 @@ fn simulator_event_order_is_stable_under_ties() {
     assert_eq!(got, (0..100).collect::<Vec<u32>>());
     assert_eq!(got, run());
 }
+
+/// The reduced overload campaign (4 shards, admission, a shard crash)
+/// with the ingress queues tightened from 512 to 64 so that, at CI
+/// scale too, the routing server's queue fills and tail-drops: the run
+/// is a pure function of the seed, and its counter block is the one the
+/// re-parking scheduler before the per-node ingress FIFO produced — the
+/// FIFO changed how many events a backlog costs, not what happens.
+#[test]
+fn overload_campaign_replays_and_matches_the_recorded_counters() {
+    use sda_workloads::chaos::{ChaosParams, ChaosScenario};
+
+    const RECORDED: [(&str, u64); 27] = [
+        ("simnet.faults_injected", 70),
+        ("simnet.node_crashes", 21),
+        ("simnet.node_restarts", 21),
+        ("simnet.fault_msg_drops", 323),
+        ("simnet.link_drops", 182),
+        ("fabric.map_request_retries", 38),
+        ("fabric.resolve_timeouts", 0),
+        ("fabric.register_retries", 2067),
+        ("fabric.register_timeouts", 0),
+        ("fabric.edge_restarts", 20),
+        ("ctrl.server_restarts", 1),
+        ("border.subscribe_retries", 6),
+        ("border.publish_gaps", 3),
+        ("border.publish_regressions", 0),
+        ("border.resyncs_requested", 3),
+        ("border.resyncs_completed", 21),
+        ("simnet.ingress_drops", 1250),
+        ("simnet.shard_crashes", 1),
+        ("simnet.shard_restarts", 1),
+        ("ctrl.shed_replies", 912),
+        ("ctrl.shard_drops", 0),
+        ("fabric.server_busy_backoffs", 905),
+        ("fabric.negative_cache_hits", 0),
+        ("fabric.jittered_retries", 2105),
+        ("fabric.resolve_evictions", 0),
+        ("server_queue_peak", 64),
+        ("probes_delivered", 48),
+    ];
+
+    let run = || {
+        let params = ChaosParams {
+            ingress_cap: Some(64),
+            ..ChaosParams::reduced().with_overload(4)
+        };
+        let outcome = ChaosScenario::build(params).run();
+        assert!(outcome.report.converged(), "{:?}", outcome.report);
+        let mut block = outcome.counters;
+        block.push(("server_queue_peak", outcome.server_queue_peak.into()));
+        block.push(("probes_delivered", outcome.probes_delivered));
+        block
+    };
+    let block = run();
+    assert_eq!(block, run(), "same seed ⇒ identical counter block");
+    assert_eq!(block, RECORDED);
+}
