@@ -6,6 +6,12 @@
 //! each subscriber of *that VN* — O(changes × subscribers-of-that-VN),
 //! never O(world) — stamped with a **per-VN** sequence number.
 //!
+//! All per-VN state lives in **one map**, `VnId → VnStream`: the VN's
+//! publish sequence and its subscribers, each with the sync state of that
+//! `(subscriber, VN)` stream. A publish is one probe of that map and a
+//! walk of the entry's subscriber list; a subscriber itself is only its
+//! locator and its delta queue.
+//!
 //! Snapshot resync rides the same path as initial subscription: a
 //! `(subscriber, VN)` stream is either `Live` (deltas flow) or pending
 //! `Snapshot` (deltas are suppressed; the next
@@ -13,6 +19,8 @@
 //! that VN instead). Queue overflow — the subscriber fell too far
 //! behind — drops that VN's queued deltas and flips the stream back to
 //! `Snapshot`: a gap never delivers a partial view, it re-synchronizes.
+//! The fan-out counts its pending snapshots, so a flush with none — every
+//! flush of a settled system — only drains the queues.
 //!
 //! Sequence semantics on the wire ([`Message::Publish`]'s `nonce`):
 //! delta publishes carry the change's own per-VN sequence number;
@@ -58,16 +66,26 @@ struct Sub {
     rloc: Rloc,
     /// Bounded queue of undelivered deltas, across this subscriber's VNs.
     queue: VecDeque<Delta>,
-    vns: BTreeMap<VnId, VnSync>,
+}
+
+/// Everything the fan-out knows about one VN.
+#[derive(Default)]
+struct VnStream {
+    /// Publish sequence (the source of truth for gap detection). Counts
+    /// from the first change, subscribers or not.
+    seq: u64,
+    /// `(index into DeltaFanout::subs, stream state)`, in subscription
+    /// order.
+    subs: Vec<(usize, VnSync)>,
 }
 
 /// Per-subscriber delta queues plus the per-VN sequence authority.
 pub struct DeltaFanout {
     subs: Vec<Sub>,
-    /// vn → indices into `subs`.
-    by_vn: BTreeMap<VnId, Vec<usize>>,
-    /// Per-VN publish sequence (the source of truth for gap detection).
-    seqs: BTreeMap<VnId, u64>,
+    streams: BTreeMap<VnId, VnStream>,
+    /// `(subscriber, VN)` streams in [`VnSync::Snapshot`] state — what
+    /// the next flush has to walk.
+    pending_snapshots: usize,
     cap: usize,
     delivered: u64,
     gaps: u64,
@@ -84,8 +102,8 @@ impl DeltaFanout {
         assert!(cap > 0, "queue capacity must be positive");
         DeltaFanout {
             subs: Vec::new(),
-            by_vn: BTreeMap::new(),
-            seqs: BTreeMap::new(),
+            streams: BTreeMap::new(),
+            pending_snapshots: 0,
             cap,
             delivered: 0,
             gaps: 0,
@@ -98,9 +116,9 @@ impl DeltaFanout {
     /// subscription. Admission control uses this to let self-healing
     /// resubscribes bypass the subscribe budget.
     pub fn is_subscribed(&self, vn: VnId, rloc: Rloc) -> bool {
-        self.subs
-            .iter()
-            .any(|s| s.rloc == rloc && s.vns.contains_key(&vn))
+        self.streams
+            .get(&vn)
+            .is_some_and(|s| s.subs.iter().any(|&(i, _)| self.subs[i].rloc == rloc))
     }
 
     /// Subscribes `rloc` to `vn`'s stream, marking it for snapshot on
@@ -112,17 +130,23 @@ impl DeltaFanout {
                 self.subs.push(Sub {
                     rloc,
                     queue: VecDeque::new(),
-                    vns: BTreeMap::new(),
                 });
                 self.subs.len() - 1
             }
         };
         // A forced resync makes any queued deltas for this VN redundant.
         self.subs[idx].queue.retain(|d| d.vn != vn);
-        self.subs[idx].vns.insert(vn, VnSync::Snapshot);
-        let idxs = self.by_vn.entry(vn).or_default();
-        if !idxs.contains(&idx) {
-            idxs.push(idx);
+        let stream = self.streams.entry(vn).or_default();
+        match stream.subs.iter_mut().find(|(i, _)| *i == idx) {
+            Some((_, VnSync::Snapshot)) => {}
+            Some((_, state @ VnSync::Live)) => {
+                *state = VnSync::Snapshot;
+                self.pending_snapshots += 1;
+            }
+            None => {
+                stream.subs.push((idx, VnSync::Snapshot));
+                self.pending_snapshots += 1;
+            }
         }
     }
 
@@ -131,39 +155,33 @@ impl DeltaFanout {
     /// even when nobody listens (the stream must stay gap-free for
     /// subscribers that join later).
     pub fn publish(&mut self, vn: VnId, eid: Eid, rloc: Rloc, withdraw: bool) {
-        let seq = {
-            let s = self.seqs.entry(vn).or_insert(0);
-            *s += 1;
-            *s
-        };
-        let Some(idxs) = self.by_vn.get(&vn) else {
-            return;
-        };
-        for &i in idxs {
-            let sub = &mut self.subs[i];
-            match sub.vns.get_mut(&vn) {
-                // Snapshot pending: the flush-time walk of current state
-                // already covers this change; a delta would double it.
-                Some(VnSync::Snapshot) | None => {}
-                Some(state @ VnSync::Live) => {
-                    if sub.queue.len() >= self.cap {
-                        // Gap: this subscriber fell too far behind. Drop
-                        // the VN's queued deltas and resync by snapshot —
-                        // never deliver a stream with a hole in it.
-                        *state = VnSync::Snapshot;
-                        sub.queue.retain(|d| d.vn != vn);
-                        self.gaps += 1;
-                    } else {
-                        sub.queue.push_back(Delta {
-                            vn,
-                            eid,
-                            rloc,
-                            withdraw,
-                            seq,
-                        });
-                        self.peak_depth = self.peak_depth.max(sub.queue.len());
-                    }
-                }
+        let stream = self.streams.entry(vn).or_default();
+        stream.seq += 1;
+        let seq = stream.seq;
+        for (i, state) in &mut stream.subs {
+            // Snapshot pending: the flush-time walk of current state
+            // already covers this change; a delta would double it.
+            if *state == VnSync::Snapshot {
+                continue;
+            }
+            let queue = &mut self.subs[*i].queue;
+            if queue.len() >= self.cap {
+                // Gap: this subscriber fell too far behind. Drop the
+                // VN's queued deltas and resync by snapshot — never
+                // deliver a stream with a hole in it.
+                *state = VnSync::Snapshot;
+                self.pending_snapshots += 1;
+                queue.retain(|d| d.vn != vn);
+                self.gaps += 1;
+            } else {
+                queue.push_back(Delta {
+                    vn,
+                    eid,
+                    rloc,
+                    withdraw,
+                    seq,
+                });
+                self.peak_depth = self.peak_depth.max(queue.len());
             }
         }
     }
@@ -177,15 +195,21 @@ impl DeltaFanout {
     where
         F: FnMut(VnId, &mut dyn FnMut(EidPrefix, Rloc)),
     {
-        let mut out = Vec::new();
-        let mut delivered = 0u64;
-        for sub in &mut self.subs {
+        let queued: usize = self.subs.iter().map(|s| s.queue.len()).sum();
+        let mut out = Vec::with_capacity(queued);
+        for (idx, sub) in self.subs.iter_mut().enumerate() {
             let to = sub.rloc;
-            for (&vn, state) in sub.vns.iter_mut() {
-                if *state == VnSync::Snapshot {
-                    let watermark = self.seqs.get(&vn).copied().unwrap_or(0);
+            if self.pending_snapshots > 0 {
+                for (&vn, stream) in &mut self.streams {
+                    let watermark = stream.seq;
+                    let pending = stream
+                        .subs
+                        .iter_mut()
+                        .find(|(i, state)| *i == idx && *state == VnSync::Snapshot);
+                    let Some((_, state)) = pending else {
+                        continue;
+                    };
                     snapshot(vn, &mut |prefix, rloc| {
-                        delivered += 1;
                         out.push((
                             to,
                             Message::Publish {
@@ -198,11 +222,11 @@ impl DeltaFanout {
                         ));
                     });
                     *state = VnSync::Live;
+                    self.pending_snapshots -= 1;
                 }
             }
-            for d in sub.queue.drain(..) {
-                delivered += 1;
-                out.push((
+            out.extend(sub.queue.drain(..).map(|d| {
+                (
                     to,
                     Message::Publish {
                         nonce: d.seq,
@@ -211,16 +235,16 @@ impl DeltaFanout {
                         rloc: d.rloc,
                         withdraw: d.withdraw,
                     },
-                ));
-            }
+                )
+            }));
         }
-        self.delivered += delivered;
+        self.delivered += out.len() as u64;
         out
     }
 
     /// The current sequence watermark of `vn` (0 before any change).
     pub fn current_seq(&self, vn: VnId) -> u64 {
-        self.seqs.get(&vn).copied().unwrap_or(0)
+        self.streams.get(&vn).map_or(0, |s| s.seq)
     }
 
     /// Publishes emitted by flushes so far.
@@ -246,7 +270,7 @@ impl DeltaFanout {
 
     /// Subscriptions across VNs.
     pub fn subscription_count(&self) -> usize {
-        self.by_vn.values().map(Vec::len).sum()
+        self.streams.values().map(|s| s.subs.len()).sum()
     }
 }
 
@@ -273,18 +297,52 @@ mod tests {
         Rloc::for_router_index(n)
     }
 
+    /// The maintained pending-snapshot count against a recount of the
+    /// stream states. Every step of every test below ends with it.
+    fn audit(f: &DeltaFanout) {
+        let recount = f
+            .streams
+            .values()
+            .flat_map(|s| &s.subs)
+            .filter(|(_, state)| *state == VnSync::Snapshot)
+            .count();
+        assert_eq!(f.pending_snapshots, recount, "pending-snapshot drift");
+    }
+
+    fn subscribe(f: &mut DeltaFanout, vn: VnId, rloc: Rloc) {
+        f.subscribe(vn, rloc);
+        audit(f);
+    }
+
+    fn publish(f: &mut DeltaFanout, vn: VnId, eid: Eid, rloc: Rloc) {
+        f.publish(vn, eid, rloc, false);
+        audit(f);
+    }
+
+    /// Flush against `world` as the content of whichever VN is asked for.
+    fn flush_world(f: &mut DeltaFanout, world: &[(EidPrefix, Rloc)]) -> Vec<(Rloc, Message)> {
+        let out = f.flush(|_, emit| {
+            for (p, r) in world {
+                emit(*p, *r);
+            }
+        });
+        audit(f);
+        assert_eq!(f.pending_snapshots, 0, "a flush serves every snapshot");
+        out
+    }
+
     /// Flush against an empty world (no snapshot content).
     fn flush_empty(f: &mut DeltaFanout) -> Vec<(Rloc, Message)> {
-        f.flush(|_, _| {})
+        flush_world(f, &[])
     }
 
     #[test]
     fn each_change_delivered_exactly_once() {
         let mut f = DeltaFanout::new(64);
-        f.subscribe(vn(1), rl(9));
+        subscribe(&mut f, vn(1), rl(9));
         flush_empty(&mut f); // empty snapshot -> Live
         for i in 0..10 {
-            f.publish(vn(1), eid(i), rl(1), false);
+            publish(&mut f, vn(1), eid(i), rl(1));
         }
         let out = flush_empty(&mut f);
         assert_eq!(out.len(), 10);
@@ -304,10 +362,10 @@ mod tests {
     #[test]
     fn publish_only_reaches_that_vns_subscribers() {
         let mut f = DeltaFanout::new(64);
-        f.subscribe(vn(1), rl(9));
-        f.subscribe(vn(2), rl(8));
+        subscribe(&mut f, vn(1), rl(9));
+        subscribe(&mut f, vn(2), rl(8));
         flush_empty(&mut f);
-        f.publish(vn(1), eid(1), rl(1), false);
+        publish(&mut f, vn(1), eid(1), rl(1));
         let out = flush_empty(&mut f);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, rl(9), "vn-2 subscriber untouched");
@@ -316,9 +374,9 @@ mod tests {
     #[test]
     fn per_vn_sequences_are_independent() {
         let mut f = DeltaFanout::new(64);
-        f.publish(vn(1), eid(1), rl(1), false);
-        f.publish(vn(1), eid(2), rl(1), false);
-        f.publish(vn(2), eid(3), rl(1), false);
+        publish(&mut f, vn(1), eid(1), rl(1));
+        publish(&mut f, vn(1), eid(2), rl(1));
+        publish(&mut f, vn(2), eid(3), rl(1));
         assert_eq!(f.current_seq(vn(1)), 2);
         assert_eq!(
             f.current_seq(vn(2)),
@@ -330,23 +388,18 @@ mod tests {
     #[test]
     fn overflow_gap_resyncs_by_snapshot() {
         let mut f = DeltaFanout::new(4);
-        f.subscribe(vn(1), rl(9));
+        subscribe(&mut f, vn(1), rl(9));
         flush_empty(&mut f);
         // 4 fit, the 5th overflows -> gap -> queued deltas dropped.
         for i in 0..5 {
-            f.publish(vn(1), eid(i), rl(1), false);
+            publish(&mut f, vn(1), eid(i), rl(1));
         }
         assert_eq!(f.gaps(), 1);
         // The flush must deliver a snapshot (here: the authoritative
         // world has entries 0..5) stamped at the watermark, not deltas.
         let world: Vec<(EidPrefix, Rloc)> =
             (0..5).map(|i| (EidPrefix::host(eid(i)), rl(1))).collect();
-        let out = f.flush(|v, emit| {
-            assert_eq!(v, vn(1));
-            for (p, r) in &world {
-                emit(*p, *r);
-            }
-        });
+        let out = flush_world(&mut f, &world);
         assert_eq!(out.len(), 5);
         for (_, m) in &out {
             match m {
@@ -355,7 +408,7 @@ mod tests {
             }
         }
         // Stream is live again afterwards.
-        f.publish(vn(1), eid(99), rl(1), false);
+        publish(&mut f, vn(1), eid(99), rl(1));
         let out = flush_empty(&mut f);
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].1, Message::Publish { nonce: 6, .. }));
@@ -364,40 +417,88 @@ mod tests {
     #[test]
     fn changes_while_snapshot_pending_are_not_doubled() {
         let mut f = DeltaFanout::new(64);
-        f.subscribe(vn(1), rl(9));
+        subscribe(&mut f, vn(1), rl(9));
         // Change lands before the first flush: covered by the snapshot.
-        f.publish(vn(1), eid(1), rl(1), false);
+        publish(&mut f, vn(1), eid(1), rl(1));
         let world = [(EidPrefix::host(eid(1)), rl(1))];
-        let out = f.flush(|_, emit| {
-            for (p, r) in &world {
-                emit(*p, *r);
-            }
-        });
+        let out = flush_world(&mut f, &world);
         assert_eq!(out.len(), 1, "snapshot only, no duplicate delta");
     }
 
     #[test]
     fn sequences_advance_even_with_no_subscribers() {
         let mut f = DeltaFanout::new(64);
-        f.publish(vn(1), eid(1), rl(1), false);
-        f.subscribe(vn(1), rl(9));
-        f.publish(vn(1), eid(2), rl(1), false);
+        publish(&mut f, vn(1), eid(1), rl(1));
+        subscribe(&mut f, vn(1), rl(9));
+        publish(&mut f, vn(1), eid(2), rl(1));
         let world = [
             (EidPrefix::host(eid(1)), rl(1)),
             (EidPrefix::host(eid(2)), rl(1)),
         ];
-        let out = f.flush(|_, emit| {
-            for (p, r) in &world {
-                emit(*p, *r);
-            }
-        });
+        let out = flush_world(&mut f, &world);
         // Snapshot watermark reflects both changes.
         assert!(out
             .iter()
             .all(|(_, m)| matches!(m, Message::Publish { nonce: 2, .. })));
-        f.publish(vn(1), eid(3), rl(2), false);
+        publish(&mut f, vn(1), eid(3), rl(2));
         let out = flush_empty(&mut f);
         assert!(matches!(out[0].1, Message::Publish { nonce: 3, .. }));
+    }
+
+    #[test]
+    fn flush_orders_by_subscriber_then_vn_and_snapshots_only_the_pending() {
+        let mut f = DeltaFanout::new(64);
+        // Subscription order: rl(9) then rl(8); VNs out of order.
+        subscribe(&mut f, vn(2), rl(9));
+        subscribe(&mut f, vn(1), rl(8));
+        subscribe(&mut f, vn(1), rl(9));
+        assert_eq!(f.subscriber_count(), 2);
+        assert_eq!(f.subscription_count(), 3);
+        assert!(f.is_subscribed(vn(2), rl(9)) && !f.is_subscribed(vn(2), rl(8)));
+        let mut asked = Vec::new();
+        let out = f.flush(|v, emit| {
+            asked.push(v);
+            emit(EidPrefix::host(eid(v.raw())), rl(1));
+        });
+        audit(&f);
+        assert_eq!(
+            asked,
+            [vn(1), vn(2), vn(1)],
+            "per subscriber, in VnId order"
+        );
+        let to: Vec<Rloc> = out.iter().map(|(to, _)| *to).collect();
+        assert_eq!(to, [rl(9), rl(9), rl(8)]);
+        // Resubscribing a live stream queues exactly that one snapshot,
+        // and drops the deltas it makes redundant; the other streams keep
+        // theirs and are not walked again.
+        publish(&mut f, vn(1), eid(5), rl(2));
+        publish(&mut f, vn(2), eid(6), rl(2));
+        subscribe(&mut f, vn(1), rl(9));
+        subscribe(&mut f, vn(1), rl(9));
+        assert_eq!(f.subscription_count(), 3, "a resync is not a new stream");
+        let mut asked = Vec::new();
+        let out = f.flush(|v, emit| {
+            asked.push(v);
+            emit(EidPrefix::host(eid(5)), rl(2));
+        });
+        audit(&f);
+        assert_eq!(asked, [vn(1)]);
+        let got: Vec<(Rloc, u64, VnId)> = out
+            .iter()
+            .map(|(to, m)| match m {
+                Message::Publish { nonce, vn, .. } => (*to, *nonce, *vn),
+                other => panic!("expected Publish, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (rl(9), 1, vn(1)), // the snapshot, at vn 1's watermark
+                (rl(9), 1, vn(2)), // rl(9)'s surviving vn-2 delta
+                (rl(8), 1, vn(1)), // rl(8) stayed live on vn 1
+            ]
+        );
+        assert_eq!(f.delivered(), 6);
     }
 
     #[test]

@@ -306,7 +306,7 @@ impl PartitionedMapServer {
                 }
                 (
                     Disposition::Served,
-                    self.answer_request(nonce, vn, eid, itr_rloc, now),
+                    self.answer_request(owner, nonce, vn, eid, itr_rloc, now),
                 )
             }
             Message::MapRegister {
@@ -331,7 +331,7 @@ impl PartitionedMapServer {
                 }
                 (
                     Disposition::Served,
-                    self.process_register(nonce, vn, eid, rloc, ttl_secs, want_notify, now),
+                    self.process_register(owner, nonce, vn, eid, rloc, ttl_secs, want_notify, now),
                 )
             }
             Message::Subscribe {
@@ -406,15 +406,17 @@ impl PartitionedMapServer {
         }
     }
 
+    /// Answers a Map-Request from shard `owner` (the caller's
+    /// `partition::owner_of(&eid, ..)`).
     fn answer_request(
         &mut self,
+        owner: usize,
         nonce: u64,
         vn: VnId,
         eid: Eid,
         itr_rloc: Rloc,
         now: SimTime,
     ) -> Outbox {
-        let owner = partition::owner_of(&eid, self.shards.len());
         let shard = &mut self.shards[owner];
         match shard.db.lookup(vn, eid, now) {
             Some((prefix, rec)) => {
@@ -448,9 +450,12 @@ impl PartitionedMapServer {
         }
     }
 
+    /// Applies a Map-Register on shard `owner` (the caller's
+    /// `partition::owner_of(&eid, ..)`).
     #[allow(clippy::too_many_arguments)]
     fn process_register(
         &mut self,
+        owner: usize,
         nonce: u64,
         vn: VnId,
         eid: Eid,
@@ -464,7 +469,6 @@ impl PartitionedMapServer {
         } else {
             SimDuration::from_secs(u64::from(ttl_secs))
         };
-        let owner = partition::owner_of(&eid, self.shards.len());
         let shard = &mut self.shards[owner];
         shard.registers += 1;
         let outcome = shard.db.register(vn, eid, rloc, ttl, now);

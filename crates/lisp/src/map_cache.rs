@@ -958,6 +958,29 @@ mod tests {
     }
 
     #[test]
+    fn update_rloc_keeps_stride_tables() {
+        let mut c = MapCache::new();
+        let (r1, r2) = (Rloc::for_router_index(1), Rloc::for_router_index(2));
+        for n in 0..=255 {
+            c.install(vn(1), EidPrefix::host(eid(n)), r1, TTL, SimTime::ZERO);
+        }
+        c.compact();
+        let layout = c.mem_stats();
+        assert!(layout.stride_tables >= 1, "the dense /24 promotes");
+        for n in 0..=255 {
+            c.update_rloc(vn(1), eid(n), r2, TTL, SimTime::ZERO);
+        }
+        assert_eq!(c.mem_stats(), layout, "a handover moves nothing");
+        assert_eq!(c.len(), 256);
+        for n in 0..=255 {
+            assert_eq!(
+                c.lookup(vn(1), eid(n), SimTime::ZERO),
+                CacheOutcome::Hit(r2)
+            );
+        }
+    }
+
+    #[test]
     fn clear_models_reboot() {
         let mut c = MapCache::new();
         c.install(

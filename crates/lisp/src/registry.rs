@@ -302,6 +302,34 @@ mod tests {
     }
 
     #[test]
+    fn refresh_and_move_registers_keep_stride_tables() {
+        let mut db = MappingDb::new();
+        let (r1, r2) = (Rloc::for_router_index(1), Rloc::for_router_index(2));
+        for n in 0..=255 {
+            db.register(vn(1), eid(n), r1, TTL, SimTime::ZERO);
+        }
+        db.compact();
+        let layout = db.mem_stats();
+        assert!(layout.stride_tables >= 1, "the dense /24 promotes");
+        let later = SimTime::ZERO + SimDuration::from_secs(10);
+        for n in 0..=255 {
+            // Even hosts refresh, odd hosts move.
+            let (to, want) = if n % 2 == 0 {
+                (r1, RegisterOutcome::Refreshed)
+            } else {
+                (r2, RegisterOutcome::Moved { previous: r1 })
+            };
+            assert_eq!(db.register(vn(1), eid(n), to, TTL, later), want);
+        }
+        assert_eq!(db.mem_stats(), layout, "re-registration moves nothing");
+        for n in 0..=255 {
+            let (_, rec) = db.lookup(vn(1), eid(n), later).unwrap();
+            assert_eq!(rec.rloc, if n % 2 == 0 { r1 } else { r2 });
+            assert_eq!(rec.registered_at, later);
+        }
+    }
+
+    #[test]
     fn all_three_families_coexist() {
         let mut db = MappingDb::new();
         let r = Rloc::for_router_index(3);

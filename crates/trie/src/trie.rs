@@ -97,13 +97,30 @@
 //! [`STRIDE4_MIN_ENDS`] a 4-bit one, else the level stays Patricia — so
 //! sparse regions never pay for empty tables, and the choice is
 //! re-derived from occupancy on every compaction (a thinned-out level
-//! **demotes** the same way). **Invalidation** is conservative:
-//! `insert` and `remove` clear the tables of the nodes they descend
-//! through (the structure below them may have changed shape), and
-//! `retain` drops all tables when anything was freed — lookups fall
-//! back to plain binary steps there until the next `compact()`
-//! re-promotes. Mutators never build tables; the slab is rebuilt from
-//! scratch at each compaction, so stale-slot hazards cannot outlive it.
+//! **demotes** the same way).
+//!
+//! **Invalidation** follows what a table actually holds — arena indices
+//! of landing nodes and `has_value`-derived `best` slots:
+//!
+//! * *Replacing the value of a key that already has one* (`insert` on a
+//!   stored key — every refresh or move re-registration, every map-cache
+//!   `update_rloc`) changes neither, so it keeps **every** table; so do
+//!   writes through `longest_match_mut` and a `retain` that frees
+//!   nothing. The stride layer a `compact()` built survives any amount
+//!   of value churn.
+//! * *A structural change* stays conservative: an `insert` that adds a
+//!   key (a new leaf, a split, or a value on a so-far valueless node)
+//!   and a `remove` that takes one out drop the tables of the strided
+//!   nodes on the key's path (the span below them may have changed
+//!   shape or gained/lost a `best`), and `retain` drops all tables when
+//!   anything was freed. Lookups fall back to plain binary steps along
+//!   such a path until the next `compact()` re-promotes — in particular
+//!   a *new* key inserted into a compacted trie leaves its own path
+//!   table-less until then, even where the table above it would not
+//!   have needed to change.
+//!
+//! Mutators never build tables; the slab is rebuilt from scratch at each
+//! compaction, so stale-slot hazards cannot outlive it.
 //!
 //! ## Inline keys and the zero-allocation lookup path
 //!
@@ -163,6 +180,12 @@ const STRIDE4_MIN_ENDS: usize = 8;
 /// strided node (1..=7), bits 0..28 the arena index.
 const STRIDE_DELTA_SHIFT: u32 = 28;
 const STRIDE_IDX_MASK: u32 = (1 << STRIDE_DELTA_SHIFT) - 1;
+
+/// Most strided nodes one root-to-leaf path can carry. Tables are only
+/// built on span boundaries, so two of them on a path are at least a
+/// 4-bit stride apart, and mutators drop tables but never add or move
+/// one — `insert` notes the ones it passes in an array of this size.
+const MAX_PATH_TABLES: usize = crate::bits::MAX_BITS / 4;
 
 /// Promotion is skipped entirely once the arena is too large for packed
 /// slot indices (boundary splits can still grow it past this during the
@@ -536,48 +559,76 @@ impl<V> PatriciaTrie<V> {
     }
 
     /// Inserts `value` at `key`, returning the previous value if any.
+    ///
+    /// One descent serves both outcomes. It is the stride-aware exact
+    /// descent of [`PatriciaTrie::get`] — a fanout table whose slot has a
+    /// landing node is hopped through, anything else takes binary steps —
+    /// and it only *notes* the strided nodes it passes:
+    ///
+    /// * **The key already holds a value**: the value is replaced in
+    ///   place and every table stays. Tables hold arena indices and
+    ///   `has_value`-derived `best` slots; a replacement changes neither,
+    ///   so a refresh or move of a registered key leaves the stride layer
+    ///   exactly as `compact()` built it.
+    /// * **The key is new** (a new leaf, a split, or a value on a
+    ///   so-far valueless node): the tables of the strided nodes on the
+    ///   path are dropped, as conservatively as before — their slots leak
+    ///   until the next `compact()` rebuilds the slab, and until then
+    ///   lookups take binary steps along this path.
     pub fn insert(&mut self, key: &BitStr, value: V) -> Option<V> {
         let mut idx = ROOT;
-        // Bits of `key` consumed up to and including `idx`'s label.
-        let mut after_label = 0usize;
+        // The unconsumed tail of `key` below `idx`.
+        let mut rest = *key;
+        let mut strided = [NONE; MAX_PATH_TABLES];
+        let mut n_strided = 0usize;
         loop {
-            // A stride table on the path may reference structure or a
-            // value this insert changes — drop it (the slot leaks until
-            // the next `compact()` rebuilds the slab and re-densifies).
-            {
-                let n = &mut self.nodes[idx as usize];
-                n.stride = 0;
-                n.table = NONE;
-            }
-            if after_label == key.len() {
-                // Key ends exactly at this node.
-                let node = &mut self.nodes[idx as usize];
-                node.has_value = true;
+            if rest.is_empty() {
+                // Key ends exactly at this node. Its own table (if any)
+                // only describes structure below it and stays either way.
                 let old = self.values[idx as usize].replace(value);
-                if old.is_none() {
-                    self.len += 1;
+                if old.is_some() {
+                    return old;
                 }
-                return old;
+                self.nodes[idx as usize].has_value = true;
+                break;
             }
 
             // Key continues below this node.
-            let next_bit = key.bit(after_label) as usize;
+            if self.nodes[idx as usize].stride != 0 {
+                strided[n_strided] = idx;
+                n_strided += 1;
+                let slot = stride_slot(
+                    &self.nodes,
+                    &self.stride_tables,
+                    idx,
+                    rest.len(),
+                    0,
+                    rest.raw(),
+                );
+                if let Some((s, next, _)) = slot {
+                    if next != NONE {
+                        idx = next;
+                        rest = rest.slice(s, rest.len());
+                        continue;
+                    }
+                    // The path dies inside the span, so the key is new:
+                    // binary steps below find where it diverges.
+                }
+            }
+            let next_bit = rest.bit(0) as usize;
             let child = self.nodes[idx as usize].children[next_bit];
             if child == NONE {
-                let label = key.slice(after_label, key.len());
-                let leaf = self.alloc_node(label, Some(value));
+                let leaf = self.alloc_node(rest, Some(value));
                 self.nodes[idx as usize].children[next_bit] = leaf;
-                self.len += 1;
-                return None;
+                break;
             }
 
-            let rest = key.slice(after_label, key.len());
             let child_label = self.nodes[child as usize].label();
             let common = child_label.common_prefix_len(&rest);
             if common == child_label.len() {
                 // Child label fully matches; descend.
                 idx = child;
-                after_label += child_label.len();
+                rest = rest.slice(common, rest.len());
                 continue;
             }
 
@@ -602,8 +653,23 @@ impl<V> PatriciaTrie<V> {
                 let leaf = self.alloc_node(label, Some(value));
                 self.nodes[split as usize].children[bit] = leaf;
             }
-            self.len += 1;
-            return None;
+            break;
+        }
+        // A new key — a leaf, a split, or a first value on an interior
+        // node: the spans of the strided nodes above it changed shape or
+        // gained a `best`.
+        self.len += 1;
+        self.drop_tables(&strided[..n_strided]);
+        None
+    }
+
+    /// Drops the stride tables of `strided` (the slab slots leak until
+    /// the next `compact()` rebuilds it).
+    fn drop_tables(&mut self, strided: &[u32]) {
+        for &idx in strided {
+            let n = &mut self.nodes[idx as usize];
+            n.stride = 0;
+            n.table = NONE;
         }
     }
 
@@ -1903,6 +1969,78 @@ mod tests {
             let k = BitStr::from_bytes(&[i as u8], 8);
             assert_eq!(t.get(&k), Some(&i), "post-remove get {i}");
         }
+    }
+
+    #[test]
+    fn replace_keeps_stride_tables() {
+        let mut t = dense8();
+        t.compact();
+        let before = t.mem_stats();
+        assert_eq!(before.stride_tables, 1);
+        for i in 0u32..256 {
+            let k = BitStr::from_bytes(&[i as u8], 8);
+            assert_eq!(t.insert(&k, 1000 + i), Some(i), "replace {i}");
+        }
+        assert_eq!(t.mem_stats(), before, "a replacement moves nothing");
+        assert_eq!(t.len(), 256);
+        for i in 0u32..256 {
+            let v = 1000 + i;
+            assert_eq!(t.get(&BitStr::from_bytes(&[i as u8], 8)), Some(&v));
+            let long = BitStr::from_bytes(&[i as u8, 0xCD], 16);
+            assert_eq!(t.longest_match(&long), Some((8, &v)), "LPM {i}");
+        }
+    }
+
+    #[test]
+    fn replace_hops_through_nested_tables() {
+        // 12-bit keys: a dense 8-bit top with a full 4-bit subtree under
+        // every landing node — one stride-8 table over 256 stride-4 ones.
+        let key12 = |a: u32, b: u32| BitStr::from_bytes(&[a as u8, (b as u8) << 4], 12);
+        let mut t = PatriciaTrie::new();
+        for a in 0..256 {
+            for b in 0..16 {
+                t.insert(&key12(a, b), a * 16 + b);
+            }
+        }
+        t.compact();
+        let before = t.mem_stats();
+        assert_eq!(before.stride_tables, 257);
+        for a in 0..256 {
+            for b in 0..16 {
+                assert_eq!(t.insert(&key12(a, b), 7), Some(a * 16 + b));
+            }
+        }
+        assert_eq!(t.mem_stats(), before);
+        assert_eq!(t.get(&key12(0xAB, 0xC)), Some(&7));
+        // A new key below one landing node drops the two tables on its
+        // path and no other.
+        t.insert(&BitStr::from_bytes(&[0xAB, 0xCD], 16), 8);
+        assert_eq!(t.mem_stats().stride_tables, 255);
+        assert_eq!(t.get(&key12(0xAB, 0xC)), Some(&7));
+        assert_eq!(
+            t.longest_match(&BitStr::from_bytes(&[0xAB, 0xCD, 0xEF], 24)),
+            Some((16, &8))
+        );
+    }
+
+    #[test]
+    fn value_on_an_interior_node_invalidates_like_a_new_key() {
+        let mut t = dense8();
+        t.compact();
+        // The 1-bit node exists (valueless) strictly inside the root's
+        // span: giving it a value changes the span's `best` slots, so the
+        // table must go although no node was added.
+        let nodes = t.mem_stats().live_nodes;
+        assert_eq!(t.insert(&key("1"), 1000), None);
+        let stats = t.mem_stats();
+        assert_eq!(stats.live_nodes, nodes);
+        assert_eq!(stats.stride_tables, 0);
+        assert_eq!(t.len(), 257);
+        let probe = BitStr::from_bytes(&[0xFF], 8);
+        assert_eq!(
+            t.longest_match_where(&probe, |v| *v != 255),
+            Some((1, &1000))
+        );
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! table at the next `compact()`), and `RemoveDense` empties it again
 //! (the next `compact()` demotes back to plain Patricia), so the
 //! promotion/demotion seam and the insert/remove table-invalidation
-//! paths are all exercised against the model.
+//! paths are all exercised against the model. `ReplaceAll` re-inserts
+//! every stored key with a new value and no re-layout: whatever tables
+//! the batches before it left standing must all survive it and answer
+//! with the new values.
 
 use std::collections::BTreeMap;
 
@@ -42,6 +45,9 @@ enum Batch {
     },
     /// Remove every `width`-bit extension of `base` (demotion fodder).
     RemoveDense { base: Vec<bool>, width: usize },
+    /// Re-insert every stored key with a new value (derived from the
+    /// seed): pure replacements, which must leave the layout alone.
+    ReplaceAll(u32),
 }
 
 fn arb_key() -> impl Strategy<Value = Vec<bool>> {
@@ -68,6 +74,7 @@ fn arb_batch() -> impl Strategy<Value = Batch> {
             seed
         }),
         arb_dense().prop_map(|(base, width)| Batch::RemoveDense { base, width }),
+        any::<u32>().prop_map(Batch::ReplaceAll),
     ]
 }
 
@@ -169,6 +176,23 @@ proptest! {
                     // Demote: with the block gone, occupancy falls back
                     // under the promotion thresholds.
                     trie.compact();
+                }
+                Batch::ReplaceAll(seed) => {
+                    let layout = trie.mem_stats();
+                    for (ki, (k, v)) in model.iter_mut().enumerate() {
+                        let key = to_bits(&k.chars().map(|c| c == '1').collect::<Vec<_>>());
+                        let new = seed.wrapping_add(ki as u32);
+                        prop_assert_eq!(
+                            trie.insert(&key, new),
+                            Some(*v),
+                            "replace disagreement in batch {}", bi
+                        );
+                        *v = new;
+                    }
+                    prop_assert_eq!(
+                        trie.mem_stats(), layout,
+                        "replacements moved the layout in batch {}", bi
+                    );
                 }
             }
 

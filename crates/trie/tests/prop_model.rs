@@ -45,6 +45,12 @@ enum Op {
     LpmMutSet(Vec<bool>, u32),
     /// `retain` keeping only values with the given parity.
     RetainParity(bool),
+    /// Re-`insert` at the longest stored prefix of the key: a pure value
+    /// replacement, which must leave the layout (stride tables included)
+    /// alone.
+    Replace(Vec<bool>, u32),
+    /// DFS re-layout: what gives the ops after it stride tables to meet.
+    Compact,
 }
 
 fn arb_key() -> impl Strategy<Value = Vec<bool>> {
@@ -59,6 +65,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
         arb_key().prop_map(Op::Lpm),
         (arb_key(), any::<u32>()).prop_map(|(k, v)| Op::LpmMutSet(k, v)),
         any::<bool>().prop_map(Op::RetainParity),
+        (arb_key(), any::<u32>()).prop_map(|(k, v)| Op::Replace(k, v)),
+        Just(Op::Compact),
     ]
 }
 
@@ -127,6 +135,21 @@ proptest! {
                         .retain(|_, v| (*v % 2 == 1) == *keep_odd);
                     prop_assert_eq!(removed, before - model.entries.len());
                 }
+                Op::Replace(k, new_v) => {
+                    let key = to_bits(k);
+                    if let Some((l, old)) = model.longest_match(&key) {
+                        let stored = key.slice(0, l);
+                        let layout = trie.mem_stats();
+                        prop_assert_eq!(trie.insert(&stored, *new_v), Some(old));
+                        model.insert(&stored, *new_v);
+                        prop_assert_eq!(trie.mem_stats(), layout);
+                        prop_assert_eq!(
+                            trie.longest_match(&key).map(|(l, v)| (l, *v)),
+                            Some((l, *new_v))
+                        );
+                    }
+                }
+                Op::Compact => trie.compact(),
             }
             prop_assert_eq!(trie.len(), model.entries.len());
         }

@@ -81,6 +81,11 @@ impl EidKind {
             EidKind::Mac => 48,
         }
     }
+
+    /// Width in bytes of the canonical representation (4, 16 or 6).
+    pub const fn byte_len(self) -> usize {
+        self.bit_len() as usize / 8
+    }
 }
 
 impl fmt::Display for EidKind {
@@ -118,13 +123,10 @@ impl Eid {
         }
     }
 
-    /// Canonical byte representation (4, 16 or 6 bytes).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        match self {
-            Eid::V4(a) => a.octets().to_vec(),
-            Eid::V6(a) => a.octets().to_vec(),
-            Eid::Mac(m) => m.octets().to_vec(),
-        }
+    /// Canonical byte representation, left-aligned in a fixed array:
+    /// the first `kind().byte_len()` bytes are the address, the rest zero.
+    pub fn octets(&self) -> [u8; 16] {
+        self.key_bits().to_be_bytes()
     }
 
     /// Reconstructs an EID from `kind` + canonical bytes.
@@ -157,8 +159,8 @@ impl Eid {
     /// Left-aligned 128-bit trie key: the address occupies the top
     /// `kind().bit_len()` bits of the word, the rest is zero.
     ///
-    /// Allocation-free counterpart to [`Eid::to_bytes`] — this is what the
-    /// LPM hot path uses to build trie keys without touching the heap.
+    /// This is what the LPM hot path uses to build trie keys without
+    /// touching the heap.
     pub fn key_bits(&self) -> u128 {
         match self {
             Eid::V4(a) => u128::from(u32::from(*a)) << 96,
@@ -300,9 +302,11 @@ mod tests {
             Eid::Mac(MacAddr::from_seed(99)),
         ];
         for eid in cases {
-            let bytes = eid.to_bytes();
+            let octets = eid.octets();
+            let (bytes, pad) = octets.split_at(eid.kind().byte_len());
             assert_eq!(bytes.len() as u16 * 8, eid.kind().bit_len());
-            let back = Eid::from_bytes(eid.kind(), &bytes).unwrap();
+            assert!(pad.iter().all(|&b| b == 0), "{eid}: padding is zero");
+            let back = Eid::from_bytes(eid.kind(), bytes).unwrap();
             assert_eq!(back, eid);
         }
     }

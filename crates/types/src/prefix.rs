@@ -268,22 +268,18 @@ impl EidPrefix {
         }
     }
 
-    /// Canonical network bytes (4, 16 or 6 bytes).
-    pub fn addr_bytes(&self) -> Vec<u8> {
-        match self {
-            EidPrefix::V4(p) => p.addr().octets().to_vec(),
-            EidPrefix::V6(p) => p.addr().octets().to_vec(),
-            EidPrefix::Mac(p) => p.addr().octets().to_vec(),
-        }
+    /// Canonical network bytes, left-aligned in a fixed array: the first
+    /// `kind().byte_len()` bytes are the address, the rest zero.
+    pub fn addr_octets(&self) -> [u8; 16] {
+        self.key_bits().to_be_bytes()
     }
 
     /// Left-aligned 128-bit trie key: the canonical network bits occupy
     /// the top `len()` bits of the word, the rest is zero (construction
     /// already zeroed host bits).
     ///
-    /// Allocation-free counterpart to [`EidPrefix::addr_bytes`] — this is
-    /// what the LPM hot path uses to build trie keys without touching the
-    /// heap.
+    /// This is what the LPM hot path uses to build trie keys without
+    /// touching the heap.
     pub fn key_bits(&self) -> u128 {
         match self {
             EidPrefix::V4(p) => u128::from(u32::from(p.addr())) << 96,

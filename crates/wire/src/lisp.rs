@@ -18,6 +18,26 @@
 //! a type-specific body. EIDs are encoded with a 16-bit address family
 //! identifier — 1 (IPv4), 2 (IPv6) and 6 (48-bit MAC; real LISP would use
 //! an LCAF, simplified here and documented as a divergence).
+//!
+//! ## Contract
+//!
+//! * [`Message::emit`] makes **one** heap allocation — the returned
+//!   `Vec<u8>`, sized to the exact encoded length before the first byte
+//!   is written (`len() == capacity()`) — and cannot fail: every
+//!   `Message` value has an encoding.
+//! * [`Message::parse`] makes **none**, on success or on error. Its input
+//!   is untrusted: any byte string yields `Ok` or a typed [`Error`]
+//!   (`Truncated`, `BadLength` for trailing bytes, `UnknownAfi`,
+//!   `Malformed`), and `parse(emit(m)) == m` for every `m`. No length is
+//!   read from the wire — field widths follow from the type nibble and
+//!   the AFIs — so nothing in the input can size an allocation or a copy.
+//! * Panics: none, in either direction.
+//! * Not a transport: no retransmission, authentication or fragmentation;
+//!   one message per UDP datagram on [`LISP_CONTROL_PORT`].
+//!
+//! `tests/prop_roundtrip.rs` holds the encoder to the frozen reference in
+//! `tests/reference/` byte for byte; `tests/no_alloc.rs` counts the
+//! allocations.
 
 use std::net::Ipv4Addr;
 
@@ -190,9 +210,10 @@ pub enum Message {
 }
 
 impl Message {
-    /// Serializes the message to bytes.
+    /// Serializes the message to bytes: one allocation of exactly the
+    /// encoded length (every arm states its body length beside the
+    /// writes that fill it).
     pub fn emit(&self) -> Vec<u8> {
-        let mut w = Writer::default();
         match self {
             Message::MapRequest {
                 nonce,
@@ -201,10 +222,12 @@ impl Message {
                 eid,
                 itr_rloc,
             } => {
-                w.header(TYPE_MAP_REQUEST, if *smr { FLAG_SMR } else { 0 }, *nonce);
-                w.vn(*vn);
+                let flags = if *smr { FLAG_SMR } else { 0 };
+                let body = eid_len(eid.kind()) + RLOC_LEN;
+                let mut w = Writer::new(TYPE_MAP_REQUEST, flags, *nonce, *vn, body);
                 w.eid(*eid);
                 w.rloc(*itr_rloc);
+                w.finish()
             }
             Message::MapReply {
                 nonce,
@@ -214,15 +237,14 @@ impl Message {
                 negative,
                 ttl_secs,
             } => {
-                w.header(
-                    TYPE_MAP_REPLY,
-                    if *negative { FLAG_NEGATIVE } else { 0 },
-                    *nonce,
-                );
-                w.vn(*vn);
+                let flags = if *negative { FLAG_NEGATIVE } else { 0 };
+                let rloc_len = if rloc.is_some() { RLOC_LEN } else { 2 };
+                let body = prefix_len(prefix.kind()) + rloc_len + 4;
+                let mut w = Writer::new(TYPE_MAP_REPLY, flags, *nonce, *vn, body);
                 w.prefix(*prefix);
                 w.opt_rloc(*rloc);
                 w.u32(*ttl_secs);
+                w.finish()
             }
             Message::MapRegister {
                 nonce,
@@ -232,15 +254,13 @@ impl Message {
                 ttl_secs,
                 want_notify,
             } => {
-                w.header(
-                    TYPE_MAP_REGISTER,
-                    if *want_notify { FLAG_WANT_NOTIFY } else { 0 },
-                    *nonce,
-                );
-                w.vn(*vn);
+                let flags = if *want_notify { FLAG_WANT_NOTIFY } else { 0 };
+                let body = eid_len(eid.kind()) + RLOC_LEN + 4;
+                let mut w = Writer::new(TYPE_MAP_REGISTER, flags, *nonce, *vn, body);
                 w.eid(*eid);
                 w.rloc(*rloc);
                 w.u32(*ttl_secs);
+                w.finish()
             }
             Message::MapNotify {
                 nonce,
@@ -248,23 +268,23 @@ impl Message {
                 eid,
                 new_rloc,
             } => {
-                w.header(TYPE_MAP_NOTIFY, 0, *nonce);
-                w.vn(*vn);
+                let body = eid_len(eid.kind()) + RLOC_LEN;
+                let mut w = Writer::new(TYPE_MAP_NOTIFY, 0, *nonce, *vn, body);
                 w.eid(*eid);
                 w.rloc(*new_rloc);
+                w.finish()
             }
             Message::Subscribe {
                 nonce,
                 vn,
                 subscriber,
             } => {
-                w.header(TYPE_SUBSCRIBE, 0, *nonce);
-                w.vn(*vn);
+                let mut w = Writer::new(TYPE_SUBSCRIBE, 0, *nonce, *vn, RLOC_LEN);
                 w.rloc(*subscriber);
+                w.finish()
             }
             Message::SubscribeAck { nonce, vn } => {
-                w.header(TYPE_SUBSCRIBE_ACK, 0, *nonce);
-                w.vn(*vn);
+                Writer::new(TYPE_SUBSCRIBE_ACK, 0, *nonce, *vn, 0).finish()
             }
             Message::ServerBusy {
                 nonce,
@@ -273,10 +293,11 @@ impl Message {
                 class,
                 retry_after_ms,
             } => {
-                w.header(TYPE_SERVER_BUSY, class.flag(), *nonce);
-                w.vn(*vn);
+                let body = eid_len(eid.kind()) + 4;
+                let mut w = Writer::new(TYPE_SERVER_BUSY, class.flag(), *nonce, *vn, body);
                 w.eid(*eid);
                 w.u32(*retry_after_ms);
+                w.finish()
             }
             Message::Publish {
                 nonce,
@@ -285,17 +306,14 @@ impl Message {
                 rloc,
                 withdraw,
             } => {
-                w.header(
-                    TYPE_PUBLISH,
-                    if *withdraw { FLAG_WITHDRAW } else { 0 },
-                    *nonce,
-                );
-                w.vn(*vn);
+                let flags = if *withdraw { FLAG_WITHDRAW } else { 0 };
+                let body = prefix_len(prefix.kind()) + RLOC_LEN;
+                let mut w = Writer::new(TYPE_PUBLISH, flags, *nonce, *vn, body);
                 w.prefix(*prefix);
                 w.rloc(*rloc);
+                w.finish()
             }
         }
-        w.buf
     }
 
     /// Parses a message from bytes.
@@ -375,16 +393,53 @@ impl Message {
     }
 }
 
-#[derive(Default)]
+/// Common header (type+flags, nonce) plus the 24-bit VN every body
+/// starts with.
+const HEADER_VN_LEN: usize = 9 + 3;
+/// An RLOC on the wire: AFI + IPv4 address.
+const RLOC_LEN: usize = 2 + 4;
+
+/// An EID on the wire: AFI + canonical address bytes.
+const fn eid_len(kind: EidKind) -> usize {
+    2 + kind.byte_len()
+}
+
+/// A prefix on the wire: mask length + AFI + canonical network bytes.
+const fn prefix_len(kind: EidKind) -> usize {
+    1 + eid_len(kind)
+}
+
+fn afi_of(kind: EidKind) -> u16 {
+    match kind {
+        EidKind::V4 => AFI_IPV4,
+        EidKind::V6 => AFI_IPV6,
+        EidKind::Mac => AFI_MAC,
+    }
+}
+
+/// Fills a buffer allocated once at the message's exact encoded length.
 struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
-    fn header(&mut self, ty: u8, flags: u8, nonce: u64) {
+    /// Allocates header + VN + `body_len` bytes and writes header and VN.
+    fn new(ty: u8, flags: u8, nonce: u64, vn: VnId, body_len: usize) -> Self {
         debug_assert!(flags <= 0x0f);
-        self.buf.push((ty << 4) | flags);
-        self.buf.extend_from_slice(&nonce.to_be_bytes());
+        let mut buf = Vec::with_capacity(HEADER_VN_LEN + body_len);
+        buf.push((ty << 4) | flags);
+        buf.extend_from_slice(&nonce.to_be_bytes());
+        buf.extend_from_slice(&vn.raw().to_be_bytes()[1..]);
+        Writer { buf }
+    }
+
+    fn finish(self) -> Vec<u8> {
+        debug_assert_eq!(
+            self.buf.len(),
+            self.buf.capacity(),
+            "declared body length disagrees with the fields written"
+        );
+        self.buf
     }
 
     fn u32(&mut self, v: u32) {
@@ -395,32 +450,17 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
-    fn vn(&mut self, vn: VnId) {
-        let raw = vn.raw();
-        self.buf.push((raw >> 16) as u8);
-        self.buf.push((raw >> 8) as u8);
-        self.buf.push(raw as u8);
-    }
-
     fn eid(&mut self, eid: Eid) {
-        let afi = match eid.kind() {
-            EidKind::V4 => AFI_IPV4,
-            EidKind::V6 => AFI_IPV6,
-            EidKind::Mac => AFI_MAC,
-        };
-        self.u16(afi);
-        self.buf.extend_from_slice(&eid.to_bytes());
+        self.u16(afi_of(eid.kind()));
+        self.buf
+            .extend_from_slice(&eid.octets()[..eid.kind().byte_len()]);
     }
 
     fn prefix(&mut self, p: EidPrefix) {
         self.buf.push(p.len());
-        let afi = match p.kind() {
-            EidKind::V4 => AFI_IPV4,
-            EidKind::V6 => AFI_IPV6,
-            EidKind::Mac => AFI_MAC,
-        };
-        self.u16(afi);
-        self.buf.extend_from_slice(&p.addr_bytes());
+        self.u16(afi_of(p.kind()));
+        self.buf
+            .extend_from_slice(&p.addr_octets()[..p.kind().byte_len()]);
     }
 
     fn rloc(&mut self, r: Rloc) {
@@ -475,7 +515,7 @@ impl<'a> Reader<'a> {
     fn eid(&mut self) -> Result<Eid> {
         let afi = self.u16()?;
         let kind = kind_of_afi(afi)?;
-        let bytes = self.take(kind.bit_len() as usize / 8)?;
+        let bytes = self.take(kind.byte_len())?;
         Eid::from_bytes(kind, bytes).map_err(|_| Error::Malformed)
     }
 
@@ -483,7 +523,7 @@ impl<'a> Reader<'a> {
         let len = self.take(1)?[0];
         let afi = self.u16()?;
         let kind = kind_of_afi(afi)?;
-        let bytes = self.take(kind.bit_len() as usize / 8)?;
+        let bytes = self.take(kind.byte_len())?;
         let eid = Eid::from_bytes(kind, bytes).map_err(|_| Error::Malformed)?;
         let prefix = match eid {
             Eid::V4(a) => EidPrefix::V4(Ipv4Prefix::new(a, len).map_err(|_| Error::Malformed)?),

@@ -5,12 +5,17 @@
 //! 1. **Round-trip**: for any valid `Repr`, `parse(emit(repr)) == repr`.
 //! 2. **No panic on garbage**: `new_checked`/`parse` over arbitrary bytes
 //!    returns `Ok` or `Err`, never panics — the smoltcp robustness rule.
+//! 3. **Same bytes as the frozen encoder**: `lisp::Message::emit` is held
+//!    to `reference::emit` (the growing-`Vec` writer it replaced) over
+//!    every variant × EID family, and fills its one allocation exactly.
 
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 use proptest::prelude::*;
 use sda_types::{Eid, EidPrefix, GroupId, Ipv4Prefix, Ipv6Prefix, MacAddr, MacPrefix, Rloc, VnId};
 use sda_wire::{arp, ethernet, ipv4, ipv6, lisp, udp, vxlan};
+
+mod reference;
 
 fn arb_mac() -> impl Strategy<Value = MacAddr> {
     any::<[u8; 6]>().prop_map(MacAddr)
@@ -49,6 +54,21 @@ fn arb_rloc() -> impl Strategy<Value = Rloc> {
 }
 
 proptest! {
+    /// The sized encoder against the frozen growing-`Vec` one: same
+    /// bytes, one exactly-filled buffer, and the bytes parse back.
+    #[test]
+    fn lisp_emit_matches_frozen_reference(nonce in any::<u64>(), vn in 0u32..=VnId::MAX, addr in any::<u128>(), len in any::<u8>(), rloc in any::<u32>(), word in any::<u32>(), flag in any::<bool>()) {
+        let vn = VnId::new(vn).unwrap();
+        let matrix = reference::matrix(nonce, vn, addr, len, Rloc(Ipv4Addr::from(rloc)), word, flag);
+        prop_assert_eq!(matrix.len(), reference::MATRIX_LEN);
+        for msg in matrix {
+            let bytes = msg.emit();
+            prop_assert_eq!(&bytes, &reference::emit(&msg), "{:?}", msg);
+            prop_assert_eq!(bytes.len(), bytes.capacity(), "{:?}", msg);
+            prop_assert_eq!(lisp::Message::parse(&bytes).unwrap(), msg);
+        }
+    }
+
     #[test]
     fn ethernet_roundtrip(dst in arb_mac(), src in arb_mac(), ty in any::<u16>(), payload in proptest::collection::vec(any::<u8>(), 0..64)) {
         let repr = ethernet::Repr { dst, src, ethertype: ty.into() };
