@@ -89,6 +89,9 @@ struct PendingSubscribe {
 /// The border router node.
 pub struct BorderRouter {
     name: String,
+    /// `acl.drops.<name>`, built once: a policy drop must not cost a
+    /// `String` per packet.
+    acl_drops_key: String,
     rloc: Rloc,
     dir: Rc<Directory>,
     /// The data plane: synced overlay table (map-cache), directly
@@ -126,8 +129,10 @@ impl BorderRouter {
         cfg.hop_budget = dir.params.hop_budget;
         let mut switch = Switch::new(cfg);
         crate::edge::install_dst_hints(&mut switch, &dir);
+        let name = name.into();
         BorderRouter {
-            name: name.into(),
+            acl_drops_key: format!("acl.drops.{name}"),
+            name,
             rloc,
             dir,
             switch,
@@ -381,7 +386,7 @@ impl BorderRouter {
             }
             Verdict::Drop(DropReason::Policy) => {
                 self.stats.policy_drops += 1;
-                ctx.metrics().incr(&format!("acl.drops.{}", self.name));
+                ctx.metrics().incr(&self.acl_drops_key);
             }
             Verdict::Drop(DropReason::TtlExpired) => {
                 ctx.metrics().incr("fabric.hop_exhausted");

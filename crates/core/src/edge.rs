@@ -139,6 +139,9 @@ pub struct EdgeStats {
 pub struct EdgeRouter {
     /// Human-readable name used as a metrics prefix (`edgeA1` etc.).
     name: String,
+    /// `acl.drops.<name>`, built once: a policy drop must not cost a
+    /// `String` per packet.
+    acl_drops_key: String,
     rloc: Rloc,
     dir: Rc<Directory>,
     /// This node's data plane: VRF, map-cache and ACL live inside.
@@ -206,8 +209,10 @@ impl EdgeRouter {
     pub fn new(name: impl Into<String>, rloc: Rloc, dir: Rc<Directory>) -> Self {
         let mut switch = Switch::new(edge_switch_config(rloc, &dir));
         install_dst_hints(&mut switch, &dir);
+        let name = name.into();
         EdgeRouter {
-            name: name.into(),
+            acl_drops_key: format!("acl.drops.{name}"),
+            name,
             rloc,
             dir,
             switch,
@@ -925,7 +930,7 @@ impl EdgeRouter {
             }
             Verdict::Drop(sda_dataplane::DropReason::Policy) => {
                 self.stats.policy_drops += 1;
-                ctx.metrics().incr(&format!("acl.drops.{}", self.name));
+                ctx.metrics().incr(&self.acl_drops_key);
             }
             Verdict::Drop(sda_dataplane::DropReason::TtlExpired) => {
                 // §5.2: the hop budget damped a transient loop.

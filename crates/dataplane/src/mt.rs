@@ -27,7 +27,7 @@
 //! ## The worker fan-out ([`MtSwitch`])
 //!
 //! [`MtSwitch`] runs N persistent `std::thread` workers, each owning a
-//! [`WorkerCtx`] (scratch, punt queue, stats, source memo — nothing
+//! [`WorkerCtx`] (scratch, punt queue, stats — nothing
 //! shared, nothing contended) and a [`TableReader`]. The front
 //! distributes each burst RSS-style: packets hash on the **inner**
 //! IPv4 `(src, dst)` pair (the same `flow_hash` the ECMP source port
@@ -131,21 +131,12 @@ impl TableReader {
     /// changed (the overwhelmingly common case); a mutex-guarded `Arc`
     /// clone when a publish happened since the last call.
     pub fn current(&mut self) -> &SharedTables {
-        self.refresh().0
-    }
-
-    /// Like [`TableReader::current`], but also reports whether this
-    /// call moved to a newer snapshot — callers caching state *derived*
-    /// from the tables (e.g. the [`WorkerCtx`] source-classification
-    /// memo) must drop it when this returns true.
-    pub fn refresh(&mut self) -> (&SharedTables, bool) {
         let epoch = self.shared.epoch.load(Ordering::Acquire);
-        let changed = epoch != self.seen;
-        if changed {
+        if epoch != self.seen {
             self.snap = self.shared.snapshot();
             self.seen = epoch;
         }
-        (&self.snap, changed)
+        &self.snap
     }
 }
 
@@ -225,14 +216,7 @@ fn worker_loop(
                     ingress,
                 } => {
                     let fill = shuttle.idx.len();
-                    let (tables, swapped) = reader.refresh();
-                    if swapped {
-                        // The memo binds a MAC to the *old* snapshot's
-                        // VRF state; answering from it after a swap
-                        // would let a detached endpoint keep forwarding
-                        // past the source guard.
-                        ctx.invalidate_memo();
-                    }
+                    let tables = reader.current();
                     // One shuttle is a worker's whole share of a burst;
                     // process it in engine-sized batches so the
                     // pipeline's phases and cache footprint match the
@@ -257,15 +241,7 @@ fn worker_loop(
                     done.push(shuttle);
                 }
                 Job::MemStats => {
-                    // Same refresh discipline as Batch: consuming the
-                    // epoch-changed signal here without invalidating
-                    // the memo would let a stale memo survive the swap
-                    // into the next Batch job.
-                    let (tables, swapped) = reader.refresh();
-                    if swapped {
-                        ctx.invalidate_memo();
-                    }
-                    let mem = Some(tables.mem_stats());
+                    let mem = Some(reader.current().mem_stats());
                     done.push(Shuttle {
                         bufs: Vec::new(),
                         idx: Vec::new(),
@@ -944,51 +920,6 @@ mod tests {
         assert_eq!(mt.stats().delivered, 8);
     }
 
-    /// Review regression: detaching an endpoint must invalidate the
-    /// workers' source-classification memo — the memo binds a MAC to a
-    /// snapshot, and the republish carries the detach to every worker.
-    #[test]
-    fn detach_invalidates_worker_src_memo() {
-        let mut mt = MtSwitch::spawn(cfg(), 2);
-        let a = ep(1, 10);
-        mt.attach(vn(1), a);
-        let dst = Ipv4Addr::new(10, 9, 0, 5);
-        mt.install_mapping(
-            vn(1),
-            EidPrefix::host(Eid::V4(dst)),
-            Rloc::for_router_index(7),
-            TTL,
-            SimTime::ZERO,
-        );
-        // Warm every worker's memo with a burst from `a`.
-        let mut bufs: Vec<PacketBuf> = (0..8)
-            .map(|_| {
-                let mut b = PacketBuf::new();
-                assert!(b.load(&frame(&a, dst, b"warm")));
-                b
-            })
-            .collect();
-        let v = mt.process_ingress(&mut bufs, SimTime::ZERO).to_vec();
-        assert!(v.iter().all(|v| matches!(v, Verdict::Forward { .. })));
-
-        // Detach, then send from the same MAC: the source guard must
-        // reject it on every worker (no stale memo answers).
-        assert!(mt.detach(a.mac).is_some());
-        let mut bufs: Vec<PacketBuf> = (0..8)
-            .map(|_| {
-                let mut b = PacketBuf::new();
-                assert!(b.load(&frame(&a, dst, b"stale")));
-                b
-            })
-            .collect();
-        let v = mt.process_ingress(&mut bufs, SimTime::ZERO).to_vec();
-        assert!(
-            v.iter()
-                .all(|v| *v == Verdict::Drop(DropReason::UnknownSource)),
-            "detached MAC kept forwarding: {v:?}"
-        );
-    }
-
     /// Review regression: the owner sweep reclaims TTL-expired entries
     /// (shared lookups only filter them), and idle-based eviction
     /// adopts the `last_used` stamps workers wrote onto the published
@@ -1054,11 +985,11 @@ mod tests {
         );
     }
 
-    /// Review regression: a MemStats request between a publish and the
-    /// next batch must not swallow the epoch-changed signal — the
-    /// detached MAC still has to be rejected afterwards.
+    /// A detach reaches every worker with the republish — also when a
+    /// MemStats request is what first moves them to the new snapshot:
+    /// the detached MAC is rejected by the source guard afterwards.
     #[test]
-    fn mem_stats_request_does_not_mask_memo_invalidation() {
+    fn detach_reaches_workers_across_a_mem_stats_request() {
         let mut mt = MtSwitch::spawn(cfg(), 2);
         let a = ep(1, 10);
         mt.attach(vn(1), a);
@@ -1097,7 +1028,7 @@ mod tests {
         assert!(
             v.iter()
                 .all(|v| *v == Verdict::Drop(DropReason::UnknownSource)),
-            "MemStats consumed the swap signal and the stale memo leaked: {v:?}"
+            "detached MAC kept forwarding: {v:?}"
         );
     }
 

@@ -3,7 +3,7 @@
 //! The engine is split along the grain multi-core forwarding needs:
 //!
 //! * [`SharedTables`] — the read-mostly half: the three tables of
-//!   Fig. 4 (per-VRF local endpoint tries ([`VrfTable`]), the
+//!   Fig. 4 (the exact-match local endpoint table ([`VrfTable`]), the
 //!   on-demand overlay FIB ([`MapCache`]) and the compiled group ACL
 //!   ([`CompiledAcl`]: dense group interning + bitset verdict rows,
 //!   one shift+mask per check)). The per-packet pipeline touches them
@@ -12,9 +12,10 @@
 //!   when workers are live — the ACL's rows are `Arc`-shared, so a
 //!   publish copies pointers, not rules).
 //! * [`WorkerCtx`] — the per-worker half: verdict/meta/run scratch
-//!   vectors, the punt queue, forwarding counters and the one-entry
-//!   source-classification memo. One per forwarding thread; nothing in
-//!   it is shared, so N workers never contend.
+//!   vectors, the punt queue and the forwarding counters. One per
+//!   forwarding thread; nothing in it is shared, so N workers never
+//!   contend. It caches nothing derived from the tables, so a table
+//!   swap needs no invalidation.
 //! * [`ingress_batch`] / [`egress_batch`] — the pipeline itself, a free
 //!   function over `(&SwitchConfig, &SharedTables, &mut WorkerCtx)`.
 //!   [`Switch`] composes one of each for the single-threaded
@@ -236,9 +237,10 @@ enum IngressMeta {
     },
 }
 
-/// The read-mostly half of the engine: the three tables of Fig. 4 —
-/// per-VRF local endpoint tries ([`VrfTable`]), the on-demand overlay
-/// FIB ([`MapCache`]) and the compiled group ACL ([`CompiledAcl`]).
+/// The read-mostly half of the engine: the three tables of Fig. 4 — the
+/// exact-match local endpoint table ([`VrfTable`]), the on-demand
+/// overlay FIB ([`MapCache`]) and the compiled group ACL
+/// ([`CompiledAcl`]).
 ///
 /// Everything the per-packet pipeline touches goes through `&self`: VRF
 /// and ACL lookups are plain shared reads, map-cache resolution rides
@@ -386,13 +388,12 @@ impl SharedTables {
         self.cache.adopt_metadata(&snapshot.cache);
     }
 
-    /// Re-lays the forwarding tables' trie arenas (VRF + map-cache) in
-    /// DFS preorder so descents walk nearly-sequential memory. Call
-    /// once bulk population (onboarding, FIB preload) settles; the
-    /// tries also compact themselves under churn via their free-list
-    /// threshold.
+    /// Re-lays the map-cache's trie arenas in DFS preorder so descents
+    /// walk nearly-sequential memory (the VRF is a hash table and has
+    /// nothing to lay out). Call once bulk population (FIB preload)
+    /// settles; the tries also compact themselves under churn via their
+    /// free-list threshold.
     pub fn compact(&mut self) {
-        self.vrf.compact();
         self.cache.compact();
     }
 
@@ -406,10 +407,12 @@ impl SharedTables {
         self.cache.mark_stale_shared(vn, eid, now)
     }
 
-    /// Aggregated trie-arena diagnostics for the forwarding tables.
+    /// Aggregated memory diagnostics for the forwarding tables: the
+    /// map-cache's trie arenas, with the VRF hash table's reserved bytes
+    /// added to `capacity_bytes` (it has no nodes to count).
     pub fn mem_stats(&self) -> sda_trie::MemStats {
-        let mut stats = self.vrf.mem_stats();
-        stats.merge(&self.cache.mem_stats());
+        let mut stats = self.cache.mem_stats();
+        stats.capacity_bytes += self.vrf.reserved_bytes();
         stats
     }
 
@@ -456,16 +459,11 @@ impl SharedTables {
 ///
 /// Holds the scratch vectors of the three-phase pipeline (capacities
 /// retained across batches — the zero-allocation story), the punt
-/// queue, the forwarding counters and the one-entry
-/// source-classification memo.
+/// queue and the forwarding counters — and nothing derived from the
+/// tables, so a table swap needs no invalidation.
 pub struct WorkerCtx {
     /// The switch's own MAC (source of rewritten delivery frames).
     mac: MacAddr,
-    /// One-entry source-classification memo: frames arrive in per-host
-    /// bursts, so the previous packet's `(mac → vn, endpoint)` binding
-    /// usually answers the next one without touching the VRF maps.
-    /// Invalidated on any attach/detach.
-    src_memo: Option<(MacAddr, VnId, LocalEndpoint)>,
     stats: SwitchStats,
     punts: Vec<Punt>,
     verdicts: Vec<Verdict>,
@@ -480,7 +478,6 @@ impl WorkerCtx {
     pub fn new(cfg: &SwitchConfig) -> Self {
         WorkerCtx {
             mac: MacAddr::from_seed(u32::from(cfg.rloc.addr())),
-            src_memo: None,
             stats: SwitchStats::default(),
             punts: Vec::new(),
             verdicts: Vec::new(),
@@ -530,11 +527,6 @@ impl WorkerCtx {
     pub fn drain_verdicts_into(&mut self, out: &mut Vec<Verdict>) {
         out.clear();
         std::mem::swap(&mut self.verdicts, out);
-    }
-
-    /// Forgets the source-classification memo (any attach/detach).
-    pub fn invalidate_memo(&mut self) {
-        self.src_memo = None;
     }
 
     /// Queues a punt, collapsing consecutive duplicates: a burst of
@@ -771,15 +763,8 @@ fn classify_ingress(
         return done(Verdict::Drop(DropReason::Malformed));
     };
     let src_mac = frame.src_addr();
-    let (vn, src_ep) = match ctx.src_memo {
-        Some((mac, vn, ep)) if mac == src_mac => (vn, ep),
-        _ => {
-            let Some((vn, ep)) = tables.vrf.classify(src_mac).map(|(v, e)| (v, *e)) else {
-                return done(Verdict::Drop(DropReason::UnknownSource));
-            };
-            ctx.src_memo = Some((src_mac, vn, ep));
-            (vn, ep)
-        }
+    let Some((vn, src_ep)) = tables.vrf.classify(src_mac).map(|(v, e)| (v, *e)) else {
+        return done(Verdict::Drop(DropReason::UnknownSource));
     };
     if frame.ethertype() != EtherType::Ipv4 {
         // Non-IP traffic is an L2 flow (§3.5): the destination MAC is
@@ -1068,13 +1053,11 @@ impl Switch {
 
     /// Attaches a local endpoint (onboarding step 4).
     pub fn attach(&mut self, vn: VnId, ep: LocalEndpoint) {
-        self.ctx.invalidate_memo();
         self.tables.attach(vn, ep);
     }
 
     /// Detaches the endpoint with `mac`.
     pub fn detach(&mut self, mac: MacAddr) -> Option<(VnId, LocalEndpoint)> {
-        self.ctx.invalidate_memo();
         self.tables.detach(mac)
     }
 
@@ -1159,14 +1142,15 @@ impl Switch {
         self.tables.evict_expired(now, idle_timeout)
     }
 
-    /// Re-lays the forwarding tables' trie arenas (VRF + map-cache) in
-    /// DFS preorder so descents walk nearly-sequential memory. Call
-    /// once bulk population (onboarding, FIB preload) settles.
+    /// Re-lays the map-cache's trie arenas in DFS preorder so descents
+    /// walk nearly-sequential memory. Call once bulk population (FIB
+    /// preload) settles.
     pub fn compact_tables(&mut self) {
         self.tables.compact();
     }
 
-    /// Aggregated trie-arena diagnostics for the forwarding tables.
+    /// Aggregated memory diagnostics for the forwarding tables (see
+    /// [`SharedTables::mem_stats`]).
     pub fn table_mem_stats(&self) -> sda_trie::MemStats {
         self.tables.mem_stats()
     }

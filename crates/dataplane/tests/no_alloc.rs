@@ -18,7 +18,10 @@
 //! compiled-ACL verdicts (allow, explicit deny, default-action deny)
 //! on the §5.3 ingress-hint path, the always-on local-delivery sites
 //! and the egress memo path, counters ticking on shared atomics — and
-//! proves it allocates nothing either.
+//! proves it allocates nothing either. A fifth probes the VRF hash
+//! table directly (`classify`/`lookup`, hit and miss) and drives the
+//! engine one packet per call, where the one-key resolve takes the
+//! scalar filtered descent.
 //!
 //! This file deliberately holds a single `#[test]` — the counter is
 //! process-global, and a concurrently running test would pollute it.
@@ -452,5 +455,62 @@ fn steady_state_forwarding_allocates_nothing() {
         "fused lookup+enforce performed {} heap allocations over {} packets",
         after - before,
         3 * ROUNDS * batch
+    );
+
+    // Window 5: the VRF hash table alone — `classify` and `lookup`, hit
+    // and miss, every key family — and the engine driven one packet per
+    // call, the shape the fabric's routers use: the one-key run takes
+    // the scalar filtered descent, not the lockstep walk of windows 1–4.
+    let other_vn = VnId::new(2).unwrap();
+    let stranger = MacAddr::from_seed(999);
+    let mut one = [PacketBuf::new()];
+    let mut one_packet = |sw: &mut Switch, wire: &[u8], ingress: bool| -> Verdict {
+        assert!(one[0].load(wire));
+        let v = if ingress {
+            sw.process_ingress(&mut one, now)[0]
+        } else {
+            sw.process_egress(&mut one, now)[0]
+        };
+        sw.clear_punts();
+        v
+    };
+    one_packet(&mut sw, &hit_frames[0], true);
+    one_packet(&mut sw, &miss_frames[0], true);
+    one_packet(&mut sw, &egress_wire[0], false);
+
+    let before = allocations();
+    let (mut hits, mut misses, mut fwd, mut deliver) = (0u64, 0u64, 0u64, 0u64);
+    for _ in 0..ROUNDS {
+        let vrf = sw.tables().vrf();
+        hits += u64::from(vrf.classify(host.mac) == Some((vn, &host)));
+        hits += u64::from(vrf.lookup(vn, Eid::V4(allow_ep.ipv4)) == Some(&allow_ep));
+        hits += u64::from(vrf.lookup(vn, Eid::Mac(deny_ep.mac)) == Some(&deny_ep));
+        misses += u64::from(vrf.classify(stranger).is_none());
+        misses += u64::from(vrf.lookup(other_vn, Eid::V4(host.ipv4)).is_none());
+        misses += u64::from(vrf.lookup(other_vn, Eid::Mac(host.mac)).is_none());
+        misses += u64::from(
+            vrf.lookup(vn, Eid::V6("2001:db8::1".parse().unwrap()))
+                .is_none(),
+        );
+        for (wire, ingress) in [
+            (&hit_frames[0], true),
+            (&miss_frames[0], true),
+            (&egress_wire[0], false),
+        ] {
+            match one_packet(&mut sw, wire, ingress) {
+                Verdict::Forward { .. } => fwd += 1,
+                Verdict::Deliver { .. } => deliver += 1,
+                v => panic!("unexpected one-packet verdict {v:?}"),
+            }
+        }
+    }
+    let after = allocations();
+    assert_eq!((hits, misses), (3 * ROUNDS, 4 * ROUNDS));
+    assert_eq!((fwd, deliver), (2 * ROUNDS, ROUNDS));
+    assert_eq!(
+        after - before,
+        0,
+        "VRF probes and one-packet calls performed {} heap allocations",
+        after - before
     );
 }

@@ -263,6 +263,80 @@ proptest! {
         }
     }
 
+    /// A lockstep call costs what its keys cost — a one-key run takes
+    /// the scalar descent, longer runs the 8-, 32- or 64-lane walk — and
+    /// none of that may show: calls of every length 1..=70 over mixed
+    /// families, with expired and stale entries and covering subnets in
+    /// the table, return what per-key `lookup_shared` returns and leave
+    /// the same `last_used` on every entry. Entries and probes decode
+    /// from raw words, so a failing case shrinks by halving the table.
+    #[test]
+    fn batch_shared_of_every_length_agrees_with_scalar(
+        entries in proptest::collection::vec(0u32..u32::MAX, 1..64),
+        probes in proptest::collection::vec(0u32..u32::MAX, 140..=140),
+        // How often a probe leaves the IPv4 family (0: never, so a call
+        // of length n is one run of n; 3: every family equally likely,
+        // so most runs are one or two keys).
+        mix in 0u32..4,
+        compact in 0u8..2,
+    ) {
+        let v4 = |i: u32| Ipv4Addr::new(10, 0, (i % 3) as u8, i as u8);
+        let decode = |w: u32, other_families: u32| -> Eid {
+            let i = (w >> 8) % 32;
+            match w % 16 {
+                f if f >= other_families => Eid::V4(v4(i)),
+                f if f % 2 == 0 => Eid::Mac(sda_types::MacAddr::from_seed(i)),
+                _ => Eid::V6(std::net::Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, i as u16)),
+            }
+        };
+        let probe_at = SimTime::ZERO + SimDuration::from_secs(10);
+        let mut cache = MapCache::new();
+        for w in entries {
+            let eid = decode(w, 8);
+            let prefix = match eid {
+                Eid::V4(a) if (w >> 16) % 4 == 0 => {
+                    let [a, b, c, _] = a.octets();
+                    sda_types::Ipv4Prefix::new(Ipv4Addr::new(a, b, c, 0), 24).unwrap().into()
+                }
+                _ => EidPrefix::host(eid),
+            };
+            // A quarter of the entries are expired at probe time.
+            let ttl = if (w >> 20) % 4 == 0 { 1 } else { 86_400 };
+            let rloc = Rloc::for_router_index((w >> 24) as u16 % 4);
+            cache.install(vn(), prefix, rloc, SimDuration::from_secs(ttl), SimTime::ZERO);
+            if (w >> 28) % 4 == 0 {
+                cache.mark_stale(vn(), eid, SimTime::ZERO);
+            }
+        }
+        if compact == 1 {
+            cache.compact();
+        }
+        let probes: Vec<Eid> = probes.iter().map(|w| decode(*w, [0, 1, 4, 11][mix as usize])).collect();
+
+        let (batch, scalar) = (cache.clone(), cache);
+        let mut out = Vec::new();
+        // Longest call first and a fresh instant per call, so the stamps
+        // left behind come from calls of every length.
+        for n in (1..=70usize).rev() {
+            let at = probe_at + SimDuration::from_nanos(71 - n as u64);
+            let window = &probes[n * 13 % 70..][..n];
+            batch.lookup_batch_shared(vn(), window, at, &mut out);
+            let want: Vec<CacheOutcome> =
+                window.iter().map(|e| scalar.lookup_shared(vn(), *e, at)).collect();
+            prop_assert_eq!(&out, &want, "call of length {}", n);
+        }
+        // `last_used` is not readable from outside; what idles out at
+        // each threshold is. Equal survivors at every threshold ⇔ equal
+        // stamps.
+        let end = probe_at + SimDuration::from_nanos(71);
+        for idle_ns in 0..=71 {
+            let idle = SimDuration::from_nanos(idle_ns);
+            let (mut b, mut s) = (batch.clone(), scalar.clone());
+            prop_assert_eq!(b.evict(end, idle), s.evict(end, idle), "idle {} ns", idle_ns);
+            prop_assert_eq!(b.iter().collect::<Vec<_>>(), s.iter().collect::<Vec<_>>());
+        }
+    }
+
     /// A hit can never return an expired entry's RLOC.
     #[test]
     fn hits_are_never_expired(

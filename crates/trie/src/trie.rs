@@ -52,7 +52,7 @@
 //! * [`PatriciaTrie::compact`] rebuilds the arena in **DFS preorder**:
 //!   a node's 0-subtree immediately follows it, so a descent walks
 //!   nearly-sequential memory. Bulk-load paths (map-cache population,
-//!   RIB sync, VRF onboarding) call it once loading settles.
+//!   RIB sync) call it once loading settles.
 //! * When the free-list exceeds [`COMPACT_FREE_MIN`] slots *and* half
 //!   the arena, `retain` compacts opportunistically — amortized O(1)
 //!   per freed slot, so bulk eviction cannot strand a mostly-dead
@@ -886,35 +886,21 @@ impl<V> PatriciaTrie<V> {
     }
 
     /// Batched shared-read longest-prefix match: the `&self` counterpart
-    /// of [`PatriciaTrie::longest_match_mut_each`], same interleaved
-    /// lockstep walk ([`DEFAULT_LANES`] lanes, one trie step per round —
-    /// a stride hop where a table exists — node loads overlapping as
+    /// of [`PatriciaTrie::longest_match_mut_each_lanes`], same
+    /// interleaved lockstep walk (`L` lanes, one trie step per round — a
+    /// stride hop where a table exists — node loads overlapping as
     /// memory-level parallelism), yielding `&V` so any number of reader
-    /// threads can run it concurrently.
-    pub fn longest_match_each<F>(&self, keys: &[BitStr], f: F)
-    where
-        F: FnMut(usize, Option<(usize, &V)>),
-    {
-        self.longest_match_each_where(keys, |_| true, f)
-    }
-
-    /// [`PatriciaTrie::longest_match_each`] with the
-    /// [`PatriciaTrie::longest_match_where`] predicate: lanes only
-    /// record valued nodes whose value satisfies `keep`.
-    pub fn longest_match_each_where<P, F>(&self, keys: &[BitStr], keep: P, f: F)
-    where
-        P: FnMut(&V) -> bool,
-        F: FnMut(usize, Option<(usize, &V)>),
-    {
-        self.longest_match_each_where_lanes::<DEFAULT_LANES, P, F>(keys, keep, f)
-    }
-
-    /// [`PatriciaTrie::longest_match_each_where`] with an explicit lane
-    /// count — the tunable the `lpm_hot_path` lane sweep measures. `L`
-    /// bounds how many descents are in flight per round; past the
-    /// memory-level-parallelism window extra lanes only add register
-    /// pressure, so [`DEFAULT_LANES`] is the measured sweet spot, not a
-    /// hard ceiling.
+    /// threads can run it concurrently. Lanes only record valued nodes
+    /// whose value satisfies `keep`, as in
+    /// [`PatriciaTrie::longest_match_where`].
+    ///
+    /// `L` is the tunable the `lpm_hot_path` lane sweep measures: it
+    /// bounds how many descents are in flight per round, and it is what
+    /// a call stages whatever `keys.len()` is — callers with short runs
+    /// pick a small `L` ([`crate::EidTrie::lookup_each_where`] does, from
+    /// the run length). Past the memory-level-parallelism window extra
+    /// lanes only add register pressure, so [`DEFAULT_LANES`] is the
+    /// measured sweet spot for long batches, not a hard ceiling.
     pub fn longest_match_each_where_lanes<const L: usize, P, F>(
         &self,
         keys: &[BitStr],
@@ -1321,8 +1307,8 @@ impl<V> PatriciaTrie<V> {
     /// A node's 0-subtree immediately follows it in the new arena; the
     /// deepest levels — where subtrees span a handful of nodes — end up
     /// sharing cache lines, which is where the pointer-chasing layout
-    /// paid one full miss per hop. Call after bulk loads (the map-cache,
-    /// RIB and VRF population paths do); churn-heavy workloads get the
+    /// paid one full miss per hop. Call after bulk loads (the map-cache
+    /// and RIB population paths do); churn-heavy workloads get the
     /// same treatment automatically via the free-list threshold in
     /// `remove`/`retain`.
     pub fn compact(&mut self) {
@@ -1650,9 +1636,11 @@ mod tests {
             .map(|s| key(s))
             .collect();
         let mut got = Vec::new();
-        t.longest_match_each(&keys, |i, res| {
-            got.push((i, res.map(|(d, v)| (d, *v))));
-        });
+        t.longest_match_each_where_lanes::<DEFAULT_LANES, _, _>(
+            &keys,
+            |_| true,
+            |i, res| got.push((i, res.map(|(d, v)| (d, *v)))),
+        );
         let want: Vec<_> = keys
             .iter()
             .enumerate()
@@ -1662,12 +1650,10 @@ mod tests {
 
         // The filtered flavor agrees with the filtered single descent.
         let mut got = Vec::new();
-        t.longest_match_each_where(
+        t.longest_match_each_where_lanes::<DEFAULT_LANES, _, _>(
             &keys,
             |v| *v % 2 == 0,
-            |i, res| {
-                got.push((i, res.map(|(d, v)| (d, *v))));
-            },
+            |i, res| got.push((i, res.map(|(d, v)| (d, *v)))),
         );
         let want: Vec<_> = keys
             .iter()
