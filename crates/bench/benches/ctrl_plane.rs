@@ -37,8 +37,8 @@
 //! * full mode — `pubsub_delta_s4` at 1M is within 3× of 100k (flat).
 
 use criterion::{black_box, BenchmarkId, Criterion};
+use sda_bench::shard::ShardedMapServer;
 use sda_ctrl::PartitionedMapServer;
-use sda_lisp::ShardedMapServer;
 use sda_simnet::{SimDuration, SimTime};
 use sda_types::Rloc;
 use sda_wire::lisp::Message;

@@ -295,7 +295,7 @@ mod seed_baseline {
     /// heap `Vec` and copied into the next, full UDP checksum.
     pub fn forward(
         vrf: &VrfTable,
-        cache: &mut MapCache,
+        cache: &MapCache,
         self_rloc: Rloc,
         bytes: &[u8],
         now: SimTime,
@@ -305,7 +305,7 @@ mod seed_baseline {
         let src_group = src_ep.group;
         let ip = ipv4::Packet::new_checked(eth.payload()).expect("valid inner");
         assert_eq!(ip.src_addr(), src_ep.ipv4, "source guard");
-        let CacheOutcome::Hit(to) = cache.lookup(vn, Eid::V4(ip.dst_addr()), now) else {
+        let CacheOutcome::Hit(to) = cache.lookup_shared(vn, Eid::V4(ip.dst_addr()), now) else {
             panic!("installed route must hit");
         };
 
@@ -390,7 +390,7 @@ fn bench_baseline(c: &mut Criterion) {
                     i = (i + 1) % frames.len();
                     black_box(seed_baseline::forward(
                         &vrf,
-                        &mut cache,
+                        &cache,
                         Rloc::for_router_index(1),
                         f,
                         now,

@@ -16,7 +16,8 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sda_bench::fifo_sojourns;
-use sda_lisp::{ShardedMapServer, REQUEST_SERVICE, UPDATE_SERVICE};
+use sda_bench::shard::ShardedMapServer;
+use sda_lisp::{REQUEST_SERVICE, UPDATE_SERVICE};
 use sda_simnet::{SimTime, Summary};
 use sda_types::Rloc;
 use sda_workloads::PoissonArrivals;

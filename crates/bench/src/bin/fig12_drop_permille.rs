@@ -19,7 +19,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sda_core::GroupAcl;
+use sda_policy::GroupAcl;
 use sda_policy::{Action, GroupRule, RuleSubset};
 use sda_types::{GroupId, VnId};
 

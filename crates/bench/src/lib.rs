@@ -1,7 +1,7 @@
 //! # sda-bench
 //!
 //! The experiment harness: one target per table/figure of the paper's
-//! evaluation (see DESIGN.md §4 for the full index).
+//! evaluation (§4–§5).
 //!
 //! * Criterion micro-benchmarks (`benches/`):
 //!   - `fig7_routing_server` — Fig. 7a/7b: map-server request/update
@@ -17,7 +17,11 @@
 //!   - `ablation_*` — §5.3/§5.4/§3.2.2/§4.1 design-choice studies.
 //!
 //! This library hosts shared output helpers so every binary prints the
-//! same table/CSV shapes.
+//! same table/CSV shapes, and [`shard::ShardedMapServer`] — §4.1's
+//! replicate-all deployment, which no node runs and two harnesses
+//! measure against.
+
+pub mod shard;
 
 use sda_simnet::Summary;
 

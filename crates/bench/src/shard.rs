@@ -10,9 +10,13 @@
 //!
 //! This is the *paper-faithful* deployment — and therefore the one whose
 //! costs grow linearly with shard count (every register is applied N
-//! times, every shard holds the whole world). It is kept as the
-//! differential oracle for `sda-ctrl`'s `PartitionedMapServer`, which
+//! times, every shard holds the whole world). No node runs it: the
+//! fabric's routing server is `sda-ctrl`'s `PartitionedMapServer`, which
 //! partitions EID space so each register lands on exactly one shard.
+//! It lives here, in bench support, as the comparison point of the
+//! `register_legacy_s4` row of `benches/ctrl_plane.rs` and of
+//! `bin/ablation_sharding.rs`, built on `sda-lisp`'s public
+//! [`MapServer`] alone.
 //!
 //! Invariant: register side effects (notifies, publishes) are
 //! transmitted from the **transmit shard** only (the other replicas
@@ -20,11 +24,10 @@
 //! so subscriptions MUST live on that same shard — a subscription pinned
 //! anywhere else would silently receive nothing.
 
+use sda_lisp::{MapServer, MapServerStats, Outbox};
 use sda_simnet::SimTime;
 use sda_types::Rloc;
 use sda_wire::lisp::Message;
-
-use crate::map_server::{MapServer, MapServerStats, Outbox};
 
 /// A group of map-servers acting as one logical routing server.
 pub struct ShardedMapServer {

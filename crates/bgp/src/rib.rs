@@ -23,19 +23,18 @@ impl Rib {
     /// Installs `eid → rloc` if `seq` is newer than the stored route.
     /// Returns true when the route changed (stale reordered updates are
     /// ignored — BGP's path-selection recency, collapsed to a sequence).
-    /// One trie descent: the freshness check mutates in place.
+    /// Only host routes live here, so the freshness check is an exact
+    /// match on the host prefix.
     pub fn install(&mut self, eid: Eid, rloc: Rloc, seq: u64) -> bool {
-        if let Some((p, entry)) = self.routes.lookup_mut(&eid) {
-            // Only host routes live here; guard against a covering match.
-            if p.is_host() {
-                if entry.1 >= seq {
-                    return false;
-                }
-                *entry = (rloc, seq);
-                return true;
-            }
+        let host = EidPrefix::host(eid);
+        if self
+            .routes
+            .get(&host)
+            .is_some_and(|(_, stored)| *stored >= seq)
+        {
+            return false;
         }
-        self.routes.insert(EidPrefix::host(eid), (rloc, seq));
+        self.routes.insert(host, (rloc, seq));
         true
     }
 

@@ -32,7 +32,7 @@ use sda_wire::lisp::{BusyClass, Message as Lisp};
 use crate::msg::{FabricMsg, PolicyMsg};
 use crate::pipeline;
 use crate::servers::Directory;
-use crate::vrf::LocalEndpoint;
+use sda_dataplane::LocalEndpoint;
 
 /// Timer token for the subscription kick (and periodic resubscribe).
 const TIMER_SUBSCRIBE: u64 = 0;

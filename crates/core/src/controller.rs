@@ -18,7 +18,7 @@ use crate::edge::{underlay_id, EdgeRouter};
 use crate::msg::{EndpointIdentity, FabricMsg, HostEvent};
 use crate::pipeline::EnforcementPoint;
 use crate::servers::{Directory, PolicyServerNode, RoutingServerNode};
-use crate::vrf::LocalEndpoint;
+use sda_dataplane::LocalEndpoint;
 
 /// Fabric-wide behavior knobs, shared read-only by every node.
 #[derive(Debug, Clone)]

@@ -40,7 +40,7 @@ use sda_wire::lisp::{BusyClass, Message as Lisp};
 use crate::msg::{ArpMsg, EndpointIdentity, FabricMsg, HostEvent, PolicyMsg};
 use crate::pipeline::{self, EnforcementPoint};
 use crate::servers::Directory;
-use crate::vrf::LocalEndpoint;
+use sda_dataplane::LocalEndpoint;
 
 /// Timer tokens.
 const TIMER_EVICT: u64 = 1;

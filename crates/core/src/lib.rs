@@ -23,9 +23,6 @@
 //!
 //! * [`msg`] — the fabric's simulator message type (data packets,
 //!   LISP control, policy exchanges, host events, underlay protocol).
-//! * [`vrf`] — per-VN local endpoint tables with the `(Overlay IP,
-//!   GroupId)` association the egress pipeline reads (§3.3.2).
-//! * [`acl`] — group-based ACL with hit/drop counters (Fig. 12's data).
 //! * [`pipeline`] — the ingress and egress stages as pure decision
 //!   functions, plus byte-level encap/decap proving the structured path
 //!   and `sda-wire` agree.
@@ -43,7 +40,6 @@
 //!   database, border subscriber views and edge caches against an
 //!   expected endpoint placement after a chaos run.
 
-pub mod acl;
 pub mod border;
 pub mod chaos;
 pub mod controller;
@@ -52,9 +48,7 @@ pub mod edge;
 pub mod msg;
 pub mod pipeline;
 pub mod servers;
-pub mod vrf;
 
-pub use acl::GroupAcl;
 pub use chaos::{check_convergence, ConvergenceReport, ExpectedPlacement};
 pub use controller::{Fabric, FabricBuilder, FabricConfig};
 // Overload-hardening knobs, re-exported so scenario crates can set
@@ -62,4 +56,3 @@ pub use controller::{Fabric, FabricBuilder, FabricConfig};
 pub use msg::{EndpointIdentity, FabricMsg, HostEvent, InnerPacket, OverlayPacket, PolicyMsg};
 pub use pipeline::EnforcementPoint;
 pub use sda_ctrl::{AdmissionConfig, ClassBudget};
-pub use vrf::VrfTable;

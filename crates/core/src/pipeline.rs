@@ -31,14 +31,12 @@
 //!   back for metrics.
 
 use sda_dataplane::encap::{self, OuterChecksum};
-use sda_dataplane::MAX_FRAME;
-use sda_policy::Action;
+use sda_dataplane::{VrfTable, MAX_FRAME};
+use sda_policy::{Action, GroupAcl};
 use sda_types::{Eid, GroupId, MacAddr, PortId, Rloc, VnId};
 use sda_wire::{ethernet, ipv4, EtherType};
 
-use crate::acl::GroupAcl;
 use crate::msg::{InnerPacket, OverlayPacket};
-use crate::vrf::VrfTable;
 
 /// Where group policy is enforced (§5.3 trade-off) — now defined next to
 /// the enforcement table in [`sda_policy::enforce`]; re-exported here for
@@ -676,7 +674,7 @@ pub mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vrf::LocalEndpoint;
+    use sda_dataplane::LocalEndpoint;
     use sda_policy::{GroupRule, RuleSubset};
     use sda_types::MacAddr;
     use std::net::Ipv4Addr;

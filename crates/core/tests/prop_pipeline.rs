@@ -10,12 +10,11 @@
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
-use sda_core::acl::GroupAcl;
 use sda_core::msg::InnerPacket;
 use sda_core::pipeline::{self, EgressAction, EnforcementPoint, IngressAction};
-use sda_core::vrf::{LocalEndpoint, VrfTable};
 use sda_core::OverlayPacket;
-use sda_policy::{Action, GroupRule, RuleSubset};
+use sda_dataplane::{LocalEndpoint, VrfTable};
+use sda_policy::{Action, GroupAcl, GroupRule, RuleSubset};
 use sda_types::{Eid, GroupId, MacAddr, PortId, Rloc, VnId};
 
 fn vn() -> VnId {

@@ -2,11 +2,10 @@
 //!
 //! The **partitioned control plane**: the scale-tier successor to
 //! `sda-lisp`'s single [`MapServer`](sda_lisp::MapServer) and to the
-//! paper-faithful replicate-all [`ShardedMapServer`]
-//! (sda_lisp::ShardedMapServer), which clones every Map-Register into
-//! every shard (§4.1: "perform route updates on all servers") and so
-//! scales registration cost, memory, and pub/sub fan-out *linearly with
-//! shard count*.
+//! paper-faithful replicate-all `ShardedMapServer`, which clones every
+//! Map-Register into every shard (§4.1: "perform route updates on all
+//! servers") and so scales registration cost, memory, and pub/sub
+//! fan-out *linearly with shard count*.
 //!
 //! [`PartitionedMapServer`] instead owns N shards, each with its **own**
 //! [`MappingDb`](sda_lisp::MappingDb) trie covering a prefix-aligned
@@ -30,9 +29,10 @@
 //!   triggers a snapshot resync of exactly the affected `(subscriber,
 //!   VN)` stream on the next flush.
 //!
-//! The replicate-all `ShardedMapServer` is kept in `sda-lisp` as the
-//! paper-faithful differential oracle; `tests/differential_ctrl.rs`
-//! proves the partitioned server agrees with a *single* `MapServer`
+//! The replicate-all `ShardedMapServer` lives in bench support
+//! (`sda_bench::shard`) as the cost comparison of `BENCH_ctrl.json`'s
+//! `register_legacy_s4` row; `tests/differential_ctrl.rs` proves the
+//! partitioned server agrees with a *single* `MapServer`
 //! reply-for-reply and notify-for-notify over generated
 //! register/request/move/expiry interleavings.
 //!

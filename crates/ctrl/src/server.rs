@@ -1,20 +1,19 @@
 //! The partitioned map-server.
 //!
 //! One logical routing server whose state is split across N shards by
-//! [`crate::partition`]: each shard owns its own
-//! [`MappingDb`](sda_lisp::MappingDb) covering a prefix-aligned slice of
-//! EID space, so a register costs one shard's work and total memory is
-//! the world — not `shards × world` like the replicate-all
-//! [`ShardedMapServer`](sda_lisp::ShardedMapServer).
+//! [`crate::partition`]: each shard owns its own [`MappingDb`] covering
+//! a prefix-aligned slice of EID space, so a register costs one shard's
+//! work and total memory is the world — not `shards × world` like the
+//! replicate-all `ShardedMapServer` of §4.1 (bench support,
+//! `sda_bench::shard`).
 //!
 //! [`PartitionedMapServer::handle`] returns replies and notifies only —
 //! byte-for-byte what a single [`MapServer`](sda_lisp::MapServer) would
-//! transmit. Pub/sub rides the incremental
-//! [`DeltaFanout`](crate::fanout::DeltaFanout) instead: changes enqueue
-//! deltas, and [`PartitionedMapServer::flush_publishes`] drains them
-//! (plus any pending snapshot resyncs). Callers embedding the server in
-//! a message loop flush after each handled message; batch loaders flush
-//! once at the end.
+//! transmit. Pub/sub rides the incremental [`DeltaFanout`] instead:
+//! changes enqueue deltas, and [`PartitionedMapServer::flush_publishes`]
+//! drains them (plus any pending snapshot resyncs). Callers embedding
+//! the server in a message loop flush after each handled message; batch
+//! loaders flush once at the end.
 //!
 //! ## Overload model
 //!

@@ -19,8 +19,9 @@
 //!   in batches (conventionally [`buffer::BATCH_SIZE`] = 32). A batch
 //!   makes three phased passes — parse/classify, resolve, rewrite — so
 //!   each phase's tables stay hot in cache, and consecutive same-VN
-//!   packets resolve through one [`sda_lisp::MapCache::lookup_batch`]
-//!   run instead of per-packet descents.
+//!   packets resolve through one
+//!   [`sda_lisp::MapCache::lookup_batch_shared`] run instead of
+//!   per-packet descents.
 //! * **One encoding** ([`encap`]): the Fig. 2 header stack (outer IPv4 /
 //!   UDP 4789 / VXLAN-GPO / inner packet) is written and parsed in
 //!   exactly one place, shared with `sda_core::pipeline`'s structured

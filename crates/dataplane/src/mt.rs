@@ -368,8 +368,9 @@ impl MtSwitch {
 
     /// Detaches the endpoint with `mac`.
     pub fn detach(&mut self, mac: MacAddr) -> Option<(VnId, LocalEndpoint)> {
-        self.dirty = true;
-        self.tables.detach(mac)
+        let detached = self.tables.detach(mac);
+        self.dirty |= detached.is_some();
+        detached
     }
 
     /// Installs a mapping from a positive Map-Reply.
@@ -385,16 +386,21 @@ impl MtSwitch {
         self.dirty = true;
     }
 
-    /// Applies a negative Map-Reply (deletes the covered entry).
+    /// Applies a negative Map-Reply (deletes the covered entry). A
+    /// reply for an EID that is not cached — §4.2's night-time traffic
+    /// toward departed endpoints — changes nothing, so it must not cost
+    /// the next burst a clone-and-swap of every table.
     pub fn apply_negative(&mut self, vn: VnId, prefix: EidPrefix) -> bool {
-        self.dirty = true;
-        self.tables.apply_negative(vn, prefix)
+        let removed = self.tables.apply_negative(vn, prefix);
+        self.dirty |= removed;
+        removed
     }
 
     /// Drops every cached mapping through `rloc` (underlay down).
     pub fn purge_rloc(&mut self, rloc: Rloc) -> usize {
-        self.dirty = true;
-        self.tables.purge_rloc(rloc)
+        let removed = self.tables.purge_rloc(rloc);
+        self.dirty |= removed > 0;
+        removed
     }
 
     /// Installs (merges) an SXP rule subset.
@@ -433,9 +439,7 @@ impl MtSwitch {
         let snapshot = self.epoch.snapshot();
         self.tables.adopt_metadata(&snapshot);
         let removed = self.tables.evict_expired(now, idle_timeout);
-        if removed > 0 {
-            self.dirty = true;
-        }
+        self.dirty |= removed > 0;
         removed
     }
 
@@ -872,6 +876,45 @@ mod tests {
         let drained = mt.drain_punts();
         assert_eq!(drained.len(), 1);
         assert!(mt.punts().is_empty());
+    }
+
+    /// A mutation that changed nothing — a negative Map-Reply for an
+    /// EID that is not cached (§4.2's night-time case), a detach of an
+    /// unknown MAC, a purge of an RLOC nothing resolves to — must not
+    /// make the next burst clone and republish every table.
+    #[test]
+    fn noop_mutations_do_not_republish() {
+        let mut mt = MtSwitch::spawn(cfg(), 2);
+        mt.attach(vn(1), ep(1, 10));
+        let dst = Ipv4Addr::new(10, 9, 0, 5);
+        let rloc = Rloc::for_router_index(7);
+        let cached = EidPrefix::host(Eid::V4(dst));
+        mt.install_mapping(vn(1), cached, rloc, TTL, SimTime::ZERO);
+        mt.publish();
+        let epoch_before = mt.epoch.epoch();
+
+        let absent = EidPrefix::host(Eid::V4(Ipv4Addr::new(10, 9, 0, 6)));
+        assert!(!mt.apply_negative(vn(1), absent));
+        assert_eq!(mt.detach(ep(2, 11).mac), None);
+        assert_eq!(mt.purge_rloc(Rloc::for_router_index(8)), 0);
+        let mut bufs = vec![PacketBuf::new()];
+        assert!(bufs[0].load(&frame(&ep(1, 10), dst, b"night")));
+        let v = mt.process_ingress(&mut bufs, SimTime::ZERO).to_vec();
+        assert_eq!(v[0], Verdict::Forward { to: rloc });
+        assert_eq!(mt.epoch.epoch(), epoch_before, "nothing changed");
+
+        // The same calls, when they do change something, still publish.
+        assert!(mt.apply_negative(vn(1), cached));
+        assert!(bufs[0].load(&frame(&ep(1, 10), dst, b"day")));
+        let v = mt.process_ingress(&mut bufs, SimTime::ZERO).to_vec();
+        assert_eq!(
+            v[0],
+            Verdict::Forward {
+                to: Rloc::for_router_index(99)
+            },
+            "the deleted mapping falls back to the border default route"
+        );
+        assert_eq!(mt.epoch.epoch(), epoch_before + 1);
     }
 
     /// Egress across workers: underlay packets decap and deliver like

@@ -17,8 +17,6 @@
 //!   (§3.3: "their FIB table is synchronized with the routing server").
 //! * [`smr::SmrTracker`] — dedup window for the data-triggered
 //!   Solicit-Map-Request messages of Fig. 6.
-//! * [`shard::ShardedMapServer`] — the horizontal-scaling deployment of
-//!   §4.1 (requests load-balanced by edge group, updates fan to all).
 //!
 //! ## Service-time model
 //!
@@ -34,12 +32,10 @@ pub mod map_cache;
 pub mod map_server;
 pub mod pubsub;
 pub mod registry;
-pub mod shard;
 pub mod smr;
 
 pub use map_cache::{CacheEntry, CacheOutcome, MapCache};
 pub use map_server::{MapServer, MapServerStats, Outbox, REQUEST_SERVICE, UPDATE_SERVICE};
 pub use pubsub::SubscriberTable;
 pub use registry::{MappingDb, MappingRecord, RegisterOutcome};
-pub use shard::ShardedMapServer;
 pub use smr::SmrTracker;

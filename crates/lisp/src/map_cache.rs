@@ -4,7 +4,9 @@
 //! Map-Replies and leave through four doors, each tied to a paper
 //! behavior:
 //!
-//! 1. **TTL expiry** — replies carry a TTL; expired entries are purged.
+//! 1. **TTL expiry** — replies carry a TTL; an expired entry stops
+//!    answering at once and is removed by the next periodic
+//!    [`MapCache::evict`] sweep.
 //! 2. **Negative replies** — a resolution that fails *deletes* the entry
 //!    (§4.2: nighttime traffic toward departed endpoints cleans edge
 //!    caches in building B).
@@ -25,11 +27,11 @@ use sda_types::{Eid, EidPrefix, Rloc, VnId};
 ///
 /// ## Memory-ordering contract
 ///
-/// `last_used` and `stale` are interior-mutable atomics so the shared
-/// lookup paths ([`MapCache::lookup_shared`],
-/// [`MapCache::lookup_batch_shared`], [`MapCache::mark_stale_shared`])
-/// can refresh them through `&self` while other reader threads descend
-/// the same trie. All accesses use `Ordering::Relaxed` on purpose:
+/// `last_used` and `stale` are interior-mutable atomics so the lookup
+/// paths ([`MapCache::lookup_shared`], [`MapCache::lookup_batch_shared`],
+/// [`MapCache::mark_stale_shared`]) can refresh them through `&self`
+/// while other reader threads descend the same trie. All accesses use
+/// `Ordering::Relaxed` on purpose:
 ///
 /// * Both fields are *per-entry heuristic metadata*, never used to
 ///   synchronize access to other memory. `last_used` only feeds the
@@ -92,6 +94,18 @@ impl CacheEntry {
     pub fn set_stale(&self, stale: bool) {
         self.stale.store(stale, Ordering::Relaxed);
     }
+
+    /// What a lookup landing on this (live) entry at `now` reports; the
+    /// idle-decay stamp is refreshed on the way.
+    #[inline]
+    fn hit(&self, now: SimTime) -> CacheOutcome {
+        self.touch(now);
+        if self.is_stale() {
+            CacheOutcome::Stale(self.rloc)
+        } else {
+            CacheOutcome::Hit(self.rloc)
+        }
+    }
 }
 
 impl Clone for CacheEntry {
@@ -131,18 +145,16 @@ pub enum CacheOutcome {
 
 /// The per-VN overlay FIB of one edge router.
 ///
-/// Two families of lookup coexist:
-///
-/// * the `&mut` flavors ([`MapCache::lookup`], [`MapCache::lookup_batch`])
-///   — the owner's path: they additionally *remove* TTL-expired entries
-///   inline, so a single-owner cache self-cleans under traffic;
-/// * the `&self` flavors ([`MapCache::lookup_shared`],
-///   [`MapCache::lookup_batch_shared`]) — the multi-core read path:
-///   expired entries are treated as absent (a dead host route never
-///   shadows a live covering subnet) but stay in the trie until the
-///   owner's [`MapCache::evict`]/[`MapCache::purge_rloc`] runs.
-///   Outcome-for-outcome the two families agree (the property tests
-///   assert it); only the structural side effects differ.
+/// **Lookups take `&self`** — [`MapCache::lookup_shared`] (one EID),
+/// [`MapCache::lookup_batch_shared`] (a burst) and
+/// [`MapCache::mark_stale_shared`] (an SMR) — so a single-threaded edge
+/// and a pool of forwarding workers ride the same descent. A TTL-expired
+/// entry is treated as absent — the filtered descent keeps looking at
+/// shallower covers, so a dead host route never shadows a live covering
+/// subnet — but it stays in the trie: lookups never change the
+/// structure. **Removal takes `&mut self`** and belongs to the owner
+/// alone: the four doors of the module docs, expiry among them through
+/// [`MapCache::evict`], the slow periodic decay of §4.2.
 ///
 /// `Clone` supports the data plane's clone-and-swap publication: the
 /// writer clones the cache, mutates the copy and swaps it in behind an
@@ -154,11 +166,6 @@ pub struct MapCache {
     /// sum over every per-VN trie. Invariant: always equals
     /// [`MapCache::recount`] (checked by the property tests).
     total: usize,
-    /// Scratch for [`MapCache::lookup_batch`]: `(batch index, prefix)`
-    /// of entries that expired mid-batch, removed (and their EIDs
-    /// re-resolved) after the trie traversal ends. Capacity is
-    /// retained, so batches stop allocating once warmed up.
-    expired_scratch: Vec<(usize, EidPrefix)>,
 }
 
 impl MapCache {
@@ -200,149 +207,29 @@ impl MapCache {
         removed
     }
 
-    /// Looks up `eid`, refreshing `last_used` on a hit.
-    ///
-    /// Hot path: one trie descent, `last_used`/`stale` read and written
-    /// through the in-place mutable match — zero heap allocations (the
-    /// seed implementation did a full remove + insert round trip here).
-    pub fn lookup(&mut self, vn: VnId, eid: Eid, now: SimTime) -> CacheOutcome {
-        let Some(trie) = self.vns.get_mut(&vn) else {
-            return CacheOutcome::Miss;
-        };
-        let expired_prefix = match trie.lookup_mut(&eid) {
-            None => return CacheOutcome::Miss,
-            Some((prefix, entry)) => {
-                if now < entry.expires_at {
-                    entry.touch(now);
-                    return if entry.is_stale() {
-                        CacheOutcome::Stale(entry.rloc)
-                    } else {
-                        CacheOutcome::Hit(entry.rloc)
-                    };
-                }
-                // Expired: fall through to remove once the borrow ends.
-                prefix
-            }
-        };
-        trie.remove(&expired_prefix);
-        self.total -= 1;
-        CacheOutcome::Miss
-    }
-
-    /// Batched lookup: resolves `vn`'s trie once, then runs every EID of
-    /// the burst through it via [`EidTrie::lookup_mut_each`], appending
-    /// one [`CacheOutcome`] per EID to `out` (which is cleared first).
-    ///
-    /// This is the data plane's batch entry point: the per-VN map access
-    /// and the trie root stay hot for the whole run instead of being
-    /// re-resolved per packet. Semantics match [`MapCache::lookup`]
-    /// exactly — `last_used` refreshes in place, expired entries answer
-    /// `Miss` and are removed. Steady state allocates nothing once `out`
-    /// and the internal expiry scratch have warmed up.
-    pub fn lookup_batch(
-        &mut self,
-        vn: VnId,
-        eids: &[Eid],
-        now: SimTime,
-        out: &mut Vec<CacheOutcome>,
-    ) {
-        out.clear();
-        let MapCache {
-            vns,
-            total,
-            expired_scratch,
-        } = self;
-        let Some(trie) = vns.get_mut(&vn) else {
-            out.extend(eids.iter().map(|_| CacheOutcome::Miss));
-            return;
-        };
-        expired_scratch.clear();
-        trie.lookup_mut_each(eids, |i, res| {
-            out.push(match res {
-                None => CacheOutcome::Miss,
-                Some((len, entry)) => {
-                    if now < entry.expires_at {
-                        entry.touch(now);
-                        if entry.is_stale() {
-                            CacheOutcome::Stale(entry.rloc)
-                        } else {
-                            CacheOutcome::Hit(entry.rloc)
-                        }
-                    } else {
-                        // Cold path: only expiry pays for the prefix
-                        // reconstruction the removal below needs.
-                        expired_scratch.push((i, sda_trie::covering_prefix(&eids[i], len)));
-                        CacheOutcome::Miss
-                    }
-                }
-            });
-        });
-        // Cold path: replay the expiries in batch order so the results
-        // match what sequential `lookup` calls would have produced. The
-        // first EID to hit an expired entry removes it and keeps its
-        // Miss; EIDs after it re-resolve, because the purge may have
-        // uncovered a shorter live prefix (an expired host route must
-        // not shadow a live subnet for the rest of the batch). The
-        // re-resolution loops since the next-longest match can itself
-        // be expired.
-        for &(i, prefix) in expired_scratch.iter() {
-            if trie.remove(&prefix).is_some() {
-                *total -= 1;
-                continue; // out[i] stays Miss, as in sequential lookup.
-            }
-            out[i] = loop {
-                match trie.lookup_mut(&eids[i]) {
-                    None => break CacheOutcome::Miss,
-                    Some((p, entry)) => {
-                        if now < entry.expires_at {
-                            entry.touch(now);
-                            break if entry.is_stale() {
-                                CacheOutcome::Stale(entry.rloc)
-                            } else {
-                                CacheOutcome::Hit(entry.rloc)
-                            };
-                        }
-                        trie.remove(&p);
-                        *total -= 1;
-                    }
-                }
-            };
-        }
-        expired_scratch.clear();
-    }
-
-    /// Shared-read lookup: the `&self` flavor of [`MapCache::lookup`]
-    /// for the multi-core forwarding path. Refreshes `last_used`
-    /// through the entry's atomics (see [`CacheEntry`]'s memory-ordering
-    /// contract); expired entries are treated as absent — the filtered
-    /// trie descent keeps searching shallower covering prefixes, so the
-    /// outcome matches what [`MapCache::lookup`]'s remove-and-retry
-    /// would have produced — but structural removal is left to the
-    /// owner's [`MapCache::evict`].
+    /// Looks up `eid`: the deepest *live* entry covering it, with its
+    /// `last_used` stamp refreshed through the entry's atomics (see
+    /// [`CacheEntry`]'s memory-ordering contract). One filtered trie
+    /// descent, zero heap allocations. Expired entries are treated as
+    /// absent — the descent keeps searching shallower covering prefixes
+    /// — and their structural removal is left to [`MapCache::evict`].
     pub fn lookup_shared(&self, vn: VnId, eid: Eid, now: SimTime) -> CacheOutcome {
         let Some(trie) = self.vns.get(&vn) else {
             return CacheOutcome::Miss;
         };
-        match trie.lookup_where(&eid, |e| now < e.expires_at) {
-            None => CacheOutcome::Miss,
-            Some((_, entry)) => {
-                entry.touch(now);
-                if entry.is_stale() {
-                    CacheOutcome::Stale(entry.rloc)
-                } else {
-                    CacheOutcome::Hit(entry.rloc)
-                }
-            }
-        }
+        trie.lookup_where(&eid, |e| now < e.expires_at)
+            .map_or(CacheOutcome::Miss, |(_, entry)| entry.hit(now))
     }
 
-    /// Batched shared-read lookup: the `&self` flavor of
-    /// [`MapCache::lookup_batch`], riding the interleaved lockstep trie
-    /// walk ([`EidTrie::lookup_each_where`]) with the same
-    /// expired-entries-are-absent filter as [`MapCache::lookup_shared`].
-    /// Appends one [`CacheOutcome`] per EID to `out` (cleared first).
-    /// Zero heap allocations once `out` has warmed up — there is no
-    /// expiry scratch here at all, because shared lookups never remove.
+    /// Batched [`MapCache::lookup_shared`] — the data plane's entry
+    /// point. Resolves `vn`'s trie once, then runs every EID of the
+    /// burst through the interleaved lockstep trie walk
+    /// ([`EidTrie::lookup_each_where`]) with the same
+    /// expired-entries-are-absent filter, so the per-VN map access and
+    /// the trie root stay hot for the whole run instead of being
+    /// re-resolved per packet. Appends one [`CacheOutcome`] per EID to
+    /// `out` (cleared first); zero heap allocations once `out` has
+    /// warmed up.
     pub fn lookup_batch_shared(
         &self,
         vn: VnId,
@@ -358,28 +245,17 @@ impl MapCache {
         trie.lookup_each_where(
             eids,
             |e| now < e.expires_at,
-            |_, res| {
-                out.push(match res {
-                    None => CacheOutcome::Miss,
-                    Some((_, entry)) => {
-                        entry.touch(now);
-                        if entry.is_stale() {
-                            CacheOutcome::Stale(entry.rloc)
-                        } else {
-                            CacheOutcome::Hit(entry.rloc)
-                        }
-                    }
-                });
-            },
+            |_, res| out.push(res.map_or(CacheOutcome::Miss, |(_, entry)| entry.hit(now))),
         );
     }
 
-    /// Shared-read SMR application: marks the deepest *live* entry
-    /// covering `eid` stale through its atomic flag (`&self` — an SMR
-    /// arriving on the control plane does not need to clone-and-swap
-    /// the whole FIB). Returns the current RLOC if a live entry existed.
-    /// Lands on exactly the entry [`MapCache::mark_stale`] would mark;
-    /// only the expired-entry removal is left to the owner.
+    /// SMR received: marks the deepest *live* entry covering `eid` stale
+    /// through its atomic flag (`&self` — an SMR arriving on the control
+    /// plane does not need to clone-and-swap the whole FIB). Returns the
+    /// current RLOC if a live entry existed. TTL-expired entries on the
+    /// path are skipped exactly as a lookup skips them: an SMR must never
+    /// "mark" a dead mapping while the covering prefix that actually
+    /// forwards the traffic stays fresh.
     pub fn mark_stale_shared(&self, vn: VnId, eid: Eid, now: SimTime) -> Option<Rloc> {
         let trie = self.vns.get(&vn)?;
         let (_, entry) = trie.lookup_where(&eid, |e| now < e.expires_at)?;
@@ -437,35 +313,6 @@ impl MapCache {
     /// Aggregated trie-arena diagnostics across all VNs.
     pub fn mem_stats(&self) -> sda_trie::MemStats {
         sda_trie::merged_mem_stats(self.vns.values())
-    }
-
-    /// Marks the entry covering `eid` stale (SMR received). Returns the
-    /// current RLOC if a live entry existed.
-    ///
-    /// Follows the same lazy-purge discipline as [`MapCache::lookup`]:
-    /// TTL-expired entries on the path are removed and the SMR lands on
-    /// the deepest *live* cover — an SMR must never "mark" a mapping
-    /// that the very next lookup would purge (the invalidation would
-    /// silently miss the covering prefix actually forwarding traffic).
-    /// This also makes the owner flavor agree entry-for-entry with
-    /// [`MapCache::mark_stale_shared`], whose filtered descent reaches
-    /// the same live cover without removing anything.
-    pub fn mark_stale(&mut self, vn: VnId, eid: Eid, now: SimTime) -> Option<Rloc> {
-        let trie = self.vns.get_mut(&vn)?;
-        loop {
-            let expired = match trie.lookup_mut(&eid) {
-                None => return None,
-                Some((prefix, entry)) => {
-                    if now < entry.expires_at {
-                        entry.set_stale(true);
-                        return Some(entry.rloc);
-                    }
-                    prefix
-                }
-            };
-            trie.remove(&expired);
-            self.total -= 1;
-        }
     }
 
     /// Replaces the mapping for `eid` (Map-Notify / refreshed Map-Reply
@@ -557,113 +404,30 @@ impl MapCache {
 
 #[cfg(test)]
 mod batch_tests {
+    use super::tests::{eid, subnet_under_expired_host, vn};
     use super::*;
-    use std::net::Ipv4Addr;
-
-    fn vn(n: u32) -> VnId {
-        VnId::new(n).unwrap()
-    }
-
-    fn eid(n: u8) -> Eid {
-        Eid::V4(Ipv4Addr::new(10, 0, 0, n))
-    }
-
-    const TTL: SimDuration = SimDuration::from_secs(3600);
-
-    /// `lookup_batch` must agree with per-EID `lookup` on every outcome
-    /// and side effect (refresh, expiry removal, counter).
-    #[test]
-    fn batch_agrees_with_single_lookups() {
-        let build = || {
-            let mut c = MapCache::new();
-            c.install(
-                vn(1),
-                EidPrefix::host(eid(1)),
-                Rloc::for_router_index(1),
-                TTL,
-                SimTime::ZERO,
-            );
-            c.install(
-                vn(1),
-                EidPrefix::host(eid(2)),
-                Rloc::for_router_index(2),
-                SimDuration::from_secs(10),
-                SimTime::ZERO,
-            );
-            c.install(
-                vn(1),
-                EidPrefix::host(eid(3)),
-                Rloc::for_router_index(3),
-                TTL,
-                SimTime::ZERO,
-            );
-            c.mark_stale(vn(1), eid(3), SimTime::ZERO);
-            c
-        };
-        let probes = [eid(1), eid(2), eid(2), eid(3), eid(9)];
-        let now = SimTime::ZERO + SimDuration::from_secs(60); // eid(2) expired
-
-        let mut a = build();
-        let singles: Vec<CacheOutcome> = probes.iter().map(|e| a.lookup(vn(1), *e, now)).collect();
-
-        let mut b = build();
-        let mut batched = Vec::new();
-        b.lookup_batch(vn(1), &probes, now, &mut batched);
-
-        assert_eq!(batched, singles);
-        assert_eq!(a.len(), b.len());
-        assert_eq!(b.len(), b.recount(), "expiry removal keeps the counter");
-    }
 
     /// Regression: an expired host route must not shadow a live subnet
-    /// for later EIDs of the same batch — expiry removal re-resolves.
+    /// for any EID of a batch, and the batch removes nothing.
     #[test]
     fn batch_expired_host_uncovers_live_subnet() {
-        use sda_types::Ipv4Prefix;
-        use std::net::Ipv4Addr;
-        let subnet_rloc = Rloc::for_router_index(5);
-        let build = || {
-            let mut c = MapCache::new();
-            c.install(
-                vn(1),
-                Ipv4Prefix::new(Ipv4Addr::new(10, 0, 0, 0), 16)
-                    .unwrap()
-                    .into(),
-                subnet_rloc,
-                TTL,
-                SimTime::ZERO,
-            );
-            c.install(
-                vn(1),
-                EidPrefix::host(eid(3)),
-                Rloc::for_router_index(9),
-                SimDuration::from_secs(10),
-                SimTime::ZERO,
-            );
-            c
-        };
-        let probes = [eid(3), eid(3), eid(3)];
+        let (c, subnet_rloc) = subnet_under_expired_host();
         let now = SimTime::ZERO + SimDuration::from_secs(60); // host expired
-
-        let mut a = build();
-        let singles: Vec<CacheOutcome> = probes.iter().map(|e| a.lookup(vn(1), *e, now)).collect();
-        let mut b = build();
         let mut batched = Vec::new();
-        b.lookup_batch(vn(1), &probes, now, &mut batched);
-        assert_eq!(batched, singles);
+        c.lookup_batch_shared(vn(1), &[eid(3), eid(3), eid(3)], now, &mut batched);
         assert_eq!(
-            batched[1],
-            CacheOutcome::Hit(subnet_rloc),
-            "the live /16 must answer once the expired /32 is purged"
+            batched,
+            [CacheOutcome::Hit(subnet_rloc); 3],
+            "the live /16 must answer under the expired /32"
         );
-        assert_eq!(b.len(), b.recount());
+        assert_eq!((c.len(), c.recount()), (2, 2), "lookups never remove");
     }
 
     #[test]
     fn batch_on_unknown_vn_is_all_misses() {
-        let mut c = MapCache::new();
+        let c = MapCache::new();
         let mut out = vec![CacheOutcome::Hit(Rloc::for_router_index(9))]; // stale junk
-        c.lookup_batch(vn(5), &[eid(1), eid(2)], SimTime::ZERO, &mut out);
+        c.lookup_batch_shared(vn(5), &[eid(1), eid(2)], SimTime::ZERO, &mut out);
         assert_eq!(out, vec![CacheOutcome::Miss, CacheOutcome::Miss]);
     }
 }
@@ -673,25 +437,59 @@ mod tests {
     use super::*;
     use std::net::Ipv4Addr;
 
-    fn vn(n: u32) -> VnId {
+    pub(super) fn vn(n: u32) -> VnId {
         VnId::new(n).unwrap()
     }
 
-    fn eid(n: u8) -> Eid {
+    pub(super) fn eid(n: u8) -> Eid {
         Eid::V4(Ipv4Addr::new(10, 0, 0, n))
     }
 
     const TTL: SimDuration = SimDuration::from_secs(3600);
     const IDLE: SimDuration = SimDuration::from_secs(7200);
 
+    /// A live 10.0.0.0/16 (whose RLOC is returned) over a host route for
+    /// `eid(3)` that expires after 10 s.
+    pub(super) fn subnet_under_expired_host() -> (MapCache, Rloc) {
+        use sda_types::Ipv4Prefix;
+        let subnet_rloc = Rloc::for_router_index(5);
+        let mut c = MapCache::new();
+        c.install(
+            vn(1),
+            Ipv4Prefix::new(Ipv4Addr::new(10, 0, 0, 0), 16)
+                .unwrap()
+                .into(),
+            subnet_rloc,
+            TTL,
+            SimTime::ZERO,
+        );
+        c.install(
+            vn(1),
+            EidPrefix::host(eid(3)),
+            Rloc::for_router_index(9),
+            SimDuration::from_secs(10),
+            SimTime::ZERO,
+        );
+        (c, subnet_rloc)
+    }
+
     #[test]
     fn install_then_hit() {
         let mut c = MapCache::new();
         let r = Rloc::for_router_index(1);
         c.install(vn(1), EidPrefix::host(eid(1)), r, TTL, SimTime::ZERO);
-        assert_eq!(c.lookup(vn(1), eid(1), SimTime::ZERO), CacheOutcome::Hit(r));
-        assert_eq!(c.lookup(vn(1), eid(2), SimTime::ZERO), CacheOutcome::Miss);
-        assert_eq!(c.lookup(vn(2), eid(1), SimTime::ZERO), CacheOutcome::Miss);
+        assert_eq!(
+            c.lookup_shared(vn(1), eid(1), SimTime::ZERO),
+            CacheOutcome::Hit(r)
+        );
+        assert_eq!(
+            c.lookup_shared(vn(1), eid(2), SimTime::ZERO),
+            CacheOutcome::Miss
+        );
+        assert_eq!(
+            c.lookup_shared(vn(2), eid(1), SimTime::ZERO),
+            CacheOutcome::Miss
+        );
         assert_eq!(c.len(), 1);
     }
 
@@ -706,8 +504,10 @@ mod tests {
             SimTime::ZERO,
         );
         let later = SimTime::ZERO + TTL + SimDuration::from_secs(1);
-        assert_eq!(c.lookup(vn(1), eid(1), later), CacheOutcome::Miss);
-        assert_eq!(c.len(), 0, "expired entry removed on lookup");
+        assert_eq!(c.lookup_shared(vn(1), eid(1), later), CacheOutcome::Miss);
+        assert_eq!(c.len(), 1, "lookups never remove");
+        assert_eq!(c.evict(later, IDLE), 1, "the periodic sweep does");
+        assert_eq!(c.len(), 0);
     }
 
     #[test]
@@ -731,20 +531,20 @@ mod tests {
         let old = Rloc::for_router_index(1);
         let new = Rloc::for_router_index(2);
         c.install(vn(1), EidPrefix::host(eid(1)), old, TTL, SimTime::ZERO);
-        assert_eq!(c.mark_stale(vn(1), eid(1), SimTime::ZERO), Some(old));
+        assert_eq!(c.mark_stale_shared(vn(1), eid(1), SimTime::ZERO), Some(old));
         // Stale entries keep forwarding to the old RLOC (which forwards
         // on per Fig. 6) until the re-resolution lands.
         assert_eq!(
-            c.lookup(vn(1), eid(1), SimTime::ZERO),
+            c.lookup_shared(vn(1), eid(1), SimTime::ZERO),
             CacheOutcome::Stale(old)
         );
         c.update_rloc(vn(1), eid(1), new, TTL, SimTime::ZERO);
         assert_eq!(
-            c.lookup(vn(1), eid(1), SimTime::ZERO),
+            c.lookup_shared(vn(1), eid(1), SimTime::ZERO),
             CacheOutcome::Hit(new)
         );
         // SMR for something not cached: no-op.
-        assert_eq!(c.mark_stale(vn(1), eid(9), SimTime::ZERO), None);
+        assert_eq!(c.mark_stale_shared(vn(1), eid(9), SimTime::ZERO), None);
     }
 
     #[test]
@@ -758,7 +558,7 @@ mod tests {
         assert_eq!(c.purge_rloc(r1), 2);
         assert_eq!(c.len(), 1);
         assert_eq!(
-            c.lookup(vn(1), eid(3), SimTime::ZERO),
+            c.lookup_shared(vn(1), eid(3), SimTime::ZERO),
             CacheOutcome::Hit(r2)
         );
     }
@@ -783,12 +583,12 @@ mod tests {
         );
         // Keep entry 1 warm.
         let mid = SimTime::ZERO + SimDuration::from_secs(5000);
-        assert_eq!(c.lookup(vn(1), eid(1), mid), CacheOutcome::Hit(r));
+        assert_eq!(c.lookup_shared(vn(1), eid(1), mid), CacheOutcome::Hit(r));
         // At IDLE past zero, entry 2 has idled out, entry 1 has not.
         let later = SimTime::ZERO + IDLE;
         assert_eq!(c.evict(later, IDLE), 1);
         assert_eq!(c.len(), 1);
-        assert_eq!(c.lookup(vn(1), eid(1), later), CacheOutcome::Hit(r));
+        assert_eq!(c.lookup_shared(vn(1), eid(1), later), CacheOutcome::Hit(r));
     }
 
     #[test]
@@ -797,12 +597,10 @@ mod tests {
         let r = Rloc::for_router_index(1);
         c.install(vn(1), EidPrefix::host(eid(1)), r, TTL, SimTime::ZERO);
         c.install(vn(1), EidPrefix::host(eid(2)), r, TTL, SimTime::ZERO);
-        c.mark_stale(vn(1), eid(2), SimTime::ZERO);
+        c.mark_stale_shared(vn(1), eid(2), SimTime::ZERO);
         let now = SimTime::ZERO + SimDuration::from_secs(60);
         assert_eq!(c.lookup_shared(vn(1), eid(1), now), CacheOutcome::Hit(r));
         assert_eq!(c.lookup_shared(vn(1), eid(2), now), CacheOutcome::Stale(r));
-        assert_eq!(c.lookup_shared(vn(1), eid(9), now), CacheOutcome::Miss);
-        assert_eq!(c.lookup_shared(vn(9), eid(1), now), CacheOutcome::Miss);
         // The shared hit refreshed last_used: the entry survives an
         // eviction pass that would have idled it out at ZERO.
         let idle = SimDuration::from_secs(50);
@@ -812,25 +610,7 @@ mod tests {
 
     #[test]
     fn shared_lookup_expired_host_uncovers_live_subnet_without_removal() {
-        use sda_types::Ipv4Prefix;
-        let subnet_rloc = Rloc::for_router_index(5);
-        let mut c = MapCache::new();
-        c.install(
-            vn(1),
-            Ipv4Prefix::new(Ipv4Addr::new(10, 0, 0, 0), 16)
-                .unwrap()
-                .into(),
-            subnet_rloc,
-            TTL,
-            SimTime::ZERO,
-        );
-        c.install(
-            vn(1),
-            EidPrefix::host(eid(3)),
-            Rloc::for_router_index(9),
-            SimDuration::from_secs(10),
-            SimTime::ZERO,
-        );
+        let (mut c, subnet_rloc) = subnet_under_expired_host();
         let now = SimTime::ZERO + SimDuration::from_secs(60); // host expired
         assert_eq!(
             c.lookup_shared(vn(1), eid(3), now),
@@ -869,7 +649,7 @@ mod tests {
             TTL,
             SimTime::ZERO,
         );
-        c.mark_stale(vn(1), eid(3), SimTime::ZERO);
+        c.mark_stale_shared(vn(1), eid(3), SimTime::ZERO);
         let probes = [eid(1), eid(2), eid(2), eid(3), eid(9)];
         let now = SimTime::ZERO + SimDuration::from_secs(60); // eid(2) expired
         let singles: Vec<CacheOutcome> = probes
@@ -879,10 +659,6 @@ mod tests {
         let mut batched = Vec::new();
         c.lookup_batch_shared(vn(1), &probes, now, &mut batched);
         assert_eq!(batched, singles);
-        // Unknown VN: all misses, output vector replaced.
-        let mut out = vec![CacheOutcome::Hit(Rloc::for_router_index(9))];
-        c.lookup_batch_shared(vn(5), &probes[..2], now, &mut out);
-        assert_eq!(out, vec![CacheOutcome::Miss, CacheOutcome::Miss]);
     }
 
     #[test]
@@ -893,9 +669,9 @@ mod tests {
         assert_eq!(c.mark_stale_shared(vn(1), eid(1), SimTime::ZERO), Some(r));
         assert_eq!(c.mark_stale_shared(vn(1), eid(9), SimTime::ZERO), None);
         assert_eq!(
-            c.lookup(vn(1), eid(1), SimTime::ZERO),
+            c.lookup_shared(vn(1), eid(1), SimTime::ZERO),
             CacheOutcome::Stale(r),
-            "owner lookup observes the shared stale mark"
+            "the next lookup observes the stale mark"
         );
     }
 
@@ -944,7 +720,7 @@ mod tests {
         c.install(vn(1), EidPrefix::host(eid(1)), r, TTL, SimTime::ZERO);
         let snap = c.clone();
         // Mutating the original does not affect the snapshot.
-        c.mark_stale(vn(1), eid(1), SimTime::ZERO);
+        c.mark_stale_shared(vn(1), eid(1), SimTime::ZERO);
         assert_eq!(
             snap.lookup_shared(vn(1), eid(1), SimTime::ZERO),
             CacheOutcome::Hit(r)
@@ -974,7 +750,7 @@ mod tests {
         assert_eq!(c.len(), 256);
         for n in 0..=255 {
             assert_eq!(
-                c.lookup(vn(1), eid(n), SimTime::ZERO),
+                c.lookup_shared(vn(1), eid(n), SimTime::ZERO),
                 CacheOutcome::Hit(r2)
             );
         }

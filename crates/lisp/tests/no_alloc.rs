@@ -1,6 +1,7 @@
-//! Proof, not promise: `MapCache::lookup` on hit, stale and miss paths
-//! performs **zero heap allocations** (the seed implementation allocated
-//! on every trie step and did a remove + insert per hit).
+//! Proof, not promise: the map-cache's lookup side — `lookup_shared`,
+//! `mark_stale_shared` and `lookup_batch_shared` on hit, stale and miss
+//! paths — performs **zero heap allocations** (the seed implementation
+//! allocated on every trie step and did a remove + insert per hit).
 //!
 //! This file deliberately holds a single `#[test]` — the counter is
 //! process-global, and a concurrently running test would pollute it.
@@ -52,7 +53,7 @@ fn map_cache_lookup_allocates_nothing() {
         );
     }
     for i in 0..5_000u32 {
-        cache.mark_stale(vn, eid(i), SimTime::ZERO);
+        cache.mark_stale_shared(vn, eid(i), SimTime::ZERO);
     }
 
     let now = SimTime::ZERO + SimDuration::from_secs(1);
@@ -60,10 +61,15 @@ fn map_cache_lookup_allocates_nothing() {
 
     let (mut hits, mut stales, mut misses) = (0u64, 0u64, 0u64);
     for i in 0..20_000u32 {
-        match cache.lookup(vn, eid(i), now) {
+        match cache.lookup_shared(vn, eid(i), now) {
             CacheOutcome::Hit(_) => hits += 1,
             CacheOutcome::Stale(_) => stales += 1,
             CacheOutcome::Miss => misses += 1,
+        }
+        // An SMR for the already-stale quarter and for the uncached
+        // half: allocation-free too, and no outcome changes.
+        if !(5_000..10_000).contains(&i) {
+            cache.mark_stale_shared(vn, eid(i), now);
         }
     }
 
@@ -76,31 +82,21 @@ fn map_cache_lookup_allocates_nothing() {
         after - before
     );
 
-    // The shared-read flavors (the multi-core hot path): single and
-    // batched `&self` lookups allocate nothing either, once the output
-    // vector has warmed up.
+    // The batched flavor (the forwarding engine's entry point)
+    // allocates nothing either, once the output vector has warmed up.
     let probes: Vec<Eid> = (0..32u32).map(|i| eid(i * 613 % 20_000)).collect();
     let mut out = Vec::new();
     cache.lookup_batch_shared(vn, &probes, now, &mut out); // warm `out`
     let before = allocations();
-    let (mut hits, mut stales, mut misses) = (0u64, 0u64, 0u64);
-    for i in 0..20_000u32 {
-        match cache.lookup_shared(vn, eid(i), now) {
-            CacheOutcome::Hit(_) => hits += 1,
-            CacheOutcome::Stale(_) => stales += 1,
-            CacheOutcome::Miss => misses += 1,
-        }
-    }
     for _ in 0..600 {
         cache.lookup_batch_shared(vn, &probes, now, &mut out);
         assert_eq!(out.len(), probes.len());
     }
     let after = allocations();
-    assert_eq!((hits, stales, misses), (5_000, 5_000, 10_000));
     assert_eq!(
         after - before,
         0,
-        "shared map-cache lookup performed {} heap allocations",
+        "batched map-cache lookup performed {} heap allocations",
         after - before
     );
 }

@@ -3,50 +3,28 @@
 //! sequence, and its TTL/idle/invalidations must never resurrect stale
 //! state.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
 use sda_lisp::{CacheOutcome, MapCache};
 use sda_simnet::{SimDuration, SimTime};
-use sda_types::{Eid, EidPrefix, Rloc, VnId};
+use sda_types::{Eid, EidPrefix, Ipv4Prefix, Rloc, VnId};
 
 fn vn() -> VnId {
     VnId::new(1).unwrap()
 }
 
+/// Sixteen hosts spread over three /24s, so every cover has hosts under
+/// it and every host has a cover it can fall back to.
 fn eid(n: u8) -> Eid {
-    Eid::V4(Ipv4Addr::new(10, 0, 0, n))
+    Eid::V4(Ipv4Addr::new(10, 0, n % 3, n / 3))
 }
 
-#[derive(Clone, Debug)]
-enum Op {
-    /// install(eid, rloc, ttl_secs) at the current time.
-    Install(u8, u16, u32),
-    /// lookup(eid).
-    Lookup(u8),
-    /// negative(eid).
-    Negative(u8),
-    /// mark_stale(eid).
-    MarkStale(u8),
-    /// purge_rloc(rloc).
-    PurgeRloc(u16),
-    /// advance clock by seconds.
-    Advance(u32),
-    /// evict with idle timeout (secs).
-    Evict(u32),
-}
-
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u8..16, 0u16..4, 1u32..600).prop_map(|(e, r, t)| Op::Install(e, r, t)),
-        (0u8..16).prop_map(Op::Lookup),
-        (0u8..16).prop_map(Op::Negative),
-        (0u8..16).prop_map(Op::MarkStale),
-        (0u16..4).prop_map(Op::PurgeRloc),
-        (1u32..400).prop_map(Op::Advance),
-        (60u32..600).prop_map(Op::Evict),
-    ]
+/// The /24 over `eid(n)`.
+fn cover(n: u8) -> EidPrefix {
+    Ipv4Prefix::new(Ipv4Addr::new(10, 0, n % 3, 0), 24)
+        .unwrap()
+        .into()
 }
 
 /// Reference model entry.
@@ -58,32 +36,63 @@ struct ModelEntry {
     stale: bool,
 }
 
+/// The reference: a flat list scanned for the deepest *live* cover.
+/// Nothing here shares a line with the trie, the stride tables or the
+/// filtered descent, and — like the cache — a lookup never removes.
+#[derive(Default)]
+struct Model(Vec<(EidPrefix, ModelEntry)>);
+
+impl Model {
+    fn remove(&mut self, prefix: EidPrefix) -> bool {
+        let before = self.0.len();
+        self.0.retain(|(p, _)| *p != prefix);
+        self.0.len() < before
+    }
+
+    fn live_cover(&mut self, eid: Eid, now: SimTime) -> Option<&mut ModelEntry> {
+        self.0
+            .iter_mut()
+            .filter(|(p, e)| p.contains(eid) && now < e.expires_at)
+            .max_by_key(|(p, _)| p.len())
+            .map(|(_, e)| e)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    /// Every lookup-side entry point against the scan, over host routes
+    /// nested under /24 covers: an expired /32 never shadows a live /24,
+    /// a stale mark lands on the deepest live cover, a hit refreshes
+    /// `last_used` (seen through what `evict` then keeps), and only
+    /// `apply_negative`/`purge_rloc`/`evict` ever change `len()`.
+    /// Operations decode from raw words, so a failure shrinks by halving.
     #[test]
-    fn cache_matches_reference_model(ops in proptest::collection::vec(arb_op(), 1..120)) {
+    fn cache_matches_reference_model(words in proptest::collection::vec(any::<u64>(), 1..120)) {
         let mut cache = MapCache::new();
-        let mut model: HashMap<Eid, ModelEntry> = HashMap::new();
+        let mut model = Model::default();
         let mut now = SimTime::ZERO;
 
-        for op in ops {
-            match op {
-                Op::Install(e, r, ttl) => {
-                    let rloc = Rloc::for_router_index(r);
-                    let ttl = SimDuration::from_secs(u64::from(ttl));
-                    cache.install(vn(), EidPrefix::host(eid(e)), rloc, ttl, now);
-                    model.insert(eid(e), ModelEntry {
+        for w in words {
+            let e = (w >> 4) as u8 % 16;
+            let rloc = Rloc::for_router_index((w >> 8) as u16 % 4);
+            let secs = SimDuration::from_secs(1 + (w >> 16) % 600);
+            match w % 16 {
+                // install a host route (0..=4) or a cover (5)
+                op @ 0..=5 => {
+                    let prefix = if op == 5 { cover(e) } else { EidPrefix::host(eid(e)) };
+                    cache.install(vn(), prefix, rloc, secs, now);
+                    model.remove(prefix);
+                    model.0.push((prefix, ModelEntry {
                         rloc,
-                        expires_at: now + ttl,
+                        expires_at: now + secs,
                         last_used: now,
                         stale: false,
-                    });
+                    }));
                 }
-                Op::Lookup(e) => {
-                    let got = cache.lookup(vn(), eid(e), now);
-                    let want = match model.get_mut(&eid(e)) {
-                        Some(entry) if now < entry.expires_at => {
+                6..=8 => {
+                    let want = match model.live_cover(eid(e), now) {
+                        Some(entry) => {
                             entry.last_used = now;
                             if entry.stale {
                                 CacheOutcome::Stale(entry.rloc)
@@ -91,58 +100,41 @@ proptest! {
                                 CacheOutcome::Hit(entry.rloc)
                             }
                         }
-                        Some(_) => {
-                            model.remove(&eid(e));
-                            CacheOutcome::Miss
-                        }
                         None => CacheOutcome::Miss,
                     };
-                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(cache.lookup_shared(vn(), eid(e), now), want);
+                    let mut out = Vec::new();
+                    cache.lookup_batch_shared(vn(), &[eid(e)], now, &mut out);
+                    prop_assert_eq!(out, [want]);
                 }
-                Op::Negative(e) => {
-                    let got = cache.apply_negative(vn(), EidPrefix::host(eid(e)));
-                    let want = model.remove(&eid(e)).is_some();
-                    prop_assert_eq!(got, want);
+                // negative reply for a host route, sometimes for a cover
+                9 => {
+                    let prefix = if (w >> 12) % 4 == 0 { cover(e) } else { EidPrefix::host(eid(e)) };
+                    prop_assert_eq!(cache.apply_negative(vn(), prefix), model.remove(prefix));
                 }
-                Op::MarkStale(e) => {
-                    let got = cache.mark_stale(vn(), eid(e), now);
-                    // mark_stale follows lookup's lazy-purge discipline:
-                    // an expired entry is removed, not marked.
-                    let want = match model.get_mut(&eid(e)) {
-                        Some(entry) if now < entry.expires_at => {
-                            entry.stale = true;
-                            Some(entry.rloc)
-                        }
-                        Some(_) => {
-                            model.remove(&eid(e));
-                            None
-                        }
-                        None => None,
-                    };
-                    prop_assert_eq!(got, want);
-                }
-                Op::PurgeRloc(r) => {
-                    let rloc = Rloc::for_router_index(r);
-                    let got = cache.purge_rloc(rloc);
-                    let before = model.len();
-                    model.retain(|_, entry| entry.rloc != rloc);
-                    prop_assert_eq!(got, before - model.len());
-                }
-                Op::Advance(secs) => {
-                    now += SimDuration::from_secs(u64::from(secs));
-                }
-                Op::Evict(idle) => {
-                    let idle = SimDuration::from_secs(u64::from(idle));
-                    let got = cache.evict(now, idle);
-                    let before = model.len();
-                    model.retain(|_, entry| {
-                        now < entry.expires_at
-                            && now.saturating_since(entry.last_used) < idle
+                10 => {
+                    let want = model.live_cover(eid(e), now).map(|entry| {
+                        entry.stale = true;
+                        entry.rloc
                     });
-                    prop_assert_eq!(got, before - model.len());
+                    prop_assert_eq!(cache.mark_stale_shared(vn(), eid(e), now), want);
+                }
+                11 => {
+                    let before = model.0.len();
+                    model.0.retain(|(_, entry)| entry.rloc != rloc);
+                    prop_assert_eq!(cache.purge_rloc(rloc), before - model.0.len());
+                }
+                12 | 13 => now += secs,
+                _ => {
+                    let before = model.0.len();
+                    model.0.retain(|(_, entry)| {
+                        now < entry.expires_at
+                            && now.saturating_since(entry.last_used) < secs
+                    });
+                    prop_assert_eq!(cache.evict(now, secs), before - model.0.len());
                 }
             }
-            prop_assert_eq!(cache.len(), model.len());
+            prop_assert_eq!(cache.len(), model.0.len());
             // The maintained counter must never drift from the true
             // per-trie sum, whatever the operation mix.
             prop_assert_eq!(cache.len(), cache.recount());
@@ -175,92 +167,17 @@ proptest! {
                 }
                 _ => {
                     now += SimDuration::from_secs(u64::from(dt));
-                    cache.lookup(vn, eid(e), now);
+                    cache.lookup_shared(vn, eid(e), now);
+                    cache.evict(now, SimDuration::from_secs(u64::from(idle)));
                 }
             }
             prop_assert_eq!(cache.len(), cache.recount());
         }
-        cache.evict(now, SimDuration::from_secs(u64::from(idle)));
-        prop_assert_eq!(cache.len(), cache.recount());
         cache.purge_rloc(Rloc::for_router_index(0));
         prop_assert_eq!(cache.len(), cache.recount());
         cache.clear();
         prop_assert_eq!(cache.len(), 0);
         prop_assert_eq!(cache.recount(), 0);
-    }
-
-    /// `lookup_shared` agrees with `lookup` outcome-for-outcome on the
-    /// same operation sequence — including nested (subnet + host)
-    /// prefixes, where `lookup` removes an expired host route and
-    /// re-resolves to the covering subnet while `lookup_shared` reaches
-    /// the same answer by filtering the dead entry during its single
-    /// descent. Only the structural side effects differ (the shared
-    /// cache keeps expired entries until the owner evicts), so lengths
-    /// are *not* compared — outcomes are.
-    #[test]
-    fn lookup_shared_agrees_with_lookup(
-        ops in proptest::collection::vec(arb_op(), 1..120),
-        subnets in proptest::collection::vec((0u8..4, 0u16..4, 1u32..600), 0..4),
-    ) {
-        let mut owned = MapCache::new();
-        let mut shared = MapCache::new();
-        let mut now = SimTime::ZERO;
-
-        // Seed both caches with identical covering subnets (10.0.X.0/24)
-        // so expired host routes have something to uncover.
-        for (third, r, ttl) in subnets {
-            let prefix: EidPrefix = sda_types::Ipv4Prefix::new(
-                Ipv4Addr::new(10, 0, third, 0), 24).unwrap().into();
-            let rloc = Rloc::for_router_index(r);
-            let ttl = SimDuration::from_secs(u64::from(ttl));
-            owned.install(vn(), prefix, rloc, ttl, now);
-            shared.install(vn(), prefix, rloc, ttl, now);
-        }
-
-        for op in ops {
-            match op {
-                Op::Install(e, r, ttl) => {
-                    let rloc = Rloc::for_router_index(r);
-                    let ttl = SimDuration::from_secs(u64::from(ttl));
-                    owned.install(vn(), EidPrefix::host(eid(e)), rloc, ttl, now);
-                    shared.install(vn(), EidPrefix::host(eid(e)), rloc, ttl, now);
-                }
-                Op::Lookup(e) => {
-                    let want = owned.lookup(vn(), eid(e), now);
-                    let got = shared.lookup_shared(vn(), eid(e), now);
-                    prop_assert_eq!(got, want);
-                    // And the batched shared flavor agrees with both.
-                    let mut out = Vec::new();
-                    shared.lookup_batch_shared(vn(), &[eid(e)], now, &mut out);
-                    prop_assert_eq!(out[0], want);
-                }
-                Op::Negative(e) => {
-                    owned.apply_negative(vn(), EidPrefix::host(eid(e)));
-                    shared.apply_negative(vn(), EidPrefix::host(eid(e)));
-                }
-                Op::MarkStale(e) => {
-                    // The shared cache takes the SMR through the atomic
-                    // flag — the `&self` path the multi-core switch
-                    // uses. Both flavors land on the deepest live cover.
-                    let want = owned.mark_stale(vn(), eid(e), now);
-                    let got = shared.mark_stale_shared(vn(), eid(e), now);
-                    prop_assert_eq!(got, want);
-                }
-                Op::PurgeRloc(r) => {
-                    let rloc = Rloc::for_router_index(r);
-                    owned.purge_rloc(rloc);
-                    shared.purge_rloc(rloc);
-                }
-                Op::Advance(secs) => {
-                    now += SimDuration::from_secs(u64::from(secs));
-                }
-                Op::Evict(idle) => {
-                    let idle = SimDuration::from_secs(u64::from(idle));
-                    owned.evict(now, idle);
-                    shared.evict(now, idle);
-                }
-            }
-        }
     }
 
     /// A lockstep call costs what its keys cost — a one-key run takes
@@ -296,7 +213,7 @@ proptest! {
             let prefix = match eid {
                 Eid::V4(a) if (w >> 16) % 4 == 0 => {
                     let [a, b, c, _] = a.octets();
-                    sda_types::Ipv4Prefix::new(Ipv4Addr::new(a, b, c, 0), 24).unwrap().into()
+                    Ipv4Prefix::new(Ipv4Addr::new(a, b, c, 0), 24).unwrap().into()
                 }
                 _ => EidPrefix::host(eid),
             };
@@ -305,7 +222,7 @@ proptest! {
             let rloc = Rloc::for_router_index((w >> 24) as u16 % 4);
             cache.install(vn(), prefix, rloc, SimDuration::from_secs(ttl), SimTime::ZERO);
             if (w >> 28) % 4 == 0 {
-                cache.mark_stale(vn(), eid, SimTime::ZERO);
+                cache.mark_stale_shared(vn(), eid, SimTime::ZERO);
             }
         }
         if compact == 1 {
@@ -337,7 +254,8 @@ proptest! {
         }
     }
 
-    /// A hit can never return an expired entry's RLOC.
+    /// A hit can never return an expired entry's RLOC, and what expired
+    /// leaves through `evict`, not through the lookup.
     #[test]
     fn hits_are_never_expired(
         installs in proptest::collection::vec((0u8..8, 0u16..4, 1u32..100), 1..20),
@@ -355,14 +273,15 @@ proptest! {
             );
         }
         let now = SimTime::ZERO + SimDuration::from_secs(u64::from(probe_at));
-        match cache.lookup(vn(), eid(probe), now) {
+        // The last install of each eid decides whether it is still live.
+        let last_ttl = |e: u8| installs.iter().rev().find(|(x, _, _)| *x == e).map(|(_, _, ttl)| *ttl);
+        match cache.lookup_shared(vn(), eid(probe), now) {
             CacheOutcome::Hit(_) | CacheOutcome::Stale(_) => {
-                // The last install for this eid must still be live.
-                let last = installs.iter().rev().find(|(e, _, _)| *e == probe);
-                let (_, _, ttl) = last.expect("hit without install");
-                prop_assert!(u64::from(probe_at) < u64::from(*ttl));
+                prop_assert!(probe_at < last_ttl(probe).expect("hit without install"));
             }
             CacheOutcome::Miss => {}
         }
+        let expired = (0u8..8).filter(|e| last_ttl(*e).is_some_and(|ttl| ttl <= probe_at)).count();
+        prop_assert_eq!(cache.evict(now, SimDuration::from_days(1)), expired);
     }
 }

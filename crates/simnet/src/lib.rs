@@ -2,8 +2,7 @@
 //!
 //! A deterministic discrete-event network simulator: the substrate every
 //! experiment in this reproduction runs on (the paper ran on physical
-//! testbeds and a commercial traffic generator; see DESIGN.md §2 for the
-//! substitution argument).
+//! testbeds and a commercial traffic generator).
 //!
 //! Design:
 //!

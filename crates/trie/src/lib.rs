@@ -10,7 +10,8 @@
 //! Two layers:
 //!
 //! * [`trie::PatriciaTrie`] — the generic bit-keyed trie with exact-match,
-//!   longest-prefix-match (shared and mutable) and `retain` operations.
+//!   longest-prefix-match (plain, filtered and batched, all through
+//!   `&self`) and `retain` operations.
 //! * [`map::EidTrie`] — an address-family-aware wrapper keyed by
 //!   [`sda_types::EidPrefix`], with one inner trie per family so IPv4,
 //!   IPv6 and MAC keys never collide.
@@ -33,5 +34,5 @@ pub mod map;
 pub mod trie;
 
 pub use bits::BitStr;
-pub use map::{compact_each, covering_prefix, merged_mem_stats, EidTrie};
+pub use map::{compact_each, merged_mem_stats, EidTrie};
 pub use trie::{MemStats, PatriciaTrie, DEFAULT_LANES};

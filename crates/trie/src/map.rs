@@ -39,13 +39,6 @@ fn prefix_from_parts(kind: EidKind, key: &BitStr) -> EidPrefix {
     }
 }
 
-/// The stored prefix a [`EidTrie::lookup_mut_each`] match of `len` bits
-/// on `eid` corresponds to — the lazy counterpart of what
-/// [`EidTrie::lookup_mut`] reconstructs eagerly. Stack-only.
-pub fn covering_prefix(eid: &Eid, len: usize) -> EidPrefix {
-    prefix_from_parts(eid.kind(), &eid_key(eid).slice(0, len))
-}
-
 /// Compacts every trie of a keyed collection (the shared body of the
 /// per-VN bulk-load hooks: map-cache, mapping DB).
 pub fn compact_each<'a, V: 'a>(tries: impl IntoIterator<Item = &'a mut EidTrie<V>>) {
@@ -179,26 +172,12 @@ impl<V> EidTrie<V> {
         Some((prefix_from_parts(eid.kind(), &pk), v))
     }
 
-    /// Longest-prefix match for `eid` with a mutable value reference, so
-    /// callers can update entry metadata in place (no remove + insert
-    /// round trip, no heap allocation).
-    pub fn lookup_mut(&mut self, eid: &Eid) -> Option<(EidPrefix, &mut V)> {
-        let key = eid_key(eid);
-        let kind = eid.kind();
-        let (len, v) = self.family_mut(kind).longest_match_mut(&key)?;
-        Some((prefix_from_parts(kind, &key.slice(0, len)), v))
-    }
-
-    /// Shared-read longest-prefix match for `eid`, **skipping entries
-    /// failing `keep`**: returns `(matched bit length, &V)` of the most
-    /// specific covering prefix whose value satisfies the predicate.
-    ///
-    /// This is the multi-core hot path's descent
-    /// ([`PatriciaTrie::longest_match_where`]): `&self`, so any number
-    /// of reader threads can resolve concurrently, treating logically
-    /// dead entries (the predicate) as absent — structural removal stays
-    /// with the owner. No [`EidPrefix`] is reconstructed; callers that
-    /// need one build it lazily via [`covering_prefix`].
+    /// Longest-prefix match for `eid`, **skipping entries failing
+    /// `keep`** ([`PatriciaTrie::longest_match_where`]): returns
+    /// `(matched bit length, &V)` of the most specific covering prefix
+    /// whose value satisfies the predicate. Logically dead entries are
+    /// treated as absent — structural removal stays with the owner — and
+    /// no [`EidPrefix`] is reconstructed per hit.
     pub fn lookup_where<F>(&self, eid: &Eid, keep: F) -> Option<(usize, &V)>
     where
         F: FnMut(&V) -> bool,
@@ -207,9 +186,10 @@ impl<V> EidTrie<V> {
             .longest_match_where(&eid_key(eid), keep)
     }
 
-    /// Batched shared-read longest-prefix match: the `&self` counterpart
-    /// of [`EidTrie::lookup_mut_each`], same same-family runs, filtered
-    /// by `keep` as in [`EidTrie::lookup_where`]. Allocation-free: keys
+    /// Batched [`EidTrie::lookup_where`]: calls `f(i, result)` once per
+    /// EID, in order. This is the data plane's batch entry point:
+    /// same-family runs resolve the inner trie once, not per packet, and
+    /// no [`EidPrefix`] is reconstructed per hit. Allocation-free: keys
     /// stage through a stack buffer.
     ///
     /// A run costs what its keys cost: a one-key run (a forwarding call
@@ -243,50 +223,6 @@ impl<V> EidTrie<V> {
                 _ => lockstep_run::<{ crate::trie::DEFAULT_LANES }, _, _, _>(
                     trie, run, start, &mut keep, &mut f,
                 ),
-            }
-            start = end;
-        }
-    }
-
-    /// Batched longest-prefix match: calls `f(i, result)` once per EID,
-    /// in order, where a match is `(prefix bit length, &mut value)`.
-    ///
-    /// This is the data plane's batch entry point. Three things make it
-    /// faster than per-EID [`EidTrie::lookup_mut`] calls:
-    ///
-    /// 1. Same-family runs resolve the inner trie once, not per packet.
-    /// 2. Each run descends via the **interleaved lockstep walk**
-    ///    ([`PatriciaTrie::longest_match_mut_each`]), overlapping the
-    ///    batch's node loads in the memory pipeline instead of
-    ///    serializing ~log(n) cache misses per key.
-    /// 3. No [`EidPrefix`] is reconstructed per hit — callers that need
-    ///    one (e.g. to remove an expired entry) build it lazily via
-    ///    [`covering_prefix`].
-    ///
-    /// Allocation-free: keys stage through a stack buffer.
-    pub fn lookup_mut_each<F>(&mut self, eids: &[Eid], mut f: F)
-    where
-        F: FnMut(usize, Option<(usize, &mut V)>),
-    {
-        const CHUNK: usize = crate::trie::DEFAULT_LANES;
-        let mut start = 0;
-        while start < eids.len() {
-            // One same-family run.
-            let kind = eids[start].kind();
-            let mut end = start + 1;
-            while end < eids.len() && eids[end].kind() == kind {
-                end += 1;
-            }
-            let trie = self.family_mut(kind);
-            let mut keys = [BitStr::empty(); CHUNK];
-            let mut i = start;
-            while i < end {
-                let n = (end - i).min(CHUNK);
-                for (j, eid) in eids[i..i + n].iter().enumerate() {
-                    keys[j] = eid_key(eid);
-                }
-                trie.longest_match_mut_each(&keys[..n], |j, res| f(i + j, res));
-                i += n;
             }
             start = end;
         }
@@ -421,31 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_mut_each_visits_in_order() {
-        let mut m = EidTrie::new();
-        let subnet: EidPrefix = Ipv4Prefix::new(Ipv4Addr::new(10, 1, 0, 0), 16)
-            .unwrap()
-            .into();
-        m.insert(subnet, 0u32);
-        let eids = [
-            Eid::V4(Ipv4Addr::new(10, 1, 2, 3)),
-            Eid::V4(Ipv4Addr::new(192, 0, 2, 1)),
-            Eid::V4(Ipv4Addr::new(10, 1, 9, 9)),
-        ];
-        let mut seen = Vec::new();
-        m.lookup_mut_each(&eids, |i, res| {
-            if let Some((len, v)) = res {
-                *v += 1;
-                seen.push((i, Some(covering_prefix(&eids[i], len))));
-            } else {
-                seen.push((i, None));
-            }
-        });
-        assert_eq!(seen, vec![(0, Some(subnet)), (1, None), (2, Some(subnet))]);
-        assert_eq!(m.get(&subnet), Some(&2), "mutations land in place");
-    }
-
-    #[test]
     fn compact_preserves_lookups_across_families() {
         let mut m = EidTrie::new();
         let subnet: EidPrefix = Ipv4Prefix::new(Ipv4Addr::new(10, 1, 0, 0), 16)
@@ -492,7 +403,6 @@ mod tests {
         assert_eq!(m.lookup_where(&probe, |_| true), Some((32, &2)));
         // Dead host route: the live /16 answers instead.
         assert_eq!(m.lookup_where(&probe, |v| *v != 2), Some((16, &1)));
-        assert_eq!(covering_prefix(&probe, 16), subnet);
         assert_eq!(m.lookup_where(&probe, |_| false), None);
 
         // The batched flavor visits in order and agrees.

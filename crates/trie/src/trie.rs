@@ -19,7 +19,7 @@
 //! three `Vec`s:
 //!
 //! * `nodes: Vec<Node>` — the descent-critical data only: label bits
-//!   (inline `u128` word + length), two `u32` child indices ([`NONE`] =
+//!   (inline `u128` word + length), two `u32` child indices (`NONE` =
 //!   no child), the stride table reference (base slot + width) and a
 //!   value-presence flag. `Node` is exactly 32 bytes, so **two nodes
 //!   share every cache line**.
@@ -53,12 +53,12 @@
 //!   a node's 0-subtree immediately follows it, so a descent walks
 //!   nearly-sequential memory. Bulk-load paths (map-cache population,
 //!   RIB sync) call it once loading settles.
-//! * When the free-list exceeds [`COMPACT_FREE_MIN`] slots *and* half
+//! * When the free-list exceeds `COMPACT_FREE_MIN` slots *and* half
 //!   the arena, `retain` compacts opportunistically — amortized O(1)
 //!   per freed slot, so bulk eviction cannot strand a mostly-dead
-//!   arena. `remove` never compacts: it runs inline on the forwarding
-//!   path (TTL-expired entries are purged by the lookup that finds
-//!   them), so it must stay O(key bits) and allocation-free.
+//!   arena. `remove` never compacts: it runs once per control-plane
+//!   event (a negative Map-Reply, a de-registration) between packet
+//!   bursts, so it must stay O(key bits) and allocation-free.
 //!
 //! [`PatriciaTrie::mem_stats`] exposes the layout (live nodes, arena
 //! capacity, free-list length, stride occupancy/fill, depth histogram)
@@ -81,7 +81,7 @@
 //! words each:
 //!
 //! * `next` — the node whose label ends exactly `s` bits below the
-//!   strided node along that bit path ([`NONE`] = the path dies inside
+//!   strided node along that bit path (`NONE` = the path dies inside
 //!   the span). Valid because compaction splits every label crossing an
 //!   active span boundary, so a landing node always exists.
 //! * `best` — the deepest *valued* node strictly inside the span on
@@ -93,8 +93,8 @@
 //! **Promotion** happens only inside [`PatriciaTrie::compact`]: during
 //! the DFS re-layout each node sitting on a span boundary counts the
 //! label-ends in its first 4 and 8 levels; at least
-//! [`STRIDE8_MIN_ENDS`] ends promotes an 8-bit table, else
-//! [`STRIDE4_MIN_ENDS`] a 4-bit one, else the level stays Patricia — so
+//! `STRIDE8_MIN_ENDS` ends promotes an 8-bit table, else
+//! `STRIDE4_MIN_ENDS` a 4-bit one, else the level stays Patricia — so
 //! sparse regions never pay for empty tables, and the choice is
 //! re-derived from occupancy on every compaction (a thinned-out level
 //! **demotes** the same way).
@@ -104,10 +104,9 @@
 //!
 //! * *Replacing the value of a key that already has one* (`insert` on a
 //!   stored key — every refresh or move re-registration, every map-cache
-//!   `update_rloc`) changes neither, so it keeps **every** table; so do
-//!   writes through `longest_match_mut` and a `retain` that frees
-//!   nothing. The stride layer a `compact()` built survives any amount
-//!   of value churn.
+//!   `update_rloc`) changes neither, so it keeps **every** table; so
+//!   does a `retain` that frees nothing. The stride layer a `compact()`
+//!   built survives any amount of value churn.
 //! * *A structural change* stays conservative: an `insert` that adds a
 //!   key (a new leaf, a split, or a value on a so-far valueless node)
 //!   and a `remove` that takes one out drop the tables of the strided
@@ -122,27 +121,25 @@
 //! Mutators never build tables; the slab is rebuilt from scratch at each
 //! compaction, so stale-slot hazards cannot outlive it.
 //!
-//! ## Inline keys and the zero-allocation lookup path
+//! ## Inline keys, `&self` descents, zero allocations
 //!
 //! Labels are [`BitStr`]s: inline `(u128, u8)` words, never heap data
 //! (every key in the system is at most 128 bits — see the `bits` module
 //! docs for why that bound holds). All label surgery during descent —
 //! slicing off matched bits, comparing a label against the remaining key —
-//! is shift/mask/`leading_zeros` arithmetic on words. Consequently
-//! [`PatriciaTrie::get`], [`PatriciaTrie::longest_match`],
-//! [`PatriciaTrie::longest_match_mut`] and
-//! [`PatriciaTrie::longest_match_mut_each`] perform **zero heap
-//! allocations** — including after a `compact()` (proved by
-//! `tests/no_alloc.rs`); only `insert` may allocate (arena growth), and
-//! `remove`/`retain` only free or compact.
-//!
-//! A welcome side effect of index-based children: the lockstep batch
-//! walk ([`PatriciaTrie::longest_match_mut_each`]) needs **no `unsafe`**
-//! anymore. The old pointer-chasing version kept raw `*mut Node`
-//! candidates alive across lanes because the borrow checker cannot
-//! express "many readers now, one writer later" through references;
-//! lane state is now plain `u32` indices, and the single mutable borrow
-//! per result materializes from the index at the end.
+//! is shift/mask/`leading_zeros` arithmetic on words. And no lookup needs
+//! the trie mutably: a caller that keeps per-entry metadata (the
+//! map-cache's `last_used` stamp and stale flag) stores it in atomics
+//! inside `V` and writes it through the `&V` a match hands back, so one
+//! path serves a single-threaded owner and any number of reader threads.
+//! Consequently [`PatriciaTrie::get`], [`PatriciaTrie::longest_match`]
+//! (unfiltered), [`PatriciaTrie::longest_match_where`] (skipping values
+//! a predicate rejects) and
+//! [`PatriciaTrie::longest_match_each_where_lanes`] (the same over a
+//! batch of keys in lockstep; lane state is plain `u32` arena indices,
+//! so no `unsafe`) perform **zero heap allocations** — including after a
+//! `compact()` (proved by `tests/no_alloc.rs`); only `insert` may
+//! allocate (arena growth), and `remove`/`retain` only free or compact.
 
 use crate::bits::BitStr;
 
@@ -163,8 +160,8 @@ const COMPACT_FREE_MIN: usize = 64;
 /// near-parity per key on the bench box, so the wider window — which
 /// halves the per-chunk staging overhead for the dataplane's larger
 /// bursts — wins on the forwarding path. The sweep stays in the bench
-/// to keep this choice honest; callers that want a different width use
-/// the `_lanes` flavors.
+/// to keep this choice honest; callers that want a different width name
+/// it as `L` on [`PatriciaTrie::longest_match_each_where_lanes`].
 pub const DEFAULT_LANES: usize = 64;
 
 /// Stride promotion floor at width 8: label-ends inside the first 8 bits
@@ -716,11 +713,10 @@ impl<V> PatriciaTrie<V> {
         ))
     }
 
-    /// The shared best-candidate descent: `(matched bit length, arena
-    /// index)` of the deepest valued node on `key`'s path, or `None`.
-    /// Both `longest_match` flavors materialize their reference from
-    /// the returned index — which is also why the mutable flavor needs
-    /// no `unsafe`.
+    /// The unfiltered best-candidate descent: `(matched bit length,
+    /// arena index)` of the deepest valued node on `key`'s path, or
+    /// `None`. It never touches the value slab; `longest_match`
+    /// materializes its reference from the returned index.
     #[inline]
     fn longest_match_idx(&self, key: &BitStr) -> Option<(usize, u32)> {
         let nodes = self.nodes.as_slice();
@@ -763,42 +759,21 @@ impl<V> PatriciaTrie<V> {
         (best.1 != NONE).then_some(best)
     }
 
-    /// Longest-prefix match returning a mutable value reference, so
-    /// callers can update entry metadata (e.g. an LRU stamp) in place
-    /// instead of a remove + insert round trip.
+    /// Longest-prefix match that **skips entries failing `keep`**: the
+    /// deepest valued node on `key`'s path whose value satisfies the
+    /// predicate (`longest_match` is the unfiltered special case). A
+    /// logically dead entry — a TTL-expired map-cache mapping, which only
+    /// the table *owner* may structurally remove — is treated as absent,
+    /// so a dead host route never shadows a live covering subnet. The
+    /// predicate runs once per valued node on the path (host-route
+    /// tries: exactly one, at the final candidate), so the filtered
+    /// descent streams the same memory as the plain one plus at most a
+    /// handful of value-slab reads.
     ///
-    /// Zero-allocation and single-pass. Entirely safe code: the descent
-    /// tracks the best candidate as an arena *index*, and the one `&mut
-    /// V` materializes from it only after the walk ends — the shape the
-    /// borrow checker rejected in the pointer-chasing layout.
-    pub fn longest_match_mut(&mut self, key: &BitStr) -> Option<(usize, &mut V)> {
-        let (depth, idx) = self.longest_match_idx(key)?;
-        Some((
-            depth,
-            self.values[idx as usize]
-                .as_mut()
-                .expect("has_value node holds a value"),
-        ))
-    }
-
-    /// Shared-read longest-prefix match that **skips entries failing
-    /// `keep`**: the deepest valued node on `key`'s path whose value
-    /// satisfies the predicate. `longest_match` is the unfiltered
-    /// special case.
-    ///
-    /// This is the `&self` descent the multi-core forwarding path rides:
-    /// a reader thread holding only `&PatriciaTrie` can resolve a key
-    /// while treating logically dead entries (e.g. TTL-expired map-cache
-    /// mappings, which only the table *owner* may structurally remove)
-    /// as absent — so a dead host route never shadows a live covering
-    /// subnet. The predicate runs once per valued node on the path
-    /// (host-route tries: exactly one, at the final candidate), so the
-    /// filtered descent streams the same memory as the plain one plus at
-    /// most a handful of value-slab reads.
-    ///
-    /// Kept as a separate body from [`PatriciaTrie::longest_match_idx`]
-    /// on purpose: that descent backs the single-threaded benchmarks'
-    /// asserted ratios and must not grow a predicate indirection.
+    /// Kept as a separate body from the unfiltered descent behind
+    /// [`PatriciaTrie::longest_match`] on purpose: that one never reads
+    /// the value slab on its way down, and what a predicate call per
+    /// valued node would cost it is unmeasured.
     pub fn longest_match_where<F>(&self, key: &BitStr, mut keep: F) -> Option<(usize, &V)>
     where
         F: FnMut(&V) -> bool,
@@ -885,14 +860,19 @@ impl<V> PatriciaTrie<V> {
         })
     }
 
-    /// Batched shared-read longest-prefix match: the `&self` counterpart
-    /// of [`PatriciaTrie::longest_match_mut_each_lanes`], same
-    /// interleaved lockstep walk (`L` lanes, one trie step per round — a
-    /// stride hop where a table exists — node loads overlapping as
-    /// memory-level parallelism), yielding `&V` so any number of reader
-    /// threads can run it concurrently. Lanes only record valued nodes
-    /// whose value satisfies `keep`, as in
-    /// [`PatriciaTrie::longest_match_where`].
+    /// Batched [`PatriciaTrie::longest_match_where`]: calls `f(i, match)`
+    /// for every key, in order, where a match is `(prefix bit length,
+    /// &value)` of the deepest valued node whose value satisfies `keep`.
+    ///
+    /// The point is not the loop — it is the **interleaved descent**:
+    /// `L` keys advance in lockstep, one trie step per round (a stride
+    /// hop where a table exists), so the node loads of the whole batch
+    /// are independent and overlap in the memory pipeline. A sequential
+    /// descent serializes ~log(n) dependent cache misses per key; the
+    /// lockstep walk exposes them as memory-level parallelism, which is
+    /// where the batched data plane's speedup over per-packet processing
+    /// comes from (the `dataplane_fwd` bench measures it). `&self`, so
+    /// any number of reader threads can run it concurrently.
     ///
     /// `L` is the tunable the `lpm_hot_path` lane sweep measures: it
     /// bounds how many descents are in flight per round, and it is what
@@ -910,9 +890,8 @@ impl<V> PatriciaTrie<V> {
         P: FnMut(&V) -> bool,
         F: FnMut(usize, Option<(usize, &V)>),
     {
-        /// One in-flight shared lookup of the lockstep walk (the `&mut`
-        /// walk's `Lane`, minus nothing — the state is identical; only
-        /// the materialized reference differs).
+        /// One in-flight lookup of the lockstep walk. `best` is the
+        /// arena index of the deepest kept match so far ([`NONE`] = none).
         #[derive(Clone, Copy)]
         struct Lane {
             node: u32,
@@ -1041,135 +1020,6 @@ impl<V> PatriciaTrie<V> {
         }
     }
 
-    /// Batched [`PatriciaTrie::longest_match_mut`]: calls
-    /// `f(i, match)` for every key, where a match is `(prefix bit
-    /// length, &mut value)`.
-    ///
-    /// The point is not the loop — it is the **interleaved descent**:
-    /// keys advance in lockstep, one trie step per round, so the node
-    /// loads of the whole batch are independent and overlap in the
-    /// memory pipeline. A sequential descent serializes ~log(n)
-    /// dependent cache misses per key; the lockstep walk exposes them
-    /// as memory-level parallelism, which is where the batched data
-    /// plane's speedup over per-packet processing comes from (the
-    /// `dataplane_fwd` bench measures it). With the arena layout the
-    /// lanes advance by `u32` index loads from one contiguous slab —
-    /// no `unsafe`, no pointer provenance gymnastics.
-    pub fn longest_match_mut_each<F>(&mut self, keys: &[BitStr], f: F)
-    where
-        F: FnMut(usize, Option<(usize, &mut V)>),
-    {
-        self.longest_match_mut_each_lanes::<DEFAULT_LANES, F>(keys, f)
-    }
-
-    /// [`PatriciaTrie::longest_match_mut_each`] with an explicit lane
-    /// count (see [`PatriciaTrie::longest_match_each_where_lanes`]).
-    pub fn longest_match_mut_each_lanes<const L: usize, F>(&mut self, keys: &[BitStr], mut f: F)
-    where
-        F: FnMut(usize, Option<(usize, &mut V)>),
-    {
-        /// One in-flight lookup of the lockstep walk. `best` is the
-        /// arena index of the deepest match so far ([`NONE`] = none).
-        #[derive(Clone, Copy)]
-        struct Lane {
-            node: u32,
-            best: u32,
-            rem: u128,
-            depth: u16,
-            best_depth: u16,
-            done: bool,
-        }
-
-        let root_best = if self.nodes[ROOT as usize].has_value {
-            ROOT
-        } else {
-            NONE
-        };
-        for (ci, chunk) in keys.chunks(L).enumerate() {
-            let mut lanes = [Lane {
-                node: ROOT,
-                best: root_best,
-                rem: 0,
-                depth: 0,
-                best_depth: 0,
-                done: false,
-            }; L];
-            for (lane, key) in lanes.iter_mut().zip(chunk) {
-                lane.rem = key.raw();
-            }
-            let nodes = self.nodes.as_slice();
-            let tables = self.stride_tables.as_slice();
-            loop {
-                let mut active = false;
-                for (i, lane) in lanes.iter_mut().enumerate().take(chunk.len()) {
-                    if lane.done {
-                        continue;
-                    }
-                    let key = &chunk[i];
-                    let depth = lane.depth as usize;
-                    if depth == key.len() {
-                        lane.done = true;
-                        continue;
-                    }
-                    if let Some((s, next, bp)) =
-                        stride_slot(nodes, tables, lane.node, key.len(), depth, lane.rem)
-                    {
-                        if bp != NONE {
-                            let (delta, bidx) = unpack_best(bp);
-                            lane.best = bidx;
-                            lane.best_depth = (depth + delta) as u16;
-                        }
-                        if next == NONE {
-                            lane.done = true;
-                            continue;
-                        }
-                        lane.node = next;
-                        lane.depth = (depth + s) as u16;
-                        lane.rem <<= s;
-                        prefetch_children(nodes, &nodes[next as usize]);
-                        if nodes[next as usize].has_value {
-                            lane.best_depth = lane.depth;
-                            lane.best = next;
-                        }
-                        active = true;
-                        continue;
-                    }
-                    let (child, d, r) = descend_step(nodes, lane.node, key.len(), depth, lane.rem);
-                    if child == NONE {
-                        lane.done = true;
-                        continue;
-                    }
-                    lane.node = child;
-                    lane.depth = d as u16;
-                    lane.rem = r;
-                    if nodes[child as usize].has_value {
-                        lane.best_depth = lane.depth;
-                        lane.best = child;
-                    }
-                    active = true;
-                }
-                if !active {
-                    break;
-                }
-            }
-            // Results, one mutable borrow at a time (duplicate keys in
-            // one batch simply yield the same slot twice, sequentially).
-            for (i, lane) in lanes.iter().enumerate().take(chunk.len()) {
-                let res = if lane.best == NONE {
-                    None
-                } else {
-                    Some((
-                        lane.best_depth as usize,
-                        self.values[lane.best as usize]
-                            .as_mut()
-                            .expect("has_value node holds a value"),
-                    ))
-                };
-                f(ci * L + i, res);
-            }
-        }
-    }
-
     /// Keeps only entries for which `f` returns true, re-compressing the
     /// structure in a single traversal. Returns how many entries were
     /// removed.
@@ -1229,12 +1079,10 @@ impl<V> PatriciaTrie<V> {
 
     /// Removes the value at `key`, returning it. Re-compresses the path.
     ///
-    /// Never compacts: `remove` runs inline on the forwarding path
-    /// (TTL-expired map-cache entries are purged by the lookup that
-    /// finds them), so it stays O(key bits) and allocation-free. Freed
-    /// slots go to the free-list for `insert` to reuse; arena re-layout
-    /// happens in `retain` (the maintenance-path bulk operation) or an
-    /// explicit `compact()`.
+    /// Never compacts (the module docs say why): O(key bits) and
+    /// allocation-free. Freed slots go to the free-list for `insert` to
+    /// reuse; arena re-layout happens in `retain` (the maintenance-path
+    /// bulk operation) or an explicit `compact()`.
     pub fn remove(&mut self, key: &BitStr) -> Option<V> {
         let removed = self.remove_at(ROOT, key, 0);
         if removed.is_some() {
@@ -1448,7 +1296,7 @@ impl<V> PatriciaTrie<V> {
     /// live. Amortized O(1) per freed slot (a compaction halves the
     /// arena, so the next trigger needs that many frees again). Called
     /// only from `retain` — the maintenance-path bulk eviction — never
-    /// from `remove`, which must stay cheap on the forwarding path.
+    /// from `remove`, which must stay cheap per control-plane event.
     fn maybe_compact(&mut self) {
         if self.free.len() >= COMPACT_FREE_MIN && self.free.len() * 2 >= self.nodes.len() {
             self.compact();
@@ -1813,9 +1661,9 @@ mod tests {
 
     #[test]
     fn remove_never_compacts() {
-        // `remove` runs inline on the forwarding path (TTL expiry), so
-        // it must only free-list its slots — the re-layout belongs to
-        // `retain`/`compact`.
+        // `remove` runs per control-plane event between packet bursts,
+        // so it must only free-list its slots — the re-layout belongs
+        // to `retain`/`compact`.
         let mut t = PatriciaTrie::new();
         for i in 0u32..1000 {
             t.insert(&BitStr::from_bytes(&i.to_be_bytes(), 32), i);

@@ -1,8 +1,8 @@
 //! Proof, not promise: the LPM lookup paths perform **zero heap
 //! allocations**. A counting global allocator wraps the system one; the
-//! test drives `get` / `longest_match` / `longest_match_mut` /
-//! `longest_match_mut_each` / `longest_match_each_where_lanes` (at both
-//! 32 and 64 lanes) over a populated trie — before *and after* an arena
+//! test drives `get` / `longest_match` / `longest_match_where` /
+//! `longest_match_each_where_lanes` (at 8, 32 and 64 lanes) and the
+//! `EidTrie` wrappers over a populated trie — before *and after* an arena
 //! `compact()`, i.e. over both the plain Patricia and the
 //! stride-promoted layouts — and asserts the allocation counter does
 //! not move. (`compact()` itself allocates the re-laid arena; it runs
@@ -43,7 +43,7 @@ fn allocations() -> u64 {
 
 /// Drives every lookup surface once per key and returns the hit count.
 /// Runs under the measured (must-not-allocate) windows.
-fn drive_lookups(trie: &mut PatriciaTrie<u32>, eids: &mut EidTrie<u32>) -> u64 {
+fn drive_lookups(trie: &PatriciaTrie<u32>, eids: &EidTrie<u32>) -> u64 {
     let mut hits = 0u64;
     for i in 0u32..10_000 {
         let k = i.wrapping_mul(2_654_435_761);
@@ -54,8 +54,7 @@ fn drive_lookups(trie: &mut PatriciaTrie<u32>, eids: &mut EidTrie<u32>) -> u64 {
         if trie.longest_match(&key).is_some() {
             hits += 1;
         }
-        if let Some((_, v)) = trie.longest_match_mut(&key) {
-            *v = v.wrapping_add(1);
+        if trie.longest_match_where(&key, |v| *v == k).is_some() {
             hits += 1;
         }
         let e = Eid::V4(Ipv4Addr::from(0x0A00_0000 | i));
@@ -64,8 +63,7 @@ fn drive_lookups(trie: &mut PatriciaTrie<u32>, eids: &mut EidTrie<u32>) -> u64 {
         if eids.lookup(&e).is_some() {
             hits += 1;
         }
-        if let Some((_, v)) = eids.lookup_mut(&e) {
-            *v = v.wrapping_add(1);
+        if eids.lookup_where(&e, |v| *v == i).is_some() {
             hits += 1;
         }
         // Misses must not allocate either.
@@ -87,14 +85,16 @@ fn drive_lookups(trie: &mut PatriciaTrie<u32>, eids: &mut EidTrie<u32>) -> u64 {
             BitStr::from_bytes(&k.to_be_bytes(), 32)
         };
     }
-    trie.longest_match_mut_each(&keys, |_, res| {
-        if let Some((_, v)) = res {
-            *v = v.wrapping_add(1);
-            hits += 1;
-        }
-    });
-    // Both explicit lane widths of the shared walk (the lane-sweep
-    // surface the benches tune), through the filtered entry point.
+    // Every lane width `EidTrie::lookup_each_where` dispatches to (8,
+    // 32, 64 — the last two are the lane-sweep surface the benches
+    // tune).
+    trie.longest_match_each_where_lanes::<8, _, _>(
+        &keys,
+        |_| true,
+        |_, res| {
+            hits += res.is_some() as u64;
+        },
+    );
     trie.longest_match_each_where_lanes::<32, _, _>(
         &keys,
         |_| true,
@@ -134,7 +134,7 @@ fn lookup_paths_allocate_nothing() {
 
     // Window 1: the insertion-order arena.
     let before = allocations();
-    let hits = drive_lookups(&mut trie, &mut eids);
+    let hits = drive_lookups(&trie, &eids);
     let after = allocations();
     assert_eq!(hits, EXPECTED_HITS, "every present key must hit");
     assert_eq!(
@@ -158,7 +158,7 @@ fn lookup_paths_allocate_nothing() {
          or window 2 no longer exercises the stride descent"
     );
     let before = allocations();
-    let hits = drive_lookups(&mut trie, &mut eids);
+    let hits = drive_lookups(&trie, &eids);
     let after = allocations();
     assert_eq!(hits, EXPECTED_HITS, "compaction must not change results");
     assert_eq!(

@@ -1,6 +1,7 @@
 //! Model-based property tests: the Patricia trie must agree with a naive
-//! reference implementation (linear scan over a `Vec`) on every operation
-//! sequence, and its structural invariants must hold throughout.
+//! reference implementation (linear scan over a map of rendered keys) on
+//! every operation sequence, and its structural invariants must hold
+//! throughout.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -25,131 +26,91 @@ impl Model {
     fn remove(&mut self, k: &BitStr) -> Option<u32> {
         self.entries.remove(&k.to_string())
     }
-    fn longest_match(&self, k: &BitStr) -> Option<(usize, u32)> {
+    /// The longest stored prefix of `k` whose value passes `keep`: a
+    /// scan, so a rejected deep entry can never hide a shallower one.
+    fn longest_match_where(&self, k: &BitStr, keep: impl Fn(u32) -> bool) -> Option<(usize, u32)> {
         let key = k.to_string();
         self.entries
             .iter()
-            .filter(|(p, _)| key.starts_with(p.as_str()))
+            .filter(|(p, v)| key.starts_with(p.as_str()) && keep(**v))
             .max_by_key(|(p, _)| p.len())
             .map(|(p, v)| (p.len(), *v))
     }
-}
-
-#[derive(Clone, Debug)]
-enum Op {
-    Insert(Vec<bool>, u32),
-    Remove(Vec<bool>),
-    Get(Vec<bool>),
-    Lpm(Vec<bool>),
-    /// `longest_match_mut` + overwrite the matched value.
-    LpmMutSet(Vec<bool>, u32),
-    /// `retain` keeping only values with the given parity.
-    RetainParity(bool),
-    /// Re-`insert` at the longest stored prefix of the key: a pure value
-    /// replacement, which must leave the layout (stride tables included)
-    /// alone.
-    Replace(Vec<bool>, u32),
-    /// DFS re-layout: what gives the ops after it stride tables to meet.
-    Compact,
-}
-
-fn arb_key() -> impl Strategy<Value = Vec<bool>> {
-    proptest::collection::vec(any::<bool>(), 0..24)
-}
-
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (arb_key(), any::<u32>()).prop_map(|(k, v)| Op::Insert(k, v)),
-        arb_key().prop_map(Op::Remove),
-        arb_key().prop_map(Op::Get),
-        arb_key().prop_map(Op::Lpm),
-        (arb_key(), any::<u32>()).prop_map(|(k, v)| Op::LpmMutSet(k, v)),
-        any::<bool>().prop_map(Op::RetainParity),
-        (arb_key(), any::<u32>()).prop_map(|(k, v)| Op::Replace(k, v)),
-        Just(Op::Compact),
-    ]
-}
-
-fn to_bits(k: &[bool]) -> BitStr {
-    let mut s = BitStr::empty();
-    for &b in k {
-        s.push(b);
+    fn longest_match(&self, k: &BitStr) -> Option<(usize, u32)> {
+        self.longest_match_where(k, |_| true)
     }
-    s
+}
+
+/// The filter of the filtered ops: a third of all values are "dead".
+fn live(v: u32) -> bool {
+    !v.is_multiple_of(3)
+}
+
+// Operations decode from raw words, so a failing sequence shrinks by
+// halving: bits 0..5 the key length (0..24), 8..32 the key bits, 32..56
+// the value, 56.. the operation.
+
+fn key_of(w: u64) -> BitStr {
+    BitStr::from_bytes(
+        &((w >> 8) as u32).to_be_bytes()[1..],
+        (w & 31) as usize % 24,
+    )
+}
+
+fn value_of(w: u64) -> u32 {
+    (w >> 32) as u32 & 0xFF_FFFF
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn trie_matches_model(ops in proptest::collection::vec(arb_op(), 1..200)) {
+    fn trie_matches_model(words in proptest::collection::vec(any::<u64>(), 1..200)) {
         let mut trie = PatriciaTrie::new();
         let mut model = Model::default();
-        for op in &ops {
-            match op {
-                Op::Insert(k, v) => {
-                    let key = to_bits(k);
-                    prop_assert_eq!(trie.insert(&key, *v), model.insert(&key, *v));
-                }
-                Op::Remove(k) => {
-                    let key = to_bits(k);
-                    prop_assert_eq!(trie.remove(&key), model.remove(&key));
-                }
-                Op::Get(k) => {
-                    let key = to_bits(k);
-                    prop_assert_eq!(trie.get(&key).copied(), model.get(&key));
-                }
-                Op::Lpm(k) => {
-                    let key = to_bits(k);
-                    prop_assert_eq!(
-                        trie.longest_match(&key).map(|(l, v)| (l, *v)),
-                        model.longest_match(&key)
-                    );
-                }
-                Op::LpmMutSet(k, new_v) => {
-                    let key = to_bits(k);
-                    // The mutable match must find exactly what the
-                    // immutable one does, and writes through it must land.
-                    let got = trie.longest_match_mut(&key).map(|(l, v)| {
-                        let old = *v;
-                        *v = *new_v;
-                        (l, old)
-                    });
-                    let want = model.longest_match(&key);
-                    prop_assert_eq!(got, want);
-                    if let Some((l, _)) = want {
-                        let matched: String = key.to_string()[..l].to_string();
-                        model.entries.insert(matched.clone(), *new_v);
-                        let matched_bits = to_bits(
-                            &matched.chars().map(|c| c == '1').collect::<Vec<_>>(),
-                        );
-                        prop_assert_eq!(trie.get(&matched_bits), Some(new_v));
-                    }
-                }
-                Op::RetainParity(keep_odd) => {
-                    let removed =
-                        trie.retain(|_, v| (*v % 2 == 1) == *keep_odd);
+        for w in words {
+            let (key, v) = (key_of(w), value_of(w));
+            match (w >> 56) % 8 {
+                0 => prop_assert_eq!(trie.insert(&key, v), model.insert(&key, v)),
+                1 => prop_assert_eq!(trie.remove(&key), model.remove(&key)),
+                2 => prop_assert_eq!(trie.get(&key).copied(), model.get(&key)),
+                3 => prop_assert_eq!(
+                    trie.longest_match(&key).map(|(l, v)| (l, *v)),
+                    model.longest_match(&key)
+                ),
+                // The filtered descent: a dead entry is skipped, never
+                // the live one above it (inside a stride span or not).
+                4 => prop_assert_eq!(
+                    trie.longest_match_where(&key, |v| live(*v)).map(|(l, v)| (l, *v)),
+                    model.longest_match_where(&key, live)
+                ),
+                // `retain` keeping only values of one parity.
+                5 => {
+                    let keep_odd = v % 2 == 1;
+                    let removed = trie.retain(|_, v| (*v % 2 == 1) == keep_odd);
                     let before = model.entries.len();
-                    model
-                        .entries
-                        .retain(|_, v| (*v % 2 == 1) == *keep_odd);
+                    model.entries.retain(|_, v| (*v % 2 == 1) == keep_odd);
                     prop_assert_eq!(removed, before - model.entries.len());
                 }
-                Op::Replace(k, new_v) => {
-                    let key = to_bits(k);
+                // Re-`insert` at the longest stored prefix of the key: a
+                // pure value replacement, which must leave the layout
+                // (stride tables included) alone.
+                6 => {
                     if let Some((l, old)) = model.longest_match(&key) {
                         let stored = key.slice(0, l);
                         let layout = trie.mem_stats();
-                        prop_assert_eq!(trie.insert(&stored, *new_v), Some(old));
-                        model.insert(&stored, *new_v);
+                        prop_assert_eq!(trie.insert(&stored, v), Some(old));
+                        model.insert(&stored, v);
                         prop_assert_eq!(trie.mem_stats(), layout);
                         prop_assert_eq!(
                             trie.longest_match(&key).map(|(l, v)| (l, *v)),
-                            Some((l, *new_v))
+                            Some((l, v))
                         );
                     }
                 }
-                Op::Compact => trie.compact(),
+                // DFS re-layout: what gives the ops after it stride
+                // tables to meet.
+                _ => trie.compact(),
             }
             prop_assert_eq!(trie.len(), model.entries.len());
         }
@@ -237,46 +198,60 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The interleaved lockstep batch walk must agree with the
-    /// sequential `longest_match` on every key — including batches
-    /// larger than one 32-lane chunk, duplicate keys in one batch, and
-    /// writes through the returned mutable references.
+    /// The interleaved lockstep batch walk — and the scalar filtered
+    /// descent beside it — must agree with the model's scan on every
+    /// key, the walk reporting keys in order, at every lane width
+    /// `EidTrie::lookup_each_where` dispatches to, filtered and not,
+    /// before and after `compact()` builds stride tables, including
+    /// batches larger than one chunk and duplicate keys in one batch.
     #[test]
     fn batch_walk_matches_sequential(
-        inserts in proptest::collection::vec((arb_key(), any::<u32>()), 1..120),
-        queries in proptest::collection::vec(arb_key(), 1..90),
+        inserts in proptest::collection::vec(any::<u64>(), 1..120),
+        queries in proptest::collection::vec(any::<u64>(), 1..90),
     ) {
         let mut trie = PatriciaTrie::new();
-        for (k, v) in &inserts {
-            trie.insert(&to_bits(k), *v);
+        let mut model = Model::default();
+        for w in &inserts {
+            trie.insert(&key_of(*w), value_of(*w));
+            model.insert(&key_of(*w), value_of(*w));
         }
-        let keys: Vec<BitStr> = queries.iter().map(|k| to_bits(k)).collect();
-        let want: Vec<Option<(usize, u32)>> = keys
-            .iter()
-            .map(|k| trie.longest_match(k).map(|(l, v)| (l, *v)))
-            .collect();
-
-        let mut got: Vec<Option<(usize, u32)>> = vec![None; keys.len()];
-        trie.longest_match_mut_each(&keys, |i, res| {
-            got[i] = res.map(|(l, v)| (l, *v));
-        });
-        prop_assert_eq!(&got, &want);
-
-        // Writes through the batch walk land in place (last write wins
-        // for duplicate keys, same as sequential mutation would).
-        trie.longest_match_mut_each(&keys, |i, res| {
-            if let Some((_, v)) = res {
-                *v = i as u32 + 1_000_000;
+        let keys: Vec<BitStr> = queries.iter().map(|w| key_of(*w)).collect();
+        for compacted in [false, true] {
+            if compacted {
+                trie.compact();
             }
-        });
-        let mut last_writer = std::collections::HashMap::new();
-        for (i, w) in want.iter().enumerate() {
-            if let Some((len, _)) = w {
-                last_writer.insert(keys[i].slice(0, *len), i as u32 + 1_000_000);
+            for filtered in [false, true] {
+                let keep = |v: u32| !filtered || live(v);
+                let want: Vec<Option<(usize, u32)>> = keys
+                    .iter()
+                    .map(|k| model.longest_match_where(k, keep))
+                    .collect();
+                let scalar: Vec<Option<(usize, u32)>> = keys
+                    .iter()
+                    .map(|k| trie.longest_match_where(k, |v| keep(*v)).map(|(l, v)| (l, *v)))
+                    .collect();
+                prop_assert_eq!(
+                    &scalar, &want,
+                    "scalar, filtered {}, compacted {}", filtered, compacted
+                );
+                for lanes in [8, 32, 64] {
+                    let mut got = Vec::with_capacity(keys.len());
+                    let keep = |v: &u32| keep(*v);
+                    let put = |i: usize, m: Option<(usize, &u32)>| {
+                        assert_eq!(i, got.len(), "keys are reported in order");
+                        got.push(m.map(|(l, v)| (l, *v)));
+                    };
+                    match lanes {
+                        8 => trie.longest_match_each_where_lanes::<8, _, _>(&keys, keep, put),
+                        32 => trie.longest_match_each_where_lanes::<32, _, _>(&keys, keep, put),
+                        _ => trie.longest_match_each_where_lanes::<64, _, _>(&keys, keep, put),
+                    }
+                    prop_assert_eq!(
+                        &got, &want,
+                        "{} lanes, filtered {}, compacted {}", lanes, filtered, compacted
+                    );
+                }
             }
-        }
-        for (key, val) in &last_writer {
-            prop_assert_eq!(trie.get(key), Some(val));
         }
     }
 }

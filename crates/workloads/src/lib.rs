@@ -1,8 +1,8 @@
 //! # sda-workloads
 //!
 //! Workload generators standing in for the paper's live deployments and
-//! commercial traffic generator (DESIGN.md §2 documents each
-//! substitution):
+//! commercial traffic generator; each module's docs state what it
+//! substitutes for:
 //!
 //! * [`campus`] — the diurnal campus model behind Fig. 9 / Table 5:
 //!   Table 3/4 deployment shapes (buildings A and B), morning arrivals,
