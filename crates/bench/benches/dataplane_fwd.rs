@@ -16,7 +16,8 @@
 //! Measured surfaces, per FIB size where it matters:
 //!
 //! * `encap_batch32/{1k,10k,100k,1M}` — ingress hits: parse +
-//!   classify + batched map-cache LPM + in-place VXLAN-GPO encap. The
+//!   classify + map-cache resolve (host routes: one exact-match probe
+//!   per packet) + in-place VXLAN-GPO encap. The
 //!   1M row is the metro-tier FIB (`ctrl_plane`'s endpoint count).
 //! * `encap_single/10k` — the same engine called with 1-packet batches
 //!   (what batching itself buys).
@@ -40,8 +41,8 @@
 //! Acceptance bars asserted below (non-smoke): batched engine encap
 //! must be at least **2x** faster per packet than the per-packet
 //! baseline, and at least **1.5x** faster than the committed PR-5
-//! median now that the LPM descent rides the stride tables and the
-//! widened lockstep window.
+//! median (set when the LPM descent gained stride tables; the resolve
+//! has since become an exact-match probe).
 
 use criterion::{black_box, BenchmarkId, Criterion};
 use sda_core::pipeline::{decode_packet, encode_packet};
@@ -60,10 +61,8 @@ const PREBUILT_BATCHES: usize = 32;
 const PAYLOAD: usize = 1400;
 
 /// The committed PR-5 `encap_batch32/10000` median (BENCH_dataplane.json
-/// as of the RSS-sharding PR) — whole-batch ns. The stride/lockstep
-/// tentpole's acceptance bar: the batched encap path must beat it by at
-/// least 1.5x, since its LPM descent now rides the stride tables and the
-/// widened lane window.
+/// as of the RSS-sharding PR) — whole-batch ns. The stride tentpole's
+/// acceptance bar: the batched encap path must beat it by at least 1.5x.
 const PR5_ENCAP_BATCH32_10K_NS: f64 = 9147.20;
 
 fn vn() -> VnId {
@@ -521,9 +520,8 @@ fn main() {
         "batched encap fell below the 2x acceptance bar: {:.2}x",
         baseline / batch
     );
-    // The PR-6 acceptance bar: the stride descent + widened lockstep
-    // window must put batched encap at least 1.5x under the committed
-    // PR-5 whole-batch median.
+    // The PR-6 acceptance bar: batched encap at least 1.5x under the
+    // committed PR-5 whole-batch median.
     assert!(
         pr5_ratio >= 1.5,
         "batched encap fell below the 1.5x bar vs the committed PR-5 median: {pr5_ratio:.2}x"

@@ -16,9 +16,8 @@
 //! the original PR-1 rows surviving as a subsequence, so the
 //! PR-1 → PR-3 → PR-6 trajectory stays comparable. New in the stride
 //! PR: the 1M-route scale tier (trie + map-cache, with `MemStats`
-//! memory budgets asserted), the frozen PR-3 `arena3` descent (the
-//! stride speedup's in-run comparison point) and a lockstep lane sweep
-//! (32 vs. 64 lanes).
+//! memory budgets asserted) and the frozen PR-3 `arena3` descent (the
+//! stride speedup's in-run comparison point).
 //!
 //! The `seed_baseline` module below is a faithful, frozen copy of the
 //! pre-refactor algorithms: `slice()` materializing a fresh `Vec<u8>` on
@@ -49,8 +48,6 @@ const ROUTE_COUNTS: [u32; 3] = [1_000, 10_000, 100_000];
 const NEW_ROUTE_COUNTS: [u32; 4] = [1_000, 10_000, 100_000, 1_000_000];
 const CACHE_ROUTES: u32 = 10_000;
 const CACHE_ROUTES_1M: u32 = 1_000_000;
-/// Keys per lockstep batch in the lane-sweep rows.
-const BATCH_KEYS: usize = 1_024;
 
 /// The committed PR-1 `trie_lpm new/100000` median (BENCH_lpm.json as
 /// of the pointer-chasing layout). The arena tentpole's acceptance bar:
@@ -62,17 +59,16 @@ const PR1_NEW_100K_MEDIAN_NS: f64 = 537.78;
 /// mode — layout is deterministic, no timing noise involved.
 const TRIE_1M_BUDGET_BYTES: usize = 128 * 1024 * 1024;
 
-/// Budget for the 1M-entry map-cache. Wider than the bare trie's: the
-/// value slab holds whole `CacheEntry` records (RLOC + TTL + LRU
-/// bookkeeping) instead of a `u32`, roughly doubling bytes per route.
+/// Budget for the 1M-entry map-cache: host routes, so what is measured
+/// is the reserved bytes of its exact-match table (key + `CacheEntry`
+/// per slot), which `MapCache::mem_stats` reports in `capacity_bytes`.
 const CACHE_1M_BUDGET_BYTES: usize = 192 * 1024 * 1024;
 
 /// The exact `(group, id)` rows this PR commits, in emission order. The
 /// ten PR-1 rows survive as a subsequence (asserted separately below),
 /// so the PR-1 → PR-3 → PR-6 trajectory stays comparable; the stride PR
-/// adds the 1M scale tier, the frozen PR-3 arena point and the lockstep
-/// lane sweep.
-const EXPECTED_IDS: [(&str, &str); 15] = [
+/// adds the 1M scale tier and the frozen PR-3 arena point.
+const EXPECTED_IDS: [(&str, &str); 13] = [
     ("trie_lpm", "new/1000"),
     ("trie_lpm", "new/10000"),
     ("trie_lpm", "new/100000"),
@@ -81,8 +77,6 @@ const EXPECTED_IDS: [(&str, &str); 15] = [
     ("trie_lpm", "seed/1000"),
     ("trie_lpm", "seed/10000"),
     ("trie_lpm", "seed/100000"),
-    ("trie_lpm_batch", "lanes32/100000"),
-    ("trie_lpm_batch", "lanes64/100000"),
     ("map_cache_lookup", "hit/10000"),
     ("map_cache_lookup", "miss/10000"),
     ("map_cache_lookup", "stale/10000"),
@@ -674,57 +668,11 @@ fn bench_trie_lpm(c: &mut Criterion) {
     group.finish();
 }
 
-/// The lockstep lane sweep: one full [`BATCH_KEYS`]-key batch resolved
-/// per iteration through `longest_match_each_where_lanes` at 32 vs. 64
-/// lanes, on the 100k-route stride trie. Medians are **ns per batch**
-/// (divide by [`BATCH_KEYS`] for ns/key); the two rows share everything
-/// but `L`, so their ratio isolates the lane-width effect that picked
-/// [`sda_trie::DEFAULT_LANES`].
-fn bench_trie_lpm_batch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("trie_lpm_batch");
-    let routes = 100_000u32;
-    let mut trie: sda_trie::PatriciaTrie<u32> = sda_trie::PatriciaTrie::new();
-    for i in 0..routes {
-        let Eid::V4(a) = eid(i) else { unreachable!() };
-        trie.insert(&sda_trie::BitStr::from_bytes(&a.octets(), 32), i);
-    }
-    trie.compact();
-    let mut rng = SmallRng::seed_from_u64(15);
-    let keys: Vec<sda_trie::BitStr> = (0..BATCH_KEYS)
-        .map(|_| {
-            let i = rng.gen_range(0..routes);
-            let Eid::V4(a) = eid(i) else { unreachable!() };
-            sda_trie::BitStr::from_bytes(&a.octets(), 32)
-        })
-        .collect();
-    group.bench_with_input(BenchmarkId::new("lanes32", routes), &routes, |b, _| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            trie.longest_match_each_where_lanes::<32, _, _>(
-                &keys,
-                |_| true,
-                |_, m| hits += m.is_some() as usize,
-            );
-            black_box(hits)
-        });
-    });
-    group.bench_with_input(BenchmarkId::new("lanes64", routes), &routes, |b, _| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            trie.longest_match_each_where_lanes::<64, _, _>(
-                &keys,
-                |_| true,
-                |_, m| hits += m.is_some() as usize,
-            );
-            black_box(hits)
-        });
-    });
-    group.finish();
-}
-
 /// The map-cache rows time `MapCache::lookup_shared`, the one scalar
-/// lookup there is (before the `&mut` twin was deleted they timed that
-/// twin — same descent, plus a removal branch no row ever took).
+/// lookup there is. Every entry is a host route, so `hit`/`stale` time
+/// one probe of the exact-match table and `miss` a failed probe (no
+/// cover installed: the trie is never reached); `seed_hit` is the frozen
+/// Vec-backed trie descent they are compared against.
 fn bench_map_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("map_cache_lookup");
     let ttl = SimDuration::from_days(365);
@@ -850,7 +798,6 @@ fn main() {
             .warm_up_time(std::time::Duration::from_millis(200))
     };
     bench_trie_lpm(&mut criterion);
-    bench_trie_lpm_batch(&mut criterion);
     bench_map_cache(&mut criterion);
 
     let out = if smoke {
@@ -893,8 +840,6 @@ fn main() {
     let seed_hit = median("map_cache_lookup", "seed_hit/10000");
     let new_100k = median("trie_lpm", "new/100000");
     let arena3_100k = median("trie_lpm", "arena3/100000");
-    let lanes32 = median("trie_lpm_batch", "lanes32/100000");
-    let lanes64 = median("trie_lpm_batch", "lanes64/100000");
     eprintln!(
         "map-cache hit speedup vs seed: {:.1}x ({:.0} ns -> {:.0} ns)",
         seed_hit / new_hit,
@@ -912,12 +857,6 @@ fn main() {
         arena3_100k / new_100k,
         arena3_100k,
         new_100k
-    );
-    eprintln!(
-        "lockstep lane sweep at 100k: 32 lanes {:.2} ns/key, 64 lanes {:.2} ns/key ({:+.1}%)",
-        lanes32 / BATCH_KEYS as f64,
-        lanes64 / BATCH_KEYS as f64,
-        (lanes64 / lanes32 - 1.0) * 100.0
     );
     if smoke {
         eprintln!("smoke mode: skipping the perf assertions");

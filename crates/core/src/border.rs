@@ -26,7 +26,7 @@ use std::rc::Rc;
 
 use sda_dataplane::{DropReason, PacketBuf, Punt, Switch, SwitchConfig, Verdict};
 use sda_simnet::{Context, FaultEvent, Node, NodeId, SimDuration, SimTime};
-use sda_types::{Eid, EidKind, EidPrefix, Ipv4Prefix, Rloc, VnId};
+use sda_types::{EidKind, EidPrefix, Ipv4Prefix, Rloc, VnId};
 use sda_wire::lisp::{BusyClass, Message as Lisp};
 
 use crate::msg::{FabricMsg, PolicyMsg};
@@ -424,7 +424,7 @@ impl BorderRouter {
                 rloc,
                 withdraw,
             } => {
-                let Some(eid) = host_eid(&prefix) else {
+                let Some(eid) = prefix.as_host() else {
                     return;
                 };
                 // Deltas carry the VN stream's next sequence number;
@@ -499,16 +499,6 @@ impl BorderRouter {
                 debug_assert!(false, "border received unexpected control {other:?}");
             }
         }
-    }
-}
-
-/// Host EID of a full-length prefix.
-fn host_eid(prefix: &EidPrefix) -> Option<Eid> {
-    match prefix {
-        EidPrefix::V4(p) if p.len() == 32 => Some(Eid::V4(p.addr())),
-        EidPrefix::V6(p) if p.len() == 128 => Some(Eid::V6(p.addr())),
-        EidPrefix::Mac(p) if p.len() == 48 => Some(Eid::Mac(p.addr())),
-        _ => None,
     }
 }
 

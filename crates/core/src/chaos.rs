@@ -26,7 +26,7 @@
 
 use std::collections::BTreeMap;
 
-use sda_types::{Eid, EidPrefix, Rloc, VnId};
+use sda_types::{Eid, Rloc, VnId};
 
 use crate::controller::{BorderHandle, EdgeHandle, Fabric};
 
@@ -71,16 +71,6 @@ impl ConvergenceReport {
     }
 }
 
-/// The representative EID of a full-length prefix.
-fn prefix_eid(prefix: &EidPrefix) -> Option<Eid> {
-    match prefix {
-        EidPrefix::V4(p) if p.len() == 32 => Some(Eid::V4(p.addr())),
-        EidPrefix::V6(p) if p.len() == 128 => Some(Eid::V6(p.addr())),
-        EidPrefix::Mac(p) if p.len() == 48 => Some(Eid::Mac(p.addr())),
-        _ => None,
-    }
-}
-
 /// Compares the fabric's state against `expected`. Run it only after
 /// the fabric has quiesced (faults healed, control plane drained, one
 /// idle-timeout eviction sweep behind us) — mid-churn everything is
@@ -91,7 +81,7 @@ pub fn check_convergence(fabric: &Fabric, expected: &ExpectedPlacement) -> Conve
     // Ground truth first: the server database.
     let mut db: BTreeMap<(VnId, Eid), Rloc> = BTreeMap::new();
     for (vn, prefix, record) in fabric.routing_server().server().iter_db() {
-        if let Some(eid) = prefix_eid(&prefix) {
+        if let Some(eid) = prefix.as_host() {
             db.insert((vn, eid), record.rloc);
         }
     }
@@ -110,7 +100,7 @@ pub fn check_convergence(fabric: &Fabric, expected: &ExpectedPlacement) -> Conve
         report.stuck_subscribes += border.pending_subscribe_len();
         let mut view: BTreeMap<(VnId, Eid), Rloc> = BTreeMap::new();
         for (vn, prefix, rloc, _) in border.switch().map_cache().iter() {
-            if let Some(eid) = prefix_eid(&prefix) {
+            if let Some(eid) = prefix.as_host() {
                 view.insert((vn, eid), rloc);
             }
         }
@@ -130,7 +120,7 @@ pub fn check_convergence(fabric: &Fabric, expected: &ExpectedPlacement) -> Conve
         report.stuck_resolving += edge.resolving_len();
         report.stuck_registers += edge.pending_register_len();
         for (vn, prefix, rloc, _) in edge.switch().map_cache().iter() {
-            let Some(eid) = prefix_eid(&prefix) else {
+            let Some(eid) = prefix.as_host() else {
                 continue;
             };
             if let Some(want) = expected.get(&(vn, eid)) {

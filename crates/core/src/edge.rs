@@ -1022,7 +1022,7 @@ impl EdgeRouter {
                 ttl_secs,
                 ..
             } => {
-                if let Some(eid0) = prefix_eid(&prefix) {
+                if let Some(eid0) = prefix.as_host() {
                     self.resolving.remove(&(vn, eid0));
                     // An answer (even a negative one) supersedes any
                     // negative-cache hold: the server is reachable again.
@@ -1250,17 +1250,6 @@ pub(crate) fn underlay_id(rloc: Rloc) -> sda_types::RouterId {
 /// Inverse of [`underlay_id`].
 pub(crate) fn rloc_of_underlay(id: sda_types::RouterId) -> Rloc {
     Rloc::for_router_index(id.0 as u16)
-}
-
-/// The representative EID of a host prefix (for resolution bookkeeping).
-fn prefix_eid(prefix: &sda_types::EidPrefix) -> Option<Eid> {
-    use sda_types::EidPrefix;
-    match prefix {
-        EidPrefix::V4(p) if p.len() == 32 => Some(Eid::V4(p.addr())),
-        EidPrefix::V6(p) if p.len() == 128 => Some(Eid::V6(p.addr())),
-        EidPrefix::Mac(p) if p.len() == 48 => Some(Eid::Mac(p.addr())),
-        _ => None,
-    }
 }
 
 impl Node<FabricMsg> for EdgeRouter {

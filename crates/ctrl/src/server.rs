@@ -133,7 +133,7 @@ impl Shard {
             if !rec.expired(now) {
                 return true;
             }
-            match host_eid_of(prefix) {
+            match prefix.as_host() {
                 Some(eid) => {
                     dead.push((vn, eid, rec.rloc));
                     false
@@ -679,16 +679,6 @@ impl PartitionedMapServer {
     /// Per-shard trie-arena diagnostics.
     pub fn shard_mem_stats(&self) -> Vec<MemStats> {
         self.shards.iter().map(|s| s.db.mem_stats()).collect()
-    }
-}
-
-/// Host EID of a full-length prefix.
-fn host_eid_of(prefix: &EidPrefix) -> Option<Eid> {
-    match prefix {
-        EidPrefix::V4(p) if p.len() == 32 => Some(Eid::V4(p.addr())),
-        EidPrefix::V6(p) if p.len() == 128 => Some(Eid::V6(p.addr())),
-        EidPrefix::Mac(p) if p.len() == 48 => Some(Eid::Mac(p.addr())),
-        _ => None,
     }
 }
 

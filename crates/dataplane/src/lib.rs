@@ -2,8 +2,8 @@
 //!
 //! The batched, zero-copy VXLAN-GPO forwarding engine — the byte-level
 //! data plane the paper's edge nodes run, built from the layers below it:
-//! `sda-wire` packet views, the PR 1 inline-key tries (`sda-trie`), the
-//! map-cache (`sda-lisp`) and per-packet policy (`sda-policy`).
+//! `sda-wire` packet views, the map-cache (`sda-lisp`: a host-route hash
+//! table over `sda-trie`'s inline-key tries) and per-packet policy (`sda-policy`).
 //!
 //! ## The batch model
 //!
@@ -18,10 +18,10 @@
 //! * **Bursts, not calls** ([`switch`]): a [`Switch`] processes frames
 //!   in batches (conventionally [`buffer::BATCH_SIZE`] = 32). A batch
 //!   makes three phased passes — parse/classify, resolve, rewrite — so
-//!   each phase's tables stay hot in cache, and consecutive same-VN
-//!   packets resolve through one
-//!   [`sda_lisp::MapCache::lookup_batch_shared`] run instead of
-//!   per-packet descents.
+//!   each phase's tables stay hot in cache; consecutive same-VN packets
+//!   resolve as one [`sda_lisp::MapCache::lookup_batch_shared`] run — an
+//!   exact-match probe per packet, a trie descent only for an EID no
+//!   live host route answers.
 //! * **One encoding** ([`encap`]): the Fig. 2 header stack (outer IPv4 /
 //!   UDP 4789 / VXLAN-GPO / inner packet) is written and parsed in
 //!   exactly one place, shared with `sda_core::pipeline`'s structured

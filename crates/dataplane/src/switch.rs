@@ -29,15 +29,17 @@
 //!    never a panic).
 //! 2. **Resolve** remote destinations through
 //!    [`MapCache::lookup_batch_shared`]: consecutive packets of the
-//!    same VN form a *run* resolved with one cache descent setup over
-//!    the interleaved lockstep trie walk. The shared (`&self`) flavor
-//!    treats TTL-expired entries as absent (the filtered descent keeps
-//!    a dead host route from shadowing a live covering subnet) and
-//!    refreshes `last_used`/reads `stale` through the `CacheEntry`
-//!    atomics — see that type's memory-ordering contract (everything
-//!    Relaxed: per-entry heuristic metadata only; structural
-//!    visibility rides the `Arc` publication). Expired entries are
-//!    physically removed by the owner's periodic
+//!    same VN form a *run*, each EID of it one probe of the cache's
+//!    exact-match host-route table (a live /32 or MAC entry is the
+//!    longest match there can be). Only an EID without a live host
+//!    route goes on to the VN's covering-prefix trie, and only if the
+//!    cache holds a cover at all — so TTL-expired entries count as
+//!    absent and a dead host route never shadows a live covering
+//!    subnet. The lookup refreshes `last_used`/reads `stale` through
+//!    the `CacheEntry` atomics — see that type's memory-ordering
+//!    contract (everything Relaxed: per-entry heuristic metadata only;
+//!    structural visibility rides the `Arc` publication). Expired
+//!    entries are physically removed by the owner's periodic
 //!    [`Switch::evict_expired`] / `MtSwitch::evict_expired` sweep,
 //!    not by forwarding.
 //! 3. **Rewrite in place**: hits are VXLAN-GPO-encapsulated by writing
@@ -49,8 +51,8 @@
 //!
 //! Nothing on the steady-state path allocates: buffers are reused, the
 //! verdict/meta/punt vectors retain their capacity across batches, and
-//! every table lookup is the inline-key, allocation-free machinery from
-//! PR 1 (proved by `tests/no_alloc.rs`).
+//! every table lookup is an allocation-free hash probe or inline-key
+//! trie descent (proved by `tests/no_alloc.rs`).
 
 use std::collections::BTreeMap;
 
@@ -388,11 +390,13 @@ impl SharedTables {
         self.cache.adopt_metadata(&snapshot.cache);
     }
 
-    /// Re-lays the map-cache's trie arenas in DFS preorder so descents
-    /// walk nearly-sequential memory (the VRF is a hash table and has
-    /// nothing to lay out). Call once bulk population (FIB preload)
-    /// settles; the tries also compact themselves under churn via their
-    /// free-list threshold.
+    /// Re-lays the map-cache's covering-prefix tries in DFS preorder so
+    /// descents walk nearly-sequential memory. The VRF and the
+    /// map-cache's host routes are hash tables and have nothing to lay
+    /// out, so on an edge that caches host routes only this does no
+    /// work. Call once bulk population (FIB preload) settles; the tries
+    /// also compact themselves under churn via their free-list
+    /// threshold.
     pub fn compact(&mut self) {
         self.cache.compact();
     }
@@ -408,8 +412,10 @@ impl SharedTables {
     }
 
     /// Aggregated memory diagnostics for the forwarding tables: the
-    /// map-cache's trie arenas, with the VRF hash table's reserved bytes
-    /// added to `capacity_bytes` (it has no nodes to count).
+    /// map-cache's (trie arenas plus its host-route table's reserved
+    /// bytes, see [`MapCache::mem_stats`]), with the VRF hash table's
+    /// reserved bytes added to `capacity_bytes` the same way — neither
+    /// table has nodes to count.
     pub fn mem_stats(&self) -> sda_trie::MemStats {
         let mut stats = self.cache.mem_stats();
         stats.capacity_bytes += self.vrf.reserved_bytes();
@@ -1142,8 +1148,8 @@ impl Switch {
         self.tables.evict_expired(now, idle_timeout)
     }
 
-    /// Re-lays the map-cache's trie arenas in DFS preorder so descents
-    /// walk nearly-sequential memory. Call once bulk population (FIB
+    /// Re-lays the map-cache's covering-prefix tries in DFS preorder
+    /// (see [`SharedTables::compact`]). Call once bulk population (FIB
     /// preload) settles.
     pub fn compact_tables(&mut self) {
         self.tables.compact();

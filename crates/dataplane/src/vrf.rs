@@ -15,7 +15,8 @@
 //! * `(vn, ipv4)` — answers the L3 destination lookup.
 //!
 //! Both are folded into one `u64` (48 MAC bits; a tag bit + 24 VN bits +
-//! 32 address bits) and hashed with one widening multiply. An attach
+//! 32 address bits) and hashed with one widening multiply
+//! ([`sda_types::KeyHasher`], shared with the map-cache's host table). An attach
 //! that finds the MAC already present (port move, re-leased IPv4, other
 //! VN) *replaces* the record and releases the IPv4 key the old record
 //! owned. An IPv4 key belongs to the endpoint that attached with it
@@ -44,10 +45,10 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::net::Ipv4Addr;
 
-use sda_types::{Eid, GroupId, MacAddr, PortId, VnId};
+use sda_types::{Eid, GroupId, KeyHasher, MacAddr, PortId, VnId};
 
 /// A locally attached endpoint as the VRF sees it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -73,29 +74,6 @@ fn mac_key(mac: MacAddr) -> u64 {
 
 fn v4_key(vn: VnId, ip: Ipv4Addr) -> u64 {
     V4_TAG | u64::from(vn.raw()) << 32 | u64::from(u32::from(ip))
-}
-
-/// One widening multiply, high half folded onto the low half: hashbrown
-/// indexes with the low bits and tags with the top seven, and the fold
-/// puts every key bit into both.
-#[derive(Default, Clone, Copy)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        let wide = u128::from(self.0 ^ key) * 0x9E37_79B9_7F4A_7C15_u128;
-        self.0 = wide as u64 ^ (wide >> 64) as u64;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// The local endpoint table of one edge router.
@@ -177,12 +155,11 @@ impl VrfTable {
         v
     }
 
-    /// Bytes the table has reserved, as a lower bound: slot payload and
-    /// control byte for every slot the map can fill before growing (its
-    /// load-factor slack is not visible from outside), plus the MAC set.
+    /// Bytes the table has reserved, as a lower bound: the hash table's
+    /// ([`sda_types::hash::reserved_bytes`]) plus the MAC set.
     pub(crate) fn reserved_bytes(&self) -> usize {
-        let slot = std::mem::size_of::<(u64, (VnId, LocalEndpoint))>() + 1;
-        self.slots.capacity() * slot + self.macs.len() * std::mem::size_of::<MacAddr>()
+        sda_types::hash::reserved_bytes(&self.slots)
+            + self.macs.len() * std::mem::size_of::<MacAddr>()
     }
 
     /// Number of attached endpoints (not keys).

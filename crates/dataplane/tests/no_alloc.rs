@@ -1,27 +1,27 @@
 //! Proof, not promise: the steady-state forwarding path — batched
 //! ingress encap (hit, stale and miss→default-route) and egress decap —
 //! performs **zero heap allocations per packet** once the engine's
-//! scratch vectors and the buffer pool have warmed up, both on the
-//! insertion-order trie arena and after `Switch::compact_tables()`
-//! re-lays it in DFS order (compaction itself allocates the new arena;
-//! it runs between the measured windows, exactly as the bulk-load
-//! hooks do in production).
+//! scratch vectors and the buffer pool have warmed up: first with a
+//! host-routes-only map-cache (every resolve one hash probe), then with
+//! a covering prefix and TTL-dead host routes installed, so misses and
+//! dead hits take the filtered trie descent as well (installs and
+//! `Switch::compact_tables()` allocate; they run between the measured
+//! windows, exactly as the bulk-load hooks do in production).
 //!
 //! Since the multi-core split, `Switch::process_ingress`/`process_egress`
 //! *are* the per-worker path: the same `ingress_batch`/`egress_batch`
 //! over `&SharedTables` + `&mut WorkerCtx` that every `MtSwitch` worker
 //! runs — so these windows prove the shared-read lookup
-//! (`MapCache::lookup_batch_shared`, filtered `&self` trie descent,
-//! atomic metadata refresh) allocates nothing per packet. A third
-//! window below additionally measures the shared map-cache entry point
-//! in isolation, and a fourth drives the *fused* lookup+enforce pass —
-//! compiled-ACL verdicts (allow, explicit deny, default-action deny)
-//! on the §5.3 ingress-hint path, the always-on local-delivery sites
-//! and the egress memo path, counters ticking on shared atomics — and
-//! proves it allocates nothing either. A fifth probes the VRF hash
+//! (`MapCache::lookup_batch_shared`: table probe, filtered `&self` trie
+//! descent, atomic metadata refresh) allocates nothing per packet. A
+//! third window below additionally measures the shared map-cache entry
+//! point in isolation, and a fourth drives the *fused* lookup+enforce
+//! pass — compiled-ACL verdicts (allow, explicit deny, default-action
+//! deny) on the §5.3 ingress-hint path, the always-on local-delivery
+//! sites and the egress memo path, counters ticking on shared atomics —
+//! and proves it allocates nothing either. A fifth probes the VRF hash
 //! table directly (`classify`/`lookup`, hit and miss) and drives the
-//! engine one packet per call, where the one-key resolve takes the
-//! scalar filtered descent.
+//! engine one packet per call.
 //!
 //! This file deliberately holds a single `#[test]` — the counter is
 //! process-global, and a concurrently running test would pollute it.
@@ -35,7 +35,7 @@ use sda_dataplane::{
 };
 use sda_policy::{Action, ConnectivityMatrix, EnforcementPoint};
 use sda_simnet::{SimDuration, SimTime};
-use sda_types::{Eid, EidPrefix, GroupId, MacAddr, PortId, Rloc, VnId};
+use sda_types::{Eid, EidPrefix, GroupId, Ipv4Prefix, MacAddr, PortId, Rloc, VnId};
 use sda_wire::{ethernet, ipv4, EtherType};
 
 struct CountingAlloc;
@@ -211,17 +211,33 @@ fn steady_state_forwarding_allocates_nothing() {
         3 * ROUNDS * batch
     );
 
-    // Window 2: DFS-compacted arenas (the production layout once the
-    // bulk-load hook runs), with dense upper trie levels promoted to
-    // stride fanout tables — so hit, stale and miss encap all descend
-    // through the stride layer here. The compaction happens outside the
-    // window; forwarding afterwards must still allocate nothing.
-    sw.compact_tables();
-    assert!(
-        sw.map_cache().mem_stats().stride_tables > 0,
-        "10k dense routes must promote stride tables, or window 2 no \
-         longer exercises the stride descent"
+    // Window 2: both halves of the map-cache at work. Window 1 never
+    // left the host-route table (no cover installed, so a miss answers
+    // from the cover count). One live covering prefix changes that: hits
+    // and stales still ride the table, while of the 32 "miss" frames the
+    // first 8 meet a TTL-dead host route and fall through to the cover,
+    // the next 8 miss the table and find the cover, and the last 16 take
+    // the filtered descent to a real miss. All forward; the install and
+    // the compaction happen outside the window.
+    sw.install_mapping(
+        vn,
+        Ipv4Prefix::new(Ipv4Addr::from(0x0AFF_0000), 28)
+            .unwrap()
+            .into(),
+        Rloc::for_router_index(3),
+        ttl,
+        SimTime::ZERO,
     );
+    for i in 0..8 {
+        sw.install_mapping(
+            vn,
+            EidPrefix::host(Eid::V4(Ipv4Addr::from(0x0AFF_0000 | i))),
+            Rloc::for_router_index(4),
+            SimDuration::ZERO,
+            SimTime::ZERO,
+        );
+    }
+    sw.compact_tables();
     let before = allocations();
     let (mut fwd, mut deliver) = (0u64, 0u64);
     for _ in 0..ROUNDS {
@@ -245,10 +261,8 @@ fn steady_state_forwarding_allocates_nothing() {
     );
 
     // Window 3: the shared-read lookup entry point in isolation — the
-    // exact call every MtSwitch worker makes per same-VN run. 96 probes
-    // (not BATCH_SIZE): one full chunk at the widened 64-lane lockstep
-    // default plus a ragged 32-key tail, with misses mixed in, so the
-    // wider walk itself is proven allocation-free.
+    // exact call every MtSwitch worker makes per same-VN run — on a run
+    // longer than a batch, with misses mixed in.
     let probes: Vec<Eid> = (0..96u32)
         .map(|i| {
             if i % 5 == 4 {
@@ -283,7 +297,7 @@ fn steady_state_forwarding_allocates_nothing() {
     //     enforced, counting),
     //   * the egress decap path with the A bit clear (one-entry per-VN
     //     view memo),
-    //   * the §5.3 ingress-hint check inside the same lockstep run as
+    //   * the §5.3 ingress-hint check inside the same per-VN run as
     //     the map-cache resolve (per-run `vn_view`, hint known/deny/
     //     unknown), on a second ingress-enforcement switch.
     //
@@ -459,8 +473,7 @@ fn steady_state_forwarding_allocates_nothing() {
 
     // Window 5: the VRF hash table alone — `classify` and `lookup`, hit
     // and miss, every key family — and the engine driven one packet per
-    // call, the shape the fabric's routers use: the one-key run takes
-    // the scalar filtered descent, not the lockstep walk of windows 1–4.
+    // call, the shape the fabric's routers use.
     let other_vn = VnId::new(2).unwrap();
     let stranger = MacAddr::from_seed(999);
     let mut one = [PacketBuf::new()];

@@ -10,9 +10,10 @@
 //!   move detection (Fig. 5), Map-Notify to the previous edge, negative
 //!   replies for unknown EIDs, and pub/sub publishes to subscribed
 //!   borders.
-//! * [`map_cache::MapCache`] — the edge router's on-demand FIB: TTL'd
-//!   entries, idle decay, SMR/underlay-event invalidation, negative
-//!   caching. Its `len()` *is* the Fig. 9 "FIB entries" series.
+//! * [`map_cache::MapCache`] — the edge router's on-demand FIB: host
+//!   routes in one exact-match table, covering prefixes in per-VN
+//!   tries; TTL'd entries, idle decay, SMR/underlay-event invalidation,
+//!   negative caching. Its `len()` *is* the Fig. 9 "FIB entries" series.
 //! * [`pubsub::SubscriberTable`] — border-router synchronization
 //!   (§3.3: "their FIB table is synchronized with the routing server").
 //! * [`smr::SmrTracker`] — dedup window for the data-triggered

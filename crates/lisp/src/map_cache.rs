@@ -15,13 +15,42 @@
 //! 4. **Underlay events** — when a peer RLOC becomes unreachable, every
 //!    entry pointing at it is dropped and traffic falls back to the
 //!    border default route (§5.1).
+//!
+//! **What it is.** Two stores, split by what the key is; an entry lives
+//! in exactly one of them:
+//!
+//! * *Host routes* (/32, /128 and MAC /48 — what Map-Replies and
+//!   Map-Notifies for registered endpoints carry, §3.2.2, and all an
+//!   edge of Fig. 9 / Table 5 ever holds) sit in one exact-match hash
+//!   table keyed by `(vn, eid)`, folded into one word and hashed with
+//!   [`sda_types::KeyHasher`]. A live hit there is by construction the
+//!   longest match, so a lookup that finds one is done after one probe.
+//! * *Covering prefixes* (anything shorter) sit in a per-VN
+//!   [`EidTrie`]. A lookup reaches it only when the table has no *live*
+//!   entry for the EID — a miss, or a TTL-dead host route, which
+//!   therefore never shadows a live covering subnet — and only when the
+//!   cache holds a cover at all: a maintained count answers `Miss`
+//!   without touching a trie otherwise.
+//!
+//! **What it is not.**
+//!
+//! * Not the routing server's Patricia trie (§4.1, Fig. 7): that one
+//!   answers longest-prefix queries over every registered EID and is
+//!   [`crate::MappingDb`]'s business.
+//! * Not ordered: [`MapCache::iter`] yields the table's entries in hash
+//!   order (deterministic — the hasher has no per-process seed — but
+//!   unspecified).
+//! * Not hardened against crafted keys: the multiply hash has no secret.
+//!   Keys are *inserted* only from routing-server replies for registered
+//!   EIDs; packets merely probe.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use sda_simnet::{SimDuration, SimTime};
 use sda_trie::EidTrie;
-use sda_types::{Eid, EidPrefix, Rloc, VnId};
+use sda_types::{Eid, EidKind, EidPrefix, KeyHasher, Rloc, VnId};
 
 /// One cached mapping.
 ///
@@ -30,7 +59,7 @@ use sda_types::{Eid, EidPrefix, Rloc, VnId};
 /// `last_used` and `stale` are interior-mutable atomics so the lookup
 /// paths ([`MapCache::lookup_shared`], [`MapCache::lookup_batch_shared`],
 /// [`MapCache::mark_stale_shared`]) can refresh them through `&self`
-/// while other reader threads descend the same trie. All accesses use
+/// while other reader threads probe the same cache. All accesses use
 /// `Ordering::Relaxed` on purpose:
 ///
 /// * Both fields are *per-entry heuristic metadata*, never used to
@@ -38,8 +67,8 @@ use sda_types::{Eid, EidPrefix, Rloc, VnId};
 ///   idle-decay comparison in [`MapCache::evict`]; `stale` only chooses
 ///   between the `Hit` and `Stale` outcomes. A reader observing a
 ///   slightly stale value forwards correctly either way.
-/// * The *structure* of the cache (tries, `rloc`, `expires_at`) is
-///   never mutated while shared. Concurrent readers hold `&MapCache`
+/// * The *structure* of the cache (table, tries, `rloc`, `expires_at`)
+///   is never mutated while shared. Concurrent readers hold `&MapCache`
 ///   (e.g. through an `Arc` snapshot under the data plane's
 ///   clone-and-swap scheme); every structural mutation — install,
 ///   removal, eviction, compaction — goes through `&mut MapCache` on
@@ -106,6 +135,22 @@ impl CacheEntry {
             CacheOutcome::Hit(self.rloc)
         }
     }
+
+    /// The write-back step of [`MapCache::adopt_metadata`] for one entry
+    /// and its published twin `theirs`.
+    fn adopt(&self, theirs: &CacheEntry) {
+        if self.rloc != theirs.rloc || self.expires_at != theirs.expires_at {
+            // Different generation: the owner re-installed this mapping
+            // since the snapshot was taken.
+            return;
+        }
+        if self.last_used() < theirs.last_used() {
+            self.touch(theirs.last_used());
+        }
+        if theirs.is_stale() {
+            self.set_stale(true);
+        }
+    }
 }
 
 impl Clone for CacheEntry {
@@ -143,29 +188,56 @@ pub enum CacheOutcome {
     Stale(Rloc),
 }
 
+/// Key of the host-route table. `Eq` compares the whole `(vn, eid)`;
+/// `Hash` hands [`KeyHasher`] one word — the two halves of
+/// [`Eid::key_bits`] folded together with the VN (24 bits) and the
+/// family above it. An IPv4 key folds without overlap; MAC and IPv6 bits
+/// overlap the tag, which only costs collisions.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct HostKey {
+    vn: VnId,
+    eid: Eid,
+}
+
+impl Hash for HostKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let bits = self.eid.key_bits();
+        let tag = u64::from(self.vn.raw()) | (self.eid.kind() as u64) << 24;
+        state.write_u64((bits >> 64) as u64 ^ bits as u64 ^ tag);
+    }
+}
+
 /// The per-VN overlay FIB of one edge router.
 ///
 /// **Lookups take `&self`** — [`MapCache::lookup_shared`] (one EID),
 /// [`MapCache::lookup_batch_shared`] (a burst) and
 /// [`MapCache::mark_stale_shared`] (an SMR) — so a single-threaded edge
-/// and a pool of forwarding workers ride the same descent. A TTL-expired
-/// entry is treated as absent — the filtered descent keeps looking at
-/// shallower covers, so a dead host route never shadows a live covering
-/// subnet — but it stays in the trie: lookups never change the
-/// structure. **Removal takes `&mut self`** and belongs to the owner
-/// alone: the four doors of the module docs, expiry among them through
+/// and a pool of forwarding workers ride the same probe: the host-route
+/// table first, the covering-prefix trie of the VN only when that finds
+/// nothing live (see the module docs). A TTL-expired entry is treated as
+/// absent — a dead host route never shadows a live covering subnet —
+/// but it stays where it is: lookups never change the structure.
+/// **Removal takes `&mut self`** and belongs to the owner alone: the
+/// four doors of the module docs, expiry among them through
 /// [`MapCache::evict`], the slow periodic decay of §4.2.
 ///
 /// `Clone` supports the data plane's clone-and-swap publication: the
 /// writer clones the cache, mutates the copy and swaps it in behind an
-/// `Arc` while readers keep descending the old snapshot.
+/// `Arc` while readers keep probing the old snapshot.
 #[derive(Default, Clone)]
 pub struct MapCache {
-    vns: BTreeMap<VnId, EidTrie<CacheEntry>>,
-    /// Maintained entry count, so [`MapCache::len`] is O(1) instead of a
-    /// sum over every per-VN trie. Invariant: always equals
+    /// Host routes, all VNs and families — stored here and nowhere else.
+    hosts: HashMap<HostKey, CacheEntry, BuildHasherDefault<KeyHasher>>,
+    /// Host routes per family (indexed by `EidKind as usize`), so
+    /// [`MapCache::len_of`] — which Fig. 9 sampling calls — is no scan.
+    host_kinds: [usize; 3],
+    /// Non-host prefixes — stored here and nowhere else.
+    covers: BTreeMap<VnId, EidTrie<CacheEntry>>,
+    /// Entries in `covers`, all VNs. Zero lets a lookup that found no
+    /// live host route answer without touching a trie. Invariant (with
+    /// `hosts.len()`): [`MapCache::len`] always equals
     /// [`MapCache::recount`] (checked by the property tests).
-    total: usize,
+    cover_count: usize,
 }
 
 impl MapCache {
@@ -183,53 +255,76 @@ impl MapCache {
         ttl: SimDuration,
         now: SimTime,
     ) {
-        let prev = self
-            .vns
-            .entry(vn)
-            .or_default()
-            .insert(prefix, CacheEntry::new(rloc, now + ttl, now));
-        if prev.is_none() {
-            self.total += 1;
+        match prefix.as_host() {
+            Some(eid) => self.update_rloc(vn, eid, rloc, ttl, now),
+            None => {
+                let entry = CacheEntry::new(rloc, now + ttl, now);
+                let prev = self.covers.entry(vn).or_default().insert(prefix, entry);
+                self.cover_count += usize::from(prev.is_none());
+            }
         }
+    }
+
+    /// Replaces the mapping for `eid` (Map-Notify / refreshed Map-Reply
+    /// after SMR): a host route, so one table insert.
+    pub fn update_rloc(&mut self, vn: VnId, eid: Eid, rloc: Rloc, ttl: SimDuration, now: SimTime) {
+        let entry = CacheEntry::new(rloc, now + ttl, now);
+        let prev = self.hosts.insert(HostKey { vn, eid }, entry);
+        self.host_kinds[eid.kind() as usize] += usize::from(prev.is_none());
     }
 
     /// Applies a negative Map-Reply: the covered entry is *deleted*.
     /// Returns true if something was removed.
     pub fn apply_negative(&mut self, vn: VnId, prefix: EidPrefix) -> bool {
-        let removed = self
-            .vns
-            .get_mut(&vn)
-            .map(|t| t.remove(&prefix).is_some())
-            .unwrap_or(false);
-        if removed {
-            self.total -= 1;
+        match prefix.as_host() {
+            Some(eid) => {
+                let removed = self.hosts.remove(&HostKey { vn, eid }).is_some();
+                self.host_kinds[eid.kind() as usize] -= usize::from(removed);
+                removed
+            }
+            None => {
+                let removed = self
+                    .covers
+                    .get_mut(&vn)
+                    .is_some_and(|t| t.remove(&prefix).is_some());
+                self.cover_count -= usize::from(removed);
+                removed
+            }
         }
-        removed
+    }
+
+    /// The body all three lookup-side entry points share: the deepest
+    /// *live* entry covering `eid`. One table probe; a live host route
+    /// is the longest match there can be. A miss or a TTL-dead hit falls
+    /// through to the VN's filtered trie descent — iff the cache holds
+    /// any covering prefix.
+    #[inline]
+    fn live(&self, vn: VnId, eid: Eid, now: SimTime) -> Option<&CacheEntry> {
+        match self.hosts.get(&HostKey { vn, eid }) {
+            Some(entry) if now < entry.expires_at => Some(entry),
+            _ if self.cover_count == 0 => None,
+            _ => self
+                .covers
+                .get(&vn)?
+                .lookup_where(&eid, |e| now < e.expires_at)
+                .map(|(_, entry)| entry),
+        }
     }
 
     /// Looks up `eid`: the deepest *live* entry covering it, with its
     /// `last_used` stamp refreshed through the entry's atomics (see
-    /// [`CacheEntry`]'s memory-ordering contract). One filtered trie
-    /// descent, zero heap allocations. Expired entries are treated as
-    /// absent — the descent keeps searching shallower covering prefixes
-    /// — and their structural removal is left to [`MapCache::evict`].
+    /// [`CacheEntry`]'s memory-ordering contract). Zero heap
+    /// allocations. Expired entries are treated as absent — a shallower
+    /// live cover answers instead — and their structural removal is left
+    /// to [`MapCache::evict`].
     pub fn lookup_shared(&self, vn: VnId, eid: Eid, now: SimTime) -> CacheOutcome {
-        let Some(trie) = self.vns.get(&vn) else {
-            return CacheOutcome::Miss;
-        };
-        trie.lookup_where(&eid, |e| now < e.expires_at)
-            .map_or(CacheOutcome::Miss, |(_, entry)| entry.hit(now))
+        self.live(vn, eid, now)
+            .map_or(CacheOutcome::Miss, |entry| entry.hit(now))
     }
 
-    /// Batched [`MapCache::lookup_shared`] — the data plane's entry
-    /// point. Resolves `vn`'s trie once, then runs every EID of the
-    /// burst through the interleaved lockstep trie walk
-    /// ([`EidTrie::lookup_each_where`]) with the same
-    /// expired-entries-are-absent filter, so the per-VN map access and
-    /// the trie root stay hot for the whole run instead of being
-    /// re-resolved per packet. Appends one [`CacheOutcome`] per EID to
-    /// `out` (cleared first); zero heap allocations once `out` has
-    /// warmed up.
+    /// [`MapCache::lookup_shared`] for every EID of a burst — the data
+    /// plane's entry point. Appends one [`CacheOutcome`] per EID to `out`
+    /// (cleared first); zero heap allocations once `out` has warmed up.
     pub fn lookup_batch_shared(
         &self,
         vn: VnId,
@@ -238,27 +333,18 @@ impl MapCache {
         out: &mut Vec<CacheOutcome>,
     ) {
         out.clear();
-        let Some(trie) = self.vns.get(&vn) else {
-            out.extend(eids.iter().map(|_| CacheOutcome::Miss));
-            return;
-        };
-        trie.lookup_each_where(
-            eids,
-            |e| now < e.expires_at,
-            |_, res| out.push(res.map_or(CacheOutcome::Miss, |(_, entry)| entry.hit(now))),
-        );
+        out.extend(eids.iter().map(|eid| self.lookup_shared(vn, *eid, now)));
     }
 
     /// SMR received: marks the deepest *live* entry covering `eid` stale
     /// through its atomic flag (`&self` — an SMR arriving on the control
     /// plane does not need to clone-and-swap the whole FIB). Returns the
-    /// current RLOC if a live entry existed. TTL-expired entries on the
-    /// path are skipped exactly as a lookup skips them: an SMR must never
-    /// "mark" a dead mapping while the covering prefix that actually
-    /// forwards the traffic stays fresh.
+    /// current RLOC if a live entry existed. TTL-expired entries are
+    /// skipped exactly as a lookup skips them: an SMR must never "mark"
+    /// a dead mapping while the covering prefix that actually forwards
+    /// the traffic stays fresh.
     pub fn mark_stale_shared(&self, vn: VnId, eid: Eid, now: SimTime) -> Option<Rloc> {
-        let trie = self.vns.get(&vn)?;
-        let (_, entry) = trie.lookup_where(&eid, |e| now < e.expires_at)?;
+        let entry = self.live(vn, eid, now)?;
         entry.set_stale(true);
         Some(entry.rloc)
     }
@@ -279,97 +365,101 @@ impl MapCache {
     /// generation's stale flag, or an SMR refresh would silently undo
     /// itself and punt refreshes forever. O(snapshot entries).
     pub fn adopt_metadata(&mut self, snapshot: &MapCache) {
-        for (vn, theirs) in snapshot.vns.iter() {
-            let Some(mine) = self.vns.get(vn) else {
+        for (key, theirs) in &snapshot.hosts {
+            if let Some(mine) = self.hosts.get(key) {
+                mine.adopt(theirs);
+            }
+        }
+        for (vn, theirs) in &snapshot.covers {
+            let Some(mine) = self.covers.get(vn) else {
                 continue;
             };
             for (prefix, entry) in theirs.iter() {
                 if let Some(me) = mine.get(&prefix) {
-                    if me.rloc != entry.rloc || me.expires_at != entry.expires_at {
-                        // Different generation: the owner re-installed
-                        // this mapping since the snapshot was taken.
-                        continue;
-                    }
-                    if me.last_used() < entry.last_used() {
-                        me.touch(entry.last_used());
-                    }
-                    if entry.is_stale() {
-                        me.set_stale(true);
-                    }
+                    me.adopt(entry);
                 }
             }
         }
     }
 
-    /// Re-lays every per-VN trie arena in DFS preorder (see
-    /// [`sda_trie::PatriciaTrie::compact`]). Call once a bulk
-    /// population settles (the dataplane `Switch` exposes it as
-    /// `compact_tables`); steady-state churn compacts opportunistically
-    /// inside the tries themselves.
+    /// Re-lays the covering-prefix tries in DFS preorder (see
+    /// [`sda_trie::PatriciaTrie::compact`]); the host-route table has
+    /// nothing to lay out. Call once a bulk population settles (the
+    /// dataplane `Switch` exposes it as `compact_tables`); steady-state
+    /// churn compacts opportunistically inside the tries themselves.
     pub fn compact(&mut self) {
-        sda_trie::compact_each(self.vns.values_mut());
+        sda_trie::compact_each(self.covers.values_mut());
     }
 
-    /// Aggregated trie-arena diagnostics across all VNs.
+    /// Memory diagnostics: the covering-prefix tries' arena statistics,
+    /// with the bytes the host-route table has reserved
+    /// ([`sda_types::hash::reserved_bytes`], a lower bound) added to
+    /// `capacity_bytes` — a hash table has no nodes to count.
     pub fn mem_stats(&self) -> sda_trie::MemStats {
-        sda_trie::merged_mem_stats(self.vns.values())
+        let mut stats = sda_trie::merged_mem_stats(self.covers.values());
+        stats.capacity_bytes += sda_types::hash::reserved_bytes(&self.hosts);
+        stats
     }
 
-    /// Replaces the mapping for `eid` (Map-Notify / refreshed Map-Reply
-    /// after SMR).
-    pub fn update_rloc(&mut self, vn: VnId, eid: Eid, rloc: Rloc, ttl: SimDuration, now: SimTime) {
-        self.install(vn, EidPrefix::host(eid), rloc, ttl, now);
+    /// Keeps the entries `keep` accepts, in one pass over the table and
+    /// one traversal per trie ([`EidTrie::retain`]); returns how many
+    /// went.
+    fn retain(&mut self, mut keep: impl FnMut(VnId, &CacheEntry) -> bool) -> usize {
+        let before = self.len();
+        self.hosts.retain(|key, entry| {
+            let kept = keep(key.vn, entry);
+            self.host_kinds[key.eid.kind() as usize] -= usize::from(!kept);
+            kept
+        });
+        for (vn, trie) in &mut self.covers {
+            self.cover_count -= trie.retain(|_, entry| keep(*vn, entry));
+        }
+        before - self.len()
     }
 
     /// Drops every entry pointing at `rloc` (underlay declared it down).
-    /// Returns how many entries were removed — a single traversal per VN
-    /// via [`EidTrie::retain`], not a collect-then-remove-each loop.
+    /// Returns how many entries were removed.
     pub fn purge_rloc(&mut self, rloc: Rloc) -> usize {
-        let mut removed = 0;
-        for trie in self.vns.values_mut() {
-            removed += trie.retain(|_, e| e.rloc != rloc);
-        }
-        self.total -= removed;
-        removed
+        self.retain(|_, e| e.rloc != rloc)
     }
 
     /// Drops entries expired at `now` or idle longer than `idle_timeout`.
-    /// Returns how many were evicted, in a single traversal per VN. This
-    /// is the slow decay §4.2 observes: "edge routers cache routes learned
-    /// on demand and may retain them during longer periods".
+    /// Returns how many were evicted. This is the slow decay §4.2
+    /// observes: "edge routers cache routes learned on demand and may
+    /// retain them during longer periods".
     ///
     /// Reads `last_used` through the entry's atomic (Relaxed): an entry
     /// whose stamp was refreshed by a concurrent-epoch
     /// [`MapCache::lookup_shared`] before this owner call survives —
     /// the regression test in `tests/shared_lookup.rs` pins that down.
     pub fn evict(&mut self, now: SimTime, idle_timeout: SimDuration) -> usize {
-        let mut removed = 0;
-        for trie in self.vns.values_mut() {
-            removed += trie.retain(|_, e| {
-                now < e.expires_at && now.saturating_since(e.last_used()) < idle_timeout
-            });
-        }
-        self.total -= removed;
-        removed
+        self.retain(|_, e| now < e.expires_at && now.saturating_since(e.last_used()) < idle_timeout)
+    }
+
+    /// Drops every entry of `vn` (subscriber resync: the whole slice is
+    /// rebuilt from a fresh snapshot). Returns how many were removed.
+    pub fn purge_vn(&mut self, vn: VnId) -> usize {
+        self.retain(|of, _| of != vn)
     }
 
     /// Current entry count — the Fig. 9 "FIB entries" metric. O(1): the
-    /// count is maintained across install/remove/evict, not recomputed.
+    /// table's own length plus the maintained cover count.
     pub fn len(&self) -> usize {
-        self.total
+        self.hosts.len() + self.cover_count
     }
 
-    /// Recomputes the entry count from the tries (O(entries)). Exists so
+    /// Recomputes the entry count from both stores (O(#VNs)). Exists so
     /// tests can assert the maintained counter never drifts; production
     /// callers should use [`MapCache::len`].
     pub fn recount(&self) -> usize {
-        self.vns.values().map(EidTrie::len).sum()
+        self.hosts.len() + self.covers.values().map(EidTrie::len).sum::<usize>()
     }
 
     /// Entries of one address family (the paper's Fig. 9 counts IPv4
     /// overlay-to-underlay mappings only).
-    pub fn len_of(&self, kind: sda_types::EidKind) -> usize {
-        self.vns.values().map(|t| t.len_of(kind)).sum()
+    pub fn len_of(&self, kind: EidKind) -> usize {
+        let covers: usize = self.covers.values().map(|t| t.len_of(kind)).sum();
+        self.host_kinds[kind as usize] + covers
     }
 
     /// True when the cache holds nothing.
@@ -377,28 +467,27 @@ impl MapCache {
         self.len() == 0
     }
 
-    /// Drops every entry of `vn` (subscriber resync: the whole slice is
-    /// rebuilt from a fresh snapshot). Returns how many were removed.
-    pub fn purge_vn(&mut self, vn: VnId) -> usize {
-        let removed = self.vns.remove(&vn).map(|t| t.len()).unwrap_or(0);
-        self.total -= removed;
-        removed
-    }
-
     /// Iterates every `(vn, prefix, rloc, expires_at)` entry — the
-    /// convergence checker's view of the cache.
+    /// convergence checker's view of the cache. **Order is
+    /// unspecified**: host routes come in the table's hash order. Its
+    /// consumers (`core::chaos::check_convergence`) build maps and
+    /// counts from it, which is the only use the order permits.
     pub fn iter(&self) -> impl Iterator<Item = (VnId, EidPrefix, Rloc, SimTime)> + '_ {
-        self.vns.iter().flat_map(|(vn, trie)| {
+        let hosts = self
+            .hosts
+            .iter()
+            .map(|(key, e)| (key.vn, EidPrefix::host(key.eid), e.rloc, e.expires_at));
+        let covers = self.covers.iter().flat_map(|(vn, trie)| {
             trie.iter()
                 .map(move |(prefix, e)| (*vn, prefix, e.rloc, e.expires_at))
-        })
+        });
+        hosts.chain(covers)
     }
 
     /// Clears everything (edge reboot, §5.2: "it will start with an
     /// empty FIB for the overlay entries").
     pub fn clear(&mut self) {
-        self.vns.clear();
-        self.total = 0;
+        *self = MapCache::default();
     }
 }
 
@@ -733,6 +822,8 @@ mod tests {
         assert_eq!(snap.len(), snap.recount());
     }
 
+    /// A handover rewrites a host route in place: 256 of them move
+    /// nothing, in the table or in the tries.
     #[test]
     fn update_rloc_keeps_stride_tables() {
         let mut c = MapCache::new();
@@ -742,7 +833,6 @@ mod tests {
         }
         c.compact();
         let layout = c.mem_stats();
-        assert!(layout.stride_tables >= 1, "the dense /24 promotes");
         for n in 0..=255 {
             c.update_rloc(vn(1), eid(n), r2, TTL, SimTime::ZERO);
         }
@@ -752,6 +842,84 @@ mod tests {
             assert_eq!(
                 c.lookup_shared(vn(1), eid(n), SimTime::ZERO),
                 CacheOutcome::Hit(r2)
+            );
+        }
+    }
+
+    /// One structure per job: the /32 lives in the table, the /24 over
+    /// it in the trie, and each leaves through its own door without
+    /// disturbing the other.
+    #[test]
+    fn host_route_and_its_cover_are_stored_and_removed_independently() {
+        use sda_types::Ipv4Prefix;
+        let cover: EidPrefix = Ipv4Prefix::new(Ipv4Addr::new(10, 0, 0, 0), 24)
+            .unwrap()
+            .into();
+        let host = EidPrefix::host(eid(7));
+        let (via_host, via_cover) = (Rloc::for_router_index(1), Rloc::for_router_index(2));
+        let build = || {
+            let mut c = MapCache::new();
+            c.install(vn(1), host, via_host, TTL, SimTime::ZERO);
+            c.install(vn(1), cover, via_cover, TTL, SimTime::ZERO);
+            assert_eq!((c.len(), c.recount()), (2, 2));
+            assert_eq!(c.len_of(EidKind::V4), 2);
+            assert_eq!((c.hosts.len(), c.cover_count), (1, 1));
+            assert_eq!(
+                c.lookup_shared(vn(1), eid(7), SimTime::ZERO),
+                CacheOutcome::Hit(via_host)
+            );
+            c
+        };
+
+        let mut c = build();
+        assert!(c.apply_negative(vn(1), host));
+        assert_eq!((c.hosts.len(), c.cover_count, c.recount()), (0, 1, 1));
+        assert_eq!(
+            c.lookup_shared(vn(1), eid(7), SimTime::ZERO),
+            CacheOutcome::Hit(via_cover)
+        );
+
+        let mut c = build();
+        assert!(c.apply_negative(vn(1), cover));
+        assert_eq!((c.hosts.len(), c.cover_count, c.recount()), (1, 0, 1));
+        assert_eq!(
+            c.lookup_shared(vn(1), eid(7), SimTime::ZERO),
+            CacheOutcome::Hit(via_host)
+        );
+        assert_eq!(
+            c.lookup_shared(vn(1), eid(8), SimTime::ZERO),
+            CacheOutcome::Miss
+        );
+        assert_eq!(c.len_of(EidKind::V4), 1);
+    }
+
+    /// The VN is part of the key's identity, not only of its hash.
+    /// Overlapping address space is what VNs are for: one EID cached in
+    /// 2,000 VNs answers per VN and misses in the 2,000 VNs between
+    /// them. (At this population probes do meet other VNs' slots with
+    /// an equal hash tag, so an `Eq` that forgot the VN answers wrong.)
+    #[test]
+    fn same_eid_in_many_vns_stays_apart() {
+        let mut c = MapCache::new();
+        let rloc = |n: u32| Rloc::for_router_index(n as u16);
+        for n in 1..=2_000 {
+            c.install(
+                vn(2 * n),
+                EidPrefix::host(eid(1)),
+                rloc(n),
+                TTL,
+                SimTime::ZERO,
+            );
+        }
+        assert_eq!((c.len(), c.recount()), (2_000, 2_000));
+        for n in 1..=2_000 {
+            assert_eq!(
+                c.lookup_shared(vn(2 * n), eid(1), SimTime::ZERO),
+                CacheOutcome::Hit(rloc(n))
+            );
+            assert_eq!(
+                c.lookup_shared(vn(2 * n + 1), eid(1), SimTime::ZERO),
+                CacheOutcome::Miss
             );
         }
     }

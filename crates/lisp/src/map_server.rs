@@ -301,7 +301,7 @@ impl MapServer {
             if !rec.expired(now) {
                 return true;
             }
-            match host_eid_of(prefix) {
+            match prefix.as_host() {
                 Some(eid) => {
                     dead.push((vn, eid, rec.rloc));
                     false
@@ -348,16 +348,6 @@ impl MapServer {
         let mut out = Outbox::new();
         self.publish_withdraw(vn, eid, old.rloc, &mut out);
         out
-    }
-}
-
-/// Host EID of a full-length prefix.
-fn host_eid_of(prefix: &EidPrefix) -> Option<Eid> {
-    match prefix {
-        EidPrefix::V4(p) if p.len() == 32 => Some(Eid::V4(p.addr())),
-        EidPrefix::V6(p) if p.len() == 128 => Some(Eid::V6(p.addr())),
-        EidPrefix::Mac(p) if p.len() == 48 => Some(Eid::Mac(p.addr())),
-        _ => None,
     }
 }
 

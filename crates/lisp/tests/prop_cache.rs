@@ -1,14 +1,14 @@
-//! Model-based property tests for the edge map-cache: the trie-backed
-//! implementation must agree with a naive reference on every operation
-//! sequence, and its TTL/idle/invalidations must never resurrect stale
-//! state.
+//! Model-based property tests for the edge map-cache: the host-route
+//! table and the covering-prefix tries behind it must together agree
+//! with a naive reference on every operation sequence, and its
+//! TTL/idle/invalidations must never resurrect stale state.
 
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
 use sda_lisp::{CacheOutcome, MapCache};
 use sda_simnet::{SimDuration, SimTime};
-use sda_types::{Eid, EidPrefix, Ipv4Prefix, Rloc, VnId};
+use sda_types::{Eid, EidKind, EidPrefix, Ipv4Prefix, MacAddr, Rloc, VnId};
 
 fn vn() -> VnId {
     VnId::new(1).unwrap()
@@ -37,61 +37,79 @@ struct ModelEntry {
 }
 
 /// The reference: a flat list scanned for the deepest *live* cover.
-/// Nothing here shares a line with the trie, the stride tables or the
-/// filtered descent, and — like the cache — a lookup never removes.
+/// Nothing here shares a line with the host table, the trie or the
+/// covers-exist shortcut, and — like the cache — a lookup never removes.
 #[derive(Default)]
-struct Model(Vec<(EidPrefix, ModelEntry)>);
+struct Model(Vec<(VnId, EidPrefix, ModelEntry)>);
 
 impl Model {
-    fn remove(&mut self, prefix: EidPrefix) -> bool {
+    /// Keeps what `keep` accepts; returns how many went.
+    fn retain(&mut self, keep: impl Fn(VnId, EidPrefix, &ModelEntry) -> bool) -> usize {
         let before = self.0.len();
-        self.0.retain(|(p, _)| *p != prefix);
-        self.0.len() < before
+        self.0.retain(|(vn, p, e)| keep(*vn, *p, e));
+        before - self.0.len()
     }
 
-    fn live_cover(&mut self, eid: Eid, now: SimTime) -> Option<&mut ModelEntry> {
+    fn live_cover(&mut self, vn: VnId, eid: Eid, now: SimTime) -> Option<&mut ModelEntry> {
         self.0
             .iter_mut()
-            .filter(|(p, e)| p.contains(eid) && now < e.expires_at)
-            .max_by_key(|(p, _)| p.len())
-            .map(|(_, e)| e)
+            .filter(|(of, p, e)| *of == vn && p.contains(eid) && now < e.expires_at)
+            .max_by_key(|(_, p, _)| p.len())
+            .map(|(_, _, e)| e)
+    }
+
+    /// The first non-host prefix held, if any.
+    fn a_cover(&self) -> Option<(VnId, EidPrefix, ModelEntry)> {
+        self.0.iter().find(|(_, p, _)| !p.is_host()).copied()
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Every lookup-side entry point against the scan, over host routes
-    /// nested under /24 covers: an expired /32 never shadows a live /24,
-    /// a stale mark lands on the deepest live cover, a hit refreshes
-    /// `last_used` (seen through what `evict` then keeps), and only
-    /// `apply_negative`/`purge_rloc`/`evict` ever change `len()`.
-    /// Operations decode from raw words, so a failure shrinks by halving.
+    /// Every door of the cache against the scan, over IPv4 and MAC host
+    /// routes in two VNs with /24 covers above the IPv4 ones: an expired
+    /// /32 never shadows a live /24, the same EID in the other VN is
+    /// another key, a stale mark lands on the deepest live cover, a hit
+    /// refreshes `last_used` (seen through what `evict` then keeps), and
+    /// after every step the counters (`len`, `len_of`) and `iter()` say
+    /// what the model holds. Op 14 takes every cover out through one of
+    /// the four removing doors, so "no cover left, a table miss is a
+    /// miss" switches on and off again within a case. Operations decode
+    /// from raw words, so a failure shrinks by halving.
     #[test]
     fn cache_matches_reference_model(words in proptest::collection::vec(any::<u64>(), 1..120)) {
         let mut cache = MapCache::new();
         let mut model = Model::default();
         let mut now = SimTime::ZERO;
+        let far = SimDuration::from_days(365);
 
         for w in words {
             let e = (w >> 4) as u8 % 16;
             let rloc = Rloc::for_router_index((w >> 8) as u16 % 4);
+            let host = if (w >> 10) % 4 == 3 {
+                Eid::Mac(MacAddr::from_seed(u32::from(e)))
+            } else {
+                eid(e)
+            };
+            let door = (w >> 12) % 4;
+            let vn = VnId::new(1 + (w >> 14) as u32 % 2).unwrap();
             let secs = SimDuration::from_secs(1 + (w >> 16) % 600);
             match w % 16 {
-                // install a host route (0..=4) or a cover (5)
-                op @ 0..=5 => {
-                    let prefix = if op == 5 { cover(e) } else { EidPrefix::host(eid(e)) };
-                    cache.install(vn(), prefix, rloc, secs, now);
-                    model.remove(prefix);
-                    model.0.push((prefix, ModelEntry {
+                // install a host route (0..=3) or a cover (4)
+                op @ 0..=4 => {
+                    let prefix = if op == 4 { cover(e) } else { EidPrefix::host(host) };
+                    cache.install(vn, prefix, rloc, secs, now);
+                    model.retain(|of, p, _| (of, p) != (vn, prefix));
+                    model.0.push((vn, prefix, ModelEntry {
                         rloc,
                         expires_at: now + secs,
                         last_used: now,
                         stale: false,
                     }));
                 }
-                6..=8 => {
-                    let want = match model.live_cover(eid(e), now) {
+                5..=7 => {
+                    let want = match model.live_cover(vn, host, now) {
                         Some(entry) => {
                             entry.last_used = now;
                             if entry.stale {
@@ -102,42 +120,78 @@ proptest! {
                         }
                         None => CacheOutcome::Miss,
                     };
-                    prop_assert_eq!(cache.lookup_shared(vn(), eid(e), now), want);
+                    prop_assert_eq!(cache.lookup_shared(vn, host, now), want);
                     let mut out = Vec::new();
-                    cache.lookup_batch_shared(vn(), &[eid(e)], now, &mut out);
+                    cache.lookup_batch_shared(vn, &[host], now, &mut out);
                     prop_assert_eq!(out, [want]);
                 }
                 // negative reply for a host route, sometimes for a cover
-                9 => {
-                    let prefix = if (w >> 12) % 4 == 0 { cover(e) } else { EidPrefix::host(eid(e)) };
-                    prop_assert_eq!(cache.apply_negative(vn(), prefix), model.remove(prefix));
+                8 => {
+                    let prefix = if door == 0 { cover(e) } else { EidPrefix::host(host) };
+                    let gone = model.retain(|of, p, _| (of, p) != (vn, prefix));
+                    prop_assert_eq!(cache.apply_negative(vn, prefix), gone == 1);
                 }
-                10 => {
-                    let want = model.live_cover(eid(e), now).map(|entry| {
+                9 => {
+                    let want = model.live_cover(vn, host, now).map(|entry| {
                         entry.stale = true;
                         entry.rloc
                     });
-                    prop_assert_eq!(cache.mark_stale_shared(vn(), eid(e), now), want);
+                    prop_assert_eq!(cache.mark_stale_shared(vn, host, now), want);
                 }
-                11 => {
-                    let before = model.0.len();
-                    model.0.retain(|(_, entry)| entry.rloc != rloc);
-                    prop_assert_eq!(cache.purge_rloc(rloc), before - model.0.len());
+                10 => {
+                    let gone = model.retain(|_, _, entry| entry.rloc != rloc);
+                    prop_assert_eq!(cache.purge_rloc(rloc), gone);
                 }
-                12 | 13 => now += secs,
-                _ => {
-                    let before = model.0.len();
-                    model.0.retain(|(_, entry)| {
+                11 | 15 => now += secs,
+                12 => {
+                    let gone = model.retain(|_, _, entry| {
                         now < entry.expires_at
                             && now.saturating_since(entry.last_used) < secs
                     });
-                    prop_assert_eq!(cache.evict(now, secs), before - model.0.len());
+                    prop_assert_eq!(cache.evict(now, secs), gone);
                 }
+                13 => {
+                    let gone = model.retain(|of, _, _| of != vn);
+                    prop_assert_eq!(cache.purge_vn(vn), gone);
+                }
+                // the last cover leaves, through each removing door
+                _ => while let Some((of, prefix, entry)) = model.a_cover() {
+                    match door {
+                        0 => {
+                            model.retain(|v, p, _| (v, p) != (of, prefix));
+                            prop_assert!(cache.apply_negative(of, prefix));
+                        }
+                        1 => {
+                            now = now.max(entry.expires_at);
+                            let gone = model.retain(|_, _, entry| now < entry.expires_at);
+                            prop_assert_eq!(cache.evict(now, far), gone);
+                        }
+                        2 => {
+                            let gone = model.retain(|_, _, e| e.rloc != entry.rloc);
+                            prop_assert_eq!(cache.purge_rloc(entry.rloc), gone);
+                        }
+                        _ => {
+                            let gone = model.retain(|v, _, _| v != of);
+                            prop_assert_eq!(cache.purge_vn(of), gone);
+                        }
+                    }
+                },
             }
+            // The maintained counters must never drift from what is
+            // stored, whatever the operation mix…
             prop_assert_eq!(cache.len(), model.0.len());
-            // The maintained counter must never drift from the true
-            // per-trie sum, whatever the operation mix.
             prop_assert_eq!(cache.len(), cache.recount());
+            for kind in [EidKind::V4, EidKind::V6, EidKind::Mac] {
+                let want = model.0.iter().filter(|(_, p, _)| p.kind() == kind).count();
+                prop_assert_eq!(cache.len_of(kind), want, "{:?}", kind);
+            }
+            // …and `iter()` yields exactly the model, in whatever order.
+            let mut got: Vec<_> = cache.iter().collect();
+            got.sort();
+            let mut want: Vec<_> =
+                model.0.iter().map(|(vn, p, e)| (*vn, *p, e.rloc, e.expires_at)).collect();
+            want.sort();
+            prop_assert_eq!(got, want);
         }
     }
 
@@ -180,13 +234,12 @@ proptest! {
         prop_assert_eq!(cache.recount(), 0);
     }
 
-    /// A lockstep call costs what its keys cost — a one-key run takes
-    /// the scalar descent, longer runs the 8-, 32- or 64-lane walk — and
-    /// none of that may show: calls of every length 1..=70 over mixed
-    /// families, with expired and stale entries and covering subnets in
-    /// the table, return what per-key `lookup_shared` returns and leave
-    /// the same `last_used` on every entry. Entries and probes decode
-    /// from raw words, so a failing case shrinks by halving the table.
+    /// The batched entry point is the scalar one per key, whatever the
+    /// call's shape: calls of every length 1..=70 over mixed families,
+    /// with expired and stale entries and covering subnets in the cache,
+    /// return what per-key `lookup_shared` returns and leave the same
+    /// `last_used` on every entry. Entries and probes decode from raw
+    /// words, so a failing case shrinks by halving the table.
     #[test]
     fn batch_shared_of_every_length_agrees_with_scalar(
         entries in proptest::collection::vec(0u32..u32::MAX, 1..64),

@@ -10,8 +10,8 @@
 //! Two layers:
 //!
 //! * [`trie::PatriciaTrie`] — the generic bit-keyed trie with exact-match,
-//!   longest-prefix-match (plain, filtered and batched, all through
-//!   `&self`) and `retain` operations.
+//!   longest-prefix-match (plain and filtered, both through `&self`)
+//!   and `retain` operations.
 //! * [`map::EidTrie`] — an address-family-aware wrapper keyed by
 //!   [`sda_types::EidPrefix`], with one inner trie per family so IPv4,
 //!   IPv6 and MAC keys never collide.
@@ -35,4 +35,4 @@ pub mod trie;
 
 pub use bits::BitStr;
 pub use map::{compact_each, merged_mem_stats, EidTrie};
-pub use trie::{MemStats, PatriciaTrie, DEFAULT_LANES};
+pub use trie::{MemStats, PatriciaTrie};

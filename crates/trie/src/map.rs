@@ -59,32 +59,6 @@ pub fn merged_mem_stats<'a, V: 'a>(
     stats
 }
 
-/// One same-family run of [`EidTrie::lookup_each_where`] through the
-/// `L`-lane lockstep walk, `L` keys at a time; `base` is the run's
-/// offset in the caller's batch.
-fn lockstep_run<const L: usize, V, P, F>(
-    trie: &PatriciaTrie<V>,
-    run: &[Eid],
-    base: usize,
-    keep: &mut P,
-    f: &mut F,
-) where
-    P: FnMut(&V) -> bool,
-    F: FnMut(usize, Option<(usize, &V)>),
-{
-    let mut keys = [BitStr::empty(); L];
-    for (c, chunk) in run.chunks(L).enumerate() {
-        for (key, eid) in keys.iter_mut().zip(chunk) {
-            *key = eid_key(eid);
-        }
-        trie.longest_match_each_where_lanes::<L, _, _>(
-            &keys[..chunk.len()],
-            &mut *keep,
-            |j, res| f(base + c * L + j, res),
-        );
-    }
-}
-
 /// A map from [`EidPrefix`] to `V` with longest-prefix lookup by [`Eid`].
 #[derive(Clone)]
 pub struct EidTrie<V> {
@@ -184,48 +158,6 @@ impl<V> EidTrie<V> {
     {
         self.family(eid.kind())
             .longest_match_where(&eid_key(eid), keep)
-    }
-
-    /// Batched [`EidTrie::lookup_where`]: calls `f(i, result)` once per
-    /// EID, in order. This is the data plane's batch entry point:
-    /// same-family runs resolve the inner trie once, not per packet, and
-    /// no [`EidPrefix`] is reconstructed per hit. Allocation-free: keys
-    /// stage through a stack buffer.
-    ///
-    /// A run costs what its keys cost: a one-key run (a forwarding call
-    /// carrying a single packet) takes the scalar filtered descent —
-    /// there is nothing to interleave with — and a longer run goes
-    /// through the interleaved lockstep walk with the smallest lane set
-    /// that holds it, so the staging arrays a call initialises are sized
-    /// by its run and not by [`crate::trie::DEFAULT_LANES`].
-    pub fn lookup_each_where<P, F>(&self, eids: &[Eid], mut keep: P, mut f: F)
-    where
-        P: FnMut(&V) -> bool,
-        F: FnMut(usize, Option<(usize, &V)>),
-    {
-        let mut start = 0;
-        while start < eids.len() {
-            // One same-family run.
-            let kind = eids[start].kind();
-            let mut end = start + 1;
-            while end < eids.len() && eids[end].kind() == kind {
-                end += 1;
-            }
-            let trie = self.family(kind);
-            let run = &eids[start..end];
-            match run.len() {
-                1 => f(
-                    start,
-                    trie.longest_match_where(&eid_key(&run[0]), &mut keep),
-                ),
-                2..=8 => lockstep_run::<8, _, _, _>(trie, run, start, &mut keep, &mut f),
-                9..=32 => lockstep_run::<32, _, _, _>(trie, run, start, &mut keep, &mut f),
-                _ => lockstep_run::<{ crate::trie::DEFAULT_LANES }, _, _, _>(
-                    trie, run, start, &mut keep, &mut f,
-                ),
-            }
-            start = end;
-        }
     }
 
     /// Re-lays every family's arena in DFS preorder (see
@@ -404,70 +336,6 @@ mod tests {
         // Dead host route: the live /16 answers instead.
         assert_eq!(m.lookup_where(&probe, |v| *v != 2), Some((16, &1)));
         assert_eq!(m.lookup_where(&probe, |_| false), None);
-
-        // The batched flavor visits in order and agrees.
-        let eids = [
-            probe,
-            Eid::V4(Ipv4Addr::new(10, 1, 9, 9)),
-            Eid::V4(Ipv4Addr::new(192, 0, 2, 1)),
-            Eid::Mac(MacAddr::from_seed(5)),
-        ];
-        let mut got = Vec::new();
-        m.lookup_each_where(
-            &eids,
-            |v| *v != 2,
-            |i, res| got.push((i, res.map(|(len, v)| (len, *v)))),
-        );
-        let want: Vec<_> = eids
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (i, m.lookup_where(e, |v| *v != 2).map(|(len, v)| (len, *v))))
-            .collect();
-        assert_eq!(got, want);
-    }
-
-    /// The run-length dispatch (scalar, 8, 32, 64 lanes, several chunks)
-    /// must hand `f` the caller's batch index whatever path a run took.
-    #[test]
-    fn lookup_each_where_indexes_every_run_shape() {
-        let mut m = EidTrie::new();
-        for i in 0..40u32 {
-            m.insert(Ipv4Prefix::host(Ipv4Addr::from(0x0A00_0000 | i)).into(), i);
-            m.insert(MacPrefix::host(MacAddr::from_seed(i)).into(), 100 + i);
-        }
-        m.compact();
-        // 150 keys: V4 runs of 1, 5, 20 and 70 (64 + a 6-key chunk), MAC
-        // keys between them, misses (odd multiples of 3) throughout.
-        let eids: Vec<Eid> = (0..150u32)
-            .map(|i| {
-                let k = if i % 3 == 0 && i % 2 == 1 {
-                    1000 + i
-                } else {
-                    i % 40
-                };
-                match i {
-                    1 | 10..=14 | 30..=49 | 80.. => Eid::V4(Ipv4Addr::from(0x0A00_0000 | k)),
-                    _ => Eid::Mac(MacAddr::from_seed(k)),
-                }
-            })
-            .collect();
-        for n in 1..=eids.len() {
-            let mut got = Vec::new();
-            m.lookup_each_where(
-                &eids[..n],
-                |v| v % 7 != 0,
-                |i, res| got.push((i, res.map(|(len, v)| (len, *v)))),
-            );
-            let want: Vec<_> = eids[..n]
-                .iter()
-                .enumerate()
-                .map(|(i, e)| {
-                    let res = m.lookup_where(e, |v| v % 7 != 0);
-                    (i, res.map(|(len, v)| (len, *v)))
-                })
-                .collect();
-            assert_eq!(got, want, "batch of {n}");
-        }
     }
 
     #[test]

@@ -29,18 +29,15 @@
 //!   stride section below).
 //!
 //! The previous layout (`Option<Box<Node<V>>>` children) made every trie
-//! step an independent cache miss into malloc-scattered memory; PR 2's
-//! interleaved lockstep batch walk proved the descent is memory-latency
-//! bound (32 overlapped lookups ran ~3x faster per packet *only* because
-//! their misses overlap). The arena attacks the same bottleneck from the
+//! step an independent cache miss into malloc-scattered memory, and the
+//! descent is memory-latency bound. The arena attacks that from the
 //! layout side: child hops are `u32` loads from one slab, the hot upper
 //! levels pack densely into a few cache lines, and splitting the values
 //! out roughly halves the bytes the descent streams through. Every
 //! descent step additionally issues a prefetch for **both** children of
 //! the node it lands on — the next hop's line is in flight one hop
 //! early, overlapping what would otherwise be a strictly serial miss
-//! chain (the single-lookup analogue of the batch walk's
-//! memory-level parallelism).
+//! chain.
 //!
 //! ## Free-list and compaction
 //!
@@ -133,13 +130,11 @@
 //! inside `V` and writes it through the `&V` a match hands back, so one
 //! path serves a single-threaded owner and any number of reader threads.
 //! Consequently [`PatriciaTrie::get`], [`PatriciaTrie::longest_match`]
-//! (unfiltered), [`PatriciaTrie::longest_match_where`] (skipping values
-//! a predicate rejects) and
-//! [`PatriciaTrie::longest_match_each_where_lanes`] (the same over a
-//! batch of keys in lockstep; lane state is plain `u32` arena indices,
-//! so no `unsafe`) perform **zero heap allocations** — including after a
-//! `compact()` (proved by `tests/no_alloc.rs`); only `insert` may
-//! allocate (arena growth), and `remove`/`retain` only free or compact.
+//! (unfiltered) and [`PatriciaTrie::longest_match_where`] (skipping
+//! values a predicate rejects) perform **zero heap allocations** —
+//! including after a `compact()` (proved by `tests/no_alloc.rs`); only
+//! `insert` may allocate (arena growth), and `remove`/`retain` only free
+//! or compact.
 
 use crate::bits::BitStr;
 
@@ -153,16 +148,6 @@ const ROOT: u32 = 0;
 /// ignored (tiny tries re-lay in nanoseconds anyway; the threshold keeps
 /// steady small-scale insert/remove cycles from compacting every call).
 const COMPACT_FREE_MIN: usize = 64;
-
-/// Default lockstep batch width. Stride hops touch fewer nodes per key,
-/// so more in-flight lanes fit the memory-level-parallelism window than
-/// the pre-stride 32: the `lpm_hot_path` lane sweep (32 vs 64) measures
-/// near-parity per key on the bench box, so the wider window — which
-/// halves the per-chunk staging overhead for the dataplane's larger
-/// bursts — wins on the forwarding path. The sweep stays in the bench
-/// to keep this choice honest; callers that want a different width name
-/// it as `L` on [`PatriciaTrie::longest_match_each_where_lanes`].
-pub const DEFAULT_LANES: usize = 64;
 
 /// Stride promotion floor at width 8: label-ends inside the first 8 bits
 /// below the candidate (max 510 for a full subtree). 128 ≈ 25% fill, so
@@ -765,10 +750,10 @@ impl<V> PatriciaTrie<V> {
     /// logically dead entry — a TTL-expired map-cache mapping, which only
     /// the table *owner* may structurally remove — is treated as absent,
     /// so a dead host route never shadows a live covering subnet. The
-    /// predicate runs once per valued node on the path (host-route
-    /// tries: exactly one, at the final candidate), so the filtered
-    /// descent streams the same memory as the plain one plus at most a
-    /// handful of value-slab reads.
+    /// predicate runs once per valued node on the path — the nested
+    /// covers of one key, a handful at most — so the filtered descent
+    /// streams the same memory as the plain one plus those value-slab
+    /// reads.
     ///
     /// Kept as a separate body from the unfiltered descent behind
     /// [`PatriciaTrie::longest_match`] on purpose: that one never reads
@@ -858,166 +843,6 @@ impl<V> PatriciaTrie<V> {
                     .expect("kept node holds a value"),
             )
         })
-    }
-
-    /// Batched [`PatriciaTrie::longest_match_where`]: calls `f(i, match)`
-    /// for every key, in order, where a match is `(prefix bit length,
-    /// &value)` of the deepest valued node whose value satisfies `keep`.
-    ///
-    /// The point is not the loop — it is the **interleaved descent**:
-    /// `L` keys advance in lockstep, one trie step per round (a stride
-    /// hop where a table exists), so the node loads of the whole batch
-    /// are independent and overlap in the memory pipeline. A sequential
-    /// descent serializes ~log(n) dependent cache misses per key; the
-    /// lockstep walk exposes them as memory-level parallelism, which is
-    /// where the batched data plane's speedup over per-packet processing
-    /// comes from (the `dataplane_fwd` bench measures it). `&self`, so
-    /// any number of reader threads can run it concurrently.
-    ///
-    /// `L` is the tunable the `lpm_hot_path` lane sweep measures: it
-    /// bounds how many descents are in flight per round, and it is what
-    /// a call stages whatever `keys.len()` is — callers with short runs
-    /// pick a small `L` ([`crate::EidTrie::lookup_each_where`] does, from
-    /// the run length). Past the memory-level-parallelism window extra
-    /// lanes only add register pressure, so [`DEFAULT_LANES`] is the
-    /// measured sweet spot for long batches, not a hard ceiling.
-    pub fn longest_match_each_where_lanes<const L: usize, P, F>(
-        &self,
-        keys: &[BitStr],
-        mut keep: P,
-        mut f: F,
-    ) where
-        P: FnMut(&V) -> bool,
-        F: FnMut(usize, Option<(usize, &V)>),
-    {
-        /// One in-flight lookup of the lockstep walk. `best` is the
-        /// arena index of the deepest kept match so far ([`NONE`] = none).
-        #[derive(Clone, Copy)]
-        struct Lane {
-            node: u32,
-            best: u32,
-            rem: u128,
-            depth: u16,
-            best_depth: u16,
-            done: bool,
-        }
-
-        let nodes = self.nodes.as_slice();
-        let tables = self.stride_tables.as_slice();
-        let root_best = if nodes[ROOT as usize].has_value
-            && keep(
-                self.values[ROOT as usize]
-                    .as_ref()
-                    .expect("root holds a value"),
-            ) {
-            ROOT
-        } else {
-            NONE
-        };
-        for (ci, chunk) in keys.chunks(L).enumerate() {
-            let mut lanes = [Lane {
-                node: ROOT,
-                best: root_best,
-                rem: 0,
-                depth: 0,
-                best_depth: 0,
-                done: false,
-            }; L];
-            for (lane, key) in lanes.iter_mut().zip(chunk) {
-                lane.rem = key.raw();
-            }
-            loop {
-                let mut active = false;
-                for (i, lane) in lanes.iter_mut().enumerate().take(chunk.len()) {
-                    if lane.done {
-                        continue;
-                    }
-                    let key = &chunk[i];
-                    let depth = lane.depth as usize;
-                    if depth == key.len() {
-                        lane.done = true;
-                        continue;
-                    }
-                    if let Some((s, next, bp)) =
-                        stride_slot(nodes, tables, lane.node, key.len(), depth, lane.rem)
-                    {
-                        let mut jump = true;
-                        if bp != NONE {
-                            let (delta, bidx) = unpack_best(bp);
-                            if keep(
-                                self.values[bidx as usize]
-                                    .as_ref()
-                                    .expect("span best holds a value"),
-                            ) {
-                                lane.best = bidx;
-                                lane.best_depth = (depth + delta) as u16;
-                            } else {
-                                // Filtered span best: walk node-by-node
-                                // (same fallback as the single descent).
-                                jump = false;
-                            }
-                        }
-                        if jump {
-                            if next == NONE {
-                                lane.done = true;
-                                continue;
-                            }
-                            lane.node = next;
-                            lane.depth = (depth + s) as u16;
-                            lane.rem <<= s;
-                            prefetch_children(nodes, &nodes[next as usize]);
-                            if nodes[next as usize].has_value
-                                && keep(
-                                    self.values[next as usize]
-                                        .as_ref()
-                                        .expect("has_value node holds a value"),
-                                )
-                            {
-                                lane.best_depth = lane.depth;
-                                lane.best = next;
-                            }
-                            active = true;
-                            continue;
-                        }
-                    }
-                    let (child, d, r) = descend_step(nodes, lane.node, key.len(), depth, lane.rem);
-                    if child == NONE {
-                        lane.done = true;
-                        continue;
-                    }
-                    lane.node = child;
-                    lane.depth = d as u16;
-                    lane.rem = r;
-                    if nodes[child as usize].has_value
-                        && keep(
-                            self.values[child as usize]
-                                .as_ref()
-                                .expect("has_value node holds a value"),
-                        )
-                    {
-                        lane.best_depth = lane.depth;
-                        lane.best = child;
-                    }
-                    active = true;
-                }
-                if !active {
-                    break;
-                }
-            }
-            for (i, lane) in lanes.iter().enumerate().take(chunk.len()) {
-                let res = if lane.best == NONE {
-                    None
-                } else {
-                    Some((
-                        lane.best_depth as usize,
-                        self.values[lane.best as usize]
-                            .as_ref()
-                            .expect("kept node holds a value"),
-                    ))
-                };
-                f(ci * L + i, res);
-            }
-        }
     }
 
     /// Keeps only entries for which `f` returns true, re-compressing the
@@ -1473,51 +1298,6 @@ mod tests {
     }
 
     #[test]
-    fn longest_match_each_agrees_with_single_descent() {
-        let mut t = PatriciaTrie::new();
-        t.insert(&BitStr::empty(), 0u32);
-        t.insert(&key("10"), 1u32);
-        t.insert(&key("1010"), 2u32);
-        t.insert(&key("1111"), 3u32);
-        let keys: Vec<BitStr> = ["101011", "100111", "0", "1111", "110000", "1010"]
-            .iter()
-            .map(|s| key(s))
-            .collect();
-        let mut got = Vec::new();
-        t.longest_match_each_where_lanes::<DEFAULT_LANES, _, _>(
-            &keys,
-            |_| true,
-            |i, res| got.push((i, res.map(|(d, v)| (d, *v)))),
-        );
-        let want: Vec<_> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (i, t.longest_match(k).map(|(d, v)| (d, *v))))
-            .collect();
-        assert_eq!(got, want);
-
-        // The filtered flavor agrees with the filtered single descent.
-        let mut got = Vec::new();
-        t.longest_match_each_where_lanes::<DEFAULT_LANES, _, _>(
-            &keys,
-            |v| *v % 2 == 0,
-            |i, res| got.push((i, res.map(|(d, v)| (d, *v)))),
-        );
-        let want: Vec<_> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| {
-                (
-                    i,
-                    t.longest_match_where(k, |v| *v % 2 == 0)
-                        .map(|(d, v)| (d, *v)),
-                )
-            })
-            .collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
     fn split_preserves_existing_entries() {
         let mut t = PatriciaTrie::new();
         t.insert(&key("110011"), "deep");
@@ -1897,49 +1677,5 @@ mod tests {
             t.longest_match_where(&BitStr::from_bytes(&[0x00], 8), |v| *v != 0),
             None
         );
-    }
-
-    #[test]
-    fn lockstep_lanes_agree_across_stride_layout() {
-        let mut t = dense8();
-        t.insert(&key("1"), 1000);
-        t.compact();
-        // More keys than the widest lane count, mixing in-table hits,
-        // deep misses and short keys.
-        let keys: Vec<BitStr> = (0u32..150)
-            .map(|j| match j % 3 {
-                0 => BitStr::from_bytes(&[(j * 7) as u8], 8),
-                1 => BitStr::from_bytes(&[(j * 11) as u8, j as u8], 16),
-                _ => BitStr::from_bytes(&[(j * 13) as u8], 5),
-            })
-            .collect();
-        let single: Vec<Option<(usize, u32)>> = keys
-            .iter()
-            .map(|k| {
-                t.longest_match_where(k, |v| *v % 2 == 0)
-                    .map(|(l, v)| (l, *v))
-            })
-            .collect();
-        for lanes in [8usize, 32, 64] {
-            let mut got: Vec<Option<(usize, u32)>> = vec![None; keys.len()];
-            match lanes {
-                8 => t.longest_match_each_where_lanes::<8, _, _>(
-                    &keys,
-                    |v| *v % 2 == 0,
-                    |i, m| got[i] = m.map(|(l, v)| (l, *v)),
-                ),
-                32 => t.longest_match_each_where_lanes::<32, _, _>(
-                    &keys,
-                    |v| *v % 2 == 0,
-                    |i, m| got[i] = m.map(|(l, v)| (l, *v)),
-                ),
-                _ => t.longest_match_each_where_lanes::<64, _, _>(
-                    &keys,
-                    |v| *v % 2 == 0,
-                    |i, m| got[i] = m.map(|(l, v)| (l, *v)),
-                ),
-            }
-            assert_eq!(got, single, "{lanes}-lane walk diverged");
-        }
     }
 }

@@ -1,7 +1,6 @@
 //! Proof, not promise: the LPM lookup paths perform **zero heap
 //! allocations**. A counting global allocator wraps the system one; the
-//! test drives `get` / `longest_match` / `longest_match_where` /
-//! `longest_match_each_where_lanes` (at 8, 32 and 64 lanes) and the
+//! test drives `get` / `longest_match` / `longest_match_where` and the
 //! `EidTrie` wrappers over a populated trie — before *and after* an arena
 //! `compact()`, i.e. over both the plain Patricia and the
 //! stride-promoted layouts — and asserts the allocation counter does
@@ -72,43 +71,6 @@ fn drive_lookups(trie: &PatriciaTrie<u32>, eids: &EidTrie<u32>) -> u64 {
             hits += 1;
         }
     }
-
-    // The interleaved lockstep batch walk: enough keys for two full
-    // chunks at the widened [`sda_trie::DEFAULT_LANES`] (64) plus a
-    // ragged tail, hits and misses mixed, keys staged in a stack array.
-    let mut keys = [BitStr::empty(); 160];
-    for (j, slot) in keys.iter_mut().enumerate() {
-        let k = (j as u32 % 40).wrapping_mul(2_654_435_761);
-        *slot = if j % 5 == 4 {
-            BitStr::from_bytes(&0xC0A8_0001u32.to_be_bytes(), 32) // miss
-        } else {
-            BitStr::from_bytes(&k.to_be_bytes(), 32)
-        };
-    }
-    // Every lane width `EidTrie::lookup_each_where` dispatches to (8,
-    // 32, 64 — the last two are the lane-sweep surface the benches
-    // tune).
-    trie.longest_match_each_where_lanes::<8, _, _>(
-        &keys,
-        |_| true,
-        |_, res| {
-            hits += res.is_some() as u64;
-        },
-    );
-    trie.longest_match_each_where_lanes::<32, _, _>(
-        &keys,
-        |_| true,
-        |_, res| {
-            hits += res.is_some() as u64;
-        },
-    );
-    trie.longest_match_each_where_lanes::<64, _, _>(
-        &keys,
-        |_| true,
-        |_, res| {
-            hits += res.is_some() as u64;
-        },
-    );
     hits
 }
 
@@ -128,9 +90,8 @@ fn lookup_paths_allocate_nothing() {
         eids.insert(EidPrefix::host(e), i);
     }
 
-    // Per-key surfaces + three batch walks over 160 keys (128 hits each:
-    // every fifth key is a deliberate miss).
-    const EXPECTED_HITS: u64 = 50_000 + 3 * 128;
+    // Five hitting surfaces per key; the sixth probes a deliberate miss.
+    const EXPECTED_HITS: u64 = 50_000;
 
     // Window 1: the insertion-order arena.
     let before = allocations();

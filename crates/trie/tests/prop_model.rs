@@ -194,64 +194,3 @@ proptest! {
         prop_assert_eq!(trie.max_depth(), 0);
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The interleaved lockstep batch walk — and the scalar filtered
-    /// descent beside it — must agree with the model's scan on every
-    /// key, the walk reporting keys in order, at every lane width
-    /// `EidTrie::lookup_each_where` dispatches to, filtered and not,
-    /// before and after `compact()` builds stride tables, including
-    /// batches larger than one chunk and duplicate keys in one batch.
-    #[test]
-    fn batch_walk_matches_sequential(
-        inserts in proptest::collection::vec(any::<u64>(), 1..120),
-        queries in proptest::collection::vec(any::<u64>(), 1..90),
-    ) {
-        let mut trie = PatriciaTrie::new();
-        let mut model = Model::default();
-        for w in &inserts {
-            trie.insert(&key_of(*w), value_of(*w));
-            model.insert(&key_of(*w), value_of(*w));
-        }
-        let keys: Vec<BitStr> = queries.iter().map(|w| key_of(*w)).collect();
-        for compacted in [false, true] {
-            if compacted {
-                trie.compact();
-            }
-            for filtered in [false, true] {
-                let keep = |v: u32| !filtered || live(v);
-                let want: Vec<Option<(usize, u32)>> = keys
-                    .iter()
-                    .map(|k| model.longest_match_where(k, keep))
-                    .collect();
-                let scalar: Vec<Option<(usize, u32)>> = keys
-                    .iter()
-                    .map(|k| trie.longest_match_where(k, |v| keep(*v)).map(|(l, v)| (l, *v)))
-                    .collect();
-                prop_assert_eq!(
-                    &scalar, &want,
-                    "scalar, filtered {}, compacted {}", filtered, compacted
-                );
-                for lanes in [8, 32, 64] {
-                    let mut got = Vec::with_capacity(keys.len());
-                    let keep = |v: &u32| keep(*v);
-                    let put = |i: usize, m: Option<(usize, &u32)>| {
-                        assert_eq!(i, got.len(), "keys are reported in order");
-                        got.push(m.map(|(l, v)| (l, *v)));
-                    };
-                    match lanes {
-                        8 => trie.longest_match_each_where_lanes::<8, _, _>(&keys, keep, put),
-                        32 => trie.longest_match_each_where_lanes::<32, _, _>(&keys, keep, put),
-                        _ => trie.longest_match_each_where_lanes::<64, _, _>(&keys, keep, put),
-                    }
-                    prop_assert_eq!(
-                        &got, &want,
-                        "{} lanes, filtered {}, compacted {}", lanes, filtered, compacted
-                    );
-                }
-            }
-        }
-    }
-}

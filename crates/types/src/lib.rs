@@ -21,10 +21,12 @@
 
 pub mod eid;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod prefix;
 
 pub use eid::{Eid, EidKind, MacAddr, Rloc};
 pub use error::{Error, Result};
+pub use hash::KeyHasher;
 pub use ids::{EndpointId, GroupId, InstanceId, PortId, RouterId, VnId};
 pub use prefix::{EidPrefix, Ipv4Prefix, Ipv6Prefix, MacPrefix};

@@ -257,6 +257,17 @@ impl EidPrefix {
         u16::from(self.len()) == self.kind().bit_len()
     }
 
+    /// The one EID a host route covers; `None` for a shorter prefix.
+    #[inline]
+    pub fn as_host(&self) -> Option<Eid> {
+        match self {
+            EidPrefix::V4(p) if p.len() == 32 => Some(Eid::V4(p.addr())),
+            EidPrefix::V6(p) if p.len() == 128 => Some(Eid::V6(p.addr())),
+            EidPrefix::Mac(p) if p.len() == 48 => Some(Eid::Mac(p.addr())),
+            _ => None,
+        }
+    }
+
     /// Whether `eid` (of the same family) falls inside this prefix.
     /// EIDs of a different family never match.
     pub fn contains(&self, eid: Eid) -> bool {
