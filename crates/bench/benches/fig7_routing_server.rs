@@ -3,9 +3,11 @@
 //!
 //! The paper's claim: "the delay is not dependent on the number of
 //! routes" because the store is a Patricia trie whose cost depends on
-//! key width, not entry count. We measure the real data structure at
-//! 10 / 100 / 1,000 / 10,000 / 100,000 routes; the report should show
-//! flat medians across the sweep.
+//! key width, not entry count. The server rows measure the routing
+//! server as built here (its registry holds host routes only, so a
+//! message costs one hash probe), `fig7_trie_lookup` the paper's cited
+//! structure on the same keys — at 10 / 100 / 1,000 / 10,000 / 100,000
+//! routes; each sweep should show flat medians.
 //!
 //! Run with: `cargo bench -p sda-bench --bench fig7_routing_server`
 //! Smoke mode (CI): `SDA_BENCH_SMOKE=1 cargo bench -p sda-bench --bench
@@ -50,8 +52,6 @@ fn preloaded_server(routes: u32) -> MapServer {
             SimTime::ZERO,
         );
     }
-    // Registration storm done: re-lay the trie arenas in DFS order.
-    s.compact();
     s
 }
 
@@ -111,8 +111,8 @@ fn bench_updates(c: &mut Criterion) {
     group.finish();
 }
 
-/// Underlying structure: raw Patricia-trie lookups, the paper's cited
-/// reason for the flatness.
+/// The paper's cited structure: raw Patricia-trie lookups, its reason
+/// for the flatness (the server rows above probe a hash table instead).
 fn bench_trie_lookup(c: &mut Criterion) {
     use sda_trie::EidTrie;
     use sda_types::EidPrefix;

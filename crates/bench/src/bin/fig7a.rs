@@ -2,11 +2,12 @@
 //! configured routes, at the paper's offered load of 800 queries/s.
 //!
 //! The paper's result: boxplots are flat across 10/100/1k/10k routes
-//! (Patricia-trie property). We preload a real `MapServer`, verify every
-//! query resolves, and measure sojourn through the server's single-CPU
-//! queue (constant service × jitter + queueing), printing boxplot rows
-//! relative to the minimum delay of a 1-route server — exactly the
-//! paper's normalization.
+//! (a Patricia-trie property there; the registry here is an exact-match
+//! table, flat for its own reason). We preload a real `MapServer`,
+//! verify every query resolves, and measure sojourn through the server's
+//! single-CPU queue (constant service × jitter + queueing), printing
+//! boxplot rows relative to the minimum delay of a 1-route server —
+//! exactly the paper's normalization.
 //!
 //! Run with: `cargo run --release -p sda-bench --bin fig7a`
 
@@ -42,8 +43,6 @@ fn preload(routes: u32) -> MapServer {
             SimTime::ZERO,
         );
     }
-    // Registration storm done: re-lay the trie arenas in DFS order.
-    s.compact();
     s
 }
 

@@ -5,7 +5,7 @@
 //!
 //! * Criterion micro-benchmarks (`benches/`):
 //!   - `fig7_routing_server` — Fig. 7a/7b: map-server request/update
-//!     latency vs. stored-route count (flat, Patricia property).
+//!     latency vs. stored-route count (flat; trie rows beside).
 //! * Figure/table harness binaries (`src/bin/`):
 //!   - `fig7a`, `fig7b` — boxplot rows from the simulated server.
 //!   - `fig7c` — delay vs. offered load (queueing).

@@ -8,8 +8,8 @@
 //! fan-out *linearly with shard count*.
 //!
 //! [`PartitionedMapServer`] instead owns N shards, each with its **own**
-//! [`MappingDb`](sda_lisp::MappingDb) trie covering a prefix-aligned
-//! partition of EID space:
+//! [`MappingDb`](sda_lisp::MappingDb) (per-VN exact-match tables)
+//! covering a prefix-aligned partition of EID space:
 //!
 //! * **Registers land on exactly one owner shard**, routed by the EID's
 //!   top [`partition::PARTITION_BITS`] key bits — total state is the
@@ -17,9 +17,9 @@
 //! * **Map-Requests route by EID to the owner** (the owner is the only
 //!   shard that can know the answer).
 //! * **Expiry sweeps run in parallel** across shards on scoped worker
-//!   threads — each shard's trie is an independent `&mut`, so the sweep
-//!   is embarrassingly parallel; results aggregate in shard order, so
-//!   the outcome is deterministic regardless of thread scheduling (the
+//!   threads — each shard's database is an independent `&mut`; a shard
+//!   sorts what it removed and results aggregate in shard order, so the
+//!   outcome is deterministic whatever the scheduling or hash order (the
 //!   same discipline as the multi-core engine's worker-order punt
 //!   aggregation in `sda-dataplane`).
 //! * **Pub/sub is incremental**: every mapping change enqueues one

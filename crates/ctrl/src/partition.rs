@@ -1,15 +1,15 @@
 //! Prefix-aligned partitioning of EID space across shards.
 //!
 //! The partition key is the top [`PARTITION_BITS`] bits of
-//! [`Eid::key_bits`] (the left-aligned trie key), tagged by address
+//! [`Eid::key_bits`] (the left-aligned address word), tagged by address
 //! family so IPv4, IPv6 and MAC EIDs partition independently. Two
 //! properties make this routing **exact** rather than approximate:
 //!
 //! 1. [`MappingDb`](sda_lisp::MappingDb) only ever stores *host*
-//!    registrations (`Message::MapRegister` carries an [`Eid`], inserted
-//!    as `EidPrefix::host`), so a register and every later request for
-//!    the same EID share the full key — they can never straddle a
-//!    partition boundary.
+//!    registrations (`Message::MapRegister` carries an [`Eid`], and the
+//!    database is an exact-match table keyed by it), so a register and
+//!    every later request for the same EID share the full key — they
+//!    can never straddle a partition boundary.
 //! 2. The partition is aligned at `/PARTITION_BITS`: any future
 //!    aggregate registration with a prefix at least that long would
 //!    still map wholly into one block.
@@ -26,7 +26,7 @@ use sda_types::Eid;
 pub const PARTITION_BITS: u32 = 16;
 
 /// The partition block of `eid`: its address family tag plus the top
-/// [`PARTITION_BITS`] of its left-aligned trie key.
+/// [`PARTITION_BITS`] of its left-aligned [`Eid::key_bits`].
 pub fn block_of(eid: &Eid) -> u32 {
     let family = match eid {
         Eid::V4(_) => 0u32,

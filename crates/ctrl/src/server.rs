@@ -119,8 +119,10 @@ impl Shard {
     }
 
     /// One expiry sweep over this shard: prunes expired host
-    /// registrations in a single traversal, returning what was removed
-    /// (for the withdraw publishes). Runs on a worker thread when the
+    /// registrations in a single pass, returning what was removed (for
+    /// the withdraw publishes) in ascending `(vn, eid)` order — the pass
+    /// itself runs in hash order, and what is published must not depend
+    /// on the tables' capacity history. Runs on a worker thread when the
     /// parent sweeps in parallel — it only touches this shard's `&mut`.
     fn sweep(&mut self, now: SimTime) -> Vec<(VnId, Eid, Rloc)> {
         // A down shard's state is frozen: nothing expires (and nothing
@@ -130,19 +132,16 @@ impl Shard {
         }
         let mut dead = Vec::new();
         self.db.retain(|vn, prefix, rec| {
-            if !rec.expired(now) {
-                return true;
+            let live = !rec.expired(now);
+            if !live {
+                let eid = prefix
+                    .as_host()
+                    .expect("the registry holds host routes only");
+                dead.push((vn, eid, rec.rloc));
             }
-            match prefix.as_host() {
-                Some(eid) => {
-                    dead.push((vn, eid, rec.rloc));
-                    false
-                }
-                // Non-host registrations are out of scope for expiry
-                // withdrawal (parity with `MapServer::expire`).
-                None => true,
-            }
+            live
         });
+        dead.sort_unstable_by_key(|&(vn, eid, _)| (vn, eid));
         dead
     }
 }
@@ -658,27 +657,23 @@ impl PartitionedMapServer {
         self.fanout.current_seq(vn)
     }
 
-    /// Re-lays every shard's trie arenas in DFS preorder once a
-    /// registration storm settles (see `MappingDb::compact`).
-    pub fn compact(&mut self) {
-        for s in &mut self.shards {
-            s.db.compact();
-        }
-    }
+    /// Does nothing: the shards' databases are hash tables, which have
+    /// no layout to settle after a registration storm. A shim kept only
+    /// because the benchmark of record (`e2e/ctrl.rs`, frozen to perf
+    /// PRs) calls it after its preload; ROADMAP item 2(a) lists its
+    /// removal for the next `benchmark` PR.
+    pub fn compact(&mut self) {}
 
-    /// Aggregated trie-arena diagnostics across all shards — the sum the
-    /// scale-tier acceptance compares against a single server's.
+    /// Memory diagnostics summed across all shards — what the scale-tier
+    /// acceptance compares against a single server's. `capacity_bytes`
+    /// is the bytes the shards' tables have reserved; the trie-shaped
+    /// fields (nodes, stride tables) are zero (see `MappingDb::mem_stats`).
     pub fn mem_stats(&self) -> MemStats {
         let mut total = MemStats::default();
         for s in &self.shards {
             total.merge(&s.db.mem_stats());
         }
         total
-    }
-
-    /// Per-shard trie-arena diagnostics.
-    pub fn shard_mem_stats(&self) -> Vec<MemStats> {
-        self.shards.iter().map(|s| s.db.mem_stats()).collect()
     }
 }
 

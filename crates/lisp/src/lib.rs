@@ -4,7 +4,7 @@
 //! **map-cache**: the reactive control plane at the heart of the paper.
 //!
 //! * [`registry::MappingDb`] — the `(VN, EID) → RLOC` database, one
-//!   Patricia trie per VN per address family (§3.2.2, Table 2 row 3).
+//!   exact-match table of host routes per VN (§3.2.2, Table 2 row 3).
 //! * [`map_server::MapServer`] — a pure state machine speaking
 //!   [`sda_wire::lisp::Message`]: Map-Request/Reply, Map-Register with
 //!   move detection (Fig. 5), Map-Notify to the previous edge, negative
@@ -25,9 +25,9 @@
 //! map-server control CPU as a single-server FIFO queue whose service
 //! times ([`map_server::REQUEST_SERVICE`], [`map_server::UPDATE_SERVICE`])
 //! are *independent of the number of stored routes* — true by
-//! construction, because the Patricia trie's cost depends on key width
-//! only. Fig. 7c's load-dependent growth then falls out of queueing,
-//! exactly as on the real server.
+//! construction: the paper's Patricia trie costs what the key width
+//! costs, the registry here one hash probe. Fig. 7c's load-dependent
+//! growth then falls out of queueing, exactly as on the real server.
 
 pub mod map_cache;
 pub mod map_server;

@@ -34,9 +34,9 @@
 //!
 //! **What it is not.**
 //!
-//! * Not the routing server's Patricia trie (§4.1, Fig. 7): that one
-//!   answers longest-prefix queries over every registered EID and is
-//!   [`crate::MappingDb`]'s business.
+//! * Not the routing server's registry ([`crate::MappingDb`], §4.1,
+//!   Fig. 7): that one holds every registered EID and host routes
+//!   only, so it has the table below and no tries at all.
 //! * Not ordered: [`MapCache::iter`] yields the table's entries in hash
 //!   order (deterministic — the hasher has no per-process seed — but
 //!   unspecified).
@@ -50,6 +50,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use sda_simnet::{SimDuration, SimTime};
 use sda_trie::EidTrie;
+use sda_types::hash::fold_eid;
 use sda_types::{Eid, EidKind, EidPrefix, KeyHasher, Rloc, VnId};
 
 /// One cached mapping.
@@ -189,10 +190,8 @@ pub enum CacheOutcome {
 }
 
 /// Key of the host-route table. `Eq` compares the whole `(vn, eid)`;
-/// `Hash` hands [`KeyHasher`] one word — the two halves of
-/// [`Eid::key_bits`] folded together with the VN (24 bits) and the
-/// family above it. An IPv4 key folds without overlap; MAC and IPv6 bits
-/// overlap the tag, which only costs collisions.
+/// `Hash` hands [`KeyHasher`] one word — [`fold_eid`] with the VN in the
+/// 24 bits the fold leaves free below the family.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct HostKey {
     vn: VnId,
@@ -201,9 +200,7 @@ struct HostKey {
 
 impl Hash for HostKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        let bits = self.eid.key_bits();
-        let tag = u64::from(self.vn.raw()) | (self.eid.kind() as u64) << 24;
-        state.write_u64((bits >> 64) as u64 ^ bits as u64 ^ tag);
+        state.write_u64(fold_eid(&self.eid) ^ u64::from(self.vn.raw()));
     }
 }
 
@@ -388,7 +385,7 @@ impl MapCache {
     /// dataplane `Switch` exposes it as `compact_tables`); steady-state
     /// churn compacts opportunistically inside the tries themselves.
     pub fn compact(&mut self) {
-        sda_trie::compact_each(self.covers.values_mut());
+        self.covers.values_mut().for_each(EidTrie::compact);
     }
 
     /// Memory diagnostics: the covering-prefix tries' arena statistics,
@@ -396,7 +393,10 @@ impl MapCache {
     /// ([`sda_types::hash::reserved_bytes`], a lower bound) added to
     /// `capacity_bytes` — a hash table has no nodes to count.
     pub fn mem_stats(&self) -> sda_trie::MemStats {
-        let mut stats = sda_trie::merged_mem_stats(self.covers.values());
+        let mut stats = sda_trie::MemStats::default();
+        for trie in self.covers.values() {
+            stats.merge(&trie.mem_stats());
+        }
         stats.capacity_bytes += sda_types::hash::reserved_bytes(&self.hosts);
         stats
     }

@@ -21,7 +21,8 @@ use crate::pubsub::SubscriberTable;
 use crate::registry::{MappingDb, RegisterOutcome};
 
 /// Control-CPU service time for a Map-Request (lookup). Independent of
-/// table size — the Patricia-trie property Fig. 7a demonstrates.
+/// table size — the property Fig. 7a demonstrates (there with a Patricia
+/// trie, here with one hash probe).
 pub const REQUEST_SERVICE: SimDuration = SimDuration::from_micros(250);
 
 /// Control-CPU service time for a Map-Register (update). Slightly above
@@ -85,14 +86,6 @@ impl MapServer {
     /// Read access to the mapping database.
     pub fn db(&self) -> &MappingDb {
         &self.db
-    }
-
-    /// Re-lays the mapping database's trie arenas in DFS preorder (see
-    /// [`MappingDb::compact`]). Call once a registration storm (network
-    /// bring-up, bench preload) settles so Fig. 7 request lookups walk
-    /// nearly-sequential memory.
-    pub fn compact(&mut self) {
-        self.db.compact();
     }
 
     /// Counter snapshot.
@@ -265,22 +258,16 @@ impl MapServer {
         let mut out = Outbox::new();
         out.push((subscriber, Message::SubscribeAck { nonce, vn }));
         // Full snapshot so the border starts synchronized.
-        let snapshot: Vec<(VnId, EidPrefix, Rloc)> = self
-            .db
-            .iter()
-            .filter(|(v, _, _)| *v == vn)
-            .map(|(v, p, r)| (v, p, r.rloc))
-            .collect();
-        for (v, prefix, rloc) in snapshot {
-            let seq = self.subs.next_seq(v);
+        for (prefix, rec) in self.db.iter_vn(vn) {
+            let seq = self.subs.next_seq(vn);
             self.stats.publishes += 1;
             out.push((
                 subscriber,
                 Message::Publish {
                     nonce: seq,
-                    vn: v,
+                    vn,
                     prefix,
-                    rloc,
+                    rloc: rec.rloc,
                     withdraw: false,
                 },
             ));
@@ -293,24 +280,22 @@ impl MapServer {
     /// toward subscribers. This is what makes the border router's table
     /// "follow closely the presence of authenticated users" (§4.2).
     pub fn expire(&mut self, now: SimTime) -> Outbox {
-        // Single traversal: prune expired host registrations in place and
-        // collect what was removed for the withdraw publishes (the seed
-        // collected victims, then re-descended once per victim to remove).
+        // Single pass: prune expired host registrations in place and
+        // collect what was removed for the withdraw publishes.
         let mut dead: Vec<(VnId, Eid, Rloc)> = Vec::new();
         self.db.retain(|vn, prefix, rec| {
-            if !rec.expired(now) {
-                return true;
+            let live = !rec.expired(now);
+            if !live {
+                let eid = prefix
+                    .as_host()
+                    .expect("the registry holds host routes only");
+                dead.push((vn, eid, rec.rloc));
             }
-            match prefix.as_host() {
-                Some(eid) => {
-                    dead.push((vn, eid, rec.rloc));
-                    false
-                }
-                // Non-host registrations are out of scope for expiry
-                // withdrawal (matches the previous behavior).
-                None => true,
-            }
+            live
         });
+        // The pass ran in hash order; what goes on the wire must not
+        // depend on the tables' capacity history.
+        dead.sort_unstable_by_key(|&(vn, eid, _)| (vn, eid));
         let mut out = Outbox::new();
         for (vn, eid, old_rloc) in dead {
             self.publish_withdraw(vn, eid, old_rloc, &mut out);
@@ -490,10 +475,18 @@ mod tests {
         let mut s = server();
         let edge = Rloc::for_router_index(1);
         let border = Rloc::for_router_index(9);
-        s.handle(register(vn(1), eid(1), edge), SimTime::ZERO);
-        s.handle(register(vn(1), eid(2), edge), SimTime::ZERO);
+        // A thousand endpoints in a VN nobody subscribes to, three in
+        // the one somebody does, registered out of order.
+        for i in 0..1000u32 {
+            let host = Eid::V4(Ipv4Addr::from(0x0A01_0000 | i));
+            s.handle(register(vn(2), host, edge), SimTime::ZERO);
+        }
+        for n in [7, 200, 2] {
+            s.handle(register(vn(1), eid(n), edge), SimTime::ZERO);
+        }
 
-        // Subscribe: ack followed by a snapshot of 2 mappings.
+        // Subscribe: the ack, then a snapshot of exactly the subscribed
+        // VN in ascending EID order.
         let out = s.handle(
             Message::Subscribe {
                 nonce: 5,
@@ -502,16 +495,29 @@ mod tests {
             },
             SimTime::ZERO,
         );
-        assert_eq!(out.len(), 3);
-        assert!(out.iter().all(|(to, _)| *to == border));
-        assert!(matches!(out[0].1, Message::SubscribeAck { nonce: 5, .. }));
-        assert!(out[1..].iter().all(|(_, m)| matches!(
-            m,
-            Message::Publish {
+        let snapshot = |n: u8, seq: u64| {
+            let publish = Message::Publish {
+                nonce: seq,
+                vn: vn(1),
+                prefix: EidPrefix::host(eid(n)),
+                rloc: edge,
                 withdraw: false,
-                ..
-            }
-        )));
+            };
+            (border, publish)
+        };
+        let ack = Message::SubscribeAck {
+            nonce: 5,
+            vn: vn(1),
+        };
+        assert_eq!(
+            out,
+            [
+                (border, ack),
+                snapshot(2, 1),
+                snapshot(7, 2),
+                snapshot(200, 3)
+            ]
+        );
 
         // New registration streams one publish.
         let out = s.handle(register(vn(1), eid(3), edge), SimTime::ZERO);

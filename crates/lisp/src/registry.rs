@@ -4,12 +4,37 @@
 //! underlay address, updated by edge routers. Registrations carry a TTL;
 //! expired entries answer as if absent (the registering edge refreshes
 //! them periodically in a live deployment).
+//!
+//! **What it is.** One exact-match hash table per VN, keyed by the host
+//! EID ([`EidKey`]: one folded word into [`KeyHasher`]). Exact match is
+//! complete, not a shortcut: [`MappingDb::register`] takes an [`Eid`] (a
+//! Map-Register carries one), so no covering prefix can enter and the
+//! longest match for an EID is the entry stored under it or nothing. A
+//! request or a register costs one probe whatever the table holds — the
+//! property Fig. 7 shows (delay flat in the number of routes).
+//!
+//! **What it is not.**
+//!
+//! * Not the paper's Patricia trie (§4.1): that is the reference the
+//!   tests hold this to (`tests/reference/registry.rs`) and the
+//!   `fig7_trie_lookup` rows of the `fig7_routing_server` bench. Should
+//!   prefix registrations ever get an API, `MapCache`'s hosts + covers
+//!   split is the precedent.
+//! * Not ordered, except where order reaches the wire:
+//!   [`MappingDb::iter_vn`] (pub/sub snapshots) sorts its VN by EID, so
+//!   a snapshot never depends on a table's capacity history;
+//!   [`MappingDb::iter`] and [`MappingDb::retain`] visit in hash order —
+//!   deterministic (no `RandomState`) but unspecified, so whoever
+//!   publishes from them sorts first.
+//! * Not hardened against crafted keys: the multiply hash has no secret.
+//!   Keys are *inserted* only by Map-Registers from fabric edges for
+//!   onboarded endpoints, rate-bounded by admission; requests only probe.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasherDefault;
 
 use sda_simnet::{SimDuration, SimTime};
-use sda_trie::EidTrie;
-use sda_types::{Eid, EidPrefix, Rloc, VnId};
+use sda_types::{Eid, EidKey, EidPrefix, KeyHasher, Rloc, VnId};
 
 /// One registered mapping.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -50,10 +75,12 @@ pub enum RegisterOutcome {
 /// The per-VN mapping database.
 #[derive(Default)]
 pub struct MappingDb {
-    vns: BTreeMap<VnId, EidTrie<MappingRecord>>,
+    /// A registration is stored in its VN's table and nowhere else. Per
+    /// VN, so a snapshot walks, and a growth rehash moves, one VN's slice.
+    vns: BTreeMap<VnId, HashMap<EidKey, MappingRecord, BuildHasherDefault<KeyHasher>>>,
     version_counter: u64,
     /// Maintained entry count, so [`MappingDb::len`] is O(1) instead of
-    /// a sum over every per-VN trie (the map-server answers `len` on
+    /// a sum over every per-VN table (the map-server answers `len` on
     /// every Fig. 7 sample). Invariant: always equals
     /// [`MappingDb::recount`] (checked by the property tests).
     total: usize,
@@ -65,7 +92,8 @@ impl MappingDb {
         MappingDb::default()
     }
 
-    /// Registers (or refreshes) `eid → rloc` in `vn`.
+    /// Registers (or refreshes) `eid → rloc` in `vn`; a stored key's
+    /// record is overwritten in place (nothing moves or allocates).
     pub fn register(
         &mut self,
         vn: VnId,
@@ -81,9 +109,7 @@ impl MappingDb {
             registered_at: now,
             version: self.version_counter,
         };
-        let trie = self.vns.entry(vn).or_default();
-        let prefix = EidPrefix::host(eid);
-        let prev = trie.insert(prefix, record);
+        let prev = self.vns.entry(vn).or_default().insert(EidKey(eid), record);
         if prev.is_none() {
             self.total += 1;
         }
@@ -97,28 +123,28 @@ impl MappingDb {
 
     /// Removes the registration of `eid` in `vn`.
     pub fn withdraw(&mut self, vn: VnId, eid: Eid) -> Option<MappingRecord> {
-        let removed = self.vns.get_mut(&vn)?.remove(&EidPrefix::host(eid));
+        let removed = self.vns.get_mut(&vn)?.remove(&EidKey(eid));
         if removed.is_some() {
             self.total -= 1;
         }
         removed
     }
 
-    /// Longest-prefix lookup of `eid` in `vn`; expired records answer
-    /// `None` (the §4.2 "route resolution with a negative result").
+    /// The registration of `eid` in `vn`, one probe; expired records
+    /// answer `None` (the §4.2 "route resolution with a negative result").
     pub fn lookup(&self, vn: VnId, eid: Eid, now: SimTime) -> Option<(EidPrefix, MappingRecord)> {
-        let (prefix, rec) = self.vns.get(&vn)?.lookup(&eid)?;
+        let rec = self.vns.get(&vn)?.get(&EidKey(eid))?;
         if rec.expired(now) {
             return None;
         }
-        Some((prefix, *rec))
+        Some((EidPrefix::host(eid), *rec))
     }
 
     /// Live registrations in `vn` at `now`.
     pub fn live_count(&self, vn: VnId, now: SimTime) -> usize {
         self.vns
             .get(&vn)
-            .map(|t| t.iter().filter(|(_, r)| !r.expired(now)).count())
+            .map(|t| t.values().filter(|r| !r.expired(now)).count())
             .unwrap_or(0)
     }
 
@@ -129,11 +155,11 @@ impl MappingDb {
         self.total
     }
 
-    /// Recomputes the entry count from the tries (O(entries)). Exists so
+    /// Recomputes the entry count from the tables (O(VNs)). Exists so
     /// tests can assert the maintained counter never drifts; production
     /// callers should use [`MappingDb::len`].
     pub fn recount(&self) -> usize {
-        self.vns.values().map(EidTrie::len).sum()
+        self.vns.values().map(HashMap::len).sum()
     }
 
     /// True when nothing is registered.
@@ -141,51 +167,62 @@ impl MappingDb {
         self.len() == 0
     }
 
-    /// Iterates all `(vn, prefix, record)` entries.
+    /// Iterates all `(vn, prefix, record)` entries, each VN's in
+    /// **unspecified** (hash) order: its consumers (convergence checkers,
+    /// differential tests) build maps or sort; what goes on the wire
+    /// comes from [`MappingDb::iter_vn`].
     pub fn iter(&self) -> impl Iterator<Item = (VnId, EidPrefix, &MappingRecord)> {
-        self.vns
-            .iter()
-            .flat_map(|(vn, trie)| trie.iter().map(move |(p, r)| (*vn, p, r)))
+        self.vns.iter().flat_map(|(vn, table)| {
+            table
+                .iter()
+                .map(move |(key, r)| (*vn, EidPrefix::host(key.0), r))
+        })
     }
 
-    /// Iterates `(prefix, record)` entries of one VN only — O(that VN),
-    /// not O(database). Pub/sub snapshots walk exactly the subscribed VN
-    /// through this.
+    /// The `(prefix, record)` entries of one VN only — O(that VN), not
+    /// O(database) — in ascending [`Eid`] order (IPv4 < IPv6 < MAC, then
+    /// by address): pub/sub snapshots walk the subscribed VN through
+    /// this, and must not depend on how the table grew.
     pub fn iter_vn(&self, vn: VnId) -> impl Iterator<Item = (EidPrefix, &MappingRecord)> {
-        self.vns.get(&vn).into_iter().flat_map(EidTrie::iter)
+        let mut entries: Vec<_> = self.vns.get(&vn).into_iter().flatten().collect();
+        entries.sort_unstable_by_key(|(key, _)| key.0);
+        entries
+            .into_iter()
+            .map(|(key, r)| (EidPrefix::host(key.0), r))
     }
 
-    /// Keeps only registrations for which `f` returns true, in one
-    /// traversal per VN. Returns how many were removed.
+    /// Keeps only registrations for which `f` returns true, in one pass
+    /// per VN (hash order within a VN — see [`MappingDb::iter`]).
+    /// Returns how many were removed.
     pub fn retain<F: FnMut(VnId, &EidPrefix, &mut MappingRecord) -> bool>(
         &mut self,
         mut f: F,
     ) -> usize {
         let mut removed = 0;
-        for (vn, trie) in self.vns.iter_mut() {
-            removed += trie.retain(|p, r| f(*vn, p, r));
+        for (vn, table) in self.vns.iter_mut() {
+            let before = table.len();
+            table.retain(|key, r| f(*vn, &EidPrefix::host(key.0), r));
+            removed += before - table.len();
         }
         self.total -= removed;
         removed
     }
 
     /// Drops expired registrations, returning how many were purged — a
-    /// single traversal per VN via [`EidTrie::retain`].
+    /// single pass per VN via [`MappingDb::retain`].
     pub fn purge_expired(&mut self, now: SimTime) -> usize {
         self.retain(|_, _, r| !r.expired(now))
     }
 
-    /// Re-lays every per-VN trie arena in DFS preorder (see
-    /// [`sda_trie::PatriciaTrie::compact`]). Call once a registration
-    /// storm (network bring-up) settles so Fig. 7 lookups walk
-    /// nearly-sequential memory.
-    pub fn compact(&mut self) {
-        sda_trie::compact_each(self.vns.values_mut());
-    }
-
-    /// Aggregated trie-arena diagnostics across all VNs.
+    /// Memory diagnostics in the shape the trie-backed stores report:
+    /// `capacity_bytes` is what the tables have reserved (a lower bound,
+    /// [`sda_types::hash::reserved_bytes`]); a hash table has no nodes or
+    /// stride tables to count, so those fields stay zero.
     pub fn mem_stats(&self) -> sda_trie::MemStats {
-        sda_trie::merged_mem_stats(self.vns.values())
+        sda_trie::MemStats {
+            capacity_bytes: self.vns.values().map(sda_types::hash::reserved_bytes).sum(),
+            ..Default::default()
+        }
     }
 }
 
@@ -302,15 +339,13 @@ mod tests {
     }
 
     #[test]
-    fn refresh_and_move_registers_keep_stride_tables() {
+    fn refresh_and_move_registers_move_nothing() {
         let mut db = MappingDb::new();
         let (r1, r2) = (Rloc::for_router_index(1), Rloc::for_router_index(2));
         for n in 0..=255 {
             db.register(vn(1), eid(n), r1, TTL, SimTime::ZERO);
         }
-        db.compact();
         let layout = db.mem_stats();
-        assert!(layout.stride_tables >= 1, "the dense /24 promotes");
         let later = SimTime::ZERO + SimDuration::from_secs(10);
         for n in 0..=255 {
             // Even hosts refresh, odd hosts move.

@@ -34,5 +34,5 @@ pub mod map;
 pub mod trie;
 
 pub use bits::BitStr;
-pub use map::{compact_each, merged_mem_stats, EidTrie};
+pub use map::EidTrie;
 pub use trie::{MemStats, PatriciaTrie};

@@ -39,26 +39,6 @@ fn prefix_from_parts(kind: EidKind, key: &BitStr) -> EidPrefix {
     }
 }
 
-/// Compacts every trie of a keyed collection (the shared body of the
-/// per-VN bulk-load hooks: map-cache, mapping DB).
-pub fn compact_each<'a, V: 'a>(tries: impl IntoIterator<Item = &'a mut EidTrie<V>>) {
-    for trie in tries {
-        trie.compact();
-    }
-}
-
-/// Aggregates [`EidTrie::mem_stats`] across a keyed collection (counts
-/// add, depth histograms add element-wise).
-pub fn merged_mem_stats<'a, V: 'a>(
-    tries: impl IntoIterator<Item = &'a EidTrie<V>>,
-) -> crate::trie::MemStats {
-    let mut stats = crate::trie::MemStats::default();
-    for trie in tries {
-        stats.merge(&trie.mem_stats());
-    }
-    stats
-}
-
 /// A map from [`EidPrefix`] to `V` with longest-prefix lookup by [`Eid`].
 #[derive(Clone)]
 pub struct EidTrie<V> {

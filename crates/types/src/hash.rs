@@ -2,7 +2,9 @@
 //! accounting.
 
 use std::collections::HashMap;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
+
+use crate::Eid;
 
 /// One widening multiply, high half folded onto the low half: hashbrown
 /// indexes with the low bits and tags with the top seven, and the fold
@@ -31,6 +33,28 @@ impl Hasher for KeyHasher {
 
     fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+/// `eid` in one word, for keys of tables hashed with [`KeyHasher`]: the
+/// two halves of [`Eid::key_bits`] folded together with the family in
+/// bits 24–25 (bits 0–23 stay free for a table that keys by VN as well).
+/// An IPv4 key folds without overlap; MAC and IPv6 bits overlap the tag,
+/// which only costs collisions.
+#[inline]
+pub fn fold_eid(eid: &Eid) -> u64 {
+    let bits = eid.key_bits();
+    (bits >> 64) as u64 ^ bits as u64 ^ (eid.kind() as u64) << 24
+}
+
+/// A host [`Eid`] as the key of an exact-match table. `Eq` compares the
+/// whole EID; `Hash` hands [`KeyHasher`] one word, [`fold_eid`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct EidKey(pub Eid);
+
+impl Hash for EidKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(fold_eid(&self.0));
     }
 }
 

@@ -27,6 +27,6 @@ pub mod prefix;
 
 pub use eid::{Eid, EidKind, MacAddr, Rloc};
 pub use error::{Error, Result};
-pub use hash::KeyHasher;
+pub use hash::{EidKey, KeyHasher};
 pub use ids::{EndpointId, GroupId, InstanceId, PortId, RouterId, VnId};
 pub use prefix::{EidPrefix, Ipv4Prefix, Ipv6Prefix, MacPrefix};

@@ -210,8 +210,8 @@ impl fmt::Display for MacPrefix {
 
 /// A prefix over any EID family.
 ///
-/// This is the key type of the routing server's per-VN Patricia tries and
-/// of the edge routers' VRF tables.
+/// This is the key type of `sda-trie`'s `EidTrie` (map-cache covering
+/// prefixes, the BGP RIB) and what Map-Replies and Publishes carry.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum EidPrefix {
     /// IPv4 CIDR prefix.
