@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use sda_dataplane::{DropReason, PacketBuf, Punt, Switch, SwitchConfig, Verdict};
-use sda_simnet::{Context, FaultEvent, Node, NodeId, SimDuration, SimTime};
+use sda_simnet::{Context, CounterId, FaultEvent, Node, NodeId, SimDuration, SimTime};
 use sda_types::{EidKind, EidPrefix, Ipv4Prefix, Rloc, VnId};
 use sda_wire::lisp::{BusyClass, Message as Lisp};
 
@@ -89,9 +89,9 @@ struct PendingSubscribe {
 /// The border router node.
 pub struct BorderRouter {
     name: String,
-    /// `acl.drops.<name>`, built once: a policy drop must not cost a
-    /// `String` per packet.
-    acl_drops_key: String,
+    /// `acl.drops.<name>`, once resolved (see
+    /// [`crate::edge::bump_acl_drops`]).
+    acl_drops: Option<CounterId>,
     rloc: Rloc,
     dir: Rc<Directory>,
     /// The data plane: synced overlay table (map-cache), directly
@@ -131,7 +131,7 @@ impl BorderRouter {
         crate::edge::install_dst_hints(&mut switch, &dir);
         let name = name.into();
         BorderRouter {
-            acl_drops_key: format!("acl.drops.{name}"),
+            acl_drops: None,
             name,
             rloc,
             dir,
@@ -237,7 +237,8 @@ impl BorderRouter {
             return;
         }
         self.stats.resyncs_requested += 1;
-        ctx.metrics().incr("border.resyncs_requested");
+        ctx.metrics()
+            .bump(self.dir.counters.border_resyncs_requested);
         self.subscribe_vn(ctx, vn);
     }
 
@@ -335,7 +336,8 @@ impl BorderRouter {
                 st.next_retry = now + delay;
                 st.prev_delay = delay;
             }
-            ctx.metrics().incr("border.subscribe_retries");
+            ctx.metrics()
+                .bump(self.dir.counters.border_subscribe_retries);
             ctx.send(
                 self.dir.routing_server,
                 FabricMsg::Control(Lisp::Subscribe {
@@ -364,7 +366,7 @@ impl BorderRouter {
         match verdict {
             Verdict::Deliver { .. } => {
                 self.stats.delivered += 1;
-                ctx.metrics().incr("fabric.delivered");
+                ctx.metrics().bump(self.dir.counters.delivered);
                 if let Some(d) = pipeline::parse_delivered_frame(self.buf.bytes()) {
                     if d.track {
                         let name = format!("deliver.{}", d.dst);
@@ -382,21 +384,21 @@ impl BorderRouter {
             }
             Verdict::DeliverExternal => {
                 self.stats.external += 1;
-                ctx.metrics().incr("fabric.external_delivered");
+                ctx.metrics().bump(self.dir.counters.external_delivered);
             }
             Verdict::Drop(DropReason::Policy) => {
                 self.stats.policy_drops += 1;
-                ctx.metrics().incr(&self.acl_drops_key);
+                crate::edge::bump_acl_drops(&mut self.acl_drops, &self.name, ctx.metrics());
             }
             Verdict::Drop(DropReason::TtlExpired) => {
-                ctx.metrics().incr("fabric.hop_exhausted");
+                ctx.metrics().bump(self.dir.counters.hop_exhausted);
             }
             Verdict::Drop(DropReason::NoRoute) => {
                 self.stats.unroutable += 1;
-                ctx.metrics().incr("fabric.unroutable");
+                ctx.metrics().bump(self.dir.counters.unroutable);
             }
             Verdict::Drop(_) => {
-                ctx.metrics().incr("fabric.unroutable");
+                ctx.metrics().bump(self.dir.counters.unroutable);
                 self.stats.unroutable += 1;
             }
         }
@@ -437,10 +439,11 @@ impl BorderRouter {
                 let mut desynced = false;
                 if last != 0 && nonce > last + 1 {
                     self.stats.publish_gaps += 1;
-                    ctx.metrics().incr("border.publish_gaps");
+                    ctx.metrics().bump(self.dir.counters.border_publish_gaps);
                     desynced = true;
                 } else if nonce < last {
-                    ctx.metrics().incr("border.publish_regressions");
+                    ctx.metrics()
+                        .bump(self.dir.counters.border_publish_regressions);
                     desynced = true;
                 }
                 self.last_pub_seq.insert(vn, last.max(nonce));
@@ -451,7 +454,7 @@ impl BorderRouter {
                     self.switch
                         .install_mapping(vn, EidPrefix::host(eid), rloc, SYNC_TTL, now);
                 }
-                ctx.metrics().incr("border.publishes");
+                ctx.metrics().bump(self.dir.counters.border_publishes);
                 if desynced {
                     self.request_resync(ctx, vn);
                 }
@@ -466,7 +469,8 @@ impl BorderRouter {
                     self.last_pub_seq.insert(vn, 0);
                     if !first {
                         self.stats.resyncs_completed += 1;
-                        ctx.metrics().incr("border.resyncs_completed");
+                        ctx.metrics()
+                            .bump(self.dir.counters.border_resyncs_completed);
                     }
                 }
             }
@@ -490,7 +494,7 @@ impl BorderRouter {
                     st.next_retry = now + hold;
                     st.prev_delay = hold;
                     self.stats.server_busy_backoffs += 1;
-                    ctx.metrics().incr("fabric.server_busy_backoffs");
+                    ctx.metrics().bump(self.dir.counters.server_busy_backoffs);
                 }
                 self.arm_retry(ctx);
             }
@@ -625,7 +629,7 @@ impl Node<FabricMsg> for BorderRouter {
             }
             FaultEvent::Restart => {
                 self.failed = false;
-                ctx.metrics().incr("fabric.border_restarts");
+                ctx.metrics().bump(self.dir.counters.border_restarts);
                 // The synced overlay slice is volatile; external routes,
                 // ACL and sinks are config. Drop every VN's slice and
                 // resubscribe from scratch.

@@ -36,7 +36,7 @@ pub type ExpectedPlacement = BTreeMap<(VnId, Eid), Rloc>;
 
 /// What [`check_convergence`] found. All-zero means the fabric reached
 /// the expected fixed point.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ConvergenceReport {
     /// Map-Requests still in flight across all edges.
     pub stuck_resolving: usize,
@@ -78,39 +78,47 @@ impl ConvergenceReport {
 pub fn check_convergence(fabric: &Fabric, expected: &ExpectedPlacement) -> ConvergenceReport {
     let mut report = ConvergenceReport::default();
 
-    // Ground truth first: the server database.
-    let mut db: BTreeMap<(VnId, Eid), Rloc> = BTreeMap::new();
-    for (vn, prefix, record) in fabric.routing_server().server().iter_db() {
-        if let Some(eid) = prefix.as_host() {
-            db.insert((vn, eid), record.rloc);
+    // Ground truth first: the server database, sorted once so borders
+    // can be compared against it by binary search. Campaigns call this
+    // every simulated second; nothing here builds a map.
+    let mut db: Vec<((VnId, Eid), Rloc)> = fabric
+        .routing_server()
+        .server()
+        .iter_db()
+        .filter_map(|(vn, prefix, record)| Some(((vn, prefix.as_host()?), record.rloc)))
+        .collect();
+    db.sort_unstable_by_key(|&(key, _)| key);
+    let mut expected_found = 0;
+    for (key, got) in &db {
+        match expected.get(key) {
+            None => report.db_extra += 1,
+            Some(want) => {
+                expected_found += 1;
+                if got != want {
+                    report.db_wrong_rloc += 1;
+                }
+            }
         }
     }
-    for (key, want) in expected {
-        match db.get(key) {
-            None => report.db_missing += 1,
-            Some(got) if got != want => report.db_wrong_rloc += 1,
-            Some(_) => {}
-        }
-    }
-    report.db_extra = db.keys().filter(|k| !expected.contains_key(*k)).count();
+    report.db_missing = expected.len() - expected_found;
 
-    // Borders: synced slice vs database, both directions.
+    // Borders: synced slice vs database, both directions — a database
+    // row the border lacks or maps elsewhere, plus rows only it has.
     for b in 0..fabric.border_count() {
         let border = fabric.border(BorderHandle(b));
         report.stuck_subscribes += border.pending_subscribe_len();
-        let mut view: BTreeMap<(VnId, Eid), Rloc> = BTreeMap::new();
+        let (mut same, mut extra) = (0, 0);
         for (vn, prefix, rloc, _) in border.switch().map_cache().iter() {
-            if let Some(eid) = prefix.as_host() {
-                view.insert((vn, eid), rloc);
+            let Some(eid) = prefix.as_host() else {
+                continue;
+            };
+            match db.binary_search_by_key(&(vn, eid), |&(key, _)| key) {
+                Ok(row) if db[row].1 == rloc => same += 1,
+                Ok(_) => {}
+                Err(_) => extra += 1,
             }
         }
-        for (key, want) in &db {
-            match view.get(key) {
-                Some(got) if got == want => {}
-                _ => report.border_diffs += 1,
-            }
-        }
-        report.border_diffs += view.keys().filter(|k| !db.contains_key(*k)).count();
+        report.border_diffs += db.len() - same + extra;
     }
 
     // Edges: no stuck control state, no cache entry contradicting the

@@ -17,7 +17,7 @@ use crate::dhcp::DhcpPool;
 use crate::edge::{underlay_id, EdgeRouter};
 use crate::msg::{EndpointIdentity, FabricMsg, HostEvent};
 use crate::pipeline::EnforcementPoint;
-use crate::servers::{Directory, PolicyServerNode, RoutingServerNode};
+use crate::servers::{Directory, FabricCounters, PolicyServerNode, RoutingServerNode};
 use sda_dataplane::LocalEndpoint;
 
 /// Fabric-wide behavior knobs, shared read-only by every node.
@@ -360,6 +360,7 @@ impl FabricBuilder {
             policy_server: policy_id,
             border_rloc: Self::border_rloc(0),
             params: self.config.clone(),
+            counters: FabricCounters::resolve(sim.metrics_mut()),
         });
 
         let got_policy = sim.add_node(Box::new(PolicyServerNode::new(self.policy, dir.clone())));

@@ -32,7 +32,7 @@ use std::rc::Rc;
 
 use sda_dataplane::{PacketBuf, Punt, Switch, SwitchConfig, SwitchStats, Verdict};
 use sda_lisp::SmrTracker;
-use sda_simnet::{Context, FaultEvent, Node, NodeId, SimDuration, SimTime};
+use sda_simnet::{Context, CounterId, FaultEvent, Metrics, Node, NodeId, SimDuration, SimTime};
 use sda_types::{Eid, EidKind, GroupId, MacAddr, PortId, Rloc, VnId};
 use sda_underlay::{LinkStateRouter, ReachabilityEvent, ReachabilityTracker};
 use sda_wire::lisp::{BusyClass, Message as Lisp};
@@ -139,9 +139,8 @@ pub struct EdgeStats {
 pub struct EdgeRouter {
     /// Human-readable name used as a metrics prefix (`edgeA1` etc.).
     name: String,
-    /// `acl.drops.<name>`, built once: a policy drop must not cost a
-    /// `String` per packet.
-    acl_drops_key: String,
+    /// `acl.drops.<name>`, once resolved (see [`bump_acl_drops`]).
+    acl_drops: Option<CounterId>,
     rloc: Rloc,
     dir: Rc<Directory>,
     /// This node's data plane: VRF, map-cache and ACL live inside.
@@ -211,7 +210,7 @@ impl EdgeRouter {
         install_dst_hints(&mut switch, &dir);
         let name = name.into();
         EdgeRouter {
-            acl_drops_key: format!("acl.drops.{name}"),
+            acl_drops: None,
             name,
             rloc,
             dir,
@@ -482,7 +481,7 @@ impl EdgeRouter {
         if let Some(&until) = self.unresolvable.get(&(vn, eid)) {
             if until > ctx.now() {
                 self.stats.negative_cache_hits += 1;
-                ctx.metrics().incr("fabric.negative_cache_hits");
+                ctx.metrics().bump(self.dir.counters.negative_cache_hits);
                 return;
             }
             self.unresolvable.remove(&(vn, eid));
@@ -498,7 +497,7 @@ impl EdgeRouter {
             {
                 self.resolving.remove(&oldest);
                 self.stats.resolve_evictions += 1;
-                ctx.metrics().incr("fabric.resolve_evictions");
+                ctx.metrics().bump(self.dir.counters.resolve_evictions);
             }
         }
         let prev_delay = self.initial_retry_delay();
@@ -514,7 +513,7 @@ impl EdgeRouter {
         self.resolving_peak = self.resolving_peak.max(self.resolving.len());
         let nonce = self.nonce();
         self.stats.map_requests += 1;
-        ctx.metrics().incr("fabric.map_requests");
+        ctx.metrics().bump(self.dir.counters.map_requests);
         ctx.send(
             self.dir.routing_server,
             FabricMsg::Control(Lisp::MapRequest {
@@ -549,7 +548,7 @@ impl EdgeRouter {
             if attempts >= max_attempts {
                 self.resolving.remove(&key);
                 self.stats.resolve_timeouts += 1;
-                ctx.metrics().incr("fabric.resolve_timeouts");
+                ctx.metrics().bump(self.dir.counters.resolve_timeouts);
                 // The server never answered across the whole attempt
                 // budget: negative-cache the EID so fresh punts don't
                 // immediately restart the same doomed resolution.
@@ -577,10 +576,10 @@ impl EdgeRouter {
             }
             if self.dir.params.rtx_jitter {
                 self.stats.jittered_retries += 1;
-                ctx.metrics().incr("fabric.jittered_retries");
+                ctx.metrics().bump(self.dir.counters.jittered_retries);
             }
             self.stats.map_request_retries += 1;
-            ctx.metrics().incr("fabric.map_request_retries");
+            ctx.metrics().bump(self.dir.counters.map_request_retries);
             let nonce = self.nonce();
             let (vn, eid) = key;
             ctx.send(
@@ -610,7 +609,7 @@ impl EdgeRouter {
             if attempts >= max_attempts {
                 // Give up for now; the periodic refresh re-registers.
                 self.pending_registers.remove(&nonce);
-                ctx.metrics().incr("fabric.register_timeouts");
+                ctx.metrics().bump(self.dir.counters.register_timeouts);
                 continue;
             }
             let delay = self.retry_delay(attempts + 1, prev);
@@ -621,10 +620,10 @@ impl EdgeRouter {
             }
             if self.dir.params.rtx_jitter {
                 self.stats.jittered_retries += 1;
-                ctx.metrics().incr("fabric.jittered_retries");
+                ctx.metrics().bump(self.dir.counters.jittered_retries);
             }
             self.stats.register_retries += 1;
-            ctx.metrics().incr("fabric.register_retries");
+            ctx.metrics().bump(self.dir.counters.register_retries);
             ctx.send(
                 self.dir.routing_server,
                 FabricMsg::Control(Lisp::MapRegister {
@@ -676,7 +675,7 @@ impl EdgeRouter {
                 {
                     self.pending_registers.remove(&oldest);
                     self.stats.register_evictions += 1;
-                    ctx.metrics().incr("fabric.register_evictions");
+                    ctx.metrics().bump(self.dir.counters.register_evictions);
                 }
             }
             let nonce = self.nonce();
@@ -813,7 +812,7 @@ impl EdgeRouter {
             track,
         ) {
             // No byte form (IPv6 EID) — documented simplification.
-            ctx.metrics().incr("fabric.unencodable_sends");
+            ctx.metrics().bump(self.dir.counters.unencodable_sends);
             return;
         }
         assert!(self.buf.load(&self.frame_scratch));
@@ -832,7 +831,7 @@ impl EdgeRouter {
                     self.stats.default_routed += 1;
                 }
                 ctx.metrics()
-                    .add("fabric.overlay_bytes", u64::from(payload_len));
+                    .bump_by(self.dir.counters.overlay_bytes, u64::from(payload_len));
                 let node = self.node_of(to);
                 ctx.send(node, FabricMsg::Data(self.buf.bytes().to_vec()));
             }
@@ -843,7 +842,7 @@ impl EdgeRouter {
                 // Ablation: no border sync — the first packets of a
                 // flow are lost while the resolution completes.
                 self.stats.first_packet_drops += 1;
-                ctx.metrics().incr("fabric.first_packet_drops");
+                ctx.metrics().bump(self.dir.counters.first_packet_drops);
             }
             Verdict::Drop(_) => {
                 self.stats.unknown_source += 1;
@@ -869,7 +868,7 @@ impl EdgeRouter {
         if let Some(ep) = self.switch.tables().vrf().lookup(vn, Eid::V4(target_ip)) {
             let _ = ep;
             self.stats.arp_converted += 1;
-            ctx.metrics().incr("fabric.arp_local_answers");
+            ctx.metrics().bump(self.dir.counters.arp_local_answers);
             return;
         }
         // §3.5: the L2 gateway absorbs the broadcast and asks the
@@ -896,7 +895,7 @@ impl EdgeRouter {
             return;
         };
         let Some(mac) = mac else {
-            ctx.metrics().incr("fabric.arp_unresolved");
+            ctx.metrics().bump(self.dir.counters.arp_unresolved);
             return;
         };
         // Broadcast became unicast: forward the (now unicast) ARP
@@ -904,7 +903,7 @@ impl EdgeRouter {
         // owning edge delivers it and the target replies over the same
         // machinery. Delivery itself reuses the normal send path.
         self.stats.arp_converted += 1;
-        ctx.metrics().incr("fabric.arp_converted");
+        ctx.metrics().bump(self.dir.counters.arp_converted);
         self.handle_endpoint_send(ctx, requester, Eid::Mac(mac), 28, 0, false);
     }
 
@@ -930,12 +929,12 @@ impl EdgeRouter {
             }
             Verdict::Drop(sda_dataplane::DropReason::Policy) => {
                 self.stats.policy_drops += 1;
-                ctx.metrics().incr(&self.acl_drops_key);
+                bump_acl_drops(&mut self.acl_drops, &self.name, ctx.metrics());
             }
             Verdict::Drop(sda_dataplane::DropReason::TtlExpired) => {
                 // §5.2: the hop budget damped a transient loop.
                 self.stats.hop_exhausted += 1;
-                ctx.metrics().incr("fabric.hop_exhausted");
+                ctx.metrics().bump(self.dir.counters.hop_exhausted);
             }
             Verdict::Forward { to } => {
                 if was_default_route(&before, &self.switch.stats()) {
@@ -978,7 +977,7 @@ impl EdgeRouter {
                         && self.smr.should_send(vn, eid, to, now)
                     {
                         self.stats.smrs_sent += 1;
-                        ctx.metrics().incr("fabric.smrs");
+                        ctx.metrics().bump(self.dir.counters.smrs);
                         let nonce = self.nonce();
                         let node = self.node_of(to);
                         ctx.send(
@@ -1001,7 +1000,7 @@ impl EdgeRouter {
     /// Records a delivery the switch just made (the delivered frame is
     /// still in `self.buf`, carrying the measurement meta).
     fn record_delivery(&mut self, ctx: &mut Context<'_, FabricMsg>) {
-        ctx.metrics().incr("fabric.delivered");
+        ctx.metrics().bump(self.dir.counters.delivered);
         if let Some(d) = pipeline::parse_delivered_frame(self.buf.bytes()) {
             if d.track {
                 let name = format!("deliver.{}", d.dst);
@@ -1090,7 +1089,7 @@ impl EdgeRouter {
                             st.next_retry = now + hold;
                             st.prev_delay = hold;
                             self.stats.server_busy_backoffs += 1;
-                            ctx.metrics().incr("fabric.server_busy_backoffs");
+                            ctx.metrics().bump(self.dir.counters.server_busy_backoffs);
                         }
                     }
                     BusyClass::Register => {
@@ -1098,7 +1097,7 @@ impl EdgeRouter {
                             st.next_retry = now + hold;
                             st.prev_delay = hold;
                             self.stats.server_busy_backoffs += 1;
-                            ctx.metrics().incr("fabric.server_busy_backoffs");
+                            ctx.metrics().bump(self.dir.counters.server_busy_backoffs);
                         }
                     }
                     // Subscribe churn is border business; an edge should
@@ -1146,7 +1145,7 @@ impl EdgeRouter {
             }
             PolicyMsg::AuthReject { txn, .. } => {
                 self.pending_auth.remove(&txn);
-                ctx.metrics().incr("fabric.auth_rejects");
+                ctx.metrics().bump(self.dir.counters.auth_rejects);
             }
             PolicyMsg::RuleRefresh { rules } => {
                 self.switch.replace_rules(&rules);
@@ -1206,7 +1205,7 @@ impl EdgeRouter {
                 // falls back to the border default route.
                 let purged = self.switch.purge_rloc(rloc_of_underlay(router));
                 ctx.metrics()
-                    .add("fabric.reachability_purges", purged as u64);
+                    .bump_by(self.dir.counters.reachability_purges, purged as u64);
             }
         }
     }
@@ -1228,6 +1227,15 @@ pub(crate) fn install_dst_hints(switch: &mut Switch, dir: &Directory) {
             switch.install_dst_hint(vn, eid, group);
         }
     }
+}
+
+/// Counts a policy drop under `acl.drops.<name>`. The per-node name is
+/// resolved into `slot` by the node's first drop, so the ones after it
+/// cost neither a `String` nor a name hash (and building a fabric
+/// registers nothing for nodes that never drop).
+pub(crate) fn bump_acl_drops(slot: &mut Option<CounterId>, name: &str, metrics: &mut Metrics) {
+    let id = *slot.get_or_insert_with(|| metrics.counter_id(&format!("acl.drops.{name}")));
+    metrics.bump(id);
 }
 
 /// Splitmix64 of the RLOC address: a well-mixed, per-node-deterministic
@@ -1255,7 +1263,7 @@ pub(crate) fn rloc_of_underlay(id: sda_types::RouterId) -> Rloc {
 impl Node<FabricMsg> for EdgeRouter {
     fn on_message(&mut self, ctx: &mut Context<'_, FabricMsg>, from: NodeId, msg: FabricMsg) {
         if self.failed {
-            ctx.metrics().incr("fabric.dropped_by_failed_edge");
+            ctx.metrics().bump(self.dir.counters.dropped_by_failed_edge);
             return;
         }
         match msg {
@@ -1307,7 +1315,8 @@ impl Node<FabricMsg> for EdgeRouter {
                 let evicted = self
                     .switch
                     .evict_expired(ctx.now(), self.dir.params.idle_timeout);
-                ctx.metrics().add("fabric.cache_evictions", evicted as u64);
+                ctx.metrics()
+                    .bump_by(self.dir.counters.cache_evictions, evicted as u64);
                 ctx.set_timer(self.dir.params.eviction_interval, TIMER_EVICT);
             }
             TIMER_FIB_SAMPLE => {
@@ -1350,7 +1359,7 @@ impl Node<FabricMsg> for EdgeRouter {
             FaultEvent::Restart => {
                 self.failed = false;
                 self.reboot();
-                ctx.metrics().incr("fabric.edge_restarts");
+                ctx.metrics().bump(self.dir.counters.edge_restarts);
                 // §5.2 recovery: the endpoint inventory (port config +
                 // cached auth) survives the reboot — re-attach it, then
                 // re-register every endpoint and re-fetch the group

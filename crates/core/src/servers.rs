@@ -23,7 +23,7 @@ use rand::Rng;
 use sda_ctrl::{Disposition, PartitionedMapServer};
 use sda_lisp::MapServer;
 use sda_policy::PolicyServer;
-use sda_simnet::{Context, FaultEvent, Node, NodeId, SimDuration};
+use sda_simnet::{Context, CounterId, FaultEvent, Metrics, Node, NodeId, SimDuration};
 use sda_types::{MacAddr, Rloc, VnId};
 
 use crate::msg::{ArpMsg, FabricMsg, PolicyMsg};
@@ -43,6 +43,77 @@ pub struct Directory {
     pub border_rloc: Rloc,
     /// Fabric behavior knobs.
     pub params: crate::controller::FabricConfig,
+    /// Handles of the counters fabric nodes bump on their event paths.
+    pub(crate) counters: FabricCounters,
+}
+
+/// Declares [`FabricCounters`]: one handle per counter name, the two
+/// side by side so a field cannot drift from the name it stands for.
+macro_rules! fabric_counters {
+    ($($field:ident => $name:literal,)*) => {
+        /// The fabric's counter names, resolved once against the
+        /// simulator's [`Metrics`] when the fabric is built: a node
+        /// bumps `dir.counters.<field>` — an indexed add — instead of
+        /// hashing the name on every event. Readers still go by name.
+        #[derive(Debug)]
+        pub(crate) struct FabricCounters {
+            $(pub(crate) $field: CounterId,)*
+        }
+
+        impl FabricCounters {
+            pub(crate) fn resolve(metrics: &mut Metrics) -> Self {
+                FabricCounters {
+                    $($field: metrics.counter_id($name),)*
+                }
+            }
+        }
+    };
+}
+
+fabric_counters! {
+    // Edge and border data path.
+    delivered => "fabric.delivered",
+    external_delivered => "fabric.external_delivered",
+    overlay_bytes => "fabric.overlay_bytes",
+    unroutable => "fabric.unroutable",
+    hop_exhausted => "fabric.hop_exhausted",
+    first_packet_drops => "fabric.first_packet_drops",
+    unencodable_sends => "fabric.unencodable_sends",
+    dropped_by_failed_edge => "fabric.dropped_by_failed_edge",
+    smrs => "fabric.smrs",
+    arp_local_answers => "fabric.arp_local_answers",
+    arp_unresolved => "fabric.arp_unresolved",
+    arp_converted => "fabric.arp_converted",
+    // Edge control plane: resolution, registration, housekeeping.
+    map_requests => "fabric.map_requests",
+    map_request_retries => "fabric.map_request_retries",
+    resolve_timeouts => "fabric.resolve_timeouts",
+    resolve_evictions => "fabric.resolve_evictions",
+    negative_cache_hits => "fabric.negative_cache_hits",
+    register_retries => "fabric.register_retries",
+    register_timeouts => "fabric.register_timeouts",
+    register_evictions => "fabric.register_evictions",
+    jittered_retries => "fabric.jittered_retries",
+    server_busy_backoffs => "fabric.server_busy_backoffs",
+    auth_rejects => "fabric.auth_rejects",
+    cache_evictions => "fabric.cache_evictions",
+    reachability_purges => "fabric.reachability_purges",
+    edge_restarts => "fabric.edge_restarts",
+    // Border pub/sub.
+    border_restarts => "fabric.border_restarts",
+    border_publishes => "border.publishes",
+    border_publish_gaps => "border.publish_gaps",
+    border_publish_regressions => "border.publish_regressions",
+    border_resyncs_requested => "border.resyncs_requested",
+    border_resyncs_completed => "border.resyncs_completed",
+    border_subscribe_retries => "border.subscribe_retries",
+    // Servers.
+    ctrl_server_restarts => "ctrl.server_restarts",
+    ctrl_shed_replies => "ctrl.shed_replies",
+    ctrl_shard_drops => "ctrl.shard_drops",
+    routing_server_arp_queries => "routing_server.arp_queries",
+    policy_auth_accepts => "policy.auth_accepts",
+    policy_auth_rejects => "policy.auth_rejects",
 }
 
 impl Directory {
@@ -146,7 +217,7 @@ impl Node<FabricMsg> for RoutingServerNode {
                 // it survives the reboot (with fresh full buckets).
                 self.server.set_admission(admission);
                 self.arp_db.clear();
-                ctx.metrics().incr("ctrl.server_restarts");
+                ctx.metrics().bump(self.dir.counters.ctrl_server_restarts);
             }
             // Shard-scoped faults: the node stays up; the partitioned
             // server tracks which slice is dark.
@@ -188,11 +259,11 @@ impl Node<FabricMsg> for RoutingServerNode {
                     }
                     Disposition::Shed => {
                         ctx.busy(SHED_SERVICE);
-                        ctx.metrics().incr("ctrl.shed_replies");
+                        ctx.metrics().bump(self.dir.counters.ctrl_shed_replies);
                     }
                     Disposition::ShardDown => {
                         ctx.busy(SHED_SERVICE);
-                        ctx.metrics().incr("ctrl.shard_drops");
+                        ctx.metrics().bump(self.dir.counters.ctrl_shard_drops);
                     }
                 }
                 self.transmit(ctx, out);
@@ -207,7 +278,8 @@ impl Node<FabricMsg> for RoutingServerNode {
                     self.dir.node_of(reply_to),
                     FabricMsg::Arp(ArpMsg::Answer { vn, ip, mac }),
                 );
-                ctx.metrics().incr("routing_server.arp_queries");
+                ctx.metrics()
+                    .bump(self.dir.counters.routing_server_arp_queries);
             }
             other => {
                 debug_assert!(
@@ -269,7 +341,7 @@ impl Node<FabricMsg> for PolicyServerNode {
                         let jitter = service_jitter(ctx.rng());
                         let base = AUTH_SERVICE.saturating_mul(u64::from(grant.auth_round_trips));
                         ctx.busy(SimDuration::from_secs_f64(base.as_secs_f64() * jitter));
-                        ctx.metrics().incr("policy.auth_accepts");
+                        ctx.metrics().bump(self.dir.counters.policy_auth_accepts);
                         // §5.3: with egress enforcement the edge gets the
                         // rules *toward* the endpoint's group; with
                         // ingress enforcement (ablation) it needs every
@@ -296,7 +368,7 @@ impl Node<FabricMsg> for PolicyServerNode {
                     }
                     None => {
                         ctx.busy(AUTH_SERVICE);
-                        ctx.metrics().incr("policy.auth_rejects");
+                        ctx.metrics().bump(self.dir.counters.policy_auth_rejects);
                         ctx.send(from, FabricMsg::Policy(PolicyMsg::AuthReject { txn, mac }));
                     }
                 }

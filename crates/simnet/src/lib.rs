@@ -6,10 +6,24 @@
 //!
 //! Design:
 //!
-//! * **Single-threaded, seeded, deterministic.** The event queue orders by
-//!   `(time, sequence)`; ties break by insertion order, and all randomness
-//!   flows from one [`rand::rngs::SmallRng`] seeded per scenario, so a run
-//!   is a pure function of `(scenario, seed)`.
+//! * **Single-threaded, seeded, deterministic.** Events fire in one
+//!   total order, `(time, sequence)`: ties break by insertion order, and
+//!   all randomness flows from one [`rand::rngs::SmallRng`] seeded per
+//!   scenario, so a run is a pure function of `(scenario, seed)`. The
+//!   queue behind that order is two containers. What nodes create as
+//!   they run (sends, timers, wakes) sits in a binary heap. What a
+//!   driver schedules from outside ([`Simulator::inject_at`],
+//!   [`Simulator::arm_timer_at`], [`Simulator::inject_fault_at`]) *in
+//!   nondecreasing time order* sits in a FIFO beside it — an injection
+//!   earlier than the FIFO's tail falls back to the heap — and the next
+//!   event is the smaller of the two fronts. Both draw `sequence` from
+//!   one counter, so which container holds an event never changes when
+//!   it fires; the FIFO only keeps a schedule injected hours ahead out
+//!   of the way of deliveries due in microseconds, which would
+//!   otherwise sift past it on every push and pop. It is **not** a
+//!   calendar queue: no buckets, no width to tune, no knob at all — the
+//!   choice is a property the simulator observes in its input — and
+//!   same-instant events are never reordered.
 //! * **Poll-free node model.** Nodes implement [`Node`] and react to
 //!   delivered messages and timers; they emit new messages through the
 //!   [`Context`] handed to every callback (the smoltcp-style "state
@@ -138,6 +152,6 @@ pub mod sim;
 pub mod time;
 
 pub use fault::{Fault, FaultEvent, FaultPlan};
-pub use metrics::{Metrics, Summary};
+pub use metrics::{CounterId, Metrics, Summary};
 pub use sim::{Context, Node, NodeId, Simulator};
 pub use time::{SimDuration, SimTime};

@@ -9,20 +9,72 @@
 //! [`Metrics`] stores all three by name; [`Summary`] computes the boxplot
 //! statistics the paper plots (median, quartiles, 95% whiskers) and the
 //! CDF used in Fig. 11.
+//!
+//! ## Counters: one store, two doors
+//!
+//! A counter is a slot in one flat array; its name maps to the slot.
+//!
+//! * **By handle** — [`Metrics::counter_id`] resolves a name once
+//!   (register-or-get) and [`Metrics::bump`] / [`Metrics::bump_by`] add
+//!   to the slot: an indexed add, no hash. For code that runs per
+//!   simulated event and knows its names when it is built — the
+//!   simulator's own `simnet.*` counters, the fabric nodes' `fabric.*`.
+//! * **By name** — [`Metrics::incr`] / [`Metrics::add`] hash the name on
+//!   every call and land on the same slot. For names built at run time
+//!   (`format!("{prefix}.flows")`), one-off sites, tests; and
+//!   [`Metrics::counter`] is how everything *reads*.
+//!
+//! Registering a counter does not make it observable: a registered
+//! counter nobody bumped reads 0, exactly like a name nobody touched.
+//! Sample sets and series have the by-name door only.
 
 use std::collections::HashMap;
 
 use crate::time::SimTime;
 
+/// Handle to one counter of the [`Metrics`] that issued it (see
+/// [`Metrics::counter_id`]). Meaningless on any other `Metrics`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct CounterId(u32);
+
 /// Scenario-wide metric sink.
 #[derive(Default, Debug)]
 pub struct Metrics {
-    counters: HashMap<String, u64>,
+    /// Counter name → slot in `values`.
+    names: HashMap<String, CounterId>,
+    values: Vec<u64>,
     samples: HashMap<String, Vec<f64>>,
     series: HashMap<String, Vec<(SimTime, f64)>>,
 }
 
 impl Metrics {
+    /// The handle of counter `name`, registering it (at 0) on first
+    /// sight. Stable for the life of this `Metrics`.
+    pub fn counter_id(&mut self, name: &str) -> CounterId {
+        // `entry` wants an owned key; only a counter's first touch pays
+        // for the `String`.
+        if let Some(&id) = self.names.get(name) {
+            return id;
+        }
+        let id = CounterId(self.values.len() as u32);
+        self.values.push(0);
+        self.names.insert(name.to_string(), id);
+        id
+    }
+
+    /// Increments the counter behind `id` by one.
+    pub fn bump(&mut self, id: CounterId) {
+        self.bump_by(id, 1);
+    }
+
+    /// Adds `delta` to the counter behind `id`.
+    ///
+    /// # Panics
+    /// May panic on an `id` issued by a different `Metrics`.
+    pub fn bump_by(&mut self, id: CounterId, delta: u64) {
+        self.values[id.0 as usize] += delta;
+    }
+
     /// Increments counter `name` by one.
     pub fn incr(&mut self, name: &str) {
         self.add(name, 1);
@@ -30,18 +82,15 @@ impl Metrics {
 
     /// Adds `delta` to counter `name`.
     pub fn add(&mut self, name: &str, delta: u64) {
-        // `entry` wants an owned key; only a counter's first touch pays
-        // for the `String`.
-        if let Some(counter) = self.counters.get_mut(name) {
-            *counter += delta;
-        } else {
-            self.counters.insert(name.to_string(), delta);
-        }
+        let id = self.counter_id(name);
+        self.bump_by(id, delta);
     }
 
     /// Reads counter `name` (0 when never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.names
+            .get(name)
+            .map_or(0, |id| self.values[id.0 as usize])
     }
 
     /// Records one observation into sample set `name`.
@@ -172,6 +221,57 @@ mod tests {
         m.incr("x");
         m.add("x", 4);
         assert_eq!(m.counter("x"), 5);
+    }
+
+    #[test]
+    fn both_doors_open_onto_one_counter() {
+        let mut m = Metrics::default();
+        let x = m.counter_id("x");
+        assert_eq!(m.counter("x"), 0, "registered, never bumped");
+        assert_eq!(m.counter("never heard of"), 0);
+        m.bump(x);
+        m.incr("x");
+        m.bump_by(x, 3);
+        m.add("x", 5);
+        assert_eq!(m.counter("x"), 10);
+        assert_eq!(m.counter_id("x"), x, "register-or-get");
+    }
+
+    #[test]
+    fn ids_are_stable_across_interleaved_registrations() {
+        let mut m = Metrics::default();
+        let a = m.counter_id("a");
+        m.incr("by_name_first");
+        let b = m.counter_id("b");
+        let late = m.counter_id("by_name_first");
+        for name in ["c", "d", "e", "f", "g", "h"] {
+            m.incr(name); // grows the store under the ids already out
+        }
+        m.bump(a);
+        m.bump_by(b, 2);
+        m.bump(late);
+        assert_eq!((m.counter_id("a"), m.counter_id("b")), (a, b));
+        let read = |name| m.counter(name);
+        assert_eq!((read("a"), read("b"), read("by_name_first")), (1, 2, 2));
+        assert_eq!(read("c"), 1, "neighbours untouched");
+    }
+
+    #[test]
+    fn names_built_at_run_time_round_trip() {
+        // Each `format!` temporary is freed before the next is built, so
+        // the allocator hands out one address for different names:
+        // identity must be the name's bytes, never its pointer.
+        let mut m = Metrics::default();
+        for round in 0..3 {
+            for i in 0..8 {
+                m.add(&format!("deliver.{i}"), i + round);
+            }
+        }
+        for i in 0..8 {
+            let id = m.counter_id(&format!("deliver.{i}"));
+            m.bump(id);
+            assert_eq!(m.counter(&format!("deliver.{i}")), 3 * i + 3 + 1);
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::fault::{Fault, FaultEvent, FaultPlan};
-use crate::metrics::Metrics;
+use crate::metrics::{CounterId, Metrics};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a node inside one [`Simulator`].
@@ -104,6 +104,15 @@ impl<M> Ord for Event<M> {
     }
 }
 
+/// Handles of the counters the event loop itself bumps (the rarer
+/// fault counters of `apply_fault` go by name).
+struct SimCounters {
+    fault_msg_drops: CounterId,
+    ingress_drops: CounterId,
+    partition_drops: CounterId,
+    link_drops: CounterId,
+}
+
 /// Directed-link parameters.
 #[derive(Clone, Copy, Debug)]
 struct LinkParams {
@@ -174,7 +183,14 @@ impl<'a, M> Context<'a, M> {
 /// addressed by their [`NodeId`] (dense, starting at 0).
 pub struct Simulator<M> {
     nodes: Vec<Box<dyn Node<M>>>,
+    /// Everything nodes create at run time (sends, timers, wakes), and
+    /// external events injected out of time order.
     queue: BinaryHeap<Event<M>>,
+    /// External events injected in nondecreasing time order — a
+    /// driver's schedule — in `(time, seq)` order by construction. Kept
+    /// out of the heap so that a delivery due in 50 µs does not sift
+    /// past hours of scheduled future on its way in and out.
+    schedule: VecDeque<Event<M>>,
     seq: u64,
     now: SimTime,
     default_latency: SimDuration,
@@ -200,6 +216,7 @@ pub struct Simulator<M> {
     timers: Vec<(SimDuration, u64)>,
     rng: SmallRng,
     metrics: Metrics,
+    counters: SimCounters,
     events_processed: u64,
 }
 
@@ -207,9 +224,17 @@ impl<M> Simulator<M> {
     /// Creates a simulator seeded with `seed`; link latency defaults to
     /// 50 µs (a campus-scale RTT/2).
     pub fn new(seed: u64) -> Self {
+        let mut metrics = Metrics::default();
+        let counters = SimCounters {
+            fault_msg_drops: metrics.counter_id("simnet.fault_msg_drops"),
+            ingress_drops: metrics.counter_id("simnet.ingress_drops"),
+            partition_drops: metrics.counter_id("simnet.partition_drops"),
+            link_drops: metrics.counter_id("simnet.link_drops"),
+        };
         Simulator {
             nodes: Vec::new(),
             queue: BinaryHeap::new(),
+            schedule: VecDeque::new(),
             seq: 0,
             now: SimTime::ZERO,
             default_latency: SimDuration::from_micros(50),
@@ -225,7 +250,8 @@ impl<M> Simulator<M> {
             outbox: Vec::new(),
             timers: Vec::new(),
             rng: SmallRng::seed_from_u64(seed),
-            metrics: Metrics::default(),
+            metrics,
+            counters,
             events_processed: 0,
         }
     }
@@ -309,7 +335,7 @@ impl<M> Simulator<M> {
     /// (workload drivers use this; `from` is [`NodeId::EXTERNAL`]).
     pub fn inject_at(&mut self, at: SimTime, to: NodeId, msg: M) {
         assert!(at >= self.now, "cannot inject into the past");
-        self.push(
+        self.schedule_external(
             at,
             EventKind::Deliver {
                 from: NodeId::EXTERNAL,
@@ -324,7 +350,7 @@ impl<M> Simulator<M> {
     /// deliver an initial "kick" token).
     pub fn arm_timer_at(&mut self, at: SimTime, node: NodeId, token: u64) {
         assert!(at >= self.now, "cannot arm a timer in the past");
-        self.push(at, EventKind::Timer { node, token });
+        self.schedule_external(at, EventKind::Timer { node, token });
     }
 
     /// Schedules every fault in `plan` as ordinary queue events.
@@ -337,7 +363,7 @@ impl<M> Simulator<M> {
     /// Schedules a single fault at absolute time `at`.
     pub fn inject_fault_at(&mut self, at: SimTime, fault: Fault) {
         assert!(at >= self.now, "cannot inject a fault into the past");
-        self.push(at, EventKind::Fault(fault));
+        self.schedule_external(at, EventKind::Fault(fault));
     }
 
     /// True while `id` is crashed (between a [`Fault::Crash`] and its
@@ -377,10 +403,53 @@ impl<M> Simulator<M> {
         self.nodes[id.0 as usize].as_mut()
     }
 
-    fn push(&mut self, time: SimTime, kind: EventKind<M>) {
+    fn stamp(&mut self, time: SimTime, kind: EventKind<M>) -> Event<M> {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Event { time, seq, kind });
+        Event { time, seq, kind }
+    }
+
+    /// Queues an event a node created at run time.
+    fn push(&mut self, time: SimTime, kind: EventKind<M>) {
+        let ev = self.stamp(time, kind);
+        self.queue.push(ev);
+    }
+
+    /// The one door for events from outside (`inject_at`,
+    /// `arm_timer_at`, `inject_fault_at`): an arrival no earlier than
+    /// the schedule's tail extends the schedule, anything else takes
+    /// the heap. `seq` comes from the shared counter either way, so the
+    /// container never changes an event's place in the total order.
+    /// Run-time events never come here: one 30-minute refresh timer at
+    /// the tail would send every later injection to the heap.
+    fn schedule_external(&mut self, at: SimTime, kind: EventKind<M>) {
+        let ev = self.stamp(at, kind);
+        if self.schedule.back().is_none_or(|tail| at >= tail.time) {
+            self.schedule.push_back(ev);
+        } else {
+            self.queue.push(ev);
+        }
+    }
+
+    /// Removes and returns the next event in `(time, seq)` order — the
+    /// earlier of the schedule's front and the heap's top — unless it
+    /// is due after `deadline`.
+    fn pop_due(&mut self, deadline: SimTime) -> Option<Event<M>> {
+        let scheduled = self.schedule.front().map(|ev| (ev.time, ev.seq));
+        let queued = self.queue.peek().map(|ev| (ev.time, ev.seq));
+        let from_schedule = match (scheduled, queued) {
+            (Some(s), Some(q)) => s < q,
+            (s, _) => s.is_some(),
+        };
+        let (time, _) = if from_schedule { scheduled } else { queued }?;
+        if time > deadline {
+            return None;
+        }
+        if from_schedule {
+            self.schedule.pop_front()
+        } else {
+            self.queue.pop()
+        }
     }
 
     fn link(&self, from: NodeId, to: NodeId) -> LinkParams {
@@ -476,11 +545,16 @@ impl<M> Simulator<M> {
         }
     }
 
-    /// Processes a single event. Returns false when the queue is empty.
+    /// Processes a single event. Returns false when nothing is pending.
     pub fn step(&mut self) -> bool {
-        let Some(ev) = self.queue.pop() else {
+        let Some(ev) = self.pop_due(SimTime::from_nanos(u64::MAX)) else {
             return false;
         };
+        self.fire(ev);
+        true
+    }
+
+    fn fire(&mut self, ev: Event<M>) {
         debug_assert!(ev.time >= self.now, "event queue went backwards");
         self.now = ev.time;
         self.events_processed += 1;
@@ -491,8 +565,8 @@ impl<M> Simulator<M> {
                 assert!(idx < self.nodes.len(), "delivery to unknown node {to}");
                 // A crashed node receives nothing — in-flight included.
                 if self.node_down[idx] {
-                    self.metrics.incr("simnet.fault_msg_drops");
-                    return true;
+                    self.metrics.bump(self.counters.fault_msg_drops);
+                    return;
                 }
                 // Single-server FIFO CPU: a delivery that finds the node
                 // busy claims an ingress-queue slot (a full queue
@@ -502,8 +576,8 @@ impl<M> Simulator<M> {
                     let queue = &mut self.ingress[idx];
                     if queue.len() >= self.ingress_cap[idx] {
                         self.ingress_drops[idx] += 1;
-                        self.metrics.incr("simnet.ingress_drops");
-                        return true;
+                        self.metrics.bump(self.counters.ingress_drops);
+                        return;
                     }
                     queue.push_back((from, msg));
                     let depth = queue.len() as u32;
@@ -512,7 +586,7 @@ impl<M> Simulator<M> {
                         let at = self.busy_until[idx];
                         self.push(at, EventKind::Wake { node: to });
                     }
-                    return true;
+                    return;
                 }
                 self.dispatch(to, |node, ctx| node.on_message(ctx, from, msg));
             }
@@ -527,7 +601,6 @@ impl<M> Simulator<M> {
                 self.apply_fault(fault);
             }
         }
-        true
     }
 
     /// Serves `node`'s ingress queue from the front for as long as its
@@ -539,7 +612,7 @@ impl<M> Simulator<M> {
         if self.node_down[idx] {
             let lost = self.ingress[idx].len() as u64;
             self.ingress[idx].clear();
-            self.metrics.add("simnet.fault_msg_drops", lost);
+            self.metrics.bump_by(self.counters.fault_msg_drops, lost);
             return;
         }
         // A handler that accounts no `busy()` leaves the CPU free, so
@@ -572,11 +645,9 @@ impl<M> Simulator<M> {
             rng: &mut self.rng,
             metrics: &mut self.metrics,
         };
-        // Temporarily move the node out so we can pass &mut self pieces.
-        let mut node =
-            std::mem::replace(&mut self.nodes[idx], Box::new(NullNode) as Box<dyn Node<M>>);
-        f(node.as_mut(), &mut ctx);
-        self.nodes[idx] = node;
+        // `ctx` borrows `rng` and `metrics` only: the node is a
+        // disjoint field and is borrowed where it stands.
+        f(self.nodes[idx].as_mut(), &mut ctx);
 
         let Context {
             mut outbox,
@@ -589,12 +660,12 @@ impl<M> Simulator<M> {
         }
         for (delay, to, msg) in outbox.drain(..) {
             if !self.partitioned.is_empty() && self.partitioned.contains(&Self::pair_key(id, to)) {
-                self.metrics.incr("simnet.partition_drops");
+                self.metrics.bump(self.counters.partition_drops);
                 continue;
             }
             let link = self.link(id, to);
             if link.loss > 0.0 && self.rng.gen::<f64>() < link.loss {
-                self.metrics.incr("simnet.link_drops");
+                self.metrics.bump(self.counters.link_drops);
                 continue;
             }
             let at = self.now + delay + link.latency;
@@ -608,15 +679,12 @@ impl<M> Simulator<M> {
         self.timers = timers;
     }
 
-    /// Runs until the queue drains or `deadline` passes; returns the
+    /// Runs until nothing is pending or `deadline` passes; returns the
     /// number of events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut n = 0;
-        while let Some(ev) = self.queue.peek() {
-            if ev.time > deadline {
-                break;
-            }
-            self.step();
+        while let Some(ev) = self.pop_due(deadline) {
+            self.fire(ev);
             n += 1;
         }
         // Advance the clock even if nothing fired at the deadline.
@@ -626,7 +694,7 @@ impl<M> Simulator<M> {
         n
     }
 
-    /// Runs until the queue is empty; returns events processed.
+    /// Runs until nothing is pending; returns events processed.
     /// `max_events` guards against livelock in tests.
     pub fn run_to_completion(&mut self, max_events: u64) -> u64 {
         let mut n = 0;
@@ -634,18 +702,10 @@ impl<M> Simulator<M> {
             n += 1;
         }
         assert!(
-            self.queue.is_empty(),
+            self.queue.is_empty() && self.schedule.is_empty(),
             "simulation exceeded {max_events} events"
         );
         n
-    }
-}
-
-/// Placeholder node used while a real node is borrowed for dispatch.
-struct NullNode;
-impl<M> Node<M> for NullNode {
-    fn on_message(&mut self, _: &mut Context<'_, M>, _: NodeId, _: M) {
-        unreachable!("NullNode must never receive messages");
     }
 }
 
@@ -976,6 +1036,79 @@ mod tests {
         // Event still pending; completes later.
         sim.run_until(SimTime::from_nanos(10_000_000_000));
         assert!(sim.events_processed() >= 1);
+    }
+
+    /// `(schedule, heap)` occupancy.
+    fn pending(sim: &Simulator<u32>) -> (usize, usize) {
+        (sim.schedule.len(), sim.queue.len())
+    }
+
+    #[test]
+    fn scheduled_and_queued_events_at_one_instant_fire_in_seq_order() {
+        // Scheduled event older than the heap's: the tie test above (9
+        // rides the schedule, the wake for 6 is in the heap). Here the
+        // heap's is older: 1 parks behind 5 and its wake for t = 5 is
+        // queued before 9 is scheduled for the same instant.
+        let (mut sim, n, served) = server_sim();
+        sim.inject_at(SimTime::ZERO, n, 5);
+        sim.inject_at(at_ms(1), n, 1);
+        sim.run_until(at_ms(2));
+        assert_eq!(pending(&sim), (0, 1));
+        sim.inject_at(at_ms(5), n, 9);
+        assert_eq!(pending(&sim), (1, 1));
+        sim.run_to_completion(100);
+        assert_eq!(*served.borrow(), [(0, 5), (5, 1), (6, 9)]);
+    }
+
+    #[test]
+    fn injection_earlier_than_the_schedules_tail_takes_the_heap_and_fires_first() {
+        let (mut sim, n, served) = server_sim();
+        assert!(!sim.step(), "nothing pending yet");
+        sim.inject_at(at_ms(50), n, 1);
+        sim.inject_at(at_ms(20), n, 2); // behind the tail
+        sim.inject_at(at_ms(50), n, 3); // ties with the tail
+        sim.inject_at(at_ms(20), n, 4);
+        assert_eq!(pending(&sim), (2, 2));
+        assert!(sim.step() && sim.step(), "both from the heap");
+        assert_eq!(pending(&sim), (2, 1), "4 parked behind 2: one wake");
+        sim.run_to_completion(100);
+        assert_eq!(*served.borrow(), [(20, 2), (22, 4), (50, 1), (51, 3)]);
+        assert!(!sim.step(), "schedule and heap both empty");
+    }
+
+    #[test]
+    fn run_until_holds_the_deadline_on_the_schedule_too() {
+        let (mut sim, n, served) = server_sim();
+        sim.inject_at(at_ms(100), n, 0);
+        sim.inject_at(at_ms(100) + SimDuration::from_nanos(1), n, 0);
+        assert_eq!(sim.run_until(at_ms(100)), 1, "at the deadline fires");
+        assert_eq!(pending(&sim), (1, 0), "one past it stays pending");
+        assert_eq!(sim.now(), at_ms(100));
+        assert_eq!(sim.run_until(at_ms(200)), 1);
+        assert_eq!((served.borrow().len(), sim.now()), (2, at_ms(200)));
+    }
+
+    #[test]
+    fn external_timers_and_faults_share_the_door_with_injections() {
+        let mut sim = Simulator::new(6);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let n = sim.add_node(Box::new(FaultProbe { log: log.clone() }));
+        sim.arm_timer_at(SimTime::from_nanos(30), n, 7);
+        sim.inject_fault_at(SimTime::from_nanos(40), Fault::ShardCrash(n, 0));
+        sim.inject_at(SimTime::from_nanos(40), n, 1);
+        assert_eq!(pending(&sim), (3, 0));
+        sim.arm_timer_at(SimTime::from_nanos(10), n, 8);
+        sim.inject_fault_at(SimTime::from_nanos(35), Fault::ShardHeal(n, 0));
+        assert_eq!(pending(&sim), (3, 2));
+        sim.run_to_completion(10);
+        let want = [
+            "tick@10",
+            "tick@30",
+            "ShardHeal(0)@35",
+            "ShardCrash(0)@40",
+            "msg:1@40",
+        ];
+        assert_eq!(*log.borrow(), want);
     }
 
     #[test]

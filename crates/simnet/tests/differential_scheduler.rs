@@ -36,6 +36,31 @@
 //! the reference, park new deliveries ahead of the survivors (it keyed
 //! each delivery by the busy-until of the moment it was parked);
 //! `sim.rs` pins what the FIFO does there.
+//!
+//! ## How the schedule is handed over
+//!
+//! The simulator keeps external events that arrive in nondecreasing
+//! time order in a FIFO beside its heap, and the rest in the heap; the
+//! reference has only a heap. Two mode bits choose the hand-over, on
+//! both simulators alike:
+//!
+//! * **as generated** (neither bit) — faults in plan order, then the
+//!   arrivals in random order: some extend the FIFO, most fall back to
+//!   the heap.
+//! * **sorted** (bit 0) — faults and arrivals in one stable time-sorted
+//!   sequence, so everything rides the FIFO. Same-instant events keep
+//!   their relative order (faults still first), so the outcome must be
+//!   *equal* to the unsorted one, not merely equal across simulators.
+//! * **two rounds** (bit 1) — what the incremental drivers do: only
+//!   what is due by the first checkpoint goes in before the run, and
+//!   the later arrivals once the run has reached it — with a `seq`
+//!   *newer* than the sends, timers and wakes nodes created meanwhile,
+//!   and (when sorted) into a FIFO that has drained. That regime keeps
+//!   away from two things, which this mode leaves out of its schedule:
+//!   faults after the checkpoint, and front 0's arrivals after it —
+//!   front 0's tie with its CPU-free instant is the "older seq first"
+//!   one only while the arrival's `seq` is older than every parked
+//!   delivery's, which a second round cannot promise.
 
 mod reference;
 
@@ -44,7 +69,7 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 use rand::Rng;
-use sda_simnet::{FaultEvent, FaultPlan, NodeId, SimDuration, SimTime};
+use sda_simnet::{Fault, FaultEvent, FaultPlan, NodeId, SimDuration, SimTime};
 
 const UNIT: u64 = 1 << 20;
 const FRONTS: u32 = 3;
@@ -227,7 +252,31 @@ struct Case<'a> {
     arrivals: &'a [u64],
     nodes: &'a [u64],
     links: u64,
+    /// Bit 0: hand the schedule over time-sorted. Bit 1: in two rounds.
+    mode: u64,
 }
+
+/// One external event of a schedule.
+#[derive(Clone, Copy)]
+enum External {
+    Fault(SimTime, Fault),
+    Arrival(Word),
+    /// The probe's draw pins the RNG position the run ended at.
+    Probe,
+}
+
+impl External {
+    fn time(self) -> SimTime {
+        match self {
+            External::Fault(at, _) => at,
+            External::Arrival(w) => w.arrival(),
+            External::Probe => at(4096, 4095),
+        }
+    }
+}
+
+/// The first checkpoint, in units; the second round goes in there.
+const FIRST_CHECKPOINT: u64 = 16;
 
 impl Case<'_> {
     const NODE_BITS: u32 = 14;
@@ -247,6 +296,35 @@ impl Case<'_> {
 
     fn loss(&self) -> f64 {
         [0.0, 0.1, 0.3, 0.6][(self.links & 3) as usize]
+    }
+
+    /// What to inject before the run and what after the first
+    /// checkpoint (empty unless mode bit 1 is set), each in injection
+    /// order. Faults first: at a shared instant a crash precedes the
+    /// arrivals. The probe goes last of all: it is far in the future,
+    /// and nothing injected after it could extend the FIFO.
+    fn rounds(&self) -> [Vec<External>; 2] {
+        let plan = self.faults();
+        let faults = plan.events().iter().map(|&(at, f)| External::Fault(at, f));
+        let mut all: Vec<External> = faults
+            .chain(self.injections().map(External::Arrival))
+            .collect();
+        all.push(External::Probe);
+        if self.mode & 1 == 1 {
+            all.sort_by_key(|e| e.time()); // stable
+        }
+        if self.mode & 2 == 0 {
+            return [all, Vec::new()];
+        }
+        let (first, mut second): (Vec<_>, Vec<_>) = all
+            .into_iter()
+            .partition(|e| e.time() <= at(FIRST_CHECKPOINT, 4095));
+        second.retain(|e| match e {
+            External::Arrival(w) => w.node() != NodeId(0),
+            External::Probe => true,
+            External::Fault(..) => false,
+        });
+        [first, second]
     }
 
     fn faults(&self) -> FaultPlan {
@@ -305,16 +383,18 @@ macro_rules! replay {
         for node in 0..case.nodes.len() {
             sim.set_ingress_cap(NodeId(node as u32), case.cap(node));
         }
-        // Faults first: at a shared instant a crash precedes the arrivals.
-        sim.schedule_faults(&case.faults());
-        for w in case.injections() {
-            sim.inject_at(w.arrival(), w.node(), w.0);
-        }
-        // The probe's draw pins the RNG position the run ended at.
-        sim.inject_at(at(4096, 4095), PROBE, 0);
-
+        let mut rounds = case.rounds().into_iter();
         let mut queues = Vec::new();
-        for checkpoint in [at(16, 4095), at(32, 4095), at(64, 4095), at(5000, 4095)] {
+        for checkpoint in [at(FIRST_CHECKPOINT, 4095), at(32, 4095), at(64, 4095), at(5000, 4095)] {
+            for external in rounds.next().into_iter().flatten() {
+                match external {
+                    // One-fault plans: `schedule_faults` is the fault door
+                    // the frozen reference's own callers use.
+                    External::Fault(at, fault) => sim.schedule_faults(&FaultPlan::new().at(at, fault)),
+                    External::Arrival(w) => sim.inject_at(w.arrival(), w.node(), w.0),
+                    External::Probe => sim.inject_at(external.time(), PROBE, 0),
+                }
+            }
             sim.run_until(checkpoint);
             queues.push(
                 (0..NODES)
@@ -352,8 +432,13 @@ proptest! {
         arrivals in proptest::collection::vec(0u64..1 << Word::BITS, 0..160),
         nodes in proptest::collection::vec(0u64..1 << Case::NODE_BITS, 4),
         links in 0u64..1 << Case::LINK_BITS,
+        mode in 0u64..4,
     ) {
-        agree(&Case { seed, arrivals: &arrivals, nodes: &nodes, links });
+        let case = Case { seed, arrivals: &arrivals, nodes: &nodes, links, mode };
+        let (outcome, ..) = agree(&case);
+        // Sorting moves events between heap and FIFO and nothing else.
+        let (resorted, ..) = replay!(sda_simnet, &Case { mode: mode ^ 1, ..case });
+        prop_assert_eq!(outcome, resorted);
     }
 }
 
@@ -379,12 +464,21 @@ fn a_dense_schedule_exercises_every_mechanism() {
         3 | 4 | 40 << 3 | 3 << 9 | 5 << 11,
     ];
     let links = 2 | 4 | 10 << 3 | 7 << 9;
-    let (outcome, fifo_events, reparking_events) = agree(&Case {
+    let case = Case {
         seed: 7,
         arrivals: &arrivals,
         nodes: &nodes,
         links,
-    });
+        mode: 0,
+    };
+    let (outcome, fifo_events, reparking_events) = agree(&case);
+    for mode in 1..4 {
+        let (handed_over, ..) = agree(&Case { mode, ..case });
+        if mode == 1 {
+            assert_eq!(handed_over, outcome, "sorting changed the outcome");
+        }
+        assert!(handed_over.log.len() > 300, "mode {mode} served too little");
+    }
     let counter = |name: &str| outcome.counters[COUNTERS.iter().position(|c| *c == name).unwrap()];
     assert!(counter("simnet.ingress_drops") > 20);
     assert!(counter("simnet.fault_msg_drops") > 5);
