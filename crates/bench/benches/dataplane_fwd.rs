@@ -30,7 +30,8 @@
 //!   same freezing discipline as `lpm_hot_path`): parse + classify +
 //!   per-packet map-cache lookup, then the seed `encode_packet`
 //!   algorithm — one heap `Vec` per layer, each copied into the next,
-//!   full UDP checksum — and `decode_packet` for the reverse direction.
+//!   full UDP checksum — and the reference codec's `decode_packet`
+//!   (`sda_bench::pipeline`) for the reverse direction.
 //!
 //! Frames carry a near-MTU [`PAYLOAD`] (1400 B, the conventional
 //! full-size data packet of dataplane benchmarking): that is where the
@@ -45,8 +46,7 @@
 //! has since become an exact-match probe).
 
 use criterion::{black_box, BenchmarkId, Criterion};
-use sda_core::pipeline::{decode_packet, encode_packet};
-use sda_core::{InnerPacket, OverlayPacket};
+use sda_bench::pipeline::{decode_packet, encode_packet, InnerPacket, OverlayPacket};
 use sda_dataplane::{encap, LocalEndpoint, PacketBuf, Switch, SwitchConfig, BATCH_SIZE};
 use sda_simnet::{SimDuration, SimTime};
 use sda_types::{Eid, EidPrefix, GroupId, MacAddr, PortId, Rloc, VnId};

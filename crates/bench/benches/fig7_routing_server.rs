@@ -4,8 +4,8 @@
 //! The paper's claim: "the delay is not dependent on the number of
 //! routes" because the store is a Patricia trie whose cost depends on
 //! key width, not entry count. The server rows measure the routing
-//! server as built here (its registry holds host routes only, so a
-//! message costs one hash probe), `fig7_trie_lookup` the paper's cited
+//! server the fabric runs (`PartitionedMapServer`, one shard; its
+//! registry holds host routes only, so a message costs one hash probe), `fig7_trie_lookup` the paper's cited
 //! structure on the same keys — at 10 / 100 / 1,000 / 10,000 / 100,000
 //! routes; each sweep should show flat medians.
 //!
@@ -20,7 +20,7 @@
 use criterion::{BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sda_lisp::MapServer;
+use sda_ctrl::PartitionedMapServer;
 use sda_simnet::SimTime;
 use sda_types::{Eid, Rloc, VnId};
 use sda_wire::lisp::Message;
@@ -37,8 +37,8 @@ fn eid(i: u32) -> Eid {
     Eid::V4(Ipv4Addr::from(0x0A00_0000 | (i & 0x00FF_FFFF)))
 }
 
-fn preloaded_server(routes: u32) -> MapServer {
-    let mut s = MapServer::new(Rloc::for_router_index(65_000));
+fn preloaded_server(routes: u32) -> PartitionedMapServer {
+    let mut s = PartitionedMapServer::new(Rloc::for_router_index(65_000), 1);
     for i in 0..routes {
         s.handle(
             Message::MapRegister {

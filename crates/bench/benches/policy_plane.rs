@@ -8,7 +8,8 @@
 //!   per run (exactly what the forwarding pass does) so each verdict is
 //!   a shift + mask + `Relaxed` counter tick; the baseline is the
 //!   frozen per-pair `BTreeMap` `GroupAcl` the fabric shipped before
-//!   the compiled form existed.
+//!   the compiled form existed (`sda_bench::enforce`, the reference of
+//!   `policy/tests/reference/group_acl.rs`).
 //! * `compile/100000` — full matrix → `CompiledAcl` compilation.
 //! * `delta_install/64` — publish a snapshot (`clone`) and install a
 //!   64-rule SXP delta into it: the epoch-update path, including the
@@ -24,7 +25,8 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use criterion::{BenchmarkId, Criterion};
-use sda_policy::{Action, CompiledAcl, ConnectivityMatrix, GroupAcl, RuleSubset};
+use sda_bench::enforce::GroupAcl;
+use sda_policy::{Action, CompiledAcl, ConnectivityMatrix, RuleSubset};
 use sda_types::{GroupId, VnId};
 
 /// Groups in the benchmark VN (the paper's 1k-group tier).

@@ -8,8 +8,9 @@
 //! The VPN gateway shows more drops because remote users "present a
 //! different usage pattern from the users in the office".
 //!
-//! Model: each device enforces the same group ACL (`sda-core`'s
-//! `GroupAcl` — the exact egress stage-2 structure). Users run flows to
+//! Model: each device enforces the same group ACL (`sda-policy`'s
+//! `CompiledAcl` — the table the engine's egress stage 2 consults,
+//! counting on its own allow/drop counters). Users run flows to
 //! their habitual allowed destinations; occasionally someone tries a
 //! forbidden destination and gives up after a few retries; a mid-week
 //! policy update flips one pair to deny, causing the paper's "transient
@@ -19,8 +20,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sda_policy::GroupAcl;
-use sda_policy::{Action, GroupRule, RuleSubset};
+use sda_policy::{Action, CompiledAcl, GroupRule, RuleSubset};
 use sda_types::{GroupId, VnId};
 
 struct Profile {
@@ -76,7 +76,7 @@ fn main() {
     let paper = [0.18, 0.06, 0.04];
     for (profile, paper_pm) in PROFILES.iter().zip(paper) {
         let mut rng = SmallRng::seed_from_u64(profile.endpoints as u64);
-        let mut acl = GroupAcl::new();
+        let mut acl = CompiledAcl::new();
         let rules: Vec<(VnId, GroupRule)> = allowed
             .iter()
             .map(|g| {

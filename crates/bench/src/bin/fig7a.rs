@@ -3,9 +3,9 @@
 //!
 //! The paper's result: boxplots are flat across 10/100/1k/10k routes
 //! (a Patricia-trie property there; the registry here is an exact-match
-//! table, flat for its own reason). We preload a real `MapServer`,
-//! verify every query resolves, and measure sojourn through the server's
-//! single-CPU queue (constant service × jitter + queueing), printing
+//! table, flat for its own reason). We preload the server the fabric
+//! runs (`PartitionedMapServer`, one shard), verify every query
+//! resolves, and measure sojourn through the server's single-CPU queue (constant service × jitter + queueing), printing
 //! boxplot rows relative to the minimum delay of a 1-route server —
 //! exactly the paper's normalization.
 //!
@@ -14,7 +14,8 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sda_bench::{fifo_sojourns, print_boxplot_row};
-use sda_lisp::{MapServer, REQUEST_SERVICE};
+use sda_ctrl::PartitionedMapServer;
+use sda_lisp::REQUEST_SERVICE;
 use sda_simnet::{SimTime, Summary};
 use sda_types::{Eid, Rloc, VnId};
 use sda_wire::lisp::Message;
@@ -28,8 +29,8 @@ fn vn() -> VnId {
     VnId::new(100).unwrap()
 }
 
-fn preload(routes: u32) -> MapServer {
-    let mut s = MapServer::new(Rloc::for_router_index(65_000));
+fn preload(routes: u32) -> PartitionedMapServer {
+    let mut s = PartitionedMapServer::new(Rloc::for_router_index(65_000), 1);
     for i in 0..routes {
         s.handle(
             Message::MapRegister {

@@ -9,7 +9,8 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sda_bench::{fifo_sojourns, print_boxplot_row};
-use sda_lisp::{MapServer, UPDATE_SERVICE};
+use sda_ctrl::PartitionedMapServer;
+use sda_lisp::UPDATE_SERVICE;
 use sda_simnet::{SimTime, Summary};
 use sda_types::{Eid, Rloc, VnId};
 use sda_wire::lisp::Message;
@@ -24,9 +25,10 @@ fn vn() -> VnId {
 }
 
 fn run(routes: u32, rate: f64, seed: u64) -> Vec<f64> {
-    // Preload, then verify updates against the real server: each update
-    // targets a different route (paper's methodology).
-    let mut server = MapServer::new(Rloc::for_router_index(65_000));
+    // Preload, then verify updates against the server the fabric runs
+    // (one shard): each update targets a different route (paper's
+    // methodology).
+    let mut server = PartitionedMapServer::new(Rloc::for_router_index(65_000), 1);
     for i in 0..routes {
         server.handle(
             Message::MapRegister {
@@ -55,7 +57,7 @@ fn run(routes: u32, rate: f64, seed: u64) -> Vec<f64> {
         );
     }
     assert_eq!(
-        server.db().len() as u32,
+        server.db_len() as u32,
         routes,
         "updates must not grow the table"
     );

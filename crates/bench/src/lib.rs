@@ -17,11 +17,30 @@
 //!   - `ablation_*` — §5.3/§5.4/§3.2.2/§4.1 design-choice studies.
 //!
 //! This library hosts shared output helpers so every binary prints the
-//! same table/CSV shapes, and [`shard::ShardedMapServer`] — §4.1's
-//! replicate-all deployment, which no node runs and two harnesses
-//! measure against.
+//! same table/CSV shapes, and the implementations no node runs that
+//! harnesses measure against: [`shard::ShardedMapServer`] — §4.1's
+//! replicate-all deployment — and the three differential references,
+//! `#[path]`-included below from the `tests/reference/` directories
+//! that own them.
 
 pub mod shard;
+
+// The one door from the benches to the references: the single
+// map-server (`ShardedMapServer`'s shard), the structured pipeline
+// model (`dataplane_fwd`'s `baseline_{encap,decap}` codec) and the
+// per-pair group ACL (`policy_plane`'s `verdict_batch32/baseline`).
+// Each sits at the crate root under the module name it had in its
+// production crate, so `cargo test` still prints its unit tests as
+// `map_server::tests::…`, `pipeline::tests::…`, `enforce::tests::…`.
+#[path = "../../policy/tests/reference/group_acl.rs"]
+pub mod enforce;
+#[path = "../../ctrl/tests/reference/map_server.rs"]
+pub mod map_server;
+#[path = "../../core/tests/reference/pipeline.rs"]
+pub mod pipeline;
+// `pipeline` names the ACL as its sibling `group_acl`, as in the tests
+// that include both files.
+use enforce as group_acl;
 
 use sda_simnet::Summary;
 

@@ -15,7 +15,7 @@
 //! partitions EID space so each register lands on exactly one shard.
 //! It lives here, in bench support, as the comparison point of the
 //! `register_legacy_s4` row of `benches/ctrl_plane.rs` and of
-//! `bin/ablation_sharding.rs`, built on `sda-lisp`'s public
+//! `bin/ablation_sharding.rs`, built on the reference
 //! [`MapServer`] alone.
 //!
 //! Invariant: register side effects (notifies, publishes) are
@@ -24,10 +24,12 @@
 //! so subscriptions MUST live on that same shard — a subscription pinned
 //! anywhere else would silently receive nothing.
 
-use sda_lisp::{MapServer, MapServerStats, Outbox};
+use sda_lisp::{MapServerStats, Outbox};
 use sda_simnet::SimTime;
 use sda_types::Rloc;
 use sda_wire::lisp::Message;
+
+use crate::map_server::MapServer;
 
 /// A group of map-servers acting as one logical routing server.
 pub struct ShardedMapServer {

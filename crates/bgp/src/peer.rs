@@ -12,11 +12,6 @@ use sda_types::{Eid, MacAddr, Rloc};
 use crate::msg::{BgpDirectory, BgpHostEvent, BgpMsg};
 use crate::rib::Rib;
 
-/// Update batches at least this large count as route floods (initial
-/// full-table sync, mass handover) and trigger a RIB arena compaction
-/// after installation; smaller steady-state flushes do not.
-const RIB_COMPACT_BATCH: usize = 64;
-
 /// Counters for scenario assertions.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct BgpEdgeStats {
@@ -133,18 +128,10 @@ impl Node<BgpMsg> for BgpEdge {
                     .install_cost
                     .saturating_mul(updates.len() as u64);
                 ctx.busy(cost);
-                let large = updates.len() >= RIB_COMPACT_BATCH;
                 for u in updates {
                     if self.rib.install(u.eid, u.rloc, u.seq) {
                         self.stats.installed += 1;
                     }
-                }
-                // A large batch is a route flood (initial full-table
-                // sync, mass handover): re-lay the RIB arena in DFS
-                // order once it lands so lookups walk sequential
-                // memory. Steady single-update flushes skip it.
-                if large {
-                    self.rib.compact();
                 }
             }
             other => {

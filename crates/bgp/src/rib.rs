@@ -1,17 +1,21 @@
 //! The routing information base each BGP edge holds: every host route
 //! in the network (the proactive cost Fig. 9 quantifies against).
 //!
-//! Stored in the same inline-key [`EidTrie`] as the reactive map-cache,
-//! so the proactive-vs-reactive comparison measures the same lookup
-//! machinery and differs only in *how much* state each design installs.
+//! Only host routes live here, so the table is an exact match: one
+//! hash table keyed by the EID behind the fabric's [`KeyHasher`], the
+//! same probe the reactive map-cache's host routes cost — the
+//! proactive-vs-reactive comparison differs only in *how much* state
+//! each design installs.
 
-use sda_trie::EidTrie;
-use sda_types::{Eid, EidPrefix, Rloc};
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
-/// A full host-route table: EID → serving edge.
+use sda_types::{Eid, EidKey, KeyHasher, Rloc};
+
+/// A full host-route table: EID → (serving edge, update sequence).
 #[derive(Default, Debug, Clone)]
 pub struct Rib {
-    routes: EidTrie<(Rloc, u64)>,
+    routes: HashMap<EidKey, (Rloc, u64), BuildHasherDefault<KeyHasher>>,
 }
 
 impl Rib {
@@ -23,42 +27,27 @@ impl Rib {
     /// Installs `eid → rloc` if `seq` is newer than the stored route.
     /// Returns true when the route changed (stale reordered updates are
     /// ignored — BGP's path-selection recency, collapsed to a sequence).
-    /// Only host routes live here, so the freshness check is an exact
-    /// match on the host prefix.
     pub fn install(&mut self, eid: Eid, rloc: Rloc, seq: u64) -> bool {
-        let host = EidPrefix::host(eid);
+        let key = EidKey(eid);
         if self
             .routes
-            .get(&host)
+            .get(&key)
             .is_some_and(|(_, stored)| *stored >= seq)
         {
             return false;
         }
-        self.routes.insert(host, (rloc, seq));
+        self.routes.insert(key, (rloc, seq));
         true
     }
 
     /// Removes the route for `eid`.
     pub fn withdraw(&mut self, eid: Eid) -> bool {
-        self.routes.remove(&EidPrefix::host(eid)).is_some()
+        self.routes.remove(&EidKey(eid)).is_some()
     }
 
     /// Next hop for `eid`.
     pub fn lookup(&self, eid: Eid) -> Option<Rloc> {
-        self.routes.get(&EidPrefix::host(eid)).map(|(r, _)| *r)
-    }
-
-    /// Re-lays the route trie arena in DFS preorder (see
-    /// [`sda_trie::PatriciaTrie::compact`]). Call after bulk route
-    /// sync (initial full-table flood) so lookups walk
-    /// nearly-sequential memory.
-    pub fn compact(&mut self) {
-        self.routes.compact();
-    }
-
-    /// Trie-arena diagnostics for the route table.
-    pub fn mem_stats(&self) -> sda_trie::MemStats {
-        self.routes.mem_stats()
+        self.routes.get(&EidKey(eid)).map(|(r, _)| *r)
     }
 
     /// Number of installed routes — every edge carries all of them,

@@ -29,10 +29,10 @@ use sda_simnet::{Context, CounterId, FaultEvent, Node, NodeId, SimDuration, SimT
 use sda_types::{EidKind, EidPrefix, Ipv4Prefix, Rloc, VnId};
 use sda_wire::lisp::{BusyClass, Message as Lisp};
 
+use crate::backoff::Backoff;
 use crate::msg::{FabricMsg, PolicyMsg};
 use crate::pipeline;
 use crate::servers::Directory;
-use sda_dataplane::LocalEndpoint;
 
 /// Timer token for the subscription kick (and periodic resubscribe).
 const TIMER_SUBSCRIBE: u64 = 0;
@@ -109,12 +109,9 @@ pub struct BorderRouter {
     /// Crashed (fault injection): volatile synced state is rebuilt on
     /// restart by resubscribing to every VN.
     failed: bool,
-    /// Private xorshift64* stream for retransmit jitter, seeded from
-    /// this border's RLOC — per-node deterministic and independent of
-    /// the shared scenario RNG.
-    jitter_state: u64,
+    /// Retransmit schedule (and its private jitter stream).
+    backoff: Backoff,
     buf: PacketBuf,
-    frame_scratch: Vec<u8>,
     punt_scratch: Vec<Punt>,
 }
 
@@ -130,6 +127,7 @@ impl BorderRouter {
         let mut switch = Switch::new(cfg);
         crate::edge::install_dst_hints(&mut switch, &dir);
         let name = name.into();
+        let backoff = Backoff::new(rloc, &dir.params);
         BorderRouter {
             acl_drops: None,
             name,
@@ -142,9 +140,8 @@ impl BorderRouter {
             next_nonce: 1,
             retry_armed: false,
             failed: false,
-            jitter_state: crate::edge::jitter_seed(rloc),
+            backoff,
             buf: PacketBuf::new(),
-            frame_scratch: Vec::new(),
             punt_scratch: Vec::new(),
         }
     }
@@ -180,13 +177,6 @@ impl BorderRouter {
         self.switch.map_cache().len_of(EidKind::V4)
     }
 
-    /// Attaches an infrastructure endpoint directly to this border
-    /// (warehouse sinks, servers — onboarded by the controller, they do
-    /// not roam or authenticate dynamically).
-    pub fn attach_sink(&mut self, vn: sda_types::VnId, ep: LocalEndpoint) {
-        self.switch.attach(vn, ep);
-    }
-
     /// Installs (merges) group rules for scenario setup.
     pub fn install_rules(&mut self, subset: &sda_policy::RuleSubset) {
         self.switch.install_rules(subset);
@@ -207,7 +197,7 @@ impl BorderRouter {
         }
         let nonce = self.next_nonce;
         self.next_nonce += 1;
-        let prev_delay = self.initial_retry_delay();
+        let prev_delay = self.backoff.initial_retry_delay();
         let next_retry = ctx.now() + prev_delay;
         self.pending_subscribes.insert(
             vn,
@@ -245,73 +235,7 @@ impl BorderRouter {
     fn arm_retry(&mut self, ctx: &mut Context<'_, FabricMsg>) {
         if !self.retry_armed {
             self.retry_armed = true;
-            // Jittered sweep phase — same rationale as the edge's: a
-            // fixed period re-batches retransmits onto grid instants.
-            let mut d = self.dir.params.rtx_initial;
-            if self.dir.params.rtx_jitter {
-                let span = d.as_nanos() / 2;
-                d = SimDuration::from_nanos(d.as_nanos() + self.jitter_draw() % (span + 1));
-            }
-            ctx.set_timer(d, TIMER_RETRY);
-        }
-    }
-
-    /// Exponential backoff after the `attempts`-th send, capped.
-    fn backoff(&self, attempts: u32) -> SimDuration {
-        let p = &self.dir.params;
-        let mut d = p.rtx_initial;
-        for _ in 1..attempts {
-            d = d.saturating_mul(2);
-            if d >= p.rtx_max_backoff {
-                return p.rtx_max_backoff;
-            }
-        }
-        d.min(p.rtx_max_backoff)
-    }
-
-    /// Next value of the private jitter stream (xorshift64*).
-    fn jitter_draw(&mut self) -> u64 {
-        let mut x = self.jitter_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.jitter_state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Decorrelated jitter (same recurrence as the edge's):
-    /// uniform in `[rtx_initial, min(3·prev, rtx_max_backoff)]`.
-    fn jittered_backoff(&mut self, prev: SimDuration) -> SimDuration {
-        let p = &self.dir.params;
-        let base = p.rtx_initial.as_nanos();
-        let cap = p.rtx_max_backoff.as_nanos();
-        let hi = prev.as_nanos().saturating_mul(3).clamp(base, cap);
-        let span = hi - base;
-        let off = if span == 0 {
-            0
-        } else {
-            self.jitter_draw() % (span + 1)
-        };
-        SimDuration::from_nanos(base + off)
-    }
-
-    /// Retry delay after the `attempts`-th send: decorrelated jitter
-    /// when `rtx_jitter` is on, deterministic exponential otherwise.
-    fn retry_delay(&mut self, attempts: u32, prev: SimDuration) -> SimDuration {
-        if self.dir.params.rtx_jitter {
-            self.jittered_backoff(prev)
-        } else {
-            self.backoff(attempts)
-        }
-    }
-
-    /// Delay before the first retransmit of a fresh subscribe.
-    fn initial_retry_delay(&mut self) -> SimDuration {
-        let initial = self.dir.params.rtx_initial;
-        if self.dir.params.rtx_jitter {
-            self.jittered_backoff(initial)
-        } else {
-            initial
+            ctx.set_timer(self.backoff.sweep_delay(), TIMER_RETRY);
         }
     }
 
@@ -330,7 +254,7 @@ impl BorderRouter {
                 let st = &self.pending_subscribes[&vn];
                 (st.nonce, st.attempts, st.prev_delay)
             };
-            let delay = self.retry_delay(attempts + 1, prev);
+            let delay = self.backoff.retry_delay(attempts + 1, prev);
             if let Some(st) = self.pending_subscribes.get_mut(&vn) {
                 st.attempts = attempts + 1;
                 st.next_retry = now + delay;
@@ -352,17 +276,15 @@ impl BorderRouter {
         }
     }
 
-    /// Runs one packet (already loaded into `self.buf`) through the
-    /// engine and folds the verdict into the border's books. `ingress`
-    /// selects the pipeline: host frames from directly attached sinks
-    /// take ingress, fabric bytes take egress.
-    fn process_loaded(&mut self, ctx: &mut Context<'_, FabricMsg>, ingress: bool) {
+    /// Runs one packet of fabric bytes through the engine's egress
+    /// pipeline and folds the verdict into the border's books.
+    fn handle_data(&mut self, ctx: &mut Context<'_, FabricMsg>, bytes: &[u8]) {
+        if !self.buf.load(bytes) {
+            debug_assert!(false, "fabric data exceeds MAX_FRAME");
+            return;
+        }
         let bufs = std::slice::from_mut(&mut self.buf);
-        let verdict = if ingress {
-            self.switch.process_ingress(bufs, ctx.now())[0]
-        } else {
-            self.switch.process_egress(bufs, ctx.now())[0]
-        };
+        let verdict = self.switch.process_egress(bufs, ctx.now())[0];
         match verdict {
             Verdict::Deliver { .. } => {
                 self.stats.delivered += 1;
@@ -407,14 +329,6 @@ impl BorderRouter {
         // (cycling the scratch capacity) and intentionally dropped.
         self.switch.drain_punts_into(&mut self.punt_scratch);
         self.punt_scratch.clear();
-    }
-
-    fn handle_data(&mut self, ctx: &mut Context<'_, FabricMsg>, bytes: &[u8]) {
-        if !self.buf.load(bytes) {
-            debug_assert!(false, "fabric data exceeds MAX_FRAME");
-            return;
-        }
-        self.process_loaded(ctx, false);
     }
 
     fn handle_control(&mut self, ctx: &mut Context<'_, FabricMsg>, msg: Lisp, now: SimTime) {
@@ -485,11 +399,9 @@ impl BorderRouter {
                 // retransmit out to the server's retry-after hint so the
                 // resubscribe wave decays instead of hammering. The hint
                 // is a floor; jitter on top decorrelates shed herds.
-                let mut hold = SimDuration::from_millis(u64::from(retry_after_ms));
-                if self.dir.params.rtx_jitter {
-                    let extra = self.jitter_draw() % hold.as_nanos().max(1);
-                    hold = SimDuration::from_nanos(hold.as_nanos() + extra);
-                }
+                let hold = self
+                    .backoff
+                    .busy_hold(SimDuration::from_millis(u64::from(retry_after_ms)));
                 if let Some(st) = self.pending_subscribes.get_mut(&vn) {
                     st.next_retry = now + hold;
                     st.prev_delay = hold;
@@ -519,42 +431,6 @@ impl Node<FabricMsg> for BorderRouter {
             }
             FabricMsg::Policy(PolicyMsg::RuleRefresh { rules }) => {
                 self.switch.replace_rules(&rules);
-            }
-            FabricMsg::Host(ev) => {
-                // Border-attached endpoints (traffic sinks) do not roam;
-                // their sends run the engine's ingress pipeline against
-                // the synced table.
-                if let crate::msg::HostEvent::Send {
-                    src_mac,
-                    dst,
-                    payload_len,
-                    flow,
-                    track,
-                } = ev
-                {
-                    let Some(src_ipv4) = self
-                        .switch
-                        .tables()
-                        .vrf()
-                        .classify(src_mac)
-                        .map(|(_, ep)| ep.ipv4)
-                    else {
-                        return;
-                    };
-                    if !pipeline::compose_host_frame(
-                        &mut self.frame_scratch,
-                        src_mac,
-                        src_ipv4,
-                        dst,
-                        payload_len,
-                        flow,
-                        track,
-                    ) {
-                        return;
-                    }
-                    assert!(self.buf.load(&self.frame_scratch));
-                    self.process_loaded(ctx, true);
-                }
             }
             // Borders do not run the link-state protocol in this model;
             // hellos from edges are absorbed (edges detect border

@@ -18,7 +18,6 @@ use crate::edge::{underlay_id, EdgeRouter};
 use crate::msg::{EndpointIdentity, FabricMsg, HostEvent};
 use crate::pipeline::EnforcementPoint;
 use crate::servers::{Directory, FabricCounters, PolicyServerNode, RoutingServerNode};
-use sda_dataplane::LocalEndpoint;
 
 /// Fabric-wide behavior knobs, shared read-only by every node.
 #[derive(Debug, Clone)]
@@ -143,11 +142,6 @@ impl FabricConfig {
             None
         }
     }
-
-    /// The enforcement point the egress stage should honour.
-    pub fn enforcement_for_egress(&self) -> EnforcementPoint {
-        self.enforcement
-    }
 }
 
 /// Handle to an edge added to the builder.
@@ -158,15 +152,6 @@ pub struct EdgeHandle(pub usize);
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BorderHandle(pub usize);
 
-/// A border-attached infrastructure endpoint (traffic sink / server).
-struct BorderSink {
-    border: BorderHandle,
-    vn: VnId,
-    endpoint: EndpointIdentity,
-    group: GroupId,
-    port: PortId,
-}
-
 /// Builds a runnable [`Fabric`].
 pub struct FabricBuilder {
     seed: u64,
@@ -176,7 +161,6 @@ pub struct FabricBuilder {
     edge_names: Vec<String>,
     border_names: Vec<String>,
     border_external: Vec<Vec<Ipv4Prefix>>,
-    border_sinks: Vec<BorderSink>,
     next_mac_seed: u32,
     link_latency: SimDuration,
     underlay_dynamics: bool,
@@ -193,7 +177,6 @@ impl FabricBuilder {
             edge_names: Vec::new(),
             border_names: Vec::new(),
             border_external: Vec::new(),
-            border_sinks: Vec::new(),
             next_mac_seed: 1,
             link_latency: SimDuration::from_micros(50),
             underlay_dynamics: false,
@@ -203,11 +186,6 @@ impl FabricBuilder {
     /// Mutable access to the behavior knobs.
     pub fn config_mut(&mut self) -> &mut FabricConfig {
         &mut self.config
-    }
-
-    /// Mutable access to the policy server being configured.
-    pub fn policy_mut(&mut self) -> &mut PolicyServer {
-        &mut self.policy
     }
 
     /// Sets the uniform fabric link latency.
@@ -293,27 +271,6 @@ impl FabricBuilder {
         EndpointIdentity { mac, ipv4, secret }
     }
 
-    /// Attaches an infrastructure endpoint directly to a border
-    /// (traffic sinks, servers — they do not roam or authenticate
-    /// dynamically).
-    pub fn add_border_sink(
-        &mut self,
-        border: BorderHandle,
-        vn: VnId,
-        group: GroupId,
-        port: PortId,
-    ) -> EndpointIdentity {
-        let endpoint = self.mint_endpoint(vn, group);
-        self.border_sinks.push(BorderSink {
-            border,
-            vn,
-            endpoint,
-            group,
-            port,
-        });
-        endpoint
-    }
-
     /// RLOC assignment: edges at indices 1…, borders at 30000…, routing
     /// server at 65000.
     fn edge_rloc(i: usize) -> Rloc {
@@ -376,18 +333,6 @@ impl FabricBuilder {
             let mut border = BorderRouter::new(name.clone(), Self::border_rloc(i), dir.clone());
             for p in &self.border_external[i] {
                 border.add_external(*p);
-            }
-            // Pre-install border sinks.
-            for sink in self.border_sinks.iter().filter(|s| s.border.0 == i) {
-                border.attach_sink(
-                    sink.vn,
-                    LocalEndpoint {
-                        port: sink.port,
-                        group: sink.group,
-                        mac: sink.endpoint.mac,
-                        ipv4: sink.endpoint.ipv4,
-                    },
-                );
             }
             let id = sim.add_node(Box::new(border));
             borders.push(id);
@@ -501,31 +446,6 @@ impl Fabric {
         self.sim.inject_at(
             at,
             self.edges[edge.0],
-            FabricMsg::Host(HostEvent::Send {
-                src_mac,
-                dst,
-                payload_len,
-                flow,
-                track,
-            }),
-        );
-    }
-
-    /// Schedules a send from a border-attached sink.
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_from_border_at(
-        &mut self,
-        at: SimTime,
-        border: BorderHandle,
-        src_mac: MacAddr,
-        dst: Eid,
-        payload_len: u16,
-        flow: u64,
-        track: bool,
-    ) {
-        self.sim.inject_at(
-            at,
-            self.borders[border.0],
             FabricMsg::Host(HostEvent::Send {
                 src_mac,
                 dst,

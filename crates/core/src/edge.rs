@@ -37,6 +37,7 @@ use sda_types::{Eid, EidKind, GroupId, MacAddr, PortId, Rloc, VnId};
 use sda_underlay::{LinkStateRouter, ReachabilityEvent, ReachabilityTracker};
 use sda_wire::lisp::{BusyClass, Message as Lisp};
 
+use crate::backoff::Backoff;
 use crate::msg::{ArpMsg, EndpointIdentity, FabricMsg, HostEvent, PolicyMsg};
 use crate::pipeline::{self, EnforcementPoint};
 use crate::servers::Directory;
@@ -161,10 +162,8 @@ pub struct EdgeRouter {
     /// High-water marks of the bounded retry maps (cap audits).
     resolving_peak: usize,
     pending_registers_peak: usize,
-    /// Private decorrelated-jitter state, seeded from this edge's RLOC:
-    /// deterministic per node and independent of the shared scenario
-    /// RNG, so enabling jitter never perturbs other nodes' draws.
-    jitter_state: u64,
+    /// Retransmit schedule (and its private jitter stream).
+    backoff: Backoff,
     /// Whether the retransmit sweep timer is armed.
     retry_armed: bool,
     /// Non-volatile endpoint inventory (port config + cached auth):
@@ -209,6 +208,7 @@ impl EdgeRouter {
         let mut switch = Switch::new(edge_switch_config(rloc, &dir));
         install_dst_hints(&mut switch, &dir);
         let name = name.into();
+        let backoff = Backoff::new(rloc, &dir.params);
         EdgeRouter {
             acl_drops: None,
             name,
@@ -222,7 +222,7 @@ impl EdgeRouter {
             unresolvable: BTreeMap::new(),
             resolving_peak: 0,
             pending_registers_peak: 0,
-            jitter_state: jitter_seed(rloc),
+            backoff,
             retry_armed: false,
             inventory: BTreeMap::new(),
             pending_arp: HashMap::new(),
@@ -334,11 +334,6 @@ impl EdgeRouter {
         self.failed = failed;
     }
 
-    /// Whether the edge is currently failed.
-    pub fn is_failed(&self) -> bool {
-        self.failed
-    }
-
     /// Arms the periodic timers; the controller calls this right after
     /// node creation via an injected kick (timers need a context).
     fn arm_timers(&self, ctx: &mut Context<'_, FabricMsg>) {
@@ -369,66 +364,6 @@ impl EdgeRouter {
         self.dir.node_of(rloc)
     }
 
-    /// Exponential backoff after the `attempts`-th send, capped.
-    fn backoff(&self, attempts: u32) -> SimDuration {
-        let p = &self.dir.params;
-        let mut d = p.rtx_initial;
-        for _ in 1..attempts {
-            d = d.saturating_mul(2);
-            if d >= p.rtx_max_backoff {
-                return p.rtx_max_backoff;
-            }
-        }
-        d.min(p.rtx_max_backoff)
-    }
-
-    /// One step of this node's private xorshift64* stream.
-    fn jitter_draw(&mut self) -> u64 {
-        let mut x = self.jitter_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.jitter_state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Decorrelated-jitter backoff: uniform in
-    /// `[rtx_initial, min(3 × prev, rtx_max_backoff)]`. Consecutive
-    /// draws decorrelate even nodes that started in lockstep (a mass
-    /// reboot), so retry waves spread instead of arriving as one burst.
-    fn jittered_backoff(&mut self, prev: SimDuration) -> SimDuration {
-        let p = &self.dir.params;
-        let base = p.rtx_initial.as_nanos();
-        let cap = p.rtx_max_backoff.as_nanos().max(base);
-        let hi = prev.as_nanos().saturating_mul(3).clamp(base, cap);
-        let span = hi - base;
-        let off = if span == 0 {
-            0
-        } else {
-            self.jitter_draw() % (span + 1)
-        };
-        SimDuration::from_nanos(base + off)
-    }
-
-    /// The delay before the next retransmit of an entry whose last
-    /// delay was `prev` and which has `attempts` sends behind it.
-    fn retry_delay(&mut self, attempts: u32, prev: SimDuration) -> SimDuration {
-        if self.dir.params.rtx_jitter {
-            self.jittered_backoff(prev)
-        } else {
-            self.backoff(attempts)
-        }
-    }
-
-    /// The delay before the *first* retransmit of a fresh entry.
-    fn initial_retry_delay(&mut self) -> SimDuration {
-        if self.dir.params.rtx_jitter {
-            self.jittered_backoff(self.dir.params.rtx_initial)
-        } else {
-            self.dir.params.rtx_initial
-        }
-    }
-
     /// High-water mark of the `resolving` map (cap audits).
     pub fn resolving_peak(&self) -> usize {
         self.resolving_peak
@@ -445,30 +380,8 @@ impl EdgeRouter {
     fn arm_retry(&mut self, ctx: &mut Context<'_, FabricMsg>) {
         if !self.retry_armed {
             self.retry_armed = true;
-            // Jitter the sweep phase too: a fixed period would re-batch
-            // every node's retransmits onto the same grid instants no
-            // matter how decorrelated the per-entry deadlines are.
-            let mut d = self.dir.params.rtx_initial;
-            if self.dir.params.rtx_jitter {
-                let span = d.as_nanos() / 2;
-                d = SimDuration::from_nanos(d.as_nanos() + self.jitter_draw() % (span + 1));
-            }
-            ctx.set_timer(d, TIMER_RETRY);
+            ctx.set_timer(self.backoff.sweep_delay(), TIMER_RETRY);
         }
-    }
-
-    /// The wait applied on a `ServerBusy` reply. The wire hint is a
-    /// *floor* ("do not retransmit for at least this long"); jitter on
-    /// top spreads the herd of simultaneously-shed senders, which would
-    /// otherwise all come back in one synchronized wave and be shed
-    /// again — the hint alone re-correlates exactly what the jittered
-    /// backoff decorrelated.
-    fn busy_hold(&mut self, hint: SimDuration) -> SimDuration {
-        if !self.dir.params.rtx_jitter {
-            return hint;
-        }
-        let extra = self.jitter_draw() % hint.as_nanos().max(1);
-        SimDuration::from_nanos(hint.as_nanos() + extra)
     }
 
     fn send_map_request(&mut self, ctx: &mut Context<'_, FabricMsg>, vn: VnId, eid: Eid) {
@@ -500,7 +413,7 @@ impl EdgeRouter {
                 ctx.metrics().bump(self.dir.counters.resolve_evictions);
             }
         }
-        let prev_delay = self.initial_retry_delay();
+        let prev_delay = self.backoff.initial_retry_delay();
         let next_retry = ctx.now() + prev_delay;
         self.resolving.insert(
             (vn, eid),
@@ -568,7 +481,7 @@ impl EdgeRouter {
                 }
                 continue;
             }
-            let delay = self.retry_delay(attempts + 1, prev);
+            let delay = self.backoff.retry_delay(attempts + 1, prev);
             if let Some(st) = self.resolving.get_mut(&key) {
                 st.attempts = attempts + 1;
                 st.next_retry = now + delay;
@@ -612,7 +525,7 @@ impl EdgeRouter {
                 ctx.metrics().bump(self.dir.counters.register_timeouts);
                 continue;
             }
-            let delay = self.retry_delay(attempts + 1, prev);
+            let delay = self.backoff.retry_delay(attempts + 1, prev);
             if let Some(st) = self.pending_registers.get_mut(&nonce) {
                 st.attempts = attempts + 1;
                 st.next_retry = now + delay;
@@ -679,7 +592,7 @@ impl EdgeRouter {
                 }
             }
             let nonce = self.nonce();
-            let prev_delay = self.initial_retry_delay();
+            let prev_delay = self.backoff.initial_retry_delay();
             let next_retry = ctx.now() + prev_delay;
             self.pending_registers.insert(
                 nonce,
@@ -1082,7 +995,9 @@ impl EdgeRouter {
                 // Honor the server's retry-after hint instead of our own
                 // (possibly much shorter) backoff — collapsing the
                 // retransmit storm is the whole point of the hint.
-                let hold = self.busy_hold(SimDuration::from_millis(u64::from(retry_after_ms)));
+                let hold = self
+                    .backoff
+                    .busy_hold(SimDuration::from_millis(u64::from(retry_after_ms)));
                 match class {
                     BusyClass::Request => {
                         if let Some(st) = self.resolving.get_mut(&(vn, eid)) {
@@ -1236,17 +1151,6 @@ pub(crate) fn install_dst_hints(switch: &mut Switch, dir: &Directory) {
 pub(crate) fn bump_acl_drops(slot: &mut Option<CounterId>, name: &str, metrics: &mut Metrics) {
     let id = *slot.get_or_insert_with(|| metrics.counter_id(&format!("acl.drops.{name}")));
     metrics.bump(id);
-}
-
-/// Splitmix64 of the RLOC address: a well-mixed, per-node-deterministic
-/// seed for the private retransmit-jitter stream (never zero, which
-/// would wedge xorshift).
-pub(crate) fn jitter_seed(rloc: Rloc) -> u64 {
-    let mut z = u64::from(u32::from(rloc.addr())).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z = z ^ (z >> 31);
-    z | 1
 }
 
 /// Fabric routers use their RLOC's host octets as underlay RouterId.

@@ -23,16 +23,16 @@
 //!
 //! * [`msg`] — the fabric's simulator message type (data packets,
 //!   LISP control, policy exchanges, host events, underlay protocol).
-//! * [`pipeline`] — the ingress and egress stages as pure decision
-//!   functions, plus byte-level encap/decap proving the structured path
-//!   and `sda-wire` agree.
+//! * [`pipeline`] — the host-frame byte conventions around the
+//!   two-stage ingress/egress pipeline, which is the per-node
+//!   `sda_dataplane::Switch` itself.
 //! * [`edge`] — the edge router node: onboarding (Fig. 3), reactive
 //!   resolution, mobility (Figs. 5–6), SMR, reboot recovery, underlay
 //!   fallback.
 //! * [`border`] — the border router: pub/sub-synced full table, default-
 //!   route target, external prefixes.
 //! * [`servers`] — policy-server and routing-server simulator nodes
-//!   wrapping `sda-policy` / `sda-lisp`.
+//!   wrapping `sda-policy` / `sda-ctrl`.
 //! * [`dhcp`] — overlay address allocation per VN.
 //! * [`controller`] — the declarative operator API (§3.1) and scenario
 //!   builder producing a runnable [`controller::Fabric`].
@@ -40,6 +40,7 @@
 //!   database, border subscriber views and edge caches against an
 //!   expected endpoint placement after a chaos run.
 
+mod backoff;
 pub mod border;
 pub mod chaos;
 pub mod controller;
@@ -53,6 +54,6 @@ pub use chaos::{check_convergence, ConvergenceReport, ExpectedPlacement};
 pub use controller::{Fabric, FabricBuilder, FabricConfig};
 // Overload-hardening knobs, re-exported so scenario crates can set
 // `FabricConfig::admission` without depending on `sda-ctrl` directly.
-pub use msg::{EndpointIdentity, FabricMsg, HostEvent, InnerPacket, OverlayPacket, PolicyMsg};
+pub use msg::{EndpointIdentity, FabricMsg, HostEvent, PolicyMsg};
 pub use pipeline::EnforcementPoint;
 pub use sda_ctrl::{AdmissionConfig, ClassBudget};

@@ -26,44 +26,6 @@ impl EndpointIdentity {
     }
 }
 
-/// The overlay payload the fabric forwards: the parsed form of the
-/// inner packet of Fig. 2.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct InnerPacket {
-    /// Source endpoint EID.
-    pub src: Eid,
-    /// Destination endpoint EID.
-    pub dst: Eid,
-    /// Simulated payload size (bytes) for bandwidth accounting.
-    pub payload_len: u16,
-    /// Flow identifier (ECMP hashing, dedup in tests).
-    pub flow: u64,
-    /// When true, delivery is recorded in metrics (measurement hooks).
-    pub track: bool,
-}
-
-/// A VXLAN-GPO-encapsulated packet in structured form (Fig. 2).
-///
-/// The byte-accurate equivalent lives in `sda-wire`; the
-/// [`crate::pipeline`] differential tests prove the two agree.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct OverlayPacket {
-    /// VN carried in the VNI field.
-    pub vn: VnId,
-    /// Source GroupId carried in the GPO group field.
-    pub src_group: GroupId,
-    /// Policy-applied bit (set by ingress enforcement).
-    pub policy_applied: bool,
-    /// Remaining fabric hops before the packet is dropped; breaks the
-    /// transient border↔rebooted-edge loop of §5.2.
-    pub hops_left: u8,
-    /// The ingress edge's RLOC (the outer source IP of Fig. 2) —
-    /// where data-triggered SMRs are sent (Fig. 6 step 2).
-    pub origin: Rloc,
-    /// The encapsulated endpoint packet.
-    pub inner: InnerPacket,
-}
-
 /// Default hop budget for fabric traversal (edge→border→edge plus
 /// forwarding detours during mobility).
 pub const DEFAULT_HOPS: u8 = 8;
@@ -193,8 +155,6 @@ pub enum FabricMsg {
     /// Encapsulated overlay traffic between fabric routers: the real
     /// underlay bytes (outer IPv4 / UDP / VXLAN-GPO / inner packet),
     /// produced and consumed by each node's `sda_dataplane::Switch`.
-    /// The structured [`OverlayPacket`] form survives only in the
-    /// differential oracle ([`crate::pipeline`]).
     Data(Vec<u8>),
     /// LISP control plane (requests, replies, registers, notifies,
     /// SMRs, publishes, subscribes).
@@ -223,27 +183,5 @@ mod tests {
         let eids = ep.eids();
         assert_eq!(eids[0], Eid::V4(ep.ipv4));
         assert_eq!(eids[1], Eid::Mac(ep.mac));
-    }
-
-    #[test]
-    fn overlay_packet_is_small_and_copyable() {
-        // The sim moves millions of these; keep them Copy and compact.
-        assert!(core::mem::size_of::<OverlayPacket>() <= 96);
-        let p = OverlayPacket {
-            vn: VnId::DEFAULT,
-            src_group: GroupId(1),
-            policy_applied: false,
-            hops_left: DEFAULT_HOPS,
-            origin: Rloc::for_router_index(1),
-            inner: InnerPacket {
-                src: Eid::V4(Ipv4Addr::new(10, 0, 0, 1)),
-                dst: Eid::V4(Ipv4Addr::new(10, 0, 0, 2)),
-                payload_len: 1500,
-                flow: 1,
-                track: false,
-            },
-        };
-        let q = p;
-        assert_eq!(p, q);
     }
 }

@@ -21,7 +21,6 @@ use std::rc::Rc;
 
 use rand::Rng;
 use sda_ctrl::{Disposition, PartitionedMapServer};
-use sda_lisp::MapServer;
 use sda_policy::PolicyServer;
 use sda_simnet::{Context, CounterId, FaultEvent, Metrics, Node, NodeId, SimDuration};
 use sda_types::{MacAddr, Rloc, VnId};
@@ -250,7 +249,7 @@ impl Node<FabricMsg> for RoutingServerNode {
         }
         match msg {
             FabricMsg::Control(m) => {
-                let base = MapServer::service_time(&m);
+                let base = sda_lisp::service_time(&m);
                 let (disposition, out) = self.server.handle_with_disposition(m, ctx.now());
                 match disposition {
                     Disposition::Served => {
@@ -313,11 +312,6 @@ impl PolicyServerNode {
     /// Read access for post-run assertions.
     pub fn server(&self) -> &PolicyServer {
         &self.server
-    }
-
-    /// Mutable access (runtime policy changes in scenarios).
-    pub fn server_mut(&mut self) -> &mut PolicyServer {
-        &mut self.server
     }
 }
 

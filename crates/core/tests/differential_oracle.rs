@@ -1,7 +1,7 @@
 //! The differential oracle harness: generated packet populations are
 //! replayed through **both** data-plane implementations — the byte
 //! engine (`sda_dataplane::Switch`) and the structured decision model
-//! (`sda_core::pipeline::oracle`, built on the historical pure
+//! (`reference/pipeline.rs`'s `oracle`, built on the historical pure
 //! `ingress`/`egress` functions) — and every packet's verdict and punt
 //! list must agree exactly.
 //!
@@ -22,7 +22,6 @@ use std::net::Ipv4Addr;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sda_core::pipeline::oracle;
 use sda_dataplane::{
     encap, InnerProto, LocalEndpoint, OuterChecksum, PacketBuf, Punt, Switch, SwitchConfig, Verdict,
 };
@@ -30,6 +29,11 @@ use sda_policy::{Action, ConnectivityMatrix, EnforcementPoint};
 use sda_simnet::{SimDuration, SimTime};
 use sda_types::{Eid, EidPrefix, GroupId, Ipv4Prefix, MacAddr, PortId, Rloc, VnId};
 use sda_wire::{ethernet, ipv4, EtherType};
+
+// Each includer calls its own part of the references.
+#[allow(dead_code)]
+mod reference;
+use reference::pipeline::oracle;
 
 const USERS: GroupId = GroupId(10);
 const INFRA: GroupId = GroupId(20);
@@ -461,8 +465,8 @@ fn batched_ingress_agrees_with_per_packet_oracle() {
 }
 
 /// Enforcement replay against the batched bitset path: one persistent
-/// reference [`sda_policy::GroupAcl`] (decompiled from the engine's
-/// compiled table before any traffic) shadows every counting decision
+/// reference `GroupAcl` (seeded from the engine's compiled table's
+/// `rules()` before any traffic) shadows every counting decision
 /// the engine makes — across batched ingress and egress populations,
 /// under both §5.3 enforcement points — and the engine's shared
 /// allowed/dropped atomics must equal the model's counters after every
@@ -477,7 +481,7 @@ fn enforcement_counters_agree_with_model_replay() {
     {
         let mut w = build_world(cfg, externals);
         let mut rng = SmallRng::seed_from_u64(0xC0C7);
-        let mut model_acl = w.switch.tables().acl().to_group_acl();
+        let mut model_acl = oracle::reference_acl(w.switch.tables().acl());
         assert_eq!(
             w.switch.tables().acl().counters(),
             (0, 0),

@@ -10,12 +10,15 @@
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
-use sda_core::msg::InnerPacket;
-use sda_core::pipeline::{self, EgressAction, EnforcementPoint, IngressAction};
-use sda_core::OverlayPacket;
 use sda_dataplane::{LocalEndpoint, VrfTable};
-use sda_policy::{Action, GroupAcl, GroupRule, RuleSubset};
+use sda_policy::{Action, EnforcementPoint, GroupRule, RuleSubset};
 use sda_types::{Eid, GroupId, MacAddr, PortId, Rloc, VnId};
+
+// Each includer calls its own part of the references.
+#[allow(dead_code)]
+mod reference;
+use reference::group_acl::GroupAcl;
+use reference::pipeline::{self, EgressAction, IngressAction, InnerPacket, OverlayPacket};
 
 fn vn() -> VnId {
     VnId::new(1).unwrap()
@@ -209,4 +212,47 @@ proptest! {
         let b = pipeline::egress(&vrf, &mut acl_b, &decoded, EnforcementPoint::Egress, Action::Deny);
         prop_assert_eq!(a, b);
     }
+}
+
+/// One fixed codec case beside the generated ones: the encoder's outer
+/// stack carries the fabric's own VXLAN-GPO framing constants, read
+/// back with `sda-wire`'s parsers, and the packet survives the round
+/// trip.
+#[test]
+fn vxlan_constants_match_fabric_expectations() {
+    use pipeline::{decode_packet, encode_packet};
+
+    let pkt = OverlayPacket {
+        vn: vn(),
+        src_group: GroupId(42),
+        policy_applied: false,
+        hops_left: 8,
+        origin: Rloc::for_router_index(1),
+        inner: InnerPacket {
+            src: Eid::V4(Ipv4Addr::new(10, 7, 0, 1)),
+            dst: Eid::V4(Ipv4Addr::new(10, 7, 0, 2)),
+            payload_len: 1400,
+            flow: 99,
+            track: true,
+        },
+    };
+    let bytes = encode_packet(
+        Rloc::for_router_index(1),
+        Rloc::for_router_index(2),
+        &pkt,
+        sda_dataplane::OuterChecksum::Full,
+    )
+    .unwrap();
+
+    // The outer stack is real: IPv4 proto 17, UDP dst 4789, VNI = VN.
+    let outer = sda_wire::ipv4::Packet::new_checked(&bytes[..]).unwrap();
+    assert_eq!(u8::from(outer.protocol()), 17);
+    let udp = sda_wire::udp::Packet::new_checked(outer.payload()).unwrap();
+    assert_eq!(udp.dst_port(), sda_wire::udp::VXLAN_PORT);
+    let vx = sda_wire::vxlan::Packet::new_checked(udp.payload()).unwrap();
+    assert_eq!(vx.vni(), vn());
+    assert_eq!(vx.group(), Some(GroupId(42)));
+
+    let (_, _, decoded) = decode_packet(&bytes).unwrap();
+    assert_eq!(decoded, pkt);
 }

@@ -1,10 +1,11 @@
 //! Incremental pub/sub delta fan-out.
 //!
-//! The single `MapServer` walks the whole VN on every subscribe and
-//! touches every subscriber's stream through one global counter. Here
-//! every mapping change enqueues one [`Delta`] into the bounded queue of
-//! each subscriber of *that VN* — O(changes × subscribers-of-that-VN),
-//! never O(world) — stamped with a **per-VN** sequence number.
+//! The single reference map-server walks the whole VN on every
+//! subscribe and touches every subscriber's stream through one global
+//! counter. Here every mapping change enqueues one [`Delta`] into the
+//! bounded queue of each subscriber of *that VN* — O(changes ×
+//! subscribers-of-that-VN), never O(world) — stamped with a **per-VN**
+//! sequence number.
 //!
 //! All per-VN state lives in **one map**, `VnId → VnStream`: the VN's
 //! publish sequence and its subscribers, each with the sync state of that

@@ -1,7 +1,8 @@
 //! # sda-ctrl
 //!
-//! The **partitioned control plane**: the scale-tier successor to
-//! `sda-lisp`'s single [`MapServer`](sda_lisp::MapServer) and to the
+//! The **partitioned control plane** — the routing server the fabric
+//! runs: the scale-tier successor to the single-database map-server
+//! (now its reference, `tests/reference/map_server.rs`) and to the
 //! paper-faithful replicate-all `ShardedMapServer`, which clones every
 //! Map-Register into every shard (§4.1: "perform route updates on all
 //! servers") and so scales registration cost, memory, and pub/sub
@@ -32,7 +33,7 @@
 //! The replicate-all `ShardedMapServer` lives in bench support
 //! (`sda_bench::shard`) as the cost comparison of `BENCH_ctrl.json`'s
 //! `register_legacy_s4` row; `tests/differential_ctrl.rs` proves the
-//! partitioned server agrees with a *single* `MapServer`
+//! partitioned server agrees with the *single* reference server
 //! reply-for-reply and notify-for-notify over generated
 //! register/request/move/expiry interleavings.
 //!

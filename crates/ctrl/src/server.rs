@@ -8,12 +8,13 @@
 //! `sda_bench::shard`).
 //!
 //! [`PartitionedMapServer::handle`] returns replies and notifies only —
-//! byte-for-byte what a single [`MapServer`](sda_lisp::MapServer) would
-//! transmit. Pub/sub rides the incremental [`DeltaFanout`] instead:
-//! changes enqueue deltas, and [`PartitionedMapServer::flush_publishes`]
-//! drains them (plus any pending snapshot resyncs). Callers embedding
-//! the server in a message loop flush after each handled message; batch
-//! loaders flush once at the end.
+//! byte-for-byte what the single reference map-server
+//! (`tests/reference/map_server.rs`) would transmit. Pub/sub rides the
+//! incremental [`DeltaFanout`] instead: changes enqueue deltas, and
+//! [`PartitionedMapServer::flush_publishes`] drains them (plus any
+//! pending snapshot resyncs). Callers embedding the server in a message
+//! loop flush after each handled message; batch loaders flush once at
+//! the end.
 //!
 //! ## Overload model
 //!
@@ -262,7 +263,7 @@ impl PartitionedMapServer {
     }
 
     /// Handles one control message, returning the replies/notifies to
-    /// transmit — exactly what a single `MapServer` would produce.
+    /// transmit — exactly what the single reference server would produce.
     /// Mapping changes additionally enqueue pub/sub deltas; drain them
     /// with [`PartitionedMapServer::flush_publishes`]. Shorthand for
     /// [`PartitionedMapServer::handle_with_disposition`] when the

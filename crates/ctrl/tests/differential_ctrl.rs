@@ -1,9 +1,9 @@
 //! The control-plane differential oracle: generated
 //! register/request/move/expiry/subscribe interleavings are replayed
-//! through **both** implementations — a single `sda_lisp::MapServer`
-//! and the 4-shard `PartitionedMapServer` — and the observable behavior
-//! must agree (the same discipline as `sda-core`'s data-plane
-//! `differential_oracle.rs`):
+//! through **both** implementations — the single `MapServer` frozen in
+//! `reference/map_server.rs` and the 4-shard `PartitionedMapServer` —
+//! and the observable behavior must agree (the same discipline as
+//! `sda-core`'s data-plane `differential_oracle.rs`):
 //!
 //! * **Reply-for-reply / notify-for-notify**: each handled message's
 //!   outbox, publishes set aside, must match exactly (destinations,
@@ -25,11 +25,16 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use sda_ctrl::PartitionedMapServer;
-use sda_lisp::MapServer;
 use sda_simnet::{SimDuration, SimTime};
 use sda_types::{Eid, EidPrefix, Rloc, VnId};
 use sda_wire::lisp::Message;
 use std::net::Ipv4Addr;
+
+// The reference keeps its whole API; this test calls part of it.
+#[allow(dead_code)]
+#[path = "reference/map_server.rs"]
+mod reference;
+use reference::MapServer;
 
 const SHARDS: usize = 4;
 const TTL_SECS: u32 = 300;

@@ -528,13 +528,6 @@ impl WorkerCtx {
         std::mem::swap(&mut self.punts, out);
     }
 
-    /// Takes the last batch's verdicts into `out` by swap (same
-    /// capacity-cycling contract as [`WorkerCtx::drain_punts_into`]).
-    pub fn drain_verdicts_into(&mut self, out: &mut Vec<Verdict>) {
-        out.clear();
-        std::mem::swap(&mut self.verdicts, out);
-    }
-
     /// Queues a punt, collapsing consecutive duplicates: a burst of
     /// packets toward one unresolved destination raises one
     /// Map-Request, not one per packet.

@@ -1,21 +1,25 @@
 //! # sda-lisp
 //!
-//! The SDA **routing server** (LISP map-server) and the edge-side
-//! **map-cache**: the reactive control plane at the heart of the paper.
+//! The building blocks of the SDA **routing server** (LISP map-server)
+//! and the edge-side **map-cache**: the reactive control plane at the
+//! heart of the paper. The server itself — Map-Request/Reply,
+//! Map-Register with move detection (Fig. 5), Map-Notify to the previous
+//! edge, negative replies, pub/sub — is `sda_ctrl::PartitionedMapServer`,
+//! one layer up.
 //!
 //! * [`registry::MappingDb`] — the `(VN, EID) → RLOC` database, one
 //!   exact-match table of host routes per VN (§3.2.2, Table 2 row 3).
-//! * [`map_server::MapServer`] — a pure state machine speaking
-//!   [`sda_wire::lisp::Message`]: Map-Request/Reply, Map-Register with
-//!   move detection (Fig. 5), Map-Notify to the previous edge, negative
-//!   replies for unknown EIDs, and pub/sub publishes to subscribed
-//!   borders.
+//! * [`map_server`] — what every server shares: the [`Outbox`] of
+//!   `(destination, message)` pairs, [`MapServerStats`], the
+//!   service-time model and the reply TTLs.
 //! * [`map_cache::MapCache`] — the edge router's on-demand FIB: host
 //!   routes in one exact-match table, covering prefixes in per-VN
 //!   tries; TTL'd entries, idle decay, SMR/underlay-event invalidation,
 //!   negative caching. Its `len()` *is* the Fig. 9 "FIB entries" series.
 //! * [`pubsub::SubscriberTable`] — border-router synchronization
-//!   (§3.3: "their FIB table is synchronized with the routing server").
+//!   (§3.3: "their FIB table is synchronized with the routing server")
+//!   in its walk-the-VN form; the partitioned server's incremental
+//!   successor is `sda_ctrl::DeltaFanout`.
 //! * [`smr::SmrTracker`] — dedup window for the data-triggered
 //!   Solicit-Map-Request messages of Fig. 6.
 //!
@@ -36,7 +40,7 @@ pub mod registry;
 pub mod smr;
 
 pub use map_cache::{CacheEntry, CacheOutcome, MapCache};
-pub use map_server::{MapServer, MapServerStats, Outbox, REQUEST_SERVICE, UPDATE_SERVICE};
+pub use map_server::{service_time, MapServerStats, Outbox, REQUEST_SERVICE, UPDATE_SERVICE};
 pub use pubsub::SubscriberTable;
 pub use registry::{MappingDb, MappingRecord, RegisterOutcome};
 pub use smr::SmrTracker;

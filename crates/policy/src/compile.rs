@@ -1,11 +1,11 @@
 //! The compiled, compressed SGACL: dense group-id interning and bitset
 //! verdict rows.
 //!
-//! [`GroupAcl`] is the *reference* enforcement table — a per-pair
-//! `BTreeMap` probe per packet. At a thousand groups and a hundred
-//! thousand rules that map is megabytes of pointer-chasing on the hot
-//! path. [`CompiledAcl`] is the production form the data plane actually
-//! consults:
+//! The *reference* enforcement table (the per-pair ACL,
+//! `tests/reference/group_acl.rs`) is a `BTreeMap` probe per packet. At
+//! a thousand groups and a hundred thousand rules that map is megabytes
+//! of pointer-chasing on the hot path. [`CompiledAcl`] is the table the
+//! data plane consults:
 //!
 //! * **Dense interning.** Each VN interns the `GroupId`s its rules
 //!   mention into a dense id space (`group_index`: a direct-mapped
@@ -19,9 +19,9 @@
 //!   cells without an explicit rule carry the default), so the common
 //!   case (caller's default == compiled default) never looks anywhere
 //!   else. A parallel `explicit` row records which cells hold a real
-//!   rule; it serves the exact [`GroupAcl`] semantics when a caller
+//!   rule; it serves the exact per-pair semantics when a caller
 //!   passes a *different* default, and reconstructs the rule list for
-//!   [`CompiledAcl::to_group_acl`].
+//!   [`CompiledAcl::rules`].
 //! * **`Arc`-shared publication.** The per-VN tables live behind
 //!   `Arc`s: cloning a `CompiledAcl` (the clone-and-swap epoch publish)
 //!   copies pointers, not rule bits, and a delta install copies only
@@ -36,7 +36,6 @@ use std::sync::Arc;
 
 use sda_types::{GroupId, VnId};
 
-use crate::enforce::GroupAcl;
 use crate::matrix::{Action, ConnectivityMatrix, GroupRule};
 use crate::sxp::RuleSubset;
 
@@ -307,19 +306,19 @@ impl AclVnView<'_> {
 
 /// The compiled SGACL: dense-interned, bitset-compressed, `Arc`-shared.
 ///
-/// Mirrors the [`GroupAcl`] API verdict-for-verdict (the property tests
-/// assert it), with two deliberate differences: `enforce` takes `&self`
-/// (counters are shared atomics, so enforcement works on a published
-/// snapshot), and `Clone` is O(#VNs) pointer copies — the epoch publish
-/// stops deep-copying the rule map.
+/// Mirrors the reference per-pair ACL's API verdict-for-verdict (the
+/// property tests assert it), with two deliberate differences:
+/// `enforce` takes `&self` (counters are shared atomics, so enforcement
+/// works on a published snapshot), and `Clone` is O(#VNs) pointer
+/// copies — the epoch publish stops deep-copying the rule map.
 #[derive(Clone, Debug)]
 pub struct CompiledAcl {
     /// Sorted by VN for binary-search probes.
     vns: Vec<(VnId, Arc<VnAcl>)>,
     /// The default folded into the rows at compile time. A caller
-    /// passing a different per-call default still gets exact
-    /// [`GroupAcl`] semantics through the `explicit` bits — just off
-    /// the one-load fast path.
+    /// passing a different per-call default still gets exact per-pair
+    /// semantics through the `explicit` bits — just off the one-load
+    /// fast path.
     compiled_default: Action,
     /// Installed matrix version (staleness detection).
     version: u64,
@@ -446,8 +445,8 @@ impl CompiledAcl {
         self.version = self.version.max(matrix.version());
     }
 
-    /// Non-counting verdict (tests, planning) — exact [`GroupAcl::check`]
-    /// semantics.
+    /// Non-counting verdict (tests, planning): an explicit rule's
+    /// action, else `default`.
     #[inline]
     pub fn check(&self, vn: VnId, src: GroupId, dst: GroupId, default: Action) -> Action {
         match self.vn_acl(vn) {
@@ -517,19 +516,18 @@ impl CompiledAcl {
         self.counters = Arc::new(AclCounters::default());
     }
 
-    /// Decompiles into the reference [`GroupAcl`] (same rules, same
-    /// version, zeroed counters) — the differential oracle's model side.
-    pub fn to_group_acl(&self) -> GroupAcl {
+    /// Decompiles into the installed rule list (every explicit cell,
+    /// VN-ascending, under the installed version) — what the
+    /// differential oracles seed their reference table from.
+    pub fn rules(&self) -> RuleSubset {
         let mut rules = Vec::with_capacity(self.rules);
         for (vn, acl) in &self.vns {
             acl.for_each_rule(|r| rules.push((*vn, r)));
         }
-        let mut acl = GroupAcl::new();
-        acl.install(&RuleSubset {
+        RuleSubset {
             version: self.version,
             rules,
-        });
-        acl
+        }
     }
 
     /// Compiled-memory accounting (capacities, not lengths).
@@ -732,30 +730,6 @@ mod tests {
             acl.check(vn(1), GroupId(2), GroupId(1), Action::Deny),
             Action::Deny
         );
-    }
-
-    #[test]
-    fn to_group_acl_round_trips() {
-        let mut m = ConnectivityMatrix::new();
-        m.set_rule(vn(1), GroupId(1), GroupId(2), Action::Allow);
-        m.set_rule(vn(1), GroupId(3), GroupId(2), Action::Deny);
-        m.set_rule(vn(2), GroupId(5), GroupId(6), Action::Allow);
-        let compiled = CompiledAcl::compile(&m);
-        let reference = compiled.to_group_acl();
-        assert_eq!(reference.len(), compiled.len());
-        assert_eq!(reference.version(), compiled.version());
-        for v in [vn(1), vn(2)] {
-            for s in 0..8u16 {
-                for d in 0..8u16 {
-                    for default in [Action::Allow, Action::Deny] {
-                        assert_eq!(
-                            compiled.check(v, GroupId(s), GroupId(d), default),
-                            reference.check(v, GroupId(s), GroupId(d), default),
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -17,17 +17,17 @@
 //! * **Policy updates** ([`update`]) — the two operational strategies of
 //!   §5.4 (move endpoints between groups vs. rewrite the matrix), with
 //!   signaling-cost accounting so the trade-off is measurable.
-//! * **Per-packet enforcement** ([`enforce`]) — the reference group ACL
-//!   (per-pair map) and the §5.3 enforcement-point choice (ingress vs.
+//! * **Enforcement point** ([`enforce`]) — the §5.3 choice (ingress vs.
 //!   egress).
-//! * **Compiled enforcement** ([`compile`]) — the production form of
-//!   the same table: per VN, `(VnId, GroupId)` is interned into a dense
-//!   id space (append-only, so delta installs never remap), and each
-//!   source group owns a bitset row over dense destination ids with the
-//!   default action folded in — one verdict is one shift + mask. Rows
-//!   are `Arc`-shared (epoch publishes copy pointers, not rules) and
-//!   the allow/drop counters are shared `Relaxed` atomics, so the data
-//!   plane enforces through `&self` on any snapshot.
+//! * **Compiled enforcement** ([`compile`]) — the group ACL an edge
+//!   consults once per packet: per VN, `(VnId, GroupId)` is interned
+//!   into a dense id space (append-only, so delta installs never
+//!   remap), and each source group owns a bitset row over dense
+//!   destination ids with the default action folded in — one verdict is
+//!   one shift + mask. Rows are `Arc`-shared (epoch publishes copy
+//!   pointers, not rules) and the allow/drop counters are shared
+//!   `Relaxed` atomics, so the data plane enforces through `&self` on
+//!   any snapshot.
 //!
 //! [`server::PolicyServer`] ties these together behind the message-level
 //! API the fabric speaks.
@@ -42,7 +42,7 @@ pub mod update;
 
 pub use auth::{AuthMethod, AuthOutcome, AuthServer, Credential};
 pub use compile::{AclCounters, AclVnView, CompiledAcl, CompiledMemStats};
-pub use enforce::{EnforcementPoint, GroupAcl};
+pub use enforce::EnforcementPoint;
 pub use matrix::{Action, ConnectivityMatrix, GroupRule};
 pub use server::{EndpointProfile, PolicyServer};
 pub use sxp::{egress_subset, ingress_subset, RuleSubset};

@@ -42,14 +42,6 @@ impl PolicyServer {
         PolicyServer::default()
     }
 
-    /// Creates a server with an explicit default action.
-    pub fn with_default_action(action: Action) -> Self {
-        PolicyServer {
-            auth: AuthServer::new(),
-            matrix: ConnectivityMatrix::with_default(action),
-        }
-    }
-
     /// Mutable access to the connectivity matrix (operator intent).
     pub fn matrix_mut(&mut self) -> &mut ConnectivityMatrix {
         &mut self.matrix

@@ -1,13 +1,18 @@
 //! Differential property tests: the compiled bitset ACL must agree with
-//! the reference per-pair [`GroupAcl`] verdict-for-verdict and
+//! the reference per-pair [`GroupAcl`] (frozen in
+//! `reference/group_acl.rs`) verdict-for-verdict and
 //! counter-for-counter over random matrices, installs, replaces,
 //! enforcement traffic and clears — for both compiled default
 //! polarities (the folded fast path and the mismatched-default slow
 //! path).
 
 use proptest::prelude::*;
-use sda_policy::{Action, CompiledAcl, ConnectivityMatrix, GroupAcl, GroupRule, RuleSubset};
+use sda_policy::{Action, CompiledAcl, ConnectivityMatrix, GroupRule, RuleSubset};
 use sda_types::{GroupId, VnId};
+
+#[path = "reference/group_acl.rs"]
+mod reference;
+use reference::GroupAcl;
 
 fn vn(n: u32) -> VnId {
     VnId::new(n).unwrap()
@@ -56,6 +61,14 @@ fn matrix(default: Action, rules: &RawRules) -> ConnectivityMatrix {
         m.set_rule(vn(*v), GroupId(*s), GroupId(*d), action(*allow));
     }
     m
+}
+
+/// The reference table seeded through the compiled one's public door
+/// (what the data-plane oracle does with an engine's live table).
+fn seeded_from_rules(compiled: &CompiledAcl) -> GroupAcl {
+    let mut acl = GroupAcl::new();
+    acl.install(&compiled.rules());
+    acl
 }
 
 /// Asserts check() agreement over the full probe grid, both defaults.
@@ -144,7 +157,7 @@ proptest! {
         prop_assert_eq!(compiled.version(), reference.version());
     }
 
-    /// Decompilation inverts compilation: `to_group_acl` reproduces the
+    /// Decompilation inverts compilation: `rules()` reproduces the
     /// exact rule set and version, and a published clone keeps serving
     /// the old rules while the working copy takes deltas.
     #[test]
@@ -154,14 +167,14 @@ proptest! {
     ) {
         let m = matrix(Action::Deny, &base);
         let mut compiled = CompiledAcl::compile(&m);
-        let decompiled = compiled.to_group_acl();
+        let decompiled = seeded_from_rules(&compiled);
         prop_assert_eq!(decompiled.len(), compiled.len());
         prop_assert_eq!(decompiled.version(), compiled.version());
         assert_grid_agrees(&compiled, &decompiled);
 
         // Epoch-publish model: the clone is the snapshot workers read.
         let published = compiled.clone();
-        let frozen = published.to_group_acl();
+        let frozen = seeded_from_rules(&published);
         compiled.install(&subset(m.version() + 1, &delta));
         // The snapshot still answers exactly as before the delta...
         assert_grid_agrees(&published, &frozen);
@@ -176,5 +189,31 @@ proptest! {
         let (a, d) = compiled.counters();
         prop_assert_eq!((a, d), published.counters());
         prop_assert_eq!(a + d, 2);
+    }
+
+    /// The public door the oracles use: a reference seeded from
+    /// `rules()` gives `compiled.check`'s verdict for every `(vn, src,
+    /// dst)` of the grid under both per-call defaults, whichever
+    /// default the rows folded in — after the compile, after a delta
+    /// that interns new groups, and after a replace.
+    #[test]
+    fn reference_seeded_from_rules_matches_compiled(
+        compiled_default_allow in any::<bool>(),
+        base in arb_rules(60),
+        delta in arb_rules(20),
+        refresh in arb_rules(20),
+    ) {
+        let m = matrix(action(compiled_default_allow), &base);
+        let mut compiled = CompiledAcl::compile(&m);
+        for step in [None, Some((1, &delta, false)), Some((2, &refresh, true))] {
+            if let Some((bump, rules, replace)) = step {
+                let s = subset(m.version() + bump, rules);
+                if replace { compiled.replace(&s) } else { compiled.install(&s) }
+            }
+            let seeded = seeded_from_rules(&compiled);
+            prop_assert_eq!(seeded.len(), compiled.len());
+            prop_assert_eq!(seeded.version(), compiled.version());
+            assert_grid_agrees(&compiled, &seeded);
+        }
     }
 }

@@ -261,14 +261,6 @@ impl<M> Simulator<M> {
         self.default_latency = d;
     }
 
-    /// Changes the loss probability applied to links without explicit
-    /// parameters (also reachable on a schedule via
-    /// [`Fault::DefaultLoss`]).
-    pub fn set_default_loss(&mut self, loss: f64) {
-        assert!((0.0..=1.0).contains(&loss), "loss must be a probability");
-        self.default_loss = loss;
-    }
-
     /// Adds a node, returning its id.
     pub fn add_node(&mut self, node: Box<dyn Node<M>>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
@@ -312,11 +304,6 @@ impl<M> Simulator<M> {
         for (peak, queue) in self.ingress_peak.iter_mut().zip(&self.ingress) {
             *peak = queue.len() as u32;
         }
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Configures the directed link `from → to`.

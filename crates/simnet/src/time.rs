@@ -61,11 +61,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Total microseconds (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Total milliseconds (truncating).
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000

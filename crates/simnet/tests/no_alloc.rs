@@ -6,10 +6,12 @@
 //! event moves out of the schedule, `dispatch` lends the node its
 //! kept outbox and timer buffers and takes them back).
 //!
-//! This file deliberately holds a single `#[test]` — the counter is
-//! process-global, and a concurrently running test would pollute it.
+//! Only the test's own thread is counted: the windows open within a
+//! millisecond of the test starting, while the harness's main thread is
+//! still allocating its bookkeeping for the thread it just spawned.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sda_simnet::{Context, Metrics, Node, NodeId, SimTime, Simulator};
@@ -18,9 +20,18 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set by the thread whose allocations count. Const-initialised and
+    /// without a destructor, so reading it from the allocator neither
+    /// allocates nor registers anything.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if COUNTED.try_with(Cell::get).unwrap_or(false) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
         System.alloc(layout)
     }
 
@@ -45,6 +56,7 @@ impl Node<u64> for Sink {
 fn bumps_and_scheduled_steps_allocate_nothing() {
     const N: u64 = 10_000;
     const WARM_UP: u64 = 16;
+    COUNTED.with(|c| c.set(true));
 
     let mut metrics = Metrics::default();
     let ids = [

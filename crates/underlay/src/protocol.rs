@@ -87,12 +87,6 @@ impl LinkStateRouter {
         }
     }
 
-    /// Overrides timer configuration.
-    pub fn with_config(mut self, config: ProtocolConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// This router's id.
     pub fn id(&self) -> RouterId {
         self.id

@@ -6,18 +6,21 @@
 //!
 //! * [`types`] — shared vocabulary (EIDs, RLOCs, prefixes, ids).
 //! * [`simnet`] — deterministic discrete-event simulator and metrics.
-//! * [`trie`] — the Patricia/stride trie (map-cache covers, BGP RIB).
+//! * [`trie`] — the Patricia/stride trie (map-cache covers).
 //! * [`wire`] — packet formats (Ethernet/IP/UDP/VXLAN-GPO/LISP).
 //! * [`policy`] — group-based segmentation policy and SXP.
 //! * [`underlay`] — underlay topology and SPF.
 //! * [`bgp`] — the proactive host-route baseline the paper compares to.
-//! * [`lisp`] — map-server, map-cache, pub/sub, SMR.
+//! * [`lisp`] — registry, map-cache, pub/sub, SMR.
+//! * [`ctrl`] — the map-server (routing server): EID-partitioned shards,
+//!   delta pub/sub, admission control.
 //! * [`dataplane`] — the batched zero-copy VXLAN-GPO forwarding engine.
 //! * [`core`] — edge/border routers, pipelines, controller.
 //! * [`workloads`] — campus / warehouse traffic generators.
 
 pub use sda_bgp as bgp;
 pub use sda_core as core;
+pub use sda_ctrl as ctrl;
 pub use sda_dataplane as dataplane;
 pub use sda_lisp as lisp;
 pub use sda_policy as policy;

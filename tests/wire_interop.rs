@@ -4,7 +4,7 @@
 //! shortcut loses nothing.
 
 use proptest::prelude::*;
-use sda_lisp::MapServer;
+use sda_ctrl::PartitionedMapServer;
 use sda_simnet::SimTime;
 use sda_types::{Eid, MacAddr, Rloc, VnId};
 use sda_wire::lisp::Message;
@@ -16,14 +16,16 @@ fn vn() -> VnId {
 
 /// Serialize → parse → feed; compare against direct feeding.
 fn drive_both(messages: Vec<Message>) {
-    let mut direct = MapServer::new(Rloc::for_router_index(65_000));
-    let mut via_bytes = MapServer::new(Rloc::for_router_index(65_000));
+    let mut direct = PartitionedMapServer::new(Rloc::for_router_index(65_000), 1);
+    let mut via_bytes = PartitionedMapServer::new(Rloc::for_router_index(65_000), 1);
     for msg in messages {
-        let out_direct = direct.handle(msg.clone(), SimTime::ZERO);
+        let mut out_direct = direct.handle(msg.clone(), SimTime::ZERO);
+        out_direct.extend(direct.flush_publishes());
         let bytes = msg.emit();
         let parsed = Message::parse(&bytes).expect("emitted message must parse");
         assert_eq!(parsed, msg, "wire round-trip must be lossless");
-        let out_bytes = via_bytes.handle(parsed, SimTime::ZERO);
+        let mut out_bytes = via_bytes.handle(parsed, SimTime::ZERO);
+        out_bytes.extend(via_bytes.flush_publishes());
         // Replies must agree, and byte-roundtrip each reply too.
         assert_eq!(out_direct, out_bytes);
         for (_, reply) in out_bytes {
@@ -31,7 +33,7 @@ fn drive_both(messages: Vec<Message>) {
             assert_eq!(Message::parse(&reply_bytes).unwrap(), reply);
         }
     }
-    assert_eq!(direct.db().len(), via_bytes.db().len());
+    assert_eq!(direct.db_len(), via_bytes.db_len());
     assert_eq!(direct.stats(), via_bytes.stats());
 }
 
@@ -126,49 +128,4 @@ proptest! {
             .collect();
         drive_both(msgs);
     }
-}
-
-/// The data plane equivalent: a packet pushed through the byte encoder
-/// and back makes the same egress decision (checked in depth in
-/// `sda-core`'s pipeline tests; here we cross the crate boundary with
-/// the fabric's own VXLAN-GPO framing constants).
-#[test]
-fn vxlan_constants_match_fabric_expectations() {
-    use sda_core::pipeline::{decode_packet, encode_packet};
-    use sda_core::{InnerPacket, OverlayPacket};
-    use sda_types::GroupId;
-
-    let pkt = OverlayPacket {
-        vn: vn(),
-        src_group: GroupId(42),
-        policy_applied: false,
-        hops_left: 8,
-        origin: Rloc::for_router_index(1),
-        inner: InnerPacket {
-            src: Eid::V4(Ipv4Addr::new(10, 7, 0, 1)),
-            dst: Eid::V4(Ipv4Addr::new(10, 7, 0, 2)),
-            payload_len: 1400,
-            flow: 99,
-            track: true,
-        },
-    };
-    let bytes = encode_packet(
-        Rloc::for_router_index(1),
-        Rloc::for_router_index(2),
-        &pkt,
-        sda_dataplane::OuterChecksum::Full,
-    )
-    .unwrap();
-
-    // The outer stack is real: IPv4 proto 17, UDP dst 4789, VNI = VN.
-    let outer = sda_wire::ipv4::Packet::new_checked(&bytes[..]).unwrap();
-    assert_eq!(u8::from(outer.protocol()), 17);
-    let udp = sda_wire::udp::Packet::new_checked(outer.payload()).unwrap();
-    assert_eq!(udp.dst_port(), sda_wire::udp::VXLAN_PORT);
-    let vx = sda_wire::vxlan::Packet::new_checked(udp.payload()).unwrap();
-    assert_eq!(vx.vni(), vn());
-    assert_eq!(vx.group(), Some(GroupId(42)));
-
-    let (_, _, decoded) = decode_packet(&bytes).unwrap();
-    assert_eq!(decoded, pkt);
 }
