@@ -3,13 +3,7 @@
 //! endpoints) across 1/2/4 shards, against the paper-faithful
 //! replicate-all `ShardedMapServer`.
 //!
-//! Run with: `cargo bench -p sda-bench --bench ctrl_plane`
-//! Smoke mode (CI): `SDA_BENCH_SMOKE=1 cargo bench -p sda-bench --bench
-//! ctrl_plane` — tiny sample sizes, JSON goes to `target/`, timing
-//! assertions skipped (the partition-memory budget still holds).
-//!
-//! Emits `BENCH_ctrl.json` at the workspace root. Schema:
-//! `[{group, id, median_ns, mean_ns, p95_ns, iterations}]`. Rows:
+//! `BENCH_ctrl.json`, group `ctrl_plane`.
 //!
 //! * `register_s{1,2,4}/{100k,1M}` — one churn move-register against a
 //!   preloaded server (owner-shard routing; the per-register cost must
@@ -18,25 +12,27 @@
 //!   replicate-all `ShardedMapServer` (every register applied 4×).
 //! * `register_admitted_s4/100000` — the same churn through an
 //!   admission-guarded server with a never-shedding budget: the cost
-//!   of the token-bucket probe on the accept path (asserted ≤1.15× the
-//!   unguarded `register_s4` median in full mode).
+//!   of the token-bucket probe on the accept path (bar: ≤ 1.15× the
+//!   unguarded `register_s4` median — the gate stays off the hot path).
 //! * `request_s{1,2,4}/{100k,1M}` — one Map-Request resolution.
 //! * `sweep_seq_s4` / `sweep_par_s4` — a full zero-victim expiry
 //!   traversal of all shards, sequential vs. scoped worker threads
-//!   (the ratio is printed, not asserted: it needs ≥ 4 cores).
+//!   (the ratio is printed and held to nothing: it needs ≥ 4 cores).
 //! * `pubsub_delta_s4/{100k,1M}` — one move fanned out to 4 borders
 //!   subscribed to every VN, plus the flush: must stay flat across
 //!   world size (O(changes × subscribers), never O(world)).
 //!
-//! Asserted bars:
-//! * **both modes** — the 4-shard 1M-endpoint registry tables sum to at
-//!   most 1.25× the single-shard footprint (partitioned, not
-//!   replicated).
-//! * full mode — `pubsub_delta_s4` grows from 100k to 1M by at most
-//!   1.5× what the bare `register_s4` row grows (the probe meets DRAM at
-//!   1M; the fan-out on top of it stays flat).
+//! Budget: the 4-shard 1M-endpoint registry tables sum to at most 1.25×
+//! the single-shard footprint (shards partition the world, they must
+//! not replicate it). Bar: `pubsub_delta_s4` grows from 100k to 1M by
+//! at most 1.5× what the bare `register_s4` row grows — an iteration is
+//! one register plus the flush, and the register's probe goes from
+//! cache-resident at 100k to DRAM-bound at 1M (3-4x on its own), so the
+//! bar is growth beyond the bare register's in the same run; an
+//! O(world) walk per change would be thousands of times over it.
 
-use criterion::{black_box, BenchmarkId, Criterion};
+use criterion::{black_box, BenchmarkId};
+use sda_bench::harness::Harness;
 use sda_bench::shard::ShardedMapServer;
 use sda_ctrl::PartitionedMapServer;
 use sda_simnet::{SimDuration, SimTime};
@@ -64,30 +60,49 @@ fn preloaded(w: &MetroWorkload, shards: usize) -> PartitionedMapServer {
     s
 }
 
+/// The rows in emission order: per scale, per shard count, the 4-shard
+/// extras inline; the replicate-all row last.
+const ROWS: [(&str, &str); 20] = [
+    ("ctrl_plane", "register_s1/100000"),
+    ("ctrl_plane", "request_s1/100000"),
+    ("ctrl_plane", "register_s2/100000"),
+    ("ctrl_plane", "request_s2/100000"),
+    ("ctrl_plane", "register_s4/100000"),
+    ("ctrl_plane", "register_admitted_s4/100000"),
+    ("ctrl_plane", "request_s4/100000"),
+    ("ctrl_plane", "sweep_seq_s4/100000"),
+    ("ctrl_plane", "sweep_par_s4/100000"),
+    ("ctrl_plane", "pubsub_delta_s4/100000"),
+    ("ctrl_plane", "register_s1/1000000"),
+    ("ctrl_plane", "request_s1/1000000"),
+    ("ctrl_plane", "register_s2/1000000"),
+    ("ctrl_plane", "request_s2/1000000"),
+    ("ctrl_plane", "register_s4/1000000"),
+    ("ctrl_plane", "request_s4/1000000"),
+    ("ctrl_plane", "sweep_seq_s4/1000000"),
+    ("ctrl_plane", "sweep_par_s4/1000000"),
+    ("ctrl_plane", "pubsub_delta_s4/1000000"),
+    ("ctrl_plane", "register_legacy_s4/100000"),
+];
+
+/// Median of `ctrl_plane` row `<row>/<scale>`.
+fn median(h: &Harness, row: &str, scale: u32) -> f64 {
+    h.median("ctrl_plane", &format!("{row}/{scale}"))
+}
+
 fn main() {
-    let smoke = std::env::var("SDA_BENCH_SMOKE").is_ok();
-    let mut criterion = if smoke {
-        Criterion::default()
-            .sample_size(10)
-            .measurement_time(std::time::Duration::from_millis(60))
-            .warm_up_time(std::time::Duration::from_millis(20))
-    } else {
-        Criterion::default()
-            .sample_size(30)
-            .measurement_time(std::time::Duration::from_millis(500))
-            .warm_up_time(std::time::Duration::from_millis(150))
-    };
+    let mut h = Harness::new("ctrl");
     let now = SimTime::ZERO;
     // Steady state for the zero-victim sweeps: well before any TTL.
     let sweep_at = SimTime::ZERO + SimDuration::from_secs(1);
 
-    // Partition-memory acceptance (both modes): captured while the
-    // 1M-endpoint servers are alive below.
+    // Partition-memory budget: captured while the 1M-endpoint servers
+    // are alive below.
     let mut mem_1m_s1: Option<usize> = None;
     let mut mem_1m_s4: Option<usize> = None;
 
     {
-        let mut group = criterion.benchmark_group("ctrl_plane");
+        let mut group = h.criterion.benchmark_group("ctrl_plane");
         for scale in SCALES {
             let w = MetroWorkload::new(params_for(scale));
             let churn: Vec<Message> = w.churn().collect();
@@ -235,99 +250,56 @@ fn main() {
         group.finish();
     }
 
-    let out = if smoke {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../target/BENCH_ctrl.smoke.json"
-        )
-    } else {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ctrl.json")
-    };
-    criterion.write_json(out).expect("write BENCH_ctrl.json");
-    eprintln!("wrote {out}");
-
-    // Partition-memory budget: asserted in BOTH modes (like the LPM
-    // bench's memory bars) — shards partition the world, they must not
-    // replicate it.
     let (s1, s4) = (
-        mem_1m_s1.expect("1M single-shard footprint captured"),
-        mem_1m_s4.expect("1M 4-shard footprint captured"),
+        mem_1m_s1.expect("1M single-shard footprint captured") as f64,
+        mem_1m_s4.expect("1M 4-shard footprint captured") as f64,
     );
     eprintln!(
-        "1M-endpoint registry tables: 1 shard {:.1} MiB, 4 shards {:.1} MiB ({:.2}x)",
-        s1 as f64 / (1024.0 * 1024.0),
-        s4 as f64 / (1024.0 * 1024.0),
-        s4 as f64 / s1 as f64
+        "1M-endpoint registry tables: 1 shard {:.1} MiB, 4 shards {:.1} MiB",
+        s1 / (1024.0 * 1024.0),
+        s4 / (1024.0 * 1024.0),
     );
-    assert!(
-        (s4 as f64) <= 1.25 * s1 as f64,
-        "4-shard 1M footprint exceeds 1.25x single-server: {s4} vs {s1} bytes"
-    );
-
-    let results = criterion.results();
-    let median = |id: &str| {
-        results
-            .iter()
-            .find(|r| r.group == "ctrl_plane" && r.id == id)
-            .map(|r| r.median_ns)
-            .expect("bench result present")
-    };
+    h.budget("4-shard vs 1-shard registry bytes at 1M", s4 / s1, ..=1.25);
 
     for scale in SCALES {
+        let m = |row: &str| median(&h, row, scale);
         eprintln!(
             "{scale} endpoints: register s1/s2/s4 {:.0}/{:.0}/{:.0} ns, request s1/s2/s4 \
              {:.0}/{:.0}/{:.0} ns",
-            median(&format!("register_s1/{scale}")),
-            median(&format!("register_s2/{scale}")),
-            median(&format!("register_s4/{scale}")),
-            median(&format!("request_s1/{scale}")),
-            median(&format!("request_s2/{scale}")),
-            median(&format!("request_s4/{scale}")),
+            m("register_s1"),
+            m("register_s2"),
+            m("register_s4"),
+            m("request_s1"),
+            m("request_s2"),
+            m("request_s4"),
         );
         eprintln!(
-            "{scale} endpoints: sweep seq {:.2} ms vs par {:.2} ms ({:.2}x), pubsub delta \
-             {:.0} ns",
-            median(&format!("sweep_seq_s4/{scale}")) / 1e6,
-            median(&format!("sweep_par_s4/{scale}")) / 1e6,
-            median(&format!("sweep_seq_s4/{scale}")) / median(&format!("sweep_par_s4/{scale}")),
-            median(&format!("pubsub_delta_s4/{scale}")),
+            "{scale} endpoints: sweep seq {:.2} ms vs par {:.2} ms, pubsub delta {:.0} ns",
+            m("sweep_seq_s4") / 1e6,
+            m("sweep_par_s4") / 1e6,
+            m("pubsub_delta_s4"),
         );
+        let sweep = m("sweep_seq_s4") / m("sweep_par_s4");
+        h.ratio(&format!("sweep seq vs par at {scale}"), sweep);
     }
-    eprintln!(
-        "replicate-all register (legacy, 4 shards, 100k): {:.0} ns vs partitioned {:.0} ns",
-        median("register_legacy_s4/100000"),
-        median("register_s4/100000"),
+    let register = median(&h, "register_s4", 100_000);
+    let legacy = median(&h, "register_legacy_s4", 100_000);
+    let admitted = median(&h, "register_admitted_s4", 100_000);
+    let growth = |row: &str| median(&h, row, 1_000_000) / median(&h, row, 100_000);
+    let delta_vs_register = growth("pubsub_delta_s4") / growth("register_s4");
+    h.ratio(
+        "replicate-all vs partitioned register (4 shards, 100k)",
+        legacy / register,
     );
-    let admitted_ratio = median("register_admitted_s4/100000") / median("register_s4/100000");
-    eprintln!(
-        "admission-guarded register (4 shards, 100k): {:.0} ns vs unguarded {:.0} ns ({:.3}x)",
-        median("register_admitted_s4/100000"),
-        median("register_s4/100000"),
-        admitted_ratio,
+    h.bar(
+        "admitted vs unguarded register (4 shards, 100k)",
+        admitted / register,
+        ..=1.15,
     );
-
-    if smoke {
-        eprintln!("smoke mode: skipping the timing assertions");
-        return;
-    }
-
-    // The admission gate stays off the hot path: one token-bucket probe
-    // per accepted register, within 1.15x of the unguarded median.
-    assert!(
-        admitted_ratio <= 1.15,
-        "admission overhead on the accept path above the 1.15x bar: {admitted_ratio:.3}x"
+    h.bar(
+        "pubsub delta growth vs register growth, 100k to 1M",
+        delta_vs_register,
+        ..=1.5,
     );
-
-    // Delta fan-out must not scale with world size. An iteration is one
-    // register plus the flush, and the register's probe goes from
-    // cache-resident at 100k to DRAM-bound at 1M (3-4x on its own), so
-    // the bar is growth beyond the bare register's in the same run; an
-    // O(world) walk per change would be thousands of times over it.
-    let delta_ratio = median("pubsub_delta_s4/1000000") / median("pubsub_delta_s4/100000");
-    let register_ratio = median("register_s4/1000000") / median("register_s4/100000");
-    assert!(
-        delta_ratio <= 1.5 * register_ratio,
-        "pub/sub delta fan-out grew with world size: {delta_ratio:.2}x from 100k to 1M \
-         against {register_ratio:.2}x for the register alone"
-    );
+    h.finish(&ROWS);
 }

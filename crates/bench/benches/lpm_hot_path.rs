@@ -1,609 +1,55 @@
 //! The LPM hot path benchmark: trie longest-prefix match and map-cache
-//! lookup, new (inline-key, zero-allocation, arena-compacted) vs. the
-//! frozen seed implementation (Vec-backed bit strings, remove + insert
-//! refresh).
+//! lookup. `BENCH_lpm.json`, groups `trie_lpm` and `map_cache_lookup`.
 //!
-//! Run with: `cargo bench -p sda-bench --bench lpm_hot_path`
-//! Smoke mode (CI): `SDA_BENCH_SMOKE=1 cargo bench -p sda-bench --bench
-//! lpm_hot_path` — tiny sample sizes, JSON goes to `target/`, and the
-//! perf assertions are skipped (shared CI runners are too noisy to
-//! gate); the schema assertion still runs so the emitter can't rot.
+//! * `trie_lpm new/{1k,10k,100k,1M}` — `EidTrie::lookup` over host
+//!   routes after `compact()`, the bulk-load hook (arena re-laid in DFS
+//!   order, dense levels promoted to stride tables);
+//!   [`sda_trie::MemStats`] is printed per size so a layout regression
+//!   shows in the output. Since the registry and the map-cache's host
+//!   routes became hash tables no gated workload's hot path rides these
+//!   rows (ROADMAP item 2 decides whether they stay).
+//! * `map_cache_lookup {hit,miss,stale}/10000`, `hit/1000000` —
+//!   `MapCache::lookup_shared`, the one scalar lookup there is. Every
+//!   entry is a host route, so `hit`/`stale` time one probe of the
+//!   exact-match table and `miss` a failed probe (no cover installed:
+//!   the trie is never reached).
 //!
-//! Emits `BENCH_lpm.json` at the workspace root — the machine-readable
-//! baseline every later perf PR is compared against (see ROADMAP.md
-//! "Benchmarks"). Schema: `[{group, id, median_ns, mean_ns, p95_ns,
-//! iterations}]` — asserted below to carry exactly this PR's ids with
-//! the original PR-1 rows surviving as a subsequence, so the
-//! PR-1 → PR-3 → PR-6 trajectory stays comparable. New in the stride
-//! PR: the 1M-route scale tier (trie + map-cache, with `MemStats`
-//! memory budgets asserted) and the frozen PR-3 `arena3` descent (the
-//! stride speedup's in-run comparison point).
-//!
-//! The `seed_baseline` module below is a faithful, frozen copy of the
-//! pre-refactor algorithms: `slice()` materializing a fresh `Vec<u8>` on
-//! every trie step, and a cache lookup that refreshes `last_used` by
-//! removing and re-inserting the entry. Keeping it in the bench (not the
-//! library) lets the speedup claim stay reproducible from one command.
-//!
-//! The new-trie paths call `compact()` after population — the bulk-load
-//! hook the arena layout (PR 3) adds — and print
-//! [`sda_trie::MemStats`] so layout regressions are visible in bench
-//! output.
+//! Budgets (both modes — layout is deterministic, no timing involved):
+//! the 1M-route trie within 128 MiB, ~2x a 64 MiB last-level cache
+//! (ROADMAP scale tier); the 1M-entry map-cache within 192 MiB — host
+//! routes, so what is measured is the reserved bytes of its exact-match
+//! table (key + `CacheEntry` per slot), which `MapCache::mem_stats`
+//! reports in `capacity_bytes`. No bar: each row times the one
+//! implementation there is.
 
-use criterion::{black_box, BenchmarkId, Criterion};
+use criterion::{black_box, BenchmarkId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use sda_bench::fixtures::{eid, vn};
+use sda_bench::harness::Harness;
 use sda_lisp::MapCache;
 use sda_simnet::{SimDuration, SimTime};
 use sda_trie::EidTrie;
-use sda_types::{Eid, EidPrefix, Rloc, VnId};
-use std::net::Ipv4Addr;
+use sda_types::{EidPrefix, Rloc};
 
-/// Counts the seed baseline still runs at (building the Vec-backed seed
-/// trie at 1M routes takes minutes — not worth the wait for a baseline
-/// whose curve three committed JSONs already document).
-const ROUTE_COUNTS: [u32; 3] = [1_000, 10_000, 100_000];
-/// Counts for the stride trie, including the million-route scale tier
-/// the stride layer makes affordable.
-const NEW_ROUTE_COUNTS: [u32; 4] = [1_000, 10_000, 100_000, 1_000_000];
+const ROUTE_COUNTS: [u32; 4] = [1_000, 10_000, 100_000, 1_000_000];
 const CACHE_ROUTES: u32 = 10_000;
 const CACHE_ROUTES_1M: u32 = 1_000_000;
+const MIB: f64 = 1024.0 * 1024.0;
 
-/// The committed PR-1 `trie_lpm new/100000` median (BENCH_lpm.json as
-/// of the pointer-chasing layout). The arena tentpole's acceptance bar:
-/// the compacted descent must beat it by at least 1.5x.
-const PR1_NEW_100K_MEDIAN_NS: f64 = 537.78;
-
-/// Memory budget for the 1M-route trie (ROADMAP scale-tier item: ~2x a
-/// 64 MiB last-level cache). Asserted against `MemStats` even in smoke
-/// mode — layout is deterministic, no timing noise involved.
-const TRIE_1M_BUDGET_BYTES: usize = 128 * 1024 * 1024;
-
-/// Budget for the 1M-entry map-cache: host routes, so what is measured
-/// is the reserved bytes of its exact-match table (key + `CacheEntry`
-/// per slot), which `MapCache::mem_stats` reports in `capacity_bytes`.
-const CACHE_1M_BUDGET_BYTES: usize = 192 * 1024 * 1024;
-
-/// The exact `(group, id)` rows this PR commits, in emission order. The
-/// ten PR-1 rows survive as a subsequence (asserted separately below),
-/// so the PR-1 → PR-3 → PR-6 trajectory stays comparable; the stride PR
-/// adds the 1M scale tier and the frozen PR-3 arena point.
-const EXPECTED_IDS: [(&str, &str); 13] = [
+const ROWS: [(&str, &str); 8] = [
     ("trie_lpm", "new/1000"),
     ("trie_lpm", "new/10000"),
     ("trie_lpm", "new/100000"),
     ("trie_lpm", "new/1000000"),
-    ("trie_lpm", "arena3/100000"),
-    ("trie_lpm", "seed/1000"),
-    ("trie_lpm", "seed/10000"),
-    ("trie_lpm", "seed/100000"),
     ("map_cache_lookup", "hit/10000"),
     ("map_cache_lookup", "miss/10000"),
     ("map_cache_lookup", "stale/10000"),
-    ("map_cache_lookup", "seed_hit/10000"),
     ("map_cache_lookup", "hit/1000000"),
 ];
 
-/// The PR-1 rows, which must survive verbatim (same group, same id) so
-/// committed BENCH_lpm.json files stay comparable across PRs.
-const PR1_IDS: [(&str, &str); 10] = [
-    ("trie_lpm", "new/1000"),
-    ("trie_lpm", "new/10000"),
-    ("trie_lpm", "new/100000"),
-    ("trie_lpm", "seed/1000"),
-    ("trie_lpm", "seed/10000"),
-    ("trie_lpm", "seed/100000"),
-    ("map_cache_lookup", "hit/10000"),
-    ("map_cache_lookup", "miss/10000"),
-    ("map_cache_lookup", "stale/10000"),
-    ("map_cache_lookup", "seed_hit/10000"),
-];
-
-fn vn() -> VnId {
-    VnId::new(7).unwrap()
-}
-
-/// Deterministic, distinct IPv4 EIDs.
-fn eid(i: u32) -> Eid {
-    Eid::V4(Ipv4Addr::from(0x0A00_0000 | (i & 0x00FF_FFFF)))
-}
-
-/// The seed (pre-refactor) trie + cache-lookup algorithms, frozen for
-/// comparison.
-mod seed_baseline {
-    use super::*;
-
-    /// Vec-backed bit string, as the seed had it.
-    #[derive(Clone, PartialEq, Eq, Default)]
-    pub struct VecBits {
-        bytes: Vec<u8>,
-        len: usize,
-    }
-
-    impl VecBits {
-        pub fn empty() -> Self {
-            VecBits::default()
-        }
-
-        pub fn from_bytes(bytes: &[u8], len: usize) -> Self {
-            assert!(len <= bytes.len() * 8);
-            let nbytes = len.div_ceil(8);
-            let mut v = bytes[..nbytes].to_vec();
-            let spare = nbytes * 8 - len;
-            if spare > 0 {
-                if let Some(last) = v.last_mut() {
-                    *last &= 0xffu8 << spare;
-                }
-            }
-            VecBits { bytes: v, len }
-        }
-
-        pub fn len(&self) -> usize {
-            self.len
-        }
-
-        pub fn bit(&self, i: usize) -> bool {
-            (self.bytes[i / 8] >> (7 - (i % 8))) & 1 == 1
-        }
-
-        /// The seed's bit-at-a-time slice: a fresh heap Vec per call.
-        pub fn slice(&self, start: usize, end: usize) -> VecBits {
-            let mut out = VecBits {
-                bytes: Vec::with_capacity((end - start).div_ceil(8)),
-                len: 0,
-            };
-            for i in start..end {
-                out.push(self.bit(i));
-            }
-            out
-        }
-
-        pub fn push(&mut self, bit: bool) {
-            if self.len.is_multiple_of(8) {
-                self.bytes.push(0);
-            }
-            if bit {
-                let idx = self.len / 8;
-                self.bytes[idx] |= 1 << (7 - (self.len % 8));
-            }
-            self.len += 1;
-        }
-
-        /// The seed's comparison, including its byte-at-a-time fast path
-        /// (the seed was not bit-at-a-time here — only `slice` was).
-        pub fn common_prefix_len(&self, other: &VecBits) -> usize {
-            let max = self.len.min(other.len);
-            let full_bytes = max / 8;
-            let mut i = 0;
-            while i < full_bytes {
-                let x = self.bytes[i] ^ other.bytes[i];
-                if x != 0 {
-                    return i * 8 + x.leading_zeros() as usize;
-                }
-                i += 1;
-            }
-            let mut bits = full_bytes * 8;
-            while bits < max && self.bit(bits) == other.bit(bits) {
-                bits += 1;
-            }
-            bits
-        }
-
-        pub fn is_prefix_of(&self, other: &VecBits) -> bool {
-            self.len <= other.len && self.common_prefix_len(other) == self.len
-        }
-
-        /// The seed's bit-at-a-time concatenation (used by remove's merge).
-        pub fn concat(&self, other: &VecBits) -> VecBits {
-            let mut out = self.clone();
-            for i in 0..other.len {
-                out.push(other.bit(i));
-            }
-            out
-        }
-    }
-
-    struct Node<V> {
-        label: VecBits,
-        value: Option<V>,
-        children: [Option<Box<Node<V>>>; 2],
-    }
-
-    pub struct VecTrie<V> {
-        root: Node<V>,
-    }
-
-    impl<V> VecTrie<V> {
-        pub fn new() -> Self {
-            VecTrie {
-                root: Node {
-                    label: VecBits::empty(),
-                    value: None,
-                    children: [None, None],
-                },
-            }
-        }
-
-        pub fn insert(&mut self, key: &VecBits, value: V) -> Option<V> {
-            Self::insert_at(&mut self.root, key, 0, value)
-        }
-
-        fn insert_at(node: &mut Node<V>, key: &VecBits, depth: usize, value: V) -> Option<V> {
-            let after_label = depth + node.label.len();
-            if after_label == key.len() {
-                return node.value.replace(value);
-            }
-            let next_bit = key.bit(after_label) as usize;
-            match &mut node.children[next_bit] {
-                None => {
-                    let label = key.slice(after_label, key.len());
-                    node.children[next_bit] = Some(Box::new(Node {
-                        label,
-                        value: Some(value),
-                        children: [None, None],
-                    }));
-                    None
-                }
-                Some(child) => {
-                    let rest = key.slice(after_label, key.len());
-                    let common = child.label.common_prefix_len(&rest);
-                    if common == child.label.len() {
-                        Self::insert_at(child, key, after_label, value)
-                    } else {
-                        let mut old = node.children[next_bit].take().unwrap();
-                        let parent_label = old.label.slice(0, common);
-                        let child_label = old.label.slice(common, old.label.len());
-                        let bit = child_label.bit(0) as usize;
-                        old.label = child_label;
-                        let mut split = Box::new(Node {
-                            label: parent_label,
-                            value: None,
-                            children: [None, None],
-                        });
-                        split.children[bit] = Some(old);
-                        if common == rest.len() {
-                            split.value = Some(value);
-                        } else {
-                            let b = rest.bit(common) as usize;
-                            let label = rest.slice(common, rest.len());
-                            split.children[b] = Some(Box::new(Node {
-                                label,
-                                value: Some(value),
-                                children: [None, None],
-                            }));
-                        }
-                        node.children[next_bit] = Some(split);
-                        None
-                    }
-                }
-            }
-        }
-
-        /// The seed's longest_match: a heap-allocating `slice()` per step.
-        pub fn longest_match(&self, key: &VecBits) -> Option<(usize, &V)> {
-            let mut node = &self.root;
-            let mut depth = 0usize;
-            let mut best: Option<(usize, &V)> = node.value.as_ref().map(|v| (0, v));
-            loop {
-                if depth == key.len() {
-                    return best;
-                }
-                let bit = key.bit(depth) as usize;
-                let Some(child) = node.children[bit].as_ref() else {
-                    return best;
-                };
-                let rest = key.slice(depth, key.len());
-                if !child.label.is_prefix_of(&rest) {
-                    return best;
-                }
-                depth += child.label.len();
-                node = child;
-                if let Some(v) = node.value.as_ref() {
-                    best = Some((depth, v));
-                }
-            }
-        }
-
-        pub fn remove(&mut self, key: &VecBits) -> Option<V> {
-            Self::remove_at(&mut self.root, key, 0)
-        }
-
-        fn remove_at(node: &mut Node<V>, key: &VecBits, depth: usize) -> Option<V> {
-            if depth == key.len() {
-                return node.value.take();
-            }
-            let bit = key.bit(depth) as usize;
-            let child = node.children[bit].as_mut()?;
-            let rest = key.slice(depth, key.len());
-            if !child.label.is_prefix_of(&rest) {
-                return None;
-            }
-            let child_depth = depth + child.label.len();
-            let removed = Self::remove_at(child, key, child_depth)?;
-            // Re-establish compression on the way out, as the seed did:
-            // prune empty leaves AND merge single-child pass-throughs.
-            let child_ref = node.children[bit].as_mut().unwrap();
-            if child_ref.value.is_none() {
-                let child_count = child_ref.children.iter().filter(|c| c.is_some()).count();
-                match child_count {
-                    0 => {
-                        node.children[bit] = None;
-                    }
-                    1 => {
-                        let mut child_box = node.children[bit].take().unwrap();
-                        let mut gc = child_box
-                            .children
-                            .iter_mut()
-                            .find_map(Option::take)
-                            .expect("child_count said 1");
-                        gc.label = child_box.label.concat(&gc.label);
-                        node.children[bit] = Some(gc);
-                    }
-                    _ => {}
-                }
-            }
-            Some(removed)
-        }
-    }
-
-    /// Seed-style cache entry. `last_used` is written on every refresh
-    /// (the whole point of the remove + insert dance being measured) but
-    /// never read back in the bench.
-    #[derive(Clone, Copy)]
-    pub struct SeedEntry {
-        pub rloc: Rloc,
-        pub expires_at: SimTime,
-        #[allow(dead_code)]
-        pub last_used: SimTime,
-        pub stale: bool,
-    }
-
-    pub fn v4_key(e: &Eid) -> VecBits {
-        match e {
-            Eid::V4(a) => VecBits::from_bytes(&a.octets(), 32),
-            _ => unreachable!("bench uses IPv4 EIDs only"),
-        }
-    }
-
-    /// The seed `MapCache::lookup` dance: find, copy out, remove,
-    /// re-insert with the refreshed `last_used`. Returns the RLOC and the
-    /// stale flag (the seed's Hit/Stale outcome split).
-    pub fn seed_lookup(
-        trie: &mut VecTrie<SeedEntry>,
-        e: &Eid,
-        now: SimTime,
-    ) -> Option<(Rloc, bool)> {
-        let key = v4_key(e);
-        let (len, entry) = trie.longest_match(&key).map(|(l, v)| (l, *v))?;
-        let prefix = key.slice(0, len);
-        if now >= entry.expires_at {
-            trie.remove(&prefix);
-            return None;
-        }
-        let updated = SeedEntry {
-            last_used: now,
-            ..entry
-        };
-        trie.remove(&prefix);
-        trie.insert(&prefix, updated);
-        Some((entry.rloc, entry.stale))
-    }
-}
-
-/// The PR-3 arena descent, frozen at commit `184a049` for comparison:
-/// identical 32-byte node layout, XOR-shift label compare and both-child
-/// prefetch, but no stride layer. The stride tentpole's in-run bar is
-/// measured against this (>= 1.8x at 100k routes), so the claim stays
-/// reproducible from one command even after the library moves on.
-/// Trimmed to the surface the bench exercises: `insert`,
-/// `longest_match`, preorder `compact` (the bench never removes, so the
-/// free-list is omitted — `insert` is bit-identical with an empty one).
-mod arena3 {
-    use sda_trie::bits::MAX_BITS;
-    use sda_trie::BitStr;
-
-    const NONE: u32 = u32::MAX;
-    const ROOT: u32 = 0;
-
-    #[derive(Clone, Copy)]
-    struct Node {
-        bits: u128,
-        children: [u32; 2],
-        label_len: u8,
-        has_value: bool,
-    }
-
-    impl Node {
-        fn new(label: BitStr, has_value: bool) -> Self {
-            Node {
-                bits: label.raw(),
-                children: [NONE, NONE],
-                label_len: label.len() as u8,
-                has_value,
-            }
-        }
-
-        fn label(&self) -> BitStr {
-            BitStr::from_raw(self.bits, self.label_len as usize)
-        }
-
-        fn set_label(&mut self, label: BitStr) {
-            self.bits = label.raw();
-            self.label_len = label.len() as u8;
-        }
-    }
-
-    fn prefetch_children(nodes: &[Node], node: &Node) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let base = nodes.as_ptr();
-            for bit in 0..2 {
-                let c = node.children[bit];
-                if c != NONE {
-                    // SAFETY: prefetch is a hint; it dereferences nothing.
-                    unsafe {
-                        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                            base.wrapping_add(c as usize).cast::<i8>(),
-                        );
-                    }
-                }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = (nodes, node);
-        }
-    }
-
-    #[inline(always)]
-    fn descend_step(
-        nodes: &[Node],
-        idx: u32,
-        key_len: usize,
-        depth: usize,
-        rem: u128,
-    ) -> (u32, usize, u128) {
-        let bit = (rem >> (MAX_BITS - 1)) as usize;
-        let child = nodes[idx as usize].children[bit];
-        if child == NONE {
-            return (NONE, depth, rem);
-        }
-        let node = &nodes[child as usize];
-        let ll = node.label_len as usize;
-        if depth + ll > key_len || (node.bits ^ rem) >> (MAX_BITS - ll) != 0 {
-            return (NONE, depth, rem);
-        }
-        prefetch_children(nodes, node);
-        let rem = if ll >= MAX_BITS { 0 } else { rem << ll };
-        (child, depth + ll, rem)
-    }
-
-    pub struct ArenaTrie<V> {
-        nodes: Vec<Node>,
-        values: Vec<Option<V>>,
-    }
-
-    impl<V> ArenaTrie<V> {
-        pub fn new() -> Self {
-            ArenaTrie {
-                nodes: vec![Node::new(BitStr::empty(), false)],
-                values: vec![None],
-            }
-        }
-
-        fn alloc_node(&mut self, label: BitStr, value: Option<V>) -> u32 {
-            let has_value = value.is_some();
-            let idx = self.nodes.len();
-            self.nodes.push(Node::new(label, has_value));
-            self.values.push(value);
-            idx as u32
-        }
-
-        pub fn insert(&mut self, key: &BitStr, value: V) {
-            let mut idx = ROOT;
-            let mut after_label = 0usize;
-            loop {
-                if after_label == key.len() {
-                    self.nodes[idx as usize].has_value = true;
-                    self.values[idx as usize] = Some(value);
-                    return;
-                }
-                let next_bit = key.bit(after_label) as usize;
-                let child = self.nodes[idx as usize].children[next_bit];
-                if child == NONE {
-                    let label = key.slice(after_label, key.len());
-                    let leaf = self.alloc_node(label, Some(value));
-                    self.nodes[idx as usize].children[next_bit] = leaf;
-                    return;
-                }
-                let rest = key.slice(after_label, key.len());
-                let child_label = self.nodes[child as usize].label();
-                let common = child_label.common_prefix_len(&rest);
-                if common == child_label.len() {
-                    idx = child;
-                    after_label += child_label.len();
-                    continue;
-                }
-                let head = child_label.slice(0, common);
-                let tail = child_label.slice(common, child_label.len());
-                let tail_bit = tail.bit(0) as usize;
-                let ends_here = common == rest.len();
-                let split = self.alloc_node(head, None);
-                self.nodes[child as usize].set_label(tail);
-                self.nodes[split as usize].children[tail_bit] = child;
-                self.nodes[idx as usize].children[next_bit] = split;
-                if ends_here {
-                    self.nodes[split as usize].has_value = true;
-                    self.values[split as usize] = Some(value);
-                } else {
-                    let bit = rest.bit(common) as usize;
-                    let label = rest.slice(common, rest.len());
-                    let leaf = self.alloc_node(label, Some(value));
-                    self.nodes[split as usize].children[bit] = leaf;
-                }
-                return;
-            }
-        }
-
-        pub fn longest_match(&self, key: &BitStr) -> Option<(usize, &V)> {
-            let nodes = self.nodes.as_slice();
-            let mut idx = ROOT;
-            let mut depth = 0usize;
-            let mut rem = key.raw();
-            let mut best = if nodes[ROOT as usize].has_value {
-                (0usize, ROOT)
-            } else {
-                (0, NONE)
-            };
-            while depth < key.len() {
-                let (child, d, r) = descend_step(nodes, idx, key.len(), depth, rem);
-                if child == NONE {
-                    break;
-                }
-                (idx, depth, rem) = (child, d, r);
-                if nodes[idx as usize].has_value {
-                    best = (depth, idx);
-                }
-            }
-            (best.1 != NONE).then(|| (best.0, self.values[best.1 as usize].as_ref().unwrap()))
-        }
-
-        pub fn compact(&mut self) {
-            let live = self.nodes.len();
-            let mut nodes = Vec::with_capacity(live);
-            let mut values = Vec::with_capacity(live);
-            self.compact_at(ROOT, &mut nodes, &mut values);
-            self.nodes = nodes;
-            self.values = values;
-        }
-
-        fn compact_at(
-            &mut self,
-            idx: u32,
-            nodes: &mut Vec<Node>,
-            values: &mut Vec<Option<V>>,
-        ) -> u32 {
-            let node = self.nodes[idx as usize];
-            let new_idx = nodes.len() as u32;
-            nodes.push(Node {
-                children: [NONE, NONE],
-                ..node
-            });
-            values.push(self.values[idx as usize].take());
-            for bit in 0..2 {
-                if node.children[bit] != NONE {
-                    let c = self.compact_at(node.children[bit], nodes, values);
-                    nodes[new_idx as usize].children[bit] = c;
-                }
-            }
-            new_idx
-        }
-    }
-}
-
-fn bench_trie_lpm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("trie_lpm");
-    for routes in NEW_ROUTE_COUNTS {
+fn bench_trie_lpm(h: &mut Harness) {
+    for routes in ROUTE_COUNTS {
         let mut trie: EidTrie<u32> = EidTrie::new();
         for i in 0..routes {
             trie.insert(EidPrefix::host(eid(i)), i);
@@ -615,17 +61,11 @@ fn bench_trie_lpm(c: &mut Criterion) {
         let stats = trie.mem_stats();
         eprintln!("trie_lpm new/{routes} layout: {stats}");
         if routes == 1_000_000 {
-            // Scale-tier budget (ROADMAP): the 1M-route trie must fit in
-            // ~2x a 64 MiB last-level cache. Deterministic — asserted
-            // even in smoke mode.
-            assert!(
-                stats.capacity_bytes <= TRIE_1M_BUDGET_BYTES,
-                "1M-route trie blew the memory budget: {} bytes > {} bytes",
-                stats.capacity_bytes,
-                TRIE_1M_BUDGET_BYTES
-            );
+            let mib = stats.capacity_bytes as f64 / MIB;
+            h.budget("1M-route trie MiB", mib, ..=128.0);
         }
         let mut rng = SmallRng::seed_from_u64(11);
+        let mut group = h.criterion.benchmark_group("trie_lpm");
         group.bench_with_input(BenchmarkId::new("new", routes), &routes, |b, _| {
             b.iter(|| {
                 let i = rng.gen_range(0..routes);
@@ -633,48 +73,10 @@ fn bench_trie_lpm(c: &mut Criterion) {
             });
         });
     }
-    // The frozen PR-3 arena descent at the 100k tier — the stride
-    // tentpole's in-run comparison point.
-    {
-        let routes = 100_000u32;
-        let mut trie: arena3::ArenaTrie<u32> = arena3::ArenaTrie::new();
-        for i in 0..routes {
-            let Eid::V4(a) = eid(i) else { unreachable!() };
-            trie.insert(&sda_trie::BitStr::from_bytes(&a.octets(), 32), i);
-        }
-        trie.compact();
-        let mut rng = SmallRng::seed_from_u64(11);
-        group.bench_with_input(BenchmarkId::new("arena3", routes), &routes, |b, _| {
-            b.iter(|| {
-                let i = rng.gen_range(0..routes);
-                let Eid::V4(a) = eid(i) else { unreachable!() };
-                black_box(trie.longest_match(&sda_trie::BitStr::from_bytes(&a.octets(), 32)))
-            });
-        });
-    }
-    for routes in ROUTE_COUNTS {
-        let mut trie: seed_baseline::VecTrie<u32> = seed_baseline::VecTrie::new();
-        for i in 0..routes {
-            trie.insert(&seed_baseline::v4_key(&eid(i)), i);
-        }
-        let mut rng = SmallRng::seed_from_u64(11);
-        group.bench_with_input(BenchmarkId::new("seed", routes), &routes, |b, _| {
-            b.iter(|| {
-                let i = rng.gen_range(0..routes);
-                black_box(trie.longest_match(&seed_baseline::v4_key(&eid(i))))
-            });
-        });
-    }
-    group.finish();
 }
 
-/// The map-cache rows time `MapCache::lookup_shared`, the one scalar
-/// lookup there is. Every entry is a host route, so `hit`/`stale` time
-/// one probe of the exact-match table and `miss` a failed probe (no
-/// cover installed: the trie is never reached); `seed_hit` is the frozen
-/// Vec-backed trie descent they are compared against.
-fn bench_map_cache(c: &mut Criterion) {
-    let mut group = c.benchmark_group("map_cache_lookup");
+fn bench_map_cache(h: &mut Harness) {
+    let mut group = h.criterion.benchmark_group("map_cache_lookup");
     let ttl = SimDuration::from_days(365);
     let now = SimTime::ZERO + SimDuration::from_secs(60);
 
@@ -729,31 +131,8 @@ fn bench_map_cache(c: &mut Criterion) {
         });
     });
 
-    // Seed baseline hit: remove + insert refresh on the Vec-backed trie.
-    let mut seed_trie: seed_baseline::VecTrie<seed_baseline::SeedEntry> =
-        seed_baseline::VecTrie::new();
-    for i in 0..CACHE_ROUTES {
-        seed_trie.insert(
-            &seed_baseline::v4_key(&eid(i)),
-            seed_baseline::SeedEntry {
-                rloc: Rloc::for_router_index((i % 200) as u16),
-                expires_at: SimTime::ZERO + ttl,
-                last_used: SimTime::ZERO,
-                stale: false,
-            },
-        );
-    }
-    let mut rng = SmallRng::seed_from_u64(12);
-    group.bench_with_input(BenchmarkId::new("seed_hit", CACHE_ROUTES), &(), |b, _| {
-        b.iter(|| {
-            let i = rng.gen_range(0..CACHE_ROUTES);
-            black_box(seed_baseline::seed_lookup(&mut seed_trie, &eid(i), now))
-        });
-    });
-
     // The 1M-entry scale tier: same hit workload at two orders of
-    // magnitude more routes, with the memory budget asserted (no seed
-    // counterpart — building the Vec-backed trie at 1M takes minutes).
+    // magnitude more routes, with the memory budget held.
     let mut big_cache = MapCache::new();
     for i in 0..CACHE_ROUTES_1M {
         big_cache.install(
@@ -767,12 +146,6 @@ fn bench_map_cache(c: &mut Criterion) {
     big_cache.compact();
     let big_stats = big_cache.mem_stats();
     eprintln!("map_cache hit/{CACHE_ROUTES_1M} layout: {big_stats}");
-    assert!(
-        big_stats.capacity_bytes <= CACHE_1M_BUDGET_BYTES,
-        "1M-entry map-cache blew the memory budget: {} bytes > {} bytes",
-        big_stats.capacity_bytes,
-        CACHE_1M_BUDGET_BYTES
-    );
     let mut rng = SmallRng::seed_from_u64(12);
     group.bench_with_input(BenchmarkId::new("hit", CACHE_ROUTES_1M), &(), |b, _| {
         b.iter(|| {
@@ -782,107 +155,13 @@ fn bench_map_cache(c: &mut Criterion) {
     });
 
     group.finish();
+    let mib = big_stats.capacity_bytes as f64 / MIB;
+    h.budget("1M-entry map-cache MiB", mib, ..=192.0);
 }
 
 fn main() {
-    let smoke = std::env::var("SDA_BENCH_SMOKE").is_ok();
-    let mut criterion = if smoke {
-        Criterion::default()
-            .sample_size(10)
-            .measurement_time(std::time::Duration::from_millis(60))
-            .warm_up_time(std::time::Duration::from_millis(20))
-    } else {
-        Criterion::default()
-            .sample_size(40)
-            .measurement_time(std::time::Duration::from_millis(600))
-            .warm_up_time(std::time::Duration::from_millis(200))
-    };
-    bench_trie_lpm(&mut criterion);
-    bench_map_cache(&mut criterion);
-
-    let out = if smoke {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../target/BENCH_lpm.smoke.json"
-        )
-    } else {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_lpm.json")
-    };
-    criterion.write_json(out).expect("write BENCH_lpm.json");
-    eprintln!("wrote {out}");
-
-    // Schema guards (run even in smoke mode): exactly this PR's rows in
-    // emission order, with the PR-1 rows surviving as a subsequence, so
-    // committed BENCH_lpm.json files stay comparable across the
-    // PR-1 → PR-3 → PR-6 trajectory.
-    let results = criterion.results();
-    let got: Vec<(&str, &str)> = results
-        .iter()
-        .map(|r| (r.group.as_str(), r.id.as_str()))
-        .collect();
-    assert_eq!(got, EXPECTED_IDS, "BENCH_lpm.json schema drifted");
-    let mut pr1 = PR1_IDS.iter().peekable();
-    for row in &got {
-        if pr1.peek() == Some(&row) {
-            pr1.next();
-        }
-    }
-    assert_eq!(pr1.peek(), None, "a PR-1 row vanished from BENCH_lpm.json");
-
-    let median = |group: &str, id: &str| {
-        results
-            .iter()
-            .find(|r| r.group == group && r.id == id)
-            .map(|r| r.median_ns)
-            .expect("bench result present")
-    };
-    let new_hit = median("map_cache_lookup", "hit/10000");
-    let seed_hit = median("map_cache_lookup", "seed_hit/10000");
-    let new_100k = median("trie_lpm", "new/100000");
-    let arena3_100k = median("trie_lpm", "arena3/100000");
-    eprintln!(
-        "map-cache hit speedup vs seed: {:.1}x ({:.0} ns -> {:.0} ns)",
-        seed_hit / new_hit,
-        seed_hit,
-        new_hit
-    );
-    eprintln!(
-        "trie LPM 100k speedup vs PR-1 layout: {:.2}x ({:.0} ns committed -> {:.0} ns)",
-        PR1_NEW_100K_MEDIAN_NS / new_100k,
-        PR1_NEW_100K_MEDIAN_NS,
-        new_100k
-    );
-    eprintln!(
-        "trie LPM 100k stride speedup vs PR-3 arena: {:.2}x ({:.0} ns -> {:.0} ns)",
-        arena3_100k / new_100k,
-        arena3_100k,
-        new_100k
-    );
-    if smoke {
-        eprintln!("smoke mode: skipping the perf assertions");
-        return;
-    }
-    // The PR-6 acceptance bar: the stride descent at 100k routes must
-    // be at least 1.8x faster than the frozen PR-3 arena descent,
-    // measured in the same run on the same machine.
-    assert!(
-        arena3_100k / new_100k >= 1.8,
-        "stride trie fell below the 1.8x bar vs the PR-3 arena: {:.2}x ({new_100k:.0} ns)",
-        arena3_100k / new_100k
-    );
-    // The PR-1 acceptance bar: new map-cache hit lookup at 10k routes
-    // must be at least 2x faster than the seed algorithm.
-    assert!(
-        seed_hit / new_hit >= 2.0,
-        "map-cache hit regressed below the 2x acceptance bar: {:.1}x",
-        seed_hit / new_hit
-    );
-    // The PR-3 acceptance bar: the arena-compacted descent at 100k
-    // routes must be at least 1.5x faster than the committed PR-1
-    // pointer-chasing median.
-    assert!(
-        PR1_NEW_100K_MEDIAN_NS / new_100k >= 1.5,
-        "arena trie fell below the 1.5x bar vs PR 1: {:.2}x ({new_100k:.0} ns)",
-        PR1_NEW_100K_MEDIAN_NS / new_100k
-    );
+    let mut h = Harness::new("lpm");
+    bench_trie_lpm(&mut h);
+    bench_map_cache(&mut h);
+    h.finish(&ROWS);
 }

@@ -1,5 +1,6 @@
 //! Policy-plane benchmarks: the compiled bitset SGACL against the
 //! per-pair-map reference at production scale (1k groups, 100k rules).
+//! `BENCH_policy.json`, group `policy_plane`.
 //!
 //! Four costs, matching the compile-time/enforce-time split:
 //!
@@ -17,17 +18,23 @@
 //! * `publish/{compiled,baseline}` — the epoch publish alone: `Arc`
 //!   pointer copies vs. deep-copying the 100k-entry rule map.
 //!
-//! The compiled-memory budget for the 1k-group deny-default VN is
-//! asserted in **both** full and smoke modes; the ≥2x verdict bar is
-//! asserted in full mode only.
+//! Budget: the compiled 1k-group deny-default VN within 320 KiB — a
+//! smoke run must still catch a representation regression that blows
+//! the compiled size. The two bitset planes alone are 2 x 1000 rows x
+//! 16 words x 8 B = 250 KiB; interners and headers ride on top; a
+//! per-pair `BTreeMap` at 100k entries costs several times this before
+//! node overhead. Bars: compiled verdicts ≥ 2x the per-pair map, and the
+//! `Arc`'d epoch publish ≥ 2x the deep copy — the two things the
+//! compiled form exists for.
 
 use std::hint::black_box;
-use std::time::Duration;
 
 use criterion::{BenchmarkId, Criterion};
 use sda_bench::enforce::GroupAcl;
+use sda_bench::fixtures::vn;
+use sda_bench::harness::Harness;
 use sda_policy::{Action, CompiledAcl, ConnectivityMatrix, RuleSubset};
-use sda_types::{GroupId, VnId};
+use sda_types::GroupId;
 
 /// Groups in the benchmark VN (the paper's 1k-group tier).
 const GROUPS: u32 = 1_000;
@@ -38,15 +45,15 @@ const BATCH: usize = 32;
 /// Prebuilt probe tuples cycled through so the map walk cannot train on
 /// a single hot pair.
 const PROBES: usize = 1_024;
-/// Hard ceiling for the compiled 1k-group deny-default VN. The two
-/// bitset planes alone are 2 x 1000 rows x 16 words x 8 B = 250 KiB;
-/// interners and headers ride on top. A per-pair `BTreeMap` at 100k
-/// entries costs several times this before node overhead.
-const COMPILED_1K_BUDGET_BYTES: usize = 320 * 1024;
 
-fn vn() -> VnId {
-    VnId::new(1).expect("24-bit VN id")
-}
+const ROWS: [(&str, &str); 6] = [
+    ("policy_plane", "verdict_batch32/compiled"),
+    ("policy_plane", "verdict_batch32/baseline"),
+    ("policy_plane", "compile/100000"),
+    ("policy_plane", "delta_install/64"),
+    ("policy_plane", "publish/compiled"),
+    ("policy_plane", "publish/baseline"),
+];
 
 /// The 1k-group / 100k-rule deny-default matrix. 919 is coprime to
 /// 1000, so each source's 100 destinations are distinct and the cell
@@ -197,18 +204,7 @@ fn bench_publish(c: &mut Criterion, acl: &CompiledAcl, reference: &GroupAcl) {
 }
 
 fn main() {
-    let smoke = std::env::var("SDA_BENCH_SMOKE").is_ok();
-    let mut criterion = if smoke {
-        Criterion::default()
-            .sample_size(10)
-            .measurement_time(Duration::from_millis(60))
-            .warm_up_time(Duration::from_millis(20))
-    } else {
-        Criterion::default()
-            .sample_size(40)
-            .measurement_time(Duration::from_millis(600))
-            .warm_up_time(Duration::from_millis(200))
-    };
+    let mut h = Harness::new("policy");
 
     let matrix = build_matrix();
     let mut acl = CompiledAcl::new();
@@ -218,89 +214,50 @@ fn main() {
     let probes = build_probes();
     let delta = build_delta(&matrix);
 
-    // Memory budget: asserted in BOTH modes — a smoke run must still
-    // catch a representation regression that blows the compiled size.
     let stats = acl.mem_stats();
-    let map_payload = matrix.len() * (std::mem::size_of::<(VnId, GroupId, GroupId)>() + 1);
+    let map_payload =
+        matrix.len() * (std::mem::size_of::<(sda_types::VnId, GroupId, GroupId)>() + 1);
     eprintln!(
         "compiled 1k-group VN: {} B total ({} B rows + {} B interners), {} rules; \
          per-pair map payload alone ≥ {} B before node overhead",
         stats.total_bytes, stats.row_bytes, stats.interner_bytes, stats.rules, map_payload
     );
-    assert!(
-        stats.total_bytes <= COMPILED_1K_BUDGET_BYTES,
-        "compiled 1k-group VN must fit the {} B budget, got {} B",
-        COMPILED_1K_BUDGET_BYTES,
-        stats.total_bytes
-    );
+    let kib = stats.total_bytes as f64 / 1024.0;
+    h.budget("compiled 1k-group VN KiB", kib, ..=320.0);
 
-    bench_verdicts(&mut criterion, &acl, &mut reference, &probes);
-    bench_compile(&mut criterion, &matrix);
-    bench_delta_install(&mut criterion, &acl, &delta);
-    bench_publish(&mut criterion, &acl, &reference);
+    bench_verdicts(&mut h.criterion, &acl, &mut reference, &probes);
+    bench_compile(&mut h.criterion, &matrix);
+    bench_delta_install(&mut h.criterion, &acl, &delta);
+    bench_publish(&mut h.criterion, &acl, &reference);
 
-    let out = if smoke {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../target/BENCH_policy.smoke.json"
-        )
-    } else {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_policy.json")
-    };
-    criterion.write_json(out).expect("write bench json");
-    eprintln!("wrote {out}");
-
-    let results = criterion.results();
-    let median = |id: &str| {
-        results
-            .iter()
-            .find(|r| r.group == "policy_plane" && r.id == id)
-            .map(|r| r.median_ns)
-            .unwrap_or_else(|| panic!("missing bench result {id}"))
-    };
-
+    let median = |id: &str| h.median("policy_plane", id);
     let compiled = median("verdict_batch32/compiled");
     let baseline = median("verdict_batch32/baseline");
-    let compile_ns = median(&format!("compile/{}", matrix.len()));
-    let delta_ns = median(&format!("delta_install/{}", delta.len()));
     let pub_compiled = median("publish/compiled");
     let pub_baseline = median("publish/baseline");
-
     eprintln!(
         "verdicts (batch of {BATCH}): compiled {:.1} ns ({:.2} ns/verdict), \
-         baseline {:.1} ns ({:.2} ns/verdict) — {:.2}x",
+         baseline {:.1} ns ({:.2} ns/verdict)",
         compiled,
         compiled / BATCH as f64,
         baseline,
         baseline / BATCH as f64,
-        baseline / compiled
     );
     eprintln!(
         "compile 100k rules: {:.2} ms; delta-install 64 rules into a snapshot: {:.1} us",
-        compile_ns / 1e6,
-        delta_ns / 1e3
+        median("compile/100000") / 1e6,
+        median("delta_install/64") / 1e3
     );
-    eprintln!(
-        "epoch publish: compiled {:.1} ns vs deep map copy {:.1} ns — {:.0}x",
-        pub_compiled,
-        pub_baseline,
-        pub_baseline / pub_compiled
+    eprintln!("epoch publish: compiled {pub_compiled:.1} ns vs deep map copy {pub_baseline:.1} ns");
+    h.bar(
+        "per-pair map vs compiled verdicts",
+        baseline / compiled,
+        2.0..,
     );
-
-    if smoke {
-        eprintln!("smoke mode: skipping the perf assertions");
-        return;
-    }
-
-    let ratio = baseline / compiled;
-    assert!(
-        ratio >= 2.0,
-        "batched bitset verdicts must be >= 2x the per-pair map at 1k groups / 100k rules, \
-         got {ratio:.2}x ({compiled:.1} ns vs {baseline:.1} ns per batch)"
+    h.bar(
+        "deep copy vs Arc'd epoch publish",
+        pub_baseline / pub_compiled,
+        2.0..,
     );
-    assert!(
-        pub_baseline / pub_compiled >= 2.0,
-        "Arc'd epoch publish must beat the deep copy, got {:.2}x",
-        pub_baseline / pub_compiled
-    );
+    h.finish(&ROWS);
 }

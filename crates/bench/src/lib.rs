@@ -1,12 +1,29 @@
 //! # sda-bench
 //!
-//! The experiment harness: one target per table/figure of the paper's
-//! evaluation (§4–§5).
+//! The paper's evaluation (§4–§5) as code: per-layer criterion benches,
+//! figure/table reproductions, and the benchmark of record.
 //!
-//! * Criterion micro-benchmarks (`benches/`):
+//! * [`harness`] — smoke mode, sample sizes, the JSON out path, the
+//!   row-set check and the ratio / bar / budget checks, decided once for
+//!   every bench below; [`fixtures`] — the VN, host, EIDs, frames and
+//!   edge configuration they share.
+//! * Criterion benches (`benches/`, each a row list over the harness):
+//!   - `lpm_hot_path` — `BENCH_lpm.json`: trie LPM and map-cache lookup,
+//!     two memory budgets.
+//!   - `dataplane_fwd` — `BENCH_dataplane.json`: the batched engine's
+//!     encap / miss / decap per FIB size.
+//!   - `mt_fwd` — `BENCH_mt.json`: `MtSwitch` at 1/2/4 workers vs. the
+//!     single-threaded `Switch`.
+//!   - `ctrl_plane` — `BENCH_ctrl.json`: the partitioned map-server
+//!     under the metro workload.
+//!   - `policy_plane` — `BENCH_policy.json`: compiled SGACL vs. the
+//!     per-pair map.
 //!   - `fig7_routing_server` — Fig. 7a/7b: map-server request/update
 //!     latency vs. stored-route count (flat; trie rows beside).
-//! * Figure/table harness binaries (`src/bin/`):
+//! * Binaries (`src/bin/`):
+//!   - `e2e` — the benchmark of record (`BENCHMARK.json`).
+//!   - `bench_check` — CI's allocation budgets, read off traced quick
+//!     `e2e` runs.
 //!   - `fig7a`, `fig7b` — boxplot rows from the simulated server.
 //!   - `fig7c` — delay vs. offered load (queueing).
 //!   - `fig9_fib_timeseries` — border vs. edge FIB over weeks.
@@ -16,31 +33,38 @@
 //!   - `fig12_drop_permille` — egress drop rates across profiles.
 //!   - `ablation_*` — §5.3/§5.4/§3.2.2/§4.1 design-choice studies.
 //!
-//! This library hosts shared output helpers so every binary prints the
-//! same table/CSV shapes, and the implementations no node runs that
-//! harnesses measure against: [`shard::ShardedMapServer`] — §4.1's
-//! replicate-all deployment — and the three differential references,
+//! The library also hosts the output helpers the figure binaries share
+//! and the implementations no node runs that rows are measured against:
+//! [`shard::ShardedMapServer`] — §4.1's replicate-all deployment, for
+//! `ctrl_plane`'s `register_legacy_s4` and `ablation_sharding` — built on
+//! [`map_server`] (with its [`pubsub`] subscriber table), and
+//! [`enforce`] for `policy_plane`'s per-pair-map rows; these are
 //! `#[path]`-included below from the `tests/reference/` directories
 //! that own them.
 
+pub mod fixtures;
+pub mod harness;
 pub mod shard;
 
-// The one door from the benches to the references: the single
-// map-server (`ShardedMapServer`'s shard), the structured pipeline
-// model (`dataplane_fwd`'s `baseline_{encap,decap}` codec) and the
-// per-pair group ACL (`policy_plane`'s `verdict_batch32/baseline`).
-// Each sits at the crate root under the module name it had in its
-// production crate, so `cargo test` still prints its unit tests as
-// `map_server::tests::…`, `pipeline::tests::…`, `enforce::tests::…`.
+// Each reference sits at the crate root under the module name it had in
+// its production crate, so `cargo test` still prints its unit tests as
+// `map_server::tests::…`, `pubsub::tests::…` and `enforce::tests::…`.
 #[path = "../../policy/tests/reference/group_acl.rs"]
 pub mod enforce;
 #[path = "../../ctrl/tests/reference/map_server.rs"]
 pub mod map_server;
+// `map_server` names its subscriber table as its sibling `pubsub`.
+#[path = "../../ctrl/tests/reference/pubsub.rs"]
+pub mod pubsub;
+// No bench links the structured pipeline model any more; its unit tests
+// keep running here, for the test build only, under the
+// `pipeline::tests::…` names they have always printed (it names the ACL
+// as its sibling `group_acl`).
+#[cfg(test)]
+use enforce as group_acl;
+#[cfg(test)]
 #[path = "../../core/tests/reference/pipeline.rs"]
 pub mod pipeline;
-// `pipeline` names the ACL as its sibling `group_acl`, as in the tests
-// that include both files.
-use enforce as group_acl;
 
 use sda_simnet::Summary;
 
@@ -84,8 +108,9 @@ pub struct DayNight {
     pub night: f64,
 }
 
-/// Splits an hourly series into Table 5's all/day/night means.
-/// `hour_of(t)` maps a sample time to the hour-of-day.
+/// Splits a series of `(hour, value)` samples — hours counted from a
+/// midnight, so `hour % 24` is the hour of day — into Table 5's
+/// all/day/night means.
 pub fn day_night_split(series: &[(f64, f64)]) -> Option<DayNight> {
     if series.is_empty() {
         return None;

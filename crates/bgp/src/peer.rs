@@ -61,12 +61,6 @@ impl BgpEdge {
     pub fn stats(&self) -> BgpEdgeStats {
         self.stats
     }
-
-    /// RIB size — the proactive state cost (every edge holds every
-    /// route; compare with the reactive edge's map-cache).
-    pub fn rib_len(&self) -> usize {
-        self.rib.len()
-    }
 }
 
 impl Node<BgpMsg> for BgpEdge {
@@ -214,7 +208,7 @@ mod tests {
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
         for (i, e) in edges.iter().enumerate() {
-            assert_eq!(edge(&sim, *e).rib_len(), 1, "edge {i} must hold the route");
+            assert_eq!(edge(&sim, *e).rib.len(), 1, "edge {i} must hold the route");
         }
     }
 
@@ -304,7 +298,7 @@ mod tests {
         }
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(2));
         for e in &edges {
-            assert_eq!(edge(&sim, *e).rib_len(), 50);
+            assert_eq!(edge(&sim, *e).rib.len(), 50);
         }
     }
 

@@ -20,8 +20,7 @@
 //!   decrement would).
 //! * [`encode_packet`] / [`decode_packet`] — the structured
 //!   [`OverlayPacket`] ⇄ bytes codec (shared `encap` underneath), used
-//!   by the oracle tests and as the frozen per-packet bench baseline
-//!   (`baseline_{encap,decap}` of `benches/dataplane_fwd.rs`).
+//!   by the oracle tests.
 //!
 //! What it is not: run by any node. Every data packet in the fabric
 //! flows through a per-node [`sda_dataplane::Switch`] as real bytes;

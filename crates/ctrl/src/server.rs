@@ -247,11 +247,6 @@ impl PartitionedMapServer {
         self.shards[shard].down = false;
     }
 
-    /// True while `shard` is crashed or partitioned.
-    pub fn shard_down(&self, shard: usize) -> bool {
-        self.shards[shard].down
-    }
-
     /// This server's locator.
     pub fn rloc(&self) -> Rloc {
         self.rloc
@@ -969,7 +964,7 @@ mod tests {
         let victim = crate::partition::owner_of(&eid(0), 4);
         let before = s.db_len();
         s.crash_shard(victim);
-        assert!(s.shard_down(victim));
+        assert!(s.shards[victim].down);
         assert!(s.db_len() < before, "crashed shard lost its slice");
         // Owner-routed traffic is dropped without reply...
         let (d, out) = s.handle_with_disposition(request(vn(1), eid(0), rl(9)), SimTime::ZERO);

@@ -34,6 +34,11 @@ use std::net::Ipv4Addr;
 #[allow(dead_code)]
 #[path = "reference/map_server.rs"]
 mod reference;
+// The reference's subscriber table, mounted beside it (it names it as
+// its sibling `pubsub`).
+#[allow(dead_code)]
+#[path = "reference/pubsub.rs"]
+mod pubsub;
 use reference::MapServer;
 
 const SHARDS: usize = 4;

@@ -25,11 +25,13 @@
 //! generated register/request/move/expiry interleavings through this
 //! server and the partitioned one and compares reply for reply. It is
 //! also the shard of the replicate-all `ShardedMapServer`
-//! (`sda_bench::shard`). Do not "fix" anything in this file — its
-//! behaviour is the specification.
+//! (`sda_bench::shard`). Its subscriber table is `pubsub.rs` in this
+//! directory, which every includer mounts beside it as `pubsub`. Do not
+//! "fix" anything in either file — their behaviour is the specification.
 
+use super::pubsub::SubscriberTable;
 use sda_lisp::map_server::{MapServerStats, Outbox, NEGATIVE_TTL_SECS, REPLY_TTL_SECS};
-use sda_lisp::{MappingDb, RegisterOutcome, SubscriberTable};
+use sda_lisp::{MappingDb, RegisterOutcome};
 use sda_simnet::{SimDuration, SimTime};
 use sda_types::{Eid, EidPrefix, Rloc, VnId};
 use sda_wire::lisp::Message;

@@ -58,7 +58,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use sda_simnet::{SimDuration, SimTime};
-use sda_trie::MemStats;
 use sda_types::{Eid, EidPrefix, MacAddr, Rloc, VnId};
 use sda_wire::{ethernet, ipv4, EtherType};
 
@@ -159,8 +158,6 @@ struct Shuttle {
     /// The worker's cumulative stats as of this batch.
     stats: SwitchStats,
     worker: usize,
-    /// Reply payload for [`Job::MemStats`] requests.
-    mem: Option<MemStats>,
 }
 
 impl Shuttle {
@@ -172,13 +169,12 @@ impl Shuttle {
             punts: Vec::new(),
             stats: SwitchStats::default(),
             worker: 0,
-            mem: None,
         }
     }
 }
 
 // Batch dominates the traffic on this channel; boxing the shuttle to
-// shrink the rare Stop/MemStats variants would add an allocation per
+// shrink the rare Stop variant would add an allocation per
 // message for nothing.
 #[allow(clippy::large_enum_variant)]
 enum Job {
@@ -187,7 +183,6 @@ enum Job {
         now: SimTime,
         ingress: bool,
     },
-    MemStats,
     Stop,
 }
 
@@ -239,18 +234,6 @@ fn worker_loop(
                     shuttle.stats = ctx.stats();
                     shuttle.worker = worker;
                     done.push(shuttle);
-                }
-                Job::MemStats => {
-                    let mem = Some(reader.current().mem_stats());
-                    done.push(Shuttle {
-                        bufs: Vec::new(),
-                        idx: Vec::new(),
-                        verdicts: Vec::new(),
-                        punts: Vec::new(),
-                        stats: ctx.stats(),
-                        worker,
-                        mem,
-                    });
                 }
                 Job::Stop => {
                     for s in done.drain(..) {
@@ -510,22 +493,6 @@ impl MtSwitch {
     /// Verdicts of the most recent processing call, in burst order.
     pub fn verdicts(&self) -> &[Verdict] {
         &self.verdicts
-    }
-
-    /// Per-worker views of the published tables' arena diagnostics
-    /// (index = worker id). Workers may briefly hold different epochs;
-    /// each reports the snapshot it would forward with right now.
-    pub fn worker_mem_stats(&mut self) -> Vec<MemStats> {
-        for tx in &self.job_txs {
-            tx.send(Job::MemStats).expect("worker alive");
-        }
-        let mut out: Vec<MemStats> = (0..self.workers()).map(|_| MemStats::default()).collect();
-        for _ in 0..self.workers() {
-            let mut reply = self.result_rx.recv().expect("worker alive");
-            out[reply.worker] = reply.mem.take().expect("MemStats reply carries stats");
-            self.worker_stats[reply.worker] = reply.stats;
-        }
-        out
     }
 
     // --- data path --------------------------------------------------
@@ -1028,11 +995,10 @@ mod tests {
         );
     }
 
-    /// A detach reaches every worker with the republish — also when a
-    /// MemStats request is what first moves them to the new snapshot:
-    /// the detached MAC is rejected by the source guard afterwards.
+    /// A detach reaches every worker with the republish: the detached
+    /// MAC is rejected by the source guard afterwards.
     #[test]
-    fn detach_reaches_workers_across_a_mem_stats_request() {
+    fn detach_reaches_workers_with_the_republish() {
         let mut mt = MtSwitch::spawn(cfg(), 2);
         let a = ep(1, 10);
         mt.attach(vn(1), a);
@@ -1054,11 +1020,8 @@ mod tests {
         let v = mt.process_ingress(&mut bufs, SimTime::ZERO).to_vec();
         assert!(v.iter().all(|v| matches!(v, Verdict::Forward { .. })));
 
-        // Detach + publish, then let every worker consume the epoch
-        // change through the MemStats path before any batch arrives.
         assert!(mt.detach(a.mac).is_some());
         mt.publish();
-        let _ = mt.worker_mem_stats();
 
         let mut bufs: Vec<PacketBuf> = (0..8)
             .map(|_| {
@@ -1147,38 +1110,5 @@ mod tests {
             "entry hot at `warm` evicted: publish dropped the stamps"
         );
         assert_eq!(mt.fib_len(), 1);
-    }
-
-    /// Worker mem stats report the published snapshot per worker and
-    /// merge via `MemStats::merge`.
-    #[test]
-    fn worker_mem_stats_report_snapshot() {
-        let mut mt = MtSwitch::spawn(cfg(), 2);
-        mt.attach(vn(1), ep(1, 10));
-        for i in 0..100u32 {
-            mt.install_mapping(
-                vn(1),
-                EidPrefix::host(Eid::V4(Ipv4Addr::from(0x0A09_0000 | i))),
-                Rloc::for_router_index(2),
-                TTL,
-                SimTime::ZERO,
-            );
-        }
-        mt.compact_tables();
-        mt.publish();
-        let per_worker = mt.worker_mem_stats();
-        assert_eq!(per_worker.len(), 2);
-        // 100 host routes live in the map-cache's hash table, which
-        // shows in `capacity_bytes` only.
-        let working = mt.tables().mem_stats().capacity_bytes;
-        let mut merged = MemStats::default();
-        for s in &per_worker {
-            assert_eq!(
-                s.capacity_bytes, working,
-                "the published snapshot is the working copy: {s}"
-            );
-            merged.merge(s);
-        }
-        assert_eq!(merged.capacity_bytes, working * 2);
     }
 }

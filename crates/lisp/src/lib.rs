@@ -16,10 +16,6 @@
 //!   routes in one exact-match table, covering prefixes in per-VN
 //!   tries; TTL'd entries, idle decay, SMR/underlay-event invalidation,
 //!   negative caching. Its `len()` *is* the Fig. 9 "FIB entries" series.
-//! * [`pubsub::SubscriberTable`] — border-router synchronization
-//!   (§3.3: "their FIB table is synchronized with the routing server")
-//!   in its walk-the-VN form; the partitioned server's incremental
-//!   successor is `sda_ctrl::DeltaFanout`.
 //! * [`smr::SmrTracker`] — dedup window for the data-triggered
 //!   Solicit-Map-Request messages of Fig. 6.
 //!
@@ -35,12 +31,10 @@
 
 pub mod map_cache;
 pub mod map_server;
-pub mod pubsub;
 pub mod registry;
 pub mod smr;
 
 pub use map_cache::{CacheEntry, CacheOutcome, MapCache};
 pub use map_server::{service_time, MapServerStats, Outbox, REQUEST_SERVICE, UPDATE_SERVICE};
-pub use pubsub::SubscriberTable;
 pub use registry::{MappingDb, MappingRecord, RegisterOutcome};
 pub use smr::SmrTracker;

@@ -2,8 +2,8 @@
 //!
 //! The build environment has no network access, so this crate provides the
 //! benchmark-harness API subset the workspace uses: [`Criterion`],
-//! [`BenchmarkGroup`], [`Bencher::iter`], [`BenchmarkId`], [`Throughput`],
-//! [`black_box`], [`criterion_group!`] and [`criterion_main!`].
+//! [`BenchmarkGroup::bench_with_input`], [`Bencher::iter`],
+//! [`BenchmarkId`] and [`black_box`].
 //!
 //! Measurement model: per benchmark, a warm-up phase sizes the per-sample
 //! iteration count, then `sample_size` samples are taken, each timing a
@@ -36,15 +36,6 @@ pub struct BenchResult {
     pub p95_ns: f64,
     /// Total iterations measured (excludes warm-up).
     pub iterations: u64,
-}
-
-/// Throughput annotation (recorded, not yet reported).
-#[derive(Clone, Copy, Debug)]
-pub enum Throughput {
-    /// Iterations process this many logical elements.
-    Elements(u64),
-    /// Iterations process this many bytes.
-    Bytes(u64),
 }
 
 /// Identifies one benchmark within a group.
@@ -148,11 +139,6 @@ impl Criterion {
         s.push_str("]\n");
         std::fs::write(path, s)
     }
-
-    /// Prints a closing summary (called by [`criterion_main!`]).
-    pub fn final_summary(&self) {
-        eprintln!("benchmarks complete: {} measurements", self.results.len());
-    }
 }
 
 fn escape(s: &str) -> String {
@@ -166,9 +152,6 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Records the group throughput (accepted for API compatibility).
-    pub fn throughput(&mut self, _t: Throughput) {}
-
     /// Runs one benchmark with an input value.
     pub fn bench_with_input<I: ?Sized, F>(
         &mut self,
@@ -186,22 +169,6 @@ impl BenchmarkGroup<'_> {
             self.criterion.warm_up_time,
         );
         f(&mut b, input);
-        self.record(id, b);
-        self
-    }
-
-    /// Runs one benchmark without an input value.
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let id = id.into();
-        let mut b = Bencher::new(
-            self.criterion.sample_size,
-            self.criterion.measurement_time,
-            self.criterion.warm_up_time,
-        );
-        f(&mut b);
         self.record(id, b);
         self
     }
@@ -303,33 +270,4 @@ impl Bencher {
             iterations: self.total_iters,
         }
     }
-}
-
-/// Declares a group-runner function from benchmark functions.
-#[macro_export]
-macro_rules! criterion_group {
-    (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut criterion: $crate::Criterion = $config;
-            $($target(&mut criterion);)+
-            criterion.final_summary();
-        }
-    };
-    ($name:ident, $($target:path),+ $(,)?) => {
-        $crate::criterion_group!(
-            name = $name;
-            config = $crate::Criterion::default();
-            targets = $($target),+
-        );
-    };
-}
-
-/// Declares the bench `main` from group-runner functions.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
 }

@@ -121,13 +121,6 @@ impl Metrics {
         self.series.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Names of all sample sets (sorted, for stable output).
-    pub fn sample_names(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.samples.keys().map(String::as_str).collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Summary statistics of sample set `name` (None when empty).
     pub fn summary(&self, name: &str) -> Option<Summary> {
         Summary::of(self.samples(name))
@@ -324,13 +317,5 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s[0].1, 10.0);
         assert_eq!(s[1].1, 12.0);
-    }
-
-    #[test]
-    fn sample_names_sorted() {
-        let mut m = Metrics::default();
-        m.observe("b", 1.0);
-        m.observe("a", 1.0);
-        assert_eq!(m.sample_names(), vec!["a", "b"]);
     }
 }

@@ -312,12 +312,6 @@ impl<M> Simulator<M> {
         self.links.insert((from, to), LinkParams { latency, loss });
     }
 
-    /// Configures both directions with the same parameters.
-    pub fn set_link_bidir(&mut self, a: NodeId, b: NodeId, latency: SimDuration, loss: f64) {
-        self.set_link(a, b, latency, loss);
-        self.set_link(b, a, latency, loss);
-    }
-
     /// Injects an external message to `to` at absolute time `at`
     /// (workload drivers use this; `from` is [`NodeId::EXTERNAL`]).
     pub fn inject_at(&mut self, at: SimTime, to: NodeId, msg: M) {
@@ -351,12 +345,6 @@ impl<M> Simulator<M> {
     pub fn inject_fault_at(&mut self, at: SimTime, fault: Fault) {
         assert!(at >= self.now, "cannot inject a fault into the past");
         self.schedule_external(at, EventKind::Fault(fault));
-    }
-
-    /// True while `id` is crashed (between a [`Fault::Crash`] and its
-    /// [`Fault::Restart`]).
-    pub fn is_node_down(&self, id: NodeId) -> bool {
-        self.node_down[id.0 as usize]
     }
 
     /// Current simulated time.
@@ -725,7 +713,8 @@ mod tests {
         let log_b = Rc::new(RefCell::new(Vec::new()));
         let a = sim.add_node(Box::new(Counter { log: log_a.clone() }));
         let b = sim.add_node(Box::new(Counter { log: log_b.clone() }));
-        sim.set_link_bidir(a, b, SimDuration::from_millis(1), 0.0);
+        sim.set_link(a, b, SimDuration::from_millis(1), 0.0);
+        sim.set_link(b, a, SimDuration::from_millis(1), 0.0);
         // Kick: external → a delivers 0, then a/b ping-pong to 10.
         sim.inject_at(SimTime::ZERO, b, 99); // b logs 99, no reply (>=10)
         sim.inject_at(SimTime::ZERO, a, 0); // a self-pings 1.. no wait
@@ -759,7 +748,8 @@ mod tests {
         let mut sim = Simulator::new(1);
         let a = sim.add_node(Box::new(Echo));
         let b = sim.add_node(Box::new(Echo));
-        sim.set_link_bidir(a, b, SimDuration::from_millis(10), 0.0);
+        sim.set_link(a, b, SimDuration::from_millis(10), 0.0);
+        sim.set_link(b, a, SimDuration::from_millis(10), 0.0);
         // Injection delivers at the given instant; a→b:4, b→a:3, … 5 hops.
         sim.inject_at(SimTime::ZERO, a, 4);
         sim.run_to_completion(100);
@@ -953,7 +943,7 @@ mod tests {
         assert_eq!(sim.metrics().counter("simnet.shard_crashes"), 1);
         assert_eq!(sim.metrics().counter("simnet.shard_restarts"), 1);
         assert_eq!(sim.metrics().counter("simnet.node_crashes"), 0);
-        assert!(!sim.is_node_down(n));
+        assert!(!sim.node_down[n.0 as usize]);
     }
 
     struct TimerNode {
@@ -1185,7 +1175,7 @@ mod tests {
         assert_eq!(sim.metrics().counter("simnet.fault_msg_drops"), 1);
         assert_eq!(sim.metrics().counter("simnet.node_crashes"), 1);
         assert_eq!(sim.metrics().counter("simnet.node_restarts"), 1);
-        assert!(!sim.is_node_down(n));
+        assert!(!sim.node_down[n.0 as usize]);
     }
 
     #[test]
@@ -1193,7 +1183,8 @@ mod tests {
         let mut sim = Simulator::new(10);
         let a = sim.add_node(Box::new(Echo));
         let b = sim.add_node(Box::new(Echo));
-        sim.set_link_bidir(a, b, SimDuration::from_micros(10), 0.0);
+        sim.set_link(a, b, SimDuration::from_micros(10), 0.0);
+        sim.set_link(b, a, SimDuration::from_micros(10), 0.0);
         let plan = FaultPlan::new().partition_window(
             a,
             b,

@@ -75,11 +75,6 @@ impl SimDuration {
     pub const fn saturating_mul(self, k: u64) -> Self {
         SimDuration(self.0.saturating_mul(k))
     }
-
-    /// Checked division into `k` equal parts.
-    pub const fn div(self, k: u64) -> Self {
-        SimDuration(self.0 / k)
-    }
 }
 
 impl Add for SimDuration {

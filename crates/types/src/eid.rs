@@ -34,16 +34,6 @@ impl MacAddr {
         MacAddr([0x02, 0x00, b[0], b[1], b[2], b[3]])
     }
 
-    /// True if the group (multicast/broadcast) bit is set.
-    pub const fn is_multicast(self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-
-    /// True if this is the all-ones broadcast address.
-    pub fn is_broadcast(self) -> bool {
-        self == Self::BROADCAST
-    }
-
     /// Byte representation, network order.
     pub const fn octets(self) -> [u8; 6] {
         self.0
@@ -172,23 +162,6 @@ impl Eid {
             }
         }
     }
-
-    /// The IP address if this is an L3 EID.
-    pub fn as_ip(&self) -> Option<IpAddr> {
-        match self {
-            Eid::V4(a) => Some(IpAddr::V4(*a)),
-            Eid::V6(a) => Some(IpAddr::V6(*a)),
-            Eid::Mac(_) => None,
-        }
-    }
-
-    /// The MAC address if this is an L2 EID.
-    pub fn as_mac(&self) -> Option<MacAddr> {
-        match self {
-            Eid::Mac(m) => Some(*m),
-            _ => None,
-        }
-    }
 }
 
 impl From<Ipv4Addr> for Eid {
@@ -275,7 +248,7 @@ mod tests {
     fn mac_from_seed_is_unicast_locally_administered() {
         for seed in [0u32, 1, 0xffff_ffff, 12345] {
             let m = MacAddr::from_seed(seed);
-            assert!(!m.is_multicast(), "{m} must be unicast");
+            assert_eq!(m.octets()[0] & 0x01, 0, "{m} must be unicast");
             assert_eq!(m.octets()[0], 0x02);
         }
     }
@@ -285,13 +258,6 @@ mod tests {
         let a = MacAddr::from_seed(1);
         let b = MacAddr::from_seed(2);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn broadcast_is_multicast_too() {
-        assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(MacAddr::BROADCAST.is_multicast());
-        assert!(!MacAddr::ZERO.is_broadcast());
     }
 
     #[test]
@@ -316,16 +282,6 @@ mod tests {
         assert!(Eid::from_bytes(EidKind::V4, &[1, 2, 3]).is_err());
         assert!(Eid::from_bytes(EidKind::Mac, &[0; 7]).is_err());
         assert!(Eid::from_bytes(EidKind::V6, &[0; 4]).is_err());
-    }
-
-    #[test]
-    fn eid_accessors() {
-        let v4 = Eid::V4(Ipv4Addr::LOCALHOST);
-        assert!(v4.as_ip().is_some());
-        assert!(v4.as_mac().is_none());
-        let mac = Eid::Mac(MacAddr::ZERO);
-        assert!(mac.as_ip().is_none());
-        assert_eq!(mac.as_mac(), Some(MacAddr::ZERO));
     }
 
     #[test]

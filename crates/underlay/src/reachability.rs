@@ -41,16 +41,6 @@ impl ReachabilityTracker {
         }
     }
 
-    /// Adds a peer to the watch set.
-    pub fn watch(&mut self, peer: RouterId) {
-        self.watched.entry(peer).or_insert(false);
-    }
-
-    /// Stops watching a peer.
-    pub fn unwatch(&mut self, peer: RouterId) {
-        self.watched.remove(&peer);
-    }
-
     /// Feeds the latest routing table; returns the transitions since the
     /// previous call, in ascending peer order.
     pub fn update(&mut self, table: &RouteTable) -> Vec<ReachabilityEvent> {
@@ -67,11 +57,6 @@ impl ReachabilityTracker {
             }
         }
         events
-    }
-
-    /// Is `peer` currently believed reachable?
-    pub fn is_up(&self, peer: RouterId) -> bool {
-        self.watched.get(&peer).copied().unwrap_or(false)
     }
 
     /// Peers currently believed reachable, ascending.
@@ -99,18 +84,18 @@ mod tests {
     fn up_then_down_emits_transitions_once() {
         let mut t = Topology::line(3);
         let mut tracker = ReachabilityTracker::new([RouterId(2)]);
-        assert!(!tracker.is_up(RouterId(2)));
+        assert!(!tracker.watched[&RouterId(2)]);
 
         let events = tracker.update(&table_for(&t, 0));
         assert_eq!(events, vec![ReachabilityEvent::Up(RouterId(2))]);
         // Stable: no repeat events.
         assert!(tracker.update(&table_for(&t, 0)).is_empty());
-        assert!(tracker.is_up(RouterId(2)));
+        assert!(tracker.watched[&RouterId(2)]);
 
         t.remove_link(RouterId(1), RouterId(2));
         let events = tracker.update(&table_for(&t, 0));
         assert_eq!(events, vec![ReachabilityEvent::Down(RouterId(2))]);
-        assert!(!tracker.is_up(RouterId(2)));
+        assert!(!tracker.watched[&RouterId(2)]);
     }
 
     #[test]
@@ -119,16 +104,5 @@ mod tests {
         let mut tracker = ReachabilityTracker::new([RouterId(3)]);
         let events = tracker.update(&table_for(&t, 0));
         assert_eq!(events.len(), 1, "router 1 and 2 are not watched");
-    }
-
-    #[test]
-    fn watch_unwatch() {
-        let t = Topology::line(2);
-        let mut tracker = ReachabilityTracker::default();
-        tracker.watch(RouterId(1));
-        assert_eq!(tracker.update(&table_for(&t, 0)).len(), 1);
-        tracker.unwatch(RouterId(1));
-        assert!(!tracker.is_up(RouterId(1)));
-        assert_eq!(tracker.up_peers().count(), 0);
     }
 }

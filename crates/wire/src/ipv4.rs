@@ -155,14 +155,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
         self.buffer.as_mut()[layout::TTL.start] = ttl;
     }
 
-    /// Decrements TTL, returning the new value (0 means "drop me").
-    pub fn decrement_ttl(&mut self) -> u8 {
-        let ttl = self.ttl().saturating_sub(1);
-        self.set_ttl(ttl);
-        self.fill_checksum();
-        ttl
-    }
-
     /// Sets the payload protocol.
     pub fn set_protocol(&mut self, p: Protocol) {
         self.buffer.as_mut()[layout::PROTOCOL.start] = p.into();
@@ -314,17 +306,5 @@ mod tests {
             Packet::new_checked(&buf[..repr.buffer_len() - 2]).unwrap_err(),
             Error::BadLength
         );
-    }
-
-    #[test]
-    fn ttl_decrement_refreshes_checksum() {
-        let repr = sample(0);
-        let mut buf = vec![0u8; repr.buffer_len()];
-        repr.emit(&mut Packet::new_unchecked(&mut buf[..]));
-        let mut pkt = Packet::new_checked(&mut buf[..]).unwrap();
-        let ttl = pkt.decrement_ttl();
-        assert_eq!(ttl, DEFAULT_TTL - 1);
-        // Still passes checksum validation after the in-place edit.
-        assert!(Packet::new_checked(&buf[..]).is_ok());
     }
 }

@@ -284,15 +284,6 @@ impl PolicyChurnScenario {
         report
     }
 
-    /// The edges a storm touching `keys` would push — the oracle the
-    /// scenario tests diff actual push deltas against.
-    pub fn affected_edges(&self, keys: &[(VnId, GroupId)]) -> Vec<RouterId> {
-        (0..self.edges.len())
-            .filter(|&i| keys.iter().any(|&(vn, g)| self.edge_scoped_to(i, vn, g)))
-            .map(|i| self.edges[i].router)
-            .collect()
-    }
-
     /// Flips the fleet's enforcement point and re-subsets every edge
     /// (a flip invalidates the subset-selection rule itself, so the
     /// fan-out is the whole fleet — the operational cost of the §5.3
