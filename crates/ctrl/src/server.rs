@@ -122,7 +122,7 @@ impl Shard {
     /// One expiry sweep over this shard: prunes expired host
     /// registrations in a single pass, returning what was removed (for
     /// the withdraw publishes) in ascending `(vn, eid)` order — the pass
-    /// itself runs in hash order, and what is published must not depend
+    /// itself runs in slot order, and what is published must not depend
     /// on the tables' capacity history. Runs on a worker thread when the
     /// parent sweeps in parallel — it only touches this shard's `&mut`.
     fn sweep(&mut self, now: SimTime) -> Vec<(VnId, Eid, Rloc)> {
@@ -604,7 +604,7 @@ impl PartitionedMapServer {
     /// Iterates every registered mapping across all shards — ground
     /// truth for convergence checkers comparing subscriber views
     /// against the server database.
-    pub fn iter_db(&self) -> impl Iterator<Item = (VnId, EidPrefix, &sda_lisp::MappingRecord)> {
+    pub fn iter_db(&self) -> impl Iterator<Item = (VnId, EidPrefix, sda_lisp::MappingRecord)> + '_ {
         self.shards.iter().flat_map(|s| s.db.iter())
     }
 
@@ -662,8 +662,9 @@ impl PartitionedMapServer {
 
     /// Memory diagnostics summed across all shards — what the scale-tier
     /// acceptance compares against a single server's. `capacity_bytes`
-    /// is the bytes the shards' tables have reserved; the trie-shaped
-    /// fields (nodes, stride tables) are zero (see `MappingDb::mem_stats`).
+    /// is exactly what the shards' tables hold allocated (32 bytes a
+    /// slot); the trie-shaped fields (nodes, stride tables) are zero (see
+    /// `MappingDb::mem_stats`).
     pub fn mem_stats(&self) -> MemStats {
         let mut total = MemStats::default();
         for s in &self.shards {

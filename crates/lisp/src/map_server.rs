@@ -12,7 +12,8 @@ use sda_wire::lisp::Message;
 
 /// Control-CPU service time for a Map-Request (lookup). Independent of
 /// table size — the property Fig. 7a demonstrates (there with a Patricia
-/// trie, here with one hash probe).
+/// trie, here with one probe of a linear-probed table, which starts at
+/// the EID's hashed home slot and as a rule ends in the same cache line).
 pub const REQUEST_SERVICE: SimDuration = SimDuration::from_micros(250);
 
 /// Control-CPU service time for a Map-Register (update). Slightly above

@@ -5,13 +5,30 @@
 //! expired entries answer as if absent (the registering edge refreshes
 //! them periodically in a live deployment).
 //!
-//! **What it is.** One exact-match hash table per VN, keyed by the host
-//! EID ([`EidKey`]: one folded word into [`KeyHasher`]). Exact match is
+//! **What it is.** One open-addressed, linear-probing table per VN: a
+//! power-of-two array of 32-byte slots, each an `Option` of `{eid, rloc,
+//! expires_at}` (the `None` lives in [`Eid`]'s tag byte), 32-byte
+//! aligned so no slot straddles a cache line. A key's home slot is
+//! [`KeyHasher`] over [`fold_eid`], masked; a probe walks forward from
+//! there to the key or to the first empty slot, so a Map-Request is as a
+//! rule answered from the line its home slot is on. Exact match is
 //! complete, not a shortcut: [`MappingDb::register`] takes an [`Eid`] (a
 //! Map-Register carries one), so no covering prefix can enter and the
 //! longest match for an EID is the entry stored under it or nothing. A
 //! request or a register costs one probe whatever the table holds — the
 //! property Fig. 7 shows (delay flat in the number of routes).
+//!
+//! Each VN's table is one allocation that only growth replaces: it
+//! doubles when the next insert would pass 7/8 full (`std`'s bound) and
+//! never shrinks. Removal shifts the rest of the cluster back over the
+//! hole, so there are no tombstones and a probe never outlives the
+//! entries it passes; a re-register overwrites its slot and moves
+//! nothing. A table's load runs from 7/16 after a doubling to 7/8 before
+//! the next, and the expected probe with it (½(1 + 1/(1 − α)) slots for a
+//! hit, ½(1 + 1/(1 − α)²) for a miss): 1.4 and 2.1 slots at 7/16, 1.5 and
+//! 2.5 at the 1/2 a million endpoints leave in 2²¹ slots, and at worst —
+//! a table about to grow — a hit reads 4.5 slots and a miss ≈ 32, 1 KiB
+//! walked sequentially.
 //!
 //! **What it is not.**
 //!
@@ -20,40 +37,44 @@
 //!   `fig7_trie_lookup` rows of the `fig7_routing_server` bench. Should
 //!   prefix registrations ever get an API, `MapCache`'s hosts + covers
 //!   split is the precedent.
+//! * Not a general map: keys are host EIDs, values one RLOC and one
+//!   deadline, and nothing outside this module sees a slot.
 //! * Not ordered, except where order reaches the wire:
 //!   [`MappingDb::iter_vn`] (pub/sub snapshots) sorts its VN by EID, so
 //!   a snapshot never depends on a table's capacity history;
-//!   [`MappingDb::iter`] and [`MappingDb::retain`] visit in hash order —
-//!   deterministic (no `RandomState`) but unspecified, so whoever
-//!   publishes from them sorts first.
-//! * Not hardened against crafted keys: the multiply hash has no secret.
-//!   Keys are *inserted* only by Map-Registers from fabric edges for
-//!   onboarded endpoints, rate-bounded by admission; requests only probe.
+//!   [`MappingDb::iter`] and [`MappingDb::retain`] visit in slot order —
+//!   deterministic (no per-process seed) but unspecified and never on
+//!   the wire, so whoever publishes from them sorts first.
+//!
+//! **Trusted inputs.** Not hardened against crafted keys: the multiply
+//! hash has no secret, and with linear probing colliding keys lengthen
+//! every probe that crosses their cluster, not just their own. Inserts
+//! come only from admitted Map-Registers — fabric edges registering
+//! onboarded endpoints, rate-bounded by admission; requests only probe.
+//! 4,096 keys forced onto one home slot still register, resolve, move
+//! and withdraw correctly (the unit tests do it), only slowly.
 
-use std::collections::{BTreeMap, HashMap};
-use std::hash::BuildHasherDefault;
+use std::collections::BTreeMap;
+use std::hash::Hasher;
 
 use sda_simnet::{SimDuration, SimTime};
-use sda_types::{Eid, EidKey, EidPrefix, KeyHasher, Rloc, VnId};
+use sda_types::hash::fold_eid;
+use sda_types::{Eid, EidPrefix, KeyHasher, Rloc, VnId};
 
-/// One registered mapping.
+/// One registered mapping, as the database hands it out.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MappingRecord {
     /// The edge router currently serving the EID.
     pub rloc: Rloc,
-    /// Registration lifetime.
-    pub ttl: SimDuration,
-    /// When the registration (or last refresh) happened.
-    pub registered_at: SimTime,
-    /// Bumped on every register for this EID (move detection, pub/sub
-    /// ordering).
-    pub version: u64,
+    /// The instant the registration lapses: when it was made (or last
+    /// refreshed) plus its TTL, saturating — an all-ones TTL never does.
+    pub expires_at: SimTime,
 }
 
 impl MappingRecord {
     /// Whether the registration has expired at `now`.
     pub fn expired(&self, now: SimTime) -> bool {
-        now.saturating_since(self.registered_at) >= self.ttl
+        now >= self.expires_at
     }
 }
 
@@ -72,13 +93,145 @@ pub enum RegisterOutcome {
     },
 }
 
+/// A stored registration: 17 + 4 + 8 bytes, padded to 32 and aligned to
+/// them, so two slots share a cache line and none straddles one.
+#[derive(Clone, Copy)]
+#[repr(align(32))]
+struct Entry {
+    eid: Eid,
+    rloc: Rloc,
+    expires_at: SimTime,
+}
+
+const _: () = assert!(std::mem::size_of::<Option<Entry>>() == 32);
+
+impl Entry {
+    fn record(&self) -> MappingRecord {
+        MappingRecord {
+            rloc: self.rloc,
+            expires_at: self.expires_at,
+        }
+    }
+}
+
+/// Slots a VN's table starts with.
+const MIN_SLOTS: usize = 8;
+
+/// One VN's table. Invariants: `slots.len()` is a power of two;
+/// `len ≤ 7/8 · slots.len()`, so an empty slot always ends a probe; every
+/// slot from an entry's home to where it sits is occupied.
+struct Table {
+    slots: Box<[Option<Entry>]>,
+    len: usize,
+}
+
+impl Table {
+    fn with_slots(n: usize) -> Self {
+        Table {
+            slots: vec![None; n].into_boxed_slice(),
+            len: 0,
+        }
+    }
+
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    fn home(&self, eid: &Eid) -> usize {
+        let mut hasher = KeyHasher::default();
+        hasher.write_u64(fold_eid(eid));
+        hasher.finish() as usize & self.mask()
+    }
+
+    /// Where `eid` is stored (`Ok`), or the empty slot that ended the
+    /// probe for it (`Err`).
+    fn find(&self, eid: &Eid) -> Result<usize, usize> {
+        let mut i = self.home(eid);
+        loop {
+            match &self.slots[i] {
+                None => return Err(i),
+                Some(e) if e.eid == *eid => return Ok(i),
+                Some(_) => i = (i + 1) & self.mask(),
+            }
+        }
+    }
+
+    fn get(&self, eid: &Eid) -> Option<&Entry> {
+        self.slots[self.find(eid).ok()?].as_ref()
+    }
+
+    /// Stores `new`, returning the entry it replaced. A stored key is
+    /// overwritten where it sits; only a new key can grow the table.
+    fn insert(&mut self, new: Entry) -> Option<Entry> {
+        let empty = match self.find(&new.eid) {
+            Ok(at) => return self.slots[at].replace(new),
+            Err(empty) if (self.len + 1) * 8 <= self.slots.len() * 7 => empty,
+            Err(_) => {
+                let doubled = Table::with_slots(self.slots.len() * 2);
+                let old = std::mem::replace(self, doubled);
+                for e in old.slots.iter().flatten() {
+                    self.insert(*e);
+                }
+                return self.insert(new);
+            }
+        };
+        self.slots[empty] = Some(new);
+        self.len += 1;
+        None
+    }
+
+    /// Empties slot `hole` and closes the gap: each later entry of the
+    /// cluster moves back into the hole unless its home lies after it.
+    fn remove_at(&mut self, mut hole: usize) -> Option<Entry> {
+        let removed = self.slots[hole].take();
+        self.len -= 1;
+        let mask = self.mask();
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let Some(e) = self.slots[i] else {
+                return removed;
+            };
+            // Cyclic distances back from `i`: the entry may sit in the
+            // hole iff its home is at least as far back as the hole is.
+            if i.wrapping_sub(self.home(&e.eid)) & mask >= i.wrapping_sub(hole) & mask {
+                self.slots[hole] = self.slots[i].take();
+                hole = i;
+            }
+        }
+    }
+
+    /// Keeps the entries `keep` approves, calling it once per entry. The
+    /// scan starts after an empty slot, so it meets every cluster at its
+    /// head and a removal only ever shifts unvisited entries — into the
+    /// slot under the cursor or later.
+    fn retain(&mut self, mut keep: impl FnMut(&Entry) -> bool) {
+        let mask = self.mask();
+        let start = self
+            .slots
+            .iter()
+            .position(Option::is_none)
+            .expect("load stays under 7/8");
+        let mut i = start;
+        for _ in 0..mask {
+            i = (i + 1) & mask;
+            while self.slots[i].as_ref().is_some_and(|e| !keep(e)) {
+                self.remove_at(i);
+            }
+        }
+    }
+
+    fn entries(&self) -> impl Iterator<Item = &Entry> {
+        self.slots.iter().flatten()
+    }
+}
+
 /// The per-VN mapping database.
 #[derive(Default)]
 pub struct MappingDb {
     /// A registration is stored in its VN's table and nowhere else. Per
     /// VN, so a snapshot walks, and a growth rehash moves, one VN's slice.
-    vns: BTreeMap<VnId, HashMap<EidKey, MappingRecord, BuildHasherDefault<KeyHasher>>>,
-    version_counter: u64,
+    vns: BTreeMap<VnId, Table>,
     /// Maintained entry count, so [`MappingDb::len`] is O(1) instead of
     /// a sum over every per-VN table (the map-server answers `len` on
     /// every Fig. 7 sample). Invariant: always equals
@@ -93,7 +246,7 @@ impl MappingDb {
     }
 
     /// Registers (or refreshes) `eid → rloc` in `vn`; a stored key's
-    /// record is overwritten in place (nothing moves or allocates).
+    /// entry is overwritten in place (nothing moves or allocates).
     pub fn register(
         &mut self,
         vn: VnId,
@@ -102,20 +255,21 @@ impl MappingDb {
         ttl: SimDuration,
         now: SimTime,
     ) -> RegisterOutcome {
-        self.version_counter += 1;
-        let record = MappingRecord {
+        let entry = Entry {
+            eid,
             rloc,
-            ttl,
-            registered_at: now,
-            version: self.version_counter,
+            expires_at: SimTime::from_nanos(now.as_nanos().saturating_add(ttl.as_nanos())),
         };
-        let prev = self.vns.entry(vn).or_default().insert(EidKey(eid), record);
-        if prev.is_none() {
-            self.total += 1;
-        }
-        match prev {
-            None => RegisterOutcome::New,
-            Some(old) if old.expired(now) => RegisterOutcome::New,
+        let table = self
+            .vns
+            .entry(vn)
+            .or_insert_with(|| Table::with_slots(MIN_SLOTS));
+        match table.insert(entry) {
+            None => {
+                self.total += 1;
+                RegisterOutcome::New
+            }
+            Some(old) if old.record().expired(now) => RegisterOutcome::New,
             Some(old) if old.rloc == rloc => RegisterOutcome::Refreshed,
             Some(old) => RegisterOutcome::Moved { previous: old.rloc },
         }
@@ -123,28 +277,27 @@ impl MappingDb {
 
     /// Removes the registration of `eid` in `vn`.
     pub fn withdraw(&mut self, vn: VnId, eid: Eid) -> Option<MappingRecord> {
-        let removed = self.vns.get_mut(&vn)?.remove(&EidKey(eid));
-        if removed.is_some() {
-            self.total -= 1;
-        }
-        removed
+        let table = self.vns.get_mut(&vn)?;
+        let removed = table.remove_at(table.find(&eid).ok()?)?;
+        self.total -= 1;
+        Some(removed.record())
     }
 
     /// The registration of `eid` in `vn`, one probe; expired records
     /// answer `None` (the §4.2 "route resolution with a negative result").
     pub fn lookup(&self, vn: VnId, eid: Eid, now: SimTime) -> Option<(EidPrefix, MappingRecord)> {
-        let rec = self.vns.get(&vn)?.get(&EidKey(eid))?;
+        let rec = self.vns.get(&vn)?.get(&eid)?.record();
         if rec.expired(now) {
             return None;
         }
-        Some((EidPrefix::host(eid), *rec))
+        Some((EidPrefix::host(eid), rec))
     }
 
     /// Live registrations in `vn` at `now`.
     pub fn live_count(&self, vn: VnId, now: SimTime) -> usize {
         self.vns
             .get(&vn)
-            .map(|t| t.values().filter(|r| !r.expired(now)).count())
+            .map(|t| t.entries().filter(|e| !e.record().expired(now)).count())
             .unwrap_or(0)
     }
 
@@ -155,11 +308,11 @@ impl MappingDb {
         self.total
     }
 
-    /// Recomputes the entry count from the tables (O(VNs)). Exists so
+    /// Recounts the occupied slots of every table (O(slots)). Exists so
     /// tests can assert the maintained counter never drifts; production
     /// callers should use [`MappingDb::len`].
     pub fn recount(&self) -> usize {
-        self.vns.values().map(HashMap::len).sum()
+        self.vns.values().map(|t| t.entries().count()).sum()
     }
 
     /// True when nothing is registered.
@@ -168,14 +321,14 @@ impl MappingDb {
     }
 
     /// Iterates all `(vn, prefix, record)` entries, each VN's in
-    /// **unspecified** (hash) order: its consumers (convergence checkers,
+    /// **unspecified** (slot) order: its consumers (convergence checkers,
     /// differential tests) build maps or sort; what goes on the wire
     /// comes from [`MappingDb::iter_vn`].
-    pub fn iter(&self) -> impl Iterator<Item = (VnId, EidPrefix, &MappingRecord)> {
+    pub fn iter(&self) -> impl Iterator<Item = (VnId, EidPrefix, MappingRecord)> + '_ {
         self.vns.iter().flat_map(|(vn, table)| {
             table
-                .iter()
-                .map(move |(key, r)| (*vn, EidPrefix::host(key.0), r))
+                .entries()
+                .map(move |e| (*vn, EidPrefix::host(e.eid), e.record()))
         })
     }
 
@@ -183,26 +336,29 @@ impl MappingDb {
     /// O(database) — in ascending [`Eid`] order (IPv4 < IPv6 < MAC, then
     /// by address): pub/sub snapshots walk the subscribed VN through
     /// this, and must not depend on how the table grew.
-    pub fn iter_vn(&self, vn: VnId) -> impl Iterator<Item = (EidPrefix, &MappingRecord)> {
-        let mut entries: Vec<_> = self.vns.get(&vn).into_iter().flatten().collect();
-        entries.sort_unstable_by_key(|(key, _)| key.0);
+    pub fn iter_vn(&self, vn: VnId) -> impl Iterator<Item = (EidPrefix, MappingRecord)> {
+        let mut entries: Vec<Entry> = self
+            .vns
+            .get(&vn)
+            .into_iter()
+            .flat_map(Table::entries)
+            .copied()
+            .collect();
+        entries.sort_unstable_by_key(|e| e.eid);
         entries
             .into_iter()
-            .map(|(key, r)| (EidPrefix::host(key.0), r))
+            .map(|e| (EidPrefix::host(e.eid), e.record()))
     }
 
-    /// Keeps only registrations for which `f` returns true, in one pass
-    /// per VN (hash order within a VN — see [`MappingDb::iter`]).
-    /// Returns how many were removed.
-    pub fn retain<F: FnMut(VnId, &EidPrefix, &mut MappingRecord) -> bool>(
-        &mut self,
-        mut f: F,
-    ) -> usize {
+    /// Keeps only registrations for which `f` returns true, calling it
+    /// once per registration in one pass per VN (slot order within a VN
+    /// — see [`MappingDb::iter`]). Returns how many were removed.
+    pub fn retain<F: FnMut(VnId, &EidPrefix, MappingRecord) -> bool>(&mut self, mut f: F) -> usize {
         let mut removed = 0;
         for (vn, table) in self.vns.iter_mut() {
-            let before = table.len();
-            table.retain(|key, r| f(*vn, &EidPrefix::host(key.0), r));
-            removed += before - table.len();
+            let before = table.len;
+            table.retain(|e| f(*vn, &EidPrefix::host(e.eid), e.record()));
+            removed += before - table.len;
         }
         self.total -= removed;
         removed
@@ -215,12 +371,13 @@ impl MappingDb {
     }
 
     /// Memory diagnostics in the shape the trie-backed stores report:
-    /// `capacity_bytes` is what the tables have reserved (a lower bound,
-    /// [`sda_types::hash::reserved_bytes`]); a hash table has no nodes or
-    /// stride tables to count, so those fields stay zero.
+    /// `capacity_bytes` is exactly what the tables hold allocated, slots
+    /// × 32; a flat table has no nodes or stride tables to count, so
+    /// those fields stay zero.
     pub fn mem_stats(&self) -> sda_trie::MemStats {
+        let slots: usize = self.vns.values().map(|t| t.slots.len()).sum();
         sda_trie::MemStats {
-            capacity_bytes: self.vns.values().map(sda_types::hash::reserved_bytes).sum(),
+            capacity_bytes: slots * std::mem::size_of::<Option<Entry>>(),
             ..Default::default()
         }
     }
@@ -303,13 +460,73 @@ mod tests {
     }
 
     #[test]
-    fn versions_strictly_increase() {
+    fn expiry_flips_exactly_at_registered_plus_ttl() {
         let mut db = MappingDb::new();
-        db.register(vn(1), eid(1), Rloc::for_router_index(1), TTL, SimTime::ZERO);
-        let (_, a) = db.lookup(vn(1), eid(1), SimTime::ZERO).unwrap();
-        db.register(vn(1), eid(2), Rloc::for_router_index(1), TTL, SimTime::ZERO);
-        let (_, b) = db.lookup(vn(1), eid(2), SimTime::ZERO).unwrap();
-        assert!(b.version > a.version);
+        let at = SimTime::ZERO + SimDuration::from_secs(7);
+        db.register(vn(1), eid(1), Rloc::for_router_index(1), TTL, at);
+        let (_, rec) = db.lookup(vn(1), eid(1), at).unwrap();
+        assert_eq!(rec.expires_at, at + TTL);
+        let last_live = SimTime::from_nanos((at + TTL).as_nanos() - 1);
+        assert!(db.lookup(vn(1), eid(1), last_live).is_some());
+        assert!(db.lookup(vn(1), eid(1), at + TTL).is_none());
+        assert_eq!(db.purge_expired(last_live), 0);
+        assert_eq!(db.purge_expired(at + TTL), 1);
+    }
+
+    #[test]
+    fn all_ones_ttl_never_expires() {
+        let mut db = MappingDb::new();
+        let forever = SimDuration::from_nanos(u64::MAX);
+        let at = SimTime::ZERO + SimDuration::from_days(35);
+        db.register(vn(1), eid(1), Rloc::for_router_index(1), forever, at);
+        let end_of_time = SimTime::from_nanos(u64::MAX - 1);
+        assert!(db.lookup(vn(1), eid(1), end_of_time).is_some());
+        assert_eq!(db.purge_expired(end_of_time), 0);
+    }
+
+    /// The worst case the module doc names: every key homes at one slot,
+    /// at every size the table passes through, so the table is a single
+    /// cluster 4,096 long.
+    #[test]
+    fn four_thousand_keys_sharing_one_home_slot() {
+        const KEYS: usize = 4096;
+        let sized = Table::with_slots((KEYS * 8 / 7 + 1).next_power_of_two());
+        let keys: Vec<Eid> = (0u32..)
+            .map(|n| Eid::V4(Ipv4Addr::from(n)))
+            .filter(|e| sized.home(e) == sized.mask())
+            .take(KEYS)
+            .collect();
+        let (r1, r2) = (Rloc::for_router_index(1), Rloc::for_router_index(2));
+
+        let mut db = MappingDb::new();
+        for e in &keys {
+            assert_eq!(
+                db.register(vn(1), *e, r1, TTL, SimTime::ZERO),
+                RegisterOutcome::New
+            );
+        }
+        assert_eq!((db.len(), db.recount()), (KEYS, KEYS));
+        assert_eq!(db.mem_stats().capacity_bytes, sized.slots.len() * 32);
+        for e in &keys {
+            assert_eq!(db.lookup(vn(1), *e, SimTime::ZERO).unwrap().1.rloc, r1);
+        }
+        for e in &keys {
+            assert_eq!(
+                db.register(vn(1), *e, r2, TTL, SimTime::ZERO),
+                RegisterOutcome::Moved { previous: r1 }
+            );
+        }
+        // Withdraw from the cluster's head, so every removal shifts all
+        // that remains; the survivors must stay reachable throughout.
+        for (i, e) in keys.iter().enumerate() {
+            assert_eq!(db.withdraw(vn(1), *e).unwrap().rloc, r2);
+            assert!(db.lookup(vn(1), *e, SimTime::ZERO).is_none());
+            if let Some(next) = keys.get(i + 1) {
+                assert!(db.lookup(vn(1), *next, SimTime::ZERO).is_some());
+                assert!(db.lookup(vn(1), keys[KEYS - 1], SimTime::ZERO).is_some());
+            }
+        }
+        assert_eq!((db.len(), db.recount()), (0, 0));
     }
 
     #[test]
@@ -360,7 +577,7 @@ mod tests {
         for n in 0..=255 {
             let (_, rec) = db.lookup(vn(1), eid(n), later).unwrap();
             assert_eq!(rec.rloc, if n % 2 == 0 { r1 } else { r2 });
-            assert_eq!(rec.registered_at, later);
+            assert_eq!(rec.expires_at, later + TTL);
         }
     }
 

@@ -9,14 +9,21 @@
 //!    a statement the trie reference cannot make.
 //! 3. The maintained entry counter: whatever mix of registers,
 //!    withdrawals, retains and expiry purges runs, [`MappingDb::len`]
-//!    (O(1)) must equal [`MappingDb::recount`] (the per-table sum).
+//!    (O(1)) must equal [`MappingDb::recount`] (the occupied slots).
+//! 4. **The table itself**, against a `std` `HashMap`, on the keys
+//!    linear probing is worst at: sets that share one home slot, and
+//!    clusters that wrap past the last slot of the array.
 
+use std::borrow::Borrow;
+use std::collections::HashMap;
+use std::hash::Hasher;
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
-use sda_lisp::{MappingDb, MappingRecord};
+use sda_lisp::{MappingDb, MappingRecord, RegisterOutcome};
 use sda_simnet::{SimDuration, SimTime};
-use sda_types::{Eid, EidPrefix, MacAddr, Rloc, VnId};
+use sda_types::hash::fold_eid;
+use sda_types::{Eid, EidPrefix, KeyHasher, MacAddr, Rloc, VnId};
 
 #[path = "reference/registry.rs"]
 mod reference;
@@ -48,20 +55,111 @@ const EIDS: u8 = 24;
 /// VNs the differential registers in; `vn(VNS + 1)` stays empty.
 const VNS: u32 = 3;
 
-fn owned<'a>(
-    entries: impl Iterator<Item = (EidPrefix, &'a MappingRecord)>,
+/// The tables hand records out by value, the trie reference by `&`.
+fn owned<R: Borrow<MappingRecord>>(
+    entries: impl Iterator<Item = (EidPrefix, R)>,
 ) -> Vec<(EidPrefix, MappingRecord)> {
-    entries.map(|(p, r)| (p, *r)).collect()
+    entries.map(|(p, r)| (p, *r.borrow())).collect()
 }
 
-fn sorted<'a>(
-    entries: impl Iterator<Item = (VnId, EidPrefix, &'a MappingRecord)>,
+fn sorted<R: Borrow<MappingRecord>>(
+    entries: impl Iterator<Item = (VnId, EidPrefix, R)>,
 ) -> Vec<(VnId, Eid, MappingRecord)> {
     let mut all: Vec<_> = entries
-        .map(|(v, p, r)| (v, p.as_host().expect("host registrations only"), *r))
+        .map(|(v, p, r)| {
+            let eid = p.as_host().expect("host registrations only");
+            (v, eid, *r.borrow())
+        })
         .collect();
     all.sort_unstable_by_key(|&(v, e, _)| (v, e));
     all
+}
+
+/// Slots of `db`'s tables: [`MappingDb::mem_stats`] reports slots × 32.
+fn slots(db: &MappingDb) -> usize {
+    db.mem_stats().capacity_bytes / 32
+}
+
+/// The slot `eid` homes at in a table of `slots` (a power of two),
+/// recomputed from the public hash; `wrapped_cluster_keeps_every_neighbour`
+/// checks the recomputation against what the table shows of its layout.
+fn home(eid: &Eid, slots: usize) -> usize {
+    let mut hasher = KeyHasher::default();
+    hasher.write_u64(fold_eid(eid));
+    hasher.finish() as usize & (slots - 1)
+}
+
+/// The first `n` IPv4 EIDs that home at `slot` of a 64-slot table — and,
+/// the low hash bits being shared, at `slot mod s` of every smaller one.
+fn homing_at(slot: usize, n: usize) -> Vec<Eid> {
+    (0u32..)
+        .map(|i| Eid::V4(Ipv4Addr::from(0x0A00_0000 | i)))
+        .filter(|e| home(e, 64) == slot)
+        .take(n)
+        .collect()
+}
+
+/// Keys the table differential draws from, at most 7/8 of 64 slots: 16
+/// that home at the last slot (one cluster, wrapping past the end of the
+/// array at every size), 8 at the slot before (their cluster runs into
+/// that one), 8 at slot 0 (which the wrap displaces) and 8 at slot 21.
+/// The last two entries are never registered: the longest miss there is
+/// (it walks the whole wrapped cluster) and one into displaced keys.
+fn pool() -> (Vec<Eid>, [Eid; 2]) {
+    let mut last = homing_at(63, 17);
+    let mut first = homing_at(0, 9);
+    let strangers = [last.pop().unwrap(), first.pop().unwrap()];
+    let keys = [last, homing_at(62, 8), first, homing_at(21, 8)].concat();
+    (keys, strangers)
+}
+
+/// A wrapped cluster, step by step: 16 keys homing at the last slot,
+/// its head withdrawn (every neighbour shifts back, across the end of
+/// the array), then a `retain` that drops every other survivor and must
+/// ask about each exactly once.
+#[test]
+fn wrapped_cluster_keeps_every_neighbour() {
+    let keys = homing_at(63, 16);
+    let (rloc, ttl) = (Rloc::for_router_index(1), SimDuration::from_secs(300));
+    let slot_order =
+        |db: &MappingDb| -> Vec<Eid> { db.iter().map(|(_, p, _)| p.as_host().unwrap()).collect() };
+    let mut db = MappingDb::new();
+    for e in &keys[..7] {
+        db.register(vn(1), *e, rloc, ttl, SimTime::ZERO);
+    }
+    // Before any growth, insertion order shows through: the first key
+    // took the last slot and the rest wrapped to the front.
+    let mut first_last = keys[1..7].to_vec();
+    first_last.push(keys[0]);
+    assert_eq!((slots(&db), slot_order(&db)), (8, first_last));
+    for e in &keys[7..] {
+        db.register(vn(1), *e, rloc, ttl, SimTime::ZERO);
+    }
+    assert_eq!(slots(&db), 32);
+
+    let head = *slot_order(&db).last().unwrap();
+    assert!(db.withdraw(vn(1), head).is_some());
+    let live = |db: &MappingDb, e: &Eid| db.lookup(vn(1), *e, SimTime::ZERO).is_some();
+    for e in &keys {
+        assert_eq!(live(&db, e), *e != head, "{e:?} after the head went");
+    }
+
+    let mut asked: Vec<Eid> = Vec::new();
+    let mut even = false;
+    let removed = db.retain(|_, p, _| {
+        asked.push(p.as_host().unwrap());
+        even = !even;
+        even
+    });
+    let kept: Vec<Eid> = asked.iter().copied().step_by(2).collect();
+    assert_eq!((removed, db.len(), db.recount()), (7, 8, 8));
+    asked.sort_unstable();
+    let mut stored: Vec<Eid> = keys.iter().copied().filter(|e| *e != head).collect();
+    stored.sort_unstable();
+    assert_eq!(asked, stored, "once per entry");
+    for e in &keys {
+        assert_eq!(live(&db, e), kept.contains(e));
+    }
 }
 
 proptest! {
@@ -146,7 +244,11 @@ proptest! {
         let rloc = |n: u32| Rloc::for_router_index((n % 7) as u16);
         let ttl = SimDuration::from_secs(300);
         let kept: Vec<u32> = kept.into_iter().collect();
-        let extras = kept.len() as u32 * 4;
+        // Enough extras to outgrow `plain` even when it sits at the
+        // table's minimum size (what one registration allocates).
+        let mut minimal = MappingDb::new();
+        minimal.register(vn(1), key(0), rloc(0), ttl, SimTime::ZERO);
+        let extras = (kept.len() * 4).max(slots(&minimal)) as u32;
 
         let mut plain = MappingDb::new();
         for &n in &kept {
@@ -180,6 +282,78 @@ proptest! {
                 .map(|&n| (EidPrefix::host(key(n)), rloc(n)))
                 .collect::<Vec<_>>()
         );
+    }
+
+    /// The open-addressed table against a `HashMap`, over [`pool`]'s
+    /// colliding keys. Words decode to register (0–2), move (3),
+    /// withdraw (4, 5), time passing with a purge (6) and a `retain` that
+    /// decides per key and counts its calls (7); every step ends with a
+    /// lookup of every pool key — hits, TTL-dead and withdrawn alike, so
+    /// whatever a removal displaced is probed at once — and of the two
+    /// never-registered strangers.
+    #[test]
+    fn table_matches_hashmap_model(words in proptest::collection::vec(any::<u64>(), 1..200)) {
+        let (keys, strangers) = pool();
+        let mut db = MappingDb::new();
+        let mut model: HashMap<Eid, MappingRecord> = HashMap::new();
+        let mut now = SimTime::ZERO;
+
+        for w in words {
+            let e = keys[(w >> 8) as usize % keys.len()];
+            let drawn = Rloc::for_router_index((w >> 16) as u16 % 4);
+            let secs = SimDuration::from_secs(1 + (w >> 20) % 600);
+            match w % 8 {
+                op @ 0..=3 => {
+                    let stored = model.get(&e).copied();
+                    let rloc = match stored {
+                        Some(at) if op == 3 && at.rloc == drawn => Rloc::for_router_index(4),
+                        _ => drawn,
+                    };
+                    let want = match stored {
+                        Some(old) if !old.expired(now) && old.rloc == rloc => RegisterOutcome::Refreshed,
+                        Some(old) if !old.expired(now) => RegisterOutcome::Moved { previous: old.rloc },
+                        _ => RegisterOutcome::New,
+                    };
+                    prop_assert_eq!(db.register(vn(1), e, rloc, secs, now), want);
+                    model.insert(e, MappingRecord { rloc, expires_at: now + secs });
+                }
+                4 | 5 => prop_assert_eq!(db.withdraw(vn(1), e), model.remove(&e)),
+                6 => {
+                    now += secs;
+                    let before = model.len();
+                    model.retain(|_, r| !r.expired(now));
+                    prop_assert_eq!(db.purge_expired(now), before - model.len());
+                }
+                _ => {
+                    let keep = |eid: &Eid| (fold_eid(eid) ^ w >> 8).count_ones() & 1 == 0;
+                    let mut asked = Vec::new();
+                    let removed = db.retain(|_, p, r| {
+                        let eid = p.as_host().expect("host registrations only");
+                        asked.push((eid, r));
+                        keep(&eid)
+                    });
+                    asked.sort_unstable_by_key(|&(eid, _)| eid);
+                    let mut stored: Vec<_> = model.iter().map(|(k, r)| (*k, *r)).collect();
+                    stored.sort_unstable_by_key(|&(eid, _)| eid);
+                    prop_assert_eq!(asked, stored, "retain asks once per entry");
+                    model.retain(|k, _| keep(k));
+                    prop_assert_eq!(removed, stored.len() - model.len());
+                }
+            }
+
+            for probe in keys.iter().chain(&strangers) {
+                let want = model.get(probe).filter(|r| !r.expired(now));
+                prop_assert_eq!(
+                    db.lookup(vn(1), *probe, now),
+                    want.map(|r| (EidPrefix::host(*probe), *r))
+                );
+            }
+            prop_assert_eq!((db.len(), db.recount()), (model.len(), model.len()));
+            let held: HashMap<Eid, MappingRecord> =
+                db.iter().map(|(_, p, r)| (p.as_host().unwrap(), r)).collect();
+            prop_assert_eq!(&held, &model);
+            prop_assert!(slots(&db) <= 64 && model.len() * 8 <= slots(&db) * 7);
+        }
     }
 
     #[test]

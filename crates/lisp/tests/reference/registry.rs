@@ -3,7 +3,9 @@
 //! body of `sda_lisp::MappingDb` before it became per-VN exact-match
 //! tables, moved here verbatim minus `compact`/`mem_stats` (arena
 //! diagnostics the differential has no use for). It shares the crate's
-//! value types ([`MappingRecord`], [`RegisterOutcome`]) and nothing else.
+//! value types ([`MappingRecord`], [`RegisterOutcome`]) and nothing else;
+//! its record literal follows `MappingRecord`'s fields (a deadline, and
+//! no version counter, since the table became open-addressed).
 //! `prop_registry.rs` holds the production registry to it op for op. Do
 //! not "fix" anything in this file — its behaviour is the specification.
 
@@ -18,7 +20,6 @@ use sda_types::{Eid, EidPrefix, Rloc, VnId};
 #[derive(Default)]
 pub struct MappingDb {
     vns: BTreeMap<VnId, EidTrie<MappingRecord>>,
-    version_counter: u64,
     /// Maintained entry count, so [`MappingDb::len`] is O(1) instead of
     /// a sum over every per-VN trie (the map-server answers `len` on
     /// every Fig. 7 sample). Invariant: always equals
@@ -41,12 +42,9 @@ impl MappingDb {
         ttl: SimDuration,
         now: SimTime,
     ) -> RegisterOutcome {
-        self.version_counter += 1;
         let record = MappingRecord {
             rloc,
-            ttl,
-            registered_at: now,
-            version: self.version_counter,
+            expires_at: SimTime::from_nanos(now.as_nanos().saturating_add(ttl.as_nanos())),
         };
         let trie = self.vns.entry(vn).or_default();
         let prefix = EidPrefix::host(eid);

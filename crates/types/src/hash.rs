@@ -7,8 +7,9 @@ use std::hash::{Hash, Hasher};
 use crate::Eid;
 
 /// One widening multiply, high half folded onto the low half: hashbrown
-/// indexes with the low bits and tags with the top seven, and the fold
-/// puts every key bit into both.
+/// indexes with the low bits and tags with the top seven, the registry's
+/// linear-probed table takes its home slot from the low bits alone, and
+/// the fold puts every key bit into both ends.
 ///
 /// Deterministic (no per-process seed), so a table's layout and iteration
 /// order repeat from run to run, and **not** hardened against crafted
@@ -58,9 +59,11 @@ impl Hash for EidKey {
     }
 }
 
-/// Bytes `map` has reserved, as a lower bound: slot payload and control
-/// byte for every slot it can fill before growing (its load-factor slack
-/// is not visible from outside).
+/// Bytes a `std` map has reserved, as a lower bound: slot payload and
+/// control byte for every slot it can fill before growing (its
+/// load-factor slack is not visible from outside). For the map-cache's
+/// and the VRF's host tables; the routing server's registry owns its
+/// slots and reports them exactly.
 pub fn reserved_bytes<K, V, S>(map: &HashMap<K, V, S>) -> usize {
     map.capacity() * (std::mem::size_of::<(K, V)>() + 1)
 }
