@@ -15,9 +15,8 @@
 //!   of the token-bucket probe on the accept path (bar: ≤ 1.15× the
 //!   unguarded `register_s4` median — the gate stays off the hot path).
 //! * `request_s{1,2,4}/{100k,1M}` — one Map-Request resolution.
-//! * `sweep_seq_s4` / `sweep_par_s4` — a full zero-victim expiry
-//!   traversal of all shards, sequential vs. scoped worker threads
-//!   (the ratio is printed and held to nothing: it needs ≥ 4 cores).
+//! * `sweep_s4/{100k,1M}` — a full zero-victim expiry traversal of all
+//!   shards.
 //! * `pubsub_delta_s4/{100k,1M}` — one move fanned out to 4 borders
 //!   subscribed to every VN, plus the flush: must stay flat across
 //!   world size (O(changes × subscribers), never O(world)).
@@ -64,7 +63,7 @@ fn preloaded(w: &MetroWorkload, shards: usize) -> PartitionedMapServer {
 
 /// The rows in emission order: per scale, per shard count, the 4-shard
 /// extras inline; the replicate-all row last.
-const ROWS: [(&str, &str); 20] = [
+const ROWS: [(&str, &str); 18] = [
     ("ctrl_plane", "register_s1/100000"),
     ("ctrl_plane", "request_s1/100000"),
     ("ctrl_plane", "register_s2/100000"),
@@ -72,8 +71,7 @@ const ROWS: [(&str, &str); 20] = [
     ("ctrl_plane", "register_s4/100000"),
     ("ctrl_plane", "register_admitted_s4/100000"),
     ("ctrl_plane", "request_s4/100000"),
-    ("ctrl_plane", "sweep_seq_s4/100000"),
-    ("ctrl_plane", "sweep_par_s4/100000"),
+    ("ctrl_plane", "sweep_s4/100000"),
     ("ctrl_plane", "pubsub_delta_s4/100000"),
     ("ctrl_plane", "register_s1/1000000"),
     ("ctrl_plane", "request_s1/1000000"),
@@ -81,8 +79,7 @@ const ROWS: [(&str, &str); 20] = [
     ("ctrl_plane", "request_s2/1000000"),
     ("ctrl_plane", "register_s4/1000000"),
     ("ctrl_plane", "request_s4/1000000"),
-    ("ctrl_plane", "sweep_seq_s4/1000000"),
-    ("ctrl_plane", "sweep_par_s4/1000000"),
+    ("ctrl_plane", "sweep_s4/1000000"),
     ("ctrl_plane", "pubsub_delta_s4/1000000"),
     ("ctrl_plane", "register_legacy_s4/100000"),
 ];
@@ -185,20 +182,9 @@ fn main() {
                 if shards == 4 {
                     // Zero-victim pass over every shard's tables:
                     // repeatable, measures pure sweep wall time.
-                    group.bench_with_input(
-                        BenchmarkId::new("sweep_seq_s4", scale),
-                        &scale,
-                        |b, _| {
-                            b.iter(|| black_box(server.expire_sequential(sweep_at)));
-                        },
-                    );
-                    group.bench_with_input(
-                        BenchmarkId::new("sweep_par_s4", scale),
-                        &scale,
-                        |b, _| {
-                            b.iter(|| black_box(server.expire(sweep_at)));
-                        },
-                    );
+                    group.bench_with_input(BenchmarkId::new("sweep_s4", scale), &scale, |b, _| {
+                        b.iter(|| black_box(server.expire(sweep_at)));
+                    });
 
                     // Incremental fan-out: borders subscribe to every
                     // VN; each iteration is one move + the flush that
@@ -273,13 +259,10 @@ fn main() {
             m("request_s4"),
         );
         eprintln!(
-            "{scale} endpoints: sweep seq {:.2} ms vs par {:.2} ms, pubsub delta {:.0} ns",
-            m("sweep_seq_s4") / 1e6,
-            m("sweep_par_s4") / 1e6,
+            "{scale} endpoints: sweep {:.2} ms, pubsub delta {:.0} ns",
+            m("sweep_s4") / 1e6,
             m("pubsub_delta_s4"),
         );
-        let sweep = m("sweep_seq_s4") / m("sweep_par_s4");
-        h.ratio(&format!("sweep seq vs par at {scale}"), sweep);
     }
     let register = median(&h, "register_s4", 100_000);
     let legacy = median(&h, "register_legacy_s4", 100_000);

@@ -78,29 +78,23 @@ impl ConvergenceReport {
 pub fn check_convergence(fabric: &Fabric, expected: &ExpectedPlacement) -> ConvergenceReport {
     let mut report = ConvergenceReport::default();
 
-    // Ground truth first: the server database, sorted once so borders
-    // can be compared against it by binary search. Campaigns call this
-    // every simulated second; nothing here builds a map.
-    let mut db: Vec<((VnId, Eid), Rloc)> = fabric
-        .routing_server()
-        .server()
-        .iter_db()
-        .filter_map(|(vn, prefix, record)| Some(((vn, prefix.as_host()?), record.rloc)))
-        .collect();
-    db.sort_unstable_by_key(|&(key, _)| key);
-    let mut expected_found = 0;
-    for (key, got) in &db {
-        match expected.get(key) {
-            None => report.db_extra += 1,
-            Some(want) => {
-                expected_found += 1;
-                if got != want {
-                    report.db_wrong_rloc += 1;
-                }
+    // Ground truth is the server database, asked by key — what is
+    // stored, live or expired, not what would resolve. Campaigns call
+    // this every simulated second, so nothing here copies or sorts;
+    // keys are unique, so the counts no probe sees follow from lengths.
+    let server = fabric.routing_server().server();
+    let db_len = server.db_len();
+    let mut found = 0;
+    for (&(vn, eid), want) in expected {
+        if let Some(got) = server.registration(vn, eid) {
+            found += 1;
+            if got.rloc != *want {
+                report.db_wrong_rloc += 1;
             }
         }
     }
-    report.db_missing = expected.len() - expected_found;
+    report.db_missing = expected.len() - found;
+    report.db_extra = db_len - found;
 
     // Borders: synced slice vs database, both directions — a database
     // row the border lacks or maps elsewhere, plus rows only it has.
@@ -112,13 +106,13 @@ pub fn check_convergence(fabric: &Fabric, expected: &ExpectedPlacement) -> Conve
             let Some(eid) = prefix.as_host() else {
                 continue;
             };
-            match db.binary_search_by_key(&(vn, eid), |&(key, _)| key) {
-                Ok(row) if db[row].1 == rloc => same += 1,
-                Ok(_) => {}
-                Err(_) => extra += 1,
+            match server.registration(vn, eid) {
+                Some(row) if row.rloc == rloc => same += 1,
+                Some(_) => {}
+                None => extra += 1,
             }
         }
-        report.border_diffs += db.len() - same + extra;
+        report.border_diffs += db_len - same + extra;
     }
 
     // Edges: no stuck control state, no cache entry contradicting the

@@ -563,11 +563,9 @@ impl EdgeRouter {
         ipv4: std::net::Ipv4Addr,
     ) {
         let ttl = self.dir.params.register_ttl_secs;
-        let mut eids = vec![Eid::V4(ipv4)];
-        if self.dir.params.register_mac {
-            eids.push(Eid::Mac(mac));
-        }
-        for eid in eids {
+        let eids = [Eid::V4(ipv4), Eid::Mac(mac)];
+        let registered = if self.dir.params.register_mac { 2 } else { 1 };
+        for &eid in &eids[..registered] {
             // If an earlier register for this EID is still unacked, the
             // retransmit sweep already owns it — don't pile up pendings.
             if self

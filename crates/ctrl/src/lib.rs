@@ -17,12 +17,12 @@
 //!   world, not `shards × world`.
 //! * **Map-Requests route by EID to the owner** (the owner is the only
 //!   shard that can know the answer).
-//! * **Expiry sweeps run in parallel** across shards on scoped worker
-//!   threads — each shard's database is an independent `&mut`; a shard
-//!   sorts what it removed and results aggregate in shard order, so the
-//!   outcome is deterministic whatever the scheduling or hash order (the
-//!   same discipline as the multi-core engine's worker-order punt
-//!   aggregation in `sda-dataplane`).
+//! * **Expiry sweeps run shard by shard on the caller**: a shard sorts
+//!   what it removed and results enqueue in shard order, so the outcome
+//!   is deterministic whatever the tables' hash order — and, like the
+//!   rest of the simulated control plane, single-threaded (per-sweep
+//!   worker spawn lost to this loop at every measured size; ROADMAP,
+//!   Parked).
 //! * **Pub/sub is incremental**: every mapping change enqueues one
 //!   [`fanout::Delta`] into per-subscriber bounded queues with per-VN
 //!   sequence numbers. Publishing is O(changes × subscribers-of-that-VN)

@@ -123,8 +123,7 @@ impl Shard {
     /// registrations in a single pass, returning what was removed (for
     /// the withdraw publishes) in ascending `(vn, eid)` order — the pass
     /// itself runs in slot order, and what is published must not depend
-    /// on the tables' capacity history. Runs on a worker thread when the
-    /// parent sweeps in parallel — it only touches this shard's `&mut`.
+    /// on the tables' capacity history.
     fn sweep(&mut self, now: SimTime) -> Vec<(VnId, Eid, Rloc)> {
         // A down shard's state is frozen: nothing expires (and nothing
         // could publish the withdrawals anyway) until restart/heal.
@@ -534,49 +533,27 @@ impl PartitionedMapServer {
         })
     }
 
-    /// Expires lapsed registrations, sweeping shards **in parallel** on
-    /// scoped worker threads when there is more than one (each sweep
-    /// only touches its own shard's `&mut`). Withdraw deltas enqueue in
-    /// shard order regardless of thread scheduling, so the observable
-    /// outcome is deterministic. Returns how many registrations expired;
-    /// follow with [`PartitionedMapServer::flush_publishes`].
+    /// Expires lapsed registrations, one sweep per shard on the calling
+    /// thread. Withdraw deltas enqueue in shard order, then ascending
+    /// `(vn, eid)`; a down shard contributes none. Returns how many
+    /// expired; follow with [`PartitionedMapServer::flush_publishes`].
     pub fn expire(&mut self, now: SimTime) -> usize {
-        let dead = if self.shards.len() > 1 {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .map(|shard| s.spawn(move || shard.sweep(now)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sweep worker panicked"))
-                    .collect::<Vec<_>>()
-            })
-        } else {
-            self.shards.iter_mut().map(|s| s.sweep(now)).collect()
-        };
-        self.enqueue_withdrawals(dead)
-    }
-
-    /// The same sweep run sequentially on the calling thread — the
-    /// baseline the `ctrl_plane` bench measures the parallel sweep
-    /// against. Observable behavior is identical to
-    /// [`PartitionedMapServer::expire`].
-    pub fn expire_sequential(&mut self, now: SimTime) -> usize {
-        let dead: Vec<_> = self.shards.iter_mut().map(|s| s.sweep(now)).collect();
-        self.enqueue_withdrawals(dead)
-    }
-
-    fn enqueue_withdrawals(&mut self, dead: Vec<Vec<(VnId, Eid, Rloc)>>) -> usize {
         let mut total = 0;
-        for shard_dead in dead {
-            total += shard_dead.len();
-            for (vn, eid, old_rloc) in shard_dead {
+        for shard in &mut self.shards {
+            let dead = shard.sweep(now);
+            total += dead.len();
+            for (vn, eid, old_rloc) in dead {
                 self.fanout.publish(vn, eid, old_rloc, true);
             }
         }
         total
+    }
+
+    /// Alias of [`PartitionedMapServer::expire`] for the benchmark of
+    /// record (`e2e/ctrl.rs`, frozen to perf PRs); the `benchmark` PR of
+    /// ROADMAP item 1(a) re-points that call and deletes this.
+    pub fn expire_sequential(&mut self, now: SimTime) -> usize {
+        self.expire(now)
     }
 
     /// Total registrations across shards (live or expired).
@@ -589,7 +566,8 @@ impl PartitionedMapServer {
         self.db_len() == 0
     }
 
-    /// Longest-prefix lookup of `eid` in `vn` on its owner shard.
+    /// Exact-match lookup of `eid` in `vn` on its owner shard; an
+    /// expired registration answers `None`.
     pub fn lookup(
         &self,
         vn: VnId,
@@ -601,9 +579,19 @@ impl PartitionedMapServer {
             .lookup(vn, eid, now)
     }
 
-    /// Iterates every registered mapping across all shards — ground
-    /// truth for convergence checkers comparing subscriber views
-    /// against the server database.
+    /// What is registered for `eid` in `vn` on its owner shard, **live
+    /// or expired** — the [`PartitionedMapServer::iter_db`] row of that
+    /// key, asked for rather than walked to (`check_convergence`'s view).
+    /// A partitioned shard still answers; a crashed one has nothing.
+    pub fn registration(&self, vn: VnId, eid: Eid) -> Option<sda_lisp::MappingRecord> {
+        self.shards[partition::owner_of(&eid, self.shards.len())]
+            .db
+            .get(vn, eid)
+    }
+
+    /// Iterates every registered mapping across all shards, in
+    /// unspecified order — what the differential tests and the reference
+    /// convergence checker (`core/tests/reference/`) copy and compare.
     pub fn iter_db(&self) -> impl Iterator<Item = (VnId, EidPrefix, sda_lisp::MappingRecord)> + '_ {
         self.shards.iter().flat_map(|s| s.db.iter())
     }
@@ -707,6 +695,14 @@ mod tests {
         }
     }
 
+    fn subscribe(vn_: VnId, subscriber: Rloc) -> Message {
+        Message::Subscribe {
+            nonce: 0,
+            vn: vn_,
+            subscriber,
+        }
+    }
+
     fn request(vn_: VnId, eid_: Eid, itr: Rloc) -> Message {
         Message::MapRequest {
             nonce: 1,
@@ -787,14 +783,7 @@ mod tests {
         for i in 0..16 {
             s.handle(register(vn(1), eid(i), rl(1), 300), SimTime::ZERO);
         }
-        s.handle(
-            Message::Subscribe {
-                nonce: 0,
-                vn: vn(1),
-                subscriber: rl(9),
-            },
-            SimTime::ZERO,
-        );
+        s.handle(subscribe(vn(1), rl(9)), SimTime::ZERO);
         let out = s.flush_publishes();
         assert_eq!(out.len(), 16, "snapshot of the subscribed VN");
         // One change -> exactly one delta publish, not a re-walk.
@@ -813,47 +802,94 @@ mod tests {
         assert!(s.flush_publishes().is_empty());
     }
 
+    /// What `expire`'s doc promises of one sweep's withdraw deltas: shard
+    /// order, then ascending `(vn, eid)` within a shard (never the
+    /// tables' slot order), and nothing from a down shard.
     #[test]
-    fn parallel_and_sequential_sweeps_agree() {
+    fn sweep_withdraws_in_shard_then_key_order_and_skips_down_shards() {
         let now = SimTime::ZERO;
         let later = SimTime::ZERO + SimDuration::from_secs(301);
-        let mut par = server(4);
-        let mut seq = server(4);
+        let mut s = server(4);
+        let mut lapsing = Vec::new();
         for i in 0..256 {
             // Half expire (ttl 300), half survive (ttl 3600).
-            let ttl = if i % 2 == 0 { 300 } else { 3600 };
-            par.handle(register(vn(1 + i % 3), eid(i), rl(1), ttl), now);
-            seq.handle(register(vn(1 + i % 3), eid(i), rl(1), ttl), now);
+            let (v, ttl) = (vn(1 + i % 3), if i % 2 == 0 { 300 } else { 3600 });
+            s.handle(subscribe(v, rl(9)), now);
+            s.handle(register(v, eid(i), rl(1), ttl), now);
+            if ttl == 300 {
+                lapsing.push((partition::owner_of(&eid(i), 4), v, eid(i)));
+            }
         }
-        par.handle(
-            Message::Subscribe {
-                nonce: 0,
-                vn: vn(1),
-                subscriber: rl(9),
-            },
-            now,
-        );
-        seq.handle(
-            Message::Subscribe {
-                nonce: 0,
-                vn: vn(1),
-                subscriber: rl(9),
-            },
-            now,
-        );
-        par.flush_publishes();
-        seq.flush_publishes();
+        s.flush_publishes();
+        let down = 1;
+        s.partition_shard(down);
+        lapsing.sort_unstable();
+        assert!(lapsing.iter().any(|t| t.0 < down) && lapsing.iter().any(|t| t.0 > down));
+        let swept: Vec<_> = lapsing.iter().filter(|t| t.0 != down).collect();
 
-        assert_eq!(par.expire(later), 128);
-        assert_eq!(seq.expire_sequential(later), 128);
-        assert_eq!(par.db_len(), seq.db_len());
-        let out_par = par.flush_publishes();
-        let out_seq = seq.flush_publishes();
-        assert_eq!(out_par, out_seq, "deterministic shard-order withdrawals");
-        assert!(!out_par.is_empty());
-        assert!(out_par
-            .iter()
-            .all(|(_, m)| matches!(m, Message::Publish { withdraw: true, .. })));
+        assert_eq!(s.expire(later), swept.len());
+        let withdrawn = s.flush_publishes().into_iter().map(|(_, m)| match m {
+            Message::Publish {
+                vn,
+                prefix,
+                withdraw: true,
+                ..
+            } => (vn, prefix.as_host().unwrap()),
+            other => panic!("expected a withdraw, got {other:?}"),
+        });
+        assert!(withdrawn.eq(swept.iter().map(|&&(_, v, e)| (v, e))));
+        // The frozen slice lapses on the first sweep after the heal.
+        s.heal_shard(down);
+        assert_eq!(s.expire_sequential(later), lapsing.len() - swept.len());
+    }
+
+    /// `registration` is `iter_db` by key — routed by `owner_of`, live
+    /// or expired — on every shard count and EID family; a partitioned
+    /// shard keeps answering, a crashed one has nothing to answer with.
+    #[test]
+    fn registration_is_the_iter_db_row_of_its_key() {
+        let key = |i: u32| match i % 3 {
+            0 => eid(i),
+            1 => Eid::V6(std::net::Ipv6Addr::from(u128::from(i) << 112 | 1)),
+            _ => Eid::Mac(sda_types::MacAddr::from_seed(i)),
+        };
+        let long_after = SimTime::ZERO + SimDuration::from_secs(7200);
+        for shards in [1, 2, 4, 7] {
+            let mut s = server(shards);
+            for i in 0..48 {
+                let m = register(vn(1 + i % 2), key(i), rl(i as u16), 300 << (i % 2));
+                s.handle(m, SimTime::ZERO);
+            }
+            let rows: Vec<_> = s.iter_db().collect();
+            assert_eq!(rows.len(), 48);
+            assert!(
+                s.shard_lens().iter().all(|&n| n > 0),
+                "every shard owns a key"
+            );
+            for (v, prefix, rec) in &rows {
+                let e = prefix.as_host().unwrap();
+                assert_eq!(s.registration(*v, e), Some(*rec), "{shards} shards, {e:?}");
+                assert!(rec.expired(long_after) && s.lookup(*v, e, long_after).is_none());
+                // Registered in one VN only, and `eid(1000)` nowhere.
+                assert_eq!(s.registration(vn(3 - v.raw()), e), None);
+            }
+            assert_eq!(s.registration(vn(1), eid(1000)), None);
+
+            let lost = shards - 1;
+            s.partition_shard(0);
+            if lost != 0 {
+                s.crash_shard(lost);
+            }
+            for (v, prefix, rec) in &rows {
+                let e = prefix.as_host().unwrap();
+                let gone = lost != 0 && partition::owner_of(&e, shards) == lost;
+                assert_eq!(
+                    s.registration(*v, e),
+                    (!gone).then_some(*rec),
+                    "{shards} shards"
+                );
+            }
+        }
     }
 
     #[test]
@@ -979,16 +1015,7 @@ mod tests {
             .map(eid)
             .find(|e| crate::partition::owner_of(e, 4) != victim)
             .unwrap();
-        let (d, out) = s.handle_with_disposition(
-            Message::MapRequest {
-                nonce: 1,
-                smr: false,
-                vn: vn(1),
-                eid: other,
-                itr_rloc: rl(9),
-            },
-            SimTime::ZERO,
-        );
+        let (d, out) = s.handle_with_disposition(request(vn(1), other, rl(9)), SimTime::ZERO);
         assert_eq!(d, Disposition::Served);
         assert!(matches!(
             out[0].1,
@@ -1021,14 +1048,7 @@ mod tests {
         s.partition_shard(victim);
         assert_eq!(s.db_len(), full, "partition keeps state");
         // A snapshot taken mid-partition omits the victim's slice.
-        s.handle(
-            Message::Subscribe {
-                nonce: 0,
-                vn: vn(1),
-                subscriber: rl(9),
-            },
-            SimTime::ZERO,
-        );
+        s.handle(subscribe(vn(1), rl(9)), SimTime::ZERO);
         let snap = s.flush_publishes();
         assert!(snap.len() < full, "down shard excluded from snapshot");
         s.heal_shard(victim);

@@ -271,7 +271,7 @@ proptest! {
                 (Op::Expire { secs }, None) => {
                     now += SimDuration::from_secs(u64::from(*secs));
                     let out_single = single.expire(now);
-                    part.expire(now); // the parallel path
+                    part.expire(now);
                     apply_single_publishes(&mut single_views, &out_single);
                     let flushed = part.flush_publishes();
                     apply_flush(&mut part_views, &mut part_seqs, &mut pending, &flushed);

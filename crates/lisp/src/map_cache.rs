@@ -470,8 +470,8 @@ impl MapCache {
     /// Iterates every `(vn, prefix, rloc, expires_at)` entry — the
     /// convergence checker's view of the cache. **Order is
     /// unspecified**: host routes come in the table's hash order. Its
-    /// consumers (`core::chaos::check_convergence`) build maps and
-    /// counts from it, which is the only use the order permits.
+    /// consumer (`core::chaos::check_convergence`) probes the server per
+    /// row and counts, which is the only use the order permits.
     pub fn iter(&self) -> impl Iterator<Item = (VnId, EidPrefix, Rloc, SimTime)> + '_ {
         let hosts = self
             .hosts

@@ -283,13 +283,17 @@ impl MappingDb {
         Some(removed.record())
     }
 
+    /// What is stored for `eid` in `vn`, **live or expired** (a lapsed
+    /// registration keeps its slot until a sweep): the
+    /// [`MappingDb::iter`] row of that key, one probe.
+    pub fn get(&self, vn: VnId, eid: Eid) -> Option<MappingRecord> {
+        Some(self.vns.get(&vn)?.get(&eid)?.record())
+    }
+
     /// The registration of `eid` in `vn`, one probe; expired records
     /// answer `None` (the §4.2 "route resolution with a negative result").
     pub fn lookup(&self, vn: VnId, eid: Eid, now: SimTime) -> Option<(EidPrefix, MappingRecord)> {
-        let rec = self.vns.get(&vn)?.get(&eid)?.record();
-        if rec.expired(now) {
-            return None;
-        }
+        let rec = self.get(vn, eid).filter(|rec| !rec.expired(now))?;
         Some((EidPrefix::host(eid), rec))
     }
 
@@ -321,9 +325,9 @@ impl MappingDb {
     }
 
     /// Iterates all `(vn, prefix, record)` entries, each VN's in
-    /// **unspecified** (slot) order: its consumers (convergence checkers,
-    /// differential tests) build maps or sort; what goes on the wire
-    /// comes from [`MappingDb::iter_vn`].
+    /// **unspecified** (slot) order: its consumers (the reference
+    /// convergence checker, differential tests) build maps or sort; what
+    /// goes on the wire comes from [`MappingDb::iter_vn`].
     pub fn iter(&self) -> impl Iterator<Item = (VnId, EidPrefix, MappingRecord)> + '_ {
         self.vns.iter().flat_map(|(vn, table)| {
             table

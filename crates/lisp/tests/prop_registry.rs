@@ -171,8 +171,9 @@ proptest! {
     /// — stored and live (hit), never stored (miss), stored but past its
     /// TTL (dead), stored in another VN (wrong VN) — and agree on `len`,
     /// `live_count`, `iter_vn` **as a sequence** (it feeds pub/sub
-    /// snapshots) and `iter` as a set. Operations decode from raw words,
-    /// so a failure shrinks by halving.
+    /// snapshots) and `iter` as a set, whose rows `get` must hand out
+    /// key by key. Operations decode from raw words, so a failure
+    /// shrinks by halving.
     #[test]
     fn registry_matches_trie_reference(words in proptest::collection::vec(any::<u64>(), 1..120)) {
         let mut db = MappingDb::new();
@@ -214,12 +215,20 @@ proptest! {
                 ),
             }
 
+            // `get` is the `iter` row of its key, live or expired (this
+            // test leaves dead registrations unswept half the time);
+            // `lookup` is that row while it is live.
+            let rows: HashMap<(VnId, Eid), MappingRecord> = db
+                .iter()
+                .map(|(v, p, rec)| ((v, p.as_host().expect("host registrations only")), rec))
+                .collect();
             for probe_vn in (1..=VNS + 1).map(vn) {
                 for probe in (0..=EIDS).map(eid) {
-                    prop_assert_eq!(
-                        db.lookup(probe_vn, probe, now),
-                        model.lookup(probe_vn, probe, now)
-                    );
+                    let answer = db.lookup(probe_vn, probe, now);
+                    prop_assert_eq!(answer, model.lookup(probe_vn, probe, now));
+                    let row = db.get(probe_vn, probe);
+                    prop_assert_eq!(row, rows.get(&(probe_vn, probe)).copied());
+                    prop_assert_eq!(row.filter(|rec| !rec.expired(now)), answer.map(|(_, rec)| rec));
                 }
                 prop_assert_eq!(db.live_count(probe_vn, now), model.live_count(probe_vn, now));
                 prop_assert_eq!(owned(db.iter_vn(probe_vn)), owned(model.iter_vn(probe_vn)));
@@ -342,6 +351,7 @@ proptest! {
             }
 
             for probe in keys.iter().chain(&strangers) {
+                prop_assert_eq!(db.get(vn(1), *probe), model.get(probe).copied());
                 let want = model.get(probe).filter(|r| !r.expired(now));
                 prop_assert_eq!(
                     db.lookup(vn(1), *probe, now),
