@@ -3,7 +3,7 @@
 //! authentication data, (iii) the connectivity matrix") plus the
 //! scenario builder that instantiates the whole system on the simulator.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
@@ -300,7 +300,7 @@ impl FabricBuilder {
         // edges.
         let policy_id = NodeId(0);
         let routing_id = NodeId(1);
-        let mut node_of_rloc = BTreeMap::new();
+        let mut node_of_rloc = HashMap::default();
         node_of_rloc.insert(Self::ROUTING_RLOC, routing_id);
         for i in 0..self.border_names.len() {
             node_of_rloc.insert(Self::border_rloc(i), NodeId(2 + i as u32));

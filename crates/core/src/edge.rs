@@ -314,18 +314,18 @@ impl EdgeRouter {
             // Fresh protocol instance with the same wiring (empty LSDB,
             // sequence restart — the §5.2 recovery path).
             let id = ls.id();
-            let links: Vec<(sda_types::RouterId, u32)> =
-                self.reach.up_peers().map(|p| (p, 1)).collect();
-            let _ = links;
-            // Reconstruct from the directory's full fabric set.
-            let all: Vec<(sda_types::RouterId, u32)> = self
+            // Reconstruct from the directory's full fabric set, in RLOC
+            // order (the directory's map has none).
+            let mut rlocs: Vec<Rloc> = self
                 .dir
                 .node_of_rloc
                 .keys()
-                .filter(|r| **r != self.rloc && **r != self.dir.routing_server_rloc)
-                .map(|r| (underlay_id(*r), 1))
+                .copied()
+                .filter(|r| *r != self.rloc && *r != self.dir.routing_server_rloc)
                 .collect();
-            self.underlay = Some(LinkStateRouter::new(id, all));
+            rlocs.sort_unstable();
+            let links = rlocs.into_iter().map(|r| (underlay_id(r), 1));
+            self.underlay = Some(LinkStateRouter::new(id, links));
         }
     }
 

@@ -15,7 +15,8 @@
 //! Both translate between `(RLOC)`-addressed protocol outboxes and
 //! simulator `NodeId`s via the shared [`Directory`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasherDefault;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
@@ -23,15 +24,16 @@ use rand::Rng;
 use sda_ctrl::{Disposition, PartitionedMapServer};
 use sda_policy::PolicyServer;
 use sda_simnet::{Context, CounterId, FaultEvent, Metrics, Node, NodeId, SimDuration};
-use sda_types::{MacAddr, Rloc, VnId};
+use sda_types::{KeyHasher, MacAddr, Rloc, VnId};
 
 use crate::msg::{ArpMsg, FabricMsg, PolicyMsg};
 
 /// Immutable fabric-wide wiring and parameters, shared by every node.
 #[derive(Debug)]
 pub struct Directory {
-    /// RLOC → simulator node.
-    pub node_of_rloc: BTreeMap<Rloc, NodeId>,
+    /// RLOC → simulator node, probed on every reply, publish and data
+    /// send. Unordered: a reader that needs an order sorts.
+    pub node_of_rloc: HashMap<Rloc, NodeId, BuildHasherDefault<KeyHasher>>,
     /// The routing server's node and locator.
     pub routing_server: NodeId,
     /// The routing server's RLOC (Map-Request targets).

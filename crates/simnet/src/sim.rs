@@ -111,6 +111,8 @@ struct SimCounters {
     ingress_drops: CounterId,
     partition_drops: CounterId,
     link_drops: CounterId,
+    /// Events that took the heap; the two FIFOs count nothing.
+    heap_events: CounterId,
 }
 
 /// Directed-link parameters.
@@ -183,14 +185,21 @@ impl<'a, M> Context<'a, M> {
 /// addressed by their [`NodeId`] (dense, starting at 0).
 pub struct Simulator<M> {
     nodes: Vec<Box<dyn Node<M>>>,
-    /// Everything nodes create at run time (sends, timers, wakes), and
-    /// external events injected out of time order.
+    /// What nodes create at run time and `in_flight` does not take
+    /// (timers, wakes, `send_after`, sends over a link of another
+    /// latency), and external events injected out of time order.
     queue: BinaryHeap<Event<M>>,
     /// External events injected in nondecreasing time order — a
     /// driver's schedule — in `(time, seq)` order by construction. Kept
     /// out of the heap so that a delivery due in 50 µs does not sift
     /// past hours of scheduled future on its way in and out.
     schedule: VecDeque<Event<M>>,
+    /// Deliveries sent at run time with no extra delay over a link of
+    /// `default_latency`: each is due at `now + default_latency`, and
+    /// `now` never falls while `seq` only rises, so they arrive in
+    /// `(time, seq)` order. One that would land before the tail (the
+    /// default was lowered) takes the heap instead.
+    in_flight: VecDeque<Event<M>>,
     seq: u64,
     now: SimTime,
     default_latency: SimDuration,
@@ -230,11 +239,13 @@ impl<M> Simulator<M> {
             ingress_drops: metrics.counter_id("simnet.ingress_drops"),
             partition_drops: metrics.counter_id("simnet.partition_drops"),
             link_drops: metrics.counter_id("simnet.link_drops"),
+            heap_events: metrics.counter_id("simnet.heap_events"),
         };
         Simulator {
             nodes: Vec::new(),
             queue: BinaryHeap::new(),
             schedule: VecDeque::new(),
+            in_flight: VecDeque::new(),
             seq: 0,
             now: SimTime::ZERO,
             default_latency: SimDuration::from_micros(50),
@@ -384,9 +395,14 @@ impl<M> Simulator<M> {
         Event { time, seq, kind }
     }
 
-    /// Queues an event a node created at run time.
+    /// Queues an event a node created at run time in the heap.
     fn push(&mut self, time: SimTime, kind: EventKind<M>) {
         let ev = self.stamp(time, kind);
+        self.push_heap(ev);
+    }
+
+    fn push_heap(&mut self, ev: Event<M>) {
+        self.metrics.bump(self.counters.heap_events);
         self.queue.push(ev);
     }
 
@@ -402,28 +418,33 @@ impl<M> Simulator<M> {
         if self.schedule.back().is_none_or(|tail| at >= tail.time) {
             self.schedule.push_back(ev);
         } else {
-            self.queue.push(ev);
+            self.push_heap(ev);
         }
     }
 
     /// Removes and returns the next event in `(time, seq)` order — the
-    /// earlier of the schedule's front and the heap's top — unless it
-    /// is due after `deadline`.
+    /// earliest of the schedule's front, the in-flight lane's front and
+    /// the heap's top — unless it is due after `deadline`.
     fn pop_due(&mut self, deadline: SimTime) -> Option<Event<M>> {
-        let scheduled = self.schedule.front().map(|ev| (ev.time, ev.seq));
-        let queued = self.queue.peek().map(|ev| (ev.time, ev.seq));
-        let from_schedule = match (scheduled, queued) {
-            (Some(s), Some(q)) => s < q,
-            (s, _) => s.is_some(),
-        };
-        let (time, _) = if from_schedule { scheduled } else { queued }?;
+        let key = |ev: &Event<M>| (ev.time, ev.seq);
+        let fronts = [
+            self.schedule.front().map(key),
+            self.in_flight.front().map(key),
+            self.queue.peek().map(key),
+        ];
+        // `seq` is unique, so no two fronts ever tie.
+        let (container, (time, _)) = fronts
+            .into_iter()
+            .enumerate()
+            .filter_map(|(container, front)| Some((container, front?)))
+            .min_by_key(|&(_, front)| front)?;
         if time > deadline {
             return None;
         }
-        if from_schedule {
-            self.schedule.pop_front()
-        } else {
-            self.queue.pop()
+        match container {
+            0 => self.schedule.pop_front(),
+            1 => self.in_flight.pop_front(),
+            _ => self.queue.pop(),
         }
     }
 
@@ -644,7 +665,15 @@ impl<M> Simulator<M> {
                 continue;
             }
             let at = self.now + delay + link.latency;
-            self.push(at, EventKind::Deliver { from: id, to, msg });
+            let ev = self.stamp(at, EventKind::Deliver { from: id, to, msg });
+            if delay == SimDuration::ZERO
+                && link.latency == self.default_latency
+                && self.in_flight.back().is_none_or(|tail| at >= tail.time)
+            {
+                self.in_flight.push_back(ev);
+            } else {
+                self.push_heap(ev);
+            }
         }
         for (delay, token) in timers.drain(..) {
             let at = self.now + delay;
@@ -677,7 +706,7 @@ impl<M> Simulator<M> {
             n += 1;
         }
         assert!(
-            self.queue.is_empty() && self.schedule.is_empty(),
+            self.queue.is_empty() && self.schedule.is_empty() && self.in_flight.is_empty(),
             "simulation exceeded {max_events} events"
         );
         n
@@ -1015,9 +1044,9 @@ mod tests {
         assert!(sim.events_processed() >= 1);
     }
 
-    /// `(schedule, heap)` occupancy.
-    fn pending(sim: &Simulator<u32>) -> (usize, usize) {
-        (sim.schedule.len(), sim.queue.len())
+    /// `(schedule, in_flight, heap)` occupancy.
+    fn pending(sim: &Simulator<u32>) -> (usize, usize, usize) {
+        (sim.schedule.len(), sim.in_flight.len(), sim.queue.len())
     }
 
     #[test]
@@ -1030,9 +1059,9 @@ mod tests {
         sim.inject_at(SimTime::ZERO, n, 5);
         sim.inject_at(at_ms(1), n, 1);
         sim.run_until(at_ms(2));
-        assert_eq!(pending(&sim), (0, 1));
+        assert_eq!(pending(&sim), (0, 0, 1));
         sim.inject_at(at_ms(5), n, 9);
-        assert_eq!(pending(&sim), (1, 1));
+        assert_eq!(pending(&sim), (1, 0, 1));
         sim.run_to_completion(100);
         assert_eq!(*served.borrow(), [(0, 5), (5, 1), (6, 9)]);
     }
@@ -1045,9 +1074,9 @@ mod tests {
         sim.inject_at(at_ms(20), n, 2); // behind the tail
         sim.inject_at(at_ms(50), n, 3); // ties with the tail
         sim.inject_at(at_ms(20), n, 4);
-        assert_eq!(pending(&sim), (2, 2));
+        assert_eq!(pending(&sim), (2, 0, 2));
         assert!(sim.step() && sim.step(), "both from the heap");
-        assert_eq!(pending(&sim), (2, 1), "4 parked behind 2: one wake");
+        assert_eq!(pending(&sim), (2, 0, 1), "4 parked behind 2: one wake");
         sim.run_to_completion(100);
         assert_eq!(*served.borrow(), [(20, 2), (22, 4), (50, 1), (51, 3)]);
         assert!(!sim.step(), "schedule and heap both empty");
@@ -1059,7 +1088,7 @@ mod tests {
         sim.inject_at(at_ms(100), n, 0);
         sim.inject_at(at_ms(100) + SimDuration::from_nanos(1), n, 0);
         assert_eq!(sim.run_until(at_ms(100)), 1, "at the deadline fires");
-        assert_eq!(pending(&sim), (1, 0), "one past it stays pending");
+        assert_eq!(pending(&sim), (1, 0, 0), "one past it stays pending");
         assert_eq!(sim.now(), at_ms(100));
         assert_eq!(sim.run_until(at_ms(200)), 1);
         assert_eq!((served.borrow().len(), sim.now()), (2, at_ms(200)));
@@ -1073,10 +1102,10 @@ mod tests {
         sim.arm_timer_at(SimTime::from_nanos(30), n, 7);
         sim.inject_fault_at(SimTime::from_nanos(40), Fault::ShardCrash(n, 0));
         sim.inject_at(SimTime::from_nanos(40), n, 1);
-        assert_eq!(pending(&sim), (3, 0));
+        assert_eq!(pending(&sim), (3, 0, 0));
         sim.arm_timer_at(SimTime::from_nanos(10), n, 8);
         sim.inject_fault_at(SimTime::from_nanos(35), Fault::ShardHeal(n, 0));
-        assert_eq!(pending(&sim), (3, 2));
+        assert_eq!(pending(&sim), (3, 0, 2));
         sim.run_to_completion(10);
         let want = [
             "tick@10",
@@ -1086,6 +1115,134 @@ mod tests {
             "msg:1@40",
         ];
         assert_eq!(*log.borrow(), want);
+    }
+
+    /// Passes every external message on to node 0 after `delay`.
+    struct Forward {
+        delay: SimDuration,
+    }
+    impl Node<u32> for Forward {
+        fn on_message(&mut self, ctx: &mut Context<'_, u32>, from: NodeId, msg: u32) {
+            if from == NodeId::EXTERNAL {
+                ctx.send_after(self.delay, NodeId(0), msg);
+            }
+        }
+    }
+
+    /// [`server_sim`] plus an undelayed [`Forward`]; default latency 1 ms.
+    fn forwarding_sim() -> (Simulator<u32>, NodeId, NodeId, ServedLog) {
+        let (mut sim, n, served) = server_sim();
+        sim.set_default_latency(SimDuration::from_millis(1));
+        let fwd = sim.add_node(Box::new(Forward {
+            delay: SimDuration::ZERO,
+        }));
+        (sim, n, fwd, served)
+    }
+
+    #[test]
+    fn lane_schedule_and_heap_events_at_one_instant_fire_in_seq_order() {
+        // Due at t = 5, oldest first: the wake for 1 (heap), 2 sent at
+        // t = 4 (lane), 9 injected once the run reached t = 4 (schedule)
+        // — the reverse of the order the chooser lists its containers.
+        let (mut sim, n, fwd, served) = forwarding_sim();
+        sim.inject_at(SimTime::ZERO, n, 5);
+        sim.inject_at(at_ms(1), n, 1);
+        sim.inject_at(at_ms(4), fwd, 2);
+        sim.run_until(at_ms(4));
+        assert_eq!(pending(&sim), (0, 1, 1));
+        sim.inject_at(at_ms(5), n, 9);
+        assert_eq!(pending(&sim), (1, 1, 1));
+        sim.run_to_completion(100);
+        assert_eq!(*served.borrow(), [(0, 5), (5, 1), (6, 2), (8, 9)]);
+
+        // Due at t = 1: 2, sent at t = 0 (lane), is older than the wake
+        // for 3, parked at t = 0.5 (heap).
+        let (mut sim, n, fwd, served) = forwarding_sim();
+        sim.inject_at(SimTime::ZERO, fwd, 2);
+        sim.inject_at(SimTime::ZERO, n, 1);
+        sim.inject_at(SimTime::from_nanos(500_000), n, 3);
+        sim.run_until(SimTime::from_nanos(500_000));
+        assert_eq!(pending(&sim), (0, 1, 1));
+        sim.run_to_completion(100);
+        assert_eq!(*served.borrow(), [(0, 1), (1, 2), (3, 3)]);
+    }
+
+    #[test]
+    fn a_lowered_default_latency_sends_later_deliveries_to_the_heap() {
+        let (mut sim, _, fwd, served) = forwarding_sim();
+        sim.set_default_latency(SimDuration::from_millis(10));
+        sim.inject_at(SimTime::ZERO, fwd, 0); // lands at 10
+        sim.run_until(SimTime::ZERO);
+        sim.set_default_latency(SimDuration::from_millis(2));
+        sim.inject_at(at_ms(2), fwd, 0); // lands at 4, before the tail
+        sim.inject_at(at_ms(3), fwd, 0); // lands at 5
+        sim.run_until(at_ms(3));
+        assert_eq!(pending(&sim), (0, 1, 2));
+        sim.inject_at(at_ms(12), fwd, 0); // the lane has drained: lands at 14
+        sim.run_until(at_ms(12));
+        assert_eq!(pending(&sim), (0, 1, 0));
+        sim.run_to_completion(100);
+        let times: Vec<u64> = served.borrow().iter().map(|&(t, _)| t).collect();
+        assert_eq!(times, [4, 5, 10, 14]);
+        assert_eq!(sim.metrics().counter("simnet.heap_events"), 2);
+    }
+
+    #[test]
+    fn only_an_undelayed_send_over_a_default_latency_link_rides_the_lane() {
+        let (mut sim, n, served) = server_sim();
+        let forward = |delay| Box::new(Forward { delay });
+        let configured = sim.add_node(forward(SimDuration::ZERO));
+        let unconfigured = sim.add_node(forward(SimDuration::ZERO));
+        let slower = sim.add_node(forward(SimDuration::ZERO));
+        let delayed = sim.add_node(forward(SimDuration::from_nanos(1)));
+        sim.set_link(configured, n, SimDuration::from_micros(50), 0.0);
+        sim.set_link(slower, n, SimDuration::from_micros(60), 0.0);
+        for node in [configured, unconfigured, slower, delayed] {
+            sim.inject_at(SimTime::ZERO, node, 0);
+        }
+        sim.run_until(SimTime::ZERO);
+        assert_eq!(pending(&sim), (0, 2, 2));
+        sim.run_to_completion(100);
+        assert_eq!(served.borrow().len(), 4);
+        assert_eq!(sim.metrics().counter("simnet.heap_events"), 2);
+    }
+
+    #[test]
+    fn a_crash_drops_lane_and_heap_deliveries_alike() {
+        let (mut sim, n, fwd, served) = forwarding_sim();
+        let slow = sim.add_node(Box::new(Forward {
+            delay: SimDuration::ZERO,
+        }));
+        sim.set_link(slow, n, SimDuration::from_millis(2), 0.0);
+        sim.inject_at(SimTime::ZERO, fwd, 0);
+        sim.inject_at(SimTime::ZERO, slow, 0);
+        sim.schedule_faults(&FaultPlan::new().reboot(n, SimTime::from_nanos(1), at_ms(3)));
+        sim.run_until(SimTime::ZERO);
+        assert_eq!(pending(&sim), (2, 1, 1), "crash and restart, lane, heap");
+        sim.inject_at(at_ms(4), fwd, 7);
+        sim.run_to_completion(100);
+        assert_eq!(sim.metrics().counter("simnet.fault_msg_drops"), 2);
+        assert_eq!(*served.borrow(), [(5, 7)]);
+    }
+
+    #[test]
+    fn a_default_link_ping_pong_never_touches_the_heap() {
+        // External kick, then a→b:4, b→a:3, … five sends.
+        let run = |link: Option<SimDuration>| {
+            let mut sim = Simulator::new(1);
+            let a = sim.add_node(Box::new(Echo));
+            let b = sim.add_node(Box::new(Echo));
+            if let Some(latency) = link {
+                sim.set_link(a, b, latency, 0.0);
+                sim.set_link(b, a, latency, 0.0);
+            }
+            sim.inject_at(SimTime::ZERO, a, 4);
+            sim.run_to_completion(100);
+            let heap = sim.metrics().counter("simnet.heap_events");
+            (sim.events_processed(), heap)
+        };
+        assert_eq!(run(None), (6, 0));
+        assert_eq!(run(Some(SimDuration::from_millis(10))), (6, 5));
     }
 
     #[test]

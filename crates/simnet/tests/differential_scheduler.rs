@@ -40,9 +40,17 @@
 //! ## How the schedule is handed over
 //!
 //! The simulator keeps external events that arrive in nondecreasing
-//! time order in a FIFO beside its heap, and the rest in the heap; the
-//! reference has only a heap. Two mode bits choose the hand-over, on
-//! both simulators alike:
+//! time order in a FIFO beside its heap, run-time sends with no extra
+//! delay over a link of its default latency in a second FIFO (the
+//! in-flight lane), and the rest in the heap; the reference has only a
+//! heap. Which front's link to the relay carries the default latency is
+//! the case's choice (link bits 12–13, or none): that front's forwards
+//! ride the lane while the other fronts' take the heap, so deliveries
+//! from both containers meet at the relay. Its latency keeps its
+//! residue, so the table above holds either way; the reference's
+//! default is never reached (every send goes over a configured link)
+//! and has no setter. Two mode bits choose the hand-over of the
+//! external schedule, on both simulators alike:
 //!
 //! * **as generated** (neither bit) — faults in plan order, then the
 //!   arrivals in random order: some extend the FIFO, most fall back to
@@ -121,6 +129,15 @@ macro_rules! impl_env {
 }
 impl_env!(sda_simnet::Context<'_, u64>);
 impl_env!(reference::Context<'_, u64>);
+
+/// `sda_simnet`'s inherent setter wins method resolution; the frozen
+/// reference never sends over its default link, so it ignores the call.
+trait DefaultLatency {
+    fn set_default_latency(&mut self, d: SimDuration);
+}
+impl DefaultLatency for reference::Simulator<u64> {
+    fn set_default_latency(&mut self, _: SimDuration) {}
+}
 
 /// One arrival, as the bits of the raw schedule word (which is also the
 /// message delivered, so the relay reads its own fields from it).
@@ -246,7 +263,8 @@ impl_node!(reference);
 /// starts at unit bits 3–8 (+ residue bits 9–10, to tie with arrivals)
 /// and lasts 4 + bits 11–13 units. `links`: bits 0–1 pick the loss on
 /// every front → relay link, bit 2 enables a front 0 ↔ relay partition
-/// from unit bits 3–8 for 1 + bits 9–11 units.
+/// from unit bits 3–8 for 1 + bits 9–11 units, bits 12–13 name the
+/// front whose link has the default latency (3: none).
 struct Case<'a> {
     seed: u64,
     arrivals: &'a [u64],
@@ -280,7 +298,7 @@ const FIRST_CHECKPOINT: u64 = 16;
 
 impl Case<'_> {
     const NODE_BITS: u32 = 14;
-    const LINK_BITS: u32 = 12;
+    const LINK_BITS: u32 = 14;
 
     /// The arrivals to inject: front 0 takes at most one per instant.
     fn injections(&self) -> impl Iterator<Item = Word> + '_ {
@@ -296,6 +314,10 @@ impl Case<'_> {
 
     fn loss(&self) -> f64 {
         [0.0, 0.1, 0.3, 0.6][(self.links & 3) as usize]
+    }
+
+    fn lane_front(&self) -> Option<u32> {
+        Some((self.links >> 12 & 3) as u32).filter(|&front| front < FRONTS)
     }
 
     /// What to inject before the run and what after the first
@@ -379,6 +401,9 @@ macro_rules! replay {
         for front in 0..FRONTS {
             let latency = units(2) + SimDuration::from_nanos((RELAY.0 - front) as u64);
             sim.set_link(NodeId(front), RELAY, latency, case.loss());
+            if case.lane_front() == Some(front) {
+                sim.set_default_latency(latency);
+            }
         }
         for node in 0..case.nodes.len() {
             sim.set_ingress_cap(NodeId(node as u32), case.cap(node));
