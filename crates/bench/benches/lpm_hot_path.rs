@@ -3,11 +3,11 @@
 //!
 //! * `trie_lpm new/{1k,10k,100k,1M}` — `EidTrie::lookup` over host
 //!   routes after `compact()`, the bulk-load hook (arena re-laid in DFS
-//!   order, dense levels promoted to stride tables);
-//!   [`sda_trie::MemStats`] is printed per size so a layout regression
-//!   shows in the output. Since the registry and the map-cache's host
-//!   routes became hash tables no gated workload's hot path rides these
-//!   rows (ROADMAP item 2 decides whether they stay).
+//!   order); the reserved bytes ([`sda_trie::MemStats`]) are printed
+//!   per size so a layout regression shows in the output. Since the
+//!   registry and the map-cache's host routes became hash tables no
+//!   gated workload's hot path rides these rows (ROADMAP item 2 decides
+//!   whether they stay).
 //! * `map_cache_lookup {hit,miss,stale}/10000`, `hit/1000000` —
 //!   `MapCache::lookup_shared`, the one scalar lookup there is. Every
 //!   entry is a host route, so `hit`/`stale` time one probe of the
@@ -54,9 +54,7 @@ fn bench_trie_lpm(h: &mut Harness) {
         for i in 0..routes {
             trie.insert(EidPrefix::host(eid(i)), i);
         }
-        // Bulk load done: re-lay the arena in DFS order and promote
-        // dense levels to stride tables (the hook the production
-        // population paths call).
+        // Bulk load done: re-lay the arena in DFS order.
         trie.compact();
         let stats = trie.mem_stats();
         eprintln!("trie_lpm new/{routes} layout: {stats}");

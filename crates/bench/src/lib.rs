@@ -8,8 +8,8 @@
 //!   every bench below; [`fixtures`] — the VN, host, EIDs, frames and
 //!   edge configuration they share.
 //! * Criterion benches (`benches/`, each a row list over the harness):
-//!   - `lpm_hot_path` — `BENCH_lpm.json`: trie LPM and map-cache lookup,
-//!     two memory budgets.
+//!   - `lpm_hot_path` — `BENCH_lpm.json`: plain Patricia-trie LPM (the
+//!     map-cache's cover path) and map-cache lookup, two memory budgets.
 //!   - `dataplane_fwd` — `BENCH_dataplane.json`: the batched engine's
 //!     encap / miss / decap per FIB size.
 //!   - `mt_fwd` — `BENCH_mt.json`: `MtSwitch` at 1/2/4 workers vs. the

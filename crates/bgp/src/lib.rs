@@ -29,6 +29,8 @@
 //! The same auth delay used by the SDA scenario is applied on attach so
 //! the comparison isolates the control-plane difference.
 
+#![forbid(unsafe_code)]
+
 pub mod msg;
 pub mod peer;
 pub mod reflector;

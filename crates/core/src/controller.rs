@@ -162,7 +162,6 @@ pub struct FabricBuilder {
     border_names: Vec<String>,
     border_external: Vec<Vec<Ipv4Prefix>>,
     next_mac_seed: u32,
-    link_latency: SimDuration,
     underlay_dynamics: bool,
 }
 
@@ -178,7 +177,6 @@ impl FabricBuilder {
             border_names: Vec::new(),
             border_external: Vec::new(),
             next_mac_seed: 1,
-            link_latency: SimDuration::from_micros(50),
             underlay_dynamics: false,
         }
     }
@@ -186,12 +184,6 @@ impl FabricBuilder {
     /// Mutable access to the behavior knobs.
     pub fn config_mut(&mut self) -> &mut FabricConfig {
         &mut self.config
-    }
-
-    /// Sets the uniform fabric link latency.
-    pub fn link_latency(&mut self, d: SimDuration) -> &mut Self {
-        self.link_latency = d;
-        self
     }
 
     /// Enables the live link-state underlay on every edge (hellos, LSAs,
@@ -246,16 +238,6 @@ impl FabricBuilder {
     /// Mints a new endpoint in `vn`/`group`: allocates its overlay IP,
     /// enrolls its credential, returns its identity for attach events.
     pub fn mint_endpoint(&mut self, vn: VnId, group: GroupId) -> EndpointIdentity {
-        self.mint_endpoint_with_method(vn, group, AuthMethod::Simple)
-    }
-
-    /// Like [`Self::mint_endpoint`] with an explicit auth method.
-    pub fn mint_endpoint_with_method(
-        &mut self,
-        vn: VnId,
-        group: GroupId,
-        method: AuthMethod,
-    ) -> EndpointIdentity {
         let seed = self.next_mac_seed;
         self.next_mac_seed += 1;
         let mac = MacAddr::from_seed(seed);
@@ -264,7 +246,8 @@ impl FabricBuilder {
             .allocate(vn)
             .expect("overlay pool exhausted or VN undeclared");
         let secret = u64::from(seed) * 7919;
-        self.policy.enroll(mac, secret, vn, group, method);
+        self.policy
+            .enroll(mac, secret, vn, group, AuthMethod::Simple);
         // Keep the §5.3 oracle in sync for ingress-mode ablations.
         self.config.dst_groups.insert((vn, Eid::V4(ipv4)), group);
         self.config.dst_groups.insert((vn, Eid::Mac(mac)), group);
@@ -283,6 +266,9 @@ impl FabricBuilder {
 
     const ROUTING_RLOC: Rloc = Rloc(Ipv4Addr::new(10, 255, 253, 232)); // index 65000
 
+    /// One-way latency of every fabric link.
+    const LINK_LATENCY: SimDuration = SimDuration::from_micros(50);
+
     /// Instantiates the simulator, nodes and wiring.
     ///
     /// # Panics
@@ -294,7 +280,7 @@ impl FabricBuilder {
             "SDA requires at least one border router (default-route target)"
         );
         let mut sim: Simulator<FabricMsg> = Simulator::new(self.seed);
-        sim.set_default_latency(self.link_latency);
+        sim.set_default_latency(Self::LINK_LATENCY);
 
         // Node ids are assigned in add order: policy, routing, borders,
         // edges.

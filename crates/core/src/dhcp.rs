@@ -47,16 +47,6 @@ impl DhcpPool {
         *next += 1;
         Some(addr)
     }
-
-    /// Addresses handed out so far in `vn`.
-    pub fn allocated(&self, vn: VnId) -> u32 {
-        self.pools.get(&vn).map(|(_, n)| n - 1).unwrap_or(0)
-    }
-
-    /// The subnet of `vn`, if declared.
-    pub fn subnet(&self, vn: VnId) -> Option<Ipv4Prefix> {
-        self.pools.get(&vn).map(|(s, _)| *s)
-    }
 }
 
 impl Default for DhcpPool {
@@ -84,7 +74,6 @@ mod tests {
         let b = d.allocate(vn(1)).unwrap();
         assert_eq!(a, Ipv4Addr::new(10, 1, 0, 1));
         assert_eq!(b, Ipv4Addr::new(10, 1, 0, 2));
-        assert_eq!(d.allocated(vn(1)), 2);
     }
 
     #[test]
@@ -118,8 +107,6 @@ mod tests {
     fn unknown_vn_returns_none() {
         let mut d = DhcpPool::new();
         assert!(d.allocate(vn(9)).is_none());
-        assert_eq!(d.allocated(vn(9)), 0);
-        assert!(d.subnet(vn(9)).is_none());
     }
 
     #[test]

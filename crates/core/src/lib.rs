@@ -40,6 +40,8 @@
 //!   database, border subscriber views and edge caches against an
 //!   expected endpoint placement after a chaos run.
 
+#![forbid(unsafe_code)]
+
 mod backoff;
 pub mod border;
 pub mod chaos;

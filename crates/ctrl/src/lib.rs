@@ -51,6 +51,8 @@
 //!   excluded from snapshot walks and expiry sweeps. See the overload
 //!   model section in [`server`].
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod fanout;
 pub mod partition;

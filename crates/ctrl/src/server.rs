@@ -651,8 +651,7 @@ impl PartitionedMapServer {
     /// Memory diagnostics summed across all shards — what the scale-tier
     /// acceptance compares against a single server's. `capacity_bytes`
     /// is exactly what the shards' tables hold allocated (32 bytes a
-    /// slot); the trie-shaped fields (nodes, stride tables) are zero (see
-    /// `MappingDb::mem_stats`).
+    /// slot; see `MappingDb::mem_stats`).
     pub fn mem_stats(&self) -> MemStats {
         let mut total = MemStats::default();
         for s in &self.shards {

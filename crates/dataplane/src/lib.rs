@@ -43,6 +43,8 @@
 //! `tests/no_alloc.rs` and the `dataplane_fwd`/`mt_fwd` benches
 //! (`BENCH_dataplane.json`, `BENCH_mt.json`).
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
 pub mod encap;
 pub mod mt;

@@ -29,6 +29,8 @@
 //! costs, the registry here one hash probe. Fig. 7c's load-dependent
 //! growth then falls out of queueing, exactly as on the real server.
 
+#![forbid(unsafe_code)]
+
 pub mod map_cache;
 pub mod map_server;
 pub mod registry;

@@ -379,11 +379,11 @@ impl MapCache {
         }
     }
 
-    /// Re-lays the covering-prefix tries in DFS preorder (see
-    /// [`sda_trie::PatriciaTrie::compact`]); the host-route table has
-    /// nothing to lay out. Call once a bulk population settles (the
-    /// dataplane `Switch` exposes it as `compact_tables`); steady-state
-    /// churn compacts opportunistically inside the tries themselves.
+    /// Re-lays the covering-prefix tries in DFS preorder and empties
+    /// their free-lists (see [`sda_trie::PatriciaTrie::compact`]); the
+    /// host-route table has nothing to lay out. The dataplane `Switch`
+    /// exposes it as `compact_tables`; `retain` churn compacts inside the
+    /// tries on its own.
     pub fn compact(&mut self) {
         self.covers.values_mut().for_each(EidTrie::compact);
     }
@@ -825,7 +825,7 @@ mod tests {
     /// A handover rewrites a host route in place: 256 of them move
     /// nothing, in the table or in the tries.
     #[test]
-    fn update_rloc_keeps_stride_tables() {
+    fn update_rloc_moves_nothing() {
         let mut c = MapCache::new();
         let (r1, r2) = (Rloc::for_router_index(1), Rloc::for_router_index(2));
         for n in 0..=255 {

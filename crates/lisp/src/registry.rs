@@ -376,8 +376,7 @@ impl MappingDb {
 
     /// Memory diagnostics in the shape the trie-backed stores report:
     /// `capacity_bytes` is exactly what the tables hold allocated, slots
-    /// × 32; a flat table has no nodes or stride tables to count, so
-    /// those fields stay zero.
+    /// × 32.
     pub fn mem_stats(&self) -> sda_trie::MemStats {
         let slots: usize = self.vns.values().map(|t| t.slots.len()).sum();
         sda_trie::MemStats {

@@ -99,11 +99,6 @@ impl AuthServer {
         );
     }
 
-    /// Removes an endpoint entirely (offboarding).
-    pub fn revoke(&mut self, identity: MacAddr) -> bool {
-        self.enrolled.remove(&identity).is_some()
-    }
-
     /// Moves an enrolled endpoint to a different group (the §5.4
     /// "change the endpoint's group" update primitive). Returns the old
     /// group if the endpoint exists.
@@ -227,22 +222,6 @@ mod tests {
             }
         );
         assert_eq!(s.reassign_group(MacAddr::from_seed(9), GroupId(1)), None);
-    }
-
-    #[test]
-    fn revoke_then_reject() {
-        let mut s = AuthServer::new();
-        let mac = MacAddr::from_seed(4);
-        s.enroll(mac, 1, vn(1), GroupId(1), AuthMethod::Simple);
-        assert!(s.revoke(mac));
-        assert!(!s.revoke(mac));
-        assert_eq!(
-            s.authenticate(&Credential {
-                identity: mac,
-                secret: 1
-            }),
-            AuthOutcome::Reject
-        );
     }
 
     #[test]

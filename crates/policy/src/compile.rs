@@ -252,8 +252,8 @@ impl VnAcl {
     }
 }
 
-/// Memory accounting for the compiled form (capacity, not just length —
-/// the same honesty as the trie `MemStats`).
+/// Memory accounting for the compiled form: capacity, not just length,
+/// as `sda_trie::MemStats::capacity_bytes` counts it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CompiledMemStats {
     /// VNs with at least one interned group.

@@ -32,6 +32,8 @@
 //! [`server::PolicyServer`] ties these together behind the message-level
 //! API the fabric speaks.
 
+#![forbid(unsafe_code)]
+
 pub mod auth;
 pub mod compile;
 pub mod enforce;

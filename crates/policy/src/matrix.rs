@@ -96,16 +96,6 @@ impl ConnectivityMatrix {
         self.set_rule(vn, b, a, Action::Allow);
     }
 
-    /// Removes the cell, returning its previous action.
-    pub fn clear_rule(&mut self, vn: VnId, src: GroupId, dst: GroupId) -> Option<Action> {
-        let removed = self.rules.get_mut(&vn)?.remove(&(src, dst));
-        if removed.is_some() {
-            self.cells -= 1;
-            self.version += 1;
-        }
-        removed
-    }
-
     /// The verdict for traffic `src → dst` within `vn`.
     pub fn check(&self, vn: VnId, src: GroupId, dst: GroupId) -> Action {
         self.rules
@@ -147,7 +137,7 @@ impl ConnectivityMatrix {
     }
 
     /// Total number of explicit cells across VNs — O(1), maintained by
-    /// `set_rule`/`clear_rule`.
+    /// `set_rule`.
     pub fn len(&self) -> usize {
         self.cells
     }
@@ -213,27 +203,12 @@ mod tests {
     }
 
     #[test]
-    fn clear_rule_restores_default() {
-        let mut m = ConnectivityMatrix::with_default(Action::Allow);
-        m.set_rule(vn(1), GroupId(1), GroupId(2), Action::Deny);
-        assert_eq!(m.check(vn(1), GroupId(1), GroupId(2)), Action::Deny);
-        assert_eq!(
-            m.clear_rule(vn(1), GroupId(1), GroupId(2)),
-            Some(Action::Deny)
-        );
-        assert_eq!(m.check(vn(1), GroupId(1), GroupId(2)), Action::Allow);
-        assert_eq!(m.clear_rule(vn(1), GroupId(1), GroupId(2)), None);
-    }
-
-    #[test]
     fn version_bumps_on_mutation_only() {
         let mut m = ConnectivityMatrix::new();
         let v0 = m.version();
         m.check(vn(1), GroupId(1), GroupId(1));
         assert_eq!(m.version(), v0);
         m.set_rule(vn(1), GroupId(1), GroupId(1), Action::Allow);
-        assert_eq!(m.version(), v0 + 1);
-        m.clear_rule(vn(1), GroupId(9), GroupId(9)); // no-op clear
         assert_eq!(m.version(), v0 + 1);
     }
 
@@ -260,12 +235,6 @@ mod tests {
         m.set_rule(vn(1), GroupId(1), GroupId(2), Action::Deny);
         assert_eq!(m.len(), 2);
         assert_eq!(m.recount(), 2);
-        m.clear_rule(vn(1), GroupId(1), GroupId(2));
-        assert_eq!(m.len(), 1);
-        // No-op clear leaves the counter alone.
-        m.clear_rule(vn(1), GroupId(1), GroupId(2));
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.recount(), 1);
         assert!(!m.is_empty());
     }
 

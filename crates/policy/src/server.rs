@@ -52,11 +52,6 @@ impl PolicyServer {
         &self.matrix
     }
 
-    /// Mutable access to the credential store.
-    pub fn auth_mut(&mut self) -> &mut AuthServer {
-        &mut self.auth
-    }
-
     /// Read access to the credential store.
     pub fn auth(&self) -> &AuthServer {
         &self.auth
@@ -90,16 +85,6 @@ impl PolicyServer {
             }
             AuthOutcome::Reject => None,
         }
-    }
-
-    /// Re-authentication after a policy change (§5.3: on egress, the
-    /// `(Overlay IP, GroupId)` pair refreshes automatically because the
-    /// endpoint re-authenticates). Secret was verified this session, so
-    /// only the binding is re-read.
-    pub fn reauthenticate(&self, identity: MacAddr) -> Option<EndpointProfile> {
-        self.auth
-            .binding_of(identity)
-            .map(|(vn, group)| EndpointProfile { vn, group })
     }
 
     /// The egress rule subset for a set of locally attached bindings —
@@ -167,14 +152,6 @@ mod tests {
                 secret: 0
             })
             .is_none());
-    }
-
-    #[test]
-    fn reauth_reflects_group_moves() {
-        let (mut s, mac) = server_with_one_endpoint();
-        assert_eq!(s.reauthenticate(mac).unwrap().group, GroupId(2));
-        s.auth_mut().reassign_group(mac, GroupId(7));
-        assert_eq!(s.reauthenticate(mac).unwrap().group, GroupId(7));
     }
 
     #[test]

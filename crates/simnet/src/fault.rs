@@ -96,20 +96,11 @@ impl FaultPlan {
         self
     }
 
-    /// Crashes `node` at `at`.
-    pub fn crash_at(self, at: SimTime, node: NodeId) -> Self {
-        self.at(at, Fault::Crash(node))
-    }
-
-    /// Restarts `node` at `at`.
-    pub fn restart_at(self, at: SimTime, node: NodeId) -> Self {
-        self.at(at, Fault::Restart(node))
-    }
-
     /// Crash at `down_at`, restart at `up_at` — one reboot.
     pub fn reboot(self, node: NodeId, down_at: SimTime, up_at: SimTime) -> Self {
         assert!(up_at >= down_at, "restart must not precede crash");
-        self.crash_at(down_at, node).restart_at(up_at, node)
+        self.at(down_at, Fault::Crash(node))
+            .at(up_at, Fault::Restart(node))
     }
 
     /// Cuts `a ↔ b` at `from` and heals it at `to`.

@@ -153,6 +153,8 @@
 //! The simulator is generic over the message type `M`, so `sda-core`,
 //! `sda-bgp` and tests each bring their own protocol enums.
 
+#![forbid(unsafe_code)]
+
 pub mod fault;
 pub mod metrics;
 pub mod sim;

@@ -14,10 +14,9 @@
 //!
 //! ## Why inline matters
 //!
-//! The seed implementation backed `BitStr` with a `Vec<u8>`, so every
-//! trie step in `longest_match`/`get` materialized a fresh heap-allocated
-//! copy via `slice()` — on the single hottest path in the repo (map-cache
-//! and map-server lookups, Fig. 7a/7b). With the inline representation:
+//! A `Vec<u8>`-backed bit string would make every trie step of a lookup
+//! materialize a heap-allocated copy via `slice()`. With the inline
+//! representation:
 //!
 //! * `BitStr` is `Copy`; slicing is a shift + mask, concatenation a
 //!   shift + or, and prefix comparison one `XOR` + `leading_zeros` —
@@ -34,7 +33,7 @@ use core::fmt;
 /// Maximum key width in bits (IPv6 EIDs; see the module docs).
 pub const MAX_BITS: usize = 128;
 
-/// An inline bit string (MSB-first, at most [`MAX_BITS`] bits).
+/// An inline bit string (MSB-first, at most 128 bits).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct BitStr {
     /// Left-aligned bits; everything past `len` is zero (canonical form).
@@ -65,7 +64,7 @@ impl BitStr {
     /// # Panics
     /// Panics if `len > 128` or if bits beyond `len` are set.
     #[inline]
-    pub const fn from_raw(bits: u128, len: usize) -> Self {
+    pub(crate) const fn from_raw(bits: u128, len: usize) -> Self {
         assert!(len <= MAX_BITS, "bit length exceeds 128");
         assert!(bits & !mask(len) == 0, "non-canonical bits past len");
         BitStr {
@@ -97,7 +96,7 @@ impl BitStr {
 
     /// The raw left-aligned word (bits past `len` are zero).
     #[inline]
-    pub const fn raw(&self) -> u128 {
+    pub(crate) const fn raw(&self) -> u128 {
         self.bits
     }
 
@@ -107,7 +106,7 @@ impl BitStr {
     ///
     /// # Panics
     /// Panics if `out` is shorter than `ceil(len / 8)` bytes.
-    pub fn write_bytes(&self, out: &mut [u8]) {
+    pub(crate) fn write_bytes(&self, out: &mut [u8]) {
         let nbytes = (self.len as usize).div_ceil(8);
         let be = self.bits.to_be_bytes();
         out[..nbytes].copy_from_slice(&be[..nbytes]);
@@ -115,13 +114,13 @@ impl BitStr {
 
     /// Length in bits.
     #[inline]
-    pub const fn len(&self) -> usize {
+    pub(crate) const fn len(&self) -> usize {
         self.len as usize
     }
 
     /// True when the string holds no bits.
     #[inline]
-    pub const fn is_empty(&self) -> bool {
+    pub(crate) const fn is_empty(&self) -> bool {
         self.len == 0
     }
 
@@ -130,7 +129,7 @@ impl BitStr {
     /// # Panics
     /// Panics if `i >= len`.
     #[inline]
-    pub fn bit(&self, i: usize) -> bool {
+    pub(crate) fn bit(&self, i: usize) -> bool {
         assert!(i < self.len(), "bit index {i} out of range {}", self.len);
         (self.bits >> (MAX_BITS - 1 - i)) & 1 == 1
     }
@@ -175,7 +174,7 @@ impl BitStr {
     /// # Panics
     /// Panics if the combined length exceeds 128 bits.
     #[inline]
-    pub fn concat(&self, other: &BitStr) -> BitStr {
+    pub(crate) fn concat(&self, other: &BitStr) -> BitStr {
         let total = self.len() + other.len();
         assert!(total <= MAX_BITS, "concatenation exceeds 128 bits");
         let tail = if self.is_empty() {
@@ -194,7 +193,7 @@ impl BitStr {
     /// Number of leading bits shared with `other`: one `XOR` plus
     /// `leading_zeros`, the word-sized comparison the trie walk relies on.
     #[inline]
-    pub fn common_prefix_len(&self, other: &BitStr) -> usize {
+    pub(crate) fn common_prefix_len(&self, other: &BitStr) -> usize {
         let max = self.len().min(other.len());
         let diff = self.bits ^ other.bits;
         (diff.leading_zeros() as usize).min(max)
@@ -202,7 +201,7 @@ impl BitStr {
 
     /// True when `self` is a prefix of `other`.
     #[inline]
-    pub fn is_prefix_of(&self, other: &BitStr) -> bool {
+    pub(crate) fn is_prefix_of(&self, other: &BitStr) -> bool {
         self.len <= other.len && (self.bits ^ other.bits) & mask(self.len()) == 0
     }
 }

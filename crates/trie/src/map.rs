@@ -1,10 +1,9 @@
 //! Address-family-aware prefix map over the Patricia trie.
 //!
-//! The routing server stores IPv4, IPv6 and MAC EIDs. [`EidTrie`] keeps
-//! one inner trie per family so a 32-bit IPv4 key can never alias a
-//! 48-bit MAC key, and exposes the operations the map-server needs:
-//! exact insert/remove by [`EidPrefix`] and longest-prefix lookup by
-//! [`Eid`].
+//! EIDs come in three families. [`EidTrie`] keeps one inner trie per
+//! family so a 32-bit IPv4 key can never alias a 48-bit MAC key, and
+//! exposes what the map-cache's covers need: exact insert/remove by
+//! [`EidPrefix`] and longest-prefix lookup by [`Eid`].
 
 use sda_types::{Eid, EidKind, EidPrefix, Ipv4Prefix, Ipv6Prefix, MacPrefix};
 
@@ -120,10 +119,11 @@ impl<V> EidTrie<V> {
     /// Longest-prefix match for `eid`: the most specific covering prefix
     /// and its value.
     pub fn lookup(&self, eid: &Eid) -> Option<(EidPrefix, &V)> {
-        let key = eid_key(eid);
-        let (len, v) = self.family(eid.kind()).longest_match(&key)?;
-        let pk = key.slice(0, len);
-        Some((prefix_from_parts(eid.kind(), &pk), v))
+        let (len, v) = self.lookup_where(eid, |_| true)?;
+        Some((
+            prefix_from_parts(eid.kind(), &eid_key(eid).slice(0, len)),
+            v,
+        ))
     }
 
     /// Longest-prefix match for `eid`, **skipping entries failing
@@ -140,18 +140,15 @@ impl<V> EidTrie<V> {
             .longest_match_where(&eid_key(eid), keep)
     }
 
-    /// Re-lays every family's arena in DFS preorder (see
-    /// [`PatriciaTrie::compact`]). Call once a bulk load settles — the
-    /// map-cache and RIB population paths do — so subsequent descents
-    /// walk nearly-sequential memory.
+    /// Re-lays every family's arena in DFS preorder and empties its
+    /// free-list (see [`PatriciaTrie::compact`]).
     pub fn compact(&mut self) {
         self.v4.compact();
         self.v6.compact();
         self.mac.compact();
     }
 
-    /// Aggregated arena diagnostics across the three families (counts
-    /// add, depth histograms add element-wise).
+    /// Bytes reserved across the three families.
     pub fn mem_stats(&self) -> crate::trie::MemStats {
         let mut stats = self.v4.mem_stats();
         stats.merge(&self.v6.mem_stats());
@@ -279,7 +276,15 @@ mod tests {
         m.insert(subnet, 1);
         m.insert(host, 2);
         m.insert(mac, 3);
+        let laid_out = {
+            let mut fresh = m.clone();
+            fresh.compact();
+            fresh.mem_stats()
+        };
+        m.remove(&subnet);
+        m.insert(subnet, 1);
         m.compact();
+        assert_eq!(m.mem_stats(), laid_out, "compaction leaves no free slot");
         assert_eq!(m.len(), 3);
         assert_eq!(
             m.lookup(&Eid::V4(Ipv4Addr::new(10, 1, 2, 3)))
@@ -295,10 +300,6 @@ mod tests {
             m.lookup(&Eid::Mac(MacAddr::from_seed(3))).map(|(_, v)| *v),
             Some(3)
         );
-        let stats = m.mem_stats();
-        assert_eq!(stats.free_list_len, 0);
-        // Three family roots + live structural/entry nodes.
-        assert!(stats.live_nodes >= 3 + 3);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Churn property test for the arena trie: interleaved batches of
 //! insert / remove / retain / compact against a `BTreeMap` model,
-//! asserting `longest_match` and `iter` agree after **every** batch.
+//! asserting the longest match and `iter` agree after **every** batch.
 //!
 //! `prop_model.rs` already checks per-operation agreement; this file
 //! targets what the arena layout specifically puts at risk — free-list
@@ -8,21 +8,18 @@
 //! mid-churn, and explicit `compact()` calls at arbitrary points must
 //! all leave the logical contents untouched.
 //!
-//! The dense batch variants deliberately cross the stride boundary:
-//! `InsertDense` populates every extension of a short base prefix (a
-//! width-7+ block holds >= 128 span ends, promoting an 8-bit fanout
-//! table at the next `compact()`), and `RemoveDense` empties it again
-//! (the next `compact()` demotes back to plain Patricia), so the
-//! promotion/demotion seam and the insert/remove table-invalidation
-//! paths are all exercised against the model. `ReplaceAll` re-inserts
-//! every stored key with a new value and no re-layout: whatever tables
-//! the batches before it left standing must all survive it and answer
-//! with the new values.
+//! The dense batch variants build and tear down full subtrees:
+//! `InsertDense` populates every extension of a short base prefix and
+//! `RemoveDense` empties it again, each followed by a `compact()`, so
+//! cascades of splits and of merges meet a freshly re-laid arena.
+//! `ReplaceAll` re-inserts every stored key with a new value and no
+//! re-layout: it must leave the reserved bytes alone and answer with the
+//! new values.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use sda_trie::{BitStr, PatriciaTrie};
+use sda_trie::{BitStr, MemStats, PatriciaTrie};
 
 /// One batch of churn. Each variant mutates (or re-lays) the trie and
 /// the model in lockstep; agreement is asserted after every batch.
@@ -36,14 +33,13 @@ enum Batch {
     RetainParity(bool),
     /// Explicit DFS re-layout.
     Compact,
-    /// Insert every `width`-bit extension of `base` (dense block:
-    /// promotion fodder for the stride layer).
+    /// Insert every `width`-bit extension of `base` (a full subtree).
     InsertDense {
         base: Vec<bool>,
         width: usize,
         seed: u32,
     },
-    /// Remove every `width`-bit extension of `base` (demotion fodder).
+    /// Remove every `width`-bit extension of `base`.
     RemoveDense { base: Vec<bool>, width: usize },
     /// Re-insert every stored key with a new value (derived from the
     /// seed): pure replacements, which must leave the layout alone.
@@ -55,8 +51,7 @@ fn arb_key() -> impl Strategy<Value = Vec<bool>> {
 }
 
 /// Dense-block parameters: a short base so blocks overlap across
-/// batches, and widths up to 8 so both the 4-bit (>= 8 ends within 4)
-/// and 8-bit (>= 128 ends within 8) promotion thresholds trip.
+/// batches, and widths up to 8 (blocks of up to 256 keys).
 fn arb_dense() -> impl Strategy<Value = (Vec<bool>, usize)> {
     (proptest::collection::vec(any::<bool>(), 0..6), 1usize..=8)
 }
@@ -97,6 +92,16 @@ fn to_bits(k: &[bool]) -> BitStr {
         s.push(b);
     }
     s
+}
+
+/// What a compacted trie holding exactly `trie`'s entries reserves.
+fn laid_out(trie: &PatriciaTrie<u32>) -> MemStats {
+    let mut fresh = PatriciaTrie::new();
+    for (k, v) in trie.iter() {
+        fresh.insert(&k, *v);
+    }
+    fresh.compact();
+    fresh.mem_stats()
 }
 
 /// The model keyed by the key's bit rendering ("" = empty key), which
@@ -159,9 +164,8 @@ proptest! {
                             "dense insert disagreement in batch {}", bi
                         );
                     }
-                    // Promote immediately: the dense block is in place,
-                    // so this compact is what builds the stride table
-                    // the following batches then churn against.
+                    // Re-lay with the block in place: the following
+                    // batches churn against a compacted arena.
                     trie.compact();
                 }
                 Batch::RemoveDense { base, width } => {
@@ -173,8 +177,6 @@ proptest! {
                             "dense remove disagreement in batch {}", bi
                         );
                     }
-                    // Demote: with the block gone, occupancy falls back
-                    // under the promotion thresholds.
                     trie.compact();
                 }
                 Batch::ReplaceAll(seed) => {
@@ -202,7 +204,7 @@ proptest! {
             for p in &probes {
                 let key = to_bits(p);
                 prop_assert_eq!(
-                    trie.longest_match(&key).map(|(l, v)| (l, *v)),
+                    trie.longest_match_where(&key, |_| true).map(|(l, v)| (l, *v)),
                     model_lpm(&model, &key.to_string()),
                     "LPM disagreement in batch {}", bi
                 );
@@ -216,17 +218,11 @@ proptest! {
         }
 
         // Cool-down: a final compact must be a logical no-op, and the
-        // arena must hold exactly the live structure (no stranded
-        // free slots).
+        // arena must hold exactly the live structure — what a fresh
+        // build of the same entries reserves once compacted (no
+        // stranded free slot, no uncompressed node).
         trie.compact();
-        let stats = trie.mem_stats();
-        prop_assert_eq!(stats.free_list_len, 0);
-        prop_assert_eq!(stats.arena_len, stats.live_nodes);
-        prop_assert!(
-            stats.stride_filled <= stats.stride_slots,
-            "stride accounting inconsistent: {} filled > {} slots",
-            stats.stride_filled, stats.stride_slots
-        );
+        prop_assert_eq!(trie.mem_stats(), laid_out(&trie));
         let mut got: Vec<(String, u32)> =
             trie.iter().map(|(k, v)| (k.to_string(), *v)).collect();
         got.sort();

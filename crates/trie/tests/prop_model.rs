@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
-use sda_trie::{BitStr, EidTrie, PatriciaTrie};
+use sda_trie::{BitStr, EidTrie, MemStats, PatriciaTrie};
 use sda_types::{Eid, EidPrefix, Ipv4Prefix};
 
 /// Naive reference: HashMap keyed by the bit-string rendering.
@@ -61,6 +61,16 @@ fn value_of(w: u64) -> u32 {
     (w >> 32) as u32 & 0xFF_FFFF
 }
 
+/// What a compacted trie holding exactly `entries` reserves.
+fn laid_out<'a>(entries: impl Iterator<Item = (BitStr, &'a u32)>) -> MemStats {
+    let mut fresh = PatriciaTrie::new();
+    for (k, v) in entries {
+        fresh.insert(&k, *v);
+    }
+    fresh.compact();
+    fresh.mem_stats()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -75,11 +85,11 @@ proptest! {
                 1 => prop_assert_eq!(trie.remove(&key), model.remove(&key)),
                 2 => prop_assert_eq!(trie.get(&key).copied(), model.get(&key)),
                 3 => prop_assert_eq!(
-                    trie.longest_match(&key).map(|(l, v)| (l, *v)),
+                    trie.longest_match_where(&key, |_| true).map(|(l, v)| (l, *v)),
                     model.longest_match(&key)
                 ),
                 // The filtered descent: a dead entry is skipped, never
-                // the live one above it (inside a stride span or not).
+                // the live one above it.
                 4 => prop_assert_eq!(
                     trie.longest_match_where(&key, |v| live(*v)).map(|(l, v)| (l, *v)),
                     model.longest_match_where(&key, live)
@@ -94,7 +104,7 @@ proptest! {
                 }
                 // Re-`insert` at the longest stored prefix of the key: a
                 // pure value replacement, which must leave the layout
-                // (stride tables included) alone.
+                // alone.
                 6 => {
                     if let Some((l, old)) = model.longest_match(&key) {
                         let stored = key.slice(0, l);
@@ -103,13 +113,12 @@ proptest! {
                         model.insert(&stored, v);
                         prop_assert_eq!(trie.mem_stats(), layout);
                         prop_assert_eq!(
-                            trie.longest_match(&key).map(|(l, v)| (l, *v)),
+                            trie.longest_match_where(&key, |_| true).map(|(l, v)| (l, *v)),
                             Some((l, v))
                         );
                     }
                 }
-                // DFS re-layout: what gives the ops after it stride
-                // tables to meet.
+                // DFS re-layout, which the ops after it must not notice.
                 _ => trie.compact(),
             }
             prop_assert_eq!(trie.len(), model.entries.len());
@@ -124,16 +133,21 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// Depth stays bounded by the key width no matter the workload — the
-    /// Fig. 7 "flat latency" property in structural form.
+    /// Path compression makes the shape a function of the key set alone:
+    /// after any inserts and removals, the compacted trie reserves
+    /// exactly what a fresh build of its entries does — no stranded
+    /// slot, no valueless single-child chain left behind.
     #[test]
-    fn depth_bounded_by_width(keys in proptest::collection::vec(any::<u32>(), 1..500)) {
+    fn compacted_shape_depends_only_on_contents(words in proptest::collection::vec(any::<u64>(), 1..300)) {
         let mut trie = PatriciaTrie::new();
-        for k in &keys {
-            let bytes = k.to_be_bytes();
-            trie.insert(&BitStr::from_bytes(&bytes, 32), *k);
+        for w in &words {
+            trie.insert(&key_of(*w), value_of(*w));
         }
-        prop_assert!(trie.max_depth() <= 32);
+        for w in words.iter().step_by(3) {
+            trie.remove(&key_of(*w));
+        }
+        trie.compact();
+        prop_assert_eq!(trie.mem_stats(), laid_out(trie.iter()));
     }
 
     /// EidTrie LPM agrees with a linear scan over `EidPrefix::contains`.
@@ -174,7 +188,8 @@ proptest! {
         prop_assert_eq!(removed, keys.len());
         prop_assert!(trie.is_empty());
         prop_assert_eq!(trie.iter().count(), 0);
-        prop_assert_eq!(trie.max_depth(), 0);
+        trie.compact();
+        prop_assert_eq!(trie.mem_stats(), laid_out(std::iter::empty()));
     }
 
     /// Insert-then-remove of a disjoint batch restores emptiness (no leaks
@@ -191,6 +206,7 @@ proptest! {
         }
         prop_assert!(trie.is_empty());
         prop_assert_eq!(trie.iter().count(), 0);
-        prop_assert_eq!(trie.max_depth(), 0);
+        trie.compact();
+        prop_assert_eq!(trie.mem_stats(), laid_out(std::iter::empty()));
     }
 }

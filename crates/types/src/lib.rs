@@ -19,6 +19,8 @@
 //! All types are `Copy` where possible, order-able so they can key sorted
 //! maps, and have compact `Display` impls for harness output.
 
+#![forbid(unsafe_code)]
+
 pub mod eid;
 pub mod error;
 pub mod hash;

@@ -19,6 +19,8 @@
 //! inputs are messages and ticks, outputs are `(neighbor, message)` pairs.
 //! `sda-core` adapts it onto the simulator; tests drive it synchronously.
 
+#![forbid(unsafe_code)]
+
 pub mod lsdb;
 pub mod protocol;
 pub mod reachability;

@@ -58,11 +58,6 @@ impl ReachabilityTracker {
         }
         events
     }
-
-    /// Peers currently believed reachable, ascending.
-    pub fn up_peers(&self) -> impl Iterator<Item = RouterId> + '_ {
-        self.watched.iter().filter(|(_, up)| **up).map(|(p, _)| *p)
-    }
 }
 
 #[cfg(test)]

@@ -23,12 +23,6 @@ pub fn set_u16(data: &mut [u8], field: Field, value: u16) {
     data[field].copy_from_slice(&value.to_be_bytes());
 }
 
-/// Writes a big-endian `u32` at `field`.
-#[inline]
-pub fn set_u32(data: &mut [u8], field: Field, value: u32) {
-    data[field].copy_from_slice(&value.to_be_bytes());
-}
-
 /// Reads a 24-bit big-endian value at `field` (3 bytes).
 #[inline]
 pub fn get_u24(data: &[u8], field: Field) -> u32 {
@@ -65,12 +59,5 @@ mod tests {
         set_u24(&mut buf, 0..3, 0x00AB_CDEF);
         assert_eq!(buf, [0xAB, 0xCD, 0xEF, 0]);
         assert_eq!(get_u24(&buf, 0..3), 0x00AB_CDEF);
-    }
-
-    #[test]
-    fn u32_roundtrip() {
-        let mut buf = [0u8; 6];
-        set_u32(&mut buf, 2..6, 0xDEAD_BEEF);
-        assert_eq!(buf, [0, 0, 0xDE, 0xAD, 0xBE, 0xEF]);
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! * [`ethernet`] — Ethernet II frames.
 //! * [`arp`] — ARP over Ethernet/IPv4 (what the L2 gateway intercepts).
-//! * [`ipv4`] / [`ipv6`] — overlay and underlay IP headers.
+//! * [`ipv4`] — overlay and underlay IP headers.
 //! * [`udp`] — UDP (carries both VXLAN and LISP control messages).
 //! * [`vxlan`] — VXLAN with the **Group Policy Option** extension: the
 //!   paper's chosen encapsulation, carrying the 24-bit VN in the VNI field
@@ -26,11 +26,12 @@
 //! Malformed input is always an [`Error`], never a panic: `new_checked`
 //! and `parse` validate lengths, version fields and checksums.
 
+#![forbid(unsafe_code)]
+
 pub mod arp;
 pub mod ethernet;
 mod field;
 pub mod ipv4;
-pub mod ipv6;
 pub mod lisp;
 pub mod udp;
 pub mod vxlan;

@@ -14,8 +14,6 @@
 //!   two physical edges, with measured movers receiving correspondent
 //!   traffic; runs against both the reactive (`sda-core`) and proactive
 //!   (`sda-bgp`) fabrics.
-//! * [`frames`] — the same populations as real Ethernet/IPv4 frames,
-//!   batched through the `sda-dataplane` forwarding engine.
 //! * [`metro`] — the city-scale control-plane message stream (million-
 //!   endpoint tier) driving the partitioned map-server benches.
 //! * [`policy_churn`] — Table 3's policy-update scenarios at fleet
@@ -32,9 +30,10 @@
 //!
 //! Everything is seeded and deterministic.
 
+#![forbid(unsafe_code)]
+
 pub mod campus;
 pub mod chaos;
-pub mod frames;
 pub mod metro;
 pub mod policy_churn;
 pub mod queries;
@@ -43,7 +42,6 @@ pub mod warehouse;
 
 pub use campus::{CampusParams, CampusScenario};
 pub use chaos::{ChaosOutcome, ChaosParams, ChaosScenario};
-pub use frames::{FrameDriver, FramePreset, FrameStats};
 pub use metro::{MetroParams, MetroWorkload};
 pub use policy_churn::{
     ChurnEdge, FlipReport, PolicyChurnParams, PolicyChurnScenario, RolloutReport, StormReport,

@@ -6,7 +6,7 @@
 //!
 //! * [`types`] — shared vocabulary (EIDs, RLOCs, prefixes, ids).
 //! * [`simnet`] — deterministic discrete-event simulator and metrics.
-//! * [`trie`] — the Patricia/stride trie (map-cache covers).
+//! * [`trie`] — the Patricia trie (map-cache covers).
 //! * [`wire`] — packet formats (Ethernet/IP/UDP/VXLAN-GPO/LISP).
 //! * [`policy`] — group-based segmentation policy and SXP.
 //! * [`underlay`] — underlay topology and SPF.
