@@ -12,7 +12,7 @@
 
 use sda_bench::print_cdf_pair;
 use sda_simnet::Summary;
-use sda_workloads::warehouse::{run_bgp, run_lisp, WarehouseParams};
+use sda_workloads::{run_bgp, run_lisp, WarehouseParams};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

@@ -12,7 +12,7 @@
 //! Run with: `cargo run --release -p sda-bench --bin fig9_fib_timeseries`
 
 use sda_simnet::SimTime;
-use sda_workloads::campus::{CampusParams, CampusScenario};
+use sda_workloads::{CampusParams, CampusScenario};
 
 fn print_weeks(scenario: &CampusScenario, weeks: usize) {
     let metrics = scenario.fabric.metrics();

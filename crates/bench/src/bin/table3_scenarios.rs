@@ -4,8 +4,8 @@
 //!
 //! Run with: `cargo run -p sda-bench --bin table3_scenarios`
 
-use sda_workloads::campus::CampusParams;
-use sda_workloads::warehouse::WarehouseParams;
+use sda_workloads::CampusParams;
+use sda_workloads::WarehouseParams;
 
 fn main() {
     let a = CampusParams::building_a();

@@ -13,7 +13,7 @@
 //! Run with: `cargo run --release -p sda-bench --bin table5_fib_average`
 
 use sda_bench::day_night_split;
-use sda_workloads::campus::{CampusParams, CampusScenario};
+use sda_workloads::{CampusParams, CampusScenario};
 
 struct Row {
     building: &'static str,

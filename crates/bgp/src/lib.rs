@@ -28,15 +28,26 @@
 //!
 //! The same auth delay used by the SDA scenario is applied on attach so
 //! the comparison isolates the control-plane difference.
+//!
+//! ## Surface
+//!
+//! The crate **is** its root: the two nodes ([`BgpEdge`],
+//! [`RouteReflector`]), their message type ([`BgpMsg`], with
+//! [`BgpHostEvent`] for drivers), the wiring ([`BgpConfig`],
+//! [`BgpDirectory`]). Every module is private, and so is the edge's
+//! RIB.
+//! It **is not** BGP on the wire — no sessions, attributes, path
+//! selection or withdrawals — only the replication pattern Fig. 11
+//! measures.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod msg;
-pub mod peer;
-pub mod reflector;
-pub mod rib;
+mod msg;
+mod peer;
+mod reflector;
+mod rib;
 
-pub use msg::{BgpConfig, BgpDirectory, BgpMsg};
+pub use msg::{BgpConfig, BgpDirectory, BgpHostEvent, BgpMsg};
 pub use peer::BgpEdge;
 pub use reflector::RouteReflector;
-pub use rib::Rib;

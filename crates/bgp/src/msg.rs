@@ -110,7 +110,7 @@ impl BgpDirectory {
     ///
     /// # Panics
     /// Panics on unknown RLOCs (wiring bug).
-    pub fn node_of(&self, rloc: Rloc) -> NodeId {
+    pub(crate) fn node_of(&self, rloc: Rloc) -> NodeId {
         *self
             .node_of_rloc
             .get(&rloc)

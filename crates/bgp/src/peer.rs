@@ -14,7 +14,7 @@ use crate::rib::Rib;
 
 /// Counters for scenario assertions.
 #[derive(Clone, Copy, Default, Debug)]
-pub struct BgpEdgeStats {
+pub(crate) struct BgpEdgeStats {
     /// Packets delivered to locally attached endpoints.
     pub delivered: u64,
     /// Packets dropped: destination not local and RIB empty for it.
@@ -52,13 +52,9 @@ impl BgpEdge {
         }
     }
 
-    /// This edge's locator.
-    pub fn rloc(&self) -> Rloc {
-        self.rloc
-    }
-
     /// Counters.
-    pub fn stats(&self) -> BgpEdgeStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> BgpEdgeStats {
         self.stats
     }
 }

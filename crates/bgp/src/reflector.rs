@@ -23,8 +23,6 @@ pub struct RouteReflector {
     /// Updates accumulated since the last flush.
     pending: Vec<RouteUpdate>,
     seq: u64,
-    /// Total updates replicated (pending × peers, cumulative).
-    replicated: u64,
 }
 
 impl RouteReflector {
@@ -35,13 +33,7 @@ impl RouteReflector {
             peers,
             pending: Vec::new(),
             seq: 0,
-            replicated: 0,
         }
-    }
-
-    /// Total peer-updates replicated so far (signaling volume).
-    pub fn replicated(&self) -> u64 {
-        self.replicated
     }
 }
 
@@ -79,7 +71,6 @@ impl Node<BgpMsg> for RouteReflector {
             let mut offset = SimDuration::ZERO;
             for peer in &self.peers {
                 offset = offset + cost_per_peer;
-                self.replicated += batch.len() as u64;
                 ctx.send_after(
                     offset,
                     self.dir.node_of(*peer),

@@ -14,20 +14,20 @@ use sda_types::{Eid, EidKey, KeyHasher, Rloc};
 
 /// A full host-route table: EID → (serving edge, update sequence).
 #[derive(Default, Debug, Clone)]
-pub struct Rib {
+pub(crate) struct Rib {
     routes: HashMap<EidKey, (Rloc, u64), BuildHasherDefault<KeyHasher>>,
 }
 
 impl Rib {
     /// Empty RIB.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Rib::default()
     }
 
     /// Installs `eid → rloc` if `seq` is newer than the stored route.
     /// Returns true when the route changed (stale reordered updates are
     /// ignored — BGP's path-selection recency, collapsed to a sequence).
-    pub fn install(&mut self, eid: Eid, rloc: Rloc, seq: u64) -> bool {
+    pub(crate) fn install(&mut self, eid: Eid, rloc: Rloc, seq: u64) -> bool {
         let key = EidKey(eid);
         if self
             .routes
@@ -41,24 +41,21 @@ impl Rib {
     }
 
     /// Removes the route for `eid`.
-    pub fn withdraw(&mut self, eid: Eid) -> bool {
+    #[cfg(test)]
+    pub(crate) fn withdraw(&mut self, eid: Eid) -> bool {
         self.routes.remove(&EidKey(eid)).is_some()
     }
 
     /// Next hop for `eid`.
-    pub fn lookup(&self, eid: Eid) -> Option<Rloc> {
+    pub(crate) fn lookup(&self, eid: Eid) -> Option<Rloc> {
         self.routes.get(&EidKey(eid)).map(|(r, _)| *r)
     }
 
     /// Number of installed routes — every edge carries all of them,
     /// which is exactly the state the reactive design avoids.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.routes.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.routes.is_empty()
     }
 }
 

@@ -117,7 +117,7 @@ pub struct BorderRouter {
 
 impl BorderRouter {
     /// Creates a border router serving `rloc`.
-    pub fn new(name: impl Into<String>, rloc: Rloc, dir: Rc<Directory>) -> Self {
+    pub(crate) fn new(name: impl Into<String>, rloc: Rloc, dir: Rc<Directory>) -> Self {
         let mut cfg = SwitchConfig::new(rloc);
         // The border is the default route's end of the line.
         cfg.border = None;
@@ -147,13 +147,8 @@ impl BorderRouter {
     }
 
     /// Adds an external route (e.g. `0.0.0.0/0` for the Internet).
-    pub fn add_external(&mut self, prefix: Ipv4Prefix) {
+    pub(crate) fn add_external(&mut self, prefix: Ipv4Prefix) {
         self.switch.add_external(prefix);
-    }
-
-    /// This border's locator.
-    pub fn rloc(&self) -> Rloc {
-        self.rloc
     }
 
     /// Counters.
@@ -175,11 +170,6 @@ impl BorderRouter {
     /// IPv4 mappings only — the Fig. 9 border series.
     pub fn fib_len_v4(&self) -> usize {
         self.switch.map_cache().len_of(EidKind::V4)
-    }
-
-    /// Installs (merges) group rules for scenario setup.
-    pub fn install_rules(&mut self, subset: &sda_policy::RuleSubset) {
-        self.switch.install_rules(subset);
     }
 
     /// Subscribes in flight (convergence checks: must be 0 once the

@@ -16,8 +16,8 @@ use crate::border::BorderRouter;
 use crate::dhcp::DhcpPool;
 use crate::edge::{underlay_id, EdgeRouter};
 use crate::msg::{EndpointIdentity, FabricMsg, HostEvent};
-use crate::pipeline::EnforcementPoint;
 use crate::servers::{Directory, FabricCounters, PolicyServerNode, RoutingServerNode};
+use sda_policy::EnforcementPoint;
 
 /// Fabric-wide behavior knobs, shared read-only by every node.
 #[derive(Debug, Clone)]
@@ -129,17 +129,6 @@ impl Default for FabricConfig {
             punt_negative_hold: SimDuration::from_secs(2),
             node_ingress_cap: None,
             admission: None,
-        }
-    }
-}
-
-impl FabricConfig {
-    /// The destination-group hint available to ingress enforcement.
-    pub fn dst_group_hint(&self, vn: VnId, dst: Eid) -> Option<GroupId> {
-        if matches!(self.enforcement, EnforcementPoint::Ingress) {
-            self.dst_groups.get(&(vn, dst)).copied()
-        } else {
-            None
         }
     }
 }
@@ -456,11 +445,6 @@ impl Fabric {
         self.sim.run_until(deadline);
     }
 
-    /// Runs until the event queue drains (bounded).
-    pub fn run_to_completion(&mut self, max_events: u64) {
-        self.sim.run_to_completion(max_events);
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.sim.now()
@@ -506,15 +490,6 @@ impl Fabric {
             .as_any()
             .and_then(|a| a.downcast_ref::<RoutingServerNode>())
             .expect("routing node")
-    }
-
-    /// Inspects the policy server.
-    pub fn policy_server(&self) -> &PolicyServerNode {
-        self.sim
-            .node(self.policy)
-            .as_any()
-            .and_then(|a| a.downcast_ref::<PolicyServerNode>())
-            .expect("policy node")
     }
 
     /// Number of edges.

@@ -11,14 +11,14 @@ use sda_types::{Ipv4Prefix, VnId};
 
 /// A per-VN IPv4 pool allocator.
 #[derive(Debug)]
-pub struct DhcpPool {
+pub(crate) struct DhcpPool {
     /// Per-VN: (subnet, next host index).
     pools: BTreeMap<VnId, (Ipv4Prefix, u32)>,
 }
 
 impl DhcpPool {
     /// Creates an allocator with no pools.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DhcpPool {
             pools: BTreeMap::new(),
         }
@@ -28,14 +28,14 @@ impl DhcpPool {
     ///
     /// # Panics
     /// Panics if the prefix is longer than /30 (no allocatable hosts).
-    pub fn add_pool(&mut self, vn: VnId, subnet: Ipv4Prefix) {
+    pub(crate) fn add_pool(&mut self, vn: VnId, subnet: Ipv4Prefix) {
         assert!(subnet.len() <= 30, "subnet too small to allocate from");
         self.pools.insert(vn, (subnet, 1));
     }
 
     /// Allocates the next address in `vn`'s pool.
     /// Returns `None` when the pool is unknown or exhausted.
-    pub fn allocate(&mut self, vn: VnId) -> Option<Ipv4Addr> {
+    pub(crate) fn allocate(&mut self, vn: VnId) -> Option<Ipv4Addr> {
         let (subnet, next) = self.pools.get_mut(&vn)?;
         let host_bits = 32 - subnet.len();
         let capacity = (1u64 << host_bits) - 2; // network + broadcast

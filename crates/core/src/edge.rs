@@ -39,9 +39,10 @@ use sda_wire::lisp::{BusyClass, Message as Lisp};
 
 use crate::backoff::Backoff;
 use crate::msg::{ArpMsg, EndpointIdentity, FabricMsg, HostEvent, PolicyMsg};
-use crate::pipeline::{self, EnforcementPoint};
+use crate::pipeline;
 use crate::servers::Directory;
 use sda_dataplane::LocalEndpoint;
+use sda_policy::EnforcementPoint;
 
 /// Timer tokens.
 const TIMER_EVICT: u64 = 1;
@@ -204,7 +205,7 @@ fn edge_switch_config(rloc: Rloc, dir: &Directory) -> SwitchConfig {
 
 impl EdgeRouter {
     /// Creates an edge router serving `rloc`.
-    pub fn new(name: impl Into<String>, rloc: Rloc, dir: Rc<Directory>) -> Self {
+    pub(crate) fn new(name: impl Into<String>, rloc: Rloc, dir: Rc<Directory>) -> Self {
         let mut switch = Switch::new(edge_switch_config(rloc, &dir));
         install_dst_hints(&mut switch, &dir);
         let name = name.into();
@@ -239,7 +240,7 @@ impl EdgeRouter {
     }
 
     /// Attaches an underlay protocol instance (dynamics mode).
-    pub fn with_underlay(
+    pub(crate) fn with_underlay(
         mut self,
         router: LinkStateRouter,
         watch: Vec<sda_types::RouterId>,
@@ -302,7 +303,7 @@ impl EdgeRouter {
     /// switch restarts with empty tables ("it will start with an empty
     /// FIB for the overlay entries"). Must be followed by endpoints
     /// re-attaching (the real box re-detects them on its ports).
-    pub fn reboot(&mut self) {
+    pub(crate) fn reboot(&mut self) {
         self.switch = Switch::new(*self.switch.config());
         install_dst_hints(&mut self.switch, &self.dir);
         self.pending_auth.clear();
@@ -330,7 +331,7 @@ impl EdgeRouter {
     }
 
     /// Fault injection (§5.1): while failed, the edge processes nothing.
-    pub fn set_failed(&mut self, failed: bool) {
+    pub(crate) fn set_failed(&mut self, failed: bool) {
         self.failed = failed;
     }
 
@@ -968,7 +969,7 @@ impl EdgeRouter {
                         vn,
                         eid,
                         new_rloc,
-                        SimDuration::from_secs(u64::from(sda_lisp::map_server::REPLY_TTL_SECS)),
+                        SimDuration::from_secs(u64::from(sda_lisp::REPLY_TTL_SECS)),
                         now,
                     );
                     self.smr.forget_eid(vn, eid);

@@ -21,7 +21,7 @@
 //!           endpoints roam across edges
 //! ```
 //!
-//! * [`msg`] — the fabric's simulator message type (data packets,
+//! * [`FabricMsg`] — the fabric's simulator message type (data packets,
 //!   LISP control, policy exchanges, host events, underlay protocol).
 //! * [`pipeline`] — the host-frame byte conventions around the
 //!   two-stage ingress/egress pipeline, which is the per-node
@@ -29,33 +29,47 @@
 //! * [`edge`] — the edge router node: onboarding (Fig. 3), reactive
 //!   resolution, mobility (Figs. 5–6), SMR, reboot recovery, underlay
 //!   fallback.
-//! * [`border`] — the border router: pub/sub-synced full table, default-
-//!   route target, external prefixes.
-//! * [`servers`] — policy-server and routing-server simulator nodes
-//!   wrapping `sda-policy` / `sda-ctrl`.
-//! * [`dhcp`] — overlay address allocation per VN.
+//! * The border router (`border.rs`): pub/sub-synced full table,
+//!   default-route target, external prefixes.
+//! * The policy-server and routing-server simulator nodes
+//!   (`servers.rs`) wrapping `sda-policy` / `sda-ctrl`, and overlay
+//!   address allocation per VN (`dhcp.rs`).
 //! * [`controller`] — the declarative operator API (§3.1) and scenario
-//!   builder producing a runnable [`controller::Fabric`].
-//! * [`chaos`] — post-fault convergence checking: compares server
-//!   database, border subscriber views and edge caches against an
-//!   expected endpoint placement after a chaos run.
+//!   builder producing a runnable [`Fabric`].
+//! * [`check_convergence`] — post-fault convergence checking: compares
+//!   server database, border subscriber views and edge caches against
+//!   an expected endpoint placement after a chaos run.
+//!
+//! ## Surface
+//!
+//! The crate **is** three public modules — [`controller`] (the
+//! builder, [`Fabric`] and its handles), [`edge`] (the edge router and
+//! its counters) and [`pipeline`] (the host-frame conventions) — and a
+//! root that re-exports the builder, the message types, the
+//! convergence check and the knobs a scenario sets
+//! ([`EnforcementPoint`], [`AdmissionConfig`], [`ClassBudget`]). The
+//! other modules are private; their nodes are reached through
+//! [`Fabric`]. It **is not** a forwarding engine or a control-plane
+//! store: packets go through `sda-dataplane`, mappings live in
+//! `sda-ctrl` and `sda-lisp`.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod backoff;
-pub mod border;
-pub mod chaos;
+mod border;
+mod chaos;
 pub mod controller;
-pub mod dhcp;
+mod dhcp;
 pub mod edge;
-pub mod msg;
+mod msg;
 pub mod pipeline;
-pub mod servers;
+mod servers;
 
 pub use chaos::{check_convergence, ConvergenceReport, ExpectedPlacement};
 pub use controller::{Fabric, FabricBuilder, FabricConfig};
+pub use msg::{EndpointIdentity, FabricMsg, HostEvent, PolicyMsg, DEFAULT_HOPS};
 // Overload-hardening knobs, re-exported so scenario crates can set
 // `FabricConfig::admission` without depending on `sda-ctrl` directly.
-pub use msg::{EndpointIdentity, FabricMsg, HostEvent, PolicyMsg};
-pub use pipeline::EnforcementPoint;
 pub use sda_ctrl::{AdmissionConfig, ClassBudget};
+pub use sda_policy::EnforcementPoint;

@@ -21,7 +21,8 @@ impl EndpointIdentity {
     /// The EIDs this endpoint registers (IPv4 + MAC — controlled by
     /// [`crate::FabricConfig::register_mac`]; the paper also registers
     /// IPv6 per endpoint, a documented simplification here).
-    pub fn eids(&self) -> [Eid; 2] {
+    #[cfg(test)]
+    pub(crate) fn eids(&self) -> [Eid; 2] {
         [Eid::V4(self.ipv4), Eid::Mac(self.mac)]
     }
 }

@@ -1,6 +1,6 @@
 //! The byte conventions the simulator nodes share with the engine.
 //!
-//! The router nodes in [`crate::edge`] and [`crate::border`] run every
+//! The router nodes in [`crate::edge`] and `border.rs` run every
 //! data packet through a per-node [`sda_dataplane::Switch`] as real
 //! bytes; the two-stage pipeline of Fig. 4 *is* that engine. What lives
 //! here is the host side of it:
@@ -18,11 +18,6 @@
 use sda_dataplane::{encap, MAX_FRAME};
 use sda_types::{Eid, MacAddr};
 use sda_wire::{ethernet, ipv4, EtherType};
-
-/// Where group policy is enforced (§5.3 trade-off) — defined in
-/// [`sda_policy::enforce`]; re-exported here for the historical
-/// `sda_core::pipeline::EnforcementPoint` path.
-pub use sda_policy::enforce::EnforcementPoint;
 
 /// Bytes of measurement meta at the head of every composed payload:
 /// the 8-byte flow id plus the track bit.

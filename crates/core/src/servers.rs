@@ -123,7 +123,7 @@ impl Directory {
     /// # Panics
     /// Panics on an unknown RLOC — scenario wiring bug, not a runtime
     /// condition.
-    pub fn node_of(&self, rloc: Rloc) -> NodeId {
+    pub(crate) fn node_of(&self, rloc: Rloc) -> NodeId {
         *self
             .node_of_rloc
             .get(&rloc)
@@ -155,7 +155,7 @@ pub struct RoutingServerNode {
 
 impl RoutingServerNode {
     /// Wraps `server` with fabric wiring.
-    pub fn new(server: PartitionedMapServer, dir: Rc<Directory>) -> Self {
+    pub(crate) fn new(server: PartitionedMapServer, dir: Rc<Directory>) -> Self {
         RoutingServerNode {
             server,
             dir,
@@ -297,23 +297,18 @@ impl Node<FabricMsg> for RoutingServerNode {
 }
 
 /// Per-auth-round-trip policy-server processing time.
-pub const AUTH_SERVICE: SimDuration = SimDuration::from_micros(200);
+pub(crate) const AUTH_SERVICE: SimDuration = SimDuration::from_micros(200);
 
 /// The policy server simulator node.
-pub struct PolicyServerNode {
+pub(crate) struct PolicyServerNode {
     server: PolicyServer,
     dir: Rc<Directory>,
 }
 
 impl PolicyServerNode {
     /// Wraps a configured policy server.
-    pub fn new(server: PolicyServer, dir: Rc<Directory>) -> Self {
+    pub(crate) fn new(server: PolicyServer, dir: Rc<Directory>) -> Self {
         PolicyServerNode { server, dir }
-    }
-
-    /// Read access for post-run assertions.
-    pub fn server(&self) -> &PolicyServer {
-        &self.server
     }
 }
 
@@ -344,13 +339,11 @@ impl Node<FabricMsg> for PolicyServerNode {
                         // rule the group can *source* — the state blow-up
                         // the paper avoids.
                         let rules = match self.dir.params.enforcement {
-                            crate::pipeline::EnforcementPoint::Egress => grant.rules,
-                            crate::pipeline::EnforcementPoint::Ingress => {
-                                sda_policy::sxp::ingress_subset(
-                                    self.server.matrix(),
-                                    &[(grant.profile.vn, grant.profile.group)],
-                                )
-                            }
+                            sda_policy::EnforcementPoint::Egress => grant.rules,
+                            sda_policy::EnforcementPoint::Ingress => sda_policy::ingress_subset(
+                                self.server.matrix(),
+                                &[(grant.profile.vn, grant.profile.group)],
+                            ),
                         };
                         ctx.send(
                             from,

@@ -5,7 +5,7 @@
 use std::net::Ipv4Addr;
 
 use sda_core::controller::{BorderHandle, EdgeHandle, Fabric, FabricBuilder};
-use sda_core::msg::EndpointIdentity;
+use sda_core::EndpointIdentity;
 use sda_core::{check_convergence, ExpectedPlacement};
 use sda_simnet::{FaultPlan, SimDuration, SimTime};
 use sda_types::{Eid, GroupId, Ipv4Prefix, PortId, VnId};

@@ -22,7 +22,7 @@ use sda_core::{check_convergence, ConvergenceReport, ExpectedPlacement, FabricMs
 use sda_simnet::{NodeId, SimDuration, SimTime};
 use sda_types::{Eid, EidPrefix, GroupId, Ipv4Prefix, PortId, Rloc, VnId};
 use sda_wire::lisp::Message;
-use sda_workloads::chaos::{ChaosParams, ChaosScenario};
+use sda_workloads::{ChaosParams, ChaosScenario};
 
 #[path = "reference/convergence.rs"]
 mod reference;

@@ -17,7 +17,7 @@ use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
 use sda_core::controller::{EdgeHandle, Fabric, FabricBuilder};
-use sda_core::msg::EndpointIdentity;
+use sda_core::EndpointIdentity;
 use sda_core::{check_convergence, ExpectedPlacement};
 use sda_simnet::{FaultPlan, SimDuration, SimTime};
 use sda_types::{Eid, GroupId, Ipv4Prefix, PortId, VnId};

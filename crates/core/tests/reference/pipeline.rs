@@ -983,7 +983,7 @@ mod tests {
             vn: VnId::DEFAULT,
             src_group: GroupId(1),
             policy_applied: false,
-            hops_left: sda_core::msg::DEFAULT_HOPS,
+            hops_left: sda_core::DEFAULT_HOPS,
             origin: Rloc::for_router_index(1),
             inner: InnerPacket {
                 src: Eid::V4(Ipv4Addr::new(10, 0, 0, 1)),

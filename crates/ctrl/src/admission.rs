@@ -65,7 +65,7 @@ impl AdmissionConfig {
 
     /// The retry-after hint in whole milliseconds (as carried on the
     /// wire), at least 1.
-    pub fn retry_after_ms(&self) -> u32 {
+    pub(crate) fn retry_after_ms(&self) -> u32 {
         (self.retry_after.as_millis() as u32).max(1)
     }
 }

@@ -81,7 +81,7 @@ struct VnStream {
 }
 
 /// Per-subscriber delta queues plus the per-VN sequence authority.
-pub struct DeltaFanout {
+pub(crate) struct DeltaFanout {
     subs: Vec<Sub>,
     streams: BTreeMap<VnId, VnStream>,
     /// `(subscriber, VN)` streams in [`VnSync::Snapshot`] state — what
@@ -99,7 +99,7 @@ impl DeltaFanout {
     ///
     /// # Panics
     /// Panics if `cap` is zero (a zero-length queue could never go live).
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         assert!(cap > 0, "queue capacity must be positive");
         DeltaFanout {
             subs: Vec::new(),
@@ -116,7 +116,7 @@ impl DeltaFanout {
     /// for `vn` — i.e. a new Subscribe would be a resync, not a fresh
     /// subscription. Admission control uses this to let self-healing
     /// resubscribes bypass the subscribe budget.
-    pub fn is_subscribed(&self, vn: VnId, rloc: Rloc) -> bool {
+    pub(crate) fn is_subscribed(&self, vn: VnId, rloc: Rloc) -> bool {
         self.streams
             .get(&vn)
             .is_some_and(|s| s.subs.iter().any(|&(i, _)| self.subs[i].rloc == rloc))
@@ -124,7 +124,7 @@ impl DeltaFanout {
 
     /// Subscribes `rloc` to `vn`'s stream, marking it for snapshot on
     /// the next flush. Idempotent (re-subscribing forces a resync).
-    pub fn subscribe(&mut self, vn: VnId, rloc: Rloc) {
+    pub(crate) fn subscribe(&mut self, vn: VnId, rloc: Rloc) {
         let idx = match self.subs.iter().position(|s| s.rloc == rloc) {
             Some(i) => i,
             None => {
@@ -155,7 +155,7 @@ impl DeltaFanout {
     /// subscriber of `vn`. Allocates the change's per-VN sequence number
     /// even when nobody listens (the stream must stay gap-free for
     /// subscribers that join later).
-    pub fn publish(&mut self, vn: VnId, eid: Eid, rloc: Rloc, withdraw: bool) {
+    pub(crate) fn publish(&mut self, vn: VnId, eid: Eid, rloc: Rloc, withdraw: bool) {
         let stream = self.streams.entry(vn).or_default();
         stream.seq += 1;
         let seq = stream.seq;
@@ -192,7 +192,7 @@ impl DeltaFanout {
     /// which must emit every `(prefix, rloc)` currently mapped in the
     /// given VN), then queued deltas. Deterministic: subscribers in
     /// subscription order, snapshot VNs in `VnId` order.
-    pub fn flush<F>(&mut self, mut snapshot: F) -> Vec<(Rloc, Message)>
+    pub(crate) fn flush<F>(&mut self, mut snapshot: F) -> Vec<(Rloc, Message)>
     where
         F: FnMut(VnId, &mut dyn FnMut(EidPrefix, Rloc)),
     {
@@ -244,23 +244,23 @@ impl DeltaFanout {
     }
 
     /// The current sequence watermark of `vn` (0 before any change).
-    pub fn current_seq(&self, vn: VnId) -> u64 {
+    pub(crate) fn current_seq(&self, vn: VnId) -> u64 {
         self.streams.get(&vn).map_or(0, |s| s.seq)
     }
 
     /// Publishes emitted by flushes so far.
-    pub fn delivered(&self) -> u64 {
+    pub(crate) fn delivered(&self) -> u64 {
         self.delivered
     }
 
     /// Queue-overflow resyncs forced so far.
-    pub fn gaps(&self) -> u64 {
+    pub(crate) fn gaps(&self) -> u64 {
         self.gaps
     }
 
     /// High-water mark of any single subscriber queue so far — provably
     /// ≤ the configured cap (overflow resyncs instead of growing).
-    pub fn peak_depth(&self) -> usize {
+    pub(crate) fn peak_depth(&self) -> usize {
         self.peak_depth
     }
 }

@@ -13,7 +13,7 @@
 //! covering a prefix-aligned partition of EID space:
 //!
 //! * **Registers land on exactly one owner shard**, routed by the EID's
-//!   top [`partition::PARTITION_BITS`] key bits — total state is the
+//!   top 16 key bits — total state is the
 //!   world, not `shards × world`.
 //! * **Map-Requests route by EID to the owner** (the owner is the only
 //!   shard that can know the answer).
@@ -24,7 +24,7 @@
 //!   worker spawn lost to this loop at every measured size; ROADMAP,
 //!   Parked).
 //! * **Pub/sub is incremental**: every mapping change enqueues one
-//!   [`fanout::Delta`] into per-subscriber bounded queues with per-VN
+//!   [`Delta`] into per-subscriber bounded queues with per-VN
 //!   sequence numbers. Publishing is O(changes × subscribers-of-that-VN)
 //!   — never a whole-world re-walk. Queue overflow marks a gap and
 //!   triggers a snapshot resync of exactly the affected `(subscriber,
@@ -39,7 +39,7 @@
 //!
 //! ## Overload hardening
 //!
-//! * **Admission control** ([`admission`]): per-shard, per-class token
+//! * **Admission control** ([`AdmissionConfig`]): per-shard, per-class token
 //!   buckets gate requests, registers and subscribes independently.
 //!   Over-budget messages are shed with a `ServerBusy` reply carrying a
 //!   retry-after hint — never silently dropped — and resync
@@ -48,17 +48,27 @@
 //! * **Shard-scoped faults**: individual shards can crash (state lost)
 //!   or partition (state frozen) while the rest of the server keeps
 //!   serving; down shards drop their owner-routed traffic and are
-//!   excluded from snapshot walks and expiry sweeps. See the overload
-//!   model section in [`server`].
+//!   excluded from snapshot walks and expiry sweeps (overload model:
+//!   `server.rs`'s module docs; counters: [`OverloadStats`]).
+//!
+//! ## Surface
+//!
+//! The crate **is** its root: [`PartitionedMapServer`] with its
+//! [`Disposition`] and [`OverloadStats`], the admission budgets
+//! ([`AdmissionConfig`], [`ClassBudget`]), and what a subscriber
+//! receives ([`Delta`], queued up to [`DEFAULT_QUEUE_CAP`] deep). The
+//! pub/sub queue and the partition function are private, as is every
+//! module. It **is not** a network node: `sda-core`'s
+//! routing-server node feeds it bytes and models the CPU it runs on.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod admission;
-pub mod fanout;
-pub mod partition;
-pub mod server;
+mod admission;
+mod fanout;
+mod partition;
+mod server;
 
 pub use admission::{AdmissionConfig, ClassBudget};
-pub use fanout::{Delta, DeltaFanout, DEFAULT_QUEUE_CAP};
-pub use partition::{block_of, owner_of, PARTITION_BITS};
+pub use fanout::{Delta, DEFAULT_QUEUE_CAP};
 pub use server::{Disposition, OverloadStats, PartitionedMapServer};

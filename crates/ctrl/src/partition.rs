@@ -23,11 +23,11 @@ use sda_types::Eid;
 /// 10.0.0.0/8 EID plan across 256 blocks (the second octet), fine
 /// enough to balance 1/2/4-shard deployments; coarser (8) would park an
 /// entire /8 on one shard.
-pub const PARTITION_BITS: u32 = 16;
+pub(crate) const PARTITION_BITS: u32 = 16;
 
 /// The partition block of `eid`: its address family tag plus the top
 /// [`PARTITION_BITS`] of its left-aligned [`Eid::key_bits`].
-pub fn block_of(eid: &Eid) -> u32 {
+pub(crate) fn block_of(eid: &Eid) -> u32 {
     let family = match eid {
         Eid::V4(_) => 0u32,
         Eid::V6(_) => 1,
@@ -41,7 +41,7 @@ pub fn block_of(eid: &Eid) -> u32 {
 ///
 /// # Panics
 /// Panics if `shards` is zero.
-pub fn owner_of(eid: &Eid, shards: usize) -> usize {
+pub(crate) fn owner_of(eid: &Eid, shards: usize) -> usize {
     assert!(shards > 0, "need at least one shard");
     block_of(eid) as usize % shards
 }

@@ -43,7 +43,7 @@
 //! message was dropped unprocessed; do not retransmit it for at least
 //! `retry_after_ms`". It never acknowledges anything.
 
-use sda_lisp::map_server::{MapServerStats, Outbox, NEGATIVE_TTL_SECS, REPLY_TTL_SECS};
+use sda_lisp::{MapServerStats, Outbox, NEGATIVE_TTL_SECS, REPLY_TTL_SECS};
 use sda_lisp::{MappingDb, RegisterOutcome};
 use sda_simnet::{SimDuration, SimTime};
 use sda_trie::MemStats;

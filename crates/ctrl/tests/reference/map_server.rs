@@ -30,7 +30,7 @@
 //! "fix" anything in either file — their behaviour is the specification.
 
 use super::pubsub::SubscriberTable;
-use sda_lisp::map_server::{MapServerStats, Outbox, NEGATIVE_TTL_SECS, REPLY_TTL_SECS};
+use sda_lisp::{MapServerStats, Outbox, NEGATIVE_TTL_SECS, REPLY_TTL_SECS};
 use sda_lisp::{MappingDb, RegisterOutcome};
 use sda_simnet::{SimDuration, SimTime};
 use sda_types::{Eid, EidPrefix, Rloc, VnId};

@@ -8,13 +8,12 @@
 //! ([`PacketBuf::shrink_front`]). Payload bytes never move; headers are
 //! written in place through `sda-wire` views.
 //!
-//! [`BufferPool`] recycles buffers so the steady-state forwarding path
-//! performs zero heap allocations: buffers are allocated once, then
-//! loaded, processed and released round after round.
+//! A buffer is allocated once and re-loaded round after round, so the
+//! steady-state forwarding path performs zero heap allocations.
 
 /// Bytes reserved in front of every loaded frame for in-place
 /// encapsulation: outer IPv4 (20) + UDP (8) + VXLAN-GPO (8).
-pub const HEADROOM: usize = 20 + 8 + 8;
+pub(crate) const HEADROOM: usize = 20 + 8 + 8;
 
 /// Largest frame a buffer accepts (inner Ethernet MTU + L2 header,
 /// rounded up).
@@ -28,7 +27,7 @@ pub const BATCH_SIZE: usize = 32;
 /// One reusable packet buffer.
 ///
 /// Valid bytes live at `data[start..start + len]`; `start` begins at
-/// [`HEADROOM`] after a [`PacketBuf::load`] and moves as headers are
+/// `HEADROOM` after a [`PacketBuf::load`] and moves as headers are
 /// pushed or stripped.
 #[derive(Debug)]
 pub struct PacketBuf {
@@ -71,29 +70,32 @@ impl PacketBuf {
     }
 
     /// The valid bytes, mutably.
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8] {
         &mut self.data[self.start..self.start + self.len]
     }
 
     /// Current packet length.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.len
     }
 
     /// True when no packet is loaded.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Remaining headroom in front of the packet.
-    pub fn headroom(&self) -> usize {
+    #[cfg(test)]
+    fn headroom(&self) -> usize {
         self.start
     }
 
     /// Extends the packet `n` bytes to the front (encapsulation) and
     /// returns true on success. The new bytes are whatever the buffer
     /// last held there — callers must overwrite them.
-    pub fn grow_front(&mut self, n: usize) -> bool {
+    pub(crate) fn grow_front(&mut self, n: usize) -> bool {
         if n > self.start {
             return false;
         }
@@ -103,7 +105,7 @@ impl PacketBuf {
     }
 
     /// Strips `n` bytes from the front (decapsulation); true on success.
-    pub fn shrink_front(&mut self, n: usize) -> bool {
+    pub(crate) fn shrink_front(&mut self, n: usize) -> bool {
         if n > self.len {
             return false;
         }
@@ -113,55 +115,8 @@ impl PacketBuf {
     }
 
     /// Truncates the packet to `n` bytes (drops trailing padding).
-    pub fn truncate(&mut self, n: usize) {
+    pub(crate) fn truncate(&mut self, n: usize) {
         self.len = self.len.min(n);
-    }
-
-    /// Empties the buffer and restores full headroom.
-    pub fn clear(&mut self) {
-        self.start = HEADROOM;
-        self.len = 0;
-    }
-}
-
-/// A free-list of [`PacketBuf`]s.
-///
-/// `alloc` pops a recycled buffer (or allocates a fresh one the first
-/// time); `release` returns it. After warm-up the pool reaches its
-/// high-water mark and the data path stops touching the heap.
-#[derive(Default, Debug)]
-pub struct BufferPool {
-    free: Vec<PacketBuf>,
-}
-
-impl BufferPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        BufferPool::default()
-    }
-
-    /// A pool pre-warmed with `n` buffers, so even the first burst
-    /// allocates nothing.
-    pub fn with_capacity(n: usize) -> Self {
-        BufferPool {
-            free: (0..n).map(|_| PacketBuf::new()).collect(),
-        }
-    }
-
-    /// Takes a buffer (recycled when available).
-    pub fn alloc(&mut self) -> PacketBuf {
-        self.free.pop().unwrap_or_default()
-    }
-
-    /// Returns a buffer to the pool.
-    pub fn release(&mut self, mut buf: PacketBuf) {
-        buf.clear();
-        self.free.push(buf);
-    }
-
-    /// Buffers currently idle in the pool.
-    pub fn idle(&self) -> usize {
-        self.free.len()
     }
 }
 
@@ -212,18 +167,5 @@ mod tests {
         let mut b = PacketBuf::new();
         assert!(!b.load(&vec![0u8; MAX_FRAME + 1]));
         assert!(b.load(&vec![0u8; MAX_FRAME]));
-    }
-
-    #[test]
-    fn pool_recycles() {
-        let mut pool = BufferPool::with_capacity(2);
-        assert_eq!(pool.idle(), 2);
-        let mut a = pool.alloc();
-        a.load(b"dirty");
-        pool.release(a);
-        assert_eq!(pool.idle(), 2);
-        let b = pool.alloc();
-        assert!(b.is_empty(), "released buffers come back cleared");
-        assert_eq!(b.headroom(), HEADROOM);
     }
 }

@@ -79,7 +79,7 @@ pub fn flow_hash(src: u32, dst: u32) -> u64 {
 }
 
 /// [`flow_hash`] over L2 addresses (the inner frame of an L2 flow).
-pub fn flow_hash_mac(src: sda_types::MacAddr, dst: sda_types::MacAddr) -> u64 {
+pub(crate) fn flow_hash_mac(src: sda_types::MacAddr, dst: sda_types::MacAddr) -> u64 {
     let fold = |m: sda_types::MacAddr| {
         let o = m.octets();
         u32::from_be_bytes([o[0] ^ o[4], o[1] ^ o[5], o[2], o[3]])

@@ -10,13 +10,13 @@
 //! The engine is structured like smoltcp crossed with a DPDK/VPP-style
 //! burst pipeline:
 //!
-//! * **Buffers, not packets** ([`buffer`]): frames live in reusable
-//!   [`PacketBuf`]s with [`buffer::HEADROOM`] bytes reserved in front.
+//! * **Buffers, not packets**: frames live in reusable
+//!   [`PacketBuf`]s with 36 bytes of headroom reserved in front.
 //!   Encapsulation *prepends* headers by moving the start pointer;
 //!   decapsulation strips them the same way. Payload bytes never move
 //!   and nothing is allocated per packet.
-//! * **Bursts, not calls** ([`switch`]): a [`Switch`] processes frames
-//!   in batches (conventionally [`buffer::BATCH_SIZE`] = 32). A batch
+//! * **Bursts, not calls**: a [`Switch`] processes frames
+//!   in batches (conventionally [`BATCH_SIZE`] = 32). A batch
 //!   makes three phased passes — parse/classify, resolve, rewrite — so
 //!   each phase's tables stay hot in cache; consecutive same-VN packets
 //!   resolve as one [`sda_lisp::MapCache::lookup_batch_shared`] run — an
@@ -24,34 +24,46 @@
 //!   live host route answers.
 //! * **One encoding** ([`encap`]): the Fig. 2 header stack (outer IPv4 /
 //!   UDP 4789 / VXLAN-GPO / inner packet) is written and parsed in
-//!   exactly one place, shared with `sda_core::pipeline`'s structured
-//!   simulator path.
+//!   exactly one place.
 //!
-//! * **Cores, not just batches** ([`mt`]): the pipeline is factored
+//! * **Cores, not just batches**: the pipeline is factored
 //!   into read-mostly [`SharedTables`] + per-worker [`WorkerCtx`], so
-//!   [`MtSwitch`] can fan bursts out to N worker threads by inner-flow
-//!   RSS hash over clone-and-swap epoch-published tables ([`Switch`]
-//!   is the single-threaded composition of the same parts).
+//!   [`MtSwitch`] can fan ingress bursts out to N worker threads by
+//!   inner-flow RSS hash over clone-and-swap epoch-published tables
+//!   ([`Switch`] is the single-threaded composition of the same parts).
 //!
 //! Misses punt Map-Requests to the control plane while the packet rides
 //! the border default route (§3.2.2); SMR'd entries keep forwarding and
 //! punt a refresh (Fig. 6); packets for departed endpoints trigger
-//! data-driven SMRs back to the ingress edge. The engine's performance
-//! contract — zero allocations per steady-state packet, ≥2x over the
-//! per-packet Vec-assembling baseline, and 1-worker multi-core parity
-//! within 1.15x of the single-threaded switch — is enforced by
-//! `tests/no_alloc.rs` and the `dataplane_fwd`/`mt_fwd` benches
-//! (`BENCH_dataplane.json`, `BENCH_mt.json`).
+//! data-driven SMRs back to the ingress edge. Zero allocations per
+//! steady-state packet is enforced by `tests/no_alloc.rs`; the
+//! `dataplane_fwd`/`mt_fwd` benches (`BENCH_dataplane.json`,
+//! `BENCH_mt.json`) time the engine, and `mt_fwd` holds 1-worker
+//! [`MtSwitch`] within 1.15x of the single-threaded switch.
+//!
+//! ## Surface
+//!
+//! The crate **is** its root plus the [`encap`] module: the two
+//! switches and their parts ([`Switch`], [`MtSwitch`], [`SharedTables`],
+//! [`WorkerCtx`], [`ingress_batch`], [`egress_batch`], [`EpochTables`],
+//! [`TableReader`]), their configuration and results ([`SwitchConfig`],
+//! [`Verdict`], [`DropReason`], [`Punt`], [`SwitchStats`]), the buffer
+//! ([`PacketBuf`] and its constants) and the local endpoint table
+//! ([`VrfTable`], [`LocalEndpoint`]). It **is not** a control plane:
+//! it raises [`Punt`]s and never sends a LISP message itself; and
+//! [`MtSwitch`] is ingress-only and install-only (no eviction, SMR or
+//! detach — the single-threaded [`Switch`] the fabric runs owns those).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod buffer;
+mod buffer;
 pub mod encap;
-pub mod mt;
-pub mod switch;
-pub mod vrf;
+mod mt;
+mod switch;
+mod vrf;
 
-pub use buffer::{BufferPool, PacketBuf, BATCH_SIZE, HEADROOM, MAX_FRAME};
+pub use buffer::{PacketBuf, BATCH_SIZE, MAX_FRAME};
 pub use encap::{
     parse_underlay, write_underlay, Decap, EncapParams, InnerProto, OuterChecksum,
     UNDERLAY_OVERHEAD,

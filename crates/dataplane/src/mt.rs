@@ -42,8 +42,8 @@
 //! count); stats merge across workers on demand.
 //!
 //! Per-packet work allocates nothing (the per-worker path is the same
-//! [`ingress_batch`]/[`egress_batch`] the single-threaded [`Switch`]
-//! runs, proved by `tests/no_alloc.rs`); the transport costs two mpsc
+//! [`ingress_batch`] the single-threaded [`Switch`] runs, proved by
+//! `tests/no_alloc.rs`); the transport costs two mpsc
 //! messages and at most one cross-thread wakeup per worker per burst —
 //! the messaging is deliberately this coarse because on shared cores
 //! every wake of a parked thread invites a preemption, and a
@@ -58,14 +58,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use sda_simnet::{SimDuration, SimTime};
-use sda_types::{Eid, EidPrefix, MacAddr, Rloc, VnId};
+use sda_types::{EidPrefix, Rloc, VnId};
 use sda_wire::{ethernet, ipv4, EtherType};
 
 use crate::buffer::{PacketBuf, BATCH_SIZE};
-use crate::encap::{self, UNDERLAY_OVERHEAD};
+use crate::encap;
 use crate::switch::{
-    egress_batch, ingress_batch, DropReason, Punt, SharedTables, SwitchConfig, SwitchStats,
-    Verdict, WorkerCtx,
+    ingress_batch, DropReason, Punt, SharedTables, SwitchConfig, SwitchStats, Verdict, WorkerCtx,
 };
 use crate::vrf::LocalEndpoint;
 
@@ -99,7 +98,7 @@ impl EpochTables {
 
     /// The current snapshot (one mutex-guarded `Arc` clone — the slow
     /// path readers take only when the epoch moved).
-    pub fn snapshot(&self) -> Arc<SharedTables> {
+    pub(crate) fn snapshot(&self) -> Arc<SharedTables> {
         self.slot.lock().expect("publisher poisoned").clone()
     }
 
@@ -178,11 +177,7 @@ impl Shuttle {
 // message for nothing.
 #[allow(clippy::large_enum_variant)]
 enum Job {
-    Batch {
-        shuttle: Shuttle,
-        now: SimTime,
-        ingress: bool,
-    },
+    Batch { shuttle: Shuttle, now: SimTime },
     Stop,
 }
 
@@ -205,11 +200,7 @@ fn worker_loop(
         let mut job = first;
         loop {
             match job {
-                Job::Batch {
-                    mut shuttle,
-                    now,
-                    ingress,
-                } => {
+                Job::Batch { mut shuttle, now } => {
                     let fill = shuttle.idx.len();
                     let tables = reader.current();
                     // One shuttle is a worker's whole share of a burst;
@@ -223,11 +214,7 @@ fn worker_loop(
                     // during a miss storm.
                     shuttle.verdicts.clear();
                     for chunk in shuttle.bufs[..fill].chunks_mut(BATCH_SIZE) {
-                        if ingress {
-                            ingress_batch(&cfg, tables, &mut ctx, chunk, now);
-                        } else {
-                            egress_batch(&cfg, tables, &mut ctx, chunk, now);
-                        }
+                        ingress_batch(&cfg, tables, &mut ctx, chunk, now);
                         shuttle.verdicts.extend_from_slice(ctx.verdicts());
                     }
                     ctx.drain_punts_into(&mut shuttle.punts);
@@ -261,17 +248,22 @@ fn worker_loop(
     }
 }
 
-/// The multi-core switch front: N RSS-sharded workers behind the same
-/// control-plane surface as [`crate::Switch`].
+/// The multi-core switch front: N RSS-sharded workers behind the
+/// install half of [`crate::Switch`]'s control-plane surface.
 ///
 /// Mutations apply to a private working copy and are **published
-/// lazily**: the next processing call (or an explicit
+/// lazily**: the next [`MtSwitch::process_ingress`] (or an explicit
 /// [`MtSwitch::publish`]) clones the working copy and swaps it in.
-/// [`MtSwitch::receive_smr`] is the exception — it flips the stale bit
-/// through the `CacheEntry` atomics on both the working copy and the
-/// live snapshot, so an SMR needs no table clone at all.
+///
+/// It is an ingress-only front with an install-only control plane:
+/// endpoints attach, mappings and the matrix install, and nothing is
+/// ever evicted, SMR'd or detached — the single-threaded [`Switch`] the
+/// fabric runs owns all of that. So nothing reads the `last_used`/
+/// `stale` stamps workers write onto a snapshot, and a publish carries
+/// none of them forward.
+///
+/// [`Switch`]: crate::Switch
 pub struct MtSwitch {
-    cfg: SwitchConfig,
     /// The writer's working copy of the tables.
     tables: SharedTables,
     /// Unpublished working-copy changes exist.
@@ -316,7 +308,6 @@ impl MtSwitch {
         }
         MtSwitch {
             tables: SharedTables::with_policy_default(cfg.default_action),
-            cfg,
             dirty: false,
             epoch,
             job_txs,
@@ -336,24 +327,12 @@ impl MtSwitch {
         self.job_txs.len()
     }
 
-    /// Static configuration.
-    pub fn config(&self) -> &SwitchConfig {
-        &self.cfg
-    }
-
     // --- control-plane surface (working copy + lazy publish) --------
 
     /// Attaches a local endpoint.
     pub fn attach(&mut self, vn: VnId, ep: LocalEndpoint) {
         self.tables.attach(vn, ep);
         self.dirty = true;
-    }
-
-    /// Detaches the endpoint with `mac`.
-    pub fn detach(&mut self, mac: MacAddr) -> Option<(VnId, LocalEndpoint)> {
-        let detached = self.tables.detach(mac);
-        self.dirty |= detached.is_some();
-        detached
     }
 
     /// Installs a mapping from a positive Map-Reply.
@@ -369,61 +348,10 @@ impl MtSwitch {
         self.dirty = true;
     }
 
-    /// Applies a negative Map-Reply (deletes the covered entry). A
-    /// reply for an EID that is not cached — §4.2's night-time traffic
-    /// toward departed endpoints — changes nothing, so it must not cost
-    /// the next burst a clone-and-swap of every table.
-    pub fn apply_negative(&mut self, vn: VnId, prefix: EidPrefix) -> bool {
-        let removed = self.tables.apply_negative(vn, prefix);
-        self.dirty |= removed;
-        removed
-    }
-
-    /// Drops every cached mapping through `rloc` (underlay down).
-    pub fn purge_rloc(&mut self, rloc: Rloc) -> usize {
-        let removed = self.tables.purge_rloc(rloc);
-        self.dirty |= removed > 0;
-        removed
-    }
-
-    /// Installs (merges) an SXP rule subset.
-    pub fn install_rules(&mut self, subset: &sda_policy::RuleSubset) {
-        self.tables.install_rules(subset);
-        self.dirty = true;
-    }
-
     /// Installs the full connectivity matrix.
     pub fn install_matrix(&mut self, matrix: &sda_policy::ConnectivityMatrix) {
         self.tables.install_matrix(matrix);
         self.dirty = true;
-    }
-
-    /// Handles a received SMR. Structure-free: the stale bit flips
-    /// through the `CacheEntry` atomics on the *live* snapshot (workers
-    /// see it immediately) and on the working copy (so the mark
-    /// survives the next publish). No clone, no epoch bump.
-    pub fn receive_smr(&mut self, vn: VnId, eid: Eid, now: SimTime) -> Option<Rloc> {
-        let r = self.tables.receive_smr(vn, eid, now);
-        self.epoch.snapshot().receive_smr(vn, eid, now);
-        r
-    }
-
-    /// Owner maintenance sweep: removes map-cache entries TTL-expired
-    /// at `now` or idle longer than `idle_timeout` from the working
-    /// copy (published on the next processing call, like any other
-    /// mutation). Workers already *filter* expired entries during
-    /// lookup; this reclaims the memory and keeps
-    /// [`MtSwitch::fib_len`] honest. Before comparing idle times, the
-    /// `last_used`/`stale` metadata the workers stamped onto the
-    /// *published snapshot* is adopted back into the working copy, so
-    /// entries hot on the data path are not mistaken for idle.
-    /// Returns how many entries were removed.
-    pub fn evict_expired(&mut self, now: SimTime, idle_timeout: SimDuration) -> usize {
-        let snapshot = self.epoch.snapshot();
-        self.tables.adopt_metadata(&snapshot);
-        let removed = self.tables.evict_expired(now, idle_timeout);
-        self.dirty |= removed > 0;
-        removed
     }
 
     /// Compacts the working copy's covering-prefix tries (published on the next
@@ -434,20 +362,11 @@ impl MtSwitch {
     }
 
     /// Clone-and-swap: publishes the working copy so workers pick it up
-    /// at their next batch. Called automatically by the processing
-    /// entry points when control-plane changes are pending; call it
-    /// eagerly after bulk population to keep the clone off the first
-    /// traffic burst.
-    ///
-    /// Before the swap, the `last_used`/`stale` stamps the workers
-    /// wrote onto the *retiring* snapshot are adopted into the working
-    /// copy (same-generation entries only), so publication never
-    /// discards data-path heat — without this, an entry hot before an
-    /// unrelated publish would look idle to a later
-    /// [`MtSwitch::evict_expired`] sweep.
+    /// at their next batch. Called automatically by
+    /// [`MtSwitch::process_ingress`] when control-plane changes are
+    /// pending; call it eagerly after bulk population to keep the clone
+    /// off the first traffic burst.
     pub fn publish(&mut self) {
-        let retiring = self.epoch.snapshot();
-        self.tables.adopt_metadata(&retiring);
         self.epoch.publish(self.tables.clone());
         self.dirty = false;
     }
@@ -474,8 +393,7 @@ impl MtSwitch {
         total
     }
 
-    /// Punts aggregated since the last clear/drain, in worker order per
-    /// burst.
+    /// Punts aggregated since the last clear, in worker order per burst.
     pub fn punts(&self) -> &[Punt] {
         &self.punts
     }
@@ -483,11 +401,6 @@ impl MtSwitch {
     /// Clears the aggregated punt queue (capacity retained).
     pub fn clear_punts(&mut self) {
         self.punts.clear();
-    }
-
-    /// Takes the aggregated punts by swap, leaving an empty queue.
-    pub fn drain_punts(&mut self) -> Vec<Punt> {
-        std::mem::take(&mut self.punts)
     }
 
     /// Verdicts of the most recent processing call, in burst order.
@@ -502,16 +415,6 @@ impl MtSwitch {
     /// per-flow order is preserved; `verdicts()[i]` corresponds to
     /// `bufs[i]` exactly as on [`crate::Switch`].
     pub fn process_ingress(&mut self, bufs: &mut [PacketBuf], now: SimTime) -> &[Verdict] {
-        self.process(bufs, now, true)
-    }
-
-    /// Processes a burst of underlay packets across the workers
-    /// (egress pipeline), RSS on the inner flow like ingress.
-    pub fn process_egress(&mut self, bufs: &mut [PacketBuf], now: SimTime) -> &[Verdict] {
-        self.process(bufs, now, false)
-    }
-
-    fn process(&mut self, bufs: &mut [PacketBuf], now: SimTime, ingress: bool) -> &[Verdict] {
         if self.dirty {
             self.publish();
         }
@@ -533,11 +436,7 @@ impl MtSwitch {
         let free = &mut self.free;
         debug_assert!(staged.iter().all(Option::is_none));
         for (i, buf) in bufs.iter_mut().enumerate() {
-            let w = if n == 1 {
-                0
-            } else {
-                rss_worker(buf, ingress, n)
-            };
+            let w = if n == 1 { 0 } else { rss_worker(buf, n) };
             let shuttle = staged[w].get_or_insert_with(|| free.pop().unwrap_or_else(Shuttle::new));
             let k = shuttle.idx.len();
             if shuttle.bufs.len() == k {
@@ -554,11 +453,7 @@ impl MtSwitch {
         for (w, slot) in staged.iter_mut().enumerate() {
             if let Some(shuttle) = slot.take() {
                 self.job_txs[w]
-                    .send(Job::Batch {
-                        shuttle,
-                        now,
-                        ingress,
-                    })
+                    .send(Job::Batch { shuttle, now })
                     .expect("worker alive");
                 outstanding += 1;
             }
@@ -600,21 +495,14 @@ impl Drop for MtSwitch {
 
 /// RSS distribution: hash the **inner** IPv4 `(src, dst)` with the same
 /// `flow_hash` the ECMP source port uses, so one flow always lands on
-/// one worker (per-flow order) and both directions of the fabric use
-/// consistent entropy. Frames the hash cannot reach (malformed, non-
-/// IPv4) go to worker 0 — they drop in parse anyway.
-fn rss_worker(buf: &PacketBuf, ingress: bool, workers: usize) -> usize {
+/// one worker (per-flow order). Frames the hash cannot reach
+/// (malformed, non-IPv4) go to worker 0 — they drop in parse anyway.
+fn rss_worker(buf: &PacketBuf, workers: usize) -> usize {
     let bytes = buf.bytes();
-    let ip_off = if ingress {
-        // Ethernet frame: the inner IPv4 header follows the L2 header.
-        match ethernet::Frame::new_checked(bytes) {
-            Ok(f) if f.ethertype() == EtherType::Ipv4 => ethernet::HEADER_LEN,
-            _ => return 0,
-        }
-    } else {
-        // Underlay packet: outer IPv4 + UDP + VXLAN-GPO, then the inner
-        // IPv4 header at a fixed offset.
-        UNDERLAY_OVERHEAD
+    // Ethernet frame: the inner IPv4 header follows the L2 header.
+    let ip_off = match ethernet::Frame::new_checked(bytes) {
+        Ok(f) if f.ethertype() == EtherType::Ipv4 => ethernet::HEADER_LEN,
+        _ => return 0,
     };
     if bytes.len() < ip_off + ipv4::HEADER_LEN {
         return 0;
@@ -627,10 +515,9 @@ fn rss_worker(buf: &PacketBuf, ingress: bool, workers: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::BufferPool;
     use crate::Switch;
     use sda_policy::Action;
-    use sda_types::{GroupId, PortId};
+    use sda_types::{Eid, GroupId, MacAddr, PortId};
     use std::net::Ipv4Addr;
 
     fn vn(n: u32) -> VnId {
@@ -711,11 +598,10 @@ mod tests {
             .collect();
 
         let mut st = build_st();
-        let mut pool = BufferPool::with_capacity(frames.len());
         let mut bufs: Vec<PacketBuf> = frames
             .iter()
             .map(|f| {
-                let mut b = pool.alloc();
+                let mut b = PacketBuf::new();
                 assert!(b.load(f));
                 b
             })
@@ -805,203 +691,12 @@ mod tests {
         }
     }
 
-    /// SMR through the atomics: no publish, but the very next burst
-    /// forwards on the stale entry and punts a refresh.
+    /// An attach reaches every worker with the republish: a source MAC
+    /// the workers rejected forwards once the attach is published.
     #[test]
-    fn smr_reaches_live_snapshot_without_publish() {
-        let mut mt = MtSwitch::spawn(cfg(), 2);
-        mt.attach(vn(1), ep(1, 10));
-        let dst = Ipv4Addr::new(10, 9, 0, 5);
-        let old_rloc = Rloc::for_router_index(7);
-        mt.install_mapping(
-            vn(1),
-            EidPrefix::host(Eid::V4(dst)),
-            old_rloc,
-            TTL,
-            SimTime::ZERO,
-        );
-        mt.publish();
-        let epoch_before = mt.epoch.epoch();
-        assert_eq!(
-            mt.receive_smr(vn(1), Eid::V4(dst), SimTime::ZERO),
-            Some(old_rloc)
-        );
-        assert_eq!(mt.epoch.epoch(), epoch_before, "no clone-and-swap for SMR");
-
-        let mut bufs = vec![PacketBuf::new()];
-        assert!(bufs[0].load(&frame(&ep(1, 10), dst, b"mid-flight")));
-        let v = mt.process_ingress(&mut bufs, SimTime::ZERO).to_vec();
-        assert_eq!(v[0], Verdict::Forward { to: old_rloc });
-        assert_eq!(
-            mt.punts(),
-            &[Punt::MapRequest {
-                vn: vn(1),
-                eid: Eid::V4(dst),
-                refresh: true
-            }]
-        );
-        let drained = mt.drain_punts();
-        assert_eq!(drained.len(), 1);
-        assert!(mt.punts().is_empty());
-    }
-
-    /// A mutation that changed nothing — a negative Map-Reply for an
-    /// EID that is not cached (§4.2's night-time case), a detach of an
-    /// unknown MAC, a purge of an RLOC nothing resolves to — must not
-    /// make the next burst clone and republish every table.
-    #[test]
-    fn noop_mutations_do_not_republish() {
-        let mut mt = MtSwitch::spawn(cfg(), 2);
-        mt.attach(vn(1), ep(1, 10));
-        let dst = Ipv4Addr::new(10, 9, 0, 5);
-        let rloc = Rloc::for_router_index(7);
-        let cached = EidPrefix::host(Eid::V4(dst));
-        mt.install_mapping(vn(1), cached, rloc, TTL, SimTime::ZERO);
-        mt.publish();
-        let epoch_before = mt.epoch.epoch();
-
-        let absent = EidPrefix::host(Eid::V4(Ipv4Addr::new(10, 9, 0, 6)));
-        assert!(!mt.apply_negative(vn(1), absent));
-        assert_eq!(mt.detach(ep(2, 11).mac), None);
-        assert_eq!(mt.purge_rloc(Rloc::for_router_index(8)), 0);
-        let mut bufs = vec![PacketBuf::new()];
-        assert!(bufs[0].load(&frame(&ep(1, 10), dst, b"night")));
-        let v = mt.process_ingress(&mut bufs, SimTime::ZERO).to_vec();
-        assert_eq!(v[0], Verdict::Forward { to: rloc });
-        assert_eq!(mt.epoch.epoch(), epoch_before, "nothing changed");
-
-        // The same calls, when they do change something, still publish.
-        assert!(mt.apply_negative(vn(1), cached));
-        assert!(bufs[0].load(&frame(&ep(1, 10), dst, b"day")));
-        let v = mt.process_ingress(&mut bufs, SimTime::ZERO).to_vec();
-        assert_eq!(
-            v[0],
-            Verdict::Forward {
-                to: Rloc::for_router_index(99)
-            },
-            "the deleted mapping falls back to the border default route"
-        );
-        assert_eq!(mt.epoch.epoch(), epoch_before + 1);
-    }
-
-    /// Egress across workers: underlay packets decap and deliver like
-    /// the single-threaded engine.
-    #[test]
-    fn egress_burst_delivers() {
-        let mut mt = MtSwitch::spawn(cfg(), 2);
-        let host = ep(2, 20);
-        mt.attach(vn(1), host);
-        mt.publish();
-        let mut bufs: Vec<PacketBuf> = (0..8u32)
-            .map(|i| {
-                let inner = frame(
-                    &LocalEndpoint {
-                        ipv4: Ipv4Addr::new(10, 9, 0, i as u8),
-                        ..ep(1, 20)
-                    },
-                    host.ipv4,
-                    b"down",
-                );
-                let inner_ip = &inner[ethernet::HEADER_LEN..];
-                let mut w = vec![0u8; UNDERLAY_OVERHEAD + inner_ip.len()];
-                w[UNDERLAY_OVERHEAD..].copy_from_slice(inner_ip);
-                encap::write_underlay(
-                    &mut w,
-                    &encap::EncapParams {
-                        outer_src: Rloc::for_router_index(5),
-                        outer_dst: cfg().rloc,
-                        vn: vn(1),
-                        group: GroupId(20),
-                        policy_applied: false,
-                        ttl: 8,
-                        src_port: 50_000,
-                        udp_checksum: encap::OuterChecksum::Zero,
-                        inner_proto: encap::InnerProto::Ipv4,
-                    },
-                )
-                .unwrap();
-                let mut b = PacketBuf::new();
-                assert!(b.load(&w));
-                b
-            })
-            .collect();
-        let v = mt.process_egress(&mut bufs, SimTime::ZERO).to_vec();
-        assert!(v.iter().all(|v| *v == Verdict::Deliver { port: host.port }));
-        assert_eq!(mt.stats().delivered, 8);
-    }
-
-    /// Review regression: the owner sweep reclaims TTL-expired entries
-    /// (shared lookups only filter them), and idle-based eviction
-    /// adopts the `last_used` stamps workers wrote onto the published
-    /// snapshot — an entry hot on the data path survives.
-    #[test]
-    fn evict_expired_reclaims_and_adopts_worker_stamps() {
+    fn attach_reaches_workers_with_the_republish() {
         let mut mt = MtSwitch::spawn(cfg(), 2);
         let a = ep(1, 10);
-        mt.attach(vn(1), a);
-        let hot_dst = Ipv4Addr::new(10, 9, 0, 1);
-        let cold_dst = Ipv4Addr::new(10, 9, 0, 2);
-        let long = SimDuration::from_days(365);
-        let short = SimDuration::from_secs(10);
-        for (ip, ttl) in [(hot_dst, long), (cold_dst, long)] {
-            mt.install_mapping(
-                vn(1),
-                EidPrefix::host(Eid::V4(ip)),
-                Rloc::for_router_index(7),
-                ttl,
-                SimTime::ZERO,
-            );
-        }
-        mt.install_mapping(
-            vn(1),
-            EidPrefix::host(Eid::V4(Ipv4Addr::new(10, 9, 0, 3))),
-            Rloc::for_router_index(8),
-            short,
-            SimTime::ZERO,
-        );
-        assert_eq!(mt.fib_len(), 3);
-
-        // Traffic keeps only `hot_dst` warm — on the published
-        // snapshot, through the workers.
-        let warm = SimTime::ZERO + SimDuration::from_secs(3000);
-        let mut bufs: Vec<PacketBuf> = (0..4)
-            .map(|_| {
-                let mut b = PacketBuf::new();
-                assert!(b.load(&frame(&a, hot_dst, b"keepalive")));
-                b
-            })
-            .collect();
-        let v = mt.process_ingress(&mut bufs, warm).to_vec();
-        assert!(v.iter().all(|v| matches!(v, Verdict::Forward { .. })));
-
-        // Sweep at `warm + idle - ε`: the short-TTL entry is expired,
-        // `cold_dst` has idled out, `hot_dst` survives only because the
-        // sweep adopted the workers' stamps.
-        let idle = SimDuration::from_secs(3600);
-        let later = SimTime::from_nanos(warm.as_nanos() + idle.as_nanos() - 1);
-        assert_eq!(mt.evict_expired(later, idle), 2);
-        assert_eq!(mt.fib_len(), 1);
-
-        // And the post-sweep state republishes to the workers.
-        let mut bufs = vec![PacketBuf::new()];
-        assert!(bufs[0].load(&frame(&a, cold_dst, b"gone")));
-        let v = mt.process_ingress(&mut bufs, later).to_vec();
-        assert_eq!(
-            v[0],
-            Verdict::Forward {
-                to: cfg().border.unwrap()
-            },
-            "evicted entry now misses and rides the border default"
-        );
-    }
-
-    /// A detach reaches every worker with the republish: the detached
-    /// MAC is rejected by the source guard afterwards.
-    #[test]
-    fn detach_reaches_workers_with_the_republish() {
-        let mut mt = MtSwitch::spawn(cfg(), 2);
-        let a = ep(1, 10);
-        mt.attach(vn(1), a);
         let dst = Ipv4Addr::new(10, 9, 0, 5);
         mt.install_mapping(
             vn(1),
@@ -1010,31 +705,34 @@ mod tests {
             TTL,
             SimTime::ZERO,
         );
-        let mut bufs: Vec<PacketBuf> = (0..8)
-            .map(|_| {
-                let mut b = PacketBuf::new();
-                assert!(b.load(&frame(&a, dst, b"warm")));
-                b
-            })
-            .collect();
-        let v = mt.process_ingress(&mut bufs, SimTime::ZERO).to_vec();
-        assert!(v.iter().all(|v| matches!(v, Verdict::Forward { .. })));
-
-        assert!(mt.detach(a.mac).is_some());
-        mt.publish();
-
-        let mut bufs: Vec<PacketBuf> = (0..8)
-            .map(|_| {
-                let mut b = PacketBuf::new();
-                assert!(b.load(&frame(&a, dst, b"stale")));
-                b
-            })
-            .collect();
+        let burst = |tag: &[u8]| -> Vec<PacketBuf> {
+            (0..8)
+                .map(|_| {
+                    let mut b = PacketBuf::new();
+                    assert!(b.load(&frame(&a, dst, tag)));
+                    b
+                })
+                .collect()
+        };
+        let mut bufs = burst(b"early");
         let v = mt.process_ingress(&mut bufs, SimTime::ZERO).to_vec();
         assert!(
             v.iter()
                 .all(|v| *v == Verdict::Drop(DropReason::UnknownSource)),
-            "detached MAC kept forwarding: {v:?}"
+            "unattached MAC forwarded: {v:?}"
+        );
+
+        mt.attach(vn(1), a);
+        mt.publish();
+
+        let mut bufs = burst(b"late");
+        let v = mt.process_ingress(&mut bufs, SimTime::ZERO).to_vec();
+        assert!(
+            v.iter().all(|v| *v
+                == Verdict::Forward {
+                    to: Rloc::for_router_index(7)
+                }),
+            "attach never reached the workers: {v:?}"
         );
     }
 
@@ -1067,48 +765,5 @@ mod tests {
             }],
             "one burst toward one unresolved destination = one Map-Request"
         );
-    }
-
-    /// Review regression: publishing over a snapshot must carry the
-    /// workers' last_used stamps forward — an entry hot before an
-    /// unrelated publish must survive a later idle sweep.
-    #[test]
-    fn publish_carries_worker_stamps_forward() {
-        let mut mt = MtSwitch::spawn(cfg(), 2);
-        let a = ep(1, 10);
-        mt.attach(vn(1), a);
-        let dst = Ipv4Addr::new(10, 9, 0, 1);
-        mt.install_mapping(
-            vn(1),
-            EidPrefix::host(Eid::V4(dst)),
-            Rloc::for_router_index(7),
-            SimDuration::from_days(365),
-            SimTime::ZERO,
-        );
-        // Traffic at `warm` stamps snapshot v1.
-        let warm = SimTime::ZERO + SimDuration::from_secs(3000);
-        let mut bufs = vec![PacketBuf::new()];
-        assert!(bufs[0].load(&frame(&a, dst, b"hot")));
-        let v = mt.process_ingress(&mut bufs, warm).to_vec();
-        assert_eq!(
-            v[0],
-            Verdict::Forward {
-                to: Rloc::for_router_index(7)
-            }
-        );
-        // An unrelated control-plane change publishes v2; the entry
-        // then goes quiet.
-        mt.attach(vn(1), ep(2, 10));
-        mt.publish();
-        // Idle sweep inside the window measured from `warm`: the stamp
-        // must have ridden publish() into v2's lineage.
-        let idle = SimDuration::from_secs(3600);
-        let later = SimTime::from_nanos(warm.as_nanos() + idle.as_nanos() - 1);
-        assert_eq!(
-            mt.evict_expired(later, idle),
-            0,
-            "entry hot at `warm` evicted: publish dropped the stamps"
-        );
-        assert_eq!(mt.fib_len(), 1);
     }
 }

@@ -8,7 +8,7 @@
 //!   ([`CompiledAcl`]: dense group interning + bitset verdict rows,
 //!   one shift+mask per check)). The per-packet pipeline touches them
 //!   through `&self` only; mutation is the owner's business (`&mut`,
-//!   or clone-and-swap behind the [`crate::mt::EpochTables`] epoch
+//!   or clone-and-swap behind the [`crate::EpochTables`] epoch
 //!   when workers are live — the ACL's rows are `Arc`-shared, so a
 //!   publish copies pointers, not rules).
 //! * [`WorkerCtx`] — the per-worker half: verdict/meta/run scratch
@@ -40,8 +40,7 @@
 //!    contract (everything Relaxed: per-entry heuristic metadata only;
 //!    structural visibility rides the `Arc` publication). Expired
 //!    entries are physically removed by the owner's periodic
-//!    [`Switch::evict_expired`] / `MtSwitch::evict_expired` sweep,
-//!    not by forwarding.
+//!    [`Switch::evict_expired`] sweep, not by forwarding.
 //! 3. **Rewrite in place**: hits are VXLAN-GPO-encapsulated by writing
 //!    the 36 underlay header bytes into the buffer's headroom
 //!    ([`crate::encap::write_underlay`]); misses encapsulate toward the
@@ -210,7 +209,7 @@ pub struct SwitchStats {
 impl SwitchStats {
     /// Adds another counter set into this one (the [`crate::MtSwitch`]
     /// aggregation across workers).
-    pub fn merge(&mut self, other: &SwitchStats) {
+    pub(crate) fn merge(&mut self, other: &SwitchStats) {
         self.batches += other.batches;
         self.rx += other.rx;
         self.forwarded += other.forwarded;
@@ -284,7 +283,7 @@ impl SharedTables {
     /// Seed this from [`SwitchConfig::default_action`] so steady-state
     /// verdicts stay on the one-load fast path (a mismatched per-call
     /// default stays correct, just slower).
-    pub fn with_policy_default(default: Action) -> Self {
+    pub(crate) fn with_policy_default(default: Action) -> Self {
         SharedTables {
             acl: CompiledAcl::with_default(default),
             ..SharedTables::default()
@@ -294,12 +293,12 @@ impl SharedTables {
     // --- owner (mutating) surface ----------------------------------
 
     /// Attaches a local endpoint (onboarding step 4).
-    pub fn attach(&mut self, vn: VnId, ep: LocalEndpoint) {
+    pub(crate) fn attach(&mut self, vn: VnId, ep: LocalEndpoint) {
         self.vrf.attach(vn, ep);
     }
 
     /// Detaches the endpoint with `mac`.
-    pub fn detach(&mut self, mac: MacAddr) -> Option<(VnId, LocalEndpoint)> {
+    pub(crate) fn detach(&mut self, mac: MacAddr) -> Option<(VnId, LocalEndpoint)> {
         self.vrf.detach(mac)
     }
 
@@ -316,13 +315,13 @@ impl SharedTables {
     }
 
     /// Applies a negative Map-Reply (deletes the covered entry).
-    pub fn apply_negative(&mut self, vn: VnId, prefix: EidPrefix) -> bool {
+    pub(crate) fn apply_negative(&mut self, vn: VnId, prefix: EidPrefix) -> bool {
         self.cache.apply_negative(vn, prefix)
     }
 
     /// Replaces the mapping for `eid` (Map-Notify / refreshed Map-Reply
     /// after SMR — Fig. 5 step 2: the moved endpoint's new location).
-    pub fn update_mapping(
+    pub(crate) fn update_mapping(
         &mut self,
         vn: VnId,
         eid: Eid,
@@ -335,38 +334,38 @@ impl SharedTables {
 
     /// Adds an external route (e.g. `0.0.0.0/0` for the Internet) —
     /// border provisioning.
-    pub fn add_external(&mut self, prefix: Ipv4Prefix) {
+    pub(crate) fn add_external(&mut self, prefix: Ipv4Prefix) {
         self.externals.push(prefix);
     }
 
     /// Installs a §5.3 destination-group hint for ingress enforcement.
-    pub fn install_dst_hint(&mut self, vn: VnId, eid: Eid, group: GroupId) {
+    pub(crate) fn install_dst_hint(&mut self, vn: VnId, eid: Eid, group: GroupId) {
         self.dst_hints.insert((vn, eid), group);
     }
 
     /// Drops every cached mapping through `rloc` (underlay down, §5.1).
-    pub fn purge_rloc(&mut self, rloc: Rloc) -> usize {
+    pub(crate) fn purge_rloc(&mut self, rloc: Rloc) -> usize {
         self.cache.purge_rloc(rloc)
     }
 
     /// Drops every cached mapping of `vn` (subscriber resync: the slice
     /// is rebuilt from a fresh snapshot). Returns how many were removed.
-    pub fn purge_vn(&mut self, vn: VnId) -> usize {
+    pub(crate) fn purge_vn(&mut self, vn: VnId) -> usize {
         self.cache.purge_vn(vn)
     }
 
     /// Installs (merges) an SXP rule subset.
-    pub fn install_rules(&mut self, subset: &RuleSubset) {
+    pub(crate) fn install_rules(&mut self, subset: &RuleSubset) {
         self.acl.install(subset);
     }
 
     /// Replaces the whole rule table (policy-server rule refresh).
-    pub fn replace_rules(&mut self, subset: &RuleSubset) {
+    pub(crate) fn replace_rules(&mut self, subset: &RuleSubset) {
         self.acl.replace(subset);
     }
 
     /// Installs the full connectivity matrix (no SXP subsetting).
-    pub fn install_matrix(&mut self, matrix: &ConnectivityMatrix) {
+    pub(crate) fn install_matrix(&mut self, matrix: &ConnectivityMatrix) {
         self.acl.install_matrix(matrix);
     }
 
@@ -376,18 +375,8 @@ impl SharedTables {
     /// under the shared-read split — the packet path only *filters*
     /// expired entries; removal happens here, on the owner's periodic
     /// sweep. Returns how many entries were removed.
-    pub fn evict_expired(&mut self, now: SimTime, idle_timeout: SimDuration) -> usize {
+    pub(crate) fn evict_expired(&mut self, now: SimTime, idle_timeout: SimDuration) -> usize {
         self.cache.evict(now, idle_timeout)
-    }
-
-    /// Pulls newer per-entry metadata (`last_used`, `stale`) from a
-    /// published `snapshot` of these tables back into this copy — see
-    /// [`MapCache::adopt_metadata`]. The clone-and-swap owner calls
-    /// this before an idle-based [`SharedTables::evict_expired`], so
-    /// entries kept hot by the workers (who stamp the snapshot, not
-    /// the working copy) are not mistaken for idle.
-    pub fn adopt_metadata(&mut self, snapshot: &SharedTables) {
-        self.cache.adopt_metadata(&snapshot.cache);
     }
 
     /// Re-lays the map-cache's covering-prefix tries in DFS preorder so
@@ -407,7 +396,7 @@ impl SharedTables {
     /// the live covering entry stale *without* mutating the table
     /// structure, so it works on a published snapshot too (an SMR does
     /// not force a clone-and-swap).
-    pub fn receive_smr(&self, vn: VnId, eid: Eid, now: SimTime) -> Option<Rloc> {
+    pub(crate) fn receive_smr(&self, vn: VnId, eid: Eid, now: SimTime) -> Option<Rloc> {
         self.cache.mark_stale_shared(vn, eid, now)
     }
 
@@ -481,7 +470,7 @@ pub struct WorkerCtx {
 
 impl WorkerCtx {
     /// Fresh per-worker state for a switch with `cfg`.
-    pub fn new(cfg: &SwitchConfig) -> Self {
+    pub(crate) fn new(cfg: &SwitchConfig) -> Self {
         WorkerCtx {
             mac: MacAddr::from_seed(u32::from(cfg.rloc.addr())),
             stats: SwitchStats::default(),
@@ -495,35 +484,36 @@ impl WorkerCtx {
     }
 
     /// Forwarding counters accumulated by this worker.
-    pub fn stats(&self) -> SwitchStats {
+    pub(crate) fn stats(&self) -> SwitchStats {
         self.stats
     }
 
     /// Verdicts of the most recent processing call.
-    pub fn verdicts(&self) -> &[Verdict] {
+    pub(crate) fn verdicts(&self) -> &[Verdict] {
         &self.verdicts
     }
 
     /// Punts raised and not yet cleared/drained.
-    pub fn punts(&self) -> &[Punt] {
+    #[cfg(test)]
+    pub(crate) fn punts(&self) -> &[Punt] {
         &self.punts
     }
 
     /// Clears the punt queue (capacity is retained — drain once per
     /// batch and the queue never reallocates).
-    pub fn clear_punts(&mut self) {
+    pub(crate) fn clear_punts(&mut self) {
         self.punts.clear();
     }
 
     /// Takes the punt queue by swap, leaving an empty one behind.
-    pub fn drain_punts(&mut self) -> Vec<Punt> {
+    pub(crate) fn drain_punts(&mut self) -> Vec<Punt> {
         std::mem::take(&mut self.punts)
     }
 
     /// Drains the punt queue into `out` by swap: `out` is cleared and
     /// receives the queued punts; both vectors keep their capacities,
     /// so a caller cycling one scratch vector never reallocates.
-    pub fn drain_punts_into(&mut self, out: &mut Vec<Punt>) {
+    pub(crate) fn drain_punts_into(&mut self, out: &mut Vec<Punt>) {
         out.clear();
         std::mem::swap(&mut self.punts, out);
     }
@@ -1189,7 +1179,8 @@ impl Switch {
 
     /// Punts raised since the last [`Switch::clear_punts`] /
     /// [`Switch::drain_punts`].
-    pub fn punts(&self) -> &[Punt] {
+    #[cfg(test)]
+    pub(crate) fn punts(&self) -> &[Punt] {
         self.ctx.punts()
     }
 
@@ -1241,7 +1232,6 @@ impl Switch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::BufferPool;
     use sda_wire::udp;
     use std::net::Ipv4Addr;
 
@@ -1301,8 +1291,7 @@ mod tests {
         m.set_rule(vn(1), GroupId(10), GroupId(20), Action::Allow);
         sw.install_matrix(&m);
 
-        let mut pool = BufferPool::with_capacity(2);
-        let mut bufs = [pool.alloc(), pool.alloc()];
+        let mut bufs = [PacketBuf::new(), PacketBuf::new()];
         bufs[0].load(&frame(&a, b.ipv4, b"allowed"));
         bufs[1].load(&frame(&b, a.ipv4, b"denied back"));
         let v = sw.process_ingress(&mut bufs, SimTime::ZERO).to_vec();

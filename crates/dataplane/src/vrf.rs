@@ -156,10 +156,9 @@ impl VrfTable {
     }
 
     /// Bytes the table has reserved, as a lower bound: the hash table's
-    /// ([`sda_types::hash::reserved_bytes`]) plus the MAC set.
+    /// ([`sda_types::reserved_bytes`]) plus the MAC set.
     pub(crate) fn reserved_bytes(&self) -> usize {
-        sda_types::hash::reserved_bytes(&self.slots)
-            + self.macs.len() * std::mem::size_of::<MacAddr>()
+        sda_types::reserved_bytes(&self.slots) + self.macs.len() * std::mem::size_of::<MacAddr>()
     }
 
     /// Number of attached endpoints (not keys).

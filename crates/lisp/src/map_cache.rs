@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use sda_simnet::{SimDuration, SimTime};
 use sda_trie::EidTrie;
-use sda_types::hash::fold_eid;
+use sda_types::fold_eid;
 use sda_types::{Eid, EidKind, EidPrefix, KeyHasher, Rloc, VnId};
 
 /// One cached mapping.
@@ -95,7 +95,7 @@ pub struct CacheEntry {
 
 impl CacheEntry {
     /// A fresh (non-stale) entry last used at `last_used`.
-    pub fn new(rloc: Rloc, expires_at: SimTime, last_used: SimTime) -> Self {
+    pub(crate) fn new(rloc: Rloc, expires_at: SimTime, last_used: SimTime) -> Self {
         CacheEntry {
             rloc,
             expires_at,
@@ -105,23 +105,23 @@ impl CacheEntry {
     }
 
     /// Last time a lookup hit this entry.
-    pub fn last_used(&self) -> SimTime {
+    pub(crate) fn last_used(&self) -> SimTime {
         SimTime::from_nanos(self.last_used.load(Ordering::Relaxed))
     }
 
     /// Refreshes the idle-decay stamp (shared: `&self`, Relaxed — see
     /// the type-level memory-ordering contract).
-    pub fn touch(&self, now: SimTime) {
+    pub(crate) fn touch(&self, now: SimTime) {
         self.last_used.store(now.as_nanos(), Ordering::Relaxed);
     }
 
     /// Whether an SMR marked this entry stale.
-    pub fn is_stale(&self) -> bool {
+    pub(crate) fn is_stale(&self) -> bool {
         self.stale.load(Ordering::Relaxed)
     }
 
     /// Sets the stale flag (shared: `&self`, Relaxed).
-    pub fn set_stale(&self, stale: bool) {
+    pub(crate) fn set_stale(&self, stale: bool) {
         self.stale.store(stale, Ordering::Relaxed);
     }
 
@@ -134,22 +134,6 @@ impl CacheEntry {
             CacheOutcome::Stale(self.rloc)
         } else {
             CacheOutcome::Hit(self.rloc)
-        }
-    }
-
-    /// The write-back step of [`MapCache::adopt_metadata`] for one entry
-    /// and its published twin `theirs`.
-    fn adopt(&self, theirs: &CacheEntry) {
-        if self.rloc != theirs.rloc || self.expires_at != theirs.expires_at {
-            // Different generation: the owner re-installed this mapping
-            // since the snapshot was taken.
-            return;
-        }
-        if self.last_used() < theirs.last_used() {
-            self.touch(theirs.last_used());
-        }
-        if theirs.is_stale() {
-            self.set_stale(true);
         }
     }
 }
@@ -346,39 +330,6 @@ impl MapCache {
         Some(entry.rloc)
     }
 
-    /// Adopts newer per-entry metadata from `snapshot` for every entry
-    /// present in both caches **in the same generation** — matched by
-    /// `(vn, prefix)` *and* identical `(rloc, expires_at)`: `last_used`
-    /// takes the later stamp, `stale` is sticky-OR'd.
-    ///
-    /// This is the write-back half of clone-and-swap maintenance: under
-    /// the multi-core scheme, readers refresh `last_used` on the
-    /// *published* snapshot's atomics, so before publishing over (or
-    /// idle-evicting against) a snapshot, the owner pulls those stamps
-    /// back — otherwise entries that are hot on the data path look
-    /// idle and get evicted. The generation check exists for the
-    /// refresh race: an entry just re-installed on the owner's copy
-    /// (new RLOC and/or expiry) must not re-adopt the *old*
-    /// generation's stale flag, or an SMR refresh would silently undo
-    /// itself and punt refreshes forever. O(snapshot entries).
-    pub fn adopt_metadata(&mut self, snapshot: &MapCache) {
-        for (key, theirs) in &snapshot.hosts {
-            if let Some(mine) = self.hosts.get(key) {
-                mine.adopt(theirs);
-            }
-        }
-        for (vn, theirs) in &snapshot.covers {
-            let Some(mine) = self.covers.get(vn) else {
-                continue;
-            };
-            for (prefix, entry) in theirs.iter() {
-                if let Some(me) = mine.get(&prefix) {
-                    me.adopt(entry);
-                }
-            }
-        }
-    }
-
     /// Re-lays the covering-prefix tries in DFS preorder and empties
     /// their free-lists (see [`sda_trie::PatriciaTrie::compact`]); the
     /// host-route table has nothing to lay out. The dataplane `Switch`
@@ -390,14 +341,14 @@ impl MapCache {
 
     /// Memory diagnostics: the covering-prefix tries' arena statistics,
     /// with the bytes the host-route table has reserved
-    /// ([`sda_types::hash::reserved_bytes`], a lower bound) added to
+    /// ([`sda_types::reserved_bytes`], a lower bound) added to
     /// `capacity_bytes` — a hash table has no nodes to count.
     pub fn mem_stats(&self) -> sda_trie::MemStats {
         let mut stats = sda_trie::MemStats::default();
         for trie in self.covers.values() {
             stats.merge(&trie.mem_stats());
         }
-        stats.capacity_bytes += sda_types::hash::reserved_bytes(&self.hosts);
+        stats.capacity_bytes += sda_types::reserved_bytes(&self.hosts);
         stats
     }
 
@@ -761,44 +712,6 @@ mod tests {
             c.lookup_shared(vn(1), eid(1), SimTime::ZERO),
             CacheOutcome::Stale(r),
             "the next lookup observes the stale mark"
-        );
-    }
-
-    /// Review regression: adopting metadata from an old snapshot must
-    /// not re-stale (or re-stamp) an entry the owner re-installed
-    /// since — generations are matched by `(rloc, expires_at)`.
-    #[test]
-    fn adopt_metadata_skips_refreshed_generation() {
-        let old_rloc = Rloc::for_router_index(1);
-        let new_rloc = Rloc::for_router_index(2);
-        let mut owner = MapCache::new();
-        owner.install(vn(1), EidPrefix::host(eid(1)), old_rloc, TTL, SimTime::ZERO);
-        owner.install(vn(1), EidPrefix::host(eid(2)), old_rloc, TTL, SimTime::ZERO);
-        let snap = owner.clone();
-        // SMR lands on the snapshot (the worker-visible copy)…
-        let warm = SimTime::ZERO + SimDuration::from_secs(100);
-        snap.mark_stale_shared(vn(1), eid(1), warm);
-        assert!(matches!(
-            snap.lookup_shared(vn(1), eid(2), warm),
-            CacheOutcome::Hit(_)
-        ));
-        // …and the control plane answers the refresh on the owner copy
-        // (new RLOC = new generation).
-        owner.install(vn(1), EidPrefix::host(eid(1)), new_rloc, TTL, warm);
-
-        owner.adopt_metadata(&snap);
-        assert_eq!(
-            owner.lookup_shared(vn(1), eid(1), warm),
-            CacheOutcome::Hit(new_rloc),
-            "the refreshed generation must not re-adopt the old stale flag"
-        );
-        // Same-generation entry did adopt the worker's stamp.
-        assert_eq!(
-            owner.evict(
-                warm + SimDuration::from_secs(99),
-                SimDuration::from_secs(100)
-            ),
-            0
         );
     }
 

@@ -58,7 +58,7 @@ use std::collections::BTreeMap;
 use std::hash::Hasher;
 
 use sda_simnet::{SimDuration, SimTime};
-use sda_types::hash::fold_eid;
+use sda_types::fold_eid;
 use sda_types::{Eid, EidPrefix, KeyHasher, Rloc, VnId};
 
 /// One registered mapping, as the database hands it out.

@@ -12,13 +12,25 @@ use std::collections::HashMap;
 use sda_simnet::{SimDuration, SimTime};
 use sda_types::{Eid, Rloc, VnId};
 
+/// A sweep of expired records runs once the map holds at least this
+/// many entries, whatever the last sweep left.
+const MIN_SWEEP: usize = 64;
+
 /// Deduplicates SMR transmissions per `(vn, eid, requester)` within a
 /// hold-down window.
+///
+/// Records older than the window are answered exactly as if absent, so
+/// the tracker drops them itself: [`SmrTracker::should_send`] sweeps
+/// the map whenever it has doubled since the last sweep (at least
+/// `MIN_SWEEP` entries). That keeps it within about twice the
+/// records one window can hold, at amortised O(1) per transmission,
+/// even for an EID that no nonce-0 Map-Notify ever reaches
+/// [`SmrTracker::forget_eid`] for.
 pub struct SmrTracker {
     window: SimDuration,
     last_sent: HashMap<(VnId, Eid, Rloc), SimTime>,
-    sent: u64,
-    suppressed: u64,
+    /// Map size at which the next sweep runs.
+    sweep_at: usize,
 }
 
 impl SmrTracker {
@@ -27,8 +39,7 @@ impl SmrTracker {
         SmrTracker {
             window,
             last_sent: HashMap::new(),
-            sent: 0,
-            suppressed: 0,
+            sweep_at: MIN_SWEEP,
         }
     }
 
@@ -36,35 +47,25 @@ impl SmrTracker {
     /// Records the transmission when answering `true`.
     pub fn should_send(&mut self, vn: VnId, eid: Eid, source: Rloc, now: SimTime) -> bool {
         let key = (vn, eid, source);
-        match self.last_sent.get(&key) {
-            Some(&t) if now.saturating_since(t) < self.window => {
-                self.suppressed += 1;
-                false
-            }
-            _ => {
-                self.last_sent.insert(key, now);
-                self.sent += 1;
-                true
+        let window = self.window;
+        if let Some(&t) = self.last_sent.get(&key) {
+            if now.saturating_since(t) < window {
+                return false;
             }
         }
+        self.last_sent.insert(key, now);
+        if self.last_sent.len() >= self.sweep_at {
+            self.last_sent
+                .retain(|_, t| now.saturating_since(*t) < window);
+            self.sweep_at = (2 * self.last_sent.len()).max(MIN_SWEEP);
+        }
+        true
     }
 
     /// Clears state for an EID once its move has been re-resolved.
     pub fn forget_eid(&mut self, vn: VnId, eid: Eid) {
         self.last_sent
             .retain(|(v, e, _), _| !(*v == vn && *e == eid));
-    }
-
-    /// (sent, suppressed) counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.sent, self.suppressed)
-    }
-
-    /// Drops records older than the window (housekeeping).
-    pub fn gc(&mut self, now: SimTime) {
-        let window = self.window;
-        self.last_sent
-            .retain(|_, t| now.saturating_since(*t) < window);
     }
 }
 
@@ -95,7 +96,6 @@ mod tests {
             SimTime::ZERO + SimDuration::from_secs(1)
         ));
         assert!(t.should_send(vn(1), eid(1), src, SimTime::ZERO + WINDOW));
-        assert_eq!(t.stats(), (2, 1));
     }
 
     #[test]
@@ -114,12 +114,23 @@ mod tests {
         assert!(t.should_send(vn(1), eid(1), src, SimTime::ZERO));
     }
 
+    /// Distinct sources SMR'd after an EID's last move notify are never
+    /// forgotten by `forget_eid`; the sweep alone must bound them. One
+    /// window at 1 ms spacing holds about 5,000 live records.
     #[test]
-    fn gc_prunes_old_records() {
+    fn sweep_bounds_records_of_distinct_sources() {
         let mut t = SmrTracker::new(WINDOW);
-        let src = Rloc::for_router_index(1);
-        t.should_send(vn(1), eid(1), src, SimTime::ZERO);
-        t.gc(SimTime::ZERO + WINDOW + SimDuration::from_secs(1));
-        assert!(t.last_sent.is_empty());
+        let mut peak = 0;
+        for i in 0..100_000u32 {
+            let source = Rloc(Ipv4Addr::from(0x0B00_0000 | i));
+            let now = SimTime::ZERO + SimDuration::from_millis(u64::from(i));
+            assert!(t.should_send(vn(1), eid(1), source, now));
+            peak = peak.max(t.last_sent.len());
+        }
+        assert!(peak <= 2 * 5_001 + MIN_SWEEP, "tracker grew to {peak}");
+        // A record still inside the window keeps suppressing.
+        let last = Rloc(Ipv4Addr::from(0x0B00_0000 | 99_999));
+        let now = SimTime::ZERO + SimDuration::from_millis(100_000);
+        assert!(!t.should_send(vn(1), eid(1), last, now));
     }
 }

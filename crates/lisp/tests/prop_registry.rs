@@ -22,7 +22,7 @@ use std::net::Ipv4Addr;
 use proptest::prelude::*;
 use sda_lisp::{MappingDb, MappingRecord, RegisterOutcome};
 use sda_simnet::{SimDuration, SimTime};
-use sda_types::hash::fold_eid;
+use sda_types::fold_eid;
 use sda_types::{Eid, EidPrefix, KeyHasher, MacAddr, Rloc, VnId};
 
 #[path = "reference/registry.rs"]

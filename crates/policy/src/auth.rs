@@ -36,7 +36,7 @@ pub enum AuthMethod {
 
 impl AuthMethod {
     /// Number of request/response round trips to the policy server.
-    pub const fn round_trips(self) -> u32 {
+    pub(crate) const fn round_trips(self) -> u32 {
         match self {
             AuthMethod::Simple => 1,
             AuthMethod::Eap => 3,
@@ -46,7 +46,7 @@ impl AuthMethod {
 
 /// Result of an authentication attempt.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AuthOutcome {
+pub(crate) enum AuthOutcome {
     /// Accepted: the endpoint's segmentation binding.
     Accept {
         /// Virtual network the endpoint belongs to.
@@ -67,20 +67,13 @@ struct Enrollment {
 
 /// The credential store plus verification logic.
 #[derive(Default)]
-pub struct AuthServer {
+pub(crate) struct AuthServer {
     enrolled: HashMap<MacAddr, Enrollment>,
-    accepts: u64,
-    rejects: u64,
 }
 
 impl AuthServer {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        AuthServer::default()
-    }
-
     /// Enrolls (or re-enrolls) an endpoint with its secret and binding.
-    pub fn enroll(
+    pub(crate) fn enroll(
         &mut self,
         identity: MacAddr,
         secret: u64,
@@ -102,30 +95,25 @@ impl AuthServer {
     /// Moves an enrolled endpoint to a different group (the §5.4
     /// "change the endpoint's group" update primitive). Returns the old
     /// group if the endpoint exists.
-    pub fn reassign_group(&mut self, identity: MacAddr, group: GroupId) -> Option<GroupId> {
+    #[cfg(test)]
+    fn reassign_group(&mut self, identity: MacAddr, group: GroupId) -> Option<GroupId> {
         let e = self.enrolled.get_mut(&identity)?;
         Some(core::mem::replace(&mut e.group, group))
     }
 
     /// Verifies a credential.
-    pub fn authenticate(&mut self, cred: &Credential) -> AuthOutcome {
+    pub(crate) fn authenticate(&self, cred: &Credential) -> AuthOutcome {
         match self.enrolled.get(&cred.identity) {
-            Some(e) if e.secret == cred.secret => {
-                self.accepts += 1;
-                AuthOutcome::Accept {
-                    vn: e.vn,
-                    group: e.group,
-                }
-            }
-            _ => {
-                self.rejects += 1;
-                AuthOutcome::Reject
-            }
+            Some(e) if e.secret == cred.secret => AuthOutcome::Accept {
+                vn: e.vn,
+                group: e.group,
+            },
+            _ => AuthOutcome::Reject,
         }
     }
 
     /// The configured method for an identity (Simple when unknown).
-    pub fn method_of(&self, identity: MacAddr) -> AuthMethod {
+    pub(crate) fn method_of(&self, identity: MacAddr) -> AuthMethod {
         self.enrolled
             .get(&identity)
             .map(|e| e.method)
@@ -135,23 +123,9 @@ impl AuthServer {
     /// The binding an identity would receive, without authenticating.
     /// Used by re-authentication flows where the secret was already
     /// verified this session.
-    pub fn binding_of(&self, identity: MacAddr) -> Option<(VnId, GroupId)> {
+    #[cfg(test)]
+    fn binding_of(&self, identity: MacAddr) -> Option<(VnId, GroupId)> {
         self.enrolled.get(&identity).map(|e| (e.vn, e.group))
-    }
-
-    /// (accepted, rejected) attempt counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.accepts, self.rejects)
-    }
-
-    /// Number of enrolled endpoints.
-    pub fn len(&self) -> usize {
-        self.enrolled.len()
-    }
-
-    /// True when no endpoints are enrolled.
-    pub fn is_empty(&self) -> bool {
-        self.enrolled.is_empty()
     }
 }
 
@@ -165,7 +139,7 @@ mod tests {
 
     #[test]
     fn accept_with_correct_secret() {
-        let mut s = AuthServer::new();
+        let mut s = AuthServer::default();
         let mac = MacAddr::from_seed(1);
         s.enroll(mac, 42, vn(10), GroupId(5), AuthMethod::Simple);
         let out = s.authenticate(&Credential {
@@ -179,12 +153,11 @@ mod tests {
                 group: GroupId(5)
             }
         );
-        assert_eq!(s.stats(), (1, 0));
     }
 
     #[test]
     fn reject_wrong_secret_and_unknown() {
-        let mut s = AuthServer::new();
+        let mut s = AuthServer::default();
         let mac = MacAddr::from_seed(1);
         s.enroll(mac, 42, vn(10), GroupId(5), AuthMethod::Simple);
         assert_eq!(
@@ -201,12 +174,11 @@ mod tests {
             }),
             AuthOutcome::Reject
         );
-        assert_eq!(s.stats(), (0, 2));
     }
 
     #[test]
     fn reassign_group_changes_future_accepts() {
-        let mut s = AuthServer::new();
+        let mut s = AuthServer::default();
         let mac = MacAddr::from_seed(3);
         s.enroll(mac, 7, vn(1), GroupId(10), AuthMethod::Eap);
         assert_eq!(s.reassign_group(mac, GroupId(20)), Some(GroupId(10)));
@@ -228,7 +200,7 @@ mod tests {
     fn method_round_trips() {
         assert_eq!(AuthMethod::Simple.round_trips(), 1);
         assert_eq!(AuthMethod::Eap.round_trips(), 3);
-        let mut s = AuthServer::new();
+        let mut s = AuthServer::default();
         let mac = MacAddr::from_seed(5);
         s.enroll(mac, 1, vn(1), GroupId(1), AuthMethod::Eap);
         assert_eq!(s.method_of(mac), AuthMethod::Eap);
@@ -237,11 +209,10 @@ mod tests {
 
     #[test]
     fn binding_without_auth() {
-        let mut s = AuthServer::new();
+        let mut s = AuthServer::default();
         let mac = MacAddr::from_seed(8);
         s.enroll(mac, 1, vn(2), GroupId(3), AuthMethod::Simple);
         assert_eq!(s.binding_of(mac), Some((vn(2), GroupId(3))));
         assert_eq!(s.binding_of(MacAddr::from_seed(9)), None);
-        assert_eq!(s.stats(), (0, 0), "binding_of must not count as auth");
     }
 }

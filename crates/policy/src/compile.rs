@@ -47,7 +47,7 @@ const NO_DENSE: u16 = u16::MAX;
 /// total (heuristic counters only; no ordering is implied, matching the
 /// `CacheEntry` metadata contract).
 #[derive(Default, Debug)]
-pub struct AclCounters {
+pub(crate) struct AclCounters {
     allowed: AtomicU64,
     dropped: AtomicU64,
 }
@@ -55,28 +55,16 @@ pub struct AclCounters {
 impl AclCounters {
     /// Records one enforcement outcome.
     #[inline]
-    pub fn record(&self, action: Action) {
+    pub(crate) fn record(&self, action: Action) {
         match action {
             Action::Allow => self.allowed.fetch_add(1, Ordering::Relaxed),
             Action::Deny => self.dropped.fetch_add(1, Ordering::Relaxed),
         };
     }
 
-    /// Records a batch of outcomes in two adds (the lockstep pass
-    /// tallies locally and flushes once per run).
-    #[inline]
-    pub fn record_batch(&self, allowed: u64, dropped: u64) {
-        if allowed != 0 {
-            self.allowed.fetch_add(allowed, Ordering::Relaxed);
-        }
-        if dropped != 0 {
-            self.dropped.fetch_add(dropped, Ordering::Relaxed);
-        }
-    }
-
     /// `(allowed, dropped)` snapshot.
     #[inline]
-    pub fn load(&self) -> (u64, u64) {
+    pub(crate) fn load(&self) -> (u64, u64) {
         (
             self.allowed.load(Ordering::Relaxed),
             self.dropped.load(Ordering::Relaxed),
@@ -296,12 +284,6 @@ impl AclVnView<'_> {
         self.counters.record(action);
         action
     }
-
-    /// The shared counters, for batched `record_batch` flushes.
-    #[inline]
-    pub fn counters(&self) -> &AclCounters {
-        self.counters
-    }
 }
 
 /// The compiled SGACL: dense-interned, bitset-compressed, `Arc`-shared.
@@ -361,7 +343,8 @@ impl CompiledAcl {
     }
 
     /// The default action folded into the rows.
-    pub fn compiled_default(&self) -> Action {
+    #[cfg(test)]
+    fn compiled_default(&self) -> Action {
         self.compiled_default
     }
 
@@ -745,8 +728,7 @@ mod tests {
             view.enforce(GroupId(9), GroupId(2), Action::Deny),
             Action::Deny
         );
-        view.counters().record_batch(3, 2);
-        assert_eq!(acl.counters(), (3, 3));
+        assert_eq!(acl.counters(), (0, 1));
         // Unknown VN: every verdict is the caller default.
         let missing = acl.vn_view(vn(9));
         assert_eq!(

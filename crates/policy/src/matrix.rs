@@ -123,7 +123,7 @@ impl ConnectivityMatrix {
     /// binary-searches it per rule, so a large edge's subset costs
     /// O(rules · log(local groups)) instead of the quadratic scan an
     /// SXP storm used to pay.
-    pub fn rules_toward<'a>(
+    pub(crate) fn rules_toward<'a>(
         &'a self,
         vn: VnId,
         dst_groups: &'a [GroupId],
@@ -145,7 +145,8 @@ impl ConnectivityMatrix {
     /// Recomputes the cell count from the maps and checks it against
     /// the incremental counter (debug/diagnostic invariant — the same
     /// discipline as the trie tables' `recount`).
-    pub fn recount(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn recount(&self) -> usize {
         let counted: usize = self.rules.values().map(BTreeMap::len).sum();
         debug_assert_eq!(counted, self.cells, "cell counter diverged from maps");
         counted

@@ -4,7 +4,7 @@
 use sda_types::{GroupId, MacAddr, VnId};
 
 use crate::auth::{AuthMethod, AuthOutcome, AuthServer, Credential};
-use crate::matrix::{Action, ConnectivityMatrix};
+use crate::matrix::ConnectivityMatrix;
 use crate::sxp::{egress_subset, RuleSubset};
 
 /// The public, queryable part of an endpoint's policy state.
@@ -52,11 +52,6 @@ impl PolicyServer {
         &self.matrix
     }
 
-    /// Read access to the credential store.
-    pub fn auth(&self) -> &AuthServer {
-        &self.auth
-    }
-
     /// Enrolls an endpoint: operator declares identity, secret and
     /// `(VN, group)` in one step (the declarative interface of §3.1).
     pub fn enroll(
@@ -95,7 +90,8 @@ impl PolicyServer {
 
     /// The verdict for `src → dst` in `vn` (the authoritative check;
     /// edges enforce cached copies of it).
-    pub fn check(&self, vn: VnId, src: GroupId, dst: GroupId) -> Action {
+    #[cfg(test)]
+    fn check(&self, vn: VnId, src: GroupId, dst: GroupId) -> crate::Action {
         self.matrix.check(vn, src, dst)
     }
 }
@@ -103,6 +99,7 @@ impl PolicyServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Action;
 
     fn vn(n: u32) -> VnId {
         VnId::new(n).unwrap()

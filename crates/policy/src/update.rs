@@ -58,7 +58,7 @@ impl Population {
     }
 
     /// Edges hosting at least one endpoint of `(vn, group)`.
-    pub fn edges_hosting(&self, vn: VnId, group: GroupId) -> Vec<RouterId> {
+    pub(crate) fn edges_hosting(&self, vn: VnId, group: GroupId) -> Vec<RouterId> {
         let mut edges: Vec<RouterId> = self
             .counts
             .iter()
@@ -94,7 +94,8 @@ impl Population {
     }
 
     /// Total endpoints recorded.
-    pub fn total(&self) -> u32 {
+    #[cfg(test)]
+    fn total(&self) -> u32 {
         self.counts.values().sum()
     }
 }
@@ -117,7 +118,8 @@ impl RolloutFanout {
     }
 
     /// Distinct edges receiving at least one message.
-    pub fn edges(&self) -> usize {
+    #[cfg(test)]
+    fn edges(&self) -> usize {
         self.per_edge.values().filter(|n| **n > 0).count()
     }
 }

@@ -2,7 +2,7 @@
 //! §5.4 planner's cost model.
 
 use proptest::prelude::*;
-use sda_policy::sxp::{egress_subset, ingress_subset};
+use sda_policy::{egress_subset, ingress_subset};
 use sda_policy::{Action, ConnectivityMatrix, Population, UpdatePlan, UpdateStrategy};
 use sda_types::{GroupId, RouterId, VnId};
 

@@ -153,16 +153,6 @@ impl FaultPlan {
             .at(to, Fault::DefaultLoss(0.0))
     }
 
-    /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when no faults are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// The raw schedule.
     pub fn events(&self) -> &[(SimTime, Fault)] {
         &self.events

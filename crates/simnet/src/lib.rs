@@ -13,7 +13,7 @@
 //!   queue behind that order is three containers and one chooser that
 //!   takes the smallest `(time, sequence)` of their fronts. What a
 //!   driver schedules from outside ([`Simulator::inject_at`],
-//!   [`Simulator::arm_timer_at`], [`Simulator::inject_fault_at`]) *in
+//!   [`Simulator::arm_timer_at`], `Simulator::inject_fault_at`) *in
 //!   nondecreasing time order* sits in one FIFO, the schedule. What a
 //!   node sends with no extra delay over a link of the default latency
 //!   sits in a second, the in-flight lane: each such delivery is due at
@@ -152,13 +152,24 @@
 //!
 //! The simulator is generic over the message type `M`, so `sda-core`,
 //! `sda-bgp` and tests each bring their own protocol enums.
+//!
+//! ## Surface
+//!
+//! The crate **is** its root: [`Simulator`] with [`Node`], [`Context`]
+//! and [`NodeId`]; [`SimTime`] and [`SimDuration`]; [`Fault`],
+//! [`FaultEvent`] and [`FaultPlan`]; and [`Metrics`] with its
+//! [`CounterId`] handles and [`Summary`]. Every module is private. It
+//! **is not** a link-bandwidth or queueing-network model (a link is a
+//! latency and a loss rate; the only queue is a node's control CPU),
+//! and it never starts a thread.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod fault;
-pub mod metrics;
-pub mod sim;
-pub mod time;
+mod fault;
+mod metrics;
+mod sim;
+mod time;
 
 pub use fault::{Fault, FaultEvent, FaultPlan};
 pub use metrics::{CounterId, Metrics, Summary};

@@ -120,11 +120,6 @@ impl Metrics {
     pub fn series(&self, name: &str) -> &[(SimTime, f64)] {
         self.series.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
-
-    /// Summary statistics of sample set `name` (None when empty).
-    pub fn summary(&self, name: &str) -> Option<Summary> {
-        Summary::of(self.samples(name))
-    }
 }
 
 /// Boxplot-style summary of a sample set.
@@ -283,8 +278,6 @@ mod tests {
     #[test]
     fn summary_of_empty_is_none() {
         assert!(Summary::of(&[]).is_none());
-        let m = Metrics::default();
-        assert!(m.summary("nope").is_none());
     }
 
     #[test]

@@ -125,7 +125,6 @@ struct LinkParams {
 /// The environment handed to node callbacks.
 pub struct Context<'a, M> {
     now: SimTime,
-    self_id: NodeId,
     /// Outgoing messages: (delay-before-link, to, msg).
     outbox: Vec<(SimDuration, NodeId, M)>,
     /// Timers to arm: (delay, token).
@@ -140,11 +139,6 @@ impl<'a, M> Context<'a, M> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// This node's id.
-    pub fn self_id(&self) -> NodeId {
-        self.self_id
     }
 
     /// Sends `msg` to `to` over the (simulated) wire now.
@@ -353,7 +347,7 @@ impl<M> Simulator<M> {
     }
 
     /// Schedules a single fault at absolute time `at`.
-    pub fn inject_fault_at(&mut self, at: SimTime, fault: Fault) {
+    pub(crate) fn inject_fault_at(&mut self, at: SimTime, fault: Fault) {
         assert!(at >= self.now, "cannot inject a fault into the past");
         self.schedule_external(at, EventKind::Fault(fault));
     }
@@ -634,7 +628,6 @@ impl<M> Simulator<M> {
         let idx = id.0 as usize;
         let mut ctx = Context {
             now: self.now,
-            self_id: id,
             outbox: std::mem::take(&mut self.outbox),
             timers: std::mem::take(&mut self.timers),
             busy_for: SimDuration::ZERO,
@@ -721,6 +714,7 @@ mod tests {
 
     /// Echoes every number back to the sender, incremented, until 10.
     struct Counter {
+        me: NodeId,
         log: Rc<RefCell<Vec<(u64, u32)>>>,
     }
 
@@ -730,7 +724,7 @@ mod tests {
             if msg < 10 && from != NodeId::EXTERNAL {
                 ctx.send(from, msg + 1);
             } else if msg < 10 {
-                ctx.send(ctx.self_id(), msg + 1); // self-ping for external kick
+                ctx.send(self.me, msg + 1); // self-ping for external kick
             }
         }
     }
@@ -740,8 +734,14 @@ mod tests {
         let mut sim = Simulator::new(7);
         let log_a = Rc::new(RefCell::new(Vec::new()));
         let log_b = Rc::new(RefCell::new(Vec::new()));
-        let a = sim.add_node(Box::new(Counter { log: log_a.clone() }));
-        let b = sim.add_node(Box::new(Counter { log: log_b.clone() }));
+        let a = sim.add_node(Box::new(Counter {
+            me: NodeId(0),
+            log: log_a.clone(),
+        }));
+        let b = sim.add_node(Box::new(Counter {
+            me: NodeId(1),
+            log: log_b.clone(),
+        }));
         sim.set_link(a, b, SimDuration::from_millis(1), 0.0);
         sim.set_link(b, a, SimDuration::from_millis(1), 0.0);
         // Kick: external → a delivers 0, then a/b ping-pong to 10.
@@ -755,19 +755,17 @@ mod tests {
     }
 
     /// Node that replies to any message; used to observe link latency.
-    struct Echo;
+    /// Tests add two nodes, so `peer` is the other one's id.
+    struct Echo {
+        peer: NodeId,
+    }
     impl Node<u32> for Echo {
         fn on_message(&mut self, ctx: &mut Context<'_, u32>, from: NodeId, msg: u32) {
             if from != NodeId::EXTERNAL && msg > 0 {
                 ctx.send(from, msg - 1);
             } else if from == NodeId::EXTERNAL {
-                // Start the exchange with the other node (id 1 - self).
-                let peer = if ctx.self_id() == NodeId(0) {
-                    NodeId(1)
-                } else {
-                    NodeId(0)
-                };
-                ctx.send(peer, msg);
+                // Start the exchange with the other node.
+                ctx.send(self.peer, msg);
             }
         }
     }
@@ -775,8 +773,8 @@ mod tests {
     #[test]
     fn latency_accumulates_per_hop() {
         let mut sim = Simulator::new(1);
-        let a = sim.add_node(Box::new(Echo));
-        let b = sim.add_node(Box::new(Echo));
+        let a = sim.add_node(Box::new(Echo { peer: NodeId(1) }));
+        let b = sim.add_node(Box::new(Echo { peer: NodeId(0) }));
         sim.set_link(a, b, SimDuration::from_millis(10), 0.0);
         sim.set_link(b, a, SimDuration::from_millis(10), 0.0);
         // Injection delivers at the given instant; a→b:4, b→a:3, … 5 hops.
@@ -1009,8 +1007,8 @@ mod tests {
         // With the same seed, two runs drop the same messages.
         let run = |seed: u64| -> u64 {
             let mut sim = Simulator::new(seed);
-            let sink = sim.add_node(Box::new(Echo));
-            let src = sim.add_node(Box::new(Echo));
+            let sink = sim.add_node(Box::new(Echo { peer: NodeId(1) }));
+            let src = sim.add_node(Box::new(Echo { peer: NodeId(0) }));
             sim.set_link(src, sink, SimDuration::from_micros(10), 0.5);
             for _ in 0..100 {
                 sim.inject_at(SimTime::ZERO, src, 1);
@@ -1230,8 +1228,8 @@ mod tests {
         // External kick, then a→b:4, b→a:3, … five sends.
         let run = |link: Option<SimDuration>| {
             let mut sim = Simulator::new(1);
-            let a = sim.add_node(Box::new(Echo));
-            let b = sim.add_node(Box::new(Echo));
+            let a = sim.add_node(Box::new(Echo { peer: NodeId(1) }));
+            let b = sim.add_node(Box::new(Echo { peer: NodeId(0) }));
             if let Some(latency) = link {
                 sim.set_link(a, b, latency, 0.0);
                 sim.set_link(b, a, latency, 0.0);
@@ -1338,8 +1336,8 @@ mod tests {
     #[test]
     fn partition_cuts_both_directions_until_heal() {
         let mut sim = Simulator::new(10);
-        let a = sim.add_node(Box::new(Echo));
-        let b = sim.add_node(Box::new(Echo));
+        let a = sim.add_node(Box::new(Echo { peer: NodeId(1) }));
+        let b = sim.add_node(Box::new(Echo { peer: NodeId(0) }));
         sim.set_link(a, b, SimDuration::from_micros(10), 0.0);
         sim.set_link(b, a, SimDuration::from_micros(10), 0.0);
         let plan = FaultPlan::new().partition_window(
@@ -1367,7 +1365,7 @@ mod tests {
         let run = |seed: u64| -> (u64, u64) {
             let mut sim = Simulator::new(seed);
             let sink = sim.add_node(Box::new(Sink));
-            let src = sim.add_node(Box::new(Echo));
+            let src = sim.add_node(Box::new(Echo { peer: NodeId(0) }));
             // Fabric-wide 50% loss for the first half of the run.
             let plan = FaultPlan::new().default_loss_window(
                 0.5,
@@ -1399,7 +1397,7 @@ mod tests {
     #[test]
     fn latency_fault_preserves_loss() {
         let mut sim = Simulator::new(11);
-        let a = sim.add_node(Box::new(Echo));
+        let a = sim.add_node(Box::new(Echo { peer: NodeId(1) }));
         let b = sim.add_node(Box::new(Sink));
         sim.set_link(a, b, SimDuration::from_micros(10), 0.0);
         sim.inject_fault_at(

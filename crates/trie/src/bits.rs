@@ -31,7 +31,7 @@
 use core::fmt;
 
 /// Maximum key width in bits (IPv6 EIDs; see the module docs).
-pub const MAX_BITS: usize = 128;
+pub(crate) const MAX_BITS: usize = 128;
 
 /// An inline bit string (MSB-first, at most 128 bits).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]

@@ -21,8 +21,17 @@
 //! Keys are inline `(u128, u8)` bit strings ([`BitStr`]) — every key in
 //! the system is at most 128 bits (IPv6), so the lookup path is
 //! zero-allocation word arithmetic.
+//!
+//! ## Surface
+//!
+//! The crate **is** its root: [`PatriciaTrie`], [`EidTrie`], the
+//! [`BitStr`] key and the [`MemStats`] report. Every module is private.
+//! It **is not** on any hot path of the running fabric — no gated
+//! workload's lookup reaches a trie node — and it has no stride tables:
+//! `MemStats::{stride_slots, stride_filled}` always read 0.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod bits;
 mod map;

@@ -76,12 +76,6 @@ impl fmt::Display for GroupId {
     }
 }
 
-/// LISP instance-id: the `(VN)` scope under which an EID is registered.
-///
-/// In this implementation instance-ids are exactly VN identifiers, but the
-/// control plane keeps its own name for them to match LISP terminology.
-pub type InstanceId = VnId;
-
 /// Identifies a router (edge, border or underlay) within a deployment.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct RouterId(pub u32);
@@ -99,19 +93,6 @@ pub struct PortId(pub u16);
 impl fmt::Display for PortId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "p{}", self.0)
-    }
-}
-
-/// Identifies an endpoint (host, robot, IoT device) in workloads and tests.
-///
-/// This is a *simulation* handle — the network itself only ever sees the
-/// endpoint's [`crate::Eid`]s and credentials, never this id.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EndpointId(pub u32);
-
-impl fmt::Display for EndpointId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ep{}", self.0)
     }
 }
 

@@ -18,17 +18,28 @@
 //!
 //! All types are `Copy` where possible, order-able so they can key sorted
 //! maps, and have compact `Display` impls for harness output.
+//!
+//! ## Surface
+//!
+//! The crate **is** its root: the identifiers and prefixes above, the
+//! shared [`Error`], and the one hashing convention every exact-match
+//! table in the fabric keys by ([`EidKey`], [`KeyHasher`],
+//! [`fold_eid`], plus [`reserved_bytes`] for the tables' memory
+//! figures). Every module is private. It **is not** a protocol or
+//! state crate: nothing here parses bytes, owns a table or knows the
+//! simulator.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod eid;
-pub mod error;
-pub mod hash;
-pub mod ids;
-pub mod prefix;
+mod eid;
+mod error;
+mod hash;
+mod ids;
+mod prefix;
 
 pub use eid::{Eid, EidKind, MacAddr, Rloc};
 pub use error::{Error, Result};
-pub use hash::{EidKey, KeyHasher};
-pub use ids::{EndpointId, GroupId, InstanceId, PortId, RouterId, VnId};
+pub use hash::{fold_eid, reserved_bytes, EidKey, KeyHasher};
+pub use ids::{GroupId, PortId, RouterId, VnId};
 pub use prefix::{EidPrefix, Ipv4Prefix, Ipv6Prefix, MacPrefix};

@@ -54,11 +54,6 @@ impl Ipv4Prefix {
         self.len
     }
 
-    /// True for the zero-length default route.
-    pub const fn is_default(&self) -> bool {
-        self.len == 0
-    }
-
     /// Whether `addr` falls inside this prefix.
     pub fn contains(&self, addr: Ipv4Addr) -> bool {
         if self.len == 0 {
@@ -101,7 +96,7 @@ impl Ipv6Prefix {
     }
 
     /// Host route (/128) for a single address.
-    pub fn host(addr: Ipv6Addr) -> Self {
+    pub(crate) fn host(addr: Ipv6Addr) -> Self {
         Ipv6Prefix { addr, len: 128 }
     }
 
@@ -113,17 +108,12 @@ impl Ipv6Prefix {
     /// Prefix length in bits (a CIDR length, not a container size —
     /// there is deliberately no `is_empty`).
     #[allow(clippy::len_without_is_empty)]
-    pub const fn len(&self) -> u8 {
+    pub(crate) const fn len(&self) -> u8 {
         self.len
     }
 
-    /// True for the zero-length default route.
-    pub const fn is_default(&self) -> bool {
-        self.len == 0
-    }
-
     /// Whether `addr` falls inside this prefix.
-    pub fn contains(&self, addr: Ipv6Addr) -> bool {
+    pub(crate) fn contains(&self, addr: Ipv6Addr) -> bool {
         if self.len == 0 {
             return true;
         }
@@ -183,12 +173,12 @@ impl MacPrefix {
     /// Prefix length in bits (a CIDR length, not a container size —
     /// there is deliberately no `is_empty`).
     #[allow(clippy::len_without_is_empty)]
-    pub const fn len(&self) -> u8 {
+    pub(crate) const fn len(&self) -> u8 {
         self.len
     }
 
     /// Whether `addr` falls inside this prefix.
-    pub fn contains(&self, addr: MacAddr) -> bool {
+    pub(crate) fn contains(&self, addr: MacAddr) -> bool {
         if self.len == 0 {
             return true;
         }
@@ -354,7 +344,7 @@ mod tests {
     #[test]
     fn default_route_contains_everything() {
         let p = Ipv4Prefix::new(Ipv4Addr::new(1, 2, 3, 4), 0).unwrap();
-        assert!(p.is_default());
+        assert_eq!(p.len(), 0);
         assert!(p.contains(Ipv4Addr::new(255, 255, 255, 255)));
         assert!(p.contains(Ipv4Addr::new(0, 0, 0, 0)));
     }

@@ -15,20 +15,30 @@
 //!   whether peer RLOCs are reachable, and fall back to the border when
 //!   one disappears (also how transient reboot loops are broken).
 //!
-//! The router is a *pure state machine* ([`protocol::LinkStateRouter`]):
+//! The router is a *pure state machine* ([`LinkStateRouter`]):
 //! inputs are messages and ticks, outputs are `(neighbor, message)` pairs.
 //! `sda-core` adapts it onto the simulator; tests drive it synchronously.
+//!
+//! ## Surface
+//!
+//! The crate **is** its root: [`LinkStateRouter`] with its [`Message`],
+//! the [`Lsdb`] of [`Lsa`]s, [`spf`] and its
+//! [`RouteTable`], [`Topology`], and the [`ReachabilityTracker`] that
+//! turns route changes into [`ReachabilityEvent`]s. Every module is
+//! private. It **is not** OSPF or IS-IS on the wire: messages are Rust
+//! values, areas and authentication do not exist.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod lsdb;
-pub mod protocol;
-pub mod reachability;
-pub mod spf;
-pub mod topology;
+mod lsdb;
+mod protocol;
+mod reachability;
+mod spf;
+mod topology;
 
 pub use lsdb::{Lsa, Lsdb};
-pub use protocol::{LinkStateRouter, Message, ProtocolConfig};
+pub use protocol::{LinkStateRouter, Message};
 pub use reachability::{ReachabilityEvent, ReachabilityTracker};
 pub use spf::{spf, RouteTable};
 pub use topology::Topology;

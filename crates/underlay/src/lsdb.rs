@@ -49,30 +49,26 @@ impl Lsdb {
     }
 
     /// The stored LSA for `origin`.
-    pub fn get(&self, origin: RouterId) -> Option<&Lsa> {
+    pub(crate) fn get(&self, origin: RouterId) -> Option<&Lsa> {
         self.entries.get(&origin)
     }
 
     /// All LSAs, ascending by origin.
-    pub fn iter(&self) -> impl Iterator<Item = &Lsa> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Lsa> {
         self.entries.values()
     }
 
     /// Number of distinct origins known.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True when no LSAs are stored.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// The *bidirectionally confirmed* adjacency view: a link `a→b` is
     /// used by SPF only if `b` also advertises `a` (standard two-way
     /// connectivity check, which is what quarantines a rebooting router
     /// that has stopped advertising).
-    pub fn confirmed_neighbors(&self, r: RouterId) -> Vec<(RouterId, u32)> {
+    pub(crate) fn confirmed_neighbors(&self, r: RouterId) -> Vec<(RouterId, u32)> {
         let Some(lsa) = self.entries.get(&r) else {
             return Vec::new();
         };

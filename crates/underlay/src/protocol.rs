@@ -33,7 +33,7 @@ pub enum Message {
 
 /// Timer configuration.
 #[derive(Clone, Copy, Debug)]
-pub struct ProtocolConfig {
+pub(crate) struct ProtocolConfig {
     /// Hello transmission interval.
     pub hello_interval: SimDuration,
     /// Adjacency declared dead after this silence.
@@ -71,7 +71,7 @@ pub struct LinkStateRouter {
 }
 
 /// Messages to transmit: `(neighbor, message)` pairs.
-pub type Outbox = Vec<(RouterId, Message)>;
+pub(crate) type Outbox = Vec<(RouterId, Message)>;
 
 impl LinkStateRouter {
     /// Creates a router with its configured local links.
@@ -90,11 +90,6 @@ impl LinkStateRouter {
     /// This router's id.
     pub fn id(&self) -> RouterId {
         self.id
-    }
-
-    /// Read access to the LSDB (for reachability tracking).
-    pub fn lsdb(&self) -> &Lsdb {
-        &self.lsdb
     }
 
     /// Current routing table from this router's perspective.
@@ -229,8 +224,9 @@ impl LinkStateRouter {
         }
     }
 
-    /// Convenience used by the fabric: is `dst` currently reachable?
-    pub fn reaches(&self, dst: RouterId) -> bool {
+    /// Is `dst` currently reachable?
+    #[cfg(test)]
+    pub(crate) fn reaches(&self, dst: RouterId) -> bool {
         self.routes().reaches(dst)
     }
 }

@@ -36,18 +36,15 @@ impl RouteTable {
         Some(hops[idx])
     }
 
-    /// All reachable destinations, ascending.
-    pub fn destinations(&self) -> impl Iterator<Item = RouterId> + '_ {
-        self.routes.keys().copied()
-    }
-
     /// Number of reachable destinations (including the source itself).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.routes.len()
     }
 
     /// True when empty (source unknown to the LSDB).
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.routes.is_empty()
     }
 }

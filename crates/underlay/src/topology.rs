@@ -67,8 +67,9 @@ impl Topology {
         self.adjacency.is_empty()
     }
 
-    /// Builds a line `r0 — r1 — … — rn` with unit costs (handy in tests).
-    pub fn line(n: u32) -> Topology {
+    /// Builds a line `r0 — r1 — … — rn` with unit costs.
+    #[cfg(test)]
+    pub(crate) fn line(n: u32) -> Topology {
         let mut t = Topology::new();
         for i in 0..n {
             t.add_router(RouterId(i));
@@ -82,7 +83,8 @@ impl Topology {
     /// Builds a two-tier campus underlay: `spines` core routers each
     /// connected to every one of `leaves` access routers (unit costs) —
     /// the shape of Fig. 8 with border-facing spines.
-    pub fn spine_leaf(spines: u32, leaves: u32) -> Topology {
+    #[cfg(test)]
+    pub(crate) fn spine_leaf(spines: u32, leaves: u32) -> Topology {
         let mut t = Topology::new();
         for s in 0..spines {
             t.add_router(RouterId(s));

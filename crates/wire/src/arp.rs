@@ -20,19 +20,19 @@ use crate::{Error, Result};
 
 mod layout {
     use super::Field;
-    pub const HTYPE: Field = 0..2;
-    pub const PTYPE: Field = 2..4;
-    pub const HLEN: Field = 4..5;
-    pub const PLEN: Field = 5..6;
-    pub const OPER: Field = 6..8;
-    pub const SHA: Field = 8..14;
-    pub const SPA: Field = 14..18;
-    pub const THA: Field = 18..24;
-    pub const TPA: Field = 24..28;
+    pub(super) const HTYPE: Field = 0..2;
+    pub(super) const PTYPE: Field = 2..4;
+    pub(super) const HLEN: Field = 4..5;
+    pub(super) const PLEN: Field = 5..6;
+    pub(super) const OPER: Field = 6..8;
+    pub(super) const SHA: Field = 8..14;
+    pub(super) const SPA: Field = 14..18;
+    pub(super) const THA: Field = 18..24;
+    pub(super) const TPA: Field = 24..28;
 }
 
 /// Total length of an Ethernet/IPv4 ARP packet.
-pub const PACKET_LEN: usize = layout::TPA.end;
+pub(crate) const PACKET_LEN: usize = layout::TPA.end;
 
 /// ARP operation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -75,13 +75,8 @@ impl<T: AsRef<[u8]>> Packet<T> {
         Ok(p)
     }
 
-    /// Consumes the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// The operation (request/reply).
-    pub fn operation(&self) -> Result<Operation> {
+    pub(crate) fn operation(&self) -> Result<Operation> {
         match field::get_u16(self.buffer.as_ref(), layout::OPER) {
             1 => Ok(Operation::Request),
             2 => Ok(Operation::Reply),
@@ -101,29 +96,29 @@ impl<T: AsRef<[u8]>> Packet<T> {
     }
 
     /// Sender hardware address.
-    pub fn sender_mac(&self) -> MacAddr {
+    pub(crate) fn sender_mac(&self) -> MacAddr {
         self.mac_at(layout::SHA)
     }
 
     /// Sender protocol (IPv4) address.
-    pub fn sender_ip(&self) -> Ipv4Addr {
+    pub(crate) fn sender_ip(&self) -> Ipv4Addr {
         self.ip_at(layout::SPA)
     }
 
     /// Target hardware address.
-    pub fn target_mac(&self) -> MacAddr {
+    pub(crate) fn target_mac(&self) -> MacAddr {
         self.mac_at(layout::THA)
     }
 
     /// Target protocol (IPv4) address.
-    pub fn target_ip(&self) -> Ipv4Addr {
+    pub(crate) fn target_ip(&self) -> Ipv4Addr {
         self.ip_at(layout::TPA)
     }
 }
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     /// Writes the fixed hardware/protocol type preamble.
-    pub fn fill_preamble(&mut self) {
+    pub(crate) fn fill_preamble(&mut self) {
         let d = self.buffer.as_mut();
         field::set_u16(d, layout::HTYPE, 1);
         field::set_u16(d, layout::PTYPE, 0x0800);
@@ -132,7 +127,7 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     }
 
     /// Sets the operation.
-    pub fn set_operation(&mut self, op: Operation) {
+    pub(crate) fn set_operation(&mut self, op: Operation) {
         let raw = match op {
             Operation::Request => 1,
             Operation::Reply => 2,
@@ -141,22 +136,22 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     }
 
     /// Sets the sender hardware address.
-    pub fn set_sender_mac(&mut self, m: MacAddr) {
+    pub(crate) fn set_sender_mac(&mut self, m: MacAddr) {
         self.buffer.as_mut()[layout::SHA].copy_from_slice(&m.octets());
     }
 
     /// Sets the sender protocol address.
-    pub fn set_sender_ip(&mut self, a: Ipv4Addr) {
+    pub(crate) fn set_sender_ip(&mut self, a: Ipv4Addr) {
         self.buffer.as_mut()[layout::SPA].copy_from_slice(&a.octets());
     }
 
     /// Sets the target hardware address.
-    pub fn set_target_mac(&mut self, m: MacAddr) {
+    pub(crate) fn set_target_mac(&mut self, m: MacAddr) {
         self.buffer.as_mut()[layout::THA].copy_from_slice(&m.octets());
     }
 
     /// Sets the target protocol address.
-    pub fn set_target_ip(&mut self, a: Ipv4Addr) {
+    pub(crate) fn set_target_ip(&mut self, a: Ipv4Addr) {
         self.buffer.as_mut()[layout::TPA].copy_from_slice(&a.octets());
     }
 }
@@ -178,7 +173,8 @@ pub struct Repr {
 
 impl Repr {
     /// Builds a who-has request: "who has `target_ip`? tell `sender`".
-    pub fn request(sender_mac: MacAddr, sender_ip: Ipv4Addr, target_ip: Ipv4Addr) -> Repr {
+    #[cfg(test)]
+    fn request(sender_mac: MacAddr, sender_ip: Ipv4Addr, target_ip: Ipv4Addr) -> Repr {
         Repr {
             operation: Operation::Request,
             sender_mac,
@@ -189,7 +185,8 @@ impl Repr {
     }
 
     /// Builds the reply answering `request` with `mac`.
-    pub fn reply_to(request: &Repr, mac: MacAddr) -> Repr {
+    #[cfg(test)]
+    fn reply_to(request: &Repr, mac: MacAddr) -> Repr {
         Repr {
             operation: Operation::Reply,
             sender_mac: mac,

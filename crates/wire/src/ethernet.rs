@@ -49,10 +49,10 @@ impl From<EtherType> for u16 {
 
 mod layout {
     use super::{Field, Rest};
-    pub const DST: Field = 0..6;
-    pub const SRC: Field = 6..12;
-    pub const ETHERTYPE: Field = 12..14;
-    pub const PAYLOAD: Rest = 14..;
+    pub(super) const DST: Field = 0..6;
+    pub(super) const SRC: Field = 6..12;
+    pub(super) const ETHERTYPE: Field = 12..14;
+    pub(super) const PAYLOAD: Rest = 14..;
 }
 
 /// Length of the Ethernet II header.
@@ -76,11 +76,6 @@ impl<T: AsRef<[u8]>> Frame<T> {
             return Err(Error::Truncated);
         }
         Ok(Frame { buffer })
-    }
-
-    /// Consumes the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
     }
 
     /// Destination MAC address.

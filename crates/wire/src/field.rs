@@ -6,26 +6,26 @@
 //! figure in a single screen.
 
 /// A fixed byte range within a header.
-pub type Field = core::ops::Range<usize>;
+pub(crate) type Field = core::ops::Range<usize>;
 
 /// Offset of the first byte after a fixed header (start of payload).
-pub type Rest = core::ops::RangeFrom<usize>;
+pub(crate) type Rest = core::ops::RangeFrom<usize>;
 
 /// Reads a big-endian `u16` at `field`.
 #[inline]
-pub fn get_u16(data: &[u8], field: Field) -> u16 {
+pub(crate) fn get_u16(data: &[u8], field: Field) -> u16 {
     u16::from_be_bytes([data[field.start], data[field.start + 1]])
 }
 
 /// Writes a big-endian `u16` at `field`.
 #[inline]
-pub fn set_u16(data: &mut [u8], field: Field, value: u16) {
+pub(crate) fn set_u16(data: &mut [u8], field: Field, value: u16) {
     data[field].copy_from_slice(&value.to_be_bytes());
 }
 
 /// Reads a 24-bit big-endian value at `field` (3 bytes).
 #[inline]
-pub fn get_u24(data: &[u8], field: Field) -> u32 {
+pub(crate) fn get_u24(data: &[u8], field: Field) -> u32 {
     let s = field.start;
     (u32::from(data[s]) << 16) | (u32::from(data[s + 1]) << 8) | u32::from(data[s + 2])
 }
@@ -33,7 +33,7 @@ pub fn get_u24(data: &[u8], field: Field) -> u32 {
 /// Writes a 24-bit big-endian value at `field` (3 bytes); the top byte of
 /// `value` must be zero.
 #[inline]
-pub fn set_u24(data: &mut [u8], field: Field, value: u32) {
+pub(crate) fn set_u24(data: &mut [u8], field: Field, value: u32) {
     debug_assert!(value <= 0x00ff_ffff);
     let s = field.start;
     data[s] = (value >> 16) as u8;

@@ -11,17 +11,17 @@ use crate::{internet_checksum, Error, Result};
 
 mod layout {
     use super::{Field, Rest};
-    pub const VER_IHL: Field = 0..1;
-    pub const DSCP_ECN: Field = 1..2;
-    pub const TOTAL_LEN: Field = 2..4;
-    pub const IDENT: Field = 4..6;
-    pub const FLAGS_FRAG: Field = 6..8;
-    pub const TTL: Field = 8..9;
-    pub const PROTOCOL: Field = 9..10;
-    pub const CHECKSUM: Field = 10..12;
-    pub const SRC: Field = 12..16;
-    pub const DST: Field = 16..20;
-    pub const PAYLOAD: Rest = 20..;
+    pub(super) const VER_IHL: Field = 0..1;
+    pub(super) const DSCP_ECN: Field = 1..2;
+    pub(super) const TOTAL_LEN: Field = 2..4;
+    pub(super) const IDENT: Field = 4..6;
+    pub(super) const FLAGS_FRAG: Field = 6..8;
+    pub(super) const TTL: Field = 8..9;
+    pub(super) const PROTOCOL: Field = 9..10;
+    pub(super) const CHECKSUM: Field = 10..12;
+    pub(super) const SRC: Field = 12..16;
+    pub(super) const DST: Field = 16..20;
+    pub(super) const PAYLOAD: Rest = 20..;
 }
 
 /// Length of an option-less IPv4 header.
@@ -97,11 +97,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         Ok(p)
     }
 
-    /// Consumes the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// Total length field (header + payload).
     pub fn total_len(&self) -> u16 {
         field::get_u16(self.buffer.as_ref(), layout::TOTAL_LEN)
@@ -138,7 +133,7 @@ impl<T: AsRef<[u8]>> Packet<T> {
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     /// Sets version/IHL to the fixed `0x45`.
-    pub fn fill_version(&mut self) {
+    pub(crate) fn fill_version(&mut self) {
         self.buffer.as_mut()[layout::VER_IHL.start] = 0x45;
         self.buffer.as_mut()[layout::DSCP_ECN.start] = 0;
         field::set_u16(self.buffer.as_mut(), layout::IDENT, 0);
@@ -146,27 +141,27 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     }
 
     /// Sets the total-length field.
-    pub fn set_total_len(&mut self, len: u16) {
+    pub(crate) fn set_total_len(&mut self, len: u16) {
         field::set_u16(self.buffer.as_mut(), layout::TOTAL_LEN, len);
     }
 
     /// Sets the TTL.
-    pub fn set_ttl(&mut self, ttl: u8) {
+    pub(crate) fn set_ttl(&mut self, ttl: u8) {
         self.buffer.as_mut()[layout::TTL.start] = ttl;
     }
 
     /// Sets the payload protocol.
-    pub fn set_protocol(&mut self, p: Protocol) {
+    pub(crate) fn set_protocol(&mut self, p: Protocol) {
         self.buffer.as_mut()[layout::PROTOCOL.start] = p.into();
     }
 
     /// Sets the source address.
-    pub fn set_src_addr(&mut self, a: Ipv4Addr) {
+    pub(crate) fn set_src_addr(&mut self, a: Ipv4Addr) {
         self.buffer.as_mut()[layout::SRC].copy_from_slice(&a.octets());
     }
 
     /// Sets the destination address.
-    pub fn set_dst_addr(&mut self, a: Ipv4Addr) {
+    pub(crate) fn set_dst_addr(&mut self, a: Ipv4Addr) {
         self.buffer.as_mut()[layout::DST].copy_from_slice(&a.octets());
     }
 

@@ -25,8 +25,18 @@
 //!
 //! Malformed input is always an [`Error`], never a panic: `new_checked`
 //! and `parse` validate lengths, version fields and checksums.
+//!
+//! ## Surface
+//!
+//! The crate **is** one public module per format — each a namespace
+//! for its `Packet`, `Repr`, field enums and header-length constants —
+//! plus [`EtherType`] and [`Error`]/[`Result`] at the root. Field
+//! layouts and the checksum helpers stay private. It **is
+//! not** a stack: no fragmentation, no IP options, no IPv6 codec
+//! (`EtherType::Ipv6` only classifies a frame).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod arp;
 pub mod ethernet;
@@ -74,7 +84,7 @@ impl std::error::Error for Error {}
 pub type Result<T> = core::result::Result<T, Error>;
 
 /// The RFC 1071 Internet checksum over `data` (used by IPv4 and UDP).
-pub fn internet_checksum(data: &[u8]) -> u16 {
+pub(crate) fn internet_checksum(data: &[u8]) -> u16 {
     !ones_complement_sum(data, 0)
 }
 

@@ -379,7 +379,8 @@ impl Message {
     }
 
     /// The nonce of any message variant.
-    pub fn nonce(&self) -> u64 {
+    #[cfg(test)]
+    fn nonce(&self) -> u64 {
         match self {
             Message::MapRequest { nonce, .. }
             | Message::MapReply { nonce, .. }

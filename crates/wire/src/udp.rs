@@ -18,11 +18,11 @@ pub const LISP_CONTROL_PORT: u16 = 4342;
 
 mod layout {
     use super::{Field, Rest};
-    pub const SRC_PORT: Field = 0..2;
-    pub const DST_PORT: Field = 2..4;
-    pub const LENGTH: Field = 4..6;
-    pub const CHECKSUM: Field = 6..8;
-    pub const PAYLOAD: Rest = 8..;
+    pub(super) const SRC_PORT: Field = 0..2;
+    pub(super) const DST_PORT: Field = 2..4;
+    pub(super) const LENGTH: Field = 4..6;
+    pub(super) const CHECKSUM: Field = 6..8;
+    pub(super) const PAYLOAD: Rest = 8..;
 }
 
 /// Length of the UDP header.
@@ -54,11 +54,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         Ok(p)
     }
 
-    /// Consumes the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// Source port.
     pub fn src_port(&self) -> u16 {
         field::get_u16(self.buffer.as_ref(), layout::SRC_PORT)
@@ -80,7 +75,7 @@ impl<T: AsRef<[u8]>> Packet<T> {
     }
 
     /// Checksum field (0 = not computed).
-    pub fn checksum(&self) -> u16 {
+    pub(crate) fn checksum(&self) -> u16 {
         field::get_u16(self.buffer.as_ref(), layout::CHECKSUM)
     }
 
@@ -114,17 +109,17 @@ fn pseudo_header_checksum(src: Ipv4Addr, dst: Ipv4Addr, datagram: &[u8]) -> u16 
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     /// Sets the source port.
-    pub fn set_src_port(&mut self, p: u16) {
+    pub(crate) fn set_src_port(&mut self, p: u16) {
         field::set_u16(self.buffer.as_mut(), layout::SRC_PORT, p);
     }
 
     /// Sets the destination port.
-    pub fn set_dst_port(&mut self, p: u16) {
+    pub(crate) fn set_dst_port(&mut self, p: u16) {
         field::set_u16(self.buffer.as_mut(), layout::DST_PORT, p);
     }
 
     /// Sets the length field.
-    pub fn set_len(&mut self, l: u16) {
+    pub(crate) fn set_len(&mut self, l: u16) {
         field::set_u16(self.buffer.as_mut(), layout::LENGTH, l);
     }
 

@@ -36,11 +36,11 @@ use crate::{Error, Result};
 
 mod layout {
     use super::{Field, Rest};
-    pub const FLAGS: Field = 0..2;
-    pub const GROUP: Field = 2..4;
-    pub const VNI: Field = 4..7;
-    pub const RESERVED: Field = 7..8;
-    pub const PAYLOAD: Rest = 8..;
+    pub(super) const FLAGS: Field = 0..2;
+    pub(super) const GROUP: Field = 2..4;
+    pub(super) const VNI: Field = 4..7;
+    pub(super) const RESERVED: Field = 7..8;
+    pub(super) const PAYLOAD: Rest = 8..;
 }
 
 /// Length of the VXLAN-GPO header.
@@ -52,7 +52,7 @@ pub const FLAG_G: u16 = 0x8000;
 /// VNI-valid flag (mandatory).
 pub const FLAG_I: u16 = 0x0800;
 /// "Don't learn" flag.
-pub const FLAG_D: u16 = 0x0040;
+pub(crate) const FLAG_D: u16 = 0x0040;
 /// "Policy already applied" flag.
 pub const FLAG_A: u16 = 0x0008;
 
@@ -101,17 +101,12 @@ impl<T: AsRef<[u8]>> Packet<T> {
         Ok(p)
     }
 
-    /// Consumes the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     fn flags(&self) -> u16 {
         field::get_u16(self.buffer.as_ref(), layout::FLAGS)
     }
 
     /// True when the Group Policy extension is present.
-    pub fn has_group(&self) -> bool {
+    pub(crate) fn has_group(&self) -> bool {
         self.flags() & FLAG_G != 0
     }
 
@@ -166,7 +161,7 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     }
 
     /// Writes the mandatory `I` flag and zeroes reserved fields.
-    pub fn fill_defaults(&mut self) {
+    pub(crate) fn fill_defaults(&mut self) {
         let d = self.buffer.as_mut();
         field::set_u16(d, layout::FLAGS, FLAG_I);
         field::set_u16(d, layout::GROUP, 0);
@@ -174,28 +169,28 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     }
 
     /// Sets the source GroupId (also sets the `G` flag).
-    pub fn set_group(&mut self, g: GroupId) {
+    pub(crate) fn set_group(&mut self, g: GroupId) {
         self.set_flag(FLAG_G, true);
         field::set_u16(self.buffer.as_mut(), layout::GROUP, g.raw());
     }
 
     /// Sets the "don't learn" bit.
-    pub fn set_dont_learn(&mut self, on: bool) {
+    pub(crate) fn set_dont_learn(&mut self, on: bool) {
         self.set_flag(FLAG_D, on);
     }
 
     /// Sets the "policy applied" bit.
-    pub fn set_policy_applied(&mut self, on: bool) {
+    pub(crate) fn set_policy_applied(&mut self, on: bool) {
         self.set_flag(FLAG_A, on);
     }
 
     /// Sets the VNI to `vn`.
-    pub fn set_vni(&mut self, vn: VnId) {
+    pub(crate) fn set_vni(&mut self, vn: VnId) {
         field::set_u24(self.buffer.as_mut(), layout::VNI, vn.raw());
     }
 
     /// Sets the next-protocol byte.
-    pub fn set_inner_proto(&mut self, proto: InnerProto) {
+    pub(crate) fn set_inner_proto(&mut self, proto: InnerProto) {
         self.buffer.as_mut()[layout::RESERVED.start] = match proto {
             InnerProto::Ipv4 => 0,
             InnerProto::Ethernet => PROTO_ETHERNET,

@@ -127,9 +127,9 @@ pub struct CampusScenario {
 }
 
 /// The users group.
-pub const USERS: GroupId = GroupId(10);
+pub(crate) const USERS: GroupId = GroupId(10);
 /// The infrastructure group (always-on).
-pub const INFRA: GroupId = GroupId(20);
+pub(crate) const INFRA: GroupId = GroupId(20);
 
 impl CampusScenario {
     /// Builds the fabric and roster, and schedules the whole campaign.

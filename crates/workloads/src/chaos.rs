@@ -53,9 +53,9 @@ use sda_simnet::{Fault, FaultPlan, SimDuration, SimTime};
 use sda_types::{Eid, GroupId, Ipv4Prefix, PortId, VnId};
 
 /// The one group everyone belongs to (policy is not under test here).
-pub const USERS: GroupId = GroupId(10);
+pub(crate) const USERS: GroupId = GroupId(10);
 
-/// Campaign shape. Presets: [`ChaosParams::storm`] (full scale),
+/// Campaign shape. Presets: `ChaosParams::storm` (full scale),
 /// [`ChaosParams::reduced`] (CI scale).
 #[derive(Clone, Debug)]
 pub struct ChaosParams {
@@ -91,7 +91,7 @@ pub struct ChaosParams {
 
 impl ChaosParams {
     /// Full scale: a 120-edge fabric whose storm reboots 110 of them.
-    pub fn storm() -> Self {
+    pub(crate) fn storm() -> Self {
         ChaosParams {
             name: "storm",
             endpoints: 240,
@@ -165,7 +165,7 @@ impl ChaosParams {
     }
 
     /// [`Self::reduced`] when `SDA_CHAOS_REDUCED` is set (CI),
-    /// [`Self::storm`] otherwise; `SDA_CHAOS_SHARDS=<n>` (n > 1) layers
+    /// `Self::storm` otherwise; `SDA_CHAOS_SHARDS=<n>` (n > 1) layers
     /// the overload campaign ([`Self::with_overload`]) on top.
     pub fn from_env() -> Self {
         let base = if std::env::var_os("SDA_CHAOS_REDUCED").is_some() {
@@ -196,35 +196,35 @@ impl ChaosParams {
 /// grid so it never samples a just-fired refresh mid-round-trip.
 mod t {
     /// Attaches are staggered over `[0, ATTACH)`.
-    pub const ATTACH: u64 = 10;
+    pub(super) const ATTACH: u64 = 10;
     /// Fabric-wide loss switches on.
-    pub const LOSS_ON: u64 = 15;
+    pub(super) const LOSS_ON: u64 = 15;
     /// First storm crash.
-    pub const STORM: u64 = 16;
+    pub(super) const STORM: u64 = 16;
     /// Routing server crashes...
-    pub const SERVER_DOWN: u64 = 20;
+    pub(super) const SERVER_DOWN: u64 = 20;
     /// ...and restarts empty.
-    pub const SERVER_UP: u64 = 24;
+    pub(super) const SERVER_UP: u64 = 24;
     /// One map-server shard crashes (overload campaigns only)...
-    pub const SHARD_DOWN: u64 = 28;
+    pub(super) const SHARD_DOWN: u64 = 28;
     /// ...and restarts empty mid-roam-storm.
-    pub const SHARD_UP: u64 = 34;
+    pub(super) const SHARD_UP: u64 = 34;
     /// Roams are staggered over `[ROAM_FROM, ROAM_TO)`.
-    pub const ROAM_FROM: u64 = 33;
+    pub(super) const ROAM_FROM: u64 = 33;
     /// End of the roam window.
-    pub const ROAM_TO: u64 = 39;
+    pub(super) const ROAM_TO: u64 = 39;
     /// Fabric-wide loss heals; the quiet tail begins.
-    pub const LOSS_OFF: u64 = 45;
+    pub(super) const LOSS_OFF: u64 = 45;
     /// Convergence is checked here (quiet tail ≫ idle timeout). Off the
     /// 5-second refresh grid and the 2-second eviction grid, with 4 s of
     /// headroom after the t=85 refresh wave: an admission-throttled
     /// wave needs a few shed→retry rounds to drain before the check
     /// samples the pending maps.
-    pub const CHECK: u64 = 89;
+    pub(super) const CHECK: u64 = 89;
     /// Probe round on the healed fabric.
-    pub const PROBE: u64 = 91;
+    pub(super) const PROBE: u64 = 91;
     /// End of the run.
-    pub const END: u64 = 99;
+    pub(super) const END: u64 = 99;
 }
 
 fn secs(s: u64) -> SimTime {
@@ -243,7 +243,7 @@ pub struct Member {
 }
 
 /// The fault/retry counters every chaos run reports.
-pub const CHAOS_COUNTERS: &[&str] = &[
+pub(crate) const CHAOS_COUNTERS: &[&str] = &[
     "simnet.faults_injected",
     "simnet.node_crashes",
     "simnet.node_restarts",
@@ -280,7 +280,7 @@ pub struct ChaosOutcome {
     pub probes_sent: u64,
     /// Probes delivered (must equal `probes_sent`: loss is healed).
     pub probes_delivered: u64,
-    /// `(name, value)` for every counter in [`CHAOS_COUNTERS`].
+    /// `(name, value)` for every counter in `CHAOS_COUNTERS`.
     pub counters: Vec<(&'static str, u64)>,
     /// High-water mark of the routing server's ingress queue.
     pub server_queue_peak: u32,
@@ -316,7 +316,7 @@ impl ChaosOutcome {
 pub struct ChaosScenario {
     /// The fabric under test.
     pub fabric: Fabric,
-    /// Edge handles, index-aligned with [`Member::home`]/[`Member::fin`].
+    /// Edge handles, index-aligned with `Member::home`/`Member::fin`.
     pub edges: Vec<EdgeHandle>,
     /// Border handles.
     pub borders: Vec<BorderHandle>,

@@ -4,41 +4,49 @@
 //! commercial traffic generator; each module's docs state what it
 //! substitutes for:
 //!
-//! * [`campus`] — the diurnal campus model behind Fig. 9 / Table 5:
+//! * [`CampusScenario`] — the diurnal campus model behind Fig. 9 / Table 5:
 //!   Table 3/4 deployment shapes (buildings A and B), morning arrivals,
 //!   evening departures, weekends, an always-on device share, favorite-
 //!   peer traffic with popularity skew, and nighttime chatter toward
 //!   departed endpoints (the building-B cache-cleaning effect).
-//! * [`warehouse`] — the massive-mobility model behind Fig. 11: 16,000
+//! * [`WarehouseParams`] / [`run_lisp`] / [`run_bgp`] — the massive-mobility model behind Fig. 11: 16,000
 //!   endpoints over 200 edges, 800 moves/s flipping attachment between
 //!   two physical edges, with measured movers receiving correspondent
 //!   traffic; runs against both the reactive (`sda-core`) and proactive
 //!   (`sda-bgp`) fabrics.
-//! * [`metro`] — the city-scale control-plane message stream (million-
+//! * [`MetroWorkload`] — the city-scale control-plane message stream (million-
 //!   endpoint tier) driving the partitioned map-server benches.
-//! * [`policy_churn`] — Table 3's policy-update scenarios at fleet
+//! * [`PolicyChurnScenario`] — Table 3's policy-update scenarios at fleet
 //!   scale: SXP re-subset storms, enforcement-point flips and §5.4
 //!   group-move vs rule-rewrite rollouts over hundreds of edges
 //!   carrying compiled bitset ACLs, with exact fan-out accounting and
 //!   a semantic convergence check.
-//! * [`queries`] — Poisson arrival processes (Fig. 7c's offered load).
-//! * [`traffic`] — popularity (Zipf) samplers shared by the models.
-//! * [`chaos`] — the fault campaign (reboot storm, server restart
+//! * [`PoissonArrivals`] — Poisson arrival processes (Fig. 7c's offered load).
+//! * [`ZipfSampler`] — popularity (Zipf) samplers shared by the models.
+//! * [`ChaosScenario`] — the fault campaign (reboot storm, server restart
 //!   mid-churn, roam storm on a lossy fabric) with a convergence
 //!   verdict and probe round; the robustness counterpart of the
 //!   measured workloads.
 //!
 //! Everything is seeded and deterministic.
+//!
+//! ## Surface
+//!
+//! The crate **is** its root: each model's parameters and scenario type
+//! as listed above, with their reports. Every module is private. It
+//! **is not** a fabric: the models drive `sda-core` (and `sda-bgp`)
+//! through their public APIs and own no protocol state of their own.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod campus;
-pub mod chaos;
-pub mod metro;
-pub mod policy_churn;
-pub mod queries;
-pub mod traffic;
-pub mod warehouse;
+mod campus;
+mod chaos;
+mod metro;
+mod policy_churn;
+mod queries;
+mod traffic;
+mod warehouse;
 
 pub use campus::{CampusParams, CampusScenario};
 pub use chaos::{ChaosOutcome, ChaosParams, ChaosScenario};
@@ -48,4 +56,4 @@ pub use policy_churn::{
 };
 pub use queries::PoissonArrivals;
 pub use traffic::ZipfSampler;
-pub use warehouse::{HandoverSample, WarehouseParams};
+pub use warehouse::{run_bgp, run_lisp, HandoverSample, WarehouseParams};

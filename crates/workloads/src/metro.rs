@@ -136,7 +136,7 @@ impl MetroWorkload {
     }
 
     /// Border `b`'s RLOC (distinct from every edge).
-    pub fn border_rloc(&self, b: u16) -> Rloc {
+    pub(crate) fn border_rloc(&self, b: u16) -> Rloc {
         Rloc::for_router_index(0x7000 + b)
     }
 

@@ -33,16 +33,6 @@ impl ZipfSampler {
         ZipfSampler { cdf }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True when there is a single rank.
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
     /// Draws a rank.
     pub fn sample(&self, rng: &mut impl Rng) -> usize {
         let u: f64 = rng.gen();

@@ -247,7 +247,7 @@ pub fn run_lisp(p: &WarehouseParams) -> Vec<HandoverSample> {
 /// Runs the warehouse against the **proactive** (BGP route-reflector)
 /// baseline; returns the measured handovers.
 pub fn run_bgp(p: &WarehouseParams) -> Vec<HandoverSample> {
-    use sda_bgp::msg::BgpHostEvent;
+    use sda_bgp::BgpHostEvent;
     use sda_bgp::{BgpConfig, BgpDirectory, BgpEdge, BgpMsg, RouteReflector};
     use sda_simnet::{NodeId, Simulator};
     use std::collections::BTreeMap;

@@ -2,7 +2,7 @@
 //! scale when `SDA_CHAOS_REDUCED` is set) must end converged, deliver
 //! every probe on the healed fabric, and replay byte-identically.
 
-use sda_workloads::chaos::{ChaosParams, ChaosScenario};
+use sda_workloads::{ChaosParams, ChaosScenario};
 
 fn run(params: ChaosParams) -> sda_workloads::ChaosOutcome {
     let mut s = ChaosScenario::build(params);
@@ -59,7 +59,7 @@ fn chaos_campaign_converges_and_probes_deliver() {
 #[test]
 fn shard_storm_degrades_gracefully_and_converges() {
     let params = if std::env::var_os("SDA_CHAOS_REDUCED").is_some() {
-        sda_workloads::chaos::ChaosParams {
+        sda_workloads::ChaosParams {
             name: "shard-reduced",
             ..ChaosParams::reduced().with_overload(4)
         }

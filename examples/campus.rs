@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release -p sda-examples --bin campus`
 
-use sda_workloads::campus::{CampusParams, CampusScenario};
+use sda_workloads::{CampusParams, CampusScenario};
 
 fn main() {
     let mut params = CampusParams::building_a();

@@ -7,7 +7,7 @@
 //! `cargo run --release -p sda-bench --bin fig11_handover_cdf`)
 
 use sda_simnet::Summary;
-use sda_workloads::warehouse::{run_bgp, run_lisp, WarehouseParams};
+use sda_workloads::{run_bgp, run_lisp, WarehouseParams};
 
 fn main() {
     let mut params = WarehouseParams::small();

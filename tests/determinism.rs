@@ -2,8 +2,8 @@
 //! Two runs with the same seed must agree bit-for-bit on every metric;
 //! different seeds must (overwhelmingly) differ.
 
-use sda_workloads::campus::{CampusParams, CampusScenario};
-use sda_workloads::warehouse::{run_lisp, WarehouseParams};
+use sda_workloads::{run_lisp, WarehouseParams};
+use sda_workloads::{CampusParams, CampusScenario};
 
 fn tiny_campus(seed: u64) -> CampusParams {
     CampusParams {
@@ -97,7 +97,7 @@ fn simulator_event_order_is_stable_under_ties() {
 /// FIFO changed how many events a backlog costs, not what happens.
 #[test]
 fn overload_campaign_replays_and_matches_the_recorded_counters() {
-    use sda_workloads::chaos::{ChaosParams, ChaosScenario};
+    use sda_workloads::{ChaosParams, ChaosScenario};
 
     const RECORDED: [(&str, u64); 27] = [
         ("simnet.faults_injected", 70),
