@@ -1,11 +1,14 @@
-//! Fixtures the per-layer benches share: one VN, one attached host, the
-//! EID spaces, near-MTU host frames and the edge configuration they are
-//! forwarded under — so `dataplane_fwd` and `mt_fwd` time the same
-//! workload by construction.
+//! Fixtures the per-layer benches and the figures share: one VN, one
+//! attached host, the EID spaces, near-MTU host frames and the edge
+//! configuration they are forwarded under — so `dataplane_fwd` and
+//! `mt_fwd` time the same workload by construction — and the preloaded
+//! routing server of Fig. 7.
 
+use sda_ctrl::PartitionedMapServer;
 use sda_dataplane::{LocalEndpoint, Switch, SwitchConfig};
 use sda_simnet::{SimDuration, SimTime};
 use sda_types::{Eid, EidPrefix, GroupId, MacAddr, PortId, Rloc, VnId};
+use sda_wire::lisp::Message;
 use sda_wire::{ethernet, ipv4, EtherType};
 use std::net::Ipv4Addr;
 
@@ -25,6 +28,26 @@ pub fn vn() -> VnId {
 /// requested or updated a different route", §4.1).
 pub fn eid(i: u32) -> Eid {
     Eid::V4(Ipv4Addr::from(0x0A00_0000 | (i & 0x00FF_FFFF)))
+}
+
+/// The server the fabric runs (one shard) with [`eid`]`(0..routes)`
+/// registered in [`vn`], spread over 200 RLOCs: Fig. 7's starting point.
+pub fn preloaded_server(routes: u32) -> PartitionedMapServer {
+    let mut s = PartitionedMapServer::new(Rloc::for_router_index(65_000), 1);
+    for i in 0..routes {
+        s.handle(
+            Message::MapRegister {
+                nonce: u64::from(i),
+                vn: vn(),
+                eid: eid(i),
+                rloc: Rloc::for_router_index((i % 200) as u16),
+                ttl_secs: 0,
+                want_notify: false,
+            },
+            SimTime::ZERO,
+        );
+    }
+    s
 }
 
 /// Address of the `i`-th remote endpoint of the forwarding benches.

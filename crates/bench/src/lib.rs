@@ -5,8 +5,8 @@
 //!
 //! * [`harness`] — smoke mode, sample sizes, the JSON out path, the
 //!   row-set check and the ratio / bar / budget checks, decided once for
-//!   every bench below; [`fixtures`] — the VN, host, EIDs, frames and
-//!   edge configuration they share.
+//!   every bench below; [`fixtures`] — the VN, host, EIDs, frames, edge
+//!   configuration and preloaded routing server they share.
 //! * Criterion benches (`benches/`, each a row list over the harness):
 //!   - `lpm_hot_path` — `BENCH_lpm.json`: plain Patricia-trie LPM (the
 //!     map-cache's cover path) and map-cache lookup, two memory budgets.
@@ -18,30 +18,30 @@
 //!     under the metro workload.
 //!   - `policy_plane` — `BENCH_policy.json`: compiled SGACL vs. the
 //!     per-pair map.
-//!   - `fig7_routing_server` — Fig. 7a/7b: map-server request/update
-//!     latency vs. stored-route count (flat; trie rows beside).
+//!   - `fig7_routing_server` — Fig. 7a/7b: the routing server's own
+//!     request/update latency vs. stored-route count.
+//! * [`figures`] — Fig. 7a/7b/7c, 9, 11, 12, Tables 3–5 and the
+//!   §3.2.2/§4.1/§5.3/§5.4 design studies, each a function returning
+//!   rows plus its printer; `tests/figures.rs` is their shape gate.
 //! * Binaries (`src/bin/`):
 //!   - `e2e` — the benchmark of record (`BENCHMARK.json`).
 //!   - `bench_check` — CI's allocation budgets, read off traced quick
 //!     `e2e` runs.
-//!   - `fig7a`, `fig7b` — boxplot rows from the simulated server.
-//!   - `fig7c` — delay vs. offered load (queueing).
-//!   - `fig9_fib_timeseries` — border vs. edge FIB over weeks.
-//!   - `table3_scenarios` — deployment inventory.
-//!   - `table5_fib_average` — 5-week FIB averages, day/night split.
-//!   - `fig11_handover_cdf` — reactive vs. proactive handover CDF.
-//!   - `fig12_drop_permille` — egress drop rates across profiles.
-//!   - `ablation_*` — §5.3/§5.4/§3.2.2/§4.1 design-choice studies.
+//!   - `figs <name>` — prints one figure at the paper's scale: `fig7a`,
+//!     `fig7b`, `fig7c`, `fig9`, `table3`, `table5`, `fig11 [--quick]`,
+//!     `fig12`, `ablation_border_sync`, `ablation_enforcement_point`,
+//!     `ablation_policy_update`, `ablation_sharding`.
 //!
-//! The library also hosts the output helpers the figure binaries share
-//! and the implementations no node runs that rows are measured against:
-//! [`shard::ShardedMapServer`] — §4.1's replicate-all deployment, for
-//! `ctrl_plane`'s `register_legacy_s4` and `ablation_sharding` — built on
-//! [`map_server`] (with its [`pubsub`] subscriber table), and
-//! [`enforce`] for `policy_plane`'s per-pair-map rows; these are
-//! `#[path]`-included below from the `tests/reference/` directories
-//! that own them.
+//! The library also hosts the queueing and averaging helpers the
+//! figures share and the implementations no node runs that rows are
+//! measured against: [`shard::ShardedMapServer`] — §4.1's replicate-all
+//! deployment, for `ctrl_plane`'s `register_legacy_s4` and
+//! [`figures::ablation_sharding`] — built on [`map_server`] (with its
+//! [`pubsub`] subscriber table), and [`enforce`] for `policy_plane`'s
+//! per-pair-map rows; these are `#[path]`-included below from the
+//! `tests/reference/` directories that own them.
 
+pub mod figures;
 pub mod fixtures;
 pub mod harness;
 pub mod shard;
@@ -66,39 +66,7 @@ use enforce as group_acl;
 #[path = "../../core/tests/reference/pipeline.rs"]
 pub mod pipeline;
 
-use sda_simnet::Summary;
-
-/// Prints a boxplot summary row in the Fig. 7 style: values relative to
-/// a `baseline` (e.g. the minimum of the 1-route configuration).
-pub fn print_boxplot_row(label: &str, summary: &Summary, baseline: f64) {
-    println!(
-        "{label:>10} │ p05 {:>6.2} │ p25 {:>6.2} │ median {:>6.2} │ p75 {:>6.2} │ p95 {:>6.2} │ n={}",
-        summary.p05 / baseline,
-        summary.p25 / baseline,
-        summary.p50 / baseline,
-        summary.p75 / baseline,
-        summary.p95 / baseline,
-        summary.count,
-    );
-}
-
-/// Prints a two-series CDF table (the Fig. 11 shape), relative to `unit`.
-pub fn print_cdf_pair(a_name: &str, a: &[f64], b_name: &str, b: &[f64], unit: f64, points: usize) {
-    println!(" frac │ {a_name:>8} │ {b_name:>8}");
-    println!("──────┼──────────┼─────────");
-    let ca = Summary::cdf(a, points);
-    let cb = Summary::cdf(b, points);
-    for (pa, pb) in ca.iter().zip(cb.iter()) {
-        println!(
-            " {:>4.2} │ {:>8.2} │ {:>8.2}",
-            pa.1,
-            pa.0 / unit,
-            pb.0 / unit
-        );
-    }
-}
-
-/// Formats a mean with the day/night split used by Table 5.
+/// A mean with the day/night split used by Table 5.
 pub struct DayNight {
     /// Mean over all samples.
     pub all: f64,
@@ -137,8 +105,8 @@ pub fn day_night_split(series: &[(f64, f64)]) -> Option<DayNight> {
 /// Simulates a single-server FIFO queue: for each arrival instant
 /// (seconds), draws a service time and returns the sojourn time
 /// (wait + service). This is exactly how the simulator's per-node
-/// control CPU behaves; the standalone form lets the Fig. 7 harnesses
-/// sweep offered load without building a whole fabric.
+/// control CPU behaves; the standalone form lets Fig. 7 and the §4.1
+/// sharding study sweep offered load without building a whole fabric.
 pub fn fifo_sojourns(arrivals: &[f64], mut service: impl FnMut() -> f64) -> Vec<f64> {
     let mut free_at = 0.0f64;
     arrivals

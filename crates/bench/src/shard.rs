@@ -15,7 +15,7 @@
 //! partitions EID space so each register lands on exactly one shard.
 //! It lives here, in bench support, as the comparison point of the
 //! `register_legacy_s4` row of `benches/ctrl_plane.rs` and of
-//! `bin/ablation_sharding.rs`, built on the reference
+//! [`crate::figures::ablation_sharding`], built on the reference
 //! [`MapServer`] alone.
 //!
 //! Invariant: register side effects (notifies, publishes) are

@@ -14,7 +14,7 @@
 //! along the path instead of installing per-hop policies). Which is
 //! cheaper "depends on the distribution of endpoints within groups";
 //! [`UpdatePlan::signaling_messages`] makes the trade-off computable and
-//! the `ablation_policy_update` bench sweeps it.
+//! the `figs ablation_policy_update` study sweeps it.
 
 use std::collections::BTreeMap;
 

@@ -1,7 +1,7 @@
 //! Quickstart: build a three-router fabric, define policy, onboard two
 //! endpoints, and watch the reactive control plane do its job.
 //!
-//! Run with: `cargo run -p sda-examples --bin quickstart`
+//! Run with: `cargo run --release --example quickstart`
 
 use sda_core::controller::FabricBuilder;
 use sda_simnet::{SimDuration, SimTime};

@@ -5,7 +5,7 @@
 //! group rules inside the clinical VN. Also demonstrates the §5.4
 //! policy-update trade-off calculator.
 //!
-//! Run with: `cargo run -p sda-examples --bin segmentation`
+//! Run with: `cargo run --release --example segmentation`
 
 use sda_core::controller::FabricBuilder;
 use sda_policy::{Population, UpdatePlan, UpdateStrategy};

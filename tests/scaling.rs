@@ -111,59 +111,3 @@ fn packet_conservation_and_state_reconciliation() {
     let attached: usize = edges.iter().map(|e| f.edge(*e).attached()).sum();
     assert_eq!(attached, n_endpoints);
 }
-
-#[test]
-fn reactive_state_stays_a_fraction_of_proactive_state() {
-    // The Fig. 9 headline at a synthetic scale: with traffic locality,
-    // edge caches stay well below the full table the border carries.
-    let n_edges = 20;
-    let n_endpoints = 400;
-
-    let mut b = FabricBuilder::new(88);
-    let vn = b.add_vn(1, Ipv4Prefix::new(Ipv4Addr::new(10, 1, 0, 0), 16).unwrap());
-    let g = GroupId(1);
-    b.allow(vn, g, g);
-    let edges: Vec<_> = (0..n_edges).map(|i| b.add_edge(format!("e{i}"))).collect();
-    let border = b.add_border("border", vec![]);
-    let endpoints: Vec<_> = (0..n_endpoints).map(|_| b.mint_endpoint(vn, g)).collect();
-    let mut f = b.build();
-    let mut rng = SmallRng::seed_from_u64(5);
-
-    for (i, ep) in endpoints.iter().enumerate() {
-        f.attach_at(SimTime::ZERO, edges[i % n_edges], *ep, PortId(i as u16));
-    }
-    f.run_until(SimTime::ZERO + SimDuration::from_secs(2));
-
-    // Localized traffic: every endpoint talks to ~6 popular servers.
-    let start = SimTime::ZERO + SimDuration::from_secs(3);
-    for (i, ep) in endpoints.iter().enumerate() {
-        for k in 0..3 {
-            let server = &endpoints[rng.gen_range(0..12)];
-            let at = start + SimDuration::from_secs_f64(rng.gen::<f64>() * 5.0);
-            f.send_at(
-                at,
-                edges[i % n_edges],
-                ep.mac,
-                Eid::V4(server.ipv4),
-                300,
-                (i * 10 + k) as u64,
-                false,
-            );
-        }
-    }
-    f.run_until(start + SimDuration::from_secs(20));
-
-    let border_fib = f.border(border).fib_len_v4();
-    assert_eq!(border_fib, n_endpoints, "border carries the full table");
-    let max_edge_fib = edges.iter().map(|e| f.edge(*e).fib_len_v4()).max().unwrap();
-    let avg_edge_fib: f64 = edges
-        .iter()
-        .map(|e| f.edge(*e).fib_len_v4() as f64)
-        .sum::<f64>()
-        / n_edges as f64;
-    assert!(
-        (avg_edge_fib as usize) * 5 < border_fib,
-        "reactive edges must carry a small fraction: avg={avg_edge_fib:.1} border={border_fib}"
-    );
-    assert!(max_edge_fib < border_fib);
-}
