@@ -24,8 +24,9 @@
 //! Budgets: the 4-shard 1M-endpoint registry tables sum to at most 1.25×
 //! the single-shard footprint (shards partition the world, they must
 //! not replicate it), and the single-shard footprint itself is at most
-//! 72 MiB — 64.0 with 32-byte slots, so a field added to the entry
-//! fails here before it reaches `ctrl_resolve`'s resident set. Bar: `pubsub_delta_s4` grows from 100k to 1M by
+//! 36 MiB — 32.0 with the 16-byte slots that hold the metro workload's
+//! IPv4 EIDs, so a field added to the narrow slot fails here before it
+//! reaches `ctrl_resolve`'s resident set. Bar: `pubsub_delta_s4` grows from 100k to 1M by
 //! at most 1.5× what the bare `register_s4` row grows — an iteration is
 //! one register plus the flush, and the register's probe goes from
 //! cache-resident at 100k to DRAM-bound at 1M (3-4x on its own), so the
@@ -243,7 +244,7 @@ fn main() {
         mem_1m_s4.expect("1M 4-shard footprint captured") as f64,
     );
     const MIB: f64 = 1024.0 * 1024.0;
-    h.budget("1-shard registry MiB at 1M", s1 / MIB, ..=72.0);
+    h.budget("1-shard registry MiB at 1M", s1 / MIB, ..=36.0);
     h.budget("4-shard vs 1-shard registry bytes at 1M", s4 / s1, ..=1.25);
 
     for scale in SCALES {

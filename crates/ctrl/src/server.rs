@@ -650,8 +650,9 @@ impl PartitionedMapServer {
 
     /// Memory diagnostics summed across all shards — what the scale-tier
     /// acceptance compares against a single server's. `capacity_bytes`
-    /// is exactly what the shards' tables hold allocated (32 bytes a
-    /// slot; see `MappingDb::mem_stats`).
+    /// is exactly what the shards' tables hold allocated (16 bytes a
+    /// slot for an IPv4 EID, 32 for any other; see
+    /// `MappingDb::mem_stats`).
     pub fn mem_stats(&self) -> MemStats {
         let mut total = MemStats::default();
         for s in &self.shards {

@@ -5,46 +5,66 @@
 //! expired entries answer as if absent (the registering edge refreshes
 //! them periodically in a live deployment).
 //!
-//! **What it is.** One open-addressed, linear-probing table per VN: a
-//! power-of-two array of 32-byte slots, each an `Option` of `{eid, rloc,
-//! expires_at}` (the `None` lives in [`Eid`]'s tag byte), 32-byte
-//! aligned so no slot straddles a cache line. A key's home slot is
-//! [`KeyHasher`] over [`fold_eid`], masked; a probe walks forward from
-//! there to the key or to the first empty slot, so a Map-Request is as a
-//! rule answered from the line its home slot is on. Exact match is
-//! complete, not a shortcut: [`MappingDb::register`] takes an [`Eid`] (a
-//! Map-Register carries one), so no covering prefix can enter and the
-//! longest match for an EID is the entry stored under it or nothing. A
-//! request or a register costs one probe whatever the table holds — the
-//! property Fig. 7 shows (delay flat in the number of routes).
+//! **What it is.** Per VN, open-addressed, linear-probing tables of host
+//! registrations in two slot widths, both served by one generic
+//! `Table` (one probe, one insert, one backward shift, one `retain`):
 //!
-//! Each VN's table is one allocation that only growth replaces: it
-//! doubles when the next insert would pass 7/8 full (`std`'s bound) and
-//! never shrinks. Removal shifts the rest of the cluster back over the
-//! hole, so there are no tombstones and a probe never outlives the
-//! entries it passes; a re-register overwrites its slot and moves
-//! nothing. A table's load runs from 7/16 after a doubling to 7/8 before
-//! the next, and the expected probe with it (½(1 + 1/(1 − α)) slots for a
-//! hit, ½(1 + 1/(1 − α)²) for a miss): 1.4 and 2.1 slots at 7/16, 1.5 and
-//! 2.5 at the 1/2 a million endpoints leave in 2²¹ slots, and at worst —
-//! a table about to grow — a hit reads 4.5 slots and a miss ≈ 32, 1 KiB
-//! walked sequentially.
+//! * **narrow** slots, 16 bytes: `{addr, rloc, expires_at}` for every
+//!   IPv4 EID except 0.0.0.0. The address is a `NonZeroU32`, so an empty
+//!   slot's `None` lives in its zero niche — that is why 0.0.0.0, the
+//!   one address the niche takes, is not narrow. A probe compares the
+//!   stored `u32` with the key's and never rebuilds an [`Eid`]. Every
+//!   VN has a narrow table.
+//! * **wide** slots, 32 bytes: `{eid, rloc, expires_at}` (the `None` in
+//!   [`Eid`]'s tag byte) for MAC, IPv6 and 0.0.0.0. A VN allocates its
+//!   wide table on its first such key, so a VN of IPv4 hosts has none.
+//!
+//! Both widths are aligned to their size, so no slot straddles a cache
+//! line: a 64-byte line holds four narrow slots or two wide ones. A
+//! key's home slot is [`KeyHasher`] over [`fold_eid`], masked, in either
+//! width; a probe walks forward from there to the key or to the first
+//! empty slot. Exact match is complete, not a shortcut:
+//! [`MappingDb::register`] takes an [`Eid`] (a Map-Register carries
+//! one), so no covering prefix can enter and the longest match for an
+//! EID is the entry stored under it or nothing. A request or a register
+//! costs one probe whatever the table holds — the property Fig. 7 shows
+//! (delay flat in the number of routes).
+//!
+//! Each table is one allocation that only growth replaces: it doubles
+//! when the next insert would pass 7/8 full (`std`'s bound) and never
+//! shrinks. Removal shifts the rest of the cluster back over the hole,
+//! so there are no tombstones and a probe never outlives the entries it
+//! passes; a re-register overwrites its slot and moves nothing. A
+//! table's load runs from 7/16 after a doubling to 7/8 before the next,
+//! and the expected probe with it (½(1 + 1/(1 − α)) slots for a hit,
+//! ½(1 + 1/(1 − α)²) for a miss): 1.4 and 2.1 slots at 7/16, 1.5 and 2.5
+//! at the 1/2 a million endpoints leave in 2²¹ slots — one cache line as
+//! a rule in either width, and more often so at four narrow slots to the
+//! line than at two wide ones. At worst, in a table about to grow, a hit
+//! reads 4.5 slots and a miss ≈ 32: eight lines walked sequentially if
+//! narrow, sixteen if wide.
+//!
+//! [`MappingDb::mem_stats`] reports exactly what the tables hold
+//! allocated: 16 bytes a narrow slot plus 32 a wide one (a million IPv4
+//! endpoints in one VN: 2²¹ narrow slots, 32 MiB).
 //!
 //! **What it is not.**
 //!
 //! * Not the paper's Patricia trie (§4.1): that is the reference the
-//!   tests hold this to (`tests/reference/registry.rs`) and the
-//!   `fig7_trie_lookup` rows of the `fig7_routing_server` bench. Should
-//!   prefix registrations ever get an API, `MapCache`'s hosts + covers
-//!   split is the precedent.
+//!   tests hold this to (`tests/reference/registry.rs`). Should prefix
+//!   registrations ever get an API, `MapCache`'s hosts + covers split is
+//!   the precedent.
 //! * Not a general map: keys are host EIDs, values one RLOC and one
-//!   deadline, and nothing outside this module sees a slot.
+//!   deadline, and nothing outside this module sees a slot or learns
+//!   which width holds a key.
 //! * Not ordered, except where order reaches the wire:
-//!   [`MappingDb::iter_vn`] (pub/sub snapshots) sorts its VN by EID, so
-//!   a snapshot never depends on a table's capacity history;
-//!   [`MappingDb::iter`] and [`MappingDb::retain`] visit in slot order —
-//!   deterministic (no per-process seed) but unspecified and never on
-//!   the wire, so whoever publishes from them sorts first.
+//!   [`MappingDb::iter_vn`] (pub/sub snapshots) merges its VN's two
+//!   tables and sorts by EID, so a snapshot never depends on a table's
+//!   width or capacity history; [`MappingDb::iter`] and
+//!   [`MappingDb::retain`] visit in slot order, a VN's narrow table
+//!   before its wide one — deterministic (no per-process seed) but
+//!   unspecified and never on the wire, so whoever publishes from them
+//!   sorts first.
 //!
 //! **Trusted inputs.** Not hardened against crafted keys: the multiply
 //! hash has no secret, and with linear probing colliding keys lengthen
@@ -56,6 +76,8 @@
 
 use std::collections::BTreeMap;
 use std::hash::Hasher;
+use std::net::Ipv4Addr;
+use std::num::NonZeroU32;
 
 use sda_simnet::{SimDuration, SimTime};
 use sda_types::fold_eid;
@@ -93,39 +115,92 @@ pub enum RegisterOutcome {
     },
 }
 
-/// A stored registration: 17 + 4 + 8 bytes, padded to 32 and aligned to
-/// them, so two slots share a cache line and none straddles one.
+/// What a [`Table`] stores: a key in the table's own form beside the
+/// record registered under it.
+trait Slot: Copy {
+    /// What a probe compares slot by slot.
+    type Key: Copy + Eq;
+    fn key(&self) -> Self::Key;
+    fn record(&self) -> MappingRecord;
+    /// The EID `key` stands for: what its home slot hashes, and what
+    /// iteration hands out.
+    fn eid(key: Self::Key) -> Eid;
+}
+
+/// A wide slot: 17 + 4 + 8 bytes, padded to 32 and aligned to them.
 #[derive(Clone, Copy)]
 #[repr(align(32))]
-struct Entry {
+struct Wide {
     eid: Eid,
     rloc: Rloc,
     expires_at: SimTime,
 }
 
-const _: () = assert!(std::mem::size_of::<Option<Entry>>() == 32);
+/// A narrow slot: an IPv4 EID other than 0.0.0.0, 4 + 4 + 8 bytes,
+/// aligned to 16.
+#[derive(Clone, Copy)]
+#[repr(align(16))]
+struct Narrow {
+    addr: NonZeroU32,
+    rloc: Rloc,
+    expires_at: SimTime,
+}
 
-impl Entry {
+const _: () = assert!(std::mem::size_of::<Option<Wide>>() == 32);
+const _: () = assert!(std::mem::size_of::<Option<Narrow>>() == 16);
+
+impl Slot for Wide {
+    type Key = Eid;
+    fn key(&self) -> Eid {
+        self.eid
+    }
     fn record(&self) -> MappingRecord {
         MappingRecord {
             rloc: self.rloc,
             expires_at: self.expires_at,
         }
     }
+    fn eid(key: Eid) -> Eid {
+        key
+    }
 }
 
-/// Slots a VN's table starts with.
+impl Slot for Narrow {
+    type Key = NonZeroU32;
+    fn key(&self) -> NonZeroU32 {
+        self.addr
+    }
+    fn record(&self) -> MappingRecord {
+        MappingRecord {
+            rloc: self.rloc,
+            expires_at: self.expires_at,
+        }
+    }
+    fn eid(key: NonZeroU32) -> Eid {
+        Eid::V4(Ipv4Addr::from(key.get()))
+    }
+}
+
+/// The narrow key of `eid`, if it has one.
+fn narrow_key(eid: &Eid) -> Option<NonZeroU32> {
+    match eid {
+        Eid::V4(addr) => NonZeroU32::new(u32::from(*addr)),
+        _ => None,
+    }
+}
+
+/// Slots a table starts with.
 const MIN_SLOTS: usize = 8;
 
-/// One VN's table. Invariants: `slots.len()` is a power of two;
-/// `len ≤ 7/8 · slots.len()`, so an empty slot always ends a probe; every
-/// slot from an entry's home to where it sits is occupied.
-struct Table {
-    slots: Box<[Option<Entry>]>,
+/// One open-addressed table. Invariants: `slots.len()` is a power of
+/// two; `len ≤ 7/8 · slots.len()`, so an empty slot always ends a probe;
+/// every slot from an entry's home to where it sits is occupied.
+struct Table<S> {
+    slots: Box<[Option<S>]>,
     len: usize,
 }
 
-impl Table {
+impl<S: Slot> Table<S> {
     fn with_slots(n: usize) -> Self {
         Table {
             slots: vec![None; n].into_boxed_slice(),
@@ -137,40 +212,40 @@ impl Table {
         self.slots.len() - 1
     }
 
-    fn home(&self, eid: &Eid) -> usize {
+    fn home(&self, key: S::Key) -> usize {
         let mut hasher = KeyHasher::default();
-        hasher.write_u64(fold_eid(eid));
+        hasher.write_u64(fold_eid(&S::eid(key)));
         hasher.finish() as usize & self.mask()
     }
 
-    /// Where `eid` is stored (`Ok`), or the empty slot that ended the
+    /// Where `key` is stored (`Ok`), or the empty slot that ended the
     /// probe for it (`Err`).
-    fn find(&self, eid: &Eid) -> Result<usize, usize> {
-        let mut i = self.home(eid);
+    fn find(&self, key: S::Key) -> Result<usize, usize> {
+        let mut i = self.home(key);
         loop {
             match &self.slots[i] {
                 None => return Err(i),
-                Some(e) if e.eid == *eid => return Ok(i),
+                Some(s) if s.key() == key => return Ok(i),
                 Some(_) => i = (i + 1) & self.mask(),
             }
         }
     }
 
-    fn get(&self, eid: &Eid) -> Option<&Entry> {
-        self.slots[self.find(eid).ok()?].as_ref()
+    fn get(&self, key: S::Key) -> Option<MappingRecord> {
+        self.slots[self.find(key).ok()?].map(|s| s.record())
     }
 
-    /// Stores `new`, returning the entry it replaced. A stored key is
+    /// Stores `new`, returning the record it replaced. A stored key is
     /// overwritten where it sits; only a new key can grow the table.
-    fn insert(&mut self, new: Entry) -> Option<Entry> {
-        let empty = match self.find(&new.eid) {
-            Ok(at) => return self.slots[at].replace(new),
+    fn insert(&mut self, new: S) -> Option<MappingRecord> {
+        let empty = match self.find(new.key()) {
+            Ok(at) => return self.slots[at].replace(new).map(|old| old.record()),
             Err(empty) if (self.len + 1) * 8 <= self.slots.len() * 7 => empty,
             Err(_) => {
                 let doubled = Table::with_slots(self.slots.len() * 2);
                 let old = std::mem::replace(self, doubled);
-                for e in old.slots.iter().flatten() {
-                    self.insert(*e);
+                for s in old.slots.iter().flatten() {
+                    self.insert(*s);
                 }
                 return self.insert(new);
             }
@@ -180,21 +255,26 @@ impl Table {
         None
     }
 
+    fn remove(&mut self, key: S::Key) -> Option<MappingRecord> {
+        let at = self.find(key).ok()?;
+        self.remove_at(at).map(|s| s.record())
+    }
+
     /// Empties slot `hole` and closes the gap: each later entry of the
     /// cluster moves back into the hole unless its home lies after it.
-    fn remove_at(&mut self, mut hole: usize) -> Option<Entry> {
+    fn remove_at(&mut self, mut hole: usize) -> Option<S> {
         let removed = self.slots[hole].take();
         self.len -= 1;
         let mask = self.mask();
         let mut i = hole;
         loop {
             i = (i + 1) & mask;
-            let Some(e) = self.slots[i] else {
+            let Some(s) = self.slots[i] else {
                 return removed;
             };
             // Cyclic distances back from `i`: the entry may sit in the
             // hole iff its home is at least as far back as the hole is.
-            if i.wrapping_sub(self.home(&e.eid)) & mask >= i.wrapping_sub(hole) & mask {
+            if i.wrapping_sub(self.home(s.key())) & mask >= i.wrapping_sub(hole) & mask {
                 self.slots[hole] = self.slots[i].take();
                 hole = i;
             }
@@ -205,7 +285,7 @@ impl Table {
     /// scan starts after an empty slot, so it meets every cluster at its
     /// head and a removal only ever shifts unvisited entries — into the
     /// slot under the cursor or later.
-    fn retain(&mut self, mut keep: impl FnMut(&Entry) -> bool) {
+    fn retain(&mut self, mut keep: impl FnMut(Eid, MappingRecord) -> bool) {
         let mask = self.mask();
         let start = self
             .slots
@@ -215,23 +295,102 @@ impl Table {
         let mut i = start;
         for _ in 0..mask {
             i = (i + 1) & mask;
-            while self.slots[i].as_ref().is_some_and(|e| !keep(e)) {
+            while self.slots[i]
+                .as_ref()
+                .is_some_and(|s| !keep(S::eid(s.key()), s.record()))
+            {
                 self.remove_at(i);
             }
         }
     }
 
-    fn entries(&self) -> impl Iterator<Item = &Entry> {
-        self.slots.iter().flatten()
+    fn entries(&self) -> impl Iterator<Item = (Eid, MappingRecord)> + '_ {
+        self.slots
+            .iter()
+            .flatten()
+            .map(|s| (S::eid(s.key()), s.record()))
+    }
+
+    fn bytes(&self) -> usize {
+        self.slots.len() * std::mem::size_of::<Option<S>>()
+    }
+}
+
+/// One VN's registrations: a key with a narrow form is stored in the
+/// narrow table and nowhere else, any other key in the wide one.
+struct Vn {
+    narrow: Table<Narrow>,
+    /// Allocated on the VN's first key without a narrow form.
+    wide: Option<Table<Wide>>,
+}
+
+impl Vn {
+    fn new() -> Self {
+        Vn {
+            narrow: Table::with_slots(MIN_SLOTS),
+            wide: None,
+        }
+    }
+
+    fn get(&self, eid: Eid) -> Option<MappingRecord> {
+        match narrow_key(&eid) {
+            Some(addr) => self.narrow.get(addr),
+            None => self.wide.as_ref()?.get(eid),
+        }
+    }
+
+    fn insert(&mut self, eid: Eid, rloc: Rloc, expires_at: SimTime) -> Option<MappingRecord> {
+        match narrow_key(&eid) {
+            Some(addr) => self.narrow.insert(Narrow {
+                addr,
+                rloc,
+                expires_at,
+            }),
+            None => self
+                .wide
+                .get_or_insert_with(|| Table::with_slots(MIN_SLOTS))
+                .insert(Wide {
+                    eid,
+                    rloc,
+                    expires_at,
+                }),
+        }
+    }
+
+    fn remove(&mut self, eid: Eid) -> Option<MappingRecord> {
+        match narrow_key(&eid) {
+            Some(addr) => self.narrow.remove(addr),
+            None => self.wide.as_mut()?.remove(eid),
+        }
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(Eid, MappingRecord) -> bool) {
+        self.narrow.retain(&mut keep);
+        if let Some(wide) = &mut self.wide {
+            wide.retain(keep);
+        }
+    }
+
+    fn entries(&self) -> impl Iterator<Item = (Eid, MappingRecord)> + '_ {
+        let wide = self.wide.iter().flat_map(Table::entries);
+        self.narrow.entries().chain(wide)
+    }
+
+    fn len(&self) -> usize {
+        self.narrow.len + self.wide.as_ref().map_or(0, |w| w.len)
+    }
+
+    fn bytes(&self) -> usize {
+        self.narrow.bytes() + self.wide.as_ref().map_or(0, Table::bytes)
     }
 }
 
 /// The per-VN mapping database.
 #[derive(Default)]
 pub struct MappingDb {
-    /// A registration is stored in its VN's table and nowhere else. Per
+    /// A registration is stored in its VN's tables and nowhere else. Per
     /// VN, so a snapshot walks, and a growth rehash moves, one VN's slice.
-    vns: BTreeMap<VnId, Table>,
+    vns: BTreeMap<VnId, Vn>,
     /// Maintained entry count, so [`MappingDb::len`] is O(1) instead of
     /// a sum over every per-VN table (the map-server answers `len` on
     /// every Fig. 7 sample). Invariant: always equals
@@ -255,21 +414,14 @@ impl MappingDb {
         ttl: SimDuration,
         now: SimTime,
     ) -> RegisterOutcome {
-        let entry = Entry {
-            eid,
-            rloc,
-            expires_at: SimTime::from_nanos(now.as_nanos().saturating_add(ttl.as_nanos())),
-        };
-        let table = self
-            .vns
-            .entry(vn)
-            .or_insert_with(|| Table::with_slots(MIN_SLOTS));
-        match table.insert(entry) {
+        let expires_at = SimTime::from_nanos(now.as_nanos().saturating_add(ttl.as_nanos()));
+        let tables = self.vns.entry(vn).or_insert_with(Vn::new);
+        match tables.insert(eid, rloc, expires_at) {
             None => {
                 self.total += 1;
                 RegisterOutcome::New
             }
-            Some(old) if old.record().expired(now) => RegisterOutcome::New,
+            Some(old) if old.expired(now) => RegisterOutcome::New,
             Some(old) if old.rloc == rloc => RegisterOutcome::Refreshed,
             Some(old) => RegisterOutcome::Moved { previous: old.rloc },
         }
@@ -277,17 +429,16 @@ impl MappingDb {
 
     /// Removes the registration of `eid` in `vn`.
     pub fn withdraw(&mut self, vn: VnId, eid: Eid) -> Option<MappingRecord> {
-        let table = self.vns.get_mut(&vn)?;
-        let removed = table.remove_at(table.find(&eid).ok()?)?;
+        let removed = self.vns.get_mut(&vn)?.remove(eid)?;
         self.total -= 1;
-        Some(removed.record())
+        Some(removed)
     }
 
     /// What is stored for `eid` in `vn`, **live or expired** (a lapsed
     /// registration keeps its slot until a sweep): the
     /// [`MappingDb::iter`] row of that key, one probe.
     pub fn get(&self, vn: VnId, eid: Eid) -> Option<MappingRecord> {
-        Some(self.vns.get(&vn)?.get(&eid)?.record())
+        self.vns.get(&vn)?.get(eid)
     }
 
     /// The registration of `eid` in `vn`, one probe; expired records
@@ -298,11 +449,11 @@ impl MappingDb {
     }
 
     /// Live registrations in `vn` at `now`.
-    pub fn live_count(&self, vn: VnId, now: SimTime) -> usize {
-        self.vns
-            .get(&vn)
-            .map(|t| t.entries().filter(|e| !e.record().expired(now)).count())
-            .unwrap_or(0)
+    #[cfg(test)]
+    fn live_count(&self, vn: VnId, now: SimTime) -> usize {
+        self.vns.get(&vn).map_or(0, |t| {
+            t.entries().filter(|(_, rec)| !rec.expired(now)).count()
+        })
     }
 
     /// Total registrations (live or expired) across VNs. O(1): the
@@ -329,10 +480,10 @@ impl MappingDb {
     /// convergence checker, differential tests) build maps or sort; what
     /// goes on the wire comes from [`MappingDb::iter_vn`].
     pub fn iter(&self) -> impl Iterator<Item = (VnId, EidPrefix, MappingRecord)> + '_ {
-        self.vns.iter().flat_map(|(vn, table)| {
-            table
+        self.vns.iter().flat_map(|(vn, tables)| {
+            tables
                 .entries()
-                .map(move |e| (*vn, EidPrefix::host(e.eid), e.record()))
+                .map(move |(eid, rec)| (*vn, EidPrefix::host(eid), rec))
         })
     }
 
@@ -341,17 +492,16 @@ impl MappingDb {
     /// by address): pub/sub snapshots walk the subscribed VN through
     /// this, and must not depend on how the table grew.
     pub fn iter_vn(&self, vn: VnId) -> impl Iterator<Item = (EidPrefix, MappingRecord)> {
-        let mut entries: Vec<Entry> = self
+        let mut entries: Vec<(Eid, MappingRecord)> = self
             .vns
             .get(&vn)
             .into_iter()
-            .flat_map(Table::entries)
-            .copied()
+            .flat_map(Vn::entries)
             .collect();
-        entries.sort_unstable_by_key(|e| e.eid);
+        entries.sort_unstable_by_key(|&(eid, _)| eid);
         entries
             .into_iter()
-            .map(|e| (EidPrefix::host(e.eid), e.record()))
+            .map(|(eid, rec)| (EidPrefix::host(eid), rec))
     }
 
     /// Keeps only registrations for which `f` returns true, calling it
@@ -359,10 +509,10 @@ impl MappingDb {
     /// — see [`MappingDb::iter`]). Returns how many were removed.
     pub fn retain<F: FnMut(VnId, &EidPrefix, MappingRecord) -> bool>(&mut self, mut f: F) -> usize {
         let mut removed = 0;
-        for (vn, table) in self.vns.iter_mut() {
-            let before = table.len;
-            table.retain(|e| f(*vn, &EidPrefix::host(e.eid), e.record()));
-            removed += before - table.len;
+        for (vn, tables) in self.vns.iter_mut() {
+            let before = tables.len();
+            tables.retain(|eid, rec| f(*vn, &EidPrefix::host(eid), rec));
+            removed += before - tables.len();
         }
         self.total -= removed;
         removed
@@ -375,12 +525,11 @@ impl MappingDb {
     }
 
     /// Memory diagnostics in the shape the trie-backed stores report:
-    /// `capacity_bytes` is exactly what the tables hold allocated, slots
-    /// × 32.
+    /// `capacity_bytes` is exactly what the tables hold allocated, 16
+    /// bytes a narrow slot plus 32 a wide one.
     pub fn mem_stats(&self) -> sda_trie::MemStats {
-        let slots: usize = self.vns.values().map(|t| t.slots.len()).sum();
         sda_trie::MemStats {
-            capacity_bytes: slots * std::mem::size_of::<Option<Entry>>(),
+            capacity_bytes: self.vns.values().map(Vn::bytes).sum(),
             ..Default::default()
         }
     }
@@ -493,10 +642,11 @@ mod tests {
     #[test]
     fn four_thousand_keys_sharing_one_home_slot() {
         const KEYS: usize = 4096;
-        let sized = Table::with_slots((KEYS * 8 / 7 + 1).next_power_of_two());
+        let sized = Table::<Narrow>::with_slots((KEYS * 8 / 7 + 1).next_power_of_two());
         let keys: Vec<Eid> = (0u32..)
-            .map(|n| Eid::V4(Ipv4Addr::from(n)))
-            .filter(|e| sized.home(e) == sized.mask())
+            .filter_map(NonZeroU32::new)
+            .filter(|&k| sized.home(k) == sized.mask())
+            .map(Narrow::eid)
             .take(KEYS)
             .collect();
         let (r1, r2) = (Rloc::for_router_index(1), Rloc::for_router_index(2));
@@ -509,7 +659,7 @@ mod tests {
             );
         }
         assert_eq!((db.len(), db.recount()), (KEYS, KEYS));
-        assert_eq!(db.mem_stats().capacity_bytes, sized.slots.len() * 32);
+        assert_eq!(db.mem_stats().capacity_bytes, sized.slots.len() * 16);
         for e in &keys {
             assert_eq!(db.lookup(vn(1), *e, SimTime::ZERO).unwrap().1.rloc, r1);
         }
@@ -605,5 +755,70 @@ mod tests {
         );
         assert_eq!(db.len(), 3);
         assert_eq!(db.live_count(vn(1), SimTime::ZERO), 3);
+    }
+
+    /// 0.0.0.0 is the one IPv4 address the narrow slot's niche takes, so
+    /// it lives in the wide table through every door — and a snapshot
+    /// still yields it first among the IPv4 EIDs.
+    #[test]
+    fn unspecified_ipv4_lives_in_the_wide_table() {
+        let zero = Eid::V4(Ipv4Addr::UNSPECIFIED);
+        let v6 = Eid::V6("2001:db8::1".parse::<std::net::Ipv6Addr>().unwrap());
+        let mac = Eid::Mac(sda_types::MacAddr::from_seed(1));
+        let (r1, r2) = (Rloc::for_router_index(1), Rloc::for_router_index(2));
+        let widths = |db: &MappingDb| {
+            let tables = &db.vns[&vn(1)];
+            (tables.narrow.len, tables.wide.as_ref().map_or(0, |w| w.len))
+        };
+        let mut db = MappingDb::new();
+        for n in [2, 1, 255] {
+            db.register(vn(1), eid(n), r1, TTL, SimTime::ZERO);
+        }
+        assert_eq!(widths(&db), (3, 0));
+        assert_eq!(db.mem_stats().capacity_bytes, MIN_SLOTS * 16);
+
+        assert_eq!(
+            db.register(vn(1), zero, r1, TTL, SimTime::ZERO),
+            RegisterOutcome::New
+        );
+        assert_eq!(widths(&db), (3, 1));
+        assert_eq!(db.mem_stats().capacity_bytes, MIN_SLOTS * (16 + 32));
+        let later = SimTime::ZERO + SimDuration::from_secs(10);
+        assert_eq!(
+            db.register(vn(1), zero, r1, TTL, later),
+            RegisterOutcome::Refreshed
+        );
+        assert_eq!(db.get(vn(1), zero).unwrap().expires_at, later + TTL);
+        assert_eq!(
+            db.register(vn(1), zero, r2, TTL, later),
+            RegisterOutcome::Moved { previous: r1 }
+        );
+        db.register(vn(1), mac, r1, TTL, SimTime::ZERO);
+        db.register(vn(1), v6, r1, TTL, SimTime::ZERO);
+        assert_eq!(widths(&db), (3, 3));
+        let order: Vec<Eid> = db
+            .iter_vn(vn(1))
+            .map(|(p, _)| p.as_host().unwrap())
+            .collect();
+        assert_eq!(order, [zero, eid(1), eid(2), eid(255), v6, mac]);
+        assert_eq!(db.lookup(vn(1), zero, later).unwrap().1.rloc, r2);
+
+        assert_eq!(db.withdraw(vn(1), zero).unwrap().rloc, r2);
+        assert_eq!(widths(&db), (3, 2));
+        assert!(db.get(vn(1), zero).is_none());
+        assert!(db.withdraw(vn(1), zero).is_none());
+
+        // Re-registered later than the rest, it outlives them by 10 s.
+        db.register(vn(1), zero, r1, TTL, later);
+        let after_rest = SimTime::ZERO + TTL;
+        assert_eq!(db.live_count(vn(1), after_rest), 1);
+        assert_eq!(db.purge_expired(after_rest), 5);
+        assert_eq!(widths(&db), (0, 1));
+        let gone = later + TTL;
+        assert!(db.lookup(vn(1), zero, gone).is_none());
+        assert_eq!(db.get(vn(1), zero).unwrap().rloc, r1, "kept until swept");
+        assert_eq!(db.purge_expired(gone), 1);
+        assert_eq!(widths(&db), (0, 0));
+        assert_eq!((db.len(), db.recount()), (0, 0));
     }
 }

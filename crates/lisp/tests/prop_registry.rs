@@ -13,11 +13,14 @@
 //! 4. **The table itself**, against a `std` `HashMap`, on the keys
 //!    linear probing is worst at: sets that share one home slot, and
 //!    clusters that wrap past the last slot of the array.
+//! 5. **Both slot widths at once**, against an ordered map: IPv4 EIDs
+//!    (narrow slots, except 0.0.0.0) beside MAC and IPv6 EIDs (wide
+//!    slots) in the same VNs, colliding within each width.
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::Hasher;
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, Ipv6Addr};
 
 use proptest::prelude::*;
 use sda_lisp::{MappingDb, MappingRecord, RegisterOutcome};
@@ -75,9 +78,11 @@ fn sorted<R: Borrow<MappingRecord>>(
     all
 }
 
-/// Slots of `db`'s tables: [`MappingDb::mem_stats`] reports slots × 32.
+/// Slots of `db`'s tables when it holds only IPv4 EIDs other than
+/// 0.0.0.0, as every caller's does: [`MappingDb::mem_stats`] reports
+/// 16 bytes a narrow slot, and such a database has no wide one.
 fn slots(db: &MappingDb) -> usize {
-    db.mem_stats().capacity_bytes / 32
+    db.mem_stats().capacity_bytes / 16
 }
 
 /// The slot `eid` homes at in a table of `slots` (a power of two),
@@ -89,14 +94,19 @@ fn home(eid: &Eid, slots: usize) -> usize {
     hasher.finish() as usize & (slots - 1)
 }
 
-/// The first `n` IPv4 EIDs that home at `slot` of a 64-slot table — and,
+/// The first `n` of `keys` that home at `slot` of a 64-slot table — and,
 /// the low hash bits being shared, at `slot mod s` of every smaller one.
+fn homing(keys: impl Iterator<Item = Eid>, slot: usize, n: usize) -> Vec<Eid> {
+    keys.filter(|e| home(e, 64) == slot).take(n).collect()
+}
+
+/// The first `n` IPv4 EIDs in 10.0.0.0/8 that home at `slot`.
 fn homing_at(slot: usize, n: usize) -> Vec<Eid> {
-    (0u32..)
-        .map(|i| Eid::V4(Ipv4Addr::from(0x0A00_0000 | i)))
-        .filter(|e| home(e, 64) == slot)
-        .take(n)
-        .collect()
+    homing(
+        (0u32..).map(|i| Eid::V4(Ipv4Addr::from(0x0A00_0000 | i))),
+        slot,
+        n,
+    )
 }
 
 /// Keys the table differential draws from, at most 7/8 of 64 slots: 16
@@ -110,6 +120,43 @@ fn pool() -> (Vec<Eid>, [Eid; 2]) {
     let mut first = homing_at(0, 9);
     let strangers = [last.pop().unwrap(), first.pop().unwrap()];
     let keys = [last, homing_at(62, 8), first, homing_at(21, 8)].concat();
+    (keys, strangers)
+}
+
+/// Keys the mixed-family differential draws from, all colliding within
+/// their slot width at every table size up to 64 slots. Narrow: 0.0.0.1
+/// and 255.255.255.255 (the ends of the niche's range) and twelve that
+/// home at the last slot or the first. Wide: 0.0.0.0, and IPv6 and MAC
+/// keys homing where it does or at the last slot. The last three entries
+/// are never registered: a narrow, an IPv6 and a MAC miss, each at the
+/// end of its cluster.
+fn mixed_pool() -> (Vec<Eid>, [Eid; 3]) {
+    let zero = Eid::V4(Ipv4Addr::UNSPECIFIED);
+    let v6 = || (0u16..).map(|i| Eid::V6(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, i)));
+    let mac = || (0u32..).map(|i| Eid::Mac(MacAddr::from_seed(i)));
+    let zero_home = home(&zero, 64);
+    let mut last = homing_at(63, 9);
+    let mut v6_zero = homing(v6(), zero_home, 5);
+    let mut mac_zero = homing(mac(), zero_home, 5);
+    let strangers = [
+        last.pop().unwrap(),
+        v6_zero.pop().unwrap(),
+        mac_zero.pop().unwrap(),
+    ];
+    let keys = [
+        vec![
+            zero,
+            Eid::V4(Ipv4Addr::new(0, 0, 0, 1)),
+            Eid::V4(Ipv4Addr::BROADCAST),
+        ],
+        last,
+        homing_at(0, 4),
+        v6_zero,
+        mac_zero,
+        homing(v6(), 63, 2),
+        homing(mac(), 63, 2),
+    ]
+    .concat();
     (keys, strangers)
 }
 
@@ -170,7 +217,7 @@ proptest! {
     /// both sides must report the same outcome, answer every probe alike
     /// — stored and live (hit), never stored (miss), stored but past its
     /// TTL (dead), stored in another VN (wrong VN) — and agree on `len`,
-    /// `live_count`, `iter_vn` **as a sequence** (it feeds pub/sub
+    /// the live count, `iter_vn` **as a sequence** (it feeds pub/sub
     /// snapshots) and `iter` as a set, whose rows `get` must hand out
     /// key by key. Operations decode from raw words, so a failure
     /// shrinks by halving.
@@ -230,7 +277,8 @@ proptest! {
                     prop_assert_eq!(row, rows.get(&(probe_vn, probe)).copied());
                     prop_assert_eq!(row.filter(|rec| !rec.expired(now)), answer.map(|(_, rec)| rec));
                 }
-                prop_assert_eq!(db.live_count(probe_vn, now), model.live_count(probe_vn, now));
+                let live = db.iter_vn(probe_vn).filter(|(_, rec)| !rec.expired(now)).count();
+                prop_assert_eq!(live, model.live_count(probe_vn, now));
                 prop_assert_eq!(owned(db.iter_vn(probe_vn)), owned(model.iter_vn(probe_vn)));
             }
             prop_assert_eq!(db.len(), model.len());
@@ -363,6 +411,95 @@ proptest! {
                 db.iter().map(|(_, p, r)| (p.as_host().unwrap(), r)).collect();
             prop_assert_eq!(&held, &model);
             prop_assert!(slots(&db) <= 64 && model.len() * 8 <= slots(&db) * 7);
+        }
+    }
+
+    /// Narrow and wide slots side by side in two VNs, against an ordered
+    /// map, over [`mixed_pool`]. Words decode to register (0–2), move
+    /// (3), withdraw (4, 5), time passing with a purge every other time
+    /// (6) and a `retain` that decides per key (7), which must ask about
+    /// each stored registration exactly once. After every step each pool
+    /// key and stranger is probed in every VN (`get` and `lookup`), each
+    /// VN's `iter_vn` must be the model's range for it **as a
+    /// sequence** — 0.0.0.0 first among the IPv4 keys although a
+    /// different table holds it — and `len` must equal `recount` and the
+    /// model's size.
+    #[test]
+    fn mixed_families_match_ordered_map_model(words in proptest::collection::vec(any::<u64>(), 1..200)) {
+        let (keys, strangers) = mixed_pool();
+        let mut db = MappingDb::new();
+        let mut model: BTreeMap<(VnId, Eid), MappingRecord> = BTreeMap::new();
+        let mut now = SimTime::ZERO;
+
+        for w in words {
+            let v = vn(1 + (w >> 4) as u32 % 2);
+            let e = keys[(w >> 8) as usize % keys.len()];
+            let drawn = Rloc::for_router_index((w >> 16) as u16 % 4);
+            let secs = SimDuration::from_secs(1 + (w >> 20) % 600);
+            match w % 8 {
+                op @ 0..=3 => {
+                    let stored = model.get(&(v, e)).copied();
+                    let rloc = match stored {
+                        Some(at) if op == 3 && at.rloc == drawn => Rloc::for_router_index(4),
+                        _ => drawn,
+                    };
+                    let want = match stored {
+                        Some(old) if !old.expired(now) && old.rloc == rloc => RegisterOutcome::Refreshed,
+                        Some(old) if !old.expired(now) => RegisterOutcome::Moved { previous: old.rloc },
+                        _ => RegisterOutcome::New,
+                    };
+                    prop_assert_eq!(db.register(v, e, rloc, secs, now), want);
+                    model.insert((v, e), MappingRecord { rloc, expires_at: now + secs });
+                }
+                4 | 5 => prop_assert_eq!(db.withdraw(v, e), model.remove(&(v, e))),
+                6 => {
+                    now += secs;
+                    if (w >> 3) & 1 == 1 {
+                        let before = model.len();
+                        model.retain(|_, r| !r.expired(now));
+                        prop_assert_eq!(db.purge_expired(now), before - model.len());
+                    }
+                }
+                _ => {
+                    let keep = |of: VnId, eid: &Eid| {
+                        (fold_eid(eid) ^ u64::from(of.raw()) ^ w >> 8).count_ones() & 1 == 0
+                    };
+                    let mut asked = Vec::new();
+                    let removed = db.retain(|of, p, r| {
+                        let eid = p.as_host().expect("host registrations only");
+                        asked.push(((of, eid), r));
+                        keep(of, &eid)
+                    });
+                    asked.sort_unstable_by_key(|&(key, _)| key);
+                    let stored: Vec<_> = model.iter().map(|(k, r)| (*k, *r)).collect();
+                    prop_assert_eq!(asked, stored.clone(), "retain asks once per entry");
+                    model.retain(|(of, eid), _| keep(*of, eid));
+                    prop_assert_eq!(removed, stored.len() - model.len());
+                }
+            }
+
+            for probe_vn in (1..=3).map(vn) {
+                for probe in keys.iter().chain(&strangers) {
+                    let want = model.get(&(probe_vn, *probe)).copied();
+                    prop_assert_eq!(db.get(probe_vn, *probe), want);
+                    prop_assert_eq!(
+                        db.lookup(probe_vn, *probe, now),
+                        want.filter(|r| !r.expired(now)).map(|r| (EidPrefix::host(*probe), r))
+                    );
+                }
+                let want: Vec<(EidPrefix, MappingRecord)> = model
+                    .range((probe_vn, Eid::V4(Ipv4Addr::UNSPECIFIED))..)
+                    .take_while(|((of, _), _)| *of == probe_vn)
+                    .map(|((_, e), r)| (EidPrefix::host(*e), *r))
+                    .collect();
+                prop_assert_eq!(db.iter_vn(probe_vn).collect::<Vec<_>>(), want);
+            }
+            prop_assert_eq!((db.len(), db.recount()), (model.len(), model.len()));
+            let held: BTreeMap<(VnId, Eid), MappingRecord> = db
+                .iter()
+                .map(|(v, p, r)| ((v, p.as_host().unwrap()), r))
+                .collect();
+            prop_assert_eq!(&held, &model);
         }
     }
 

@@ -91,8 +91,8 @@ impl<T: AsRef<[u8]>> Packet<T> {
         if self.checksum() == 0 {
             return true;
         }
-        pseudo_header_checksum(src, dst, &self.buffer.as_ref()[..self.len() as usize]) == 0xffff
-            || pseudo_header_checksum(src, dst, &self.buffer.as_ref()[..self.len() as usize]) == 0
+        let sum = pseudo_header_checksum(src, dst, &self.buffer.as_ref()[..self.len() as usize]);
+        sum == 0xffff || sum == 0
     }
 }
 
