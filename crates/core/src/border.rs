@@ -24,22 +24,26 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use sda_dataplane::{DropReason, PacketBuf, Punt, Switch, SwitchConfig, Verdict};
+use sda_dataplane::{DropReason, PacketBuf, Punt, Switch, Verdict};
 use sda_simnet::{Context, CounterId, FaultEvent, Node, NodeId, SimDuration, SimTime};
 use sda_types::{EidKind, EidPrefix, Ipv4Prefix, Rloc, VnId};
 use sda_wire::lisp::{BusyClass, Message as Lisp};
 
-use crate::backoff::Backoff;
+use crate::backoff::{Backoff, Retries};
+use crate::edge::{
+    install_dst_hints, record_delivery, sample_fib, switch_config, TIMER_FIB_SAMPLE,
+};
 use crate::msg::{FabricMsg, PolicyMsg};
-use crate::pipeline;
 use crate::servers::Directory;
 
 /// Timer token for the subscription kick (and periodic resubscribe).
 const TIMER_SUBSCRIBE: u64 = 0;
-/// Timer token for FIB sampling.
-const TIMER_FIB_SAMPLE: u64 = 2;
 /// Retransmit sweep for unacknowledged Subscribes. Lazily armed.
 const TIMER_RETRY: u64 = 3;
+
+/// Per-packet cost of fabric data on the border (a more powerful box
+/// than an edge).
+const DATA_SERVICE: SimDuration = SimDuration::from_nanos(200);
 
 /// Pub/sub-synced mappings never idle out on the border; the routing
 /// server withdraws them explicitly. Far beyond any scenario horizon.
@@ -75,17 +79,6 @@ pub struct BorderStats {
     pub server_busy_backoffs: u64,
 }
 
-/// A Subscribe awaiting its ack, retransmitted with capped backoff —
-/// without bound: a border without a synced table is useless.
-struct PendingSubscribe {
-    nonce: u64,
-    attempts: u32,
-    next_retry: SimTime,
-    /// Delay used for the last (re)send — the decorrelated-jitter
-    /// recurrence feeds on it.
-    prev_delay: SimDuration,
-}
-
 /// The border router node.
 pub struct BorderRouter {
     name: String,
@@ -101,11 +94,11 @@ pub struct BorderRouter {
     /// Highest publish sequence number seen per VN (gap detection). A
     /// VN present here has completed at least one acked subscription.
     last_pub_seq: BTreeMap<VnId, u64>,
-    /// Subscribes in flight, per VN, until the server's SubscribeAck.
-    pending_subscribes: BTreeMap<VnId, PendingSubscribe>,
+    /// Subscribes in flight (their nonces), per VN, until the server's
+    /// SubscribeAck. Unbounded and retried without budget: a border
+    /// without a synced table is useless.
+    pending_subscribes: Retries<VnId, u64>,
     next_nonce: u64,
-    /// Whether the subscribe retransmit sweep is armed.
-    retry_armed: bool,
     /// Crashed (fault injection): volatile synced state is rebuilt on
     /// restart by resubscribing to every VN.
     failed: bool,
@@ -118,14 +111,8 @@ pub struct BorderRouter {
 impl BorderRouter {
     /// Creates a border router serving `rloc`.
     pub(crate) fn new(name: impl Into<String>, rloc: Rloc, dir: Rc<Directory>) -> Self {
-        let mut cfg = SwitchConfig::new(rloc);
-        // The border is the default route's end of the line.
-        cfg.border = None;
-        cfg.default_action = dir.params.default_action;
-        cfg.enforcement = dir.params.enforcement;
-        cfg.hop_budget = dir.params.hop_budget;
-        let mut switch = Switch::new(cfg);
-        crate::edge::install_dst_hints(&mut switch, &dir);
+        let mut switch = Switch::new(switch_config(rloc, None, &dir));
+        install_dst_hints(&mut switch, &dir);
         let name = name.into();
         let backoff = Backoff::new(rloc, &dir.params);
         BorderRouter {
@@ -136,9 +123,8 @@ impl BorderRouter {
             switch,
             stats: BorderStats::default(),
             last_pub_seq: BTreeMap::new(),
-            pending_subscribes: BTreeMap::new(),
+            pending_subscribes: Retries::new(None, None),
             next_nonce: 1,
-            retry_armed: false,
             failed: false,
             backoff,
             buf: PacketBuf::new(),
@@ -182,22 +168,19 @@ impl BorderRouter {
     /// answers with a SubscribeAck followed by a full snapshot, so an
     /// acked (re)subscription always resets the VN's synced slice.
     fn subscribe_vn(&mut self, ctx: &mut Context<'_, FabricMsg>, vn: VnId) {
-        if self.pending_subscribes.contains_key(&vn) {
+        if self.pending_subscribes.contains(&vn) {
             return; // one in flight per VN is enough
         }
         let nonce = self.next_nonce;
         self.next_nonce += 1;
-        let prev_delay = self.backoff.initial_retry_delay();
-        let next_retry = ctx.now() + prev_delay;
-        self.pending_subscribes.insert(
-            vn,
-            PendingSubscribe {
-                nonce,
-                attempts: 1,
-                next_retry,
-                prev_delay,
-            },
-        );
+        let now = ctx.now();
+        self.pending_subscribes
+            .start(vn, nonce, now, &mut self.backoff);
+        self.send_subscribe(ctx, nonce, vn);
+        self.backoff.arm(ctx, TIMER_RETRY);
+    }
+
+    fn send_subscribe(&self, ctx: &mut Context<'_, FabricMsg>, nonce: u64, vn: VnId) {
         ctx.send(
             self.dir.routing_server,
             FabricMsg::Control(Lisp::Subscribe {
@@ -206,14 +189,13 @@ impl BorderRouter {
                 subscriber: self.rloc,
             }),
         );
-        self.arm_retry(ctx);
     }
 
     /// A gap or regression was detected on `vn`'s publish stream: ask
     /// for a fresh snapshot by resubscribing (unless one is already in
     /// flight).
     fn request_resync(&mut self, ctx: &mut Context<'_, FabricMsg>, vn: VnId) {
-        if self.pending_subscribes.contains_key(&vn) {
+        if self.pending_subscribes.contains(&vn) {
             return;
         }
         self.stats.resyncs_requested += 1;
@@ -222,47 +204,18 @@ impl BorderRouter {
         self.subscribe_vn(ctx, vn);
     }
 
-    fn arm_retry(&mut self, ctx: &mut Context<'_, FabricMsg>) {
-        if !self.retry_armed {
-            self.retry_armed = true;
-            ctx.set_timer(self.backoff.sweep_delay(), TIMER_RETRY);
-        }
-    }
-
     /// Retransmit sweep: resend due Subscribes (same nonce — the ack
     /// matches by VN anyway) and re-arm while any are pending.
     fn run_retries(&mut self, ctx: &mut Context<'_, FabricMsg>) {
-        let now = ctx.now();
-        let due: Vec<VnId> = self
-            .pending_subscribes
-            .iter()
-            .filter(|(_, st)| st.next_retry <= now)
-            .map(|(vn, _)| *vn)
-            .collect();
-        for vn in due {
-            let (nonce, attempts, prev) = {
-                let st = &self.pending_subscribes[&vn];
-                (st.nonce, st.attempts, st.prev_delay)
-            };
-            let delay = self.backoff.retry_delay(attempts + 1, prev);
-            if let Some(st) = self.pending_subscribes.get_mut(&vn) {
-                st.attempts = attempts + 1;
-                st.next_retry = now + delay;
-                st.prev_delay = delay;
-            }
+        // Unbudgeted: nothing is ever given up.
+        let (resend, _) = self.pending_subscribes.sweep(ctx.now(), &mut self.backoff);
+        for (vn, nonce) in resend {
             ctx.metrics()
                 .bump(self.dir.counters.border_subscribe_retries);
-            ctx.send(
-                self.dir.routing_server,
-                FabricMsg::Control(Lisp::Subscribe {
-                    nonce,
-                    vn,
-                    subscriber: self.rloc,
-                }),
-            );
+            self.send_subscribe(ctx, nonce, vn);
         }
         if !self.pending_subscribes.is_empty() {
-            self.arm_retry(ctx);
+            self.backoff.arm(ctx, TIMER_RETRY);
         }
     }
 
@@ -278,14 +231,7 @@ impl BorderRouter {
         match verdict {
             Verdict::Deliver { .. } => {
                 self.stats.delivered += 1;
-                ctx.metrics().bump(self.dir.counters.delivered);
-                if let Some(d) = pipeline::parse_delivered_frame(self.buf.bytes()) {
-                    if d.track {
-                        let name = format!("deliver.{}", d.dst);
-                        let now = ctx.now();
-                        ctx.metrics().record(&name, now, d.flow as f64);
-                    }
-                }
+                record_delivery(ctx, self.dir.counters.delivered, self.buf.bytes());
             }
             Verdict::Forward { to } => {
                 // Every forward out of a border is a relay off the
@@ -305,13 +251,9 @@ impl BorderRouter {
             Verdict::Drop(DropReason::TtlExpired) => {
                 ctx.metrics().bump(self.dir.counters.hop_exhausted);
             }
-            Verdict::Drop(DropReason::NoRoute) => {
-                self.stats.unroutable += 1;
-                ctx.metrics().bump(self.dir.counters.unroutable);
-            }
             Verdict::Drop(_) => {
-                ctx.metrics().bump(self.dir.counters.unroutable);
                 self.stats.unroutable += 1;
+                ctx.metrics().bump(self.dir.counters.unroutable);
             }
         }
         // Default-routed traffic does not imply a stale sender and the
@@ -364,7 +306,7 @@ impl BorderRouter {
                 }
             }
             Lisp::SubscribeAck { vn, .. } => {
-                if self.pending_subscribes.remove(&vn).is_some() {
+                if self.pending_subscribes.settle(&vn).is_some() {
                     // The server reset our subscription: drop the VN's
                     // synced slice and restart the sequence space — the
                     // snapshot that follows the ack rebuilds it.
@@ -389,16 +331,14 @@ impl BorderRouter {
                 // retransmit out to the server's retry-after hint so the
                 // resubscribe wave decays instead of hammering. The hint
                 // is a floor; jitter on top decorrelates shed herds.
-                let hold = self
-                    .backoff
-                    .busy_hold(SimDuration::from_millis(u64::from(retry_after_ms)));
-                if let Some(st) = self.pending_subscribes.get_mut(&vn) {
-                    st.next_retry = now + hold;
-                    st.prev_delay = hold;
+                if self
+                    .pending_subscribes
+                    .hold(&vn, now, retry_after_ms, &mut self.backoff)
+                {
                     self.stats.server_busy_backoffs += 1;
                     ctx.metrics().bump(self.dir.counters.server_busy_backoffs);
                 }
-                self.arm_retry(ctx);
+                self.backoff.arm(ctx, TIMER_RETRY);
             }
             Lisp::ServerBusy { .. } => {}
             other => {
@@ -412,7 +352,7 @@ impl Node<FabricMsg> for BorderRouter {
     fn on_message(&mut self, ctx: &mut Context<'_, FabricMsg>, _from: NodeId, msg: FabricMsg) {
         match msg {
             FabricMsg::Data(bytes) => {
-                ctx.busy(self.dir.params.border_data_service);
+                ctx.busy(DATA_SERVICE);
                 self.handle_data(ctx, &bytes);
             }
             FabricMsg::Control(m) => {
@@ -447,7 +387,7 @@ impl Node<FabricMsg> for BorderRouter {
                         ctx.set_timer(interval, TIMER_FIB_SAMPLE);
                     }
                 }
-                TIMER_RETRY => self.retry_armed = false,
+                TIMER_RETRY => self.backoff.disarm(),
                 _ => {}
             }
             return;
@@ -472,16 +412,9 @@ impl Node<FabricMsg> for BorderRouter {
                     ctx.set_timer(interval, TIMER_SUBSCRIBE);
                 }
             }
-            TIMER_FIB_SAMPLE => {
-                let name = format!("fib.{}", self.name);
-                let now = ctx.now();
-                ctx.metrics().record(&name, now, self.fib_len_v4() as f64);
-                if let Some(interval) = self.dir.params.fib_sample_interval {
-                    ctx.set_timer(interval, TIMER_FIB_SAMPLE);
-                }
-            }
+            TIMER_FIB_SAMPLE => sample_fib(ctx, &self.name, self.fib_len_v4(), &self.dir),
             TIMER_RETRY => {
-                self.retry_armed = false;
+                self.backoff.disarm();
                 self.run_retries(ctx);
             }
             _ => {}

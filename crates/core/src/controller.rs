@@ -52,28 +52,21 @@ pub struct FabricConfig {
     /// Map-server shards the routing server partitions EID space over
     /// (1 = the paper's single routing server).
     pub ctrl_shards: usize,
-    /// Underlay protocol tick (only with dynamics enabled).
-    pub underlay_tick: SimDuration,
-    /// Edge data-plane per-packet control cost (tiny: ASIC path).
-    pub data_service: SimDuration,
-    /// Edge control-plane per-message cost.
-    pub edge_control_service: SimDuration,
-    /// Border data-plane per-packet cost (more powerful box).
-    pub border_data_service: SimDuration,
     /// VNs the border subscribes to.
     pub vns: Vec<VnId>,
     /// Ingress-enforcement destination-group oracle (§5.3 ablation).
     pub dst_groups: BTreeMap<(VnId, Eid), GroupId>,
-    /// Control-plane retransmit: first retry delay for unacknowledged
-    /// Map-Requests, Map-Registers and Subscribes. Doubles per attempt.
+    /// Control-plane retransmit: the shortest retry delay for
+    /// unacknowledged Map-Requests, Map-Registers and Subscribes. With
+    /// `rtx_jitter` (the default) each delay is drawn uniformly from
+    /// `[rtx_initial, min(3 × the previous delay, rtx_max_backoff)]`,
+    /// the first with `rtx_initial` as the previous delay; without it
+    /// the delay starts here and doubles per attempt up to
+    /// `rtx_max_backoff`. Map-Requests and Map-Registers give up after
+    /// six sends; border Subscribes retry without bound.
     pub rtx_initial: SimDuration,
     /// Cap on the retransmit backoff.
     pub rtx_max_backoff: SimDuration,
-    /// Send budget per Map-Request/Register (initial send included).
-    /// Exhausting it evicts the pending entry — no stuck `resolving`
-    /// state. Border Subscribes retry without bound: a border without a
-    /// synced table is useless, so it keeps trying.
-    pub rtx_max_attempts: u32,
     /// Border re-subscribe period (None = subscribe once at start and
     /// only resync on detected gaps). A periodic resubscribe bounds how
     /// long a border can stay silently divergent after arbitrary loss.
@@ -82,15 +75,12 @@ pub struct FabricConfig {
     /// stream). `false` restores the synchronized exponential schedule —
     /// the ablation showing why jitter exists.
     pub rtx_jitter: bool,
-    /// Cap on concurrently-resolving EIDs per edge (the punt funnel's
-    /// control-plane side). Overflow evicts the oldest-deadline entry.
-    pub max_resolving: usize,
-    /// Cap on unacked Map-Registers per edge. Overflow evicts the
-    /// oldest-deadline entry; the periodic refresh re-registers it.
-    pub max_pending_registers: usize,
-    /// Negative-cache hold after a resolution exhausts its attempt
-    /// budget: fresh punts for that EID are ignored this long.
-    pub punt_negative_hold: SimDuration,
+    /// Per-edge cap on each of its retry tables — concurrently
+    /// resolving EIDs (the punt funnel's control-plane side) and unacked
+    /// Map-Registers — and on its negative cache. Overflow evicts the
+    /// oldest-deadline entry; the periodic refresh re-registers a
+    /// dropped register.
+    pub max_pending: usize,
     /// Per-node ingress queue bound (None = unbounded). Arrivals beyond
     /// the cap while the node's CPU is busy are tail-dropped.
     pub node_ingress_cap: Option<usize>,
@@ -113,20 +103,13 @@ impl Default for FabricConfig {
             fib_sample_interval: None,
             purge_interval: Some(SimDuration::from_mins(10)),
             ctrl_shards: 1,
-            underlay_tick: SimDuration::from_secs(1),
-            data_service: SimDuration::from_nanos(500),
-            edge_control_service: SimDuration::from_micros(50),
-            border_data_service: SimDuration::from_nanos(200),
             vns: Vec::new(),
             dst_groups: BTreeMap::new(),
             rtx_initial: SimDuration::from_millis(500),
             rtx_max_backoff: SimDuration::from_secs(8),
-            rtx_max_attempts: 6,
             subscribe_refresh_interval: None,
             rtx_jitter: true,
-            max_resolving: 4096,
-            max_pending_registers: 4096,
-            punt_negative_hold: SimDuration::from_secs(2),
+            max_pending: 4096,
             node_ingress_cap: None,
             admission: None,
         }

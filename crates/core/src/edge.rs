@@ -37,7 +37,7 @@ use sda_types::{Eid, EidKind, GroupId, MacAddr, PortId, Rloc, VnId};
 use sda_underlay::{LinkStateRouter, ReachabilityEvent, ReachabilityTracker};
 use sda_wire::lisp::{BusyClass, Message as Lisp};
 
-use crate::backoff::Backoff;
+use crate::backoff::{Backoff, Retries};
 use crate::msg::{ArpMsg, EndpointIdentity, FabricMsg, HostEvent, PolicyMsg};
 use crate::pipeline;
 use crate::servers::Directory;
@@ -46,7 +46,8 @@ use sda_policy::EnforcementPoint;
 
 /// Timer tokens.
 const TIMER_EVICT: u64 = 1;
-const TIMER_FIB_SAMPLE: u64 = 2;
+/// FIB sampling, on edges and borders alike (see [`sample_fib`]).
+pub(crate) const TIMER_FIB_SAMPLE: u64 = 2;
 const TIMER_UNDERLAY: u64 = 3;
 const TIMER_REFRESH: u64 = 4;
 /// Retransmit sweep for unanswered Map-Requests/Registers. Lazily
@@ -54,38 +55,24 @@ const TIMER_REFRESH: u64 = 4;
 /// it fire.
 const TIMER_RETRY: u64 = 5;
 
+/// Underlay protocol tick (only with dynamics enabled).
+const UNDERLAY_TICK: SimDuration = SimDuration::from_secs(1);
+/// Per-packet cost of fabric data on the edge (tiny: ASIC path).
+const DATA_SERVICE: SimDuration = SimDuration::from_nanos(500);
+/// Per-message cost of control traffic on the edge.
+const CONTROL_SERVICE: SimDuration = SimDuration::from_micros(50);
+/// Send budget per Map-Request and Map-Register (initial send included).
+/// Exhausting it gives the entry up, so nothing stays pending forever.
+const MAX_ATTEMPTS: u32 = 6;
+/// How long an EID whose resolution spent its budget stays in the
+/// negative cache: fresh punts for it are ignored this long.
+const NEGATIVE_HOLD: SimDuration = SimDuration::from_secs(2);
+
 /// A pending attach awaiting authentication.
 struct PendingAttach {
     endpoint: EndpointIdentity,
     port: PortId,
     started: SimTime,
-}
-
-/// A Map-Request in flight: retried with exponential backoff until a
-/// reply arrives or the attempt budget runs out — then *evicted*, so
-/// the resolving set can never wedge an EID permanently (a later
-/// packet restarts resolution from scratch).
-struct PendingResolve {
-    /// Sends so far (the initial request counts).
-    attempts: u32,
-    /// When the retry sweep may retransmit (or give up).
-    next_retry: SimTime,
-    /// The delay that produced `next_retry` — the seed for the next
-    /// decorrelated-jitter draw.
-    prev_delay: SimDuration,
-}
-
-/// An unacknowledged Map-Register, keyed by its nonce. Registers are
-/// sent with `want_notify` and retransmitted under the *same* nonce —
-/// re-delivery is idempotent on the server, and any in-flight ack
-/// still matches.
-struct PendingRegister {
-    vn: VnId,
-    eid: Eid,
-    attempts: u32,
-    next_retry: SimTime,
-    /// Seed for the next decorrelated-jitter draw.
-    prev_delay: SimDuration,
 }
 
 /// Counters a scenario can read back after the run.
@@ -149,24 +136,20 @@ pub struct EdgeRouter {
     switch: Switch,
     smr: SmrTracker,
     pending_auth: HashMap<u64, PendingAttach>,
-    /// Resolutions in flight: dedupes Map-Requests and drives the
-    /// retransmit/timeout discipline. Ordered so the retry sweep is
-    /// replay-deterministic.
-    resolving: BTreeMap<(VnId, Eid), PendingResolve>,
-    /// Unacked Map-Registers by nonce, retransmitted until the
-    /// server's MapNotify ack.
-    pending_registers: BTreeMap<u64, PendingRegister>,
+    /// Resolutions in flight: dedupes Map-Requests, retried until a
+    /// reply arrives or the attempt budget runs out — then given up, so
+    /// an EID never wedges here (a later packet restarts resolution).
+    resolving: Retries<(VnId, Eid), ()>,
+    /// Unacked Map-Registers by nonce, retransmitted under the *same*
+    /// nonce until the server's MapNotify ack — re-delivery is
+    /// idempotent on the server, and any in-flight ack still matches.
+    pending_registers: Retries<u64, (VnId, Eid)>,
     /// Negative cache: EIDs whose resolution repeatedly timed out, held
     /// until the stored instant so the punt funnel stops re-requesting
-    /// them. Bounded by `max_resolving` with oldest-evict.
+    /// them. Bounded by `max_pending` with oldest-evict.
     unresolvable: BTreeMap<(VnId, Eid), SimTime>,
-    /// High-water marks of the bounded retry maps (cap audits).
-    resolving_peak: usize,
-    pending_registers_peak: usize,
     /// Retransmit schedule (and its private jitter stream).
     backoff: Backoff,
-    /// Whether the retransmit sweep timer is armed.
-    retry_armed: bool,
     /// Non-volatile endpoint inventory (port config + cached auth):
     /// what the box re-detects on its ports after a reboot, used to
     /// re-attach and re-register everything on restart (§5.2).
@@ -191,11 +174,12 @@ pub struct EdgeRouter {
     punt_scratch: Vec<Punt>,
 }
 
-/// Builds the engine configuration an edge runs with, from the
-/// fabric-wide knobs.
-fn edge_switch_config(rloc: Rloc, dir: &Directory) -> SwitchConfig {
+/// Builds the engine configuration a fabric node runs with, from the
+/// fabric-wide knobs. `border` is the default route's target: `None` on
+/// the border itself, the end of the line.
+pub(crate) fn switch_config(rloc: Rloc, border: Option<Rloc>, dir: &Directory) -> SwitchConfig {
     let mut cfg = SwitchConfig::new(rloc);
-    cfg.border = Some(dir.border_rloc);
+    cfg.border = border;
     cfg.miss_default_route = dir.params.border_default_route;
     cfg.default_action = dir.params.default_action;
     cfg.enforcement = dir.params.enforcement;
@@ -206,10 +190,11 @@ fn edge_switch_config(rloc: Rloc, dir: &Directory) -> SwitchConfig {
 impl EdgeRouter {
     /// Creates an edge router serving `rloc`.
     pub(crate) fn new(name: impl Into<String>, rloc: Rloc, dir: Rc<Directory>) -> Self {
-        let mut switch = Switch::new(edge_switch_config(rloc, &dir));
+        let mut switch = Switch::new(switch_config(rloc, Some(dir.border_rloc), &dir));
         install_dst_hints(&mut switch, &dir);
         let name = name.into();
         let backoff = Backoff::new(rloc, &dir.params);
+        let (cap, budget) = (Some(dir.params.max_pending), Some(MAX_ATTEMPTS));
         EdgeRouter {
             acl_drops: None,
             name,
@@ -218,13 +203,10 @@ impl EdgeRouter {
             switch,
             smr: SmrTracker::new(SimDuration::from_secs(5)),
             pending_auth: HashMap::new(),
-            resolving: BTreeMap::new(),
-            pending_registers: BTreeMap::new(),
+            resolving: Retries::new(cap, budget),
+            pending_registers: Retries::new(cap, budget),
             unresolvable: BTreeMap::new(),
-            resolving_peak: 0,
-            pending_registers_peak: 0,
             backoff,
-            retry_armed: false,
             inventory: BTreeMap::new(),
             pending_arp: HashMap::new(),
             next_txn: 1,
@@ -344,7 +326,7 @@ impl EdgeRouter {
             ctx.set_timer(interval, TIMER_FIB_SAMPLE);
         }
         if self.underlay.is_some() {
-            ctx.set_timer(p.underlay_tick, TIMER_UNDERLAY);
+            ctx.set_timer(UNDERLAY_TICK, TIMER_UNDERLAY);
         }
         if let Some(interval) = p.refresh_interval {
             ctx.set_timer(interval, TIMER_REFRESH);
@@ -367,26 +349,18 @@ impl EdgeRouter {
 
     /// High-water mark of the `resolving` map (cap audits).
     pub fn resolving_peak(&self) -> usize {
-        self.resolving_peak
+        self.resolving.peak()
     }
 
     /// High-water mark of the `pending_registers` map (cap audits).
     pub fn pending_registers_peak(&self) -> usize {
-        self.pending_registers_peak
+        self.pending_registers.peak()
     }
 
-    /// Arms the retransmit sweep if it is not already pending. Lossless
-    /// runs answer everything before the first sweep, which then finds
-    /// nothing pending and disarms itself.
-    fn arm_retry(&mut self, ctx: &mut Context<'_, FabricMsg>) {
-        if !self.retry_armed {
-            self.retry_armed = true;
-            ctx.set_timer(self.backoff.sweep_delay(), TIMER_RETRY);
-        }
-    }
-
-    fn send_map_request(&mut self, ctx: &mut Context<'_, FabricMsg>, vn: VnId, eid: Eid) {
-        if self.resolving.contains_key(&(vn, eid)) {
+    /// Starts resolving `eid` unless it is in flight already or held in
+    /// the negative cache.
+    fn resolve(&mut self, ctx: &mut Context<'_, FabricMsg>, vn: VnId, eid: Eid) {
+        if self.resolving.contains(&(vn, eid)) {
             return; // already in flight
         }
         // Negative cache: a repeatedly-unresolvable EID is not re-asked
@@ -400,159 +374,109 @@ impl EdgeRouter {
             }
             self.unresolvable.remove(&(vn, eid));
         }
-        // In-flight cap: evict the entry with the oldest deadline to
-        // make room (it restarts from scratch if its packet returns).
-        if self.resolving.len() >= self.dir.params.max_resolving {
-            if let Some(oldest) = self
-                .resolving
-                .iter()
-                .min_by_key(|(k, st)| (st.next_retry, **k))
-                .map(|(k, _)| *k)
-            {
-                self.resolving.remove(&oldest);
-                self.stats.resolve_evictions += 1;
-                ctx.metrics().bump(self.dir.counters.resolve_evictions);
-            }
+        // In-flight cap: the entry with the oldest deadline makes room
+        // (it restarts from scratch if its packet returns).
+        let now = ctx.now();
+        let evicted = self.resolving.start((vn, eid), (), now, &mut self.backoff);
+        if evicted.is_some() {
+            self.stats.resolve_evictions += 1;
+            ctx.metrics().bump(self.dir.counters.resolve_evictions);
         }
-        let prev_delay = self.backoff.initial_retry_delay();
-        let next_retry = ctx.now() + prev_delay;
-        self.resolving.insert(
-            (vn, eid),
-            PendingResolve {
-                attempts: 1,
-                next_retry,
-                prev_delay,
-            },
-        );
-        self.resolving_peak = self.resolving_peak.max(self.resolving.len());
-        let nonce = self.nonce();
         self.stats.map_requests += 1;
         ctx.metrics().bump(self.dir.counters.map_requests);
+        self.send_map_request(ctx, self.dir.routing_server, false, vn, eid);
+        self.backoff.arm(ctx, TIMER_RETRY);
+    }
+
+    /// Sends a Map-Request for `eid` under a fresh nonce: to the routing
+    /// server to resolve it, or as an SMR to the node whose cached
+    /// mapping went stale (Fig. 6 step 2).
+    fn send_map_request(
+        &mut self,
+        ctx: &mut Context<'_, FabricMsg>,
+        to: NodeId,
+        smr: bool,
+        vn: VnId,
+        eid: Eid,
+    ) {
+        let nonce = self.nonce();
         ctx.send(
-            self.dir.routing_server,
+            to,
             FabricMsg::Control(Lisp::MapRequest {
                 nonce,
-                smr: false,
+                smr,
                 vn,
                 eid,
                 itr_rloc: self.rloc,
             }),
         );
-        self.arm_retry(ctx);
+    }
+
+    fn send_map_register(&self, ctx: &mut Context<'_, FabricMsg>, nonce: u64, vn: VnId, eid: Eid) {
+        ctx.send(
+            self.dir.routing_server,
+            FabricMsg::Control(Lisp::MapRegister {
+                nonce,
+                vn,
+                eid,
+                rloc: self.rloc,
+                ttl_secs: self.dir.params.register_ttl_secs,
+                want_notify: true,
+            }),
+        );
     }
 
     /// One pass of the retransmit sweep: resend due Map-Requests and
-    /// Map-Registers with backoff, evict entries whose attempt budget
+    /// Map-Registers with backoff, give up entries whose attempt budget
     /// is spent, and re-arm while anything is still pending.
     fn run_retries(&mut self, ctx: &mut Context<'_, FabricMsg>) {
         let now = ctx.now();
-        let max_attempts = self.dir.params.rtx_max_attempts;
-
-        let due: Vec<(VnId, Eid)> = self
-            .resolving
-            .iter()
-            .filter(|(_, st)| st.next_retry <= now)
-            .map(|(k, _)| *k)
-            .collect();
-        for key in due {
-            let (attempts, prev) = {
-                let st = &self.resolving[&key];
-                (st.attempts, st.prev_delay)
-            };
-            if attempts >= max_attempts {
-                self.resolving.remove(&key);
-                self.stats.resolve_timeouts += 1;
-                ctx.metrics().bump(self.dir.counters.resolve_timeouts);
-                // The server never answered across the whole attempt
-                // budget: negative-cache the EID so fresh punts don't
-                // immediately restart the same doomed resolution.
-                let hold = self.dir.params.punt_negative_hold;
-                if hold > SimDuration::ZERO {
-                    if self.unresolvable.len() >= self.dir.params.max_resolving {
-                        if let Some(oldest) = self
-                            .unresolvable
-                            .iter()
-                            .min_by_key(|(k, t)| (**t, **k))
-                            .map(|(k, _)| *k)
-                        {
-                            self.unresolvable.remove(&oldest);
-                        }
-                    }
-                    self.unresolvable.insert(key, now + hold);
-                }
-                continue;
-            }
-            let delay = self.backoff.retry_delay(attempts + 1, prev);
-            if let Some(st) = self.resolving.get_mut(&key) {
-                st.attempts = attempts + 1;
-                st.next_retry = now + delay;
-                st.prev_delay = delay;
-            }
-            if self.dir.params.rtx_jitter {
-                self.stats.jittered_retries += 1;
-                ctx.metrics().bump(self.dir.counters.jittered_retries);
-            }
+        let (resend, given_up) = self.resolving.sweep(now, &mut self.backoff);
+        for ((vn, eid), ()) in resend {
+            self.count_jittered(ctx);
             self.stats.map_request_retries += 1;
             ctx.metrics().bump(self.dir.counters.map_request_retries);
-            let nonce = self.nonce();
-            let (vn, eid) = key;
-            ctx.send(
-                self.dir.routing_server,
-                FabricMsg::Control(Lisp::MapRequest {
-                    nonce,
-                    smr: false,
-                    vn,
-                    eid,
-                    itr_rloc: self.rloc,
-                }),
-            );
+            self.send_map_request(ctx, self.dir.routing_server, false, vn, eid);
         }
-
-        let due_regs: Vec<u64> = self
-            .pending_registers
-            .iter()
-            .filter(|(_, st)| st.next_retry <= now)
-            .map(|(n, _)| *n)
-            .collect();
-        let ttl = self.dir.params.register_ttl_secs;
-        for nonce in due_regs {
-            let (vn, eid, attempts, prev) = {
-                let st = &self.pending_registers[&nonce];
-                (st.vn, st.eid, st.attempts, st.prev_delay)
-            };
-            if attempts >= max_attempts {
-                // Give up for now; the periodic refresh re-registers.
-                self.pending_registers.remove(&nonce);
-                ctx.metrics().bump(self.dir.counters.register_timeouts);
-                continue;
+        for (key, ()) in given_up {
+            self.stats.resolve_timeouts += 1;
+            ctx.metrics().bump(self.dir.counters.resolve_timeouts);
+            // The server never answered across the whole attempt budget:
+            // negative-cache the EID so fresh punts don't immediately
+            // restart the same doomed resolution.
+            if self.unresolvable.len() >= self.dir.params.max_pending {
+                if let Some(oldest) = self
+                    .unresolvable
+                    .iter()
+                    .min_by_key(|(k, t)| (**t, **k))
+                    .map(|(k, _)| *k)
+                {
+                    self.unresolvable.remove(&oldest);
+                }
             }
-            let delay = self.backoff.retry_delay(attempts + 1, prev);
-            if let Some(st) = self.pending_registers.get_mut(&nonce) {
-                st.attempts = attempts + 1;
-                st.next_retry = now + delay;
-                st.prev_delay = delay;
-            }
-            if self.dir.params.rtx_jitter {
-                self.stats.jittered_retries += 1;
-                ctx.metrics().bump(self.dir.counters.jittered_retries);
-            }
+            self.unresolvable.insert(key, now + NEGATIVE_HOLD);
+        }
+        let (resend, given_up) = self.pending_registers.sweep(now, &mut self.backoff);
+        for (nonce, (vn, eid)) in resend {
+            self.count_jittered(ctx);
             self.stats.register_retries += 1;
             ctx.metrics().bump(self.dir.counters.register_retries);
-            ctx.send(
-                self.dir.routing_server,
-                FabricMsg::Control(Lisp::MapRegister {
-                    nonce,
-                    vn,
-                    eid,
-                    rloc: self.rloc,
-                    ttl_secs: ttl,
-                    want_notify: true,
-                }),
-            );
+            self.send_map_register(ctx, nonce, vn, eid);
         }
-
+        // Given up for now; the periodic refresh re-registers.
+        let timeouts = given_up.len() as u64;
+        ctx.metrics()
+            .bump_by(self.dir.counters.register_timeouts, timeouts);
         if !(self.resolving.is_empty() && self.pending_registers.is_empty()) {
-            self.arm_retry(ctx);
+            self.backoff.arm(ctx, TIMER_RETRY);
+        }
+    }
+
+    /// Counts a retransmit whose delay came from the jittered schedule.
+    fn count_jittered(&mut self, ctx: &mut Context<'_, FabricMsg>) {
+        if self.dir.params.rtx_jitter {
+            self.stats.jittered_retries += 1;
+            ctx.metrics().bump(self.dir.counters.jittered_retries);
         }
     }
 
@@ -563,62 +487,28 @@ impl EdgeRouter {
         mac: MacAddr,
         ipv4: std::net::Ipv4Addr,
     ) {
-        let ttl = self.dir.params.register_ttl_secs;
         let eids = [Eid::V4(ipv4), Eid::Mac(mac)];
         let registered = if self.dir.params.register_mac { 2 } else { 1 };
         for &eid in &eids[..registered] {
             // If an earlier register for this EID is still unacked, the
             // retransmit sweep already owns it — don't pile up pendings.
-            if self
-                .pending_registers
-                .values()
-                .any(|p| p.vn == vn && p.eid == eid)
-            {
+            if self.pending_registers.tracks(&(vn, eid)) {
                 continue;
             }
-            // Outstanding-register cap: evict the oldest-deadline entry;
+            // Outstanding-register cap: the oldest deadline makes room;
             // the periodic refresh re-registers anything dropped here.
-            if self.pending_registers.len() >= self.dir.params.max_pending_registers {
-                if let Some(oldest) = self
-                    .pending_registers
-                    .iter()
-                    .min_by_key(|(n, st)| (st.next_retry, **n))
-                    .map(|(n, _)| *n)
-                {
-                    self.pending_registers.remove(&oldest);
-                    self.stats.register_evictions += 1;
-                    ctx.metrics().bump(self.dir.counters.register_evictions);
-                }
-            }
             let nonce = self.nonce();
-            let prev_delay = self.backoff.initial_retry_delay();
-            let next_retry = ctx.now() + prev_delay;
-            self.pending_registers.insert(
-                nonce,
-                PendingRegister {
-                    vn,
-                    eid,
-                    attempts: 1,
-                    next_retry,
-                    prev_delay,
-                },
-            );
-            self.pending_registers_peak = self
-                .pending_registers_peak
-                .max(self.pending_registers.len());
-            ctx.send(
-                self.dir.routing_server,
-                FabricMsg::Control(Lisp::MapRegister {
-                    nonce,
-                    vn,
-                    eid,
-                    rloc: self.rloc,
-                    ttl_secs: ttl,
-                    want_notify: true,
-                }),
-            );
+            let now = ctx.now();
+            let evicted = self
+                .pending_registers
+                .start(nonce, (vn, eid), now, &mut self.backoff);
+            if evicted.is_some() {
+                self.stats.register_evictions += 1;
+                ctx.metrics().bump(self.dir.counters.register_evictions);
+            }
+            self.send_map_register(ctx, nonce, vn, eid);
         }
-        self.arm_retry(ctx);
+        self.backoff.arm(ctx, TIMER_RETRY);
         // §3.5: the routing server also stores the IP→MAC pair.
         if self.dir.params.register_mac {
             ctx.send(
@@ -736,7 +626,7 @@ impl EdgeRouter {
         match verdict {
             Verdict::Deliver { .. } => {
                 self.stats.delivered += 1;
-                self.record_delivery(ctx);
+                record_delivery(ctx, self.dir.counters.delivered, self.buf.bytes());
             }
             Verdict::Forward { to } => {
                 if was_default_route(&before, &self.switch.stats()) {
@@ -837,7 +727,7 @@ impl EdgeRouter {
         match verdict {
             Verdict::Deliver { .. } => {
                 self.stats.delivered += 1;
-                self.record_delivery(ctx);
+                record_delivery(ctx, self.dir.counters.delivered, self.buf.bytes());
             }
             Verdict::Drop(sda_dataplane::DropReason::Policy) => {
                 self.stats.policy_drops += 1;
@@ -881,7 +771,7 @@ impl EdgeRouter {
         let punts = std::mem::take(&mut self.punt_scratch);
         for &punt in &punts {
             match punt {
-                Punt::MapRequest { vn, eid, .. } => self.send_map_request(ctx, vn, eid),
+                Punt::MapRequest { vn, eid, .. } => self.resolve(ctx, vn, eid),
                 Punt::Smr { to, vn, eid } => {
                     let now = ctx.now();
                     if to != self.rloc
@@ -890,36 +780,13 @@ impl EdgeRouter {
                     {
                         self.stats.smrs_sent += 1;
                         ctx.metrics().bump(self.dir.counters.smrs);
-                        let nonce = self.nonce();
                         let node = self.node_of(to);
-                        ctx.send(
-                            node,
-                            FabricMsg::Control(Lisp::MapRequest {
-                                nonce,
-                                smr: true,
-                                vn,
-                                eid,
-                                itr_rloc: self.rloc,
-                            }),
-                        );
+                        self.send_map_request(ctx, node, true, vn, eid);
                     }
                 }
             }
         }
         self.punt_scratch = punts;
-    }
-
-    /// Records a delivery the switch just made (the delivered frame is
-    /// still in `self.buf`, carrying the measurement meta).
-    fn record_delivery(&mut self, ctx: &mut Context<'_, FabricMsg>) {
-        ctx.metrics().bump(self.dir.counters.delivered);
-        if let Some(d) = pipeline::parse_delivered_frame(self.buf.bytes()) {
-            if d.track {
-                let name = format!("deliver.{}", d.dst);
-                let now = ctx.now();
-                ctx.metrics().record(&name, now, d.flow as f64);
-            }
-        }
     }
 
     fn handle_control(&mut self, ctx: &mut Context<'_, FabricMsg>, msg: Lisp) {
@@ -934,7 +801,7 @@ impl EdgeRouter {
                 ..
             } => {
                 if let Some(eid0) = prefix.as_host() {
-                    self.resolving.remove(&(vn, eid0));
+                    self.resolving.settle(&(vn, eid0));
                     // An answer (even a negative one) supersedes any
                     // negative-cache hold: the server is reachable again.
                     self.unresolvable.remove(&(vn, eid0));
@@ -961,7 +828,7 @@ impl EdgeRouter {
                     // Register ack: the server echoes our nonce (moves
                     // always carry nonce 0). Settle the pending entry;
                     // installing would self-map the endpoint.
-                    self.pending_registers.remove(&nonce);
+                    self.pending_registers.settle(&nonce);
                 } else {
                     // Fig. 5 step 2–3: the moved endpoint's new location.
                     // Install it so in-flight traffic forwards onward.
@@ -981,7 +848,7 @@ impl EdgeRouter {
                 // An SMR: our cached mapping is stale. Mark and
                 // re-resolve (Fig. 6 step 4).
                 self.switch.receive_smr(vn, eid, now);
-                self.send_map_request(ctx, vn, eid);
+                self.resolve(ctx, vn, eid);
             }
             Lisp::ServerBusy {
                 nonce,
@@ -994,31 +861,19 @@ impl EdgeRouter {
                 // Honor the server's retry-after hint instead of our own
                 // (possibly much shorter) backoff — collapsing the
                 // retransmit storm is the whole point of the hint.
-                let hold = self
-                    .backoff
-                    .busy_hold(SimDuration::from_millis(u64::from(retry_after_ms)));
-                match class {
-                    BusyClass::Request => {
-                        if let Some(st) = self.resolving.get_mut(&(vn, eid)) {
-                            st.next_retry = now + hold;
-                            st.prev_delay = hold;
-                            self.stats.server_busy_backoffs += 1;
-                            ctx.metrics().bump(self.dir.counters.server_busy_backoffs);
-                        }
-                    }
-                    BusyClass::Register => {
-                        if let Some(st) = self.pending_registers.get_mut(&nonce) {
-                            st.next_retry = now + hold;
-                            st.prev_delay = hold;
-                            self.stats.server_busy_backoffs += 1;
-                            ctx.metrics().bump(self.dir.counters.server_busy_backoffs);
-                        }
-                    }
-                    // Subscribe churn is border business; an edge should
-                    // never see it, but shed replies are best-effort.
-                    BusyClass::Subscribe => {}
+                let (hint, backoff) = (retry_after_ms, &mut self.backoff);
+                let held = match class {
+                    BusyClass::Request => self.resolving.hold(&(vn, eid), now, hint, backoff),
+                    BusyClass::Register => self.pending_registers.hold(&nonce, now, hint, backoff),
+                    // The server sheds Subscribes to subscribers only,
+                    // and an edge subscribes to nothing.
+                    BusyClass::Subscribe => false,
+                };
+                if held {
+                    self.stats.server_busy_backoffs += 1;
+                    ctx.metrics().bump(self.dir.counters.server_busy_backoffs);
                 }
-                self.arm_retry(ctx);
+                self.backoff.arm(ctx, TIMER_RETRY);
             }
             other => {
                 debug_assert!(false, "edge received unexpected control {other:?}");
@@ -1143,6 +998,35 @@ pub(crate) fn install_dst_hints(switch: &mut Switch, dir: &Directory) {
     }
 }
 
+/// Counts a delivery a switch just made and, for a tracked probe,
+/// records `deliver.<dst>` from the measurement meta the delivered
+/// `frame` carries.
+pub(crate) fn record_delivery(
+    ctx: &mut Context<'_, FabricMsg>,
+    delivered: CounterId,
+    frame: &[u8],
+) {
+    ctx.metrics().bump(delivered);
+    if let Some(d) = pipeline::parse_delivered_frame(frame) {
+        if d.track {
+            let name = format!("deliver.{}", d.dst);
+            let now = ctx.now();
+            ctx.metrics().record(&name, now, d.flow as f64);
+        }
+    }
+}
+
+/// Records a node's IPv4 FIB size (`v4`, the Fig. 9 sample) under
+/// `fib.<name>` and sets the next sample.
+pub(crate) fn sample_fib(ctx: &mut Context<'_, FabricMsg>, name: &str, v4: usize, dir: &Directory) {
+    let name = format!("fib.{name}");
+    let now = ctx.now();
+    ctx.metrics().record(&name, now, v4 as f64);
+    if let Some(interval) = dir.params.fib_sample_interval {
+        ctx.set_timer(interval, TIMER_FIB_SAMPLE);
+    }
+}
+
 /// Counts a policy drop under `acl.drops.<name>`. The per-node name is
 /// resolved into `slot` by the node's first drop, so the ones after it
 /// cost neither a `String` nor a name hash (and building a fabric
@@ -1172,11 +1056,11 @@ impl Node<FabricMsg> for EdgeRouter {
         match msg {
             FabricMsg::Host(ev) => self.handle_host_event(ctx, ev),
             FabricMsg::Data(bytes) => {
-                ctx.busy(self.dir.params.data_service);
+                ctx.busy(DATA_SERVICE);
                 self.handle_data(ctx, &bytes);
             }
             FabricMsg::Control(m) => {
-                ctx.busy(self.dir.params.edge_control_service);
+                ctx.busy(CONTROL_SERVICE);
                 self.handle_control(ctx, m);
             }
             FabricMsg::Policy(m) => self.handle_policy(ctx, m),
@@ -1194,7 +1078,7 @@ impl Node<FabricMsg> for EdgeRouter {
             let p = &self.dir.params;
             match token {
                 TIMER_EVICT => ctx.set_timer(p.eviction_interval, TIMER_EVICT),
-                TIMER_UNDERLAY => ctx.set_timer(p.underlay_tick, TIMER_UNDERLAY),
+                TIMER_UNDERLAY => ctx.set_timer(UNDERLAY_TICK, TIMER_UNDERLAY),
                 TIMER_REFRESH => {
                     if let Some(i) = p.refresh_interval {
                         ctx.set_timer(i, TIMER_REFRESH);
@@ -1208,7 +1092,7 @@ impl Node<FabricMsg> for EdgeRouter {
                 // Retransmit state is volatile: a crashed box isn't
                 // retrying anything. Restart re-registers from the
                 // inventory and re-arms on demand.
-                TIMER_RETRY => self.retry_armed = false,
+                TIMER_RETRY => self.backoff.disarm(),
                 _ => {}
             }
             return;
@@ -1222,20 +1106,13 @@ impl Node<FabricMsg> for EdgeRouter {
                     .bump_by(self.dir.counters.cache_evictions, evicted as u64);
                 ctx.set_timer(self.dir.params.eviction_interval, TIMER_EVICT);
             }
-            TIMER_FIB_SAMPLE => {
-                let name = format!("fib.{}", self.name);
-                let now = ctx.now();
-                ctx.metrics().record(&name, now, self.fib_len_v4() as f64);
-                if let Some(interval) = self.dir.params.fib_sample_interval {
-                    ctx.set_timer(interval, TIMER_FIB_SAMPLE);
-                }
-            }
+            TIMER_FIB_SAMPLE => sample_fib(ctx, &self.name, self.fib_len_v4(), &self.dir),
             TIMER_UNDERLAY => {
                 if let Some(ls) = self.underlay.as_mut() {
                     let out = ls.tick(ctx.now());
                     self.flush_underlay(ctx, out);
                     self.apply_reachability(ctx);
-                    ctx.set_timer(self.dir.params.underlay_tick, TIMER_UNDERLAY);
+                    ctx.set_timer(UNDERLAY_TICK, TIMER_UNDERLAY);
                 }
             }
             TIMER_REFRESH => {
@@ -1245,7 +1122,7 @@ impl Node<FabricMsg> for EdgeRouter {
                 }
             }
             TIMER_RETRY => {
-                self.retry_armed = false;
+                self.backoff.disarm();
                 self.run_retries(ctx);
             }
             // Token 0 is the controller's arming kick.

@@ -164,8 +164,7 @@ fn build(sched: &Schedule) -> Built {
         cfg.idle_timeout = SimDuration::from_secs(10);
         cfg.eviction_interval = SimDuration::from_secs(2);
         cfg.ctrl_shards = sched.limits.ctrl_shards;
-        cfg.max_resolving = sched.limits.retry_cap;
-        cfg.max_pending_registers = sched.limits.retry_cap;
+        cfg.max_pending = sched.limits.retry_cap;
         cfg.admission = Some(AdmissionConfig {
             requests: ClassBudget::new(sched.limits.request_rate, 16.0),
             registers: ClassBudget::new(sched.limits.register_rate, sched.limits.register_burst),

@@ -67,7 +67,7 @@ fn shard_storm_degrades_gracefully_and_converges() {
         ChaosParams::shard_storm()
     };
     let cap = params.ingress_cap.unwrap();
-    let max_resolving = 4096; // FabricConfig default, asserted below
+    let max_pending = 4096; // FabricConfig default, asserted below
     let mut s = ChaosScenario::build(params.clone());
     let outcome = s.run();
     outcome.print(params.name);
@@ -105,15 +105,15 @@ fn shard_storm_degrades_gracefully_and_converges() {
         outcome.server_queue_peak
     );
     let dir_params = &s.fabric.directory().params;
-    assert_eq!(dir_params.max_resolving, max_resolving);
+    assert_eq!(dir_params.max_pending, max_pending);
     for &e in &s.edges {
         let edge = s.fabric.edge(e);
         assert!(
-            edge.resolving_peak() <= dir_params.max_resolving,
+            edge.resolving_peak() <= dir_params.max_pending,
             "resolving map exceeded its cap"
         );
         assert!(
-            edge.pending_registers_peak() <= dir_params.max_pending_registers,
+            edge.pending_registers_peak() <= dir_params.max_pending,
             "pending-register map exceeded its cap"
         );
         // Zero permanently-wedged resolutions on the healed fabric.
