@@ -19,8 +19,8 @@
 //!   in-place decap + delivery rewrite.
 //!
 //! No bar: every row times the one engine there is, so there is nothing
-//! in the run to hold it against; the ≤ 125 ns/pkt aim (ROADMAP item 4)
-//! becomes one only once met. `e2e edge_steady` gates the same path end
+//! in the run to hold it against; the ≤ 125 ns/pkt aim (ROADMAP's
+//! `BENCH_dataplane.json` note) becomes one only once met. `e2e edge_steady` gates the same path end
 //! to end.
 
 use criterion::{black_box, BenchmarkId, Criterion};

@@ -2,17 +2,15 @@
 //! lookup. `BENCH_lpm.json`, groups `trie_lpm` and `map_cache_lookup`.
 //!
 //! * `trie_lpm new/{1k,10k,100k,1M}` — `EidTrie::lookup` over host
-//!   routes after `compact()`, the bulk-load hook (arena re-laid in DFS
-//!   order); the reserved bytes ([`sda_trie::MemStats`]) are printed
-//!   per size so a layout regression shows in the output. Since the
-//!   registry and the map-cache's host routes became hash tables no
-//!   gated workload's hot path rides these rows (ROADMAP item 2 decides
-//!   whether they stay).
+//!   routes after `compact()` (arena re-laid in DFS order); the
+//!   reserved bytes (`MemStats`) are printed per size so a layout
+//!   regression shows in the output. No table of the running fabric
+//!   holds a trie; these rows leave with `sda-trie` (ROADMAP item 2).
 //! * `map_cache_lookup {hit,miss,stale}/10000`, `hit/1000000` —
 //!   `MapCache::lookup_shared`, the one scalar lookup there is. Every
 //!   entry is a host route, so `hit`/`stale` time one probe of the
 //!   exact-match table and `miss` a failed probe (no cover installed:
-//!   the trie is never reached).
+//!   the cover list is empty and never scanned).
 //!
 //! Budgets (both modes — layout is deterministic, no timing involved):
 //! the 1M-route trie within 128 MiB, ~2x a 64 MiB last-level cache
@@ -89,7 +87,6 @@ fn bench_map_cache(h: &mut Harness) {
             SimTime::ZERO,
         );
     }
-    cache.compact();
     eprintln!("map_cache hit/{CACHE_ROUTES} layout: {}", cache.mem_stats());
     let mut rng = SmallRng::seed_from_u64(12);
     group.bench_with_input(BenchmarkId::new("hit", CACHE_ROUTES), &(), |b, _| {
@@ -120,7 +117,6 @@ fn bench_map_cache(h: &mut Harness) {
         );
         stale_cache.mark_stale_shared(vn(), eid(i), SimTime::ZERO);
     }
-    stale_cache.compact();
     let mut rng = SmallRng::seed_from_u64(14);
     group.bench_with_input(BenchmarkId::new("stale", CACHE_ROUTES), &(), |b, _| {
         b.iter(|| {
@@ -141,7 +137,6 @@ fn bench_map_cache(h: &mut Harness) {
             SimTime::ZERO,
         );
     }
-    big_cache.compact();
     let big_stats = big_cache.mem_stats();
     eprintln!("map_cache hit/{CACHE_ROUTES_1M} layout: {big_stats}");
     let mut rng = SmallRng::seed_from_u64(12);

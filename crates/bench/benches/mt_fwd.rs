@@ -51,7 +51,6 @@ fn populate_mt(workers: usize) -> MtSwitch {
     for (prefix, rloc) in host_routes(ROUTES) {
         mt.install_mapping(vn(), prefix, rloc, ROUTE_TTL, SimTime::ZERO);
     }
-    mt.compact_tables();
     // Population done: clone-and-swap once so the measured phase only
     // ever takes the wait-free epoch-check path.
     mt.publish();

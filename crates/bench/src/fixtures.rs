@@ -90,9 +90,6 @@ pub fn populated_switch(routes: u32) -> Switch {
     for (prefix, rloc) in host_routes(routes) {
         sw.install_mapping(vn(), prefix, rloc, ROUTE_TTL, SimTime::ZERO);
     }
-    // Population done: re-lay the table arenas in DFS order (the
-    // bulk-load hook the arena trie adds).
-    sw.compact_tables();
     sw
 }
 

@@ -6,10 +6,13 @@
 //!    inner packet exactly.
 //! 3. Ingress and egress agree: what ingress would deliver locally,
 //!    egress on the same state also delivers.
+//! 4. The host-side frame reader never panics on hostile bytes and
+//!    reads back what the host-side composer wrote.
 
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
+use sda_core::pipeline::{compose_host_frame, parse_delivered_frame, DeliveredFrame};
 use sda_dataplane::{LocalEndpoint, VrfTable};
 use sda_policy::{Action, EnforcementPoint, GroupRule, RuleSubset};
 use sda_types::{Eid, GroupId, MacAddr, PortId, Rloc, VnId};
@@ -211,6 +214,41 @@ proptest! {
         let a = pipeline::egress(&vrf, &mut acl_a, &pkt, EnforcementPoint::Egress, Action::Deny);
         let b = pipeline::egress(&vrf, &mut acl_b, &decoded, EnforcementPoint::Egress, Action::Deny);
         prop_assert_eq!(a, b);
+    }
+
+    /// `parse_delivered_frame` on hostile input: garbage, every
+    /// truncation and every single-bit flip of a `compose_host_frame`
+    /// output return without panicking, and the untouched frame reads
+    /// back its `(dst, flow, track)`. Bit 0 of `bits` is the track bit,
+    /// bit 1 picks an L2 (MAC) destination. Raw integers and a byte
+    /// vector, so a failure shrinks by halving.
+    #[test]
+    fn delivered_frame_reader_survives_hostile_bytes(
+        garbage in proptest::collection::vec(any::<u8>(), 0..96),
+        dst in any::<u32>(),
+        flow in any::<u64>(),
+        padding in 0u16..48,
+        bits in any::<u8>(),
+    ) {
+        let _ = parse_delivered_frame(&garbage);
+        let track = bits & 1 == 1;
+        let dst = if bits & 2 == 0 {
+            Eid::V4(Ipv4Addr::from(dst))
+        } else {
+            Eid::Mac(MacAddr::from_seed(dst))
+        };
+        let mut frame = Vec::new();
+        let src_ip = Ipv4Addr::new(10, 0, 9, 9);
+        prop_assert!(compose_host_frame(&mut frame, MacAddr::from_seed(1), src_ip, dst, padding, flow, track));
+        prop_assert_eq!(parse_delivered_frame(&frame), Some(DeliveredFrame { dst, flow, track }));
+        for len in 0..frame.len() {
+            let _ = parse_delivered_frame(&frame[..len]);
+        }
+        for bit in 0..frame.len() * 8 {
+            frame[bit / 8] ^= 1 << (bit % 8);
+            let _ = parse_delivered_frame(&frame);
+            frame[bit / 8] ^= 1 << (bit % 8);
+        }
     }
 }
 

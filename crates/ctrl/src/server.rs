@@ -46,8 +46,7 @@
 use sda_lisp::{MapServerStats, Outbox, NEGATIVE_TTL_SECS, REPLY_TTL_SECS};
 use sda_lisp::{MappingDb, RegisterOutcome};
 use sda_simnet::{SimDuration, SimTime};
-use sda_trie::MemStats;
-use sda_types::{Eid, EidPrefix, Rloc, VnId};
+use sda_types::{Eid, EidPrefix, MemStats, Rloc, VnId};
 use sda_wire::lisp::{BusyClass, Message};
 
 use crate::admission::{AdmissionConfig, TokenBucket};
@@ -644,8 +643,7 @@ impl PartitionedMapServer {
     /// Does nothing: the shards' databases are hash tables, which have
     /// no layout to settle after a registration storm. A shim kept only
     /// because the benchmark of record (`e2e/ctrl.rs`, frozen to perf
-    /// PRs) calls it after its preload; ROADMAP item 2(a) lists its
-    /// removal for the next `benchmark` PR.
+    /// PRs) calls it after its preload; ROADMAP item 1(b) removes it.
     pub fn compact(&mut self) {}
 
     /// Memory diagnostics summed across all shards — what the scale-tier
@@ -901,8 +899,6 @@ mod tests {
             single.handle(register(vn(1), eid(i), rl(1), 3600), SimTime::ZERO);
             four.handle(register(vn(1), eid(i), rl(1), 3600), SimTime::ZERO);
         }
-        single.compact();
-        four.compact();
         let s1 = single.mem_stats().capacity_bytes as f64;
         let s4 = four.mem_stats().capacity_bytes as f64;
         assert!(

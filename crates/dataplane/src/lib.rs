@@ -3,7 +3,8 @@
 //! The batched, zero-copy VXLAN-GPO forwarding engine — the byte-level
 //! data plane the paper's edge nodes run, built from the layers below it:
 //! `sda-wire` packet views, the map-cache (`sda-lisp`: a host-route hash
-//! table over `sda-trie`'s inline-key tries) and per-packet policy (`sda-policy`).
+//! table over a sorted list of covering prefixes) and per-packet policy
+//! (`sda-policy`).
 //!
 //! ## The batch model
 //!
@@ -20,8 +21,8 @@
 //!   makes three phased passes — parse/classify, resolve, rewrite — so
 //!   each phase's tables stay hot in cache; consecutive same-VN packets
 //!   resolve as one [`sda_lisp::MapCache::lookup_batch_shared`] run — an
-//!   exact-match probe per packet, a trie descent only for an EID no
-//!   live host route answers.
+//!   exact-match probe per packet, a scan of the VN's covering prefixes
+//!   only for an EID no live host route answers.
 //! * **One encoding** ([`encap`]): the Fig. 2 header stack (outer IPv4 /
 //!   UDP 4789 / VXLAN-GPO / inner packet) is written and parsed in
 //!   exactly one place.

@@ -13,8 +13,8 @@
 //!   `Arc<SharedTables>`, store it in the slot, bump the epoch counter
 //!   (Release). Publication cost is O(tables) — the documented
 //!   trade-off for a completely contention-free read side; batch your
-//!   control-plane changes and publish once (exactly like
-//!   `compact_tables`, the benches and the population paths do).
+//!   control-plane changes and publish once (exactly like the benches
+//!   and the population paths do).
 //! * **Readers are wait-free on the hot path.** A [`TableReader`]
 //!   caches its own `Arc` snapshot; per batch it performs one atomic
 //!   epoch load (Acquire) and only touches the slot mutex when the
@@ -354,12 +354,10 @@ impl MtSwitch {
         self.dirty = true;
     }
 
-    /// Compacts the working copy's covering-prefix tries (published on the next
-    /// [`MtSwitch::publish`] / processing call).
-    pub fn compact_tables(&mut self) {
-        self.tables.compact();
-        self.dirty = true;
-    }
+    /// Does nothing: no table has a layout to settle. A shim kept only
+    /// because the benchmark of record (`e2e`) calls it; ROADMAP item
+    /// 1(b) removes it.
+    pub fn compact_tables(&mut self) {}
 
     /// Clone-and-swap: publishes the working copy so workers pick it up
     /// at their next batch. Called automatically by

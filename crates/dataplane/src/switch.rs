@@ -32,11 +32,11 @@
 //!    same VN form a *run*, each EID of it one probe of the cache's
 //!    exact-match host-route table (a live /32 or MAC entry is the
 //!    longest match there can be). Only an EID without a live host
-//!    route goes on to the VN's covering-prefix trie, and only if the
-//!    cache holds a cover at all — so TTL-expired entries count as
-//!    absent and a dead host route never shadows a live covering
-//!    subnet. The lookup refreshes `last_used`/reads `stale` through
-//!    the `CacheEntry` atomics — see that type's memory-ordering
+//!    route goes on to the VN's covering prefixes, longest first, and
+//!    only if the cache holds a cover at all — so TTL-expired entries
+//!    count as absent and a dead host route never shadows a live
+//!    covering subnet. The lookup refreshes `last_used`/reads `stale`
+//!    through the `CacheEntry` atomics — see that type's memory-ordering
 //!    contract (everything Relaxed: per-entry heuristic metadata only;
 //!    structural visibility rides the `Arc` publication). Expired
 //!    entries are physically removed by the owner's periodic
@@ -50,8 +50,8 @@
 //!
 //! Nothing on the steady-state path allocates: buffers are reused, the
 //! verdict/meta/punt vectors retain their capacity across batches, and
-//! every table lookup is an allocation-free hash probe or inline-key
-//! trie descent (proved by `tests/no_alloc.rs`).
+//! every table lookup is an allocation-free hash probe or scan of a
+//! sorted `Vec` (proved by `tests/no_alloc.rs`).
 
 use std::collections::BTreeMap;
 
@@ -60,7 +60,7 @@ use sda_policy::{
     AclVnView, Action, CompiledAcl, ConnectivityMatrix, EnforcementPoint, RuleSubset,
 };
 use sda_simnet::{SimDuration, SimTime};
-use sda_types::{Eid, EidPrefix, GroupId, Ipv4Prefix, MacAddr, PortId, Rloc, VnId};
+use sda_types::{Eid, EidPrefix, GroupId, Ipv4Prefix, MacAddr, MemStats, PortId, Rloc, VnId};
 use sda_wire::{ethernet, ipv4, EtherType};
 
 use crate::buffer::{PacketBuf, HEADROOM};
@@ -252,7 +252,7 @@ enum IngressMeta {
 /// totals live in `Relaxed` shared atomics (the same per-entry-metadata
 /// discipline), so enforcing on a published snapshot and reading the
 /// counters from the working copy see one coherent Fig. 12 total.
-/// Mutation — onboarding, Map-Replies, purges, compaction — takes
+/// Mutation — onboarding, Map-Replies, purges — takes
 /// `&mut self` and belongs to the table owner: the single-threaded
 /// [`Switch`] mutates in place, the multi-core [`crate::MtSwitch`]
 /// mutates a working copy and publishes clones (clone-and-swap; `Clone`
@@ -379,17 +379,6 @@ impl SharedTables {
         self.cache.evict(now, idle_timeout)
     }
 
-    /// Re-lays the map-cache's covering-prefix tries in DFS preorder so
-    /// descents walk nearly-sequential memory. The VRF and the
-    /// map-cache's host routes are hash tables and have nothing to lay
-    /// out, so on an edge that caches host routes only this does no
-    /// work. Call once bulk population (FIB preload) settles; the tries
-    /// also compact themselves under churn via their free-list
-    /// threshold.
-    pub fn compact(&mut self) {
-        self.cache.compact();
-    }
-
     // --- shared (read) surface -------------------------------------
 
     /// Handles a received SMR through the `CacheEntry` atomics: marks
@@ -401,11 +390,9 @@ impl SharedTables {
     }
 
     /// Aggregated memory diagnostics for the forwarding tables: the
-    /// map-cache's (trie arenas plus its host-route table's reserved
-    /// bytes, see [`MapCache::mem_stats`]), with the VRF hash table's
-    /// reserved bytes added to `capacity_bytes` the same way — neither
-    /// table has nodes to count.
-    pub fn mem_stats(&self) -> sda_trie::MemStats {
+    /// map-cache's bytes (see [`MapCache::mem_stats`]) with the VRF hash
+    /// table's reserved bytes added to `capacity_bytes`.
+    pub fn mem_stats(&self) -> MemStats {
         let mut stats = self.cache.mem_stats();
         stats.capacity_bytes += self.vrf.reserved_bytes();
         stats
@@ -1131,16 +1118,14 @@ impl Switch {
         self.tables.evict_expired(now, idle_timeout)
     }
 
-    /// Re-lays the map-cache's covering-prefix tries in DFS preorder
-    /// (see [`SharedTables::compact`]). Call once bulk population (FIB
-    /// preload) settles.
-    pub fn compact_tables(&mut self) {
-        self.tables.compact();
-    }
+    /// Does nothing: no table has a layout to settle. A shim kept only
+    /// because the benchmark of record (`e2e`) calls it; ROADMAP item
+    /// 1(b) removes it.
+    pub fn compact_tables(&mut self) {}
 
     /// Aggregated memory diagnostics for the forwarding tables (see
     /// [`SharedTables::mem_stats`]).
-    pub fn table_mem_stats(&self) -> sda_trie::MemStats {
+    pub fn table_mem_stats(&self) -> MemStats {
         self.tables.mem_stats()
     }
 

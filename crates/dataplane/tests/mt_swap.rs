@@ -38,7 +38,6 @@ fn population(rloc: Rloc) -> SharedTables {
             SimTime::ZERO,
         );
     }
-    t.compact();
     t
 }
 

@@ -4,16 +4,15 @@
 //! scratch vectors and the buffer pool have warmed up: first with a
 //! host-routes-only map-cache (every resolve one hash probe), then with
 //! a covering prefix and TTL-dead host routes installed, so misses and
-//! dead hits take the filtered trie descent as well (installs and
-//! `Switch::compact_tables()` allocate; they run between the measured
-//! windows, exactly as the bulk-load hooks do in production).
+//! dead hits scan the VN's covers for a live one as well (installs
+//! allocate; they run between the measured windows).
 //!
 //! Since the multi-core split, `Switch::process_ingress`/`process_egress`
 //! *are* the per-worker path: the same `ingress_batch`/`egress_batch`
 //! over `&SharedTables` + `&mut WorkerCtx` that every `MtSwitch` worker
 //! runs — so these windows prove the shared-read lookup
-//! (`MapCache::lookup_batch_shared`: table probe, filtered `&self` trie
-//! descent, atomic metadata refresh) allocates nothing per packet. A
+//! (`MapCache::lookup_batch_shared`: table probe, filtered `&self` cover
+//! scan, atomic metadata refresh) allocates nothing per packet. A
 //! third window below additionally measures the shared map-cache entry
 //! point in isolation, and a fourth drives the *fused* lookup+enforce
 //! pass — compiled-ACL verdicts (allow, explicit deny, default-action
@@ -188,7 +187,7 @@ fn steady_state_forwarding_allocates_nothing() {
     const ROUNDS: u64 = 200;
     let batch = BATCH_SIZE as u64;
 
-    // Window 1: insertion-order arena.
+    // Window 1: host routes only.
     let before = allocations();
     let (mut fwd, mut deliver) = (0u64, 0u64);
     for _ in 0..ROUNDS {
@@ -213,12 +212,12 @@ fn steady_state_forwarding_allocates_nothing() {
 
     // Window 2: both halves of the map-cache at work. Window 1 never
     // left the host-route table (no cover installed, so a miss answers
-    // from the cover count). One live covering prefix changes that: hits
-    // and stales still ride the table, while of the 32 "miss" frames the
-    // first 8 meet a TTL-dead host route and fall through to the cover,
-    // the next 8 miss the table and find the cover, and the last 16 take
-    // the filtered descent to a real miss. All forward; the install and
-    // the compaction happen outside the window.
+    // from the empty cover list). One live covering prefix changes that:
+    // hits and stales still ride the table, while of the 32 "miss" frames
+    // the first 8 meet a TTL-dead host route and fall through to the cover,
+    // the next 8 miss the table and find the cover, and the last 16 scan
+    // the covers to a real miss. All forward; the installs happen outside
+    // the window.
     sw.install_mapping(
         vn,
         Ipv4Prefix::new(Ipv4Addr::from(0x0AFF_0000), 28)
@@ -237,7 +236,6 @@ fn steady_state_forwarding_allocates_nothing() {
             SimTime::ZERO,
         );
     }
-    sw.compact_tables();
     let before = allocations();
     let (mut fwd, mut deliver) = (0u64, 0u64);
     for _ in 0..ROUNDS {
@@ -250,12 +248,12 @@ fn steady_state_forwarding_allocates_nothing() {
     }
     let after = allocations();
 
-    assert_eq!(fwd, 2 * ROUNDS * batch, "post-compact forwarding intact");
-    assert_eq!(deliver, ROUNDS * batch, "post-compact egress intact");
+    assert_eq!(fwd, 2 * ROUNDS * batch, "forwarding over a cover intact");
+    assert_eq!(deliver, ROUNDS * batch, "egress over a cover intact");
     assert_eq!(
         after - before,
         0,
-        "post-compact forwarding performed {} heap allocations over {} packets",
+        "forwarding over a cover performed {} heap allocations over {} packets",
         after - before,
         3 * ROUNDS * batch
     );

@@ -13,8 +13,8 @@
 //!   `(destination, message)` pairs, [`MapServerStats`], the
 //!   service-time model and the reply TTLs.
 //! * [`MapCache`] — the edge router's on-demand FIB: host
-//!   routes in one exact-match table, covering prefixes in per-VN
-//!   tries; TTL'd entries, idle decay, SMR/underlay-event invalidation,
+//!   routes in one exact-match table, covering prefixes in one sorted
+//!   `Vec`; TTL'd entries, idle decay, SMR/underlay-event invalidation,
 //!   negative caching. Its `len()` *is* the Fig. 9 "FIB entries" series.
 //! * [`SmrTracker`] — dedup window for the data-triggered
 //!   Solicit-Map-Request messages of Fig. 6.

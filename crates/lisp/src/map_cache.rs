@@ -25,18 +25,19 @@
 //!   table keyed by `(vn, eid)`, folded into one word and hashed with
 //!   [`sda_types::KeyHasher`]. A live hit there is by construction the
 //!   longest match, so a lookup that finds one is done after one probe.
-//! * *Covering prefixes* (anything shorter) sit in a per-VN
-//!   [`EidTrie`]. A lookup reaches it only when the table has no *live*
-//!   entry for the EID — a miss, or a TTL-dead host route, which
-//!   therefore never shadows a live covering subnet — and only when the
-//!   cache holds a cover at all: a maintained count answers `Miss`
-//!   without touching a trie otherwise.
+//! * *Covering prefixes* (anything shorter) sit in one `Vec` sorted by
+//!   VN, then longest prefix first. A lookup reaches it only when the
+//!   table has no *live* entry for the EID — a miss, or a TTL-dead host
+//!   route, which therefore never shadows a live covering subnet — and
+//!   then scans its VN's run for the first live cover holding the EID,
+//!   which is the longest. No running path installs one (the routing
+//!   server answers host routes only), so the scan meets an empty `Vec`.
 //!
 //! **What it is not.**
 //!
 //! * Not the routing server's registry ([`crate::MappingDb`], §4.1,
 //!   Fig. 7): that one holds every registered EID and host routes
-//!   only, so it has the table below and no tries at all.
+//!   only, in its own open-addressed table.
 //! * Not ordered: [`MapCache::iter`] yields the table's entries in hash
 //!   order (deterministic — the hasher has no per-process seed — but
 //!   unspecified).
@@ -44,13 +45,13 @@
 //!   Keys are *inserted* only from routing-server replies for registered
 //!   EIDs; packets merely probe.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use sda_simnet::{SimDuration, SimTime};
-use sda_trie::EidTrie;
-use sda_types::fold_eid;
+use sda_types::{fold_eid, reserved_bytes, MemStats};
 use sda_types::{Eid, EidKind, EidPrefix, KeyHasher, Rloc, VnId};
 
 /// One cached mapping.
@@ -68,12 +69,12 @@ use sda_types::{Eid, EidKind, EidPrefix, KeyHasher, Rloc, VnId};
 ///   idle-decay comparison in [`MapCache::evict`]; `stale` only chooses
 ///   between the `Hit` and `Stale` outcomes. A reader observing a
 ///   slightly stale value forwards correctly either way.
-/// * The *structure* of the cache (table, tries, `rloc`, `expires_at`)
+/// * The *structure* of the cache (table, covers, `rloc`, `expires_at`)
 ///   is never mutated while shared. Concurrent readers hold `&MapCache`
 ///   (e.g. through an `Arc` snapshot under the data plane's
 ///   clone-and-swap scheme); every structural mutation — install,
-///   removal, eviction, compaction — goes through `&mut MapCache` on
-///   the owner's copy, and the `Arc` publication itself provides the
+///   removal, eviction — goes through `&mut MapCache` on the owner's
+///   copy, and the `Arc` publication itself provides the
 ///   release/acquire edge that makes the new structure visible.
 ///
 /// Races that remain are benign by design: two threads refreshing
@@ -194,8 +195,8 @@ impl Hash for HostKey {
 /// [`MapCache::lookup_batch_shared`] (a burst) and
 /// [`MapCache::mark_stale_shared`] (an SMR) — so a single-threaded edge
 /// and a pool of forwarding workers ride the same probe: the host-route
-/// table first, the covering-prefix trie of the VN only when that finds
-/// nothing live (see the module docs). A TTL-expired entry is treated as
+/// table first, the VN's covering prefixes only when that finds nothing
+/// live (see the module docs). A TTL-expired entry is treated as
 /// absent — a dead host route never shadows a live covering subnet —
 /// but it stays where it is: lookups never change the structure.
 /// **Removal takes `&mut self`** and belongs to the owner alone: the
@@ -212,13 +213,10 @@ pub struct MapCache {
     /// Host routes per family (indexed by `EidKind as usize`), so
     /// [`MapCache::len_of`] — which Fig. 9 sampling calls — is no scan.
     host_kinds: [usize; 3],
-    /// Non-host prefixes — stored here and nowhere else.
-    covers: BTreeMap<VnId, EidTrie<CacheEntry>>,
-    /// Entries in `covers`, all VNs. Zero lets a lookup that found no
-    /// live host route answer without touching a trie. Invariant (with
-    /// `hosts.len()`): [`MapCache::len`] always equals
-    /// [`MapCache::recount`] (checked by the property tests).
-    cover_count: usize,
+    /// Non-host prefixes — stored here and nowhere else — sorted by VN,
+    /// then longest prefix first: the first live cover of a VN's run
+    /// holding an EID is its longest match.
+    covers: Vec<(VnId, EidPrefix, CacheEntry)>,
 }
 
 impl MapCache {
@@ -240,10 +238,19 @@ impl MapCache {
             Some(eid) => self.update_rloc(vn, eid, rloc, ttl, now),
             None => {
                 let entry = CacheEntry::new(rloc, now + ttl, now);
-                let prev = self.covers.entry(vn).or_default().insert(prefix, entry);
-                self.cover_count += usize::from(prev.is_none());
+                match self.find_cover(vn, prefix) {
+                    Ok(at) => self.covers[at].2 = entry,
+                    Err(at) => self.covers.insert(at, (vn, prefix, entry)),
+                }
             }
         }
+    }
+
+    /// Where `(vn, prefix)` sits among the covers (`Ok`) or would go.
+    fn find_cover(&self, vn: VnId, prefix: EidPrefix) -> Result<usize, usize> {
+        let key = |vn: VnId, p: EidPrefix| (vn, Reverse(p.len()), p);
+        self.covers
+            .binary_search_by_key(&key(vn, prefix), |(of, p, _)| key(*of, *p))
     }
 
     /// Replaces the mapping for `eid` (Map-Notify / refreshed Map-Reply
@@ -263,32 +270,28 @@ impl MapCache {
                 self.host_kinds[eid.kind() as usize] -= usize::from(removed);
                 removed
             }
-            None => {
-                let removed = self
-                    .covers
-                    .get_mut(&vn)
-                    .is_some_and(|t| t.remove(&prefix).is_some());
-                self.cover_count -= usize::from(removed);
-                removed
-            }
+            None => self
+                .find_cover(vn, prefix)
+                .map(|at| self.covers.remove(at))
+                .is_ok(),
         }
     }
 
     /// The body all three lookup-side entry points share: the deepest
     /// *live* entry covering `eid`. One table probe; a live host route
     /// is the longest match there can be. A miss or a TTL-dead hit falls
-    /// through to the VN's filtered trie descent — iff the cache holds
-    /// any covering prefix.
+    /// through to the first live cover of the VN's run holding `eid` —
+    /// no work at all when the cache holds no cover.
     #[inline]
     fn live(&self, vn: VnId, eid: Eid, now: SimTime) -> Option<&CacheEntry> {
         match self.hosts.get(&HostKey { vn, eid }) {
             Some(entry) if now < entry.expires_at => Some(entry),
-            _ if self.cover_count == 0 => None,
-            _ => self
-                .covers
-                .get(&vn)?
-                .lookup_where(&eid, |e| now < e.expires_at)
-                .map(|(_, entry)| entry),
+            _ if self.covers.is_empty() => None,
+            _ => self.covers[self.covers.partition_point(|(of, _, _)| *of < vn)..]
+                .iter()
+                .take_while(|(of, _, _)| *of == vn)
+                .find(|(_, p, e)| now < e.expires_at && p.contains(eid))
+                .map(|(_, _, entry)| entry),
         }
     }
 
@@ -330,31 +333,24 @@ impl MapCache {
         Some(entry.rloc)
     }
 
-    /// Re-lays the covering-prefix tries in DFS preorder and empties
-    /// their free-lists (see [`sda_trie::PatriciaTrie::compact`]); the
-    /// host-route table has nothing to lay out. The dataplane `Switch`
-    /// exposes it as `compact_tables`; `retain` churn compacts inside the
-    /// tries on its own.
-    pub fn compact(&mut self) {
-        self.covers.values_mut().for_each(EidTrie::compact);
-    }
+    /// Does nothing: neither store has a layout to settle. A shim kept
+    /// only because the benchmark of record (`e2e`) calls it; ROADMAP
+    /// item 1(b) removes it.
+    pub fn compact(&mut self) {}
 
-    /// Memory diagnostics: the covering-prefix tries' arena statistics,
-    /// with the bytes the host-route table has reserved
-    /// ([`sda_types::reserved_bytes`], a lower bound) added to
-    /// `capacity_bytes` — a hash table has no nodes to count.
-    pub fn mem_stats(&self) -> sda_trie::MemStats {
-        let mut stats = sda_trie::MemStats::default();
-        for trie in self.covers.values() {
-            stats.merge(&trie.mem_stats());
+    /// Memory diagnostics: the bytes the host-route table has reserved
+    /// ([`sda_types::reserved_bytes`], a lower bound) plus the covers'
+    /// capacity, in `capacity_bytes`.
+    pub fn mem_stats(&self) -> MemStats {
+        let cover = std::mem::size_of::<(VnId, EidPrefix, CacheEntry)>();
+        MemStats {
+            capacity_bytes: reserved_bytes(&self.hosts) + self.covers.capacity() * cover,
+            ..MemStats::default()
         }
-        stats.capacity_bytes += sda_types::reserved_bytes(&self.hosts);
-        stats
     }
 
-    /// Keeps the entries `keep` accepts, in one pass over the table and
-    /// one traversal per trie ([`EidTrie::retain`]); returns how many
-    /// went.
+    /// Keeps the entries `keep` accepts, in one pass over each store;
+    /// returns how many went.
     fn retain(&mut self, mut keep: impl FnMut(VnId, &CacheEntry) -> bool) -> usize {
         let before = self.len();
         self.hosts.retain(|key, entry| {
@@ -362,9 +358,7 @@ impl MapCache {
             self.host_kinds[key.eid.kind() as usize] -= usize::from(!kept);
             kept
         });
-        for (vn, trie) in &mut self.covers {
-            self.cover_count -= trie.retain(|_, entry| keep(*vn, entry));
-        }
+        self.covers.retain(|(vn, _, entry)| keep(*vn, entry));
         before - self.len()
     }
 
@@ -394,23 +388,16 @@ impl MapCache {
     }
 
     /// Current entry count — the Fig. 9 "FIB entries" metric. O(1): the
-    /// table's own length plus the maintained cover count.
+    /// two stores' lengths.
     pub fn len(&self) -> usize {
-        self.hosts.len() + self.cover_count
-    }
-
-    /// Recomputes the entry count from both stores (O(#VNs)). Exists so
-    /// tests can assert the maintained counter never drifts; production
-    /// callers should use [`MapCache::len`].
-    pub fn recount(&self) -> usize {
-        self.hosts.len() + self.covers.values().map(EidTrie::len).sum::<usize>()
+        self.hosts.len() + self.covers.len()
     }
 
     /// Entries of one address family (the paper's Fig. 9 counts IPv4
     /// overlay-to-underlay mappings only).
     pub fn len_of(&self, kind: EidKind) -> usize {
-        let covers: usize = self.covers.values().map(|t| t.len_of(kind)).sum();
-        self.host_kinds[kind as usize] + covers
+        let covers = self.covers.iter().filter(|(_, p, _)| p.kind() == kind);
+        self.host_kinds[kind as usize] + covers.count()
     }
 
     /// True when the cache holds nothing.
@@ -428,10 +415,10 @@ impl MapCache {
             .hosts
             .iter()
             .map(|(key, e)| (key.vn, EidPrefix::host(key.eid), e.rloc, e.expires_at));
-        let covers = self.covers.iter().flat_map(|(vn, trie)| {
-            trie.iter()
-                .map(move |(prefix, e)| (*vn, prefix, e.rloc, e.expires_at))
-        });
+        let covers = self
+            .covers
+            .iter()
+            .map(|(vn, prefix, e)| (*vn, *prefix, e.rloc, e.expires_at));
         hosts.chain(covers)
     }
 
@@ -460,7 +447,7 @@ mod batch_tests {
             [CacheOutcome::Hit(subnet_rloc); 3],
             "the live /16 must answer under the expired /32"
         );
-        assert_eq!((c.len(), c.recount()), (2, 2), "lookups never remove");
+        assert_eq!(c.len(), 2, "lookups never remove");
     }
 
     #[test]
@@ -660,7 +647,6 @@ mod tests {
         // No structural side effect: the expired entry is still there
         // (the owner's evict removes it).
         assert_eq!(c.len(), 2);
-        assert_eq!(c.len(), c.recount());
         assert_eq!(c.evict(now, SimDuration::from_days(1)), 1);
         assert_eq!(c.len(), 1);
     }
@@ -732,11 +718,10 @@ mod tests {
             CacheOutcome::Stale(r)
         );
         assert_eq!(snap.len(), 1);
-        assert_eq!(snap.len(), snap.recount());
     }
 
     /// A handover rewrites a host route in place: 256 of them move
-    /// nothing, in the table or in the tries.
+    /// nothing.
     #[test]
     fn update_rloc_moves_nothing() {
         let mut c = MapCache::new();
@@ -744,7 +729,6 @@ mod tests {
         for n in 0..=255 {
             c.install(vn(1), EidPrefix::host(eid(n)), r1, TTL, SimTime::ZERO);
         }
-        c.compact();
         let layout = c.mem_stats();
         for n in 0..=255 {
             c.update_rloc(vn(1), eid(n), r2, TTL, SimTime::ZERO);
@@ -760,7 +744,7 @@ mod tests {
     }
 
     /// One structure per job: the /32 lives in the table, the /24 over
-    /// it in the trie, and each leaves through its own door without
+    /// it among the covers, and each leaves through its own door without
     /// disturbing the other.
     #[test]
     fn host_route_and_its_cover_are_stored_and_removed_independently() {
@@ -774,9 +758,9 @@ mod tests {
             let mut c = MapCache::new();
             c.install(vn(1), host, via_host, TTL, SimTime::ZERO);
             c.install(vn(1), cover, via_cover, TTL, SimTime::ZERO);
-            assert_eq!((c.len(), c.recount()), (2, 2));
+            assert_eq!(c.len(), 2);
             assert_eq!(c.len_of(EidKind::V4), 2);
-            assert_eq!((c.hosts.len(), c.cover_count), (1, 1));
+            assert_eq!((c.hosts.len(), c.covers.len()), (1, 1));
             assert_eq!(
                 c.lookup_shared(vn(1), eid(7), SimTime::ZERO),
                 CacheOutcome::Hit(via_host)
@@ -786,7 +770,7 @@ mod tests {
 
         let mut c = build();
         assert!(c.apply_negative(vn(1), host));
-        assert_eq!((c.hosts.len(), c.cover_count, c.recount()), (0, 1, 1));
+        assert_eq!((c.hosts.len(), c.covers.len()), (0, 1));
         assert_eq!(
             c.lookup_shared(vn(1), eid(7), SimTime::ZERO),
             CacheOutcome::Hit(via_cover)
@@ -794,7 +778,7 @@ mod tests {
 
         let mut c = build();
         assert!(c.apply_negative(vn(1), cover));
-        assert_eq!((c.hosts.len(), c.cover_count, c.recount()), (1, 0, 1));
+        assert_eq!((c.hosts.len(), c.covers.len()), (1, 0));
         assert_eq!(
             c.lookup_shared(vn(1), eid(7), SimTime::ZERO),
             CacheOutcome::Hit(via_host)
@@ -824,7 +808,7 @@ mod tests {
                 SimTime::ZERO,
             );
         }
-        assert_eq!((c.len(), c.recount()), (2_000, 2_000));
+        assert_eq!(c.len(), 2_000);
         for n in 1..=2_000 {
             assert_eq!(
                 c.lookup_shared(vn(2 * n), eid(1), SimTime::ZERO),

@@ -80,7 +80,7 @@ use std::net::Ipv4Addr;
 use std::num::NonZeroU32;
 
 use sda_simnet::{SimDuration, SimTime};
-use sda_types::fold_eid;
+use sda_types::{fold_eid, MemStats};
 use sda_types::{Eid, EidPrefix, KeyHasher, Rloc, VnId};
 
 /// One registered mapping, as the database hands it out.
@@ -524,11 +524,10 @@ impl MappingDb {
         self.retain(|_, _, r| !r.expired(now))
     }
 
-    /// Memory diagnostics in the shape the trie-backed stores report:
-    /// `capacity_bytes` is exactly what the tables hold allocated, 16
-    /// bytes a narrow slot plus 32 a wide one.
-    pub fn mem_stats(&self) -> sda_trie::MemStats {
-        sda_trie::MemStats {
+    /// Memory diagnostics: `capacity_bytes` is exactly what the tables
+    /// hold allocated, 16 bytes a narrow slot plus 32 a wide one.
+    pub fn mem_stats(&self) -> MemStats {
+        MemStats {
             capacity_bytes: self.vns.values().map(Vn::bytes).sum(),
             ..Default::default()
         }

@@ -241,7 +241,7 @@ impl VnAcl {
 }
 
 /// Memory accounting for the compiled form: capacity, not just length,
-/// as `sda_trie::MemStats::capacity_bytes` counts it.
+/// as `sda_types::MemStats::capacity_bytes` counts it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CompiledMemStats {
     /// VNs with at least one interned group.

@@ -7,9 +7,13 @@
 //! > Trie. The delay of this data structure depends on the number of bits
 //! > of the keys, not the number of elements" (§4.1, citing Morrison 1968).
 //!
-//! In this fabric it is the map-cache's cold covering-prefix table; the
-//! registry, the VRF and the map-cache's host routes are hash tables.
-//! Two layers:
+//! No table of the running fabric holds one: the registry, the VRF and
+//! the map-cache are hash tables and sorted vectors, and no production
+//! crate depends on this one. What is left of its users: the benchmark
+//! of record (`e2e`'s `trie.*` probes build stand-alone tries), the
+//! `trie_lpm` rows of the `lpm_hot_path` bench, and the trie-backed
+//! reference registry `sda-lisp`'s property tests hold the production
+//! registry to. Two layers:
 //!
 //! * [`PatriciaTrie`] — the generic bit-keyed trie: exact match, one
 //!   filtered longest-prefix match through `&self`, `retain`, and a DFS
@@ -25,9 +29,9 @@
 //! ## Surface
 //!
 //! The crate **is** its root: [`PatriciaTrie`], [`EidTrie`], the
-//! [`BitStr`] key and the [`MemStats`] report. Every module is private.
-//! It **is not** on any hot path of the running fabric — no gated
-//! workload's lookup reaches a trie node — and it has no stride tables:
+//! [`BitStr`] key and the [`MemStats`] report (defined in `sda-types`,
+//! re-exported here). Every module is private. It **is not** on any hot
+//! path of the running fabric, and it has no stride tables:
 //! `MemStats::{stride_slots, stride_filled}` always read 0.
 
 #![forbid(unsafe_code)]
@@ -39,4 +43,5 @@ mod trie;
 
 pub use bits::BitStr;
 pub use map::EidTrie;
-pub use trie::{MemStats, PatriciaTrie};
+pub use sda_types::MemStats;
+pub use trie::PatriciaTrie;

@@ -149,7 +149,7 @@ impl<V> EidTrie<V> {
     }
 
     /// Bytes reserved across the three families.
-    pub fn mem_stats(&self) -> crate::trie::MemStats {
+    pub fn mem_stats(&self) -> sda_types::MemStats {
         let mut stats = self.v4.mem_stats();
         stats.merge(&self.v6.mem_stats());
         stats.merge(&self.mac.mem_stats());

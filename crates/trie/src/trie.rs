@@ -1,16 +1,14 @@
 //! The path-compressed binary radix (Patricia) trie.
 //!
-//! **What it is.** A cold covering-prefix table: the map-cache keeps
-//! one per VN for prefixes shorter than a host route (an [`EidTrie`]
-//! holds three, one per address family), and a lookup reaches it only
-//! when the host-route hash table has no live entry. Lookup cost is
-//! O(key bits), independent of the number of stored entries — the
-//! property §4.1 credits for Fig. 7a's flat curve.
+//! **What it is.** A bit-keyed longest-prefix table (an [`EidTrie`]
+//! holds three, one per address family). Lookup cost is O(key bits),
+//! independent of the number of stored entries — the property §4.1
+//! credits for Fig. 7a's flat curve.
 //!
 //! **What it is not.**
 //!
-//! * Not a FIB: host routes, the routing server's registry and the VRF
-//!   are hash tables, and no production path writes a cover today.
+//! * Not a FIB: the map-cache, the routing server's registry and the
+//!   VRF hold no trie (see the crate docs for who still builds one).
 //! * Not a multibit structure: every hop consumes one label and costs
 //!   one dependent load; there are no stride tables and no prefetch.
 //! * Not ordered by key: [`PatriciaTrie::iter`] walks depth-first,
@@ -61,6 +59,8 @@
 //! only `compact` re-lays the arena.
 //!
 //! [`EidTrie`]: crate::EidTrie
+
+use sda_types::MemStats;
 
 use crate::bits::{BitStr, MAX_BITS};
 
@@ -142,38 +142,6 @@ fn step(
     }
     let rem = if ll >= MAX_BITS { 0 } else { rem << ll };
     Some((child, depth + ll, rem))
-}
-
-/// What a table has reserved — what [`PatriciaTrie::mem_stats`] reports,
-/// the map-cache and registry add their hash tables to, and the
-/// `lpm_hot_path` bench budgets.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MemStats {
-    /// Bytes reserved: node slab + value slab + free-list capacities
-    /// (plus, from the map-cache and registry, their tables' bytes).
-    pub capacity_bytes: usize,
-    /// Always 0: no table has stride slots. Kept only because the
-    /// benchmark of record (`e2e`, frozen to cleanup PRs) still prints
-    /// `trie.stride_fill_share` from it; ROADMAP item 1(b) retires the
-    /// metric and, with it, this field and `stride_filled`.
-    pub stride_slots: usize,
-    /// Always 0; see `stride_slots`.
-    pub stride_filled: usize,
-}
-
-impl MemStats {
-    /// Adds another table's stats to this one.
-    pub fn merge(&mut self, other: &MemStats) {
-        self.capacity_bytes += other.capacity_bytes;
-        self.stride_slots += other.stride_slots;
-        self.stride_filled += other.stride_filled;
-    }
-}
-
-impl core::fmt::Display for MemStats {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "{} KiB reserved", self.capacity_bytes / 1024)
-    }
 }
 
 /// A Patricia trie mapping bit-string prefixes to values.

@@ -67,3 +67,33 @@ impl Hash for EidKey {
 pub fn reserved_bytes<K, V, S>(map: &HashMap<K, V, S>) -> usize {
     map.capacity() * (std::mem::size_of::<(K, V)>() + 1)
 }
+
+/// What a table has reserved — what the map-cache, the VRF and the
+/// registry report, and what the `lpm_hot_path` bench budgets.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct MemStats {
+    /// Bytes reserved by the table's slots and buffers.
+    pub capacity_bytes: usize,
+    /// Always 0: no table has stride slots. Kept only because the
+    /// benchmark of record (`e2e`, frozen to cleanup PRs) still prints
+    /// `trie.stride_fill_share` from it; ROADMAP item 1(b) retires the
+    /// metric and, with it, this field and `stride_filled`.
+    pub stride_slots: usize,
+    /// Always 0; see `stride_slots`.
+    pub stride_filled: usize,
+}
+
+impl MemStats {
+    /// Adds another table's stats to this one.
+    pub fn merge(&mut self, other: &MemStats) {
+        self.capacity_bytes += other.capacity_bytes;
+        self.stride_slots += other.stride_slots;
+        self.stride_filled += other.stride_filled;
+    }
+}
+
+impl std::fmt::Display for MemStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} KiB reserved", self.capacity_bytes / 1024)
+    }
+}

@@ -24,10 +24,10 @@
 //! The crate **is** its root: the identifiers and prefixes above, the
 //! shared [`Error`], and the one hashing convention every exact-match
 //! table in the fabric keys by ([`EidKey`], [`KeyHasher`],
-//! [`fold_eid`], plus [`reserved_bytes`] for the tables' memory
-//! figures). Every module is private. It **is not** a protocol or
-//! state crate: nothing here parses bytes, owns a table or knows the
-//! simulator.
+//! [`fold_eid`], plus [`reserved_bytes`] and [`MemStats`] for the
+//! tables' memory figures). Every module is private. It **is not** a
+//! protocol or state crate: nothing here parses bytes, owns a table or
+//! knows the simulator.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
@@ -40,6 +40,6 @@ mod prefix;
 
 pub use eid::{Eid, EidKind, MacAddr, Rloc};
 pub use error::{Error, Result};
-pub use hash::{fold_eid, reserved_bytes, EidKey, KeyHasher};
+pub use hash::{fold_eid, reserved_bytes, EidKey, KeyHasher, MemStats};
 pub use ids::{GroupId, PortId, RouterId, VnId};
 pub use prefix::{EidPrefix, Ipv4Prefix, Ipv6Prefix, MacPrefix};

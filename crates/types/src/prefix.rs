@@ -200,8 +200,8 @@ impl fmt::Display for MacPrefix {
 
 /// A prefix over any EID family.
 ///
-/// This is the key type of `sda-trie`'s `EidTrie` (map-cache covering
-/// prefixes, the BGP RIB) and what Map-Replies and Publishes carry.
+/// What Map-Replies, negative replies and Publishes carry (host routes,
+/// §3.2.2) and the key of the map-cache's covering prefixes.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum EidPrefix {
     /// IPv4 CIDR prefix.

@@ -6,7 +6,6 @@
 //!
 //! * [`types`] — shared vocabulary (EIDs, RLOCs, prefixes, ids).
 //! * [`simnet`] — deterministic discrete-event simulator and metrics.
-//! * [`trie`] — the Patricia trie (map-cache covers).
 //! * [`wire`] — packet formats (Ethernet/IP/UDP/VXLAN-GPO/LISP).
 //! * [`policy`] — group-based segmentation policy and SXP.
 //! * [`underlay`] — underlay topology and SPF.
@@ -25,7 +24,6 @@ pub use sda_dataplane as dataplane;
 pub use sda_lisp as lisp;
 pub use sda_policy as policy;
 pub use sda_simnet as simnet;
-pub use sda_trie as trie;
 pub use sda_types as types;
 pub use sda_underlay as underlay;
 pub use sda_wire as wire;
