@@ -22,12 +22,8 @@ use sda_policy::EnforcementPoint;
 /// Fabric-wide behavior knobs, shared read-only by every node.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
-    /// Matrix default for unmatched group pairs.
-    pub default_action: Action,
     /// Where group policy is enforced (§5.3).
     pub enforcement: EnforcementPoint,
-    /// Fabric hop budget per packet (§5.2 loop damping).
-    pub hop_budget: u8,
     /// Registration TTL sent in Map-Registers.
     pub register_ttl_secs: u32,
     /// Register the MAC EID alongside IPv4 (L2 services). Large mobility
@@ -91,9 +87,7 @@ pub struct FabricConfig {
 impl Default for FabricConfig {
     fn default() -> Self {
         FabricConfig {
-            default_action: Action::Deny,
             enforcement: EnforcementPoint::Egress,
-            hop_budget: crate::msg::DEFAULT_HOPS,
             register_ttl_secs: 2 * 3600,
             register_mac: true,
             border_default_route: true,

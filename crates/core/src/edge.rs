@@ -181,9 +181,7 @@ pub(crate) fn switch_config(rloc: Rloc, border: Option<Rloc>, dir: &Directory) -
     let mut cfg = SwitchConfig::new(rloc);
     cfg.border = border;
     cfg.miss_default_route = dir.params.border_default_route;
-    cfg.default_action = dir.params.default_action;
     cfg.enforcement = dir.params.enforcement;
-    cfg.hop_budget = dir.params.hop_budget;
     cfg
 }
 

@@ -386,7 +386,8 @@ fn run_direction(name: &str, cfg: SwitchConfig, externals: bool, seed: u64, ingr
             w.switch
                 .process_egress(std::slice::from_mut(&mut buf), w.now)[0]
         };
-        let got_p = w.switch.drain_punts();
+        let mut got_p = Vec::new();
+        w.switch.drain_punts_into(&mut got_p);
         assert_eq!(
             got_v, pred_v,
             "[{name}] packet {i}: engine verdict {got_v:?} != oracle {pred_v:?} ({bytes:02x?})"
@@ -458,7 +459,8 @@ fn batched_ingress_agrees_with_per_packet_oracle() {
             })
             .collect();
         let got_vs = w.switch.process_ingress(&mut bufs, w.now).to_vec();
-        let got_ps = w.switch.drain_punts();
+        let mut got_ps = Vec::new();
+        w.switch.drain_punts_into(&mut got_ps);
         assert_eq!(got_vs, pred_vs, "round {round}: batch verdicts diverged");
         assert_eq!(got_ps, pred_ps, "round {round}: batch punts diverged");
     }
@@ -535,7 +537,7 @@ fn enforcement_counters_agree_with_model_replay() {
             } else {
                 w.switch.process_egress(&mut bufs, w.now).to_vec()
             };
-            w.switch.drain_punts();
+            w.switch.clear_punts();
             assert_eq!(got, pred, "[{name}] round {round}: batch verdicts diverged");
             assert_eq!(
                 w.switch.tables().acl().counters(),

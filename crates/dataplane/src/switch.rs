@@ -492,11 +492,6 @@ impl WorkerCtx {
         self.punts.clear();
     }
 
-    /// Takes the punt queue by swap, leaving an empty one behind.
-    pub(crate) fn drain_punts(&mut self) -> Vec<Punt> {
-        std::mem::take(&mut self.punts)
-    }
-
     /// Drains the punt queue into `out` by swap: `out` is cleared and
     /// receives the queued punts; both vectors keep their capacities,
     /// so a caller cycling one scratch vector never reallocates.
@@ -1163,7 +1158,7 @@ impl Switch {
     }
 
     /// Punts raised since the last [`Switch::clear_punts`] /
-    /// [`Switch::drain_punts`].
+    /// [`Switch::drain_punts_into`].
     #[cfg(test)]
     pub(crate) fn punts(&self) -> &[Punt] {
         self.ctx.punts()
@@ -1175,15 +1170,8 @@ impl Switch {
         self.ctx.clear_punts();
     }
 
-    /// Takes the accumulated punts by swap, leaving an empty queue:
-    /// the one-call replacement for the `punts()` + `clear_punts()`
-    /// pair (no slice clone, no double borrow).
-    pub fn drain_punts(&mut self) -> Vec<Punt> {
-        self.ctx.drain_punts()
-    }
-
-    /// Like [`Switch::drain_punts`], but swaps into a caller-provided
-    /// vector so a cycled scratch vector never reallocates.
+    /// Drains the punt queue into `out` by swap (`out` is cleared
+    /// first), so a cycled scratch vector never reallocates.
     pub fn drain_punts_into(&mut self, out: &mut Vec<Punt>) {
         self.ctx.drain_punts_into(out);
     }

@@ -92,15 +92,6 @@ impl AuthServer {
         );
     }
 
-    /// Moves an enrolled endpoint to a different group (the §5.4
-    /// "change the endpoint's group" update primitive). Returns the old
-    /// group if the endpoint exists.
-    #[cfg(test)]
-    fn reassign_group(&mut self, identity: MacAddr, group: GroupId) -> Option<GroupId> {
-        let e = self.enrolled.get_mut(&identity)?;
-        Some(core::mem::replace(&mut e.group, group))
-    }
-
     /// Verifies a credential.
     pub(crate) fn authenticate(&self, cred: &Credential) -> AuthOutcome {
         match self.enrolled.get(&cred.identity) {
@@ -118,14 +109,6 @@ impl AuthServer {
             .get(&identity)
             .map(|e| e.method)
             .unwrap_or_default()
-    }
-
-    /// The binding an identity would receive, without authenticating.
-    /// Used by re-authentication flows where the secret was already
-    /// verified this session.
-    #[cfg(test)]
-    fn binding_of(&self, identity: MacAddr) -> Option<(VnId, GroupId)> {
-        self.enrolled.get(&identity).map(|e| (e.vn, e.group))
     }
 }
 
@@ -177,26 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn reassign_group_changes_future_accepts() {
-        let mut s = AuthServer::default();
-        let mac = MacAddr::from_seed(3);
-        s.enroll(mac, 7, vn(1), GroupId(10), AuthMethod::Eap);
-        assert_eq!(s.reassign_group(mac, GroupId(20)), Some(GroupId(10)));
-        let out = s.authenticate(&Credential {
-            identity: mac,
-            secret: 7,
-        });
-        assert_eq!(
-            out,
-            AuthOutcome::Accept {
-                vn: vn(1),
-                group: GroupId(20)
-            }
-        );
-        assert_eq!(s.reassign_group(MacAddr::from_seed(9), GroupId(1)), None);
-    }
-
-    #[test]
     fn method_round_trips() {
         assert_eq!(AuthMethod::Simple.round_trips(), 1);
         assert_eq!(AuthMethod::Eap.round_trips(), 3);
@@ -205,14 +168,5 @@ mod tests {
         s.enroll(mac, 1, vn(1), GroupId(1), AuthMethod::Eap);
         assert_eq!(s.method_of(mac), AuthMethod::Eap);
         assert_eq!(s.method_of(MacAddr::from_seed(6)), AuthMethod::Simple);
-    }
-
-    #[test]
-    fn binding_without_auth() {
-        let mut s = AuthServer::default();
-        let mac = MacAddr::from_seed(8);
-        s.enroll(mac, 1, vn(2), GroupId(3), AuthMethod::Simple);
-        assert_eq!(s.binding_of(mac), Some((vn(2), GroupId(3))));
-        assert_eq!(s.binding_of(MacAddr::from_seed(9)), None);
     }
 }

@@ -38,10 +38,9 @@
 //!
 //! The crate **is** its root: the types named above, the
 //! [`ingress_subset`]/[`egress_subset`] distribution functions, and the
-//! rollout accounting ([`Population`], [`RolloutFanout`],
-//! [`UpdateStrategy`]). Every module is private; the credential store
-//! itself is reached only through [`PolicyServer`]. It **is not** a
-//! transport: no RADIUS or SXP bytes, no timers — `sda-core` carries
+//! rollout accounting ([`Population`], [`UpdateStrategy`]). Every
+//! module is private; the credential store itself is reached only
+//! through [`PolicyServer`]. It **is not** a transport: no RADIUS or SXP bytes, no timers — `sda-core` carries
 //! its messages over the simulator.
 
 #![forbid(unsafe_code)]
@@ -61,4 +60,4 @@ pub use enforce::EnforcementPoint;
 pub use matrix::{Action, ConnectivityMatrix, GroupRule};
 pub use server::{EndpointProfile, PolicyServer};
 pub use sxp::{egress_subset, ingress_subset, RuleSubset};
-pub use update::{Population, RolloutFanout, UpdatePlan, UpdateStrategy};
+pub use update::{Population, UpdatePlan, UpdateStrategy};

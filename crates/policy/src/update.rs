@@ -69,58 +69,10 @@ impl Population {
         edges
     }
 
-    /// Per-edge endpoint counts of `(vn, group)`, ascending by edge
-    /// (zero-count records are skipped).
-    pub fn per_edge(&self, vn: VnId, group: GroupId) -> Vec<(RouterId, u32)> {
-        self.counts
-            .iter()
-            .filter(|((_, v, g), n)| *v == vn && *g == group && **n > 0)
-            .map(|((e, _, _), n)| (*e, *n))
-            .collect()
-    }
-
-    /// Executes a group move on the deployment snapshot: every endpoint
-    /// of `(vn, from)` is re-tagged into `to` on its own edge. Returns
-    /// the number of endpoints moved — the re-auth count a
-    /// [`UpdateStrategy::MoveEndpoints`] rollout pays for.
-    pub fn move_group(&mut self, vn: VnId, from: GroupId, to: GroupId) -> u32 {
-        let mut moved = 0;
-        for (edge, n) in self.per_edge(vn, from) {
-            self.counts.remove(&(edge, vn, from));
-            *self.counts.entry((edge, vn, to)).or_default() += n;
-            moved += n;
-        }
-        moved
-    }
-
     /// Total endpoints recorded.
     #[cfg(test)]
     fn total(&self) -> u32 {
         self.counts.values().sum()
-    }
-}
-
-/// The executed form of a rollout: which edge receives how many
-/// signaling messages. [`UpdatePlan::fanout`] expands a plan into this;
-/// its total matches [`UpdatePlan::signaling_messages`] message for
-/// message, so a churn driver can diff planned against delivered
-/// fan-out exactly.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RolloutFanout {
-    /// edge → signaling messages addressed to it.
-    pub per_edge: BTreeMap<RouterId, u64>,
-}
-
-impl RolloutFanout {
-    /// Total signaling messages across all edges.
-    pub fn total(&self) -> u64 {
-        self.per_edge.values().sum()
-    }
-
-    /// Distinct edges receiving at least one message.
-    #[cfg(test)]
-    fn edges(&self) -> usize {
-        self.per_edge.values().filter(|n| **n > 0).count()
     }
 }
 
@@ -170,36 +122,6 @@ impl UpdatePlan {
                 })
                 .sum(),
         }
-    }
-
-    /// Expands the plan into per-edge signaling under `strategy` — the
-    /// executable twin of [`UpdatePlan::signaling_messages`] (the
-    /// totals are equal by construction, asserted by the policy-churn
-    /// workload's fan-out accounting).
-    ///
-    /// * MoveEndpoints: each edge hosting `n` endpoints of the source
-    ///   group receives `2n` messages (`n` re-auths + `n` subset
-    ///   refreshes).
-    /// * RewriteRules: each edge hosting a rewritten row's destination
-    ///   group receives that row's rule count.
-    pub fn fanout(&self, strategy: UpdateStrategy, population: &Population) -> RolloutFanout {
-        let mut out = RolloutFanout::default();
-        match strategy {
-            UpdateStrategy::MoveEndpoints => {
-                let (from, _) = self.moved_groups;
-                for (edge, n) in population.per_edge(self.vn, from) {
-                    *out.per_edge.entry(edge).or_default() += u64::from(n) * 2;
-                }
-            }
-            UpdateStrategy::RewriteRules => {
-                for (dst, rules) in &self.rewritten_rows {
-                    for edge in population.edges_hosting(self.vn, *dst) {
-                        *out.per_edge.entry(edge).or_default() += u64::from(*rules);
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// The cheaper strategy for this plan over `population`.
@@ -271,44 +193,6 @@ mod tests {
         );
         assert_eq!(plan.signaling_messages(UpdateStrategy::RewriteRules, &p), 5);
         assert_eq!(plan.cheaper_strategy(&p), UpdateStrategy::RewriteRules);
-    }
-
-    #[test]
-    fn fanout_expansion_matches_cost_formula() {
-        let mut p = Population::new();
-        p.add(RouterId(1), vn(1), GroupId(1), 4);
-        p.add(RouterId(2), vn(1), GroupId(1), 6);
-        p.add(RouterId(3), vn(1), GroupId(2), 9);
-        let plan = UpdatePlan::acquisition(vn(1), GroupId(1), GroupId(2), 12);
-        for strategy in [UpdateStrategy::MoveEndpoints, UpdateStrategy::RewriteRules] {
-            let f = plan.fanout(strategy, &p);
-            assert_eq!(f.total(), plan.signaling_messages(strategy, &p));
-        }
-        // Move: 2 msgs/endpoint on the hosting edges only.
-        let mv = plan.fanout(UpdateStrategy::MoveEndpoints, &p);
-        assert_eq!(mv.per_edge.get(&RouterId(1)), Some(&8));
-        assert_eq!(mv.per_edge.get(&RouterId(2)), Some(&12));
-        assert_eq!(mv.edges(), 2);
-        // Rewrite: the row toward group 1 reaches its hosting edges.
-        let rw = plan.fanout(UpdateStrategy::RewriteRules, &p);
-        assert_eq!(rw.per_edge.get(&RouterId(1)), Some(&12));
-        assert_eq!(rw.per_edge.get(&RouterId(3)), None);
-    }
-
-    #[test]
-    fn move_group_retags_in_place() {
-        let mut p = Population::new();
-        p.add(RouterId(1), vn(1), GroupId(1), 4);
-        p.add(RouterId(2), vn(1), GroupId(1), 6);
-        p.add(RouterId(2), vn(1), GroupId(2), 1);
-        assert_eq!(p.move_group(vn(1), GroupId(1), GroupId(2)), 10);
-        assert_eq!(p.group_size(vn(1), GroupId(1)), 0);
-        assert_eq!(p.group_size(vn(1), GroupId(2)), 11);
-        assert_eq!(
-            p.per_edge(vn(1), GroupId(2)),
-            vec![(RouterId(1), 4), (RouterId(2), 7),]
-        );
-        assert_eq!(p.total(), 11);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! Formats implemented:
 //!
 //! * [`ethernet`] — Ethernet II frames.
-//! * [`arp`] — ARP over Ethernet/IPv4 (what the L2 gateway intercepts).
 //! * [`ipv4`] — overlay and underlay IP headers.
 //! * [`udp`] — UDP (carries both VXLAN and LISP control messages).
 //! * [`vxlan`] — VXLAN with the **Group Policy Option** extension: the
@@ -38,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
-pub mod arp;
 pub mod ethernet;
 mod field;
 pub mod ipv4;

@@ -13,7 +13,7 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 
 use proptest::prelude::*;
 use sda_types::{Eid, EidPrefix, GroupId, Ipv4Prefix, Ipv6Prefix, MacAddr, MacPrefix, Rloc, VnId};
-use sda_wire::{arp, ethernet, ipv4, lisp, udp, vxlan};
+use sda_wire::{ethernet, ipv4, lisp, udp, vxlan};
 
 mod reference;
 
@@ -79,22 +79,6 @@ proptest! {
         let frame = ethernet::Frame::new_checked(&buf[..]).unwrap();
         prop_assert_eq!(ethernet::Repr::parse(&frame), repr);
         prop_assert_eq!(frame.payload(), &payload[..]);
-    }
-
-    #[test]
-    fn arp_roundtrip(smac in arb_mac(), sip in arb_ipv4(), tmac in arb_mac(), tip in arb_ipv4(), req in any::<bool>()) {
-        let repr = arp::Repr {
-            operation: if req { arp::Operation::Request } else { arp::Operation::Reply },
-            sender_mac: smac,
-            sender_ip: sip,
-            target_mac: tmac,
-            target_ip: tip,
-        };
-        let mut buf = vec![0u8; repr.buffer_len()];
-        let mut pkt = arp::Packet::new_unchecked(&mut buf[..]);
-        repr.emit(&mut pkt);
-        let pkt = arp::Packet::new_checked(&buf[..]).unwrap();
-        prop_assert_eq!(arp::Repr::parse(&pkt).unwrap(), repr);
     }
 
     #[test]
@@ -206,7 +190,6 @@ proptest! {
     fn parsers_never_panic_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..96)) {
         let _ = lisp::Message::parse(&bytes);
         let _ = ethernet::Frame::new_checked(&bytes[..]);
-        let _ = arp::Packet::new_checked(&bytes[..]);
         let _ = ipv4::Packet::new_checked(&bytes[..]);
         let _ = udp::Packet::new_checked(&bytes[..]);
         let _ = vxlan::Packet::new_checked(&bytes[..]);

@@ -16,11 +16,6 @@
 //!   (`sda-bgp`) fabrics.
 //! * [`MetroWorkload`] — the city-scale control-plane message stream (million-
 //!   endpoint tier) driving the partitioned map-server benches.
-//! * [`PolicyChurnScenario`] — Table 3's policy-update scenarios at fleet
-//!   scale: SXP re-subset storms, enforcement-point flips and §5.4
-//!   group-move vs rule-rewrite rollouts over hundreds of edges
-//!   carrying compiled bitset ACLs, with exact fan-out accounting and
-//!   a semantic convergence check.
 //! * [`PoissonArrivals`] — Poisson arrival processes (Fig. 7c's offered load).
 //! * [`ZipfSampler`] — popularity (Zipf) samplers shared by the models.
 //! * [`ChaosScenario`] — the fault campaign (reboot storm, server restart
@@ -43,7 +38,6 @@
 mod campus;
 mod chaos;
 mod metro;
-mod policy_churn;
 mod queries;
 mod traffic;
 mod warehouse;
@@ -51,9 +45,6 @@ mod warehouse;
 pub use campus::{CampusParams, CampusScenario};
 pub use chaos::{ChaosOutcome, ChaosParams, ChaosScenario};
 pub use metro::{MetroParams, MetroWorkload};
-pub use policy_churn::{
-    ChurnEdge, FlipReport, PolicyChurnParams, PolicyChurnScenario, RolloutReport, StormReport,
-};
 pub use queries::PoissonArrivals;
 pub use traffic::ZipfSampler;
 pub use warehouse::{run_bgp, run_lisp, HandoverSample, WarehouseParams};
