@@ -62,8 +62,6 @@ pub struct BorderStats {
     pub delivered: u64,
     /// Policy drops at the border's egress ACL.
     pub policy_drops: u64,
-    /// Publishes applied from the routing server.
-    pub publishes_applied: u64,
     /// Jumps detected in the per-VN publish sequence (a jump means
     /// deltas were lost upstream; the routing server resyncs by
     /// snapshot, so the table still converges).
@@ -293,7 +291,6 @@ impl BorderRouter {
                     desynced = true;
                 }
                 self.last_pub_seq.insert(vn, last.max(nonce));
-                self.stats.publishes_applied += 1;
                 if withdraw {
                     self.switch.apply_negative(vn, EidPrefix::host(eid));
                 } else {
@@ -399,7 +396,7 @@ impl Node<FabricMsg> for BorderRouter {
                 // periodic resubscribe (a full resync per VN), which
                 // bounds divergence after arbitrary loss.
                 let first = self.last_pub_seq.is_empty() && self.pending_subscribes.is_empty();
-                let vns = self.dir.params.vns.clone();
+                let vns = self.dir.vns.clone();
                 for vn in vns {
                     self.subscribe_vn(ctx, vn);
                 }
@@ -428,11 +425,10 @@ impl Node<FabricMsg> for BorderRouter {
             }
             FaultEvent::Restart => {
                 self.failed = false;
-                ctx.metrics().bump(self.dir.counters.border_restarts);
                 // The synced overlay slice is volatile; external routes,
                 // ACL and sinks are config. Drop every VN's slice and
                 // resubscribe from scratch.
-                let vns: Vec<VnId> = self.dir.params.vns.clone();
+                let vns: Vec<VnId> = self.dir.vns.clone();
                 for vn in &vns {
                     self.switch.purge_vn(*vn);
                 }

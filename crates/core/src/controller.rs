@@ -48,10 +48,6 @@ pub struct FabricConfig {
     /// Map-server shards the routing server partitions EID space over
     /// (1 = the paper's single routing server).
     pub ctrl_shards: usize,
-    /// VNs the border subscribes to.
-    pub vns: Vec<VnId>,
-    /// Ingress-enforcement destination-group oracle (§5.3 ablation).
-    pub dst_groups: BTreeMap<(VnId, Eid), GroupId>,
     /// Control-plane retransmit: the shortest retry delay for
     /// unacknowledged Map-Requests, Map-Registers and Subscribes. With
     /// `rtx_jitter` (the default) each delay is drawn uniformly from
@@ -97,8 +93,6 @@ impl Default for FabricConfig {
             fib_sample_interval: None,
             purge_interval: Some(SimDuration::from_mins(10)),
             ctrl_shards: 1,
-            vns: Vec::new(),
-            dst_groups: BTreeMap::new(),
             rtx_initial: SimDuration::from_millis(500),
             rtx_max_backoff: SimDuration::from_secs(8),
             subscribe_refresh_interval: None,
@@ -129,6 +123,10 @@ pub struct FabricBuilder {
     border_external: Vec<Vec<Ipv4Prefix>>,
     next_mac_seed: u32,
     underlay_dynamics: bool,
+    /// VNs declared by [`FabricBuilder::add_vn`].
+    vns: Vec<VnId>,
+    /// Every minted endpoint's group, by IPv4 and MAC EID.
+    dst_groups: BTreeMap<(VnId, Eid), GroupId>,
 }
 
 impl FabricBuilder {
@@ -144,6 +142,8 @@ impl FabricBuilder {
             border_external: Vec::new(),
             next_mac_seed: 1,
             underlay_dynamics: false,
+            vns: Vec::new(),
+            dst_groups: BTreeMap::new(),
         }
     }
 
@@ -164,7 +164,7 @@ impl FabricBuilder {
     pub fn add_vn(&mut self, raw: u32, subnet: Ipv4Prefix) -> VnId {
         let vn = VnId::new(raw).expect("VN id fits 24 bits");
         self.dhcp.add_pool(vn, subnet);
-        self.config.vns.push(vn);
+        self.vns.push(vn);
         vn
     }
 
@@ -215,8 +215,8 @@ impl FabricBuilder {
         self.policy
             .enroll(mac, secret, vn, group, AuthMethod::Simple);
         // Keep the §5.3 oracle in sync for ingress-mode ablations.
-        self.config.dst_groups.insert((vn, Eid::V4(ipv4)), group);
-        self.config.dst_groups.insert((vn, Eid::Mac(mac)), group);
+        self.dst_groups.insert((vn, Eid::V4(ipv4)), group);
+        self.dst_groups.insert((vn, Eid::Mac(mac)), group);
         EndpointIdentity { mac, ipv4, secret }
     }
 
@@ -269,6 +269,8 @@ impl FabricBuilder {
             policy_server: policy_id,
             border_rloc: Self::border_rloc(0),
             params: self.config.clone(),
+            vns: self.vns,
+            dst_groups: self.dst_groups,
             counters: FabricCounters::resolve(sim.metrics_mut()),
         });
 
@@ -291,7 +293,7 @@ impl FabricBuilder {
         }
 
         // Fabric routers that participate in the underlay protocol see a
-        // full mesh of unit-cost links to the other fabric routers.
+        // full mesh of links to the other fabric routers.
         let all_fabric_rlocs: Vec<Rloc> = (0..self.edge_names.len())
             .map(Self::edge_rloc)
             .chain((0..self.border_names.len()).map(Self::border_rloc))
@@ -303,13 +305,11 @@ impl FabricBuilder {
             let mut edge = EdgeRouter::new(name.clone(), rloc, dir.clone());
             if self.underlay_dynamics {
                 let me = underlay_id(rloc);
-                let links: Vec<(sda_types::RouterId, u32)> = all_fabric_rlocs
+                let links = all_fabric_rlocs
                     .iter()
                     .filter(|r| **r != rloc)
-                    .map(|r| (underlay_id(*r), 1))
-                    .collect();
-                let watch: Vec<sda_types::RouterId> = links.iter().map(|(r, _)| *r).collect();
-                edge = edge.with_underlay(LinkStateRouter::new(me, links), watch);
+                    .map(|r| underlay_id(*r));
+                edge = edge.with_underlay(LinkStateRouter::new(me, links));
             }
             let id = sim.add_node(Box::new(edge));
             edges.push(id);
@@ -503,29 +503,6 @@ impl Fabric {
     /// [`sda_simnet::FaultPlan`]).
     pub fn schedule_faults(&mut self, plan: &sda_simnet::FaultPlan) {
         self.sim.schedule_faults(plan);
-    }
-
-    /// Fault injection: fail or revive an edge (§5.1 outage scenarios).
-    pub fn set_edge_failed(&mut self, h: EdgeHandle, failed: bool) {
-        let id = self.edges[h.0];
-        self.sim
-            .node_mut(id)
-            .as_any_mut()
-            .and_then(|a| a.downcast_mut::<EdgeRouter>())
-            .expect("edge handle maps to an EdgeRouter")
-            .set_failed(failed);
-    }
-
-    /// Reboots an edge (§5.2): volatile state lost; endpoints must
-    /// re-attach (inject fresh Attach events afterwards).
-    pub fn reboot_edge(&mut self, h: EdgeHandle) {
-        let id = self.edges[h.0];
-        self.sim
-            .node_mut(id)
-            .as_any_mut()
-            .and_then(|a| a.downcast_mut::<EdgeRouter>())
-            .expect("edge handle maps to an EdgeRouter")
-            .reboot();
     }
 }
 

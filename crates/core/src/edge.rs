@@ -23,6 +23,16 @@
 //! resolution is in flight (§3.2.2), reboot recovery (§5.2), and
 //! underlay-reachability fallback (§5.1).
 //!
+//! §5.1's watch: with underlay dynamics on, the node runs a
+//! [`LinkStateRouter`] with a link to every other fabric router. After
+//! each underlay tick and message it asks the router which routers it
+//! [`lost`](LinkStateRouter::lost) and purges the map-cache routes
+//! through each lost RLOC (`fabric.reachability_purges`), so traffic to
+//! those EIDs rides the border's default route until it re-resolves.
+//! Faults reach the node only through the simulator's `FaultPlan`: a
+//! crash drops its deliveries (its timers re-arm but do no work), and a
+//! restart runs the §5.2 recovery with a fresh underlay instance.
+//!
 //! The historical structured decision pipeline survives only as the
 //! differential oracle in [`crate::pipeline`]; this node no longer
 //! calls it on the data path.
@@ -34,7 +44,7 @@ use sda_dataplane::{PacketBuf, Punt, Switch, SwitchConfig, SwitchStats, Verdict}
 use sda_lisp::SmrTracker;
 use sda_simnet::{Context, CounterId, FaultEvent, Metrics, Node, NodeId, SimDuration, SimTime};
 use sda_types::{Eid, EidKind, GroupId, MacAddr, PortId, Rloc, VnId};
-use sda_underlay::{LinkStateRouter, ReachabilityEvent, ReachabilityTracker};
+use sda_underlay::LinkStateRouter;
 use sda_wire::lisp::{BusyClass, Message as Lisp};
 
 use crate::backoff::{Backoff, Retries};
@@ -120,8 +130,6 @@ pub struct EdgeStats {
     pub negative_cache_hits: u64,
     /// Oldest entries evicted from a full `resolving` map.
     pub resolve_evictions: u64,
-    /// Oldest entries evicted from a full `pending_registers` map.
-    pub register_evictions: u64,
 }
 
 /// The edge router.
@@ -161,9 +169,8 @@ pub struct EdgeRouter {
     stats: EdgeStats,
     /// Underlay protocol instance (when dynamics are enabled).
     underlay: Option<LinkStateRouter>,
-    reach: ReachabilityTracker,
-    /// Fault injection: a failed edge ignores everything (no hellos,
-    /// no forwarding) — the §5.1 outage.
+    /// Crashed by a fault plan: timers keep re-arming but do no work
+    /// (the simulator drops every delivery to a crashed node).
     failed: bool,
     /// Reusable single-packet buffer (the simulator delivers one packet
     /// per event; the engine still runs its batch pipeline over it).
@@ -211,7 +218,6 @@ impl EdgeRouter {
             next_nonce: 1,
             stats: EdgeStats::default(),
             underlay: None,
-            reach: ReachabilityTracker::default(),
             failed: false,
             buf: PacketBuf::new(),
             frame_scratch: Vec::new(),
@@ -220,12 +226,7 @@ impl EdgeRouter {
     }
 
     /// Attaches an underlay protocol instance (dynamics mode).
-    pub(crate) fn with_underlay(
-        mut self,
-        router: LinkStateRouter,
-        watch: Vec<sda_types::RouterId>,
-    ) -> Self {
-        self.reach = ReachabilityTracker::new(watch);
+    pub(crate) fn with_underlay(mut self, router: LinkStateRouter) -> Self {
         self.underlay = Some(router);
         self
     }
@@ -279,11 +280,14 @@ impl EdgeRouter {
         self.switch.acl()
     }
 
-    /// Simulates a reboot (§5.2): all volatile state is lost — the
-    /// switch restarts with empty tables ("it will start with an empty
-    /// FIB for the overlay entries"). Must be followed by endpoints
-    /// re-attaching (the real box re-detects them on its ports).
-    pub(crate) fn reboot(&mut self) {
+    /// Simulates a reboot (§5.2) on a fault-plan restart: all volatile
+    /// state is lost — the switch restarts with empty tables ("it will
+    /// start with an empty FIB for the overlay entries"). The restart
+    /// handler then re-attaches the endpoint inventory (the real box
+    /// re-detects them on its ports). A fresh underlay instance starts
+    /// with an empty reachable set, so it reports no loss until its own
+    /// view has seen a router and lost it.
+    fn reboot(&mut self) {
         self.switch = Switch::new(*self.switch.config());
         install_dst_hints(&mut self.switch, &self.dir);
         self.pending_auth.clear();
@@ -292,27 +296,18 @@ impl EdgeRouter {
         self.pending_arp.clear();
         self.unresolvable.clear();
         if let Some(ls) = self.underlay.take() {
-            // Fresh protocol instance with the same wiring (empty LSDB,
-            // sequence restart — the §5.2 recovery path).
-            let id = ls.id();
-            // Reconstruct from the directory's full fabric set, in RLOC
-            // order (the directory's map has none).
-            let mut rlocs: Vec<Rloc> = self
+            // Fresh protocol instance with the same wiring — a link to
+            // every other fabric router (empty LSDB, sequence restart:
+            // the §5.2 recovery path).
+            let (me, rs) = (self.rloc, self.dir.routing_server_rloc);
+            let links = self
                 .dir
                 .node_of_rloc
                 .keys()
-                .copied()
-                .filter(|r| *r != self.rloc && *r != self.dir.routing_server_rloc)
-                .collect();
-            rlocs.sort_unstable();
-            let links = rlocs.into_iter().map(|r| (underlay_id(r), 1));
-            self.underlay = Some(LinkStateRouter::new(id, links));
+                .filter(|r| **r != me && **r != rs)
+                .map(|r| underlay_id(*r));
+            self.underlay = Some(LinkStateRouter::new(ls.id(), links));
         }
-    }
-
-    /// Fault injection (§5.1): while failed, the edge processes nothing.
-    pub(crate) fn set_failed(&mut self, failed: bool) {
-        self.failed = failed;
     }
 
     /// Arms the periodic timers; the controller calls this right after
@@ -497,13 +492,8 @@ impl EdgeRouter {
             // the periodic refresh re-registers anything dropped here.
             let nonce = self.nonce();
             let now = ctx.now();
-            let evicted = self
-                .pending_registers
+            self.pending_registers
                 .start(nonce, (vn, eid), now, &mut self.backoff);
-            if evicted.is_some() {
-                self.stats.register_evictions += 1;
-                ctx.metrics().bump(self.dir.counters.register_evictions);
-            }
             self.send_map_register(ctx, nonce, vn, eid);
         }
         self.backoff.arm(ctx, TIMER_RETRY);
@@ -642,7 +632,6 @@ impl EdgeRouter {
                 // Ablation: no border sync — the first packets of a
                 // flow are lost while the resolution completes.
                 self.stats.first_packet_drops += 1;
-                ctx.metrics().bump(self.dir.counters.first_packet_drops);
             }
             Verdict::Drop(_) => {
                 self.stats.unknown_source += 1;
@@ -668,7 +657,6 @@ impl EdgeRouter {
         if let Some(ep) = self.switch.tables().vrf().lookup(vn, Eid::V4(target_ip)) {
             let _ = ep;
             self.stats.arp_converted += 1;
-            ctx.metrics().bump(self.dir.counters.arp_local_answers);
             return;
         }
         // §3.5: the L2 gateway absorbs the broadcast and asks the
@@ -906,13 +894,9 @@ impl EdgeRouter {
                 let latency = ctx.now().since(pending.started);
                 ctx.metrics()
                     .observe("fabric.onboarding_secs", latency.as_secs_f64());
-                let name = format!("onboard.{}", mac);
-                let now = ctx.now();
-                ctx.metrics().record(&name, now, 1.0);
             }
             PolicyMsg::AuthReject { txn, .. } => {
                 self.pending_auth.remove(&txn);
-                ctx.metrics().bump(self.dir.counters.auth_rejects);
             }
             PolicyMsg::RuleRefresh { rules } => {
                 self.switch.replace_rules(&rules);
@@ -962,18 +946,15 @@ impl EdgeRouter {
     }
 
     fn apply_reachability(&mut self, ctx: &mut Context<'_, FabricMsg>) {
-        let Some(ls) = self.underlay.as_ref() else {
+        let Some(ls) = self.underlay.as_mut() else {
             return;
         };
-        let table = ls.routes();
-        for event in self.reach.update(&table) {
-            if let ReachabilityEvent::Down(router) = event {
-                // §5.1: delete routes through the lost RLOC; traffic
-                // falls back to the border default route.
-                let purged = self.switch.purge_rloc(rloc_of_underlay(router));
-                ctx.metrics()
-                    .bump_by(self.dir.counters.reachability_purges, purged as u64);
-            }
+        for router in ls.lost() {
+            // §5.1: delete routes through the lost RLOC; traffic falls
+            // back to the border default route.
+            let purged = self.switch.purge_rloc(rloc_of_underlay(router));
+            ctx.metrics()
+                .bump_by(self.dir.counters.reachability_purges, purged as u64);
         }
     }
 }
@@ -990,7 +971,7 @@ pub(crate) fn was_default_route(before: &SwitchStats, after: &SwitchStats) -> bo
 /// enforcement, where the engine never consults hints).
 pub(crate) fn install_dst_hints(switch: &mut Switch, dir: &Directory) {
     if matches!(dir.params.enforcement, EnforcementPoint::Ingress) {
-        for (&(vn, eid), &group) in &dir.params.dst_groups {
+        for (&(vn, eid), &group) in &dir.dst_groups {
             switch.install_dst_hint(vn, eid, group);
         }
     }
@@ -1047,10 +1028,6 @@ pub(crate) fn rloc_of_underlay(id: sda_types::RouterId) -> Rloc {
 
 impl Node<FabricMsg> for EdgeRouter {
     fn on_message(&mut self, ctx: &mut Context<'_, FabricMsg>, from: NodeId, msg: FabricMsg) {
-        if self.failed {
-            ctx.metrics().bump(self.dir.counters.dropped_by_failed_edge);
-            return;
-        }
         match msg {
             FabricMsg::Host(ev) => self.handle_host_event(ctx, ev),
             FabricMsg::Data(bytes) => {
@@ -1097,11 +1074,8 @@ impl Node<FabricMsg> for EdgeRouter {
         }
         match token {
             TIMER_EVICT => {
-                let evicted = self
-                    .switch
+                self.switch
                     .evict_expired(ctx.now(), self.dir.params.idle_timeout);
-                ctx.metrics()
-                    .bump_by(self.dir.counters.cache_evictions, evicted as u64);
                 ctx.set_timer(self.dir.params.eviction_interval, TIMER_EVICT);
             }
             TIMER_FIB_SAMPLE => sample_fib(ctx, &self.name, self.fib_len_v4(), &self.dir),
@@ -1165,10 +1139,6 @@ impl Node<FabricMsg> for EdgeRouter {
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         Some(self)
     }
 }

@@ -24,7 +24,7 @@ use rand::Rng;
 use sda_ctrl::{Disposition, PartitionedMapServer};
 use sda_policy::PolicyServer;
 use sda_simnet::{Context, CounterId, FaultEvent, Metrics, Node, NodeId, SimDuration};
-use sda_types::{KeyHasher, MacAddr, Rloc, VnId};
+use sda_types::{Eid, GroupId, KeyHasher, MacAddr, Rloc, VnId};
 
 use crate::msg::{ArpMsg, FabricMsg, PolicyMsg};
 
@@ -44,6 +44,11 @@ pub struct Directory {
     pub border_rloc: Rloc,
     /// Fabric behavior knobs.
     pub params: crate::controller::FabricConfig,
+    /// VNs the borders subscribe to.
+    pub(crate) vns: Vec<VnId>,
+    /// Ingress-enforcement destination-group oracle (§5.3 ablation):
+    /// every minted endpoint's group, by IPv4 and MAC EID.
+    pub(crate) dst_groups: BTreeMap<(VnId, Eid), GroupId>,
     /// Handles of the counters fabric nodes bump on their event paths.
     pub(crate) counters: FabricCounters,
 }
@@ -78,11 +83,8 @@ fabric_counters! {
     overlay_bytes => "fabric.overlay_bytes",
     unroutable => "fabric.unroutable",
     hop_exhausted => "fabric.hop_exhausted",
-    first_packet_drops => "fabric.first_packet_drops",
     unencodable_sends => "fabric.unencodable_sends",
-    dropped_by_failed_edge => "fabric.dropped_by_failed_edge",
     smrs => "fabric.smrs",
-    arp_local_answers => "fabric.arp_local_answers",
     arp_unresolved => "fabric.arp_unresolved",
     arp_converted => "fabric.arp_converted",
     // Edge control plane: resolution, registration, housekeeping.
@@ -93,15 +95,11 @@ fabric_counters! {
     negative_cache_hits => "fabric.negative_cache_hits",
     register_retries => "fabric.register_retries",
     register_timeouts => "fabric.register_timeouts",
-    register_evictions => "fabric.register_evictions",
     jittered_retries => "fabric.jittered_retries",
     server_busy_backoffs => "fabric.server_busy_backoffs",
-    auth_rejects => "fabric.auth_rejects",
-    cache_evictions => "fabric.cache_evictions",
     reachability_purges => "fabric.reachability_purges",
     edge_restarts => "fabric.edge_restarts",
     // Border pub/sub.
-    border_restarts => "fabric.border_restarts",
     border_publishes => "border.publishes",
     border_publish_gaps => "border.publish_gaps",
     border_publish_regressions => "border.publish_regressions",
@@ -113,8 +111,6 @@ fabric_counters! {
     ctrl_shed_replies => "ctrl.shed_replies",
     ctrl_shard_drops => "ctrl.shard_drops",
     routing_server_arp_queries => "routing_server.arp_queries",
-    policy_auth_accepts => "policy.auth_accepts",
-    policy_auth_rejects => "policy.auth_rejects",
 }
 
 impl Directory {
@@ -332,7 +328,6 @@ impl Node<FabricMsg> for PolicyServerNode {
                         let jitter = service_jitter(ctx.rng());
                         let base = AUTH_SERVICE.saturating_mul(u64::from(grant.auth_round_trips));
                         ctx.busy(SimDuration::from_secs_f64(base.as_secs_f64() * jitter));
-                        ctx.metrics().bump(self.dir.counters.policy_auth_accepts);
                         // §5.3: with egress enforcement the edge gets the
                         // rules *toward* the endpoint's group; with
                         // ingress enforcement (ablation) it needs every
@@ -357,7 +352,6 @@ impl Node<FabricMsg> for PolicyServerNode {
                     }
                     None => {
                         ctx.busy(AUTH_SERVICE);
-                        ctx.metrics().bump(self.dir.counters.policy_auth_rejects);
                         ctx.send(from, FabricMsg::Policy(PolicyMsg::AuthReject { txn, mac }));
                     }
                 }

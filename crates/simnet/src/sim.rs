@@ -28,10 +28,14 @@ impl core::fmt::Display for NodeId {
     }
 }
 
-/// A simulated device: reacts to messages and timers.
+/// A simulated device: reacts to messages, timers and faults.
 ///
 /// Handlers receive a [`Context`] for sending, timing and metrics; they
 /// must not block or sleep — time only advances through the event queue.
+/// Faults arrive only from a [`FaultPlan`] scheduled on the simulator
+/// ([`Simulator::schedule_faults`]); nothing outside the event loop
+/// mutates a node, and [`Node::as_any`] gives read access for post-run
+/// inspection.
 pub trait Node<M> {
     /// A message from `from` has been delivered.
     fn on_message(&mut self, ctx: &mut Context<'_, M>, from: NodeId, msg: M);
@@ -53,11 +57,6 @@ pub trait Node<M> {
     /// Downcast hook: concrete node types that want post-run inspection
     /// return `Some(self)`.
     fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
-    }
-
-    /// Mutable downcast hook (fault injection in scenarios).
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         None
     }
 }
@@ -376,11 +375,6 @@ impl<M> Simulator<M> {
     /// the concrete type.
     pub fn node(&self, id: NodeId) -> &dyn Node<M> {
         self.nodes[id.0 as usize].as_ref()
-    }
-
-    /// Mutable borrow of a node (scenario-level fault injection).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut dyn Node<M> {
-        self.nodes[id.0 as usize].as_mut()
     }
 
     fn stamp(&mut self, time: SimTime, kind: EventKind<M>) -> Event<M> {

@@ -1,44 +1,53 @@
 //! # sda-underlay
 //!
-//! The plain-IP underlay that routes encapsulated traffic between fabric
-//! routers. SDA deployments run OSPF or IS-IS here; this crate implements
-//! a link-state protocol with the features the fabric depends on:
+//! The plain-IP underlay's routing protocol, reduced to the one question
+//! the fabric asks of it (§5.1, underlay connectivity):
 //!
-//! * **Hello/adjacency** — neighbors exchange hellos; a missed dead
+//! > "edge routers monitor the address announcements of the underlay
+//! > routing protocol (IS-IS or OSPF) to know about their reachability to
+//! > underlay IP addresses of the other edge routers. This way, when they
+//! > detect a connectivity outage, they update their local forwarding
+//! > table deleting such route and falling back to the default route to
+//! > the border."
+//!
+//! **What it is.** A link-state protocol with three parts:
+//!
+//! * **Hello/adjacency** — neighbours exchange hellos carrying the
+//!   neighbours they see (OSPF's two-way check, RFC 2328); a missed dead
 //!   interval tears the adjacency down.
 //! * **LSA flooding** — routers originate link-state advertisements with
-//!   sequence numbers and flood them; newer LSAs displace older ones.
-//! * **SPF with ECMP** — Dijkstra shortest paths keeping *all* equal-cost
-//!   next hops (§3.3: "ECMP for redundancy").
-//! * **Reachability watch** — the mechanism of §5.1/§5.2: edge routers
-//!   monitor the underlay protocol's address announcements to learn
-//!   whether peer RLOCs are reachable, and fall back to the border when
-//!   one disappears (also how transient reboot loops are broken).
+//!   sequence numbers and flood them; newer LSAs displace older ones, and
+//!   a router that sees its own LSA with a higher sequence bumps past it
+//!   (how a rebooted router recovers).
+//! * **A reachable set** — the routers this one reaches over links both
+//!   ends advertise. [`LinkStateRouter::lost`] reports who dropped out of
+//!   it since the previous call; `sda-core`'s edge purges routes through
+//!   each (also how transient reboot loops are broken, §5.2).
 //!
-//! The router is a *pure state machine* ([`LinkStateRouter`]):
-//! inputs are messages and ticks, outputs are `(neighbor, message)` pairs.
-//! `sda-core` adapts it onto the simulator; tests drive it synchronously.
+//! [`LinkStateRouter`] is a pure state machine (messages and ticks in,
+//! `(neighbor, message)` pairs out); `sda-core` adapts it onto the
+//! simulator and tests drive it synchronously.
 //!
-//! ## Surface
+//! **What it is not.**
 //!
-//! The crate **is** its root: [`LinkStateRouter`] with its [`Message`],
-//! the [`Lsdb`] of [`Lsa`]s, [`spf`] and its
-//! [`RouteTable`], [`Topology`], and the [`ReachabilityTracker`] that
-//! turns route changes into [`ReachabilityEvent`]s. Every module is
-//! private. It **is not** OSPF or IS-IS on the wire: messages are Rust
-//! values, areas and authentication do not exist.
+//! * Not a router of traffic: the simulator delivers fabric traffic
+//!   directly, so there is no SPF, no distance, no ECMP next hop and no
+//!   link cost — every link is up or down.
+//! * Not OSPF or IS-IS on the wire: messages are Rust values ([`Message`],
+//!   carrying [`Lsa`]s); areas and authentication do not exist.
+//!
+//! **Trusted inputs.** Messages come from fabric routers running this
+//! same state machine; a hello from a router that is not a configured
+//! neighbour is ignored, and an LSA's links need not be sorted.
+//!
+//! **Panics:** none. The crate **is** its root: [`LinkStateRouter`],
+//! [`Message`] and [`Lsa`]; every module is private.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
 mod lsdb;
 mod protocol;
-mod reachability;
-mod spf;
-mod topology;
 
-pub use lsdb::{Lsa, Lsdb};
+pub use lsdb::Lsa;
 pub use protocol::{LinkStateRouter, Message};
-pub use reachability::{ReachabilityEvent, ReachabilityTracker};
-pub use spf::{spf, RouteTable};
-pub use topology::Topology;

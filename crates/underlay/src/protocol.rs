@@ -1,18 +1,12 @@
-//! The link-state protocol state machine: hellos, adjacency tracking and
-//! LSA flooding.
-//!
-//! [`LinkStateRouter`] is a pure state machine: callers feed it messages
-//! and periodic ticks; it returns the messages to transmit. This keeps it
-//! independently testable and lets `sda-core` adapt it onto the
-//! simulator's node trait.
+//! The link-state protocol state machine: hellos, adjacency tracking,
+//! LSA flooding and the reachability watch.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use sda_simnet::{SimDuration, SimTime};
 use sda_types::RouterId;
 
 use crate::lsdb::{Lsa, Lsdb};
-use crate::spf::{spf, RouteTable};
 
 /// Protocol messages exchanged between direct neighbors.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -31,29 +25,15 @@ pub enum Message {
     Flood(Lsa),
 }
 
-/// Timer configuration.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ProtocolConfig {
-    /// Hello transmission interval.
-    pub hello_interval: SimDuration,
-    /// Adjacency declared dead after this silence.
-    pub dead_interval: SimDuration,
-}
-
-impl Default for ProtocolConfig {
-    fn default() -> Self {
-        // OSPF-ish defaults scaled down for campus convergence tests.
-        ProtocolConfig {
-            hello_interval: SimDuration::from_secs(1),
-            dead_interval: SimDuration::from_secs(4),
-        }
-    }
-}
+/// Hello transmission interval (OSPF-ish timers, scaled down for
+/// campus convergence tests).
+const HELLO_INTERVAL: SimDuration = SimDuration::from_secs(1);
+/// Adjacency declared dead after this silence.
+const DEAD_INTERVAL: SimDuration = SimDuration::from_secs(4);
 
 /// Per-neighbor adjacency state.
 #[derive(Clone, Copy, Debug)]
 struct Adjacency {
-    cost: u32,
     up: bool,
     last_hello: SimTime,
 }
@@ -61,13 +41,14 @@ struct Adjacency {
 /// A link-state router instance.
 pub struct LinkStateRouter {
     id: RouterId,
-    config: ProtocolConfig,
     /// Configured local links (physical wiring), regardless of liveness.
-    configured: BTreeMap<RouterId, u32>,
+    configured: BTreeSet<RouterId>,
     adjacencies: BTreeMap<RouterId, Adjacency>,
     lsdb: Lsdb,
     seq: u64,
     last_hello_tx: Option<SimTime>,
+    /// The reachable set as of the previous [`LinkStateRouter::lost`].
+    reached: BTreeSet<RouterId>,
 }
 
 /// Messages to transmit: `(neighbor, message)` pairs.
@@ -75,15 +56,15 @@ pub(crate) type Outbox = Vec<(RouterId, Message)>;
 
 impl LinkStateRouter {
     /// Creates a router with its configured local links.
-    pub fn new(id: RouterId, links: impl IntoIterator<Item = (RouterId, u32)>) -> Self {
+    pub fn new(id: RouterId, links: impl IntoIterator<Item = RouterId>) -> Self {
         LinkStateRouter {
             id,
-            config: ProtocolConfig::default(),
             configured: links.into_iter().collect(),
             adjacencies: BTreeMap::new(),
-            lsdb: Lsdb::new(),
+            lsdb: Lsdb::default(),
             seq: 0,
             last_hello_tx: None,
+            reached: BTreeSet::new(),
         }
     }
 
@@ -92,32 +73,37 @@ impl LinkStateRouter {
         self.id
     }
 
-    /// Current routing table from this router's perspective.
-    pub fn routes(&self) -> RouteTable {
-        spf(&self.lsdb, self.id)
+    /// The routers that dropped out of this router's reachable set
+    /// since the previous call, ascending (§5.1's reachability watch:
+    /// the caller purges routes through each). The first call compares
+    /// against an empty set, so it reports nothing.
+    pub fn lost(&mut self) -> Vec<RouterId> {
+        let reach = self.lsdb.reachable(self.id);
+        let lost = self.reached.difference(&reach).copied().collect();
+        self.reached = reach;
+        lost
     }
 
     /// Live (up) adjacencies.
-    fn live_links(&self) -> Vec<(RouterId, u32)> {
+    fn live_links(&self) -> Vec<RouterId> {
         self.adjacencies
             .iter()
             .filter(|(_, a)| a.up)
-            .map(|(n, a)| (*n, a.cost))
+            .map(|(n, _)| *n)
             .collect()
     }
 
-    fn originate(&mut self, now: SimTime) -> Outbox {
+    fn originate(&mut self) -> Outbox {
         self.seq += 1;
         let lsa = Lsa::new(self.id, self.seq, self.live_links());
         self.lsdb.install(lsa.clone());
-        let _ = now;
-        self.flood_to_all(&lsa, None)
+        self.flood_to_all(&lsa)
     }
 
-    fn flood_to_all(&self, lsa: &Lsa, except: Option<RouterId>) -> Outbox {
+    fn flood_to_all(&self, lsa: &Lsa) -> Outbox {
         self.adjacencies
             .iter()
-            .filter(|(n, a)| a.up && Some(**n) != except)
+            .filter(|(_, a)| a.up)
             .map(|(n, _)| (*n, Message::Flood(lsa.clone())))
             .collect()
     }
@@ -131,7 +117,7 @@ impl LinkStateRouter {
         // Expire adjacencies that missed the dead interval.
         let mut changed = false;
         for (_, adj) in self.adjacencies.iter_mut() {
-            if adj.up && now.saturating_since(adj.last_hello) >= self.config.dead_interval {
+            if adj.up && now.saturating_since(adj.last_hello) >= DEAD_INTERVAL {
                 adj.up = false;
                 changed = true;
             }
@@ -139,26 +125,20 @@ impl LinkStateRouter {
 
         // Hellos to every configured neighbor (up or not — that's how a
         // recovered neighbor is re-discovered).
-        let due = match self.last_hello_tx {
-            None => true,
-            Some(t) => now.saturating_since(t) >= self.config.hello_interval,
-        };
-        if due {
+        if self
+            .last_hello_tx
+            .is_none_or(|t| now.saturating_since(t) >= HELLO_INTERVAL)
+        {
             self.last_hello_tx = Some(now);
-            let seen: Vec<RouterId> = self.live_links().iter().map(|(n, _)| *n).collect();
-            for n in self.configured.keys() {
-                out.push((
-                    *n,
-                    Message::Hello {
-                        from: self.id,
-                        seen: seen.clone(),
-                    },
-                ));
+            let (from, live) = (self.id, self.live_links());
+            for n in &self.configured {
+                let seen = live.clone();
+                out.push((*n, Message::Hello { from, seen }));
             }
         }
 
         if changed {
-            out.extend(self.originate(now));
+            out.extend(self.originate());
         }
         out
     }
@@ -167,11 +147,10 @@ impl LinkStateRouter {
     pub fn handle(&mut self, from: RouterId, msg: Message, now: SimTime) -> Outbox {
         match msg {
             Message::Hello { from, seen } => {
-                let Some(&cost) = self.configured.get(&from) else {
+                if !self.configured.contains(&from) {
                     return Outbox::new(); // hello from a non-neighbor
-                };
+                }
                 let adj = self.adjacencies.entry(from).or_insert(Adjacency {
-                    cost,
                     up: false,
                     last_hello: now,
                 });
@@ -184,11 +163,8 @@ impl LinkStateRouter {
                     adj.up = true;
                     // New adjacency: advertise it, and give the neighbor
                     // our whole LSDB so it converges in one exchange.
-                    let mut out = self.originate(now);
-                    let lsas: Vec<Lsa> = self.lsdb.iter().cloned().collect();
-                    for lsa in lsas {
-                        out.push((from, Message::Flood(lsa)));
-                    }
+                    let mut out = self.originate();
+                    out.extend(self.lsdb.iter().map(|l| (from, Message::Flood(l.clone()))));
                     return out;
                 }
                 Outbox::new()
@@ -202,14 +178,14 @@ impl LinkStateRouter {
                     // number and re-announces itself.
                     if lsa.seq > self.seq {
                         self.seq = lsa.seq;
-                        return self.originate(now);
+                        return self.originate();
                     }
                     return Outbox::new();
                 }
                 if self.lsdb.install(lsa.clone()) {
                     // Changed: flood onward (split horizon is best-effort;
                     // seq numbers stop loops regardless).
-                    return self.flood_to_all(&lsa, None);
+                    return self.flood_to_all(&lsa);
                 }
                 // Not installed: if we hold a strictly newer copy, send it
                 // back so a stale sender (e.g. freshly rebooted) catches
@@ -226,15 +202,14 @@ impl LinkStateRouter {
 
     /// Is `dst` currently reachable?
     #[cfg(test)]
-    pub(crate) fn reaches(&self, dst: RouterId) -> bool {
-        self.routes().reaches(dst)
+    fn reaches(&self, dst: RouterId) -> bool {
+        self.lsdb.reachable(self.id).contains(&dst)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::Topology;
     use std::collections::VecDeque;
 
     /// Synchronous harness: runs routers to quiescence, delivering
@@ -244,11 +219,21 @@ mod tests {
         now: SimTime,
     }
 
+    /// The configured neighbours of each router, from undirected links.
+    fn wiring(links: &[(u32, u32)]) -> BTreeMap<RouterId, BTreeSet<RouterId>> {
+        let mut w: BTreeMap<RouterId, BTreeSet<RouterId>> = BTreeMap::new();
+        for (a, b) in links {
+            w.entry(RouterId(*a)).or_default().insert(RouterId(*b));
+            w.entry(RouterId(*b)).or_default().insert(RouterId(*a));
+        }
+        w
+    }
+
     impl Harness {
-        fn from_topology(t: &Topology) -> Self {
-            let routers = t
-                .routers()
-                .map(|r| (r, LinkStateRouter::new(r, t.neighbors(r))))
+        fn new(links: &[(u32, u32)]) -> Self {
+            let routers = wiring(links)
+                .into_iter()
+                .map(|(r, ns)| (r, LinkStateRouter::new(r, ns)))
                 .collect();
             Harness {
                 now: SimTime::ZERO,
@@ -256,80 +241,111 @@ mod tests {
             }
         }
 
-        fn advance(&mut self, d: SimDuration) {
-            self.now += d;
-        }
-
-        /// One tick on every router, then deliver until quiet.
-        fn settle(&mut self) {
-            let mut queue: VecDeque<(RouterId, RouterId, Message)> = VecDeque::new();
-            let now = self.now;
-            for (id, router) in self.routers.iter_mut() {
-                for (to, msg) in router.tick(now) {
-                    queue.push_back((*id, to, msg));
-                }
-            }
-            let mut guard = 0;
-            while let Some((from, to, msg)) = queue.pop_front() {
-                guard += 1;
-                assert!(guard < 100_000, "flooding did not converge");
-                if let Some(r) = self.routers.get_mut(&to) {
-                    for (next_to, next_msg) in r.handle(from, msg, now) {
-                        queue.push_back((to, next_to, next_msg));
+        /// `rounds` times: one tick on every router, deliver until
+        /// quiet, then advance the clock one second.
+        fn run(&mut self, rounds: u32) {
+            for _ in 0..rounds {
+                let mut queue: VecDeque<(RouterId, RouterId, Message)> = VecDeque::new();
+                let now = self.now;
+                for (id, router) in self.routers.iter_mut() {
+                    for (to, msg) in router.tick(now) {
+                        queue.push_back((*id, to, msg));
                     }
                 }
+                let mut guard = 0;
+                while let Some((from, to, msg)) = queue.pop_front() {
+                    guard += 1;
+                    assert!(guard < 100_000, "flooding did not converge");
+                    if let Some(r) = self.routers.get_mut(&to) {
+                        for (next_to, next_msg) in r.handle(from, msg, now) {
+                            queue.push_back((to, next_to, next_msg));
+                        }
+                    }
+                }
+                self.now += SimDuration::from_secs(1);
             }
         }
 
         fn router(&self, id: u32) -> &LinkStateRouter {
             &self.routers[&RouterId(id)]
         }
+
+        fn router_mut(&mut self, id: u32) -> &mut LinkStateRouter {
+            self.routers.get_mut(&RouterId(id)).unwrap()
+        }
     }
 
     #[test]
     fn full_mesh_converges_after_two_rounds() {
-        let t = Topology::spine_leaf(2, 4);
-        let mut h = Harness::from_topology(&t);
-        h.settle(); // adjacencies come up, LSAs flood
-        h.advance(SimDuration::from_secs(1));
-        h.settle(); // steady state
+        // Spine-leaf: spines 0 and 1, every leaf 2..6 wired to both.
+        let links: Vec<(u32, u32)> = (0..2).flat_map(|s| (2..6).map(move |l| (s, l))).collect();
+        let mut h = Harness::new(&links);
+        h.run(2); // adjacencies come up, LSAs flood, steady state
         for r in 0..6 {
-            let table = h.router(r).routes();
-            assert_eq!(table.len(), 6, "router {r} must reach all 6");
+            for dst in 0..6 {
+                assert!(h.router(r).reaches(RouterId(dst)), "{r} must reach {dst}");
+            }
         }
     }
 
     #[test]
-    fn dead_interval_tears_down_and_spf_reroutes() {
+    fn dead_interval_tears_down_and_lost_reports_once() {
         // Square: 0-1, 1-3, 0-2, 2-3.
-        let mut t = Topology::new();
-        t.add_link(RouterId(0), RouterId(1), 1);
-        t.add_link(RouterId(1), RouterId(3), 1);
-        t.add_link(RouterId(0), RouterId(2), 1);
-        t.add_link(RouterId(2), RouterId(3), 1);
-        let mut h = Harness::from_topology(&t);
-        h.settle();
-        h.advance(SimDuration::from_secs(1));
-        h.settle();
+        let mut h = Harness::new(&[(0, 1), (1, 3), (0, 2), (2, 3)]);
+        h.run(2);
         assert!(h.router(0).reaches(RouterId(3)));
+        assert!(h.router_mut(0).lost().is_empty(), "nothing lost yet");
 
         // Kill router 1: remove it from the harness so it neither hellos
         // nor floods; after the dead interval others expire it.
         h.routers.remove(&RouterId(1));
-        for _ in 0..6 {
-            h.advance(SimDuration::from_secs(1));
-            h.settle();
-        }
-        let table = h.router(0).routes();
-        assert!(!table.reaches(RouterId(1)), "dead router must disappear");
-        let (cost, hops) = table.route(RouterId(3)).unwrap();
-        assert_eq!(cost, 2);
-        assert_eq!(hops, &[RouterId(2)], "traffic must reroute via 2");
+        h.run(6);
+        assert_eq!(h.router_mut(0).lost(), vec![RouterId(1)]);
+        assert!(h.router_mut(0).lost().is_empty(), "a loss is reported once");
+        assert!(h.router(0).reaches(RouterId(3)), "3 stays reachable via 2");
+    }
+
+    #[test]
+    fn lost_reports_each_drop_once_and_not_the_return() {
+        // Line 0-1-2: router 2 goes, comes back, goes again.
+        let line = [(0, 1), (1, 2)];
+        let mut h = Harness::new(&line);
+        h.run(2);
+        assert!(h.router_mut(0).lost().is_empty());
+
+        h.routers.remove(&RouterId(2));
+        h.run(6);
+        assert_eq!(h.router_mut(0).lost(), vec![RouterId(2)]);
+        assert!(h.router_mut(0).lost().is_empty(), "stable: no repeat");
+
+        let links = wiring(&line).remove(&RouterId(2)).unwrap();
+        h.routers
+            .insert(RouterId(2), LinkStateRouter::new(RouterId(2), links));
+        h.run(3);
+        assert!(h.router(0).reaches(RouterId(2)));
+        assert!(h.router_mut(0).lost().is_empty(), "a return is no loss");
+
+        h.routers.remove(&RouterId(2));
+        h.run(6);
+        assert_eq!(h.router_mut(0).lost(), vec![RouterId(2)]);
+    }
+
+    #[test]
+    fn lost_lists_only_the_routers_cut_off() {
+        // Line 0-1-2-3: losing 2 cuts off 3 too, while 1 stays.
+        let mut h = Harness::new(&[(0, 1), (1, 2), (2, 3)]);
+        h.run(2);
+        assert!(h.router_mut(0).lost().is_empty());
+
+        h.routers.remove(&RouterId(2));
+        h.run(6);
+        assert_eq!(h.router_mut(0).lost(), vec![RouterId(2), RouterId(3)]);
+        assert!(h.router(0).reaches(RouterId(1)));
     }
 
     #[test]
     fn hello_from_stranger_ignored() {
-        let mut r = LinkStateRouter::new(RouterId(1), vec![(RouterId(2), 1)]);
+        let mut r = LinkStateRouter::new(RouterId(1), [RouterId(2)]);
         let out = r.handle(
             RouterId(99),
             Message::Hello {
@@ -343,7 +359,7 @@ mod tests {
 
     #[test]
     fn self_originated_echo_bumps_sequence() {
-        let mut r = LinkStateRouter::new(RouterId(1), vec![(RouterId(2), 1)]);
+        let mut r = LinkStateRouter::new(RouterId(1), [RouterId(2)]);
         // Bring the adjacency up.
         r.handle(
             RouterId(2),
@@ -365,21 +381,16 @@ mod tests {
 
     #[test]
     fn rejoin_after_recovery() {
-        let t = Topology::line(3);
-        let mut h = Harness::from_topology(&t);
-        h.settle();
-        h.advance(SimDuration::from_secs(1));
-        h.settle();
+        let line = [(0, 1), (1, 2)];
+        let mut h = Harness::new(&line);
+        h.run(2);
         assert!(h.router(0).reaches(RouterId(2)));
 
         // Router 1 "reboots": replace with a fresh instance (empty LSDB).
-        let links: Vec<(RouterId, u32)> = t.neighbors(RouterId(1)).collect();
+        let links = wiring(&line).remove(&RouterId(1)).unwrap();
         h.routers
             .insert(RouterId(1), LinkStateRouter::new(RouterId(1), links));
-        for _ in 0..3 {
-            h.advance(SimDuration::from_secs(1));
-            h.settle();
-        }
+        h.run(3);
         assert!(
             h.router(0).reaches(RouterId(2)),
             "recovered router must rejoin"

@@ -21,9 +21,8 @@
 //!
 //! ## Overload variant
 //!
-//! [`ChaosParams::with_overload`] (preset [`ChaosParams::shard_storm`],
-//! env `SDA_CHAOS_SHARDS=n`) layers the hardened control plane under
-//! the same storm: a multi-shard map-server with per-class admission
+//! [`ChaosParams::with_overload`] (preset [`ChaosParams::shard_storm`])
+//! layers the hardened control plane under the same storm: a multi-shard map-server with per-class admission
 //! budgets scaled to the refresh-wave size, bounded ingress queues on
 //! every node, and one control shard crashed mid-storm (its database
 //! slice lost) and restarted while the others keep serving. The
@@ -55,8 +54,10 @@ use sda_types::{Eid, GroupId, Ipv4Prefix, PortId, VnId};
 /// The one group everyone belongs to (policy is not under test here).
 pub(crate) const USERS: GroupId = GroupId(10);
 
-/// Campaign shape. Presets: `ChaosParams::storm` (full scale),
-/// [`ChaosParams::reduced`] (CI scale).
+/// Campaign shape. Presets: [`ChaosParams::storm`] (full scale),
+/// [`ChaosParams::reduced`] (CI scale), either with
+/// [`ChaosParams::with_overload`] on top. The library reads no
+/// environment; a caller picks the preset.
 #[derive(Clone, Debug)]
 pub struct ChaosParams {
     /// Label used in output.
@@ -91,7 +92,7 @@ pub struct ChaosParams {
 
 impl ChaosParams {
     /// Full scale: a 120-edge fabric whose storm reboots 110 of them.
-    pub(crate) fn storm() -> Self {
+    pub fn storm() -> Self {
         ChaosParams {
             name: "storm",
             endpoints: 240,
@@ -162,31 +163,6 @@ impl ChaosParams {
         });
         self.ingress_cap = Some(512);
         self
-    }
-
-    /// [`Self::reduced`] when `SDA_CHAOS_REDUCED` is set (CI),
-    /// `Self::storm` otherwise; `SDA_CHAOS_SHARDS=<n>` (n > 1) layers
-    /// the overload campaign ([`Self::with_overload`]) on top.
-    pub fn from_env() -> Self {
-        let base = if std::env::var_os("SDA_CHAOS_REDUCED").is_some() {
-            Self::reduced()
-        } else {
-            Self::storm()
-        };
-        match std::env::var("SDA_CHAOS_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            Some(n) if n > 1 => ChaosParams {
-                name: if base.ctrl_shards == 1 && base.edges >= 100 {
-                    "shard-storm"
-                } else {
-                    "shard-reduced"
-                },
-                ..base.with_overload(n)
-            },
-            _ => base,
-        }
     }
 }
 

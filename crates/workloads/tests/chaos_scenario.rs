@@ -4,6 +4,31 @@
 
 use sda_workloads::{ChaosParams, ChaosScenario};
 
+/// [`ChaosParams::reduced`] when `SDA_CHAOS_REDUCED` is set (CI),
+/// [`ChaosParams::storm`] otherwise; `SDA_CHAOS_SHARDS=<n>` (n > 1)
+/// layers the overload campaign ([`ChaosParams::with_overload`]) on top.
+fn from_env() -> ChaosParams {
+    let base = if std::env::var_os("SDA_CHAOS_REDUCED").is_some() {
+        ChaosParams::reduced()
+    } else {
+        ChaosParams::storm()
+    };
+    match std::env::var("SDA_CHAOS_SHARDS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+    {
+        Some(n) if n > 1 => ChaosParams {
+            name: if base.ctrl_shards == 1 && base.edges >= 100 {
+                "shard-storm"
+            } else {
+                "shard-reduced"
+            },
+            ..base.with_overload(n)
+        },
+        _ => base,
+    }
+}
+
 fn run(params: ChaosParams) -> sda_workloads::ChaosOutcome {
     let mut s = ChaosScenario::build(params);
     s.run()
@@ -11,7 +36,7 @@ fn run(params: ChaosParams) -> sda_workloads::ChaosOutcome {
 
 #[test]
 fn chaos_campaign_converges_and_probes_deliver() {
-    let params = ChaosParams::from_env();
+    let params = from_env();
     let label = params.name;
     let outcome = run(params);
     outcome.print(label);

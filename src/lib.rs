@@ -8,7 +8,7 @@
 //! * [`simnet`] — deterministic discrete-event simulator and metrics.
 //! * [`wire`] — packet formats (Ethernet/IP/UDP/VXLAN-GPO/LISP).
 //! * [`policy`] — group-based segmentation policy and SXP.
-//! * [`underlay`] — underlay topology and SPF.
+//! * [`underlay`] — the underlay link-state protocol and its reachable set.
 //! * [`bgp`] — the proactive host-route baseline the paper compares to.
 //! * [`lisp`] — registry, map-cache, pub/sub, SMR.
 //! * [`ctrl`] — the map-server (routing server): EID-partitioned shards,

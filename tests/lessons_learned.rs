@@ -1,14 +1,16 @@
 //! The §5 "Lessons Learnt" scenarios, end to end:
 //!
-//! * §5.1 — underlay connectivity outage: reachability tracking purges
-//!   routes through a dead RLOC and traffic falls back to the border.
+//! * §5.1 — underlay connectivity outage: the underlay's reachable set
+//!   purges routes through a dead RLOC and traffic falls back to the
+//!   border.
 //! * §5.2 — edge reboot: the transient border↔edge loop is damped by
 //!   the hop budget and healed by re-onboarding.
 //! * Fig. 6 — SMR rate limiting under sustained stale traffic.
 
-use sda_core::controller::FabricBuilder;
-use sda_simnet::{SimDuration, SimTime};
-use sda_types::{Eid, GroupId, Ipv4Prefix, PortId};
+use sda_core::controller::{BorderHandle, EdgeHandle, FabricBuilder};
+use sda_core::Fabric;
+use sda_simnet::{FaultPlan, SimDuration, SimTime};
+use sda_types::{Eid, GroupId, Ipv4Prefix, MacAddr, PortId};
 use std::net::Ipv4Addr;
 
 const G: GroupId = GroupId(1);
@@ -19,6 +21,33 @@ fn ms(n: u64) -> SimTime {
 
 fn secs(n: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(n)
+}
+
+/// §5.1's outage: cuts `edge` off from every other fabric node over
+/// `[from, to)`. The edge keeps its state; it just hears nothing and is
+/// heard by no one.
+fn isolate(f: &mut Fabric, edge: EdgeHandle, from: SimTime, to: SimTime) {
+    let me = f.edge_node(edge);
+    let plan = (0..f.edge_count())
+        .map(|i| f.edge_node(EdgeHandle(i)))
+        .chain((0..f.border_count()).map(|i| f.border_node(BorderHandle(i))))
+        .chain([f.routing_node(), f.policy_node()])
+        .filter(|n| *n != me)
+        .fold(FaultPlan::new(), |plan, n| {
+            plan.partition_window(me, n, from, to)
+        });
+    f.schedule_faults(&plan);
+}
+
+/// §5.2's reboot at `at`: the edge's endpoints leave its ports, then it
+/// crashes and restarts 1 µs later with empty tables and an empty
+/// inventory — they must re-attach.
+fn reboot(f: &mut Fabric, edge: EdgeHandle, attached: &[MacAddr], at: SimTime) {
+    for mac in attached {
+        f.detach_at(at, edge, *mac);
+    }
+    let up = at + SimDuration::from_micros(1);
+    f.schedule_faults(&FaultPlan::new().reboot(f.edge_node(edge), at, up));
 }
 
 #[test]
@@ -52,9 +81,10 @@ fn underlay_outage_purges_routes_and_falls_back_to_border() {
     f.run_until(secs(6));
     assert_eq!(f.edge(e0).fib_len(), 1);
 
-    // e1 dies. After the dead interval (4 s), e0's link-state view drops
-    // it and the reachability tracker purges the cache entry (§5.1).
-    f.set_edge_failed(e1, true);
+    // e1 is cut off. After the dead interval (4 s), e0's link-state view
+    // loses it and e0 purges the cache entry (§5.1). The window outlasts
+    // the run.
+    isolate(&mut f, e1, secs(6), secs(60));
     f.run_until(secs(15));
     assert_eq!(
         f.edge(e0).fib_len(),
@@ -93,7 +123,7 @@ fn edge_reboot_transient_loop_is_damped_and_heals() {
     // e1 reboots: empty VRF and cache. The border still believes bob is
     // at e1 (registration not expired), so traffic loops border→e1→
     // border→… until the hop budget kills the packet (§5.2).
-    f.reboot_edge(e1);
+    reboot(&mut f, e1, &[bob.mac], ms(300));
     f.send_at(ms(400), e0, alice.mac, Eid::V4(bob.ipv4), 100, 2, false);
     f.run_until(ms(600));
     let hop_exhausted = f.metrics().counter("fabric.hop_exhausted");
@@ -140,7 +170,7 @@ fn rebooted_edge_smrs_senders_to_refresh_their_caches() {
     f.send_at(ms(150), e0, alice.mac, Eid::V4(bob.ipv4), 100, 1, false);
     f.run_until(ms(300));
 
-    f.reboot_edge(e1);
+    reboot(&mut f, e1, &[bob.mac], ms(300));
     // alice's edge still caches bob@e1 and sends directly — e1 does not
     // recognize the traffic and SMRs e0.
     f.send_at(ms(400), e0, alice.mac, Eid::V4(bob.ipv4), 100, 2, false);
@@ -217,10 +247,8 @@ fn failed_edge_recovers_and_rejoins_underlay() {
     f.attach_at(ms(0), e1, bob, PortId(1));
     f.run_until(secs(5));
 
-    f.set_edge_failed(e1, true);
+    isolate(&mut f, e1, secs(5), secs(15));
     f.run_until(secs(15)); // dead interval passes, e1 purged
-
-    f.set_edge_failed(e1, false);
     f.run_until(secs(30)); // hellos resume, adjacency reforms
 
     // Traffic to bob flows directly again after a resolution.
