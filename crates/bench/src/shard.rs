@@ -240,6 +240,8 @@ mod tests {
                 nonce: 0,
                 vn: vn(),
                 subscriber: border,
+                have_seq: 0,
+                digest: 0,
             },
             SimTime::ZERO,
         );

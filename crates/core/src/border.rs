@@ -8,7 +8,11 @@
 //!    pub/sub instead of populated reactively — every `Publish` installs
 //!    into (or withdraws from) the switch's map-cache with an
 //!    effectively infinite TTL — so it can absorb the default-routed
-//!    traffic edges send while their resolutions are in flight.
+//!    traffic edges send while their resolutions are in flight. Per VN
+//!    it keeps the highest sequence seen and its slice's digest (sum of
+//!    [`row_digest`]; per Publish the displaced row's term out, the new
+//!    one in) and states both in every Subscribe: an ack `resumed`
+//!    keeps the slice, any other resets it and a snapshot follows.
 //! 2. It holds routes to external networks (Internet, datacenter) in
 //!    the switch's external-prefix table, and its engine config has no
 //!    further default route (`border: None`): the border *is* the last
@@ -26,7 +30,7 @@ use std::rc::Rc;
 
 use sda_dataplane::{DropReason, PacketBuf, Punt, Switch, Verdict};
 use sda_simnet::{Context, CounterId, FaultEvent, Node, NodeId, SimDuration, SimTime};
-use sda_types::{EidKind, EidPrefix, Ipv4Prefix, Rloc, VnId};
+use sda_types::{row_digest, EidKind, EidPrefix, Ipv4Prefix, Rloc, VnId};
 use sda_wire::lisp::{BusyClass, Message as Lisp};
 
 use crate::backoff::{Backoff, Retries};
@@ -36,7 +40,8 @@ use crate::edge::{
 use crate::msg::{FabricMsg, PolicyMsg};
 use crate::servers::Directory;
 
-/// Timer token for the subscription kick (and periodic resubscribe).
+/// Timer token for the subscription kick (and periodic resubscribe:
+/// a resume or a resync).
 const TIMER_SUBSCRIBE: u64 = 0;
 /// Retransmit sweep for unacknowledged Subscribes. Lazily armed.
 const TIMER_RETRY: u64 = 3;
@@ -69,12 +74,25 @@ pub struct BorderStats {
     /// Resync Subscribes this border sent after detecting a gap or a
     /// sequence regression (publisher restart).
     pub resyncs_requested: u64,
-    /// Acked (re)subscriptions after the initial one: each reset the
-    /// VN's synced slice and replayed the server's snapshot.
+    /// Snapshot-acked (re)subscriptions after the initial one: each reset
+    /// the VN's synced slice and replayed the server's snapshot. A
+    /// resubscribe the server resumed counts in `stream_resumes` instead.
     pub resyncs_completed: u64,
+    /// Resubscribes acked `resumed`: the server proved the synced slice
+    /// current, so nothing was reset or resent.
+    pub stream_resumes: u64,
     /// Subscribes shed by the routing server's admission gate; the
     /// retry honored the server's retry-after hint.
     pub server_busy_backoffs: u64,
+}
+
+/// What a border holds of one VN's stream — both go into its Subscribes.
+#[derive(Clone, Copy, Default, Debug)]
+struct Synced {
+    /// Highest publish sequence number seen.
+    seq: u64,
+    /// Wrapping sum of [`row_digest`] over the VN's synced rows.
+    digest: u64,
 }
 
 /// The border router node.
@@ -89,9 +107,10 @@ pub struct BorderRouter {
     /// attached endpoints (VRF), ACL and external prefixes.
     switch: Switch,
     stats: BorderStats,
-    /// Highest publish sequence number seen per VN (gap detection). A
-    /// VN present here has completed at least one acked subscription.
-    last_pub_seq: BTreeMap<VnId, u64>,
+    /// Per VN: highest publish sequence seen (gap detection) and the
+    /// synced slice's digest. A VN present here has completed at least
+    /// one acked subscription (or seen a Publish).
+    synced: BTreeMap<VnId, Synced>,
     /// Subscribes in flight (their nonces), per VN, until the server's
     /// SubscribeAck. Unbounded and retried without budget: a border
     /// without a synced table is useless.
@@ -120,7 +139,7 @@ impl BorderRouter {
             dir,
             switch,
             stats: BorderStats::default(),
-            last_pub_seq: BTreeMap::new(),
+            synced: BTreeMap::new(),
             pending_subscribes: Retries::new(None, None),
             next_nonce: 1,
             failed: false,
@@ -156,6 +175,13 @@ impl BorderRouter {
         self.switch.map_cache().len_of(EidKind::V4)
     }
 
+    /// The maintained digest of `vn`'s synced slice — what the next
+    /// Subscribe for `vn` claims (0 before any). Equals the wrapping sum
+    /// of [`row_digest`] over the map-cache's rows of `vn`.
+    pub fn slice_digest(&self, vn: VnId) -> u64 {
+        self.synced.get(&vn).map_or(0, |s| s.digest)
+    }
+
     /// Subscribes in flight (convergence checks: must be 0 once the
     /// fabric quiesces).
     pub fn pending_subscribe_len(&self) -> usize {
@@ -163,8 +189,8 @@ impl BorderRouter {
     }
 
     /// Sends a Subscribe for `vn` and tracks it until acked. The server
-    /// answers with a SubscribeAck followed by a full snapshot, so an
-    /// acked (re)subscription always resets the VN's synced slice.
+    /// answers with a SubscribeAck: `resumed` keeps the synced slice,
+    /// anything else resets it and a full snapshot follows.
     fn subscribe_vn(&mut self, ctx: &mut Context<'_, FabricMsg>, vn: VnId) {
         if self.pending_subscribes.contains(&vn) {
             return; // one in flight per VN is enough
@@ -178,13 +204,18 @@ impl BorderRouter {
         self.backoff.arm(ctx, TIMER_RETRY);
     }
 
+    /// Sends (or resends) a Subscribe stating what the border holds of
+    /// `vn` now.
     fn send_subscribe(&self, ctx: &mut Context<'_, FabricMsg>, nonce: u64, vn: VnId) {
+        let held = self.synced.get(&vn).copied().unwrap_or_default();
         ctx.send(
             self.dir.routing_server,
             FabricMsg::Control(Lisp::Subscribe {
                 nonce,
                 vn,
                 subscriber: self.rloc,
+                have_seq: held.seq,
+                digest: held.digest,
             }),
         );
     }
@@ -279,7 +310,8 @@ impl BorderRouter {
                 // a *regression* means the publisher restarted with a
                 // fresh sequence space. Either way the synced slice can
                 // no longer be trusted — request a snapshot resync.
-                let last = self.last_pub_seq.get(&vn).copied().unwrap_or(0);
+                let synced = self.synced.entry(vn).or_default();
+                let last = synced.seq;
                 let mut desynced = false;
                 if last != 0 && nonce > last + 1 {
                     self.stats.publish_gaps += 1;
@@ -290,10 +322,14 @@ impl BorderRouter {
                         .bump(self.dir.counters.border_publish_regressions);
                     desynced = true;
                 }
-                self.last_pub_seq.insert(vn, last.max(nonce));
+                synced.seq = last.max(nonce);
+                if let Some(old) = self.switch.map_cache().host_rloc(vn, eid) {
+                    synced.digest = synced.digest.wrapping_sub(row_digest(&eid, old));
+                }
                 if withdraw {
                     self.switch.apply_negative(vn, EidPrefix::host(eid));
                 } else {
+                    synced.digest = synced.digest.wrapping_add(row_digest(&eid, rloc));
                     self.switch
                         .install_mapping(vn, EidPrefix::host(eid), rloc, SYNC_TTL, now);
                 }
@@ -302,14 +338,23 @@ impl BorderRouter {
                     self.request_resync(ctx, vn);
                 }
             }
-            Lisp::SubscribeAck { vn, .. } => {
-                if self.pending_subscribes.settle(&vn).is_some() {
+            Lisp::SubscribeAck { vn, resumed, .. } => {
+                if self.pending_subscribes.settle(&vn).is_none() {
+                    // A duplicate ack (a retransmit's): nothing pending.
+                    return;
+                }
+                if resumed {
+                    // The server proved our slice current: keep it (the
+                    // entry marks the VN subscribed, as a reset does).
+                    self.synced.entry(vn).or_default();
+                    self.stats.stream_resumes += 1;
+                    ctx.metrics().bump(self.dir.counters.border_stream_resumes);
+                } else {
                     // The server reset our subscription: drop the VN's
                     // synced slice and restart the sequence space — the
                     // snapshot that follows the ack rebuilds it.
                     self.switch.purge_vn(vn);
-                    let first = !self.last_pub_seq.contains_key(&vn);
-                    self.last_pub_seq.insert(vn, 0);
+                    let first = self.synced.insert(vn, Synced::default()).is_none();
                     if !first {
                         self.stats.resyncs_completed += 1;
                         ctx.metrics()
@@ -393,9 +438,11 @@ impl Node<FabricMsg> for BorderRouter {
             TIMER_SUBSCRIBE => {
                 // §3.3: subscribe to every VN's mapping stream. The
                 // first firing is the t=0 kick; later firings are the
-                // periodic resubscribe (a full resync per VN), which
-                // bounds divergence after arbitrary loss.
-                let first = self.last_pub_seq.is_empty() && self.pending_subscribes.is_empty();
+                // periodic resubscribe per VN — a resume when the
+                // border's watermark and digest match the server's, a
+                // resync otherwise — which bounds divergence after
+                // arbitrary loss.
+                let first = self.synced.is_empty() && self.pending_subscribes.is_empty();
                 let vns = self.dir.vns.clone();
                 for vn in vns {
                     self.subscribe_vn(ctx, vn);
@@ -432,7 +479,7 @@ impl Node<FabricMsg> for BorderRouter {
                 for vn in &vns {
                     self.switch.purge_vn(*vn);
                 }
-                self.last_pub_seq.clear();
+                self.synced.clear();
                 self.pending_subscribes.clear();
                 for vn in vns {
                     self.subscribe_vn(ctx, vn);

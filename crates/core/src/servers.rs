@@ -105,6 +105,7 @@ fabric_counters! {
     border_publish_regressions => "border.publish_regressions",
     border_resyncs_requested => "border.resyncs_requested",
     border_resyncs_completed => "border.resyncs_completed",
+    border_stream_resumes => "border.stream_resumes",
     border_subscribe_retries => "border.subscribe_retries",
     // Servers.
     ctrl_server_restarts => "ctrl.server_restarts",

@@ -23,6 +23,18 @@
 //! The fan-out counts its pending snapshots, so a flush with none — every
 //! flush of a settled system — only drains the queues.
 //!
+//! **Resume** (the "deltas if nothing was missed, snapshot otherwise"
+//! rule of BGP Enhanced Route Refresh, RFC 7313, and LISP pub/sub, RFC
+//! 9437). A Subscribe carries the border's watermark (`have_seq`) and
+//! its synced slice's digest (wrapping sum of [`sda_types::row_digest`]).
+//! The server acks `resumed` and sends nothing else only when the stream
+//! is `Live`, `have_seq` is the VN's sequence and the digest is the up
+//! shards' `MappingDb::vn_digest` sum — exactly what a snapshot would
+//! send; otherwise it subscribes as above. A watermark alone misses a
+//! lost snapshot publish (all carry the same one), a row count a stale
+//! slice under a lost ack. No epoch: a restarted server has no live
+//! stream, a crashed or partitioned shard changes the server's digest.
+//!
 //! Sequence semantics on the wire ([`Message::Publish`]'s `nonce`):
 //! delta publishes carry the change's own per-VN sequence number;
 //! snapshot publishes carry the VN's current watermark (snapshots
@@ -112,14 +124,19 @@ impl DeltaFanout {
         }
     }
 
-    /// True when `rloc` already has a stream (live or snapshot-pending)
-    /// for `vn` — i.e. a new Subscribe would be a resync, not a fresh
-    /// subscription. Admission control uses this to let self-healing
-    /// resubscribes bypass the subscribe budget.
-    pub(crate) fn is_subscribed(&self, vn: VnId, rloc: Rloc) -> bool {
-        self.streams
-            .get(&vn)
-            .is_some_and(|s| s.subs.iter().any(|&(i, _)| self.subs[i].rloc == rloc))
+    /// Whether `rloc`'s stream for `vn` is `Live`; `None` when it has
+    /// none. A known stream's Subscribe is a resync, not a fresh
+    /// subscription: admission lets those self-healing resubscribes
+    /// bypass the subscribe budget, and only a live one can resume.
+    pub(crate) fn stream_live(&self, vn: VnId, rloc: Rloc) -> Option<bool> {
+        let subs = &self.streams.get(&vn)?.subs;
+        let &(_, state) = subs.iter().find(|&&(i, _)| self.subs[i].rloc == rloc)?;
+        Some(state == VnSync::Live)
+    }
+
+    /// `(subscriber, VN)` streams, live or snapshot-pending.
+    pub(crate) fn stream_count(&self) -> usize {
+        self.streams.values().map(|s| s.subs.len()).sum()
     }
 
     /// Subscribes `rloc` to `vn`'s stream, marking it for snapshot on
@@ -443,11 +460,10 @@ mod tests {
         subscribe(&mut f, vn(2), rl(9));
         subscribe(&mut f, vn(1), rl(8));
         subscribe(&mut f, vn(1), rl(9));
-        let subscriptions =
-            |f: &DeltaFanout| f.streams.values().map(|s| s.subs.len()).sum::<usize>();
         assert_eq!(f.subs.len(), 2);
-        assert_eq!(subscriptions(&f), 3);
-        assert!(f.is_subscribed(vn(2), rl(9)) && !f.is_subscribed(vn(2), rl(8)));
+        assert_eq!(f.stream_count(), 3);
+        assert_eq!(f.stream_live(vn(2), rl(9)), Some(false), "snapshot pending");
+        assert_eq!(f.stream_live(vn(2), rl(8)), None);
         let mut asked = Vec::new();
         let out = f.flush(|v, emit| {
             asked.push(v);
@@ -468,7 +484,7 @@ mod tests {
         publish(&mut f, vn(2), eid(6), rl(2));
         subscribe(&mut f, vn(1), rl(9));
         subscribe(&mut f, vn(1), rl(9));
-        assert_eq!(subscriptions(&f), 3, "a resync is not a new stream");
+        assert_eq!(f.stream_count(), 3, "a resync is not a new stream");
         let mut asked = Vec::new();
         let out = f.flush(|v, emit| {
             asked.push(v);

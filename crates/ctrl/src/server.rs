@@ -14,7 +14,9 @@
 //! [`PartitionedMapServer::flush_publishes`] drains them (plus any
 //! pending snapshot resyncs). Callers embedding the server in a message
 //! loop flush after each handled message; batch loaders flush once at
-//! the end.
+//! the end. A resubscribe whose watermark and slice digest prove the
+//! subscriber in sync is acked `resumed` and takes no snapshot (the
+//! rule: `fanout`'s module doc; the reference server applies it too).
 //!
 //! ## Overload model
 //!
@@ -330,10 +332,13 @@ impl PartitionedMapServer {
                 nonce,
                 vn,
                 subscriber,
+                have_seq,
+                digest,
             } => {
                 // Resubscribes of a known stream are resyncs — the
                 // self-healing path — and bypass the subscribe budget.
-                if !self.fanout.is_subscribed(vn, subscriber) && !self.admit_subscribe(now) {
+                let live = self.fanout.stream_live(vn, subscriber);
+                if live.is_none() && !self.admit_subscribe(now) {
                     self.overload.shed_subscribes += 1;
                     let eid = Eid::V4(std::net::Ipv4Addr::UNSPECIFIED);
                     return (
@@ -344,13 +349,19 @@ impl PartitionedMapServer {
                         )],
                     );
                 }
-                // Snapshot is assembled at the next flush, off the owner
-                // shards' live state — not walked here. The ack mirrors
-                // the single server's: byte-identical non-publish outbox.
-                self.fanout.subscribe(vn, subscriber);
+                // Resume a subscriber that provably holds what a snapshot
+                // would send (the digest walk runs last). Otherwise the
+                // snapshot is assembled at the next flush, off the owner
+                // shards' live state. The ack mirrors the single server's.
+                let resumed = live == Some(true)
+                    && have_seq == self.fanout.current_seq(vn)
+                    && digest == self.vn_digest(vn);
+                if !resumed {
+                    self.fanout.subscribe(vn, subscriber);
+                }
                 (
                     Disposition::Served,
-                    vec![(subscriber, Message::SubscribeAck { nonce, vn })],
+                    vec![(subscriber, Message::SubscribeAck { nonce, vn, resumed })],
                 )
             }
             // Replies/notifies/publishes/acks/busy-signals are never
@@ -361,6 +372,15 @@ impl PartitionedMapServer {
             | Message::SubscribeAck { .. }
             | Message::ServerBusy { .. } => (Disposition::Served, Outbox::new()),
         }
+    }
+
+    /// The digest of what a snapshot of `vn` would send: every up
+    /// shard's rows of the VN, live or expired.
+    fn vn_digest(&self, vn: VnId) -> u64 {
+        self.shards
+            .iter()
+            .filter(|s| !s.down)
+            .fold(0, |d, s| d.wrapping_add(s.db.vn_digest(vn)))
     }
 
     fn busy_reply(&self, nonce: u64, vn: VnId, eid: Eid, class: BusyClass) -> Message {
@@ -627,6 +647,12 @@ impl PartitionedMapServer {
         self.fanout.gaps()
     }
 
+    /// `(subscriber, VN)` streams the fan-out holds, live or
+    /// snapshot-pending — bounded by the distinct pairs ever subscribed.
+    pub fn pubsub_streams(&self) -> usize {
+        self.fanout.stream_count()
+    }
+
     /// High-water mark across per-subscriber delta queues (bounded-queue
     /// proofs: must never exceed the fan-out's queue cap).
     pub fn pubsub_peak_depth(&self) -> usize {
@@ -693,11 +719,43 @@ mod tests {
         }
     }
 
+    /// A first subscription: nothing held.
     fn subscribe(vn_: VnId, subscriber: Rloc) -> Message {
+        resubscribe(vn_, subscriber, 0, 0)
+    }
+
+    fn resubscribe(vn_: VnId, subscriber: Rloc, have_seq: u64, digest: u64) -> Message {
         Message::Subscribe {
             nonce: 0,
             vn: vn_,
             subscriber,
+            have_seq,
+            digest,
+        }
+    }
+
+    /// What a border holding exactly `publishes` would say it holds:
+    /// the highest sequence and the digest of the rows.
+    fn held(publishes: &[(Rloc, Message)]) -> (u64, u64) {
+        publishes.iter().fold((0, 0), |(seq, d), (_, m)| match m {
+            Message::Publish {
+                nonce,
+                prefix,
+                rloc,
+                withdraw: false,
+                ..
+            } => (
+                seq.max(*nonce),
+                d.wrapping_add(sda_types::row_digest(&prefix.as_host().unwrap(), *rloc)),
+            ),
+            other => panic!("expected a snapshot publish, got {other:?}"),
+        })
+    }
+
+    fn resumed(out: &Outbox) -> bool {
+        match out.as_slice() {
+            [(_, Message::SubscribeAck { resumed, .. })] => *resumed,
+            other => panic!("expected one SubscribeAck, got {other:?}"),
         }
     }
 
@@ -798,6 +856,75 @@ mod tests {
         // Refresh publishes nothing.
         s.handle(register(vn(1), eid(3), rl(2), 300), SimTime::ZERO);
         assert!(s.flush_publishes().is_empty());
+    }
+
+    /// The resume rule: only a live stream whose subscriber holds the
+    /// VN's watermark and digest resumes. The server's watermark and row
+    /// count with one RLOC different is a snapshot; so is a wrong
+    /// watermark, a snapshot-pending stream and a shard leaving or
+    /// rejoining the sum.
+    #[test]
+    fn resubscribe_resumes_only_a_provably_synced_stream() {
+        let mut s = server(4);
+        let mac = Eid::Mac(sda_types::MacAddr::from_seed(7));
+        s.handle(register(vn(1), mac, rl(3), 300), SimTime::ZERO);
+        for i in 0..16 {
+            s.handle(register(vn(1), eid(i), rl(1), 300), SimTime::ZERO);
+        }
+        s.handle(register(vn(2), eid(99), rl(1), 300), SimTime::ZERO);
+        assert!(!resumed(&s.handle(subscribe(vn(1), rl(9)), SimTime::ZERO)));
+        let snapshot = s.flush_publishes();
+        assert_eq!(snapshot.len(), 17);
+        let (seq, digest) = held(&snapshot);
+        assert_eq!(seq, s.pubsub_seq(vn(1)));
+
+        // In sync: acked as resumed, and nothing follows.
+        let out = s.handle(resubscribe(vn(1), rl(9), seq, digest), SimTime::ZERO);
+        assert!(resumed(&out));
+        assert!(s.flush_publishes().is_empty());
+        assert_eq!(s.pubsub_streams(), 1);
+
+        // Same watermark, same row count, one RLOC off: a snapshot.
+        let mut off = snapshot.clone();
+        if let Message::Publish { rloc, .. } = &mut off[5].1 {
+            *rloc = rl(2);
+        }
+        assert_eq!(held(&off).0, seq);
+        let out = s.handle(resubscribe(vn(1), rl(9), seq, held(&off).1), SimTime::ZERO);
+        assert!(!resumed(&out));
+        assert_eq!(s.flush_publishes(), snapshot, "the full snapshot again");
+
+        // A watermark behind or ahead: a snapshot.
+        for have in [seq - 1, seq + 1] {
+            let out = s.handle(resubscribe(vn(1), rl(9), have, digest), SimTime::ZERO);
+            assert!(!resumed(&out));
+            assert_eq!(s.flush_publishes().len(), 17);
+        }
+
+        // Snapshot pending is not live, whatever the pair says.
+        s.handle(subscribe(vn(1), rl(9)), SimTime::ZERO);
+        let out = s.handle(resubscribe(vn(1), rl(9), seq, digest), SimTime::ZERO);
+        assert!(!resumed(&out));
+        assert_eq!(s.flush_publishes().len(), 17);
+
+        // A partitioned shard leaves the server's digest, and rejoins it.
+        let victim = crate::partition::owner_of(&eid(0), 4);
+        s.partition_shard(victim);
+        let out = s.handle(resubscribe(vn(1), rl(9), seq, digest), SimTime::ZERO);
+        assert!(!resumed(&out));
+        let partial = s.flush_publishes();
+        assert!(partial.len() < 17);
+        s.heal_shard(victim);
+        let (_, partial_digest) = held(&partial);
+        let out = s.handle(
+            resubscribe(vn(1), rl(9), seq, partial_digest),
+            SimTime::ZERO,
+        );
+        assert!(!resumed(&out), "the healed shard's rows are missing");
+        assert_eq!(s.flush_publishes(), snapshot);
+        assert!(resumed(
+            &s.handle(resubscribe(vn(1), rl(9), seq, digest), SimTime::ZERO)
+        ));
     }
 
     /// What `expire`'s doc promises of one sweep's withdraw deltas: shard
@@ -968,6 +1095,8 @@ mod tests {
             nonce: n,
             vn: vn(v),
             subscriber: rl(r),
+            have_seq: 0,
+            digest: 0,
         };
         // First subscribe takes the only token.
         let (d, _) = s.handle_with_disposition(sub(1, 1, 9), now);

@@ -15,6 +15,13 @@
 //!   streams contiguous (no silent gaps at the default queue bound).
 //! * **Databases agree** after every expiry sweep (which runs the
 //!   *parallel* path on the partitioned side).
+//! * **Resumes agree**: a Subscribe states a watermark and a slice
+//!   digest. The generator reads honest ones off each side's subscriber
+//!   model (the two servers number their streams differently — the
+//!   single one per publish, the partitioned one per change — so each
+//!   gets its own honest watermark; the digests are of equal views) or
+//!   forges one of the two, and both servers must answer `resumed` or
+//!   snapshot alike, ack for ack.
 //!
 //! The gap → snapshot-resync path (bounded queues overflowing) is
 //! deterministic, not generated: `gap_resync_restores_consistency`
@@ -26,7 +33,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use sda_ctrl::PartitionedMapServer;
 use sda_simnet::{SimDuration, SimTime};
-use sda_types::{Eid, EidPrefix, Rloc, VnId};
+use sda_types::{row_digest, Eid, EidPrefix, MacAddr, Rloc, VnId};
 use sda_wire::lisp::Message;
 use std::net::Ipv4Addr;
 
@@ -48,8 +55,12 @@ fn vn(n: u32) -> VnId {
     VnId::new(1 + n % 3).unwrap()
 }
 
-/// EIDs spread across /16 blocks so all 4 partitions participate.
+/// EIDs spread across /16 blocks so all 4 partitions participate; one
+/// in ten is a MAC, so the registry's wide table takes part too.
 fn eid(n: u32) -> Eid {
+    if n % 10 == 9 {
+        return Eid::Mac(MacAddr::from_seed(n));
+    }
     Eid::V4(Ipv4Addr::from(0x0A00_0000 | ((n % 61) << 16) | n))
 }
 
@@ -69,9 +80,11 @@ enum Op {
     Register { v: u32, e: u32, r: u32 },
     /// Map-Request from some ITR.
     Request { v: u32, e: u32, itr: u32 },
-    /// Border subscription (idempotent; mid-stream re-subscribe forces
-    /// a snapshot on the partitioned side).
-    Subscribe { v: u32, b: u32 },
+    /// Border subscription stating what the border holds: `claim % 4`
+    /// 0 or 1 — the honest watermark and digest (a live stream
+    /// resumes), 2 — the watermark forged, 3 — the digest forged (both
+    /// snapshot).
+    Subscribe { v: u32, b: u32, claim: u32 },
     /// Advance the clock and run the expiry sweep on both sides.
     Expire { secs: u32 },
     /// Explicit withdraw.
@@ -82,7 +95,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u32..3, 0u32..200, 0u32..8).prop_map(|(v, e, r)| Op::Register { v, e, r }),
         (0u32..3, 0u32..200, 0u32..8).prop_map(|(v, e, itr)| Op::Request { v, e, itr }),
-        (0u32..3, 0u32..4).prop_map(|(v, b)| Op::Subscribe { v, b }),
+        (0u32..3, 0u32..4, 0u32..64).prop_map(|(v, b, claim)| Op::Subscribe { v, b, claim }),
         (1u32..200).prop_map(|secs| Op::Expire { secs }),
         (0u32..3, 0u32..200).prop_map(|(v, e)| Op::Withdraw { v, e }),
     ]
@@ -111,23 +124,66 @@ impl View {
             self.map.insert((vn, *p), *r);
         }
     }
+
+    /// What a border holding this view says it holds of `vn`.
+    fn digest(&self, vn: VnId) -> u64 {
+        self.map
+            .iter()
+            .filter(|((v, _), _)| *v == vn)
+            .fold(0, |d, ((_, p), r)| {
+                d.wrapping_add(row_digest(&p.as_host().unwrap(), *r))
+            })
+    }
 }
 
-/// Applies the single server's publish stream to its subscriber views.
-fn apply_single_publishes(views: &mut BTreeMap<Rloc, View>, out: &[(Rloc, Message)]) {
+/// The Subscribe `claim` makes from an honest `(watermark, digest)`.
+fn claimed(vn: VnId, subscriber: Rloc, honest: (u64, u64), claim: u32) -> Message {
+    let forge = 1 + u64::from(claim / 4);
+    let (have_seq, digest) = match claim % 4 {
+        0 | 1 => honest,
+        2 => (honest.0.wrapping_add(forge), honest.1),
+        _ => (honest.0, honest.1 ^ forge),
+    };
+    Message::Subscribe {
+        nonce: 0,
+        vn,
+        subscriber,
+        have_seq,
+        digest,
+    }
+}
+
+/// Applies the single server's outbox to its subscriber views the way a
+/// border would: a snapshot ack empties the VN's slice and restarts its
+/// watermark, a publish lands and raises it.
+fn apply_single_publishes(
+    views: &mut BTreeMap<Rloc, View>,
+    seqs: &mut BTreeMap<(Rloc, VnId), u64>,
+    out: &[(Rloc, Message)],
+) {
     for (to, m) in out {
-        if let Message::Publish {
-            vn,
-            prefix,
-            rloc,
-            withdraw,
-            ..
-        } = m
-        {
-            views
-                .entry(*to)
-                .or_default()
-                .apply(*vn, *prefix, *rloc, *withdraw);
+        match m {
+            Message::SubscribeAck {
+                vn, resumed: false, ..
+            } => {
+                views.entry(*to).or_default().replace_vn(*vn, &[]);
+                seqs.insert((*to, *vn), 0);
+            }
+            Message::Publish {
+                nonce,
+                vn,
+                prefix,
+                rloc,
+                withdraw,
+            } => {
+                views
+                    .entry(*to)
+                    .or_default()
+                    .apply(*vn, *prefix, *rloc, *withdraw);
+                let seq = seqs.entry((*to, *vn)).or_insert(0);
+                *seq = (*seq).max(*nonce);
+            }
+            _ => {}
         }
     }
 }
@@ -135,9 +191,9 @@ fn apply_single_publishes(views: &mut BTreeMap<Rloc, View>, out: &[(Rloc, Messag
 /// Applies one partitioned-server flush to its subscriber views.
 ///
 /// The driver knows which `(subscriber, vn)` streams expect a snapshot
-/// (set on every Subscribe op), so snapshot groups are applied as
-/// replacement and everything else as deltas — asserting delta
-/// contiguity per VN along the way.
+/// (set on every Subscribe the server did not resume), so snapshot
+/// groups are applied as replacement and everything else as deltas —
+/// asserting delta contiguity per VN along the way.
 fn apply_flush(
     views: &mut BTreeMap<Rloc, View>,
     seqs: &mut BTreeMap<(Rloc, VnId), u64>,
@@ -197,16 +253,21 @@ proptest! {
 
         let mut now = SimTime::ZERO;
         let mut single_views: BTreeMap<Rloc, View> = BTreeMap::new();
+        let mut single_seqs: BTreeMap<(Rloc, VnId), u64> = BTreeMap::new();
         let mut part_views: BTreeMap<Rloc, View> = BTreeMap::new();
         let mut part_seqs: BTreeMap<(Rloc, VnId), u64> = BTreeMap::new();
         let mut pending: std::collections::BTreeSet<(Rloc, VnId)> = std::collections::BTreeSet::new();
         let mut nonce = 0u64;
 
         for op in &ops {
+            // Each server gets what its own model says the border holds
+            // (the two number their streams differently); every other
+            // message goes to both as is.
+            let same = |m: Message| Some((m.clone(), m));
             let msg = match *op {
                 Op::Register { v, e, r } => {
                     nonce += 1;
-                    Some(Message::MapRegister {
+                    same(Message::MapRegister {
                         nonce,
                         vn: vn(v),
                         eid: eid(e),
@@ -218,7 +279,7 @@ proptest! {
                 }
                 Op::Request { v, e, itr } => {
                     nonce += 1;
-                    Some(Message::MapRequest {
+                    same(Message::MapRequest {
                         nonce,
                         smr: false,
                         vn: vn(v),
@@ -226,21 +287,29 @@ proptest! {
                         itr_rloc: edge(itr),
                     })
                 }
-                Op::Subscribe { v, b } => Some(Message::Subscribe {
-                    nonce: 0,
-                    vn: vn(v),
-                    subscriber: border(b),
-                }),
+                Op::Subscribe { v, b, claim } => {
+                    let (vn, b) = (vn(v), border(b));
+                    let held = |views: &BTreeMap<Rloc, View>, seqs: &BTreeMap<(Rloc, VnId), u64>| {
+                        let digest = views.get(&b).map_or(0, |view| view.digest(vn));
+                        (seqs.get(&(b, vn)).copied().unwrap_or(0), digest)
+                    };
+                    Some((
+                        claimed(vn, b, held(&single_views, &single_seqs), claim),
+                        claimed(vn, b, held(&part_views, &part_seqs), claim),
+                    ))
+                }
                 Op::Expire { .. } | Op::Withdraw { .. } => None,
             };
 
             match (op, msg) {
-                (_, Some(msg)) => {
-                    if let Message::Subscribe { vn, subscriber, .. } = &msg {
-                        pending.insert((*subscriber, *vn));
+                (_, Some((to_single, to_part))) => {
+                    let out_single = single.handle(to_single, now);
+                    let out_part = part.handle(to_part, now);
+                    for (to, m) in &out_part {
+                        if let Message::SubscribeAck { vn, resumed: false, .. } = m {
+                            pending.insert((*to, *vn));
+                        }
                     }
-                    let out_single = single.handle(msg.clone(), now);
-                    let out_part = part.handle(msg, now);
 
                     // Reply-for-reply, notify-for-notify: everything the
                     // single server transmits except publishes must
@@ -258,7 +327,7 @@ proptest! {
                         prop_assert_eq!(*a, b);
                     }
 
-                    apply_single_publishes(&mut single_views, &out_single);
+                    apply_single_publishes(&mut single_views, &mut single_seqs, &out_single);
                     let flushed = part.flush_publishes();
                     apply_flush(&mut part_views, &mut part_seqs, &mut pending, &flushed);
                     // An empty-world snapshot emits nothing, so sync
@@ -272,7 +341,7 @@ proptest! {
                     now += SimDuration::from_secs(u64::from(*secs));
                     let out_single = single.expire(now);
                     part.expire(now);
-                    apply_single_publishes(&mut single_views, &out_single);
+                    apply_single_publishes(&mut single_views, &mut single_seqs, &out_single);
                     let flushed = part.flush_publishes();
                     apply_flush(&mut part_views, &mut part_seqs, &mut pending, &flushed);
                     for key in &pending {
@@ -283,7 +352,7 @@ proptest! {
                 (Op::Withdraw { v, e }, None) => {
                     let out_single = single.withdraw(vn(*v), eid(*e));
                     part.withdraw(vn(*v), eid(*e));
-                    apply_single_publishes(&mut single_views, &out_single);
+                    apply_single_publishes(&mut single_views, &mut single_seqs, &out_single);
                     let flushed = part.flush_publishes();
                     apply_flush(&mut part_views, &mut part_seqs, &mut pending, &flushed);
                     for key in &pending {
@@ -295,6 +364,14 @@ proptest! {
             }
 
             prop_assert_eq!(single.db().len(), part.db_len(), "database sizes diverged");
+            // Views agree after every step, so an honest claim is honest
+            // on both sides.
+            for sub in single_views.keys().chain(part_views.keys()) {
+                let empty = View::default();
+                let a = single_views.get(sub).unwrap_or(&empty);
+                let b = part_views.get(sub).unwrap_or(&empty);
+                prop_assert_eq!(&a.map, &b.map, "subscriber {:?} view diverged", sub);
+            }
         }
 
         // No silent gaps at the default queue bound: the per-VN cursor
@@ -367,6 +444,8 @@ fn gap_resync_restores_consistency() {
             nonce: 0,
             vn: v,
             subscriber: b,
+            have_seq: 0,
+            digest: 0,
         },
         now,
     );

@@ -15,7 +15,11 @@
 //!   TTL; edges delete matching FIB entries (the building-B nighttime
 //!   cache-cleaning effect of §4.2).
 //! * **Pub/sub** (§3.3): subscribed border routers receive a Publish for
-//!   every mapping change, plus a full snapshot on subscription.
+//!   every mapping change, plus a full snapshot on subscription — unless
+//!   the Subscribe proves the border in sync (the subscriber is already
+//!   subscribed, holds the last sequence sent to it on the VN, and its
+//!   digest equals the digest of the VN's rows, walked here in full),
+//!   in which case the ack says `resumed` and nothing follows.
 //!
 //! What it is not: run by any node. The fabric builds
 //! `sda_ctrl::PartitionedMapServer` only; no production crate names this
@@ -33,7 +37,9 @@ use super::pubsub::SubscriberTable;
 use sda_lisp::{MapServerStats, Outbox, NEGATIVE_TTL_SECS, REPLY_TTL_SECS};
 use sda_lisp::{MappingDb, RegisterOutcome};
 use sda_simnet::{SimDuration, SimTime};
-use sda_types::{Eid, EidPrefix, Rloc, VnId};
+use std::collections::BTreeMap;
+
+use sda_types::{row_digest, Eid, EidPrefix, Rloc, VnId};
 use sda_wire::lisp::Message;
 
 /// The routing server of Fig. 1.
@@ -42,6 +48,9 @@ pub struct MapServer {
     rloc: Rloc,
     db: MappingDb,
     subs: SubscriberTable,
+    /// `(subscriber, vn)` → sequence of the last Publish sent on that
+    /// stream since its last snapshot began (0: none).
+    sent: BTreeMap<(Rloc, VnId), u64>,
     stats: MapServerStats,
     default_ttl: SimDuration,
 }
@@ -53,6 +62,7 @@ impl MapServer {
             rloc,
             db: MappingDb::new(),
             subs: SubscriberTable::new(),
+            sent: BTreeMap::new(),
             stats: MapServerStats::default(),
             default_ttl: SimDuration::from_secs(u64::from(REPLY_TTL_SECS)),
         }
@@ -101,7 +111,9 @@ impl MapServer {
                 nonce,
                 vn,
                 subscriber,
-            } => self.process_subscribe(nonce, vn, subscriber),
+                have_seq,
+                digest,
+            } => self.process_subscribe(nonce, vn, subscriber, have_seq, digest),
             // Replies/notifies/publishes/acks/busy-signals are never
             // addressed to a server.
             Message::MapReply { .. }
@@ -205,8 +217,7 @@ impl MapServer {
         if !matches!(outcome, RegisterOutcome::Refreshed) {
             let subscribers: Vec<Rloc> = self.subs.subscribers(vn).to_vec();
             for sub in subscribers {
-                let seq = self.subs.next_seq(vn);
-                self.stats.publishes += 1;
+                let seq = self.next_publish(sub, vn);
                 out.push((
                     sub,
                     Message::Publish {
@@ -222,17 +233,58 @@ impl MapServer {
         out
     }
 
-    fn process_subscribe(&mut self, nonce: u64, vn: VnId, subscriber: Rloc) -> Outbox {
+    /// Allocates the sequence of the next Publish to `sub` on `vn`.
+    fn next_publish(&mut self, sub: Rloc, vn: VnId) -> u64 {
+        let seq = self.subs.next_seq(vn);
+        self.sent.insert((sub, vn), seq);
+        self.stats.publishes += 1;
+        seq
+    }
+
+    fn process_subscribe(
+        &mut self,
+        nonce: u64,
+        vn: VnId,
+        subscriber: Rloc,
+        have_seq: u64,
+        digest: u64,
+    ) -> Outbox {
+        // Resume: a subscriber that already has everything this stream
+        // sent it and exactly the VN's rows gets the ack and nothing else.
+        let rows = self.db.iter_vn(vn).map(|(prefix, rec)| {
+            let eid = prefix
+                .as_host()
+                .expect("the registry holds host routes only");
+            row_digest(&eid, rec.rloc)
+        });
+        if self.subs.subscribers(vn).contains(&subscriber)
+            && have_seq == self.sent.get(&(subscriber, vn)).copied().unwrap_or(0)
+            && digest == rows.fold(0, u64::wrapping_add)
+        {
+            let resumed = Message::SubscribeAck {
+                nonce,
+                vn,
+                resumed: true,
+            };
+            return vec![(subscriber, resumed)];
+        }
         self.subs.subscribe(vn, subscriber);
+        self.sent.insert((subscriber, vn), 0);
         // Ack first: the subscriber resets its view of the VN on receipt,
         // then the snapshot publishes that follow rebuild it. Re-subscribe
         // is idempotent, so retransmitted Subscribes are safe.
         let mut out = Outbox::new();
-        out.push((subscriber, Message::SubscribeAck { nonce, vn }));
+        out.push((
+            subscriber,
+            Message::SubscribeAck {
+                nonce,
+                vn,
+                resumed: false,
+            },
+        ));
         // Full snapshot so the border starts synchronized.
         for (prefix, rec) in self.db.iter_vn(vn) {
-            let seq = self.subs.next_seq(vn);
-            self.stats.publishes += 1;
+            let seq = self.next_publish(subscriber, vn);
             out.push((
                 subscriber,
                 Message::Publish {
@@ -281,8 +333,7 @@ impl MapServer {
     fn publish_withdraw(&mut self, vn: VnId, eid: Eid, old_rloc: Rloc, out: &mut Outbox) {
         let subscribers: Vec<Rloc> = self.subs.subscribers(vn).to_vec();
         for sub in subscribers {
-            let seq = self.subs.next_seq(vn);
-            self.stats.publishes += 1;
+            let seq = self.next_publish(sub, vn);
             out.push((
                 sub,
                 Message::Publish {
@@ -464,6 +515,8 @@ mod tests {
                 nonce: 5,
                 vn: vn(1),
                 subscriber: border,
+                have_seq: 0,
+                digest: 0,
             },
             SimTime::ZERO,
         );
@@ -480,6 +533,7 @@ mod tests {
         let ack = Message::SubscribeAck {
             nonce: 5,
             vn: vn(1),
+            resumed: false,
         };
         assert_eq!(
             out,
@@ -505,6 +559,56 @@ mod tests {
     }
 
     #[test]
+    fn in_sync_resubscribe_resumes_and_one_rloc_off_snapshots() {
+        let mut s = server();
+        let edge = Rloc::for_router_index(1);
+        let border = Rloc::for_router_index(9);
+        for n in [7, 200, 2] {
+            s.handle(register(vn(1), eid(n), edge), SimTime::ZERO);
+        }
+        let subscribe = |have_seq, digest| Message::Subscribe {
+            nonce: 6,
+            vn: vn(1),
+            subscriber: border,
+            have_seq,
+            digest,
+        };
+        let out = s.handle(subscribe(0, 0), SimTime::ZERO);
+        assert_eq!(out.len(), 4, "ack and a three-row snapshot");
+        let digest = |moved: u8| {
+            [7, 200, 2].iter().fold(0u64, |d, &n| {
+                let rloc = if n == moved {
+                    Rloc::for_router_index(2)
+                } else {
+                    edge
+                };
+                d.wrapping_add(row_digest(&eid(n), rloc))
+            })
+        };
+        let ack = |resumed| Message::SubscribeAck {
+            nonce: 6,
+            vn: vn(1),
+            resumed,
+        };
+        // The last sequence sent and the rows' digest: resumed.
+        assert_eq!(
+            s.handle(subscribe(3, digest(0)), SimTime::ZERO),
+            [(border, ack(true))]
+        );
+        // Same count and watermark, one RLOC off: a snapshot.
+        let out = s.handle(subscribe(3, digest(7)), SimTime::ZERO);
+        assert_eq!(out.len(), 4);
+        assert_eq!(out[0], (border, ack(false)));
+        // That snapshot sent 4..=6, so 3 is stale now (another snapshot,
+        // 7..=9), and the latest last sequence resumes.
+        assert_eq!(s.handle(subscribe(3, digest(0)), SimTime::ZERO).len(), 4);
+        assert_eq!(
+            s.handle(subscribe(9, digest(0)), SimTime::ZERO),
+            [(border, ack(true))]
+        );
+    }
+
+    #[test]
     fn publish_sequences_increase() {
         let mut s = server();
         let border = Rloc::for_router_index(9);
@@ -513,6 +617,8 @@ mod tests {
                 nonce: 0,
                 vn: vn(1),
                 subscriber: border,
+                have_seq: 0,
+                digest: 0,
             },
             SimTime::ZERO,
         );
@@ -546,6 +652,8 @@ mod tests {
                     nonce: 0,
                     vn: v,
                     subscriber: b,
+                    have_seq: 0,
+                    digest: 0,
                 },
                 SimTime::ZERO,
             );
@@ -595,6 +703,8 @@ mod tests {
                 nonce: 0,
                 vn: vn(1),
                 subscriber: border,
+                have_seq: 0,
+                digest: 0,
             },
             SimTime::ZERO,
         );
@@ -626,6 +736,8 @@ mod tests {
                 nonce: 0,
                 vn: vn(1),
                 subscriber: border,
+                have_seq: 0,
+                digest: 0,
             },
             SimTime::ZERO,
         );

@@ -405,6 +405,13 @@ impl MapCache {
         self.len() == 0
     }
 
+    /// The RLOC of the host route for `eid` in `vn`, live or expired, one
+    /// probe that touches no use stamp — what a pub/sub border reads to
+    /// take a displaced row out of its slice digest.
+    pub fn host_rloc(&self, vn: VnId, eid: Eid) -> Option<Rloc> {
+        self.hosts.get(&HostKey { vn, eid }).map(|e| e.rloc)
+    }
+
     /// Iterates every `(vn, prefix, rloc, expires_at)` entry — the
     /// convergence checker's view of the cache. **Order is
     /// unspecified**: host routes come in the table's hash order. Its

@@ -80,7 +80,7 @@ use std::net::Ipv4Addr;
 use std::num::NonZeroU32;
 
 use sda_simnet::{SimDuration, SimTime};
-use sda_types::{fold_eid, MemStats};
+use sda_types::{fold_eid, row_digest, MemStats};
 use sda_types::{Eid, EidPrefix, KeyHasher, Rloc, VnId};
 
 /// One registered mapping, as the database hands it out.
@@ -502,6 +502,18 @@ impl MappingDb {
         entries
             .into_iter()
             .map(|(eid, rec)| (EidPrefix::host(eid), rec))
+    }
+
+    /// The wrapping sum of [`row_digest`] over every row of `vn`, live or
+    /// expired — what a pub/sub snapshot of `vn` carries, digested. One
+    /// unsorted pass over the VN's slots: the sum does not depend on
+    /// order, so nothing is collected or sorted.
+    pub fn vn_digest(&self, vn: VnId) -> u64 {
+        self.vns.get(&vn).map_or(0, |t| {
+            t.entries().fold(0, |d, (eid, rec)| {
+                d.wrapping_add(row_digest(&eid, rec.rloc))
+            })
+        })
     }
 
     /// Keeps only registrations for which `f` returns true, calling it

@@ -196,6 +196,14 @@ proptest! {
                 let want = model.0.iter().filter(|(_, p, _)| p.kind() == kind).count();
                 prop_assert_eq!(cache.len_of(kind), want, "{:?}", kind);
             }
+            // `host_rloc` is the model's host route, live or expired, and
+            // never a cover's.
+            let want = model
+                .0
+                .iter()
+                .find(|(of, p, _)| (*of, *p) == (vn, EidPrefix::host(host)))
+                .map(|(_, _, e)| e.rloc);
+            prop_assert_eq!(cache.host_rloc(vn, host), want);
             // …and `iter()` yields exactly the model, in whatever order.
             let mut got: Vec<_> = cache.iter().collect();
             got.sort();

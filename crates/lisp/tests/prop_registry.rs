@@ -25,7 +25,7 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 use proptest::prelude::*;
 use sda_lisp::{MappingDb, MappingRecord, RegisterOutcome};
 use sda_simnet::{SimDuration, SimTime};
-use sda_types::fold_eid;
+use sda_types::{fold_eid, row_digest};
 use sda_types::{Eid, EidPrefix, KeyHasher, MacAddr, Rloc, VnId};
 
 #[path = "reference/registry.rs"]
@@ -423,7 +423,7 @@ proptest! {
     /// VN's `iter_vn` must be the model's range for it **as a
     /// sequence** — 0.0.0.0 first among the IPv4 keys although a
     /// different table holds it — and `len` must equal `recount` and the
-    /// model's size.
+    /// model's size, and `vn_digest` the digest of that range.
     #[test]
     fn mixed_families_match_ordered_map_model(words in proptest::collection::vec(any::<u64>(), 1..200)) {
         let (keys, strangers) = mixed_pool();
@@ -492,7 +492,11 @@ proptest! {
                     .take_while(|((of, _), _)| *of == probe_vn)
                     .map(|((_, e), r)| (EidPrefix::host(*e), *r))
                     .collect();
+                let digest = want
+                    .iter()
+                    .fold(0u64, |d, (p, r)| d.wrapping_add(row_digest(&p.as_host().unwrap(), r.rloc)));
                 prop_assert_eq!(db.iter_vn(probe_vn).collect::<Vec<_>>(), want);
+                prop_assert_eq!(db.vn_digest(probe_vn), digest);
             }
             prop_assert_eq!((db.len(), db.recount()), (model.len(), model.len()));
             let held: BTreeMap<(VnId, Eid), MappingRecord> = db

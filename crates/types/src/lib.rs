@@ -40,6 +40,6 @@ mod prefix;
 
 pub use eid::{Eid, EidKind, MacAddr, Rloc};
 pub use error::{Error, Result};
-pub use hash::{fold_eid, reserved_bytes, EidKey, KeyHasher, MemStats};
+pub use hash::{fold_eid, reserved_bytes, row_digest, EidKey, KeyHasher, MemStats};
 pub use ids::{GroupId, PortId, RouterId, VnId};
 pub use prefix::{EidPrefix, Ipv4Prefix, Ipv6Prefix, MacPrefix};

@@ -12,7 +12,10 @@
 //! * **Map-Notify** — server tells the *previous* edge about a move so it
 //!   can forward in-flight traffic (Fig. 5, step 2).
 //! * **Subscribe / Publish** — the pub/sub extension the border router uses
-//!   to stay synchronized with the full mapping database (§3.3).
+//!   to stay synchronized with the full mapping database (§3.3). A
+//!   Subscribe carries the border's sequence watermark and slice digest;
+//!   the SubscribeAck says whether the server resumed the stream or a
+//!   snapshot follows.
 //!
 //! Encoding: a 9-byte common header (type+flags, 64-bit nonce) followed by
 //! a type-specific body. EIDs are encoded with a 16-bit address family
@@ -61,6 +64,7 @@ const FLAG_SMR: u8 = 0x1;
 const FLAG_NEGATIVE: u8 = 0x1;
 const FLAG_WANT_NOTIFY: u8 = 0x1;
 const FLAG_WITHDRAW: u8 = 0x1;
+const FLAG_RESUMED: u8 = 0x1;
 
 const AFI_IPV4: u16 = 1;
 const AFI_IPV6: u16 = 2;
@@ -158,6 +162,12 @@ pub enum Message {
         new_rloc: Rloc,
     },
     /// Subscribe to all mapping changes in `vn` (border router sync).
+    ///
+    /// States what the subscriber holds (zeros on a first subscription),
+    /// so a server that can prove it in sync resumes the stream instead
+    /// of sending a snapshot. Trust: the digest checks that two fabric
+    /// nodes agree, not against an attacker — [`sda_types::KeyHasher`]
+    /// is not hardened, so a forged digest can be made to match.
     Subscribe {
         /// Request nonce.
         nonce: u64,
@@ -165,15 +175,24 @@ pub enum Message {
         vn: VnId,
         /// Where publishes should be sent.
         subscriber: Rloc,
+        /// Highest publish sequence the subscriber has seen on `vn`.
+        have_seq: u64,
+        /// Wrapping sum of [`sda_types::row_digest`] over the
+        /// subscriber's synced rows of `vn`.
+        digest: u64,
     },
-    /// Acknowledges a Subscribe: the subscriber's view of `vn` is being
-    /// reset and a fresh snapshot follows as Publish messages. Used by
-    /// subscribers to retransmit Subscribes until one takes effect.
+    /// Acknowledges a Subscribe. Used by subscribers to retransmit
+    /// Subscribes until one takes effect.
     SubscribeAck {
         /// Echoed from the Subscribe.
         nonce: u64,
         /// VN scope of the acknowledged subscription.
         vn: VnId,
+        /// Stream resumed: keep the synced slice, nothing follows. When
+        /// false the view of `vn` is reset and a snapshot follows as
+        /// Publishes. Carried in the flags nibble, where any value but
+        /// 0 or 1 is `Malformed`.
+        resumed: bool,
     },
     /// Shed-load reply: the server's admission budget for `class` is
     /// exhausted and the triggering message was dropped unprocessed.
@@ -278,13 +297,18 @@ impl Message {
                 nonce,
                 vn,
                 subscriber,
+                have_seq,
+                digest,
             } => {
-                let mut w = Writer::new(TYPE_SUBSCRIBE, 0, *nonce, *vn, RLOC_LEN);
+                let mut w = Writer::new(TYPE_SUBSCRIBE, 0, *nonce, *vn, RLOC_LEN + 16);
                 w.rloc(*subscriber);
+                w.u64(*have_seq);
+                w.u64(*digest);
                 w.finish()
             }
-            Message::SubscribeAck { nonce, vn } => {
-                Writer::new(TYPE_SUBSCRIBE_ACK, 0, *nonce, *vn, 0).finish()
+            Message::SubscribeAck { nonce, vn, resumed } => {
+                let flags = if *resumed { FLAG_RESUMED } else { 0 };
+                Writer::new(TYPE_SUBSCRIBE_ACK, flags, *nonce, *vn, 0).finish()
             }
             Message::ServerBusy {
                 nonce,
@@ -354,8 +378,18 @@ impl Message {
                 nonce,
                 vn: r.vn()?,
                 subscriber: r.rloc()?,
+                have_seq: r.u64()?,
+                digest: r.u64()?,
             },
-            TYPE_SUBSCRIBE_ACK => Message::SubscribeAck { nonce, vn: r.vn()? },
+            TYPE_SUBSCRIBE_ACK => Message::SubscribeAck {
+                nonce,
+                resumed: match flags {
+                    0 => false,
+                    FLAG_RESUMED => true,
+                    _ => return Err(Error::Malformed),
+                },
+                vn: r.vn()?,
+            },
             TYPE_SERVER_BUSY => Message::ServerBusy {
                 nonce,
                 class: BusyClass::from_flag(flags)?,
@@ -443,6 +477,10 @@ impl Writer {
         self.buf
     }
 
+    fn u64(&mut self, v: u64) {
+        self.buf.extend_from_slice(&v.to_be_bytes());
+    }
+
     fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
@@ -497,6 +535,11 @@ impl<'a> Reader<'a> {
         let first = self.take(1)?[0];
         let nonce = u64::from_be_bytes(self.take(8)?.try_into().unwrap());
         Ok((first >> 4, first & 0x0f, nonce))
+    }
+
+    fn u64(&mut self) -> Result<u64> {
+        let bytes = self.take(8)?.try_into();
+        Ok(u64::from_be_bytes(bytes.expect("take(8) returns 8 bytes")))
     }
 
     fn u32(&mut self) -> Result<u32> {
@@ -625,8 +668,19 @@ mod tests {
                 nonce: 9,
                 vn,
                 subscriber: rloc,
+                have_seq: 41,
+                digest: 0xDEAD_BEEF_0BAD_F00D,
             },
-            Message::SubscribeAck { nonce: 9, vn },
+            Message::SubscribeAck {
+                nonce: 9,
+                vn,
+                resumed: false,
+            },
+            Message::SubscribeAck {
+                nonce: 10,
+                vn,
+                resumed: true,
+            },
             Message::Publish {
                 nonce: 77,
                 vn,
@@ -726,6 +780,21 @@ mod tests {
         let mut bytes = busy.emit();
         bytes[0] = (TYPE_SERVER_BUSY << 4) | 0x7; // class 7 undefined
         assert_eq!(Message::parse(&bytes).unwrap_err(), Error::Malformed);
+    }
+
+    #[test]
+    fn subscribe_ack_undefined_flags_rejected() {
+        let ack = Message::SubscribeAck {
+            nonce: 9,
+            vn: VnId::new(100).unwrap(),
+            resumed: true,
+        };
+        let mut bytes = ack.emit();
+        assert_eq!(bytes[0] & 0x0f, FLAG_RESUMED);
+        for flags in 2..=0x0f {
+            bytes[0] = (TYPE_SUBSCRIBE_ACK << 4) | flags;
+            assert_eq!(Message::parse(&bytes).unwrap_err(), Error::Malformed);
+        }
     }
 
     #[test]

@@ -146,7 +146,8 @@ proptest! {
             lisp::Message::MapRegister { nonce, vn, eid, rloc, ttl_secs: 60, want_notify: true },
             lisp::Message::MapNotify { nonce, vn, eid, new_rloc: rloc },
             lisp::Message::Publish { nonce, vn, prefix, rloc, withdraw: false },
-            lisp::Message::Subscribe { nonce, vn, subscriber: rloc },
+            lisp::Message::Subscribe { nonce, vn, subscriber: rloc, have_seq: nonce.rotate_left(7), digest: !nonce },
+            lisp::Message::SubscribeAck { nonce, vn, resumed: nonce % 2 == 1 },
         ];
         for msg in msgs {
             let bytes = msg.emit();
@@ -179,11 +180,22 @@ proptest! {
     }
 
     #[test]
-    fn lisp_publish_subscribe_roundtrip(nonce in any::<u64>(), vn in arb_vn(), prefix in arb_prefix(), rloc in arb_rloc(), withdraw in any::<bool>()) {
+    fn lisp_publish_subscribe_roundtrip(nonce in any::<u64>(), vn in arb_vn(), prefix in arb_prefix(), rloc in arb_rloc(), withdraw in any::<bool>(), have_seq in any::<u64>(), digest in any::<u64>()) {
         let pubm = lisp::Message::Publish { nonce, vn, prefix, rloc, withdraw };
         prop_assert_eq!(lisp::Message::parse(&pubm.emit()).unwrap(), pubm);
-        let subm = lisp::Message::Subscribe { nonce, vn, subscriber: rloc };
+        let subm = lisp::Message::Subscribe { nonce, vn, subscriber: rloc, have_seq, digest };
         prop_assert_eq!(lisp::Message::parse(&subm.emit()).unwrap(), subm);
+        let ack = lisp::Message::SubscribeAck { nonce, vn, resumed: withdraw };
+        prop_assert_eq!(lisp::Message::parse(&ack.emit()).unwrap(), ack);
+    }
+
+    /// A SubscribeAck's flags nibble holds `resumed` and nothing else:
+    /// every undefined value fails `Malformed`, as `BusyClass` does.
+    #[test]
+    fn lisp_subscribe_ack_undefined_flags_are_malformed(nonce in any::<u64>(), vn in arb_vn(), flags in 2u8..16) {
+        let mut bytes = lisp::Message::SubscribeAck { nonce, vn, resumed: false }.emit();
+        bytes[0] |= flags;
+        prop_assert_eq!(lisp::Message::parse(&bytes).unwrap_err(), sda_wire::Error::Malformed);
     }
 
     #[test]
@@ -201,7 +213,7 @@ proptest! {
             lisp::Message::MapRequest { nonce, smr: false, vn, eid, itr_rloc: rloc },
             lisp::Message::MapRegister { nonce, vn, eid, rloc, ttl_secs: 60, want_notify: false },
             lisp::Message::MapNotify { nonce, vn, eid, new_rloc: rloc },
-            lisp::Message::Subscribe { nonce, vn, subscriber: rloc },
+            lisp::Message::Subscribe { nonce, vn, subscriber: rloc, have_seq: nonce, digest: !nonce },
         ];
         let mut bytes = msgs[msg_idx].emit();
         let idx = flip_byte % bytes.len();

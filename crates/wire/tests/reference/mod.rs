@@ -51,8 +51,14 @@ pub fn matrix(
         nonce,
         vn,
         subscriber: rloc,
+        have_seq: addr as u64,
+        digest: (addr >> 64) as u64,
     });
-    out.push(Message::SubscribeAck { nonce, vn });
+    out.push(Message::SubscribeAck {
+        nonce,
+        vn,
+        resumed: flag,
+    });
     for (eid, short) in families {
         assert!(!short.is_host());
         out.push(Message::MapRequest {
@@ -184,13 +190,17 @@ pub fn emit(msg: &Message) -> Vec<u8> {
             nonce,
             vn,
             subscriber,
+            have_seq,
+            digest,
         } => {
             w.header(TYPE_SUBSCRIBE, 0, *nonce);
             w.vn(*vn);
             w.rloc(*subscriber);
+            w.buf.extend_from_slice(&have_seq.to_be_bytes());
+            w.buf.extend_from_slice(&digest.to_be_bytes());
         }
-        Message::SubscribeAck { nonce, vn } => {
-            w.header(TYPE_SUBSCRIBE_ACK, 0, *nonce);
+        Message::SubscribeAck { nonce, vn, resumed } => {
+            w.header(TYPE_SUBSCRIBE_ACK, u8::from(*resumed), *nonce);
             w.vn(*vn);
         }
         Message::ServerBusy {

@@ -236,6 +236,7 @@ pub(crate) const CHAOS_COUNTERS: &[&str] = &[
     "border.publish_regressions",
     "border.resyncs_requested",
     "border.resyncs_completed",
+    "border.stream_resumes",
     "simnet.ingress_drops",
     "simnet.shard_crashes",
     "simnet.shard_restarts",

@@ -148,6 +148,8 @@ impl MetroWorkload {
                 nonce: 0,
                 vn: VnId::new(1 + v).expect("vns >= 1"),
                 subscriber: self.border_rloc(b),
+                have_seq: 0,
+                digest: 0,
             })
         })
     }

@@ -92,38 +92,41 @@ fn simulator_event_order_is_stable_under_ties() {
 /// The reduced overload campaign (4 shards, admission, a shard crash)
 /// with the ingress queues tightened from 512 to 64 so that, at CI
 /// scale too, the routing server's queue fills and tail-drops: the run
-/// is a pure function of the seed, and its counter block is the one the
-/// re-parking scheduler before the per-node ingress FIFO produced — the
-/// FIFO changed how many events a backlog costs, not what happens.
+/// is a pure function of the seed. The block was last re-recorded when
+/// border resubscribes learned to resume a stream the server can prove
+/// in sync: 13 of 22 resubscribe acks resume, so far fewer snapshot
+/// publishes ride the lossy window and the loss draws land on other
+/// messages (every moved counter is traced in CHANGES.md).
 #[test]
 fn overload_campaign_replays_and_matches_the_recorded_counters() {
     use sda_workloads::{ChaosParams, ChaosScenario};
 
-    const RECORDED: [(&str, u64); 27] = [
+    const RECORDED: [(&str, u64); 28] = [
         ("simnet.faults_injected", 70),
         ("simnet.node_crashes", 21),
         ("simnet.node_restarts", 21),
-        ("simnet.fault_msg_drops", 323),
-        ("simnet.link_drops", 182),
-        ("fabric.map_request_retries", 38),
+        ("simnet.fault_msg_drops", 322),
+        ("simnet.link_drops", 190),
+        ("fabric.map_request_retries", 32),
         ("fabric.resolve_timeouts", 0),
-        ("fabric.register_retries", 2067),
+        ("fabric.register_retries", 2132),
         ("fabric.register_timeouts", 0),
         ("fabric.edge_restarts", 20),
         ("ctrl.server_restarts", 1),
-        ("border.subscribe_retries", 6),
+        ("border.subscribe_retries", 4),
         ("border.publish_gaps", 3),
         ("border.publish_regressions", 0),
         ("border.resyncs_requested", 3),
-        ("border.resyncs_completed", 21),
-        ("simnet.ingress_drops", 1250),
+        ("border.resyncs_completed", 9),
+        ("border.stream_resumes", 13),
+        ("simnet.ingress_drops", 1244),
         ("simnet.shard_crashes", 1),
         ("simnet.shard_restarts", 1),
-        ("ctrl.shed_replies", 912),
+        ("ctrl.shed_replies", 957),
         ("ctrl.shard_drops", 0),
-        ("fabric.server_busy_backoffs", 905),
+        ("fabric.server_busy_backoffs", 953),
         ("fabric.negative_cache_hits", 0),
-        ("fabric.jittered_retries", 2105),
+        ("fabric.jittered_retries", 2164),
         ("fabric.resolve_evictions", 0),
         ("server_queue_peak", 64),
         ("probes_delivered", 48),

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use sda_ctrl::PartitionedMapServer;
 use sda_simnet::SimTime;
-use sda_types::{Eid, MacAddr, Rloc, VnId};
+use sda_types::{row_digest, Eid, MacAddr, Rloc, VnId};
 use sda_wire::lisp::Message;
 use std::net::Ipv4Addr;
 
@@ -14,8 +14,10 @@ fn vn() -> VnId {
     VnId::new(7).unwrap()
 }
 
-/// Serialize → parse → feed; compare against direct feeding.
-fn drive_both(messages: Vec<Message>) {
+/// Serialize → parse → feed; compare against direct feeding. Returns
+/// everything the servers sent, in order.
+fn drive_both(messages: Vec<Message>) -> Vec<Message> {
+    let mut sent = Vec::new();
     let mut direct = PartitionedMapServer::new(Rloc::for_router_index(65_000), 1);
     let mut via_bytes = PartitionedMapServer::new(Rloc::for_router_index(65_000), 1);
     for msg in messages {
@@ -31,10 +33,12 @@ fn drive_both(messages: Vec<Message>) {
         for (_, reply) in out_bytes {
             let reply_bytes = reply.emit();
             assert_eq!(Message::parse(&reply_bytes).unwrap(), reply);
+            sent.push(reply);
         }
     }
     assert_eq!(direct.db_len(), via_bytes.db_len());
     assert_eq!(direct.stats(), via_bytes.stats());
+    sent
 }
 
 #[test]
@@ -44,12 +48,17 @@ fn scripted_control_sequence_interops() {
     let border = Rloc::for_router_index(30_000);
     let host = Eid::V4(Ipv4Addr::new(10, 7, 0, 1));
     let host_mac = Eid::Mac(MacAddr::from_seed(1));
-    drive_both(vec![
-        Message::Subscribe {
-            nonce: 1,
-            vn: vn(),
-            subscriber: border,
-        },
+    let subscribe = |nonce, have_seq, digest| Message::Subscribe {
+        nonce,
+        vn: vn(),
+        subscriber: border,
+        have_seq,
+        digest,
+    };
+    // What the border holds after the three changes below.
+    let synced = row_digest(&host, edge2).wrapping_add(row_digest(&host_mac, edge1));
+    let sent = drive_both(vec![
+        subscribe(1, 0, 0),
         Message::MapRegister {
             nonce: 2,
             vn: vn(),
@@ -90,7 +99,18 @@ fn scripted_control_sequence_interops() {
             eid: Eid::V4(Ipv4Addr::new(10, 7, 9, 9)),
             itr_rloc: edge1,
         },
+        // An in-sync resubscribe resumes; a wrong digest snapshots.
+        subscribe(7, 3, synced),
+        subscribe(8, 3, synced ^ 1),
     ]);
+    let acks: Vec<(u64, bool)> = sent
+        .iter()
+        .filter_map(|m| match m {
+            Message::SubscribeAck { nonce, resumed, .. } => Some((*nonce, *resumed)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(acks, [(1, false), (7, true), (8, false)]);
 }
 
 proptest! {
@@ -122,7 +142,13 @@ proptest! {
                         eid,
                         itr_rloc: rloc,
                     },
-                    _ => Message::Subscribe { nonce: i as u64, vn: vn(), subscriber: rloc },
+                    _ => Message::Subscribe {
+                        nonce: i as u64,
+                        vn: vn(),
+                        subscriber: rloc,
+                        have_seq: u64::from(host),
+                        digest: u64::from(edge),
+                    },
                 }
             })
             .collect();
