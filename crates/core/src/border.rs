@@ -76,14 +76,9 @@ pub struct BorderStats {
     pub resyncs_requested: u64,
     /// Snapshot-acked (re)subscriptions after the initial one: each reset
     /// the VN's synced slice and replayed the server's snapshot. A
-    /// resubscribe the server resumed counts in `stream_resumes` instead.
+    /// resubscribe the server resumed counts in the `border.stream_resumes`
+    /// counter instead.
     pub resyncs_completed: u64,
-    /// Resubscribes acked `resumed`: the server proved the synced slice
-    /// current, so nothing was reset or resent.
-    pub stream_resumes: u64,
-    /// Subscribes shed by the routing server's admission gate; the
-    /// retry honored the server's retry-after hint.
-    pub server_busy_backoffs: u64,
 }
 
 /// What a border holds of one VN's stream — both go into its Subscribes.
@@ -347,7 +342,6 @@ impl BorderRouter {
                     // The server proved our slice current: keep it (the
                     // entry marks the VN subscribed, as a reset does).
                     self.synced.entry(vn).or_default();
-                    self.stats.stream_resumes += 1;
                     ctx.metrics().bump(self.dir.counters.border_stream_resumes);
                 } else {
                     // The server reset our subscription: drop the VN's
@@ -377,7 +371,6 @@ impl BorderRouter {
                     .pending_subscribes
                     .hold(&vn, now, retry_after_ms, &mut self.backoff)
                 {
-                    self.stats.server_busy_backoffs += 1;
                     ctx.metrics().bump(self.dir.counters.server_busy_backoffs);
                 }
                 self.backoff.arm(ctx, TIMER_RETRY);

@@ -116,20 +116,6 @@ pub struct EdgeStats {
     pub map_request_retries: u64,
     /// Map-Register retransmits.
     pub register_retries: u64,
-    /// Resolutions abandoned after the attempt budget — evicted from
-    /// the resolving set, never stuck.
-    pub resolve_timeouts: u64,
-    /// Retransmit delays drawn from the decorrelated-jitter schedule
-    /// (instead of deterministic doubling).
-    pub jittered_retries: u64,
-    /// `ServerBusy` sheds honored: the pending entry was pushed out to
-    /// the server's retry-after hint.
-    pub server_busy_backoffs: u64,
-    /// Punt→Map-Request sends suppressed by the negative cache
-    /// (repeatedly-unresolvable EIDs).
-    pub negative_cache_hits: u64,
-    /// Oldest entries evicted from a full `resolving` map.
-    pub resolve_evictions: u64,
 }
 
 /// The edge router.
@@ -361,7 +347,6 @@ impl EdgeRouter {
         // when traffic keeps hitting a dead destination.
         if let Some(&until) = self.unresolvable.get(&(vn, eid)) {
             if until > ctx.now() {
-                self.stats.negative_cache_hits += 1;
                 ctx.metrics().bump(self.dir.counters.negative_cache_hits);
                 return;
             }
@@ -372,7 +357,6 @@ impl EdgeRouter {
         let now = ctx.now();
         let evicted = self.resolving.start((vn, eid), (), now, &mut self.backoff);
         if evicted.is_some() {
-            self.stats.resolve_evictions += 1;
             ctx.metrics().bump(self.dir.counters.resolve_evictions);
         }
         self.stats.map_requests += 1;
@@ -432,7 +416,6 @@ impl EdgeRouter {
             self.send_map_request(ctx, self.dir.routing_server, false, vn, eid);
         }
         for (key, ()) in given_up {
-            self.stats.resolve_timeouts += 1;
             ctx.metrics().bump(self.dir.counters.resolve_timeouts);
             // The server never answered across the whole attempt budget:
             // negative-cache the EID so fresh punts don't immediately
@@ -466,9 +449,8 @@ impl EdgeRouter {
     }
 
     /// Counts a retransmit whose delay came from the jittered schedule.
-    fn count_jittered(&mut self, ctx: &mut Context<'_, FabricMsg>) {
+    fn count_jittered(&self, ctx: &mut Context<'_, FabricMsg>) {
         if self.dir.params.rtx_jitter {
-            self.stats.jittered_retries += 1;
             ctx.metrics().bump(self.dir.counters.jittered_retries);
         }
     }
@@ -856,7 +838,6 @@ impl EdgeRouter {
                     BusyClass::Subscribe => false,
                 };
                 if held {
-                    self.stats.server_busy_backoffs += 1;
                     ctx.metrics().bump(self.dir.counters.server_busy_backoffs);
                 }
                 self.backoff.arm(ctx, TIMER_RETRY);

@@ -68,7 +68,7 @@ mod servers;
 
 pub use chaos::{check_convergence, ConvergenceReport, ExpectedPlacement};
 pub use controller::{Fabric, FabricBuilder, FabricConfig};
-pub use msg::{EndpointIdentity, FabricMsg, HostEvent, PolicyMsg, DEFAULT_HOPS};
+pub use msg::{EndpointIdentity, FabricMsg, HostEvent, PolicyMsg};
 // Overload-hardening knobs, re-exported so scenario crates can set
 // `FabricConfig::admission` without depending on `sda-ctrl` directly.
 pub use sda_ctrl::{AdmissionConfig, ClassBudget};

@@ -27,10 +27,6 @@ impl EndpointIdentity {
     }
 }
 
-/// Default hop budget for fabric traversal (edge→border→edge plus
-/// forwarding detours during mobility).
-pub const DEFAULT_HOPS: u8 = 8;
-
 /// Host-side events the workload drivers inject into edge routers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum HostEvent {

@@ -146,7 +146,8 @@ pub struct RoutingServerNode {
     /// comes up with an empty mapping database, empty subscriber list
     /// and empty ARP table — edges repopulate it through registration
     /// refreshes and borders resubscribe when they notice the publish
-    /// sequence regressed.
+    /// sequence regressed. The simulator drops every delivery to a
+    /// crashed node, so only the purge timer reads this.
     failed: bool,
 }
 
@@ -243,9 +244,6 @@ impl Node<FabricMsg> for RoutingServerNode {
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, FabricMsg>, _from: NodeId, msg: FabricMsg) {
-        if self.failed {
-            return;
-        }
         match msg {
             FabricMsg::Control(m) => {
                 let base = sda_lisp::service_time(&m);

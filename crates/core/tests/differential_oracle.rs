@@ -10,9 +10,10 @@
 //! forwarding semantics fails loudly here. The populations cover every
 //! class the fabric sees: local delivery (allowed/denied), remote
 //! hit/stale/expired, self-pointing mappings, misses with and without
-//! the default route, external prefixes, L2 (MAC-EID) flows, both
-//! outer-checksum policies, both §5.3 enforcement points, TTL expiry,
-//! spoofed and unknown sources, truncations and raw garbage.
+//! the default route, external prefixes, L2 (MAC-EID) flows, frames
+//! sent with either outer-checksum policy, both §5.3 enforcement
+//! points, TTL expiry, spoofed and unknown sources, truncations and raw
+//! garbage.
 //!
 //! This harness is what flushed out (and now pins) the historical
 //! simulator/engine divergences: the hardcoded full-vs-zero outer UDP
@@ -23,7 +24,8 @@ use std::net::Ipv4Addr;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sda_dataplane::{
-    encap, InnerProto, LocalEndpoint, OuterChecksum, PacketBuf, Punt, Switch, SwitchConfig, Verdict,
+    encap, DropReason, InnerProto, LocalEndpoint, OuterChecksum, PacketBuf, Punt, Switch,
+    SwitchConfig, Verdict,
 };
 use sda_policy::{Action, ConnectivityMatrix, EnforcementPoint};
 use sda_simnet::{SimDuration, SimTime};
@@ -337,9 +339,6 @@ fn configs() -> Vec<(&'static str, SwitchConfig, bool)> {
     let mut edge = SwitchConfig::new(rloc);
     edge.border = border;
 
-    let mut edge_full = edge;
-    edge_full.outer_checksum = OuterChecksum::Full;
-
     let mut edge_ablation = edge;
     edge_ablation.miss_default_route = false;
 
@@ -352,7 +351,6 @@ fn configs() -> Vec<(&'static str, SwitchConfig, bool)> {
 
     vec![
         ("edge/zero-checksum", edge, false),
-        ("edge/full-checksum", edge_full, false),
         ("edge/no-default-route", edge_ablation, false),
         ("edge/ingress-enforcement", edge_ingress_enf, false),
         ("border/externals", border_cfg, true),
@@ -558,32 +556,49 @@ fn enforcement_counters_agree_with_model_replay() {
     }
 }
 
-/// The two checksum policies interoperate: a zero-checksum encap
-/// parses, a full-checksum encap parses and catches corruption —
-/// whichever policy the emitting switch ran (the fixed divergence).
+/// The engine only sends zero checksums, yet interoperates with a
+/// sender that checksums: its egress delivers a `write_underlay(..,
+/// Full)` frame and drops the same frame with one payload bit flipped.
 #[test]
 fn checksum_policies_interoperate_end_to_end() {
-    for checksum in [OuterChecksum::Zero, OuterChecksum::Full] {
-        let mut cfg = SwitchConfig::new(Rloc::for_router_index(1));
-        cfg.border = Some(Rloc::for_router_index(99));
-        cfg.outer_checksum = checksum;
-        let mut w = build_world(cfg, false);
-        let src = w.locals[0];
-        let frame = l3_frame(&src, None, w.remote_hit[0]);
+    let mut cfg = SwitchConfig::new(Rloc::for_router_index(1));
+    cfg.border = Some(Rloc::for_router_index(99));
+    let mut w = build_world(cfg, false);
+    let dst = w.locals[0];
+    let inner = ipv4::Repr {
+        src: Ipv4Addr::new(10, 77, 0, 1),
+        dst: dst.ipv4,
+        protocol: ipv4::Protocol::Unknown(253),
+        payload_len: 24,
+        ttl: 64,
+    };
+    let mut wire = vec![0u8; encap::UNDERLAY_OVERHEAD + inner.buffer_len()];
+    inner.emit(&mut ipv4::Packet::new_unchecked(
+        &mut wire[encap::UNDERLAY_OVERHEAD..],
+    ));
+    encap::write_underlay(
+        &mut wire,
+        &encap::EncapParams {
+            outer_src: Rloc::for_router_index(3),
+            outer_dst: cfg.rloc,
+            vn: vn(1),
+            group: USERS,
+            policy_applied: false,
+            ttl: 8,
+            src_port: 50_000,
+            udp_checksum: OuterChecksum::Full,
+            inner_proto: InnerProto::Ipv4,
+        },
+    )
+    .unwrap();
+    let mut egress = |bytes: &[u8]| {
         let mut buf = PacketBuf::new();
-        assert!(buf.load(&frame));
-        let v = w
-            .switch
-            .process_ingress(std::slice::from_mut(&mut buf), w.now)[0];
-        assert!(matches!(v, Verdict::Forward { .. }));
-        let d = encap::parse_underlay(buf.bytes()).expect("either policy must parse");
-        assert_eq!(d.outer_src, Rloc::for_router_index(1));
-        let mut bent = buf.bytes().to_vec();
-        let last = bent.len() - 1;
-        bent[last] ^= 0xFF;
-        match checksum {
-            OuterChecksum::Full => assert!(encap::parse_underlay(&bent).is_err()),
-            OuterChecksum::Zero => assert!(encap::parse_underlay(&bent).is_ok()),
-        }
-    }
+        assert!(buf.load(bytes));
+        w.switch
+            .process_egress(std::slice::from_mut(&mut buf), w.now)[0]
+    };
+    assert_eq!(egress(&wire), Verdict::Deliver { port: dst.port });
+    let last = wire.len() - 1;
+    wire[last] ^= 0x01;
+    assert_eq!(egress(&wire), Verdict::Drop(DropReason::Malformed));
 }

@@ -12,9 +12,10 @@
 //!   [`oracle`] composes them into full verdict/punt predictions. Two
 //!   real divergences were flushed out and fixed this way: the
 //!   simulator encoder hardcoded a full outer UDP checksum while the
-//!   engine wrote zero (now one explicit [`encap::OuterChecksum`]
-//!   config), and the simulator decremented its `hops_left` budget at
-//!   the first encap while the engine stamps the full budget and
+//!   engine wrote zero (now the engine always sends zero and
+//!   [`encap::OuterChecksum`] is a per-encode parameter), and the
+//!   simulator decremented its `hops_left` budget at the first encap
+//!   while the engine stamps the full budget and
 //!   `checked_sub`s only on re-forwards (now unified on the engine's
 //!   real-router semantics — never emit a zero TTL, drop when the
 //!   decrement would).
@@ -464,7 +465,7 @@ pub mod oracle {
             cfg.enforcement,
             hint,
             cfg.default_action,
-            cfg.hop_budget,
+            sda_dataplane::HOP_BUDGET,
             cfg.rloc,
         );
         let verdict = match action {
@@ -983,7 +984,7 @@ mod tests {
             vn: VnId::DEFAULT,
             src_group: GroupId(1),
             policy_applied: false,
-            hops_left: sda_core::DEFAULT_HOPS,
+            hops_left: sda_dataplane::HOP_BUDGET,
             origin: Rloc::for_router_index(1),
             inner: InnerPacket {
                 src: Eid::V4(Ipv4Addr::new(10, 0, 0, 1)),

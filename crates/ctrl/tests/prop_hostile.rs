@@ -1,8 +1,9 @@
-//! Hostile control-plane input at the server's entry (ROADMAP item 12,
-//! the Subscribe part): Subscribes claiming any VN, subscriber,
-//! watermark and digest — plus bit-flipped ones that still parse — mixed
-//! with registers, moves and withdraws, fed to
-//! [`PartitionedMapServer::handle`] with a flush after every message.
+//! Hostile control-plane input at the server's entry (ROADMAP item 12).
+//!
+//! **Subscribes.** Subscribes claiming any VN, subscriber, watermark and
+//! digest — plus bit-flipped ones that still parse — mixed with
+//! registers, moves and withdraws, fed to
+//! [`PartitionedMapServer::handle`] with a flush after every message:
 //!
 //! * Nothing panics.
 //! * A claim that is not the server's own `(watermark, digest)` for the
@@ -12,15 +13,31 @@
 //!   pair has been subscribed before — every op is followed by a flush).
 //! * The fan-out holds one stream per distinct `(subscriber, VN)` pair
 //!   that was ever acked, whatever the claims, and never more.
+//!
+//! **Requests and registers.** Map-Requests and Map-Registers for any
+//! VN, EID family, nonce, RLOC and TTL (0 included), with `smr` and
+//! `want_notify` either way, a few Subscribes, and replies, notifies,
+//! acks, publishes and `ServerBusy`s misaddressed to the server — with
+//! admission on and off, one shard crashed or none, flushes and expiry
+//! sweeps at random points, plus one fixed 10⁵-message run:
+//!
+//! * Nothing panics.
+//! * Every reply goes to the message's `itr_rloc`, `rloc` or
+//!   `subscriber` — except a register's unsolicited move notify (Fig. 5
+//!   step 2, nonce 0), which goes to an RLOC registered for that
+//!   `(vn, eid)` before.
+//! * A misaddressed message is answered by nothing.
+//! * `db_len()` never exceeds the distinct `(vn, eid)` registered, and
+//!   `pubsub_peak_depth()` never exceeds `DEFAULT_QUEUE_CAP`.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 use proptest::prelude::*;
-use sda_ctrl::{AdmissionConfig, ClassBudget, PartitionedMapServer};
+use sda_ctrl::{AdmissionConfig, ClassBudget, PartitionedMapServer, DEFAULT_QUEUE_CAP};
 use sda_simnet::{SimDuration, SimTime};
-use sda_types::{row_digest, Eid, MacAddr, Rloc, VnId};
-use sda_wire::lisp::Message;
+use sda_types::{row_digest, Eid, EidPrefix, MacAddr, Rloc, VnId};
+use sda_wire::lisp::{BusyClass, Message};
 
 const VNS: u64 = 5;
 
@@ -172,4 +189,214 @@ proptest! {
         }
         prop_assert_eq!(server.pubsub_gaps(), 0);
     }
+}
+
+/// SplitMix64's output mix: spreads one word into independent-looking
+/// bits for the fields a message needs.
+fn mix(w: u64) -> u64 {
+    let mut z = w.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Mostly one of five VNs (so keys collide and move), sometimes any.
+fn any_vn(w: u64) -> VnId {
+    if w & 7 == 0 {
+        VnId::new((w >> 8) as u32 & VnId::MAX).unwrap()
+    } else {
+        vn(w >> 3)
+    }
+}
+
+/// Mostly the shared 36-key pool, sometimes any EID of any family.
+fn any_eid(w: u64) -> Eid {
+    let x = mix(w);
+    match w & 7 {
+        0 => Eid::V4(Ipv4Addr::from(x as u32)),
+        1 => Eid::V6(Ipv6Addr::from((u128::from(x) << 64) | u128::from(mix(x)))),
+        2 => Eid::Mac(MacAddr(x.to_be_bytes()[..6].try_into().unwrap())),
+        _ => eid(w >> 3),
+    }
+}
+
+/// Mostly one of sixteen edges, sometimes any address.
+fn any_rloc(w: u64) -> Rloc {
+    if w & 3 == 0 {
+        Rloc(Ipv4Addr::from(mix(w) as u32))
+    } else {
+        rloc(w >> 2)
+    }
+}
+
+/// What one word asks of the server: a message, or a flush / expiry
+/// sweep between messages.
+enum Step {
+    Send(Message),
+    Flush(u64),
+    Expire,
+}
+
+fn step(w: u64) -> Step {
+    let x = mix(w);
+    let (v, e, r) = (any_vn(x), any_eid(x >> 16), any_rloc(x >> 40));
+    let prefix = EidPrefix::host(e);
+    Step::Send(match w % 16 {
+        0..=4 => Message::MapRequest {
+            nonce: x,
+            smr: w & (1 << 8) != 0,
+            vn: v,
+            eid: e,
+            itr_rloc: r,
+        },
+        5..=9 => Message::MapRegister {
+            nonce: x,
+            vn: v,
+            eid: e,
+            rloc: r,
+            ttl_secs: match (w >> 8) % 4 {
+                0 => 0,
+                1 => 1,
+                2 => 60,
+                _ => (w >> 32) as u32,
+            },
+            want_notify: w & (1 << 10) != 0,
+        },
+        10 => Message::Subscribe {
+            nonce: x,
+            vn: v,
+            subscriber: r,
+            have_seq: (w >> 8) % 4,
+            digest: mix(x),
+        },
+        11 => Message::MapReply {
+            nonce: x,
+            vn: v,
+            prefix,
+            rloc: (w & (1 << 8) != 0).then_some(r),
+            negative: w & (1 << 9) != 0,
+            ttl_secs: (w >> 32) as u32,
+        },
+        12 if w & (1 << 8) != 0 => Message::MapNotify {
+            nonce: x,
+            vn: v,
+            eid: e,
+            new_rloc: r,
+        },
+        12 => Message::SubscribeAck {
+            nonce: x,
+            vn: v,
+            resumed: w & (1 << 9) != 0,
+        },
+        13 => Message::Publish {
+            nonce: x,
+            vn: v,
+            prefix,
+            rloc: r,
+            withdraw: w & (1 << 8) != 0,
+        },
+        14 => Message::ServerBusy {
+            nonce: x,
+            vn: v,
+            eid: e,
+            class: [
+                BusyClass::Request,
+                BusyClass::Register,
+                BusyClass::Subscribe,
+            ][(w >> 8) as usize % 3],
+            retry_after_ms: (w >> 32) as u32,
+        },
+        _ if (w >> 8).is_multiple_of(128) => return Step::Expire,
+        _ => return Step::Flush(w >> 9),
+    })
+}
+
+/// Feeds `words` to a server with `shards` shards, admission on or off
+/// and shard `crashed` down (none when out of range), flushing the
+/// fan-out at one in `flush_one_in` of the words that ask; checks every
+/// invariant in the module doc after each message.
+fn drive_hostile(
+    words: impl IntoIterator<Item = u64>,
+    shards: usize,
+    gated: bool,
+    crashed: usize,
+    flush_one_in: u64,
+) -> PartitionedMapServer {
+    let mut server = PartitionedMapServer::new(Rloc::for_router_index(900), shards);
+    if gated {
+        server.set_admission(Some(AdmissionConfig {
+            requests: ClassBudget::new(40.0, 8.0),
+            registers: ClassBudget::new(40.0, 8.0),
+            subscribes: ClassBudget::new(2.0, 1.0),
+            retry_after: SimDuration::from_millis(100),
+        }));
+    }
+    if crashed < shards {
+        server.crash_shard(crashed);
+    }
+    let mut now = SimTime::ZERO;
+    // Every RLOC each (vn, eid) was ever registered to.
+    let mut registered: BTreeMap<(VnId, Eid), BTreeSet<Rloc>> = BTreeMap::new();
+    for w in words {
+        now += SimDuration::from_millis(w >> 58);
+        let msg = match step(w) {
+            Step::Send(msg) => msg,
+            Step::Flush(k) => {
+                if k.is_multiple_of(flush_one_in) {
+                    server.flush_publishes();
+                }
+                continue;
+            }
+            Step::Expire => {
+                server.expire(now);
+                continue;
+            }
+        };
+        let out = server.handle(msg.clone(), now);
+        for (to, reply) in &out {
+            let addressed = match msg {
+                Message::MapRequest { itr_rloc, .. } => *to == itr_rloc,
+                Message::MapRegister { vn, eid, rloc, .. } => {
+                    *to == rloc
+                        || matches!(reply, Message::MapNotify { nonce: 0, new_rloc, .. }
+                            if *new_rloc == rloc
+                                && registered.get(&(vn, eid)).is_some_and(|r| r.contains(to)))
+                }
+                Message::Subscribe { subscriber, .. } => *to == subscriber,
+                _ => false,
+            };
+            assert!(addressed, "{msg:?} answered {reply:?} to {to}");
+        }
+        if let Message::MapRegister { vn, eid, rloc, .. } = msg {
+            registered.entry((vn, eid)).or_default().insert(rloc);
+        }
+        assert!(server.db_len() <= registered.len());
+        assert!(server.pubsub_peak_depth() <= DEFAULT_QUEUE_CAP);
+    }
+    server
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn hostile_requests_and_registers_are_answered_where_they_came_from(
+        words in proptest::collection::vec(0u64..=u64::MAX, 1..200),
+        shards in 1usize..5,
+        gated in any::<bool>(),
+        crashed in 0usize..5,
+    ) {
+        drive_hostile(words, shards, gated, crashed, 1);
+    }
+}
+
+/// One 10⁵-message run at four shards with admission on and shard 2
+/// crashed. Flushes are rare enough that subscriber queues reach their
+/// cap between them, so the depth bound is exercised, not idle.
+#[test]
+fn hostile_mix_of_a_hundred_thousand_messages() {
+    let words = (0..100_000u64).map(|i| mix(i ^ 0x5DA));
+    let server = drive_hostile(words, 4, true, 2, 512);
+    assert_eq!(server.pubsub_peak_depth(), DEFAULT_QUEUE_CAP);
+    assert!(server.pubsub_gaps() > 0);
 }

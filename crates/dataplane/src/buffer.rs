@@ -1,19 +1,17 @@
 //! Reusable packet buffers with encapsulation headroom.
 //!
 //! The whole zero-copy story rests on one layout decision: a frame is
-//! loaded at a fixed [`HEADROOM`] offset inside its buffer, so
+//! loaded [`UNDERLAY_OVERHEAD`] bytes into its buffer, so
 //! encapsulation *prepends* the outer IPv4 + UDP + VXLAN-GPO headers by
 //! moving the start pointer back ([`PacketBuf::grow_front`]) and
 //! decapsulation strips them by moving it forward
 //! ([`PacketBuf::shrink_front`]). Payload bytes never move; headers are
-//! written in place through `sda-wire` views.
+//! written in place by [`crate::encap::write_underlay`].
 //!
 //! A buffer is allocated once and re-loaded round after round, so the
 //! steady-state forwarding path performs zero heap allocations.
 
-/// Bytes reserved in front of every loaded frame for in-place
-/// encapsulation: outer IPv4 (20) + UDP (8) + VXLAN-GPO (8).
-pub(crate) const HEADROOM: usize = 20 + 8 + 8;
+use crate::encap::UNDERLAY_OVERHEAD;
 
 /// Largest frame a buffer accepts (inner Ethernet MTU + L2 header,
 /// rounded up).
@@ -27,8 +25,8 @@ pub const BATCH_SIZE: usize = 32;
 /// One reusable packet buffer.
 ///
 /// Valid bytes live at `data[start..start + len]`; `start` begins at
-/// `HEADROOM` after a [`PacketBuf::load`] and moves as headers are
-/// pushed or stripped.
+/// [`UNDERLAY_OVERHEAD`] after a [`PacketBuf::load`] and moves as headers
+/// are pushed or stripped.
 #[derive(Debug)]
 pub struct PacketBuf {
     data: Box<[u8]>,
@@ -46,8 +44,8 @@ impl PacketBuf {
     /// Allocates an empty buffer (the only allocating operation here).
     pub fn new() -> Self {
         PacketBuf {
-            data: vec![0u8; HEADROOM + MAX_FRAME].into_boxed_slice(),
-            start: HEADROOM,
+            data: vec![0u8; UNDERLAY_OVERHEAD + MAX_FRAME].into_boxed_slice(),
+            start: UNDERLAY_OVERHEAD,
             len: 0,
         }
     }
@@ -58,9 +56,9 @@ impl PacketBuf {
         if frame.len() > MAX_FRAME {
             return false;
         }
-        self.start = HEADROOM;
+        self.start = UNDERLAY_OVERHEAD;
         self.len = frame.len();
-        self.data[HEADROOM..HEADROOM + frame.len()].copy_from_slice(frame);
+        self.data[UNDERLAY_OVERHEAD..UNDERLAY_OVERHEAD + frame.len()].copy_from_slice(frame);
         true
     }
 
@@ -129,7 +127,7 @@ mod tests {
         let mut b = PacketBuf::new();
         assert!(b.load(b"hello"));
         assert_eq!(b.bytes(), b"hello");
-        assert_eq!(b.headroom(), HEADROOM);
+        assert_eq!(b.headroom(), UNDERLAY_OVERHEAD);
         assert_eq!(b.len(), 5);
     }
 
@@ -149,7 +147,7 @@ mod tests {
     fn grow_front_bounded_by_headroom() {
         let mut b = PacketBuf::new();
         b.load(b"x");
-        assert!(b.grow_front(HEADROOM));
+        assert!(b.grow_front(UNDERLAY_OVERHEAD));
         assert!(!b.grow_front(1), "no headroom left");
     }
 

@@ -3,22 +3,18 @@
 //! [`write_underlay`] emits the Fig. 2 header stack — outer IPv4, UDP
 //! (port 4789), VXLAN-GPO — into the [`UNDERLAY_OVERHEAD`] bytes *in
 //! front of* an inner packet that is already resident in the buffer; no
-//! payload byte moves. [`parse_underlay`] validates the same stack and
-//! hands back the header fields plus the inner packet as a subslice.
+//! payload byte moves. [`parse_underlay`] validates the same stack
+//! through `sda-wire`'s views and hands back the header fields plus the
+//! inner packet as a subslice. The two are the only encoder and decoder
+//! of the paper's packet format: `sda-wire` has no per-layer UDP or
+//! VXLAN encoder.
 //!
-//! Both `sda_core::pipeline` (the structured simulator path) and the
-//! batched [`crate::Switch`] delegate here, so there is exactly one
-//! encoding of the paper's packet format.
-//!
-//! The outer UDP checksum policy is an explicit knob
-//! ([`OuterChecksum`], RFC 6935-style): encapsulators conventionally
-//! send the (legal) zero checksum over IPv4, which is the default for
-//! both the engine and the simulator nodes built on it; `parse_underlay`
-//! verifies a checksum whenever one is present, so the two policies
-//! interoperate. Before this was a config, the simulator's encoder
-//! hardcoded the full checksum while the engine wrote zero — the first
-//! divergence the differential oracle in `sda_core::pipeline` was built
-//! to flush out.
+//! The outer UDP checksum ([`OuterChecksum`], RFC 6935): the engine
+//! always sends the zero checksum, which UDP over IPv4 allows and
+//! tunnel encapsulators conventionally send. [`OuterChecksum::Full`]
+//! exists to craft input — frames from a sender that does checksum —
+//! and `parse_underlay` verifies a checksum whenever one is present, so
+//! the engine accepts both kinds of sender.
 
 use sda_types::{GroupId, Rloc, VnId};
 use sda_wire::{ipv4, udp, vxlan, Error, Result};
@@ -29,16 +25,19 @@ pub use sda_wire::vxlan::InnerProto;
 /// outer IPv4 (20) + UDP (8) + VXLAN-GPO (8).
 pub const UNDERLAY_OVERHEAD: usize = ipv4::HEADER_LEN + udp::HEADER_LEN + vxlan::HEADER_LEN;
 
-/// Outer UDP checksum policy (RFC 6935: UDP over IPv4 may send a zero
-/// checksum; tunnel protocols conventionally do).
+/// Outer UDP checksum policy of one [`write_underlay`] call (RFC 6935:
+/// UDP over IPv4 may send a zero checksum; tunnel protocols
+/// conventionally do).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum OuterChecksum {
     /// Send the zero (disabled) checksum — the conventional VXLAN
-    /// encapsulator choice and the zero-allocation hot-path default.
+    /// encapsulator choice, and what the engine always sends.
     #[default]
     Zero,
     /// Compute the full checksum over pseudo-header + payload (receivers
     /// then catch any in-flight corruption of the underlay datagram).
+    /// No fabric node sends it; tests use it to craft another sender's
+    /// frames.
     Full,
 }
 
@@ -89,22 +88,21 @@ pub(crate) fn flow_hash_mac(src: sda_types::MacAddr, dst: sda_types::MacAddr) ->
 
 /// Emits the underlay headers into `buf[..UNDERLAY_OVERHEAD]`; the inner
 /// packet must already occupy `buf[UNDERLAY_OVERHEAD..]`. Nothing beyond
-/// the header bytes is written.
+/// the header bytes is written. A `buf` shorter than the headers is
+/// [`Error::BufferTooSmall`]; one longer than the IPv4 total-length
+/// field can state (65,535 bytes) is [`Error::BadLength`].
 pub fn write_underlay(buf: &mut [u8], p: &EncapParams) -> Result<()> {
     if buf.len() < UNDERLAY_OVERHEAD {
         return Err(Error::BufferTooSmall);
     }
-    let inner_len = buf.len() - UNDERLAY_OVERHEAD;
+    let total_len = u16::try_from(buf.len()).map_err(|_| Error::BadLength)?;
+    let udp_len = total_len - ipv4::HEADER_LEN as u16;
 
-    // Flat fixed-offset build of all three headers in one stack array —
-    // byte-for-byte what the per-layer `Repr::emit` chain produced, but
-    // without its repeated bounds-checked field stores, and with the
-    // IPv4 header checksum folded arithmetically from the field words
-    // instead of a second byte-by-byte pass. This runs once per
+    // Flat fixed-offset build of all three headers in one stack array,
+    // with the IPv4 header checksum folded arithmetically from the field
+    // words instead of a second byte-by-byte pass. This runs once per
     // forwarded packet; on the batched encap path it is the largest
-    // fixed cost after the LPM descent itself.
-    let total_len = buf.len() as u16;
-    let udp_len = (udp::HEADER_LEN + vxlan::HEADER_LEN + inner_len) as u16;
+    // fixed cost after the map-cache lookup itself.
     let src = p.outer_src.addr().octets();
     let dst = p.outer_dst.addr().octets();
 
@@ -138,7 +136,7 @@ pub fn write_underlay(buf: &mut [u8], p: &EncapParams) -> Result<()> {
     h[24..26].copy_from_slice(&udp_len.to_be_bytes());
 
     // VXLAN-GPO: I + G always (every fabric packet carries a source
-    // group), A from policy, D never set on encap.
+    // group), A from policy, D never set.
     let flags = vxlan::FLAG_I | vxlan::FLAG_G | if p.policy_applied { vxlan::FLAG_A } else { 0 };
     h[28..30].copy_from_slice(&flags.to_be_bytes());
     h[30..32].copy_from_slice(&p.group.raw().to_be_bytes());
@@ -175,8 +173,6 @@ pub struct Decap<'a> {
     pub group: Option<GroupId>,
     /// The `A` (policy already applied) bit.
     pub policy_applied: bool,
-    /// The `D` (don't learn) bit.
-    pub dont_learn: bool,
     /// What the inner payload is (IPv4 packet or Ethernet frame).
     pub inner_proto: InnerProto,
     /// The inner packet (an overlay IPv4 packet or Ethernet frame).
@@ -218,7 +214,6 @@ pub fn parse_underlay(bytes: &[u8]) -> Result<Decap<'_>> {
         vn: vx.vni(),
         group: vx.group(),
         policy_applied: vx.policy_applied(),
-        dont_learn: vx.dont_learn(),
         inner_proto: vx.inner_proto(),
         inner: &bytes[inner_offset..udp_end],
         inner_offset,
@@ -262,7 +257,6 @@ mod tests {
         assert_eq!(d.vn, p.vn);
         assert_eq!(d.group, Some(p.group));
         assert!(d.policy_applied);
-        assert!(!d.dont_learn);
         assert_eq!(d.inner, inner);
         assert_eq!(d.inner_offset, UNDERLAY_OVERHEAD);
     }

@@ -48,12 +48,13 @@
 //! switches and their parts ([`Switch`], [`MtSwitch`], [`SharedTables`],
 //! [`WorkerCtx`], [`ingress_batch`], [`egress_batch`], [`EpochTables`],
 //! [`TableReader`]), their configuration and results ([`SwitchConfig`],
-//! [`Verdict`], [`DropReason`], [`Punt`], [`SwitchStats`]), the buffer
-//! ([`PacketBuf`] and its constants) and the local endpoint table
-//! ([`VrfTable`], [`LocalEndpoint`]). It **is not** a control plane:
-//! it raises [`Punt`]s and never sends a LISP message itself; and
-//! [`MtSwitch`] is ingress-only and install-only (no eviction, SMR or
-//! detach — the single-threaded [`Switch`] the fabric runs owns those).
+//! [`HOP_BUDGET`], [`Verdict`], [`DropReason`], [`Punt`],
+//! [`SwitchStats`]), the buffer ([`PacketBuf`] and its constants) and
+//! the local endpoint table ([`VrfTable`], [`LocalEndpoint`]). It **is
+//! not** a control plane: it raises [`Punt`]s and never sends a LISP
+//! message itself; and [`MtSwitch`] is ingress-only and install-only (no
+//! eviction, SMR or detach — the single-threaded [`Switch`] the fabric
+//! runs owns those).
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
@@ -72,6 +73,6 @@ pub use encap::{
 pub use mt::{EpochTables, MtSwitch, TableReader};
 pub use switch::{
     egress_batch, ingress_batch, DropReason, Punt, SharedTables, Switch, SwitchConfig, SwitchStats,
-    Verdict, WorkerCtx,
+    Verdict, WorkerCtx, HOP_BUDGET,
 };
 pub use vrf::{LocalEndpoint, VrfTable};

@@ -63,9 +63,14 @@ use sda_simnet::{SimDuration, SimTime};
 use sda_types::{Eid, EidPrefix, GroupId, Ipv4Prefix, MacAddr, MemStats, PortId, Rloc, VnId};
 use sda_wire::{ethernet, ipv4, EtherType};
 
-use crate::buffer::{PacketBuf, HEADROOM};
+use crate::buffer::PacketBuf;
 use crate::encap::{self, EncapParams, InnerProto, OuterChecksum, UNDERLAY_OVERHEAD};
 use crate::vrf::{LocalEndpoint, VrfTable};
+
+/// Outer TTL every encapsulation starts with — the fabric hop budget
+/// (edge → border → edge plus forwarding detours during mobility; §5.2
+/// loop protection). A re-forward decrements what it received.
+pub const HOP_BUDGET: u8 = 8;
 
 /// Static switch parameters.
 #[derive(Clone, Copy, Debug)]
@@ -91,19 +96,11 @@ pub struct SwitchConfig {
     /// stamped; egress then trusts the bit and never re-checks. Local
     /// (same-switch) delivery always enforces.
     pub enforcement: EnforcementPoint,
-    /// Outer TTL on encapsulation — the fabric hop budget (§5.2).
-    pub hop_budget: u8,
-    /// Outer UDP checksum policy (RFC 6935-style, see
-    /// [`OuterChecksum`]). One explicit knob for the engine *and* the
-    /// simulator nodes built on it — the checksum divergence the
-    /// differential oracle flushed out.
-    pub outer_checksum: OuterChecksum,
 }
 
 impl SwitchConfig {
-    /// SDA defaults: deny-by-default egress enforcement, hop budget 8,
-    /// zero outer checksum, default route on miss (once `border` is
-    /// set).
+    /// SDA defaults: deny-by-default egress enforcement, default route
+    /// on miss (once `border` is set).
     pub fn new(rloc: Rloc) -> Self {
         SwitchConfig {
             rloc,
@@ -111,8 +108,6 @@ impl SwitchConfig {
             miss_default_route: true,
             default_action: Action::Deny,
             enforcement: EnforcementPoint::Egress,
-            hop_budget: 8,
-            outer_checksum: OuterChecksum::Zero,
         }
     }
 }
@@ -636,7 +631,7 @@ pub fn ingress_batch(
                         src_group,
                         rloc,
                         ecmp_port,
-                        cfg.hop_budget,
+                        HOP_BUDGET,
                         policy_applied,
                         l2,
                     );
@@ -657,7 +652,7 @@ pub fn ingress_batch(
                         src_group,
                         rloc,
                         ecmp_port,
-                        cfg.hop_budget,
+                        HOP_BUDGET,
                         policy_applied,
                         l2,
                     );
@@ -678,7 +673,7 @@ pub fn ingress_batch(
                                 src_group,
                                 border,
                                 ecmp_port,
-                                cfg.hop_budget,
+                                HOP_BUDGET,
                                 policy_applied,
                                 l2,
                             );
@@ -840,7 +835,7 @@ fn encap_in_place(
     l2: bool,
 ) {
     let grown = buf.grow_front(UNDERLAY_OVERHEAD);
-    debug_assert!(grown, "load() guarantees {HEADROOM} bytes of headroom");
+    debug_assert!(grown, "load() leaves {UNDERLAY_OVERHEAD} bytes of headroom");
     let params = EncapParams {
         outer_src: cfg.rloc,
         outer_dst: to,
@@ -849,7 +844,7 @@ fn encap_in_place(
         policy_applied,
         ttl,
         src_port: ecmp_port,
-        udp_checksum: cfg.outer_checksum,
+        udp_checksum: OuterChecksum::Zero,
         inner_proto: if l2 {
             InnerProto::Ethernet
         } else {
@@ -1884,37 +1879,5 @@ mod tests {
         );
         assert_eq!(sw.stats().forwarded_default, 1);
         assert_eq!(sw.punts().len(), 1, "miss punts a Map-Request");
-    }
-
-    /// Full outer checksums are honoured end to end when configured.
-    #[test]
-    fn full_outer_checksum_roundtrips() {
-        let mut cfg = SwitchConfig::new(Rloc::for_router_index(1));
-        cfg.border = Some(Rloc::for_router_index(99));
-        cfg.outer_checksum = OuterChecksum::Full;
-        let mut sw = Switch::new(cfg);
-        let a = ep(1, 10);
-        sw.attach(vn(1), a);
-        let remote_ip = Ipv4Addr::new(10, 9, 0, 5);
-        sw.install_mapping(
-            vn(1),
-            EidPrefix::host(Eid::V4(remote_ip)),
-            Rloc::for_router_index(7),
-            TTL,
-            SimTime::ZERO,
-        );
-        let mut bufs = [PacketBuf::new()];
-        bufs[0].load(&frame(&a, remote_ip, b"checksummed"));
-        let v = sw.process_ingress(&mut bufs, SimTime::ZERO).to_vec();
-        assert!(matches!(v[0], Verdict::Forward { .. }));
-        // The emitted packet verifies, and corruption is now caught.
-        assert!(encap::parse_underlay(bufs[0].bytes()).is_ok());
-        let mut bent = bufs[0].bytes().to_vec();
-        let last = bent.len() - 1;
-        bent[last] ^= 0xFF;
-        assert_eq!(
-            encap::parse_underlay(&bent).unwrap_err(),
-            sda_wire::Error::BadChecksum
-        );
     }
 }

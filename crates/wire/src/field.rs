@@ -30,17 +30,6 @@ pub(crate) fn get_u24(data: &[u8], field: Field) -> u32 {
     (u32::from(data[s]) << 16) | (u32::from(data[s + 1]) << 8) | u32::from(data[s + 2])
 }
 
-/// Writes a 24-bit big-endian value at `field` (3 bytes); the top byte of
-/// `value` must be zero.
-#[inline]
-pub(crate) fn set_u24(data: &mut [u8], field: Field, value: u32) {
-    debug_assert!(value <= 0x00ff_ffff);
-    let s = field.start;
-    data[s] = (value >> 16) as u8;
-    data[s + 1] = (value >> 8) as u8;
-    data[s + 2] = value as u8;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,9 +44,8 @@ mod tests {
 
     #[test]
     fn u24_roundtrip() {
-        let mut buf = [0u8; 4];
-        set_u24(&mut buf, 0..3, 0x00AB_CDEF);
-        assert_eq!(buf, [0xAB, 0xCD, 0xEF, 0]);
+        let buf = [0xAB, 0xCD, 0xEF, 0];
         assert_eq!(get_u24(&buf, 0..3), 0x00AB_CDEF);
+        assert_eq!(get_u24(&buf, 1..4), 0x00CD_EF00);
     }
 }

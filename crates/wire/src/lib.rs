@@ -1,13 +1,21 @@
 //! # sda-wire
 //!
 //! Byte-accurate wire formats for the SDA data plane and control plane,
-//! in the smoltcp idiom: every format has
+//! in the smoltcp idiom:
 //!
-//! 1. a zero-copy **view** type (`Packet<T: AsRef<[u8]>>`) with
-//!    `new_checked` validation, field getters and — for `T: AsMut<[u8]>` —
-//!    setters, and
-//! 2. a parsed **representation** type (`Repr`) with `parse`/`emit`
-//!    round-tripping through the view.
+//! 1. every packet format has a zero-copy **view**
+//!    (`Packet<T: AsRef<[u8]>>`, `ethernet::Frame`) with `new_checked`
+//!    validation and field getters, and
+//! 2. a parsed **representation** (`parse`/`emit`) exists only where
+//!    something composes the layer on its own: `ethernet::Repr` and
+//!    `ipv4::Repr` (host frames, inner packets) and [`lisp::Message`]
+//!    (control messages are parsed whole; they have no view).
+//!
+//! The underlay stack — outer IPv4, UDP 4789, VXLAN-GPO (Fig. 2) — is
+//! written only by `sda_dataplane::encap::write_underlay` and read by
+//! `sda_dataplane::encap::parse_underlay` through the views here, so
+//! [`udp`] and [`vxlan`] have no `Repr` and the only setter between
+//! them is [`udp::Packet::fill_checksum`].
 //!
 //! Formats implemented:
 //!
@@ -28,10 +36,10 @@
 //! ## Surface
 //!
 //! The crate **is** one public module per format — each a namespace
-//! for its `Packet`, `Repr`, field enums and header-length constants —
-//! plus [`EtherType`] and [`Error`]/[`Result`] at the root. Field
-//! layouts and the checksum helpers stay private. It **is
-//! not** a stack: no fragmentation, no IP options, no IPv6 codec
+//! for its view, its representation where it has one, field enums and
+//! header-length constants — plus [`EtherType`] and [`Error`]/[`Result`]
+//! at the root. Field layouts and the checksum helpers stay private. It
+//! **is not** a stack: no fragmentation, no IP options, no IPv6 codec
 //! (`EtherType::Ipv6` only classifies a frame).
 
 #![forbid(unsafe_code)]

@@ -108,27 +108,6 @@ fn pseudo_header_checksum(src: Ipv4Addr, dst: Ipv4Addr, datagram: &[u8]) -> u16 
 }
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
-    /// Sets the source port.
-    pub(crate) fn set_src_port(&mut self, p: u16) {
-        field::set_u16(self.buffer.as_mut(), layout::SRC_PORT, p);
-    }
-
-    /// Sets the destination port.
-    pub(crate) fn set_dst_port(&mut self, p: u16) {
-        field::set_u16(self.buffer.as_mut(), layout::DST_PORT, p);
-    }
-
-    /// Sets the length field.
-    pub(crate) fn set_len(&mut self, l: u16) {
-        field::set_u16(self.buffer.as_mut(), layout::LENGTH, l);
-    }
-
-    /// Mutable payload bytes.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let end = self.len() as usize;
-        &mut self.buffer.as_mut()[HEADER_LEN..end]
-    }
-
     /// Computes and writes the checksum over the IPv4 pseudo-header.
     /// Writes `0xffff` if the computed sum is zero, per RFC 768.
     pub fn fill_checksum(&mut self, src: Ipv4Addr, dst: Ipv4Addr) {
@@ -140,42 +119,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
     }
 }
 
-/// Parsed representation of a UDP header.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Repr {
-    /// Source port.
-    pub src_port: u16,
-    /// Destination port.
-    pub dst_port: u16,
-    /// Payload byte length.
-    pub payload_len: usize,
-}
-
-impl Repr {
-    /// Parses a validated packet view.
-    pub fn parse<T: AsRef<[u8]>>(packet: &Packet<T>) -> Repr {
-        Repr {
-            src_port: packet.src_port(),
-            dst_port: packet.dst_port(),
-            payload_len: packet.len() as usize - HEADER_LEN,
-        }
-    }
-
-    /// Bytes needed to emit header + payload.
-    pub const fn buffer_len(&self) -> usize {
-        HEADER_LEN + self.payload_len
-    }
-
-    /// Emits the header; checksum is filled from the pseudo-header
-    /// addresses *after* the payload is written, via `fill_checksum`.
-    pub fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(&self, packet: &mut Packet<T>) {
-        packet.set_src_port(self.src_port);
-        packet.set_dst_port(self.dst_port);
-        packet.set_len(self.buffer_len() as u16);
-        field::set_u16(packet.buffer.as_mut(), layout::CHECKSUM, 0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,36 +126,28 @@ mod tests {
     const SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const DST: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 
+    /// Ports 4342 → 4342, length 11, checksum 0, payload "abc".
+    fn datagram() -> [u8; 11] {
+        [0x10, 0xf6, 0x10, 0xf6, 0, 11, 0, 0, b'a', b'b', b'c']
+    }
+
     #[test]
     fn roundtrip_with_checksum() {
-        let repr = Repr {
-            src_port: 4342,
-            dst_port: 4342,
-            payload_len: 3,
-        };
-        let mut buf = vec![0u8; repr.buffer_len()];
-        let mut pkt = Packet::new_unchecked(&mut buf[..]);
-        repr.emit(&mut pkt);
-        pkt.payload_mut().copy_from_slice(b"abc");
-        pkt.fill_checksum(SRC, DST);
+        let mut buf = datagram();
+        Packet::new_unchecked(&mut buf[..]).fill_checksum(SRC, DST);
+        assert_ne!(&buf[6..8], &[0, 0]);
         let pkt = Packet::new_checked(&buf[..]).unwrap();
-        assert_eq!(Repr::parse(&pkt), repr);
         assert!(pkt.verify_checksum(SRC, DST));
+        assert_eq!(pkt.src_port(), LISP_CONTROL_PORT);
+        assert_eq!(pkt.dst_port(), LISP_CONTROL_PORT);
+        assert_eq!(pkt.len(), 11);
         assert_eq!(pkt.payload(), b"abc");
     }
 
     #[test]
     fn corrupted_payload_fails_checksum() {
-        let repr = Repr {
-            src_port: 1,
-            dst_port: 2,
-            payload_len: 4,
-        };
-        let mut buf = vec![0u8; repr.buffer_len()];
-        let mut pkt = Packet::new_unchecked(&mut buf[..]);
-        repr.emit(&mut pkt);
-        pkt.payload_mut().copy_from_slice(&[9, 9, 9, 9]);
-        pkt.fill_checksum(SRC, DST);
+        let mut buf = datagram();
+        Packet::new_unchecked(&mut buf[..]).fill_checksum(SRC, DST);
         buf[9] ^= 0xff;
         let pkt = Packet::new_checked(&buf[..]).unwrap();
         assert!(!pkt.verify_checksum(SRC, DST));
@@ -220,13 +155,7 @@ mod tests {
 
     #[test]
     fn zero_checksum_accepted() {
-        let repr = Repr {
-            src_port: 1,
-            dst_port: 2,
-            payload_len: 0,
-        };
-        let mut buf = vec![0u8; repr.buffer_len()];
-        repr.emit(&mut Packet::new_unchecked(&mut buf[..]));
+        let buf = [0, 1, 0, 2, 0, 8, 0, 0];
         let pkt = Packet::new_checked(&buf[..]).unwrap();
         assert_eq!(pkt.checksum(), 0);
         assert!(pkt.verify_checksum(SRC, DST));

@@ -20,6 +20,9 @@
 //! * `I` — VNI field valid (must be set); the VNI carries the **VN**.
 //! * `A` — policy has already been applied upstream (used when an ingress
 //!   node enforced the ACL so egress must not re-drop).
+//! * `D` — "don't learn". The fabric neither writes nor reads it: the
+//!   encoder leaves it clear, and a packet with it set parses like any
+//!   other.
 //!
 //! The trailing reserved byte doubles as a GPE-style **next-protocol**
 //! indicator so the fabric can carry both L3 and L2 payloads (the very
@@ -46,13 +49,12 @@ mod layout {
 /// Length of the VXLAN-GPO header.
 pub const HEADER_LEN: usize = layout::PAYLOAD.start;
 
-/// Flag-word masks, public so the data plane's flat header writer can
-/// assemble the flags in one store instead of per-bit read-modify-write.
+/// Group-Policy-present flag. The flag masks are public so the underlay
+/// encoder (`sda_dataplane::encap::write_underlay`) can assemble the
+/// flag word in one store.
 pub const FLAG_G: u16 = 0x8000;
 /// VNI-valid flag (mandatory).
 pub const FLAG_I: u16 = 0x0800;
-/// "Don't learn" flag.
-pub(crate) const FLAG_D: u16 = 0x0040;
 /// "Policy already applied" flag.
 pub const FLAG_A: u16 = 0x0008;
 
@@ -72,7 +74,7 @@ pub enum InnerProto {
     Ethernet,
 }
 
-/// A read/write view of a VXLAN-GPO packet.
+/// A read-only view of a VXLAN-GPO packet.
 #[derive(Debug, Clone)]
 pub struct Packet<T: AsRef<[u8]>> {
     buffer: T,
@@ -110,11 +112,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         self.flags() & FLAG_G != 0
     }
 
-    /// True when the "don't learn" bit is set.
-    pub fn dont_learn(&self) -> bool {
-        self.flags() & FLAG_D != 0
-    }
-
     /// True when an upstream node already applied policy.
     pub fn policy_applied(&self) -> bool {
         self.flags() & FLAG_A != 0
@@ -148,151 +145,36 @@ impl<T: AsRef<[u8]>> Packet<T> {
     }
 }
 
-impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
-    fn set_flag(&mut self, flag: u16, on: bool) {
-        let d = self.buffer.as_mut();
-        let mut f = field::get_u16(d, layout::FLAGS);
-        if on {
-            f |= flag;
-        } else {
-            f &= !flag;
-        }
-        field::set_u16(d, layout::FLAGS, f);
-    }
-
-    /// Writes the mandatory `I` flag and zeroes reserved fields.
-    pub(crate) fn fill_defaults(&mut self) {
-        let d = self.buffer.as_mut();
-        field::set_u16(d, layout::FLAGS, FLAG_I);
-        field::set_u16(d, layout::GROUP, 0);
-        d[layout::RESERVED.start] = 0;
-    }
-
-    /// Sets the source GroupId (also sets the `G` flag).
-    pub(crate) fn set_group(&mut self, g: GroupId) {
-        self.set_flag(FLAG_G, true);
-        field::set_u16(self.buffer.as_mut(), layout::GROUP, g.raw());
-    }
-
-    /// Sets the "don't learn" bit.
-    pub(crate) fn set_dont_learn(&mut self, on: bool) {
-        self.set_flag(FLAG_D, on);
-    }
-
-    /// Sets the "policy applied" bit.
-    pub(crate) fn set_policy_applied(&mut self, on: bool) {
-        self.set_flag(FLAG_A, on);
-    }
-
-    /// Sets the VNI to `vn`.
-    pub(crate) fn set_vni(&mut self, vn: VnId) {
-        field::set_u24(self.buffer.as_mut(), layout::VNI, vn.raw());
-    }
-
-    /// Sets the next-protocol byte.
-    pub(crate) fn set_inner_proto(&mut self, proto: InnerProto) {
-        self.buffer.as_mut()[layout::RESERVED.start] = match proto {
-            InnerProto::Ipv4 => 0,
-            InnerProto::Ethernet => PROTO_ETHERNET,
-        };
-    }
-
-    /// Mutable payload bytes.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.buffer.as_mut()[layout::PAYLOAD]
-    }
-}
-
-/// Parsed representation of a VXLAN-GPO header.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Repr {
-    /// The VN (VNI field).
-    pub vn: VnId,
-    /// Source GroupId, when the `G` extension is present.
-    pub group: Option<GroupId>,
-    /// Policy-applied bit (`A`).
-    pub policy_applied: bool,
-    /// Don't-learn bit (`D`): egress must not source-learn from this
-    /// packet. Plumbed through `Repr` so the bit survives a
-    /// parse → emit round trip (it used to be view-only and was lost).
-    pub dont_learn: bool,
-    /// What the payload is (IPv4 packet or Ethernet frame).
-    pub inner_proto: InnerProto,
-    /// Encapsulated payload length.
-    pub payload_len: usize,
-}
-
-impl Repr {
-    /// Parses a validated packet view.
-    pub fn parse<T: AsRef<[u8]>>(packet: &Packet<T>) -> Repr {
-        Repr {
-            vn: packet.vni(),
-            group: packet.group(),
-            policy_applied: packet.policy_applied(),
-            dont_learn: packet.dont_learn(),
-            inner_proto: packet.inner_proto(),
-            payload_len: packet.payload().len(),
-        }
-    }
-
-    /// Bytes needed to emit header + payload.
-    pub const fn buffer_len(&self) -> usize {
-        HEADER_LEN + self.payload_len
-    }
-
-    /// Emits the header into a packet view.
-    pub fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(&self, packet: &mut Packet<T>) {
-        packet.fill_defaults();
-        packet.set_vni(self.vn);
-        if let Some(g) = self.group {
-            packet.set_group(g);
-        }
-        packet.set_policy_applied(self.policy_applied);
-        packet.set_dont_learn(self.dont_learn);
-        packet.set_inner_proto(self.inner_proto);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Flags I + G, group 0xBEEF, VNI 0xABCDEF, IPv4, payload "inner!".
+    const WITH_GROUP: [u8; 14] = [
+        0x88, 0x00, 0xBE, 0xEF, 0xAB, 0xCD, 0xEF, 0x00, b'i', b'n', b'n', b'e', b'r', b'!',
+    ];
+
     #[test]
     fn roundtrip_with_group() {
-        let repr = Repr {
-            vn: VnId::new(0x00AB_CDEF & VnId::MAX).unwrap(),
-            group: Some(GroupId(0xBEEF)),
-            policy_applied: false,
-            dont_learn: false,
-            inner_proto: InnerProto::Ipv4,
-            payload_len: 6,
-        };
-        let mut buf = vec![0u8; repr.buffer_len()];
-        let mut pkt = Packet::new_unchecked(&mut buf[..]);
-        repr.emit(&mut pkt);
-        pkt.payload_mut().copy_from_slice(b"inner!");
-        let pkt = Packet::new_checked(&buf[..]).unwrap();
-        assert_eq!(Repr::parse(&pkt), repr);
+        let pkt = Packet::new_checked(&WITH_GROUP[..]).unwrap();
         assert!(pkt.has_group());
+        assert_eq!(pkt.group(), Some(GroupId(0xBEEF)));
+        assert_eq!(pkt.vni().raw(), 0x00AB_CDEF);
+        assert!(!pkt.policy_applied());
+        assert_eq!(pkt.inner_proto(), InnerProto::Ipv4);
         assert_eq!(pkt.payload(), b"inner!");
     }
 
     #[test]
     fn roundtrip_without_group() {
-        let repr = Repr {
-            vn: VnId::new(7).unwrap(),
-            group: None,
-            policy_applied: true,
-            dont_learn: true,
-            inner_proto: InnerProto::Ipv4,
-            payload_len: 0,
-        };
-        let mut buf = vec![0u8; repr.buffer_len()];
-        repr.emit(&mut Packet::new_unchecked(&mut buf[..]));
+        // Flags I + A, no G: the group field is not read.
+        let buf = [0x08, 0x08, 0x12, 0x34, 0, 0, 7, PROTO_ETHERNET];
         let pkt = Packet::new_checked(&buf[..]).unwrap();
         assert_eq!(pkt.group(), None);
         assert!(pkt.policy_applied());
-        assert_eq!(Repr::parse(&pkt), repr);
+        assert_eq!(pkt.vni().raw(), 7);
+        assert_eq!(pkt.inner_proto(), InnerProto::Ethernet);
+        assert!(pkt.payload().is_empty());
     }
 
     #[test]
@@ -303,16 +185,8 @@ mod tests {
 
     #[test]
     fn nonzero_reserved_rejected() {
-        let repr = Repr {
-            vn: VnId::DEFAULT,
-            group: None,
-            policy_applied: false,
-            dont_learn: false,
-            inner_proto: InnerProto::Ipv4,
-            payload_len: 0,
-        };
-        let mut buf = vec![0u8; repr.buffer_len()];
-        repr.emit(&mut Packet::new_unchecked(&mut buf[..]));
+        let mut buf = [0x08, 0, 0, 0, 0, 0, 1, 0];
+        assert!(Packet::new_checked(&buf[..]).is_ok());
         buf[7] = 1;
         assert_eq!(Packet::new_checked(&buf[..]).unwrap_err(), Error::Malformed);
     }
@@ -323,32 +197,28 @@ mod tests {
             Packet::new_checked(&[0u8; 7][..]).unwrap_err(),
             Error::Truncated
         );
+        assert_eq!(
+            Packet::new_checked(&WITH_GROUP[..HEADER_LEN - 1]).unwrap_err(),
+            Error::Truncated
+        );
     }
 
     #[test]
     fn vni_carries_full_24_bits() {
-        let repr = Repr {
-            vn: VnId::new(VnId::MAX).unwrap(),
-            group: None,
-            policy_applied: false,
-            dont_learn: false,
-            inner_proto: InnerProto::Ipv4,
-            payload_len: 0,
-        };
-        let mut buf = vec![0u8; repr.buffer_len()];
-        repr.emit(&mut Packet::new_unchecked(&mut buf[..]));
+        let buf = [0x08, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0];
         let pkt = Packet::new_checked(&buf[..]).unwrap();
         assert_eq!(pkt.vni().raw(), VnId::MAX);
     }
 
     #[test]
-    fn dont_learn_flag() {
-        let mut buf = [0u8; 8];
-        let mut pkt = Packet::new_unchecked(&mut buf[..]);
-        pkt.fill_defaults();
-        pkt.set_dont_learn(true);
-        assert!(pkt.dont_learn());
-        pkt.set_dont_learn(false);
-        assert!(!pkt.dont_learn());
+    fn d_flag_set_still_parses() {
+        // I + D (0x0040) + A: the D bit changes nothing that is read.
+        let mut buf = WITH_GROUP;
+        buf[1] = 0x48;
+        let pkt = Packet::new_checked(&buf[..]).unwrap();
+        assert!(pkt.policy_applied());
+        assert_eq!(pkt.group(), Some(GroupId(0xBEEF)));
+        assert_eq!(pkt.vni().raw(), 0x00AB_CDEF);
+        assert_eq!(pkt.payload(), b"inner!");
     }
 }

@@ -1,8 +1,11 @@
 //! Property-based round-trip and robustness tests for every wire format.
 //!
-//! Two invariant families:
+//! Three invariant families:
 //!
-//! 1. **Round-trip**: for any valid `Repr`, `parse(emit(repr)) == repr`.
+//! 1. **Round-trip**: for any valid `Repr` (Ethernet, IPv4, every LISP
+//!    message), `parse(emit(repr)) == repr`. The underlay stack's round
+//!    trip is `sda-dataplane`'s `prop_underlay`: `encap::write_underlay`
+//!    is its only encoder.
 //! 2. **No panic on garbage**: `new_checked`/`parse` over arbitrary bytes
 //!    returns `Ok` or `Err`, never panics — the smoltcp robustness rule.
 //! 3. **Same bytes as the frozen encoder**: `lisp::Message::emit` is held
@@ -12,7 +15,7 @@
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 use proptest::prelude::*;
-use sda_types::{Eid, EidPrefix, GroupId, Ipv4Prefix, Ipv6Prefix, MacAddr, MacPrefix, Rloc, VnId};
+use sda_types::{Eid, EidPrefix, Ipv4Prefix, Ipv6Prefix, MacAddr, MacPrefix, Rloc, VnId};
 use sda_wire::{ethernet, ipv4, lisp, udp, vxlan};
 
 mod reference;
@@ -99,44 +102,6 @@ proptest! {
         prop_assert_eq!(ipv4::Repr::parse(&pkt), repr);
     }
 
-    #[test]
-    fn udp_roundtrip_and_checksum(sp in any::<u16>(), dp in any::<u16>(), src in arb_ipv4(), dst in arb_ipv4(), payload in proptest::collection::vec(any::<u8>(), 0..128)) {
-        let repr = udp::Repr { src_port: sp, dst_port: dp, payload_len: payload.len() };
-        let mut buf = vec![0u8; repr.buffer_len()];
-        let mut pkt = udp::Packet::new_unchecked(&mut buf[..]);
-        repr.emit(&mut pkt);
-        pkt.payload_mut().copy_from_slice(&payload);
-        pkt.fill_checksum(src, dst);
-        let pkt = udp::Packet::new_checked(&buf[..]).unwrap();
-        prop_assert_eq!(udp::Repr::parse(&pkt), repr);
-        prop_assert!(pkt.verify_checksum(src, dst));
-    }
-
-    #[test]
-    fn vxlan_roundtrip(vn in arb_vn(), group in proptest::option::of(any::<u16>().prop_map(GroupId)), applied in any::<bool>(), dont_learn in any::<bool>(), l2 in any::<bool>(), payload in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let inner_proto = if l2 { vxlan::InnerProto::Ethernet } else { vxlan::InnerProto::Ipv4 };
-        let repr = vxlan::Repr { vn, group, policy_applied: applied, dont_learn, inner_proto, payload_len: payload.len() };
-        let mut buf = vec![0u8; repr.buffer_len()];
-        let mut pkt = vxlan::Packet::new_unchecked(&mut buf[..]);
-        repr.emit(&mut pkt);
-        pkt.payload_mut().copy_from_slice(&payload);
-        let pkt = vxlan::Packet::new_checked(&buf[..]).unwrap();
-        prop_assert_eq!(vxlan::Repr::parse(&pkt), repr);
-    }
-
-    /// Every strict prefix of a valid VXLAN-GPO packet must be an error
-    /// (truncation can never be mistaken for success or panic).
-    #[test]
-    fn vxlan_truncations_all_error(vn in arb_vn(), group in any::<u16>().prop_map(GroupId), payload in proptest::collection::vec(any::<u8>(), 0..32)) {
-        let repr = vxlan::Repr { vn, group: Some(group), policy_applied: false, dont_learn: false, inner_proto: vxlan::InnerProto::Ipv4, payload_len: payload.len() };
-        let mut buf = vec![0u8; repr.buffer_len()];
-        repr.emit(&mut vxlan::Packet::new_unchecked(&mut buf[..]));
-        for cut in 0..vxlan::HEADER_LEN {
-            prop_assert!(vxlan::Packet::new_checked(&buf[..cut]).is_err());
-        }
-        prop_assert!(vxlan::Packet::new_checked(&buf[..]).is_ok());
-    }
-
     /// Same for every LISP control message: all strict prefixes error.
     #[test]
     fn lisp_truncations_all_error(nonce in any::<u64>(), vn in arb_vn(), eid in arb_eid(), prefix in arb_prefix(), rloc in arb_rloc()) {
@@ -220,72 +185,4 @@ proptest! {
         bytes[idx] ^= 1 << flip_bit;
         let _ = lisp::Message::parse(&bytes); // must not panic
     }
-}
-
-/// A full fabric packet assembled layer by layer must decapsulate back to
-/// the same inner payload: outer IPv4 → UDP → VXLAN-GPO → inner IPv4.
-#[test]
-fn full_encapsulation_stack_roundtrip() {
-    let inner_repr = ipv4::Repr {
-        src: Ipv4Addr::new(10, 1, 0, 5),
-        dst: Ipv4Addr::new(10, 2, 0, 9),
-        protocol: ipv4::Protocol::Unknown(253),
-        payload_len: 12,
-        ttl: 64,
-    };
-    let mut inner = vec![0u8; inner_repr.buffer_len()];
-    let mut ipkt = ipv4::Packet::new_unchecked(&mut inner[..]);
-    inner_repr.emit(&mut ipkt);
-    ipkt.payload_mut().copy_from_slice(b"hello fabric");
-
-    let vx_repr = vxlan::Repr {
-        vn: VnId::new(4097).unwrap(),
-        group: Some(GroupId(17)),
-        policy_applied: false,
-        dont_learn: false,
-        inner_proto: vxlan::InnerProto::Ipv4,
-        payload_len: inner.len(),
-    };
-    let mut vx = vec![0u8; vx_repr.buffer_len()];
-    let mut vpkt = vxlan::Packet::new_unchecked(&mut vx[..]);
-    vx_repr.emit(&mut vpkt);
-    vpkt.payload_mut().copy_from_slice(&inner);
-
-    let udp_repr = udp::Repr {
-        src_port: 49152,
-        dst_port: udp::VXLAN_PORT,
-        payload_len: vx.len(),
-    };
-    let src_rloc = Ipv4Addr::new(10, 255, 0, 1);
-    let dst_rloc = Ipv4Addr::new(10, 255, 0, 2);
-    let mut dgram = vec![0u8; udp_repr.buffer_len()];
-    let mut upkt = udp::Packet::new_unchecked(&mut dgram[..]);
-    udp_repr.emit(&mut upkt);
-    upkt.payload_mut().copy_from_slice(&vx);
-    upkt.fill_checksum(src_rloc, dst_rloc);
-
-    let outer_repr = ipv4::Repr {
-        src: src_rloc,
-        dst: dst_rloc,
-        protocol: ipv4::Protocol::Udp,
-        payload_len: dgram.len(),
-        ttl: 64,
-    };
-    let mut outer = vec![0u8; outer_repr.buffer_len()];
-    let mut opkt = ipv4::Packet::new_unchecked(&mut outer[..]);
-    outer_repr.emit(&mut opkt);
-    opkt.payload_mut().copy_from_slice(&dgram);
-
-    // Decapsulate.
-    let opkt = ipv4::Packet::new_checked(&outer[..]).unwrap();
-    assert_eq!(opkt.protocol(), ipv4::Protocol::Udp);
-    let upkt = udp::Packet::new_checked(opkt.payload()).unwrap();
-    assert!(upkt.verify_checksum(opkt.src_addr(), opkt.dst_addr()));
-    assert_eq!(upkt.dst_port(), udp::VXLAN_PORT);
-    let vpkt = vxlan::Packet::new_checked(upkt.payload()).unwrap();
-    assert_eq!(vpkt.vni().raw(), 4097);
-    assert_eq!(vpkt.group(), Some(GroupId(17)));
-    let ipkt = ipv4::Packet::new_checked(vpkt.payload()).unwrap();
-    assert_eq!(ipkt.payload(), b"hello fabric");
-    assert_eq!(ipkt.dst_addr(), Ipv4Addr::new(10, 2, 0, 9));
 }
