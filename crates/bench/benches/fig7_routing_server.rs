@@ -7,7 +7,7 @@
 //! shard, preloaded by `fixtures::preloaded_server`; its registry holds
 //! host routes only, so a message costs one hash probe) at 10 / 100 /
 //! 1,000 / 10,000 / 100,000 routes. The plain trie's descent on such
-//! keys is `lpm_hot_path`'s `trie_lpm` rows.
+//! keys is `e2e`'s `trie.lpm_probe_ns_per_key`.
 //!
 //! The sweep's JSON goes to `target/BENCH_fig7[.smoke].json` in both
 //! modes — it is a figure reproduction, not a committed regression

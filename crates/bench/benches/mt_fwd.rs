@@ -5,8 +5,7 @@
 //! **One iteration processes a burst of [`BURST`] packets** (32 shuttle
 //! batches of 32 — divide `median_ns` by 1024 for ns/pkt; pkts/s =
 //! 1e9 ÷ ns/pkt). Frames carry a 1400 B payload toward 10k installed
-//! host routes, the same workload as `BENCH_dataplane.json`'s
-//! `encap_batch32/10000`.
+//! host routes (`sda_bench::fixtures`).
 //!
 //! * `encap_st_batch32/10000` — the single-threaded [`Switch`] driven
 //!   with 32-packet batches, measured in-run so the parity ratio

@@ -2,7 +2,7 @@
 //! per-pair-map reference at production scale (1k groups, 100k rules).
 //! `BENCH_policy.json`, group `policy_plane`.
 //!
-//! Four costs, matching the compile-time/enforce-time split:
+//! Two costs, each against the reference it replaced:
 //!
 //! * `verdict_batch32/{compiled,baseline}` — 32 verdicts per iteration,
 //!   the lockstep lane width. The compiled path hoists one `vn_view`
@@ -11,21 +11,15 @@
 //!   frozen per-pair `BTreeMap` `GroupAcl` the fabric shipped before
 //!   the compiled form existed (`sda_bench::enforce`, the reference of
 //!   `policy/tests/reference/group_acl.rs`).
-//! * `compile/100000` — full matrix → `CompiledAcl` compilation.
-//! * `delta_install/64` — publish a snapshot (`clone`) and install a
-//!   64-rule SXP delta into it: the epoch-update path, including the
-//!   copy-on-write of the touched VN.
 //! * `publish/{compiled,baseline}` — the epoch publish alone: `Arc`
 //!   pointer copies vs. deep-copying the 100k-entry rule map.
 //!
-//! Budget: the compiled 1k-group deny-default VN within 320 KiB — a
-//! smoke run must still catch a representation regression that blows
-//! the compiled size. The two bitset planes alone are 2 x 1000 rows x
-//! 16 words x 8 B = 250 KiB; interners and headers ride on top; a
-//! per-pair `BTreeMap` at 100k entries costs several times this before
-//! node overhead. Bars: compiled verdicts ≥ 2x the per-pair map, and the
-//! `Arc`'d epoch publish ≥ 2x the deep copy — the two things the
-//! compiled form exists for.
+//! Bars: compiled verdicts ≥ 2x the per-pair map, and the `Arc`'d epoch
+//! publish ≥ 2x the deep copy — the two things the compiled form exists
+//! for. Compilation and delta install have no row here: `e2e --trace 1`
+//! prints them as `policy.compile_ms` and `policy.delta_install_us`. The
+//! compiled VN's 320 KiB memory budget is a tier-1 test
+//! (`crates/policy/tests/mem_budget.rs`).
 
 use std::hint::black_box;
 
@@ -33,7 +27,7 @@ use criterion::{BenchmarkId, Criterion};
 use sda_bench::enforce::GroupAcl;
 use sda_bench::fixtures::vn;
 use sda_bench::harness::Harness;
-use sda_policy::{Action, CompiledAcl, ConnectivityMatrix, RuleSubset};
+use sda_policy::{Action, CompiledAcl, ConnectivityMatrix};
 use sda_types::GroupId;
 
 /// Groups in the benchmark VN (the paper's 1k-group tier).
@@ -46,11 +40,9 @@ const BATCH: usize = 32;
 /// a single hot pair.
 const PROBES: usize = 1_024;
 
-const ROWS: [(&str, &str); 6] = [
+const ROWS: [(&str, &str); 4] = [
     ("policy_plane", "verdict_batch32/compiled"),
     ("policy_plane", "verdict_batch32/baseline"),
-    ("policy_plane", "compile/100000"),
-    ("policy_plane", "delta_install/64"),
     ("policy_plane", "publish/compiled"),
     ("policy_plane", "publish/baseline"),
 ];
@@ -86,32 +78,6 @@ fn build_probes() -> Vec<(GroupId, GroupId)> {
             (GroupId(src as u16), GroupId(dst as u16))
         })
         .collect()
-}
-
-/// A 64-rule SXP delta against one source row, version one past the
-/// matrix — the shape of a single operator edit fanned out to an edge.
-fn build_delta(matrix: &ConnectivityMatrix) -> RuleSubset {
-    let src = GroupId(500);
-    RuleSubset {
-        version: matrix.version() + 1,
-        rules: (0..64u16)
-            .map(|d| {
-                let action = if d % 2 == 0 {
-                    Action::Allow
-                } else {
-                    Action::Deny
-                };
-                (
-                    vn(),
-                    sda_policy::GroupRule {
-                        src,
-                        dst: GroupId(d),
-                        action,
-                    },
-                )
-            })
-            .collect(),
-    }
 }
 
 fn bench_verdicts(
@@ -164,34 +130,6 @@ fn bench_verdicts(
     group.finish();
 }
 
-fn bench_compile(c: &mut Criterion, matrix: &ConnectivityMatrix) {
-    let mut group = c.benchmark_group("policy_plane");
-    let rules = matrix.len();
-    group.bench_with_input(BenchmarkId::new("compile", rules), &rules, |b, _| {
-        b.iter(|| black_box(CompiledAcl::compile(matrix)).len());
-    });
-    group.finish();
-}
-
-fn bench_delta_install(c: &mut Criterion, base: &CompiledAcl, delta: &RuleSubset) {
-    let mut group = c.benchmark_group("policy_plane");
-    group.bench_with_input(
-        BenchmarkId::new("delta_install", delta.len()),
-        &delta.len(),
-        |b, _| {
-            b.iter(|| {
-                // Publish a snapshot, then install the delta into it: the
-                // `Arc::make_mut` copy-on-write of the touched VN is the
-                // real epoch-update cost.
-                let mut next = base.clone();
-                next.install(delta);
-                black_box(next.version())
-            });
-        },
-    );
-    group.finish();
-}
-
 fn bench_publish(c: &mut Criterion, acl: &CompiledAcl, reference: &GroupAcl) {
     let mut group = c.benchmark_group("policy_plane");
     group.bench_with_input(BenchmarkId::new("publish", "compiled"), &0usize, |b, _| {
@@ -212,22 +150,8 @@ fn main() {
     let mut reference = GroupAcl::new();
     reference.install_matrix(&matrix);
     let probes = build_probes();
-    let delta = build_delta(&matrix);
-
-    let stats = acl.mem_stats();
-    let map_payload =
-        matrix.len() * (std::mem::size_of::<(sda_types::VnId, GroupId, GroupId)>() + 1);
-    eprintln!(
-        "compiled 1k-group VN: {} B total ({} B rows + {} B interners), {} rules; \
-         per-pair map payload alone ≥ {} B before node overhead",
-        stats.total_bytes, stats.row_bytes, stats.interner_bytes, stats.rules, map_payload
-    );
-    let kib = stats.total_bytes as f64 / 1024.0;
-    h.budget("compiled 1k-group VN KiB", kib, ..=320.0);
 
     bench_verdicts(&mut h.criterion, &acl, &mut reference, &probes);
-    bench_compile(&mut h.criterion, &matrix);
-    bench_delta_install(&mut h.criterion, &acl, &delta);
     bench_publish(&mut h.criterion, &acl, &reference);
 
     let median = |id: &str| h.median("policy_plane", id);
@@ -242,11 +166,6 @@ fn main() {
         compiled / BATCH as f64,
         baseline,
         baseline / BATCH as f64,
-    );
-    eprintln!(
-        "compile 100k rules: {:.2} ms; delta-install 64 rules into a snapshot: {:.1} us",
-        median("compile/100000") / 1e6,
-        median("delta_install/64") / 1e3
     );
     eprintln!("epoch publish: compiled {pub_compiled:.1} ns vs deep map copy {pub_baseline:.1} ns");
     h.bar(

@@ -1,7 +1,6 @@
 //! Fixtures the per-layer benches and the figures share: one VN, one
 //! attached host, the EID spaces, near-MTU host frames and the edge
-//! configuration they are forwarded under — so `dataplane_fwd` and
-//! `mt_fwd` time the same workload by construction — and the preloaded
+//! configuration `mt_fwd` forwards them under, and the preloaded
 //! routing server of Fig. 7.
 
 use sda_ctrl::PartitionedMapServer;
@@ -14,7 +13,7 @@ use std::net::Ipv4Addr;
 
 /// Inner payload of every frame: the conventional full-size data packet,
 /// where a zero-copy engine earns its keep.
-pub const PAYLOAD: usize = 1400;
+const PAYLOAD: usize = 1400;
 
 /// Lifetime of every installed host route: outlives any run.
 pub const ROUTE_TTL: SimDuration = SimDuration::from_days(365);
@@ -51,7 +50,7 @@ pub fn preloaded_server(routes: u32) -> PartitionedMapServer {
 }
 
 /// Address of the `i`-th remote endpoint of the forwarding benches.
-pub fn remote_ip(i: u32) -> Ipv4Addr {
+fn remote_ip(i: u32) -> Ipv4Addr {
     Ipv4Addr::from(0x0A09_0000 | (i & 0x00FF_FFFF))
 }
 
@@ -94,7 +93,7 @@ pub fn populated_switch(routes: u32) -> Switch {
 }
 
 /// A host frame from [`host`] toward `dst`, [`PAYLOAD`] bytes inside.
-pub fn frame(dst: Ipv4Addr) -> Vec<u8> {
+fn frame(dst: Ipv4Addr) -> Vec<u8> {
     let h = host();
     let inner = ipv4::Repr {
         src: h.ipv4,

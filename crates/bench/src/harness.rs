@@ -3,21 +3,22 @@
 //!
 //! `cargo bench -p sda-bench --bench <name>` is a full run: 40 samples
 //! over 600 ms per row, and the rows written to `BENCH_<short>.json` at
-//! the workspace root — the committed baseline — only when the row set,
-//! every budget and every bar hold, so a rejected run never replaces
-//! the baseline with the numbers that failed it. `SDA_BENCH_SMOKE=1
+//! the workspace root — the committed baseline — only when the row set
+//! and every bar hold, so a rejected run never replaces the baseline
+//! with the numbers that failed it. `SDA_BENCH_SMOKE=1
 //! cargo bench …` is smoke mode (CI): 10 samples over 60 ms, JSON always
 //! written to `target/BENCH_<short>.smoke.json` (that file is the
 //! emitter's own check). Schema in both: `[{group, id, median_ns,
 //! mean_ns, p95_ns, iterations}]`, one object per row in emission order.
 //!
-//! Three kinds of check, all printed on stderr. A *ratio* is only
+//! Two kinds of check, both printed on stderr. A *ratio* is only
 //! printed. A *bar* holds two medians of one run against each other and
 //! is enforced in full mode only: shared CI runners are too noisy to
 //! gate on time, and absolute times swing 25–75 % hour to hour even on
-//! the reference box, which is why no bar names a committed number. A
-//! *budget* is a deterministic quantity (bytes) and is enforced in both
-//! modes. Failures are collected and reported together by `finish`.
+//! the reference box, which is why no bar names a committed number. So
+//! smoke mode enforces the row set alone. Failures are collected and
+//! reported together by `finish`. Memory budgets are byte counts, not
+//! timings, and live in tier-1 tests beside the code they bound.
 
 use criterion::{BenchResult, Criterion};
 use std::fmt::Debug;
@@ -88,31 +89,15 @@ impl Harness {
 
     /// A timing check between rows of this run: enforced in full mode.
     pub fn bar(&mut self, what: &str, value: f64, allowed: impl RangeBounds<f64> + Debug) {
-        self.check("bar", !self.smoke, what, value, allowed);
-    }
-
-    /// A deterministic check (bytes): enforced in both modes.
-    pub fn budget(&mut self, what: &str, value: f64, allowed: impl RangeBounds<f64> + Debug) {
-        self.check("budget", true, what, value, allowed);
-    }
-
-    fn check(
-        &mut self,
-        kind: &str,
-        enforced: bool,
-        what: &str,
-        value: f64,
-        allowed: impl RangeBounds<f64> + Debug,
-    ) {
-        let line = format!("{kind} {what}: {value:.3} (allowed {allowed:?})");
+        let line = format!("bar {what}: {value:.3} (allowed {allowed:?})");
         let held = allowed.contains(&value);
-        let verdict = match (held, enforced) {
+        let verdict = match (held, self.smoke) {
             (true, _) => "",
-            (false, true) => " — FAILED",
-            (false, false) => " — not held; bars are not enforced under smoke",
+            (false, false) => " — FAILED",
+            (false, true) => " — not held; bars are not enforced under smoke",
         };
         eprintln!("{line}{verdict}");
-        if enforced && !held {
+        if !held && !self.smoke {
             self.failed.push(line);
         }
     }
@@ -184,13 +169,11 @@ mod tests {
     }
 
     #[test]
-    fn smoke_enforces_budgets_but_not_bars_and_writes_under_target() {
+    fn smoke_does_not_enforce_bars_and_writes_under_target() {
         let mut h = harness(true, "harness_unit_smoke.json");
         h.bar("slow", 3.0, ..=1.15);
+        h.bar("missing row", f64::NAN, ..=1.15);
         assert!(h.failed.is_empty());
-        h.budget("fat", 2.0, ..=1.0);
-        h.budget("missing row", f64::NAN, ..=1.0);
-        assert_eq!(h.failed.len(), 2);
         assert!(out_path("mt", true, true).ends_with("target/BENCH_mt.smoke.json"));
         assert!(out_path("fig7", false, false).ends_with("target/BENCH_fig7.json"));
         assert!(out_path("mt", false, true).ends_with("../../BENCH_mt.json"));
@@ -204,10 +187,10 @@ mod tests {
         let out = h.out.clone();
         h.bar("slow", 3.0, ..=1.15);
         h.bar("fast enough", 3.0, 2.0..);
-        h.budget("fat", 2.0, ..=1.0);
+        h.bar("missing row", f64::NAN, 2.0..);
         let msg = panic_of(h, &[]);
         assert!(
-            msg.contains("slow") && msg.contains("fat") && !msg.contains("fast enough"),
+            msg.contains("slow") && msg.contains("missing row") && !msg.contains("fast enough"),
             "{msg}"
         );
         assert_eq!(std::fs::read_to_string(out).unwrap(), "committed");

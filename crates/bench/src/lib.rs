@@ -4,18 +4,17 @@
 //! figure/table reproductions, and the benchmark of record.
 //!
 //! * [`harness`] — smoke mode, sample sizes, the JSON out path, the
-//!   row-set check and the ratio / bar / budget checks, decided once for
-//!   every bench below; [`fixtures`] — the VN, host, EIDs, frames, edge
+//!   row-set check and the ratio / bar checks, decided once for every
+//!   bench below; [`fixtures`] — the VN, host, EIDs, frames, edge
 //!   configuration and preloaded routing server they share.
-//! * Criterion benches (`benches/`, each a row list over the harness):
-//!   - `lpm_hot_path` — `BENCH_lpm.json`: plain Patricia-trie LPM (the
-//!     map-cache's cover path) and map-cache lookup, two memory budgets.
-//!   - `dataplane_fwd` — `BENCH_dataplane.json`: the batched engine's
-//!     encap / miss / decap per FIB size.
+//! * Criterion benches (`benches/`, each a row list over the harness;
+//!   each keeps the rows its in-run bars read, and the memory budgets
+//!   are tier-1 `tests/mem_budget.rs` files beside the code they bound):
 //!   - `mt_fwd` — `BENCH_mt.json`: `MtSwitch` at 1/2/4 workers vs. the
 //!     single-threaded `Switch`.
-//!   - `ctrl_plane` — `BENCH_ctrl.json`: the partitioned map-server
-//!     under the metro workload.
+//!   - `ctrl_plane` — `BENCH_ctrl.json`: the partitioned map-server's
+//!     register, admission and pub/sub delta costs under the metro
+//!     workload.
 //!   - `policy_plane` — `BENCH_policy.json`: compiled SGACL vs. the
 //!     per-pair map.
 //!   - `fig7_routing_server` — Fig. 7a/7b: the routing server's own
@@ -35,11 +34,11 @@
 //! The library also hosts the queueing and averaging helpers the
 //! figures share and the implementations no node runs that rows are
 //! measured against: [`shard::ShardedMapServer`] — §4.1's replicate-all
-//! deployment, for `ctrl_plane`'s `register_legacy_s4` and
-//! [`figures::ablation_sharding`] — built on [`map_server`] (with its
-//! [`pubsub`] subscriber table), and [`enforce`] for `policy_plane`'s
-//! per-pair-map rows; these are `#[path]`-included below from the
-//! `tests/reference/` directories that own them.
+//! deployment, for [`figures::ablation_sharding`] — built on
+//! [`map_server`] (with its [`pubsub`] subscriber table), and
+//! [`enforce`] for `policy_plane`'s per-pair-map rows; these are
+//! `#[path]`-included below from the `tests/reference/` directories
+//! that own them.
 
 pub mod figures;
 pub mod fixtures;

@@ -13,8 +13,7 @@
 //! times, every shard holds the whole world). No node runs it: the
 //! fabric's routing server is `sda-ctrl`'s `PartitionedMapServer`, which
 //! partitions EID space so each register lands on exactly one shard.
-//! It lives here, in bench support, as the comparison point of the
-//! `register_legacy_s4` row of `benches/ctrl_plane.rs` and of
+//! It lives here, in bench support, as the comparison point of
 //! [`crate::figures::ablation_sharding`], built on the reference
 //! [`MapServer`] alone.
 //!

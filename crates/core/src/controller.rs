@@ -749,4 +749,17 @@ mod tests {
         // The unicast L2 packet reached bob's edge.
         assert!(f.edge(e2).stats().delivered >= 1);
     }
+
+    #[test]
+    fn arp_for_a_host_on_the_same_edge_is_answered_there_and_counted() {
+        let (mut f, e1, _e2, _bh, _vn, alice, bob) = two_edge_fabric();
+        f.attach_at(SimTime::ZERO, e1, alice, PortId(1));
+        f.attach_at(SimTime::ZERO, e1, bob, PortId(2));
+        f.run_until(SimTime::from_nanos(100_000_000));
+        f.arp_at(SimTime::from_nanos(200_000_000), e1, alice.mac, bob.ipv4);
+        f.run_until(SimTime::from_nanos(400_000_000));
+        // Stat and fabric counter agree, as on the remote path.
+        assert_eq!(f.edge(e1).stats().arp_converted, 1);
+        assert_eq!(f.metrics().counter("fabric.arp_converted"), 1);
+    }
 }

@@ -636,9 +636,15 @@ impl EdgeRouter {
             return;
         };
         // Local answer: target attached to this same edge.
-        if let Some(ep) = self.switch.tables().vrf().lookup(vn, Eid::V4(target_ip)) {
-            let _ = ep;
+        if self
+            .switch
+            .tables()
+            .vrf()
+            .lookup(vn, Eid::V4(target_ip))
+            .is_some()
+        {
             self.stats.arp_converted += 1;
+            ctx.metrics().bump(self.dir.counters.arp_converted);
             return;
         }
         // §3.5: the L2 gateway absorbs the broadcast and asks the

@@ -31,8 +31,8 @@
 //!   VN)` stream on the next flush.
 //!
 //! The replicate-all `ShardedMapServer` lives in bench support
-//! (`sda_bench::shard`) as the cost comparison of `BENCH_ctrl.json`'s
-//! `register_legacy_s4` row; `tests/differential_ctrl.rs` proves the
+//! (`sda_bench::shard`) for the §4.1 sharding study
+//! (`figs ablation_sharding`); `tests/differential_ctrl.rs` proves the
 //! partitioned server agrees with the *single* reference server
 //! reply-for-reply and notify-for-notify over generated
 //! register/request/move/expiry interleavings.

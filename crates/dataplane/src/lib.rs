@@ -37,10 +37,10 @@
 //! the border default route (§3.2.2); SMR'd entries keep forwarding and
 //! punt a refresh (Fig. 6); packets for departed endpoints trigger
 //! data-driven SMRs back to the ingress edge. Zero allocations per
-//! steady-state packet is enforced by `tests/no_alloc.rs`; the
-//! `dataplane_fwd`/`mt_fwd` benches (`BENCH_dataplane.json`,
-//! `BENCH_mt.json`) time the engine, and `mt_fwd` holds 1-worker
-//! [`MtSwitch`] within 1.15x of the single-threaded switch.
+//! steady-state packet is enforced by `tests/no_alloc.rs`; `e2e
+//! --trace 1` times the engine per stage on the `edge_*` workloads, and
+//! the `mt_fwd` bench (`BENCH_mt.json`) holds 1-worker [`MtSwitch`]
+//! within 1.15x of the single-threaded switch.
 //!
 //! ## Surface
 //!

@@ -10,10 +10,10 @@
 //! No table of the running fabric holds one: the registry, the VRF and
 //! the map-cache are hash tables and sorted vectors, and no production
 //! crate depends on this one. What is left of its users: the benchmark
-//! of record (`e2e`'s `trie.*` probes build stand-alone tries), the
-//! `trie_lpm` rows of the `lpm_hot_path` bench, and the trie-backed
-//! reference registry `sda-lisp`'s property tests hold the production
-//! registry to. Two layers:
+//! of record (`e2e`'s `trie.*` probes build stand-alone tries) and the
+//! trie-backed reference registry `sda-lisp`'s property tests hold the
+//! production registry to; `tests/mem_budget.rs` holds a 1M-route trie
+//! to 128 MiB. Two layers:
 //!
 //! * [`PatriciaTrie`] — the generic bit-keyed trie: exact match, one
 //!   filtered longest-prefix match through `&self`, `retain`, and a DFS

@@ -86,7 +86,7 @@ pub fn reserved_bytes<K, V, S>(map: &HashMap<K, V, S>) -> usize {
 }
 
 /// What a table has reserved — what the map-cache, the VRF and the
-/// registry report, and what the `lpm_hot_path` bench budgets.
+/// registry report, and what their memory-budget tests bound.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// Bytes reserved by the table's slots and buffers.
