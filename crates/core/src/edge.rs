@@ -165,6 +165,12 @@ pub struct EdgeRouter {
     frame_scratch: Vec<u8>,
     /// Punt-drain scratch, swap-cycled with the switch's queue.
     punt_scratch: Vec<Punt>,
+    /// Where the eviction sweep's grid starts (the arming kick): sweeps
+    /// fall on `origin + k × eviction_interval` only.
+    sweep_origin: Option<SimTime>,
+    /// A sweep timer is pending. An empty map-cache parks its sweep
+    /// (nothing to evict); the first install re-arms it on the grid.
+    sweep_armed: bool,
 }
 
 /// Builds the engine configuration a fabric node runs with, from the
@@ -208,6 +214,8 @@ impl EdgeRouter {
             buf: PacketBuf::new(),
             frame_scratch: Vec::new(),
             punt_scratch: Vec::new(),
+            sweep_origin: None,
+            sweep_armed: false,
         }
     }
 
@@ -297,10 +305,13 @@ impl EdgeRouter {
     }
 
     /// Arms the periodic timers; the controller calls this right after
-    /// node creation via an injected kick (timers need a context).
-    fn arm_timers(&self, ctx: &mut Context<'_, FabricMsg>) {
+    /// node creation via an injected kick (timers need a context). The
+    /// eviction sweep's grid starts here; the sweep itself waits for the
+    /// first install.
+    fn arm_timers(&mut self, ctx: &mut Context<'_, FabricMsg>) {
+        self.sweep_origin = Some(ctx.now());
+        self.arm_sweep(ctx);
         let p = &self.dir.params;
-        ctx.set_timer(p.eviction_interval, TIMER_EVICT);
         if let Some(interval) = p.fib_sample_interval {
             ctx.set_timer(interval, TIMER_FIB_SAMPLE);
         }
@@ -310,6 +321,26 @@ impl EdgeRouter {
         if let Some(interval) = p.refresh_interval {
             ctx.set_timer(interval, TIMER_REFRESH);
         }
+    }
+
+    /// Arms the eviction sweep at the grid's next instant after now,
+    /// unless it is armed already or the map-cache is empty. A sweep
+    /// that finds the cache empty does not re-arm, so an idle edge fires
+    /// no timer at all; an install re-arms it at the instant its
+    /// unparked predecessor would have fired, and every eviction happens
+    /// when it always did.
+    fn arm_sweep(&mut self, ctx: &mut Context<'_, FabricMsg>) {
+        let Some(origin) = self.sweep_origin else {
+            return;
+        };
+        if self.sweep_armed || self.switch.map_cache().is_empty() {
+            return;
+        }
+        let interval = self.dir.params.eviction_interval.as_nanos();
+        let since = ctx.now().since(origin).as_nanos();
+        let next = (since / interval + 1) * interval;
+        ctx.set_timer(SimDuration::from_nanos(next - since), TIMER_EVICT);
+        self.sweep_armed = true;
     }
 
     fn txn(&mut self) -> u64 {
@@ -852,6 +883,8 @@ impl EdgeRouter {
                 debug_assert!(false, "edge received unexpected control {other:?}");
             }
         }
+        // An install into an empty cache unparks the sweep.
+        self.arm_sweep(ctx);
     }
 
     fn handle_policy(&mut self, ctx: &mut Context<'_, FabricMsg>, msg: PolicyMsg) {
@@ -1039,7 +1072,10 @@ impl Node<FabricMsg> for EdgeRouter {
             // Keep timers armed so a revived edge resumes housekeeping.
             let p = &self.dir.params;
             match token {
-                TIMER_EVICT => ctx.set_timer(p.eviction_interval, TIMER_EVICT),
+                TIMER_EVICT => {
+                    self.sweep_armed = false;
+                    self.arm_sweep(ctx);
+                }
                 TIMER_UNDERLAY => ctx.set_timer(UNDERLAY_TICK, TIMER_UNDERLAY),
                 TIMER_REFRESH => {
                     if let Some(i) = p.refresh_interval {
@@ -1063,7 +1099,8 @@ impl Node<FabricMsg> for EdgeRouter {
             TIMER_EVICT => {
                 self.switch
                     .evict_expired(ctx.now(), self.dir.params.idle_timeout);
-                ctx.set_timer(self.dir.params.eviction_interval, TIMER_EVICT);
+                self.sweep_armed = false;
+                self.arm_sweep(ctx);
             }
             TIMER_FIB_SAMPLE => sample_fib(ctx, &self.name, self.fib_len_v4(), &self.dir),
             TIMER_UNDERLAY => {
@@ -1127,5 +1164,69 @@ impl Node<FabricMsg> for EdgeRouter {
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::Ipv4Addr;
+
+    use sda_simnet::{SimDuration, SimTime};
+    use sda_types::{EidPrefix, GroupId, Ipv4Prefix, Rloc};
+    use sda_wire::lisp::Message as Lisp;
+
+    use crate::controller::FabricBuilder;
+    use crate::msg::FabricMsg;
+
+    fn secs(s: f64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_secs_f64(s)
+    }
+
+    #[test]
+    fn a_parked_sweep_rearms_on_the_original_grid() {
+        let mut b = FabricBuilder::new(3);
+        let vn = b.add_vn(
+            100,
+            Ipv4Prefix::new(Ipv4Addr::new(10, 100, 0, 0), 16).unwrap(),
+        );
+        b.allow(vn, GroupId(10), GroupId(10));
+        let edge = b.add_edge("edge1");
+        b.add_border("border", vec![]);
+        b.config_mut().eviction_interval = SimDuration::from_secs(2);
+        b.config_mut().idle_timeout = SimDuration::from_millis(500);
+        let mut f = b.build();
+        let node = f.edge_node(edge);
+        let reply = |n: u8| {
+            FabricMsg::Control(Lisp::MapReply {
+                nonce: 0,
+                vn,
+                prefix: EidPrefix::host(Ipv4Addr::new(10, 100, 9, n).into()),
+                rloc: Some(Rloc::for_router_index(7)),
+                negative: false,
+                ttl_secs: 3600,
+            })
+        };
+
+        // An empty cache fires no sweep: none at 2 s or 4 s.
+        f.run_until(secs(1.0));
+        let before = f.sim_mut().events_processed();
+        f.run_until(secs(5.0));
+        assert_eq!(f.sim_mut().events_processed(), before);
+
+        // Installed at 5.1 s, idle past the timeout by the 6 s sweep,
+        // which leaves the cache empty and parks.
+        f.sim_mut().inject_at(secs(5.1), node, reply(1));
+        f.run_until(secs(5.9));
+        assert_eq!(f.edge(edge).fib_len(), 1);
+        f.run_until(secs(6.0));
+        assert_eq!(f.edge(edge).fib_len(), 0);
+
+        // An install at 7.3 s re-arms on the grid: the next sweep is at
+        // 8 s, not at 7.3 + 2 s.
+        f.sim_mut().inject_at(secs(7.3), node, reply(2));
+        f.run_until(secs(7.99));
+        assert_eq!(f.edge(edge).fib_len(), 1);
+        f.run_until(secs(8.0));
+        assert_eq!(f.edge(edge).fib_len(), 0, "swept at 8 s");
     }
 }

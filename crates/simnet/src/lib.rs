@@ -10,7 +10,7 @@
 //!   total order, `(time, sequence)`: ties break by insertion order, and
 //!   all randomness flows from one [`rand::rngs::SmallRng`] seeded per
 //!   scenario, so a run is a pure function of `(scenario, seed)`. The
-//!   queue behind that order is three containers and one chooser that
+//!   queue behind that order is four containers and one chooser that
 //!   takes the smallest `(time, sequence)` of their fronts. What a
 //!   driver schedules from outside ([`Simulator::inject_at`],
 //!   [`Simulator::arm_timer_at`], `Simulator::inject_fault_at`) *in
@@ -18,19 +18,26 @@
 //!   node sends with no extra delay over a link of the default latency
 //!   sits in a second, the in-flight lane: each such delivery is due at
 //!   `now + default latency`, and `now` never falls, so they arrive in
-//!   order. Everything else — timers, wakes, [`Context::send_after`],
-//!   per-link latencies, an injection earlier than the schedule's tail,
-//!   a delivery earlier than the lane's tail — sits in a binary heap
-//!   (counted in `simnet.heap_events`). All three draw `sequence` from
-//!   one counter, so which container holds an event never changes when
-//!   it fires. The FIFOs keep a schedule injected hours ahead out of
-//!   the way of deliveries due in microseconds, and keep those
-//!   deliveries, which are most of a run, out of the heap altogether:
-//!   about two thirds of `fabric_storm`'s run-time events and 97 % of
-//!   `fabric_traffic`'s are default-link deliveries and never sift. It
-//!   is **not** a calendar queue: no buckets, no width to tune, no knob
-//!   at all — the choice is a property the simulator observes in its
-//!   input — and same-instant events are never reordered.
+//!   order. A node's wake (see *Overload model*) sits in a small heap of
+//!   its own, the wake lane — at most one per node with deliveries
+//!   parked, `(time, sequence, node)` and no payload. Everything else —
+//!   timers, [`Context::send_after`], per-link latencies, an injection
+//!   earlier than the schedule's tail, a delivery earlier than the
+//!   lane's tail — sits in the main binary heap (counted in
+//!   `simnet.heap_events`). All four draw `sequence` from one counter,
+//!   so which container holds an event never changes when it fires; a
+//!   run's order is pinned by [`Simulator::event_digest`], a fold of
+//!   every fired event's `(time, sequence, node, kind)`. The FIFOs keep
+//!   a schedule injected hours ahead out of the way of deliveries due in
+//!   microseconds, and keep those deliveries, which are most of a run,
+//!   out of the heap altogether: about two thirds of `fabric_storm`'s
+//!   run-time events and 97 % of `fabric_traffic`'s are default-link
+//!   deliveries and never sift; the wake lane keeps the storm's wakes,
+//!   about half of what would otherwise be pushed, from sifting through
+//!   the timers' few hundred entries. The containers split events by
+//!   *kind*, never by due time: it is **not** a calendar queue — no
+//!   buckets, no width to tune, no knob at all — and same-instant
+//!   events are never reordered.
 //! * **Poll-free node model.** Nodes implement [`Node`] and react to
 //!   delivered messages and timers; they emit new messages through the
 //!   [`Context`] handed to every callback (the smoltcp-style "state

@@ -1,6 +1,8 @@
 //! The event loop, node trait and delivery machinery.
 
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -110,9 +112,38 @@ struct SimCounters {
     ingress_drops: CounterId,
     partition_drops: CounterId,
     link_drops: CounterId,
-    /// Events that took the heap; the two FIFOs count nothing.
+    /// Events that took the main heap; the two FIFOs and the wake lane
+    /// count nothing.
     heap_events: CounterId,
 }
+
+/// Hashes a `(NodeId, NodeId)` key: the two ids shifted into one word,
+/// then one widening multiply with the high half folded onto the low
+/// half (hashbrown indexes with the low bits and tags with the top
+/// seven, so both ends must see both ids). Deterministic and unkeyed:
+/// the pairs are the scenario's own wiring, never input from a packet,
+/// and the tables it hashes are probed and updated but never iterated.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0 << 8 | u64::from(b);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = self.0 << 32 | u64::from(n);
+    }
+
+    fn finish(&self) -> u64 {
+        let wide = u128::from(self.0) * 0x9E37_79B9_7F4A_7C15;
+        wide as u64 ^ (wide >> 64) as u64
+    }
+}
+
+type PairBuild = BuildHasherDefault<PairHasher>;
 
 /// Directed-link parameters.
 #[derive(Clone, Copy, Debug)]
@@ -178,10 +209,14 @@ impl<'a, M> Context<'a, M> {
 /// addressed by their [`NodeId`] (dense, starting at 0).
 pub struct Simulator<M> {
     nodes: Vec<Box<dyn Node<M>>>,
-    /// What nodes create at run time and `in_flight` does not take
-    /// (timers, wakes, `send_after`, sends over a link of another
+    /// What nodes create at run time and neither `in_flight` nor
+    /// `wakes` takes (timers, `send_after`, sends over a link of another
     /// latency), and external events injected out of time order.
     queue: BinaryHeap<Event<M>>,
+    /// Pending wakes as `(time, seq, node)`: at most one per node with a
+    /// non-empty ingress queue, so a few dozen entries where the main
+    /// heap holds hundreds, and no payload to move.
+    wakes: BinaryHeap<Reverse<(SimTime, u64, NodeId)>>,
     /// External events injected in nondecreasing time order — a
     /// driver's schedule — in `(time, seq)` order by construction. Kept
     /// out of the heap so that a delivery due in 50 µs does not sift
@@ -197,11 +232,11 @@ pub struct Simulator<M> {
     now: SimTime,
     default_latency: SimDuration,
     default_loss: f64,
-    links: HashMap<(NodeId, NodeId), LinkParams>,
+    links: HashMap<(NodeId, NodeId), LinkParams, PairBuild>,
     /// Nodes currently crashed by a [`Fault::Crash`].
     node_down: Vec<bool>,
     /// Unordered pairs currently cut by a [`Fault::Partition`].
-    partitioned: HashSet<(NodeId, NodeId)>,
+    partitioned: HashSet<(NodeId, NodeId), PairBuild>,
     /// Per-node control CPU availability.
     busy_until: Vec<SimTime>,
     /// Per-node ingress queue bound (`usize::MAX` = unbounded).
@@ -220,6 +255,9 @@ pub struct Simulator<M> {
     metrics: Metrics,
     counters: SimCounters,
     events_processed: u64,
+    /// Running fold of every fired event's `(time, seq, node, kind)`
+    /// (see [`Simulator::event_digest`]).
+    event_digest: u64,
 }
 
 impl<M> Simulator<M> {
@@ -237,15 +275,16 @@ impl<M> Simulator<M> {
         Simulator {
             nodes: Vec::new(),
             queue: BinaryHeap::new(),
+            wakes: BinaryHeap::new(),
             schedule: VecDeque::new(),
             in_flight: VecDeque::new(),
             seq: 0,
             now: SimTime::ZERO,
             default_latency: SimDuration::from_micros(50),
             default_loss: 0.0,
-            links: HashMap::new(),
+            links: HashMap::default(),
             node_down: Vec::new(),
-            partitioned: HashSet::new(),
+            partitioned: HashSet::default(),
             busy_until: Vec::new(),
             ingress_cap: Vec::new(),
             ingress: Vec::new(),
@@ -257,6 +296,7 @@ impl<M> Simulator<M> {
             metrics,
             counters,
             events_processed: 0,
+            event_digest: 0,
         }
     }
 
@@ -371,6 +411,16 @@ impl<M> Simulator<M> {
         self.events_processed
     }
 
+    /// A 64-bit fold of every event fired so far — its time, sequence
+    /// number, node and kind, in firing order. Two runs that fire the same
+    /// events in the same total order agree on it; a run that reorders
+    /// two events, or stamps one with another sequence number, almost
+    /// surely does not, even when every end-of-run counter agrees.
+    /// Faults fold with node `u32::MAX`.
+    pub fn event_digest(&self) -> u64 {
+        self.event_digest
+    }
+
     /// Borrow a node back (for post-run inspection). The caller supplies
     /// the concrete type.
     pub fn node(&self, id: NodeId) -> &dyn Node<M> {
@@ -394,6 +444,13 @@ impl<M> Simulator<M> {
         self.queue.push(ev);
     }
 
+    /// Queues `node`'s wake at `at` in the wake lane.
+    fn push_wake(&mut self, at: SimTime, node: NodeId) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.wakes.push(Reverse((at, seq, node)));
+    }
+
     /// The one door for events from outside (`inject_at`,
     /// `arm_timer_at`, `inject_fault_at`): an arrival no earlier than
     /// the schedule's tail extends the schedule, anything else takes
@@ -411,14 +468,18 @@ impl<M> Simulator<M> {
     }
 
     /// Removes and returns the next event in `(time, seq)` order — the
-    /// earliest of the schedule's front, the in-flight lane's front and
-    /// the heap's top — unless it is due after `deadline`.
+    /// earliest of the schedule's front, the in-flight lane's front, the
+    /// heap's top and the wake lane's top — unless it is due after
+    /// `deadline`.
     fn pop_due(&mut self, deadline: SimTime) -> Option<Event<M>> {
         let key = |ev: &Event<M>| (ev.time, ev.seq);
         let fronts = [
             self.schedule.front().map(key),
             self.in_flight.front().map(key),
             self.queue.peek().map(key),
+            self.wakes
+                .peek()
+                .map(|&Reverse((time, seq, _))| (time, seq)),
         ];
         // `seq` is unique, so no two fronts ever tie.
         let (container, (time, _)) = fronts
@@ -432,7 +493,12 @@ impl<M> Simulator<M> {
         match container {
             0 => self.schedule.pop_front(),
             1 => self.in_flight.pop_front(),
-            _ => self.queue.pop(),
+            2 => self.queue.pop(),
+            _ => {
+                let Reverse((time, seq, node)) = self.wakes.pop()?;
+                let kind = EventKind::Wake { node };
+                Some(Event { time, seq, kind })
+            }
         }
     }
 
@@ -542,6 +608,7 @@ impl<M> Simulator<M> {
         debug_assert!(ev.time >= self.now, "event queue went backwards");
         self.now = ev.time;
         self.events_processed += 1;
+        self.fold_event(&ev);
 
         match ev.kind {
             EventKind::Deliver { from, to, msg } => {
@@ -567,8 +634,7 @@ impl<M> Simulator<M> {
                     let depth = queue.len() as u32;
                     self.ingress_peak[idx] = self.ingress_peak[idx].max(depth);
                     if depth == 1 {
-                        let at = self.busy_until[idx];
-                        self.push(at, EventKind::Wake { node: to });
+                        self.push_wake(self.busy_until[idx], to);
                     }
                     return;
                 }
@@ -584,6 +650,22 @@ impl<M> Simulator<M> {
             EventKind::Fault(fault) => {
                 self.apply_fault(fault);
             }
+        }
+    }
+
+    /// Folds `ev` into [`Simulator::event_digest`]: one widening
+    /// multiply per word, high half folded onto the low half, so every
+    /// input bit reaches every digest bit within a few events.
+    fn fold_event(&mut self, ev: &Event<M>) {
+        let (node, kind) = match &ev.kind {
+            EventKind::Deliver { to, .. } => (to.0, 0),
+            EventKind::Wake { node } => (node.0, 1),
+            EventKind::Timer { node, .. } => (node.0, 2),
+            EventKind::Fault(_) => (u32::MAX, 3),
+        };
+        for word in [ev.time.as_nanos(), ev.seq, u64::from(node) << 2 | kind] {
+            let wide = u128::from(self.event_digest ^ word) * 0x9E37_79B9_7F4A_7C15;
+            self.event_digest = wide as u64 ^ (wide >> 64) as u64;
         }
     }
 
@@ -610,8 +692,7 @@ impl<M> Simulator<M> {
             self.dispatch(node, |n, ctx| n.on_message(ctx, from, msg));
         }
         if !self.ingress[idx].is_empty() {
-            let at = self.busy_until[idx];
-            self.push(at, EventKind::Wake { node });
+            self.push_wake(self.busy_until[idx], node);
         }
     }
 
@@ -693,7 +774,10 @@ impl<M> Simulator<M> {
             n += 1;
         }
         assert!(
-            self.queue.is_empty() && self.schedule.is_empty() && self.in_flight.is_empty(),
+            self.queue.is_empty()
+                && self.wakes.is_empty()
+                && self.schedule.is_empty()
+                && self.in_flight.is_empty(),
             "simulation exceeded {max_events} events"
         );
         n
@@ -1036,24 +1120,25 @@ mod tests {
         assert!(sim.events_processed() >= 1);
     }
 
-    /// `(schedule, in_flight, heap)` occupancy.
-    fn pending(sim: &Simulator<u32>) -> (usize, usize, usize) {
-        (sim.schedule.len(), sim.in_flight.len(), sim.queue.len())
+    /// `(schedule, in_flight, heap, wakes)` occupancy.
+    fn pending(sim: &Simulator<u32>) -> (usize, usize, usize, usize) {
+        let (queue, wakes) = (sim.queue.len(), sim.wakes.len());
+        (sim.schedule.len(), sim.in_flight.len(), queue, wakes)
     }
 
     #[test]
     fn scheduled_and_queued_events_at_one_instant_fire_in_seq_order() {
-        // Scheduled event older than the heap's: the tie test above (9
-        // rides the schedule, the wake for 6 is in the heap). Here the
-        // heap's is older: 1 parks behind 5 and its wake for t = 5 is
+        // Scheduled event older than the wake: the tie test above (9
+        // rides the schedule, the wake for 6 is in the wake lane). Here
+        // the wake is older: 1 parks behind 5 and its wake for t = 5 is
         // queued before 9 is scheduled for the same instant.
         let (mut sim, n, served) = server_sim();
         sim.inject_at(SimTime::ZERO, n, 5);
         sim.inject_at(at_ms(1), n, 1);
         sim.run_until(at_ms(2));
-        assert_eq!(pending(&sim), (0, 0, 1));
+        assert_eq!(pending(&sim), (0, 0, 0, 1));
         sim.inject_at(at_ms(5), n, 9);
-        assert_eq!(pending(&sim), (1, 0, 1));
+        assert_eq!(pending(&sim), (1, 0, 0, 1));
         sim.run_to_completion(100);
         assert_eq!(*served.borrow(), [(0, 5), (5, 1), (6, 9)]);
     }
@@ -1066,9 +1151,9 @@ mod tests {
         sim.inject_at(at_ms(20), n, 2); // behind the tail
         sim.inject_at(at_ms(50), n, 3); // ties with the tail
         sim.inject_at(at_ms(20), n, 4);
-        assert_eq!(pending(&sim), (2, 0, 2));
+        assert_eq!(pending(&sim), (2, 0, 2, 0));
         assert!(sim.step() && sim.step(), "both from the heap");
-        assert_eq!(pending(&sim), (2, 0, 1), "4 parked behind 2: one wake");
+        assert_eq!(pending(&sim), (2, 0, 0, 1), "4 parked behind 2: one wake");
         sim.run_to_completion(100);
         assert_eq!(*served.borrow(), [(20, 2), (22, 4), (50, 1), (51, 3)]);
         assert!(!sim.step(), "schedule and heap both empty");
@@ -1080,7 +1165,7 @@ mod tests {
         sim.inject_at(at_ms(100), n, 0);
         sim.inject_at(at_ms(100) + SimDuration::from_nanos(1), n, 0);
         assert_eq!(sim.run_until(at_ms(100)), 1, "at the deadline fires");
-        assert_eq!(pending(&sim), (1, 0, 0), "one past it stays pending");
+        assert_eq!(pending(&sim), (1, 0, 0, 0), "one past it stays pending");
         assert_eq!(sim.now(), at_ms(100));
         assert_eq!(sim.run_until(at_ms(200)), 1);
         assert_eq!((served.borrow().len(), sim.now()), (2, at_ms(200)));
@@ -1094,10 +1179,10 @@ mod tests {
         sim.arm_timer_at(SimTime::from_nanos(30), n, 7);
         sim.inject_fault_at(SimTime::from_nanos(40), Fault::ShardCrash(n, 0));
         sim.inject_at(SimTime::from_nanos(40), n, 1);
-        assert_eq!(pending(&sim), (3, 0, 0));
+        assert_eq!(pending(&sim), (3, 0, 0, 0));
         sim.arm_timer_at(SimTime::from_nanos(10), n, 8);
         sim.inject_fault_at(SimTime::from_nanos(35), Fault::ShardHeal(n, 0));
-        assert_eq!(pending(&sim), (3, 0, 2));
+        assert_eq!(pending(&sim), (3, 0, 2, 0));
         sim.run_to_completion(10);
         let want = [
             "tick@10",
@@ -1133,28 +1218,29 @@ mod tests {
 
     #[test]
     fn lane_schedule_and_heap_events_at_one_instant_fire_in_seq_order() {
-        // Due at t = 5, oldest first: the wake for 1 (heap), 2 sent at
-        // t = 4 (lane), 9 injected once the run reached t = 4 (schedule)
-        // — the reverse of the order the chooser lists its containers.
+        // Due at t = 5, oldest first: the wake for 1 (wake lane), 2 sent
+        // at t = 4 (lane), 9 injected once the run reached t = 4
+        // (schedule) — the reverse of the order the chooser lists its
+        // containers.
         let (mut sim, n, fwd, served) = forwarding_sim();
         sim.inject_at(SimTime::ZERO, n, 5);
         sim.inject_at(at_ms(1), n, 1);
         sim.inject_at(at_ms(4), fwd, 2);
         sim.run_until(at_ms(4));
-        assert_eq!(pending(&sim), (0, 1, 1));
+        assert_eq!(pending(&sim), (0, 1, 0, 1));
         sim.inject_at(at_ms(5), n, 9);
-        assert_eq!(pending(&sim), (1, 1, 1));
+        assert_eq!(pending(&sim), (1, 1, 0, 1));
         sim.run_to_completion(100);
         assert_eq!(*served.borrow(), [(0, 5), (5, 1), (6, 2), (8, 9)]);
 
         // Due at t = 1: 2, sent at t = 0 (lane), is older than the wake
-        // for 3, parked at t = 0.5 (heap).
+        // for 3, parked at t = 0.5 (wake lane).
         let (mut sim, n, fwd, served) = forwarding_sim();
         sim.inject_at(SimTime::ZERO, fwd, 2);
         sim.inject_at(SimTime::ZERO, n, 1);
         sim.inject_at(SimTime::from_nanos(500_000), n, 3);
         sim.run_until(SimTime::from_nanos(500_000));
-        assert_eq!(pending(&sim), (0, 1, 1));
+        assert_eq!(pending(&sim), (0, 1, 0, 1));
         sim.run_to_completion(100);
         assert_eq!(*served.borrow(), [(0, 1), (1, 2), (3, 3)]);
     }
@@ -1169,14 +1255,88 @@ mod tests {
         sim.inject_at(at_ms(2), fwd, 0); // lands at 4, before the tail
         sim.inject_at(at_ms(3), fwd, 0); // lands at 5
         sim.run_until(at_ms(3));
-        assert_eq!(pending(&sim), (0, 1, 2));
+        assert_eq!(pending(&sim), (0, 1, 2, 0));
         sim.inject_at(at_ms(12), fwd, 0); // the lane has drained: lands at 14
         sim.run_until(at_ms(12));
-        assert_eq!(pending(&sim), (0, 1, 0));
+        assert_eq!(pending(&sim), (0, 1, 0, 0));
         sim.run_to_completion(100);
         let times: Vec<u64> = served.borrow().iter().map(|&(t, _)| t).collect();
         assert_eq!(times, [4, 5, 10, 14]);
         assert_eq!(sim.metrics().counter("simnet.heap_events"), 2);
+    }
+
+    /// One log for every node of [`wake_heap_and_lane_events_at_one_instant_fire_in_seq_order`].
+    type SharedLog = Rc<RefCell<Vec<String>>>;
+
+    /// Serves each message for `msg` ms, logging `serve<msg>@<µs>`.
+    struct Clerk {
+        log: SharedLog,
+    }
+    impl Node<u32> for Clerk {
+        fn on_message(&mut self, ctx: &mut Context<'_, u32>, _: NodeId, msg: u32) {
+            let us = ctx.now().as_nanos() / 1_000;
+            self.log.borrow_mut().push(format!("serve{msg}@{us}"));
+            ctx.busy(SimDuration::from_millis(msg as u64));
+        }
+    }
+
+    /// Arms a timer `msg` µs out on every message, logging `tick@<µs>`.
+    struct Ticker {
+        log: SharedLog,
+    }
+    impl Node<u32> for Ticker {
+        fn on_message(&mut self, ctx: &mut Context<'_, u32>, _: NodeId, msg: u32) {
+            ctx.set_timer(SimDuration::from_micros(msg as u64), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, u32>, _: u64) {
+            let us = ctx.now().as_nanos() / 1_000;
+            self.log.borrow_mut().push(format!("tick@{us}"));
+        }
+    }
+
+    #[test]
+    fn wake_heap_and_lane_events_at_one_instant_fire_in_seq_order() {
+        // A wake (wake lane), a timer (heap) and a delivery (in-flight
+        // lane) all due at t = 5 ms, stamped in three different orders
+        // by when each was queued. 5 keeps the clerk busy until t = 5;
+        // the forward of 2 leaves at t = 4 over the 1 ms default link.
+        let run = |injections: [(u64, usize, u32); 3], want: [&str; 4]| {
+            let mut sim = Simulator::new(13);
+            sim.set_default_latency(SimDuration::from_millis(1));
+            let log = SharedLog::default();
+            let clerk = sim.add_node(Box::new(Clerk { log: log.clone() }));
+            let fwd = sim.add_node(Box::new(Forward {
+                delay: SimDuration::ZERO,
+            }));
+            let ticker = sim.add_node(Box::new(Ticker { log: log.clone() }));
+            sim.inject_at(SimTime::ZERO, clerk, 5);
+            for (at_us, to, msg) in injections {
+                let to = [clerk, fwd, ticker][to];
+                sim.inject_at(SimTime::from_nanos(at_us * 1_000), to, msg);
+            }
+            sim.run_until(SimTime::from_nanos(4_999_999));
+            assert_eq!(pending(&sim), (0, 1, 1, 1), "one in each run-time lane");
+            sim.run_to_completion(100);
+            assert_eq!(*log.borrow(), want);
+        };
+        let (clerk, fwd, ticker) = (0, 1, 2);
+        // Wake, then timer, then delivery: 1 is served at 5 and holds
+        // the CPU, so 2 parks until 6.
+        run(
+            [(1_000, clerk, 1), (2_000, ticker, 3_000), (4_000, fwd, 2)],
+            ["serve5@0", "serve1@5000", "tick@5000", "serve2@6000"],
+        );
+        // Delivery, then wake, then timer: 2 takes the CPU at 5 and the
+        // wake finds it busy and re-arms for 7.
+        run(
+            [(4_000, fwd, 2), (4_500, clerk, 1), (4_600, ticker, 400)],
+            ["serve5@0", "serve2@5000", "tick@5000", "serve1@7000"],
+        );
+        // Timer, then delivery, then wake.
+        run(
+            [(500, ticker, 4_500), (4_000, fwd, 2), (4_500, clerk, 1)],
+            ["serve5@0", "tick@5000", "serve2@5000", "serve1@7000"],
+        );
     }
 
     #[test]
@@ -1193,7 +1353,7 @@ mod tests {
             sim.inject_at(SimTime::ZERO, node, 0);
         }
         sim.run_until(SimTime::ZERO);
-        assert_eq!(pending(&sim), (0, 2, 2));
+        assert_eq!(pending(&sim), (0, 2, 2, 0));
         sim.run_to_completion(100);
         assert_eq!(served.borrow().len(), 4);
         assert_eq!(sim.metrics().counter("simnet.heap_events"), 2);
@@ -1210,7 +1370,7 @@ mod tests {
         sim.inject_at(SimTime::ZERO, slow, 0);
         sim.schedule_faults(&FaultPlan::new().reboot(n, SimTime::from_nanos(1), at_ms(3)));
         sim.run_until(SimTime::ZERO);
-        assert_eq!(pending(&sim), (2, 1, 1), "crash and restart, lane, heap");
+        assert_eq!(pending(&sim), (2, 1, 1, 0), "crash and restart, lane, heap");
         sim.inject_at(at_ms(4), fwd, 7);
         sim.run_to_completion(100);
         assert_eq!(sim.metrics().counter("simnet.fault_msg_drops"), 2);

@@ -148,3 +148,26 @@ fn overload_campaign_replays_and_matches_the_recorded_counters() {
     assert_eq!(block, run(), "same seed ⇒ identical counter block");
     assert_eq!(block, RECORDED);
 }
+
+/// The event-order digest (`Simulator::event_digest`) of two pinned
+/// runs: the tiny campus and the reduced overload campaign as the
+/// `fabric_storm` workload's quick mode runs it. The counter blocks
+/// above miss a reordering that lands on the same totals; this does
+/// not. A change that keeps the total order keeps both values.
+#[test]
+fn event_order_digests_are_pinned() {
+    use sda_workloads::{ChaosParams, ChaosScenario};
+
+    let mut campus = CampusScenario::build(tiny_campus(9));
+    campus.run();
+    let mut chaos = ChaosScenario::build(ChaosParams::reduced().with_overload(4));
+    assert!(chaos.run().report.converged());
+    let digests = (
+        campus.fabric.sim_mut().event_digest(),
+        chaos.fabric.sim_mut().event_digest(),
+    );
+    assert_eq!(
+        digests,
+        (16_684_203_758_935_735_674, 4_137_610_506_468_929_133)
+    );
+}
