@@ -1,11 +1,14 @@
-//! CI's allocation budgets. Unlike every timing in the benches these
-//! *are* gated on shared runners: allocation counts repeat exactly per
-//! seed on any machine. No arguments: runs the `e2e` binary beside this
-//! one (`cargo build --release` puts both in `target/release/`) once per
-//! row of [`BUDGETS`] as `--quick --workload <w> --seed 1 --trace 1`,
-//! reads the metric off the result line — the last line of stdout — and
-//! exits non-zero if any run is incorrect, lacks the metric or exceeds
-//! its limit.
+//! CI's exact-count budgets: allocations per message, packet or send,
+//! and simulator events per storm op. Unlike every timing in the benches
+//! these *are* gated on shared runners: each count repeats exactly per
+//! seed on any machine, so a limit a few percent above today's reading
+//! catches a change that costs more work, not a slower runner. No
+//! arguments: runs the `e2e` binary beside this one (`cargo build
+//! --release` puts both in `target/release/`) once per row of
+//! [`BUDGETS`] as `--quick --workload <w> --seed 1 --trace 1`, reads
+//! the metric off the result line — the last line of stdout — and exits
+//! non-zero if any run is incorrect, lacks the metric or exceeds its
+//! limit.
 
 use std::path::Path;
 use std::process::{Command, ExitCode, Stdio};
@@ -17,7 +20,7 @@ mod json;
 use json::Value;
 
 /// `(workload, metric, limit)`.
-const BUDGETS: [(&str, &str, f64); 4] = [
+const BUDGETS: [(&str, &str, f64); 5] = [
     // Control plane. A move is five emitted messages plus one outbox =
     // 6.02; a resolve mix is 95 % requests at one outbox plus one reply
     // = 1.90 (before the codec sized its buffer up front: 21.1 / 4.75).
@@ -29,6 +32,11 @@ const BUDGETS: [(&str, &str, f64); 4] = [
     // drop built its `acl.drops.<node>` key), gated at +5 %.
     ("edge_steady", "dataplane.allocs_per_pkt", 0.0),
     ("fabric_traffic", "core.allocs_per_send", 1.21),
+    // Event economy. A quick storm op costs 71.77 simulator events
+    // (75.34 before wakes left the heap for their own lane, an empty
+    // map-cache parked its sweep and a lost delta cost its gap), gated
+    // at +2 %.
+    ("fabric_storm", "simnet.events_per_op", 73.2),
 ];
 
 /// Holds one result line to `limit` on `metric`; `Ok` is the value read.
@@ -92,6 +100,11 @@ mod tests {
     #[test]
     fn a_correct_line_within_its_limit_passes_with_the_value() {
         assert_eq!(check(LINE, METRIC, 6.5), Ok(6.02));
+        // Any budgeted count reads the same way, events per op included.
+        let storm = r#"{"correct": true, "metrics":
+            {"simnet.events_per_op": {"value": 71.77, "unit": "count"}}}"#;
+        assert_eq!(check(storm, "simnet.events_per_op", 73.2), Ok(71.77));
+        assert!(check(storm, "simnet.events_per_op", 71.0).is_err());
     }
 
     #[test]

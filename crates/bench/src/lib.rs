@@ -24,21 +24,20 @@
 //!   rows plus its printer; `tests/figures.rs` is their shape gate.
 //! * Binaries (`src/bin/`):
 //!   - `e2e` — the benchmark of record (`BENCHMARK.json`).
-//!   - `bench_check` — CI's allocation budgets, read off traced quick
-//!     `e2e` runs.
+//!   - `bench_check` — CI's exact-count budgets (allocations, storm
+//!     events per op), read off traced quick `e2e` runs.
 //!   - `figs <name>` — prints one figure at the paper's scale: `fig7a`,
 //!     `fig7b`, `fig7c`, `fig9`, `table3`, `table5`, `fig11 [--quick]`,
 //!     `fig12`, `ablation_border_sync`, `ablation_enforcement_point`,
 //!     `ablation_policy_update`, `ablation_sharding`.
 //!
 //! The library also hosts the queueing and averaging helpers the
-//! figures share and the implementations no node runs that rows are
-//! measured against: [`shard::ShardedMapServer`] — §4.1's replicate-all
-//! deployment, for [`figures::ablation_sharding`] — built on
-//! [`map_server`] (with its [`pubsub`] subscriber table), and
-//! [`enforce`] for `policy_plane`'s per-pair-map rows; these are
-//! `#[path]`-included below from the `tests/reference/` directories
-//! that own them.
+//! figures share, [`shard::ShardedMapServer`] — the request routing of
+//! §4.1's replicate-all deployment, for [`figures::ablation_sharding`]
+//! — and the one implementation no node runs that rows are measured
+//! against: [`enforce`], for `policy_plane`'s per-pair-map rows,
+//! `#[path]`-included below from the `tests/reference/` directory that
+//! owns it.
 
 pub mod figures;
 pub mod fixtures;
@@ -47,18 +46,21 @@ pub mod shard;
 
 // Each reference sits at the crate root under the module name it had in
 // its production crate, so `cargo test` still prints its unit tests as
-// `map_server::tests::…`, `pubsub::tests::…` and `enforce::tests::…`.
+// `enforce::tests::…`, `map_server::tests::…`, `pubsub::tests::…` and
+// `pipeline::tests::…`.
 #[path = "../../policy/tests/reference/group_acl.rs"]
 pub mod enforce;
+// No bench links the single map-server, its subscriber table or the
+// structured pipeline model any more; their unit tests keep running
+// here, for the test build only, under the names they have always
+// printed (`map_server` names its subscriber table as its sibling
+// `pubsub`, `pipeline` the ACL as its sibling `group_acl`).
+#[cfg(test)]
 #[path = "../../ctrl/tests/reference/map_server.rs"]
 pub mod map_server;
-// `map_server` names its subscriber table as its sibling `pubsub`.
+#[cfg(test)]
 #[path = "../../ctrl/tests/reference/pubsub.rs"]
 pub mod pubsub;
-// No bench links the structured pipeline model any more; its unit tests
-// keep running here, for the test build only, under the
-// `pipeline::tests::…` names they have always printed (it names the ACL
-// as its sibling `group_acl`).
 #[cfg(test)]
 use enforce as group_acl;
 #[cfg(test)]

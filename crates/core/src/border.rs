@@ -9,10 +9,16 @@
 //!    into (or withdraws from) the switch's map-cache with an
 //!    effectively infinite TTL — so it can absorb the default-routed
 //!    traffic edges send while their resolutions are in flight. Per VN
-//!    it keeps the highest sequence seen and its slice's digest (sum of
+//!    it keeps its slice a prefix of the publish stream — the VN as it
+//!    stood at a watermark, with the slice's digest (sum of
 //!    [`row_digest`]; per Publish the displaced row's term out, the new
-//!    one in) and states both in every Subscribe: an ack `resumed`
-//!    keeps the slice, any other resets it and a snapshot follows.
+//!    one in) — and states both in every Subscribe. A delta past the
+//!    watermark's successor is dropped, not applied: the hole before it
+//!    is asked for by a resubscribe. An ack `resumed` keeps the slice
+//!    and the deltas after the watermark follow (a replayed delta the
+//!    slice already holds is dropped as stale, counted in
+//!    `border.publish_regressions`); any other resets it and the
+//!    Publishes that follow rebuild it.
 //! 2. It holds routes to external networks (Internet, datacenter) in
 //!    the switch's external-prefix table, and its engine config has no
 //!    further default route (`border: None`): the border *is* the last
@@ -67,27 +73,33 @@ pub struct BorderStats {
     pub delivered: u64,
     /// Policy drops at the border's egress ACL.
     pub policy_drops: u64,
-    /// Jumps detected in the per-VN publish sequence (a jump means
-    /// deltas were lost upstream; the routing server resyncs by
-    /// snapshot, so the table still converges).
+    /// Holes detected in a VN's publish stream, one per episode (a hole
+    /// means deltas were lost upstream; what arrives past it is dropped
+    /// until the resubscribe it triggers is acked).
     pub publish_gaps: u64,
-    /// Resync Subscribes this border sent after detecting a gap or a
-    /// sequence regression (publisher restart).
+    /// Resync Subscribes this border sent after detecting a hole.
     pub resyncs_requested: u64,
-    /// Snapshot-acked (re)subscriptions after the initial one: each reset
-    /// the VN's synced slice and replayed the server's snapshot. A
+    /// Reset-acked (re)subscriptions after the initial one: each emptied
+    /// the VN's synced slice, which the Publishes that follow rebuild —
+    /// the VN's changes from the first, or a snapshot (the
+    /// `border.delta_rows` and `border.snapshot_rows` counters). A
     /// resubscribe the server resumed counts in the `border.stream_resumes`
     /// counter instead.
     pub resyncs_completed: u64,
 }
 
-/// What a border holds of one VN's stream — both go into its Subscribes.
+/// What a border holds of one VN's stream — `seq` and `digest` go into
+/// its Subscribes.
 #[derive(Clone, Copy, Default, Debug)]
 struct Synced {
-    /// Highest publish sequence number seen.
+    /// The watermark: the slice is the VN as it stood at this sequence
+    /// number (0: not yet known — the next publish sets it).
     seq: u64,
     /// Wrapping sum of [`row_digest`] over the VN's synced rows.
     digest: u64,
+    /// A hole was seen and counted; later deltas are dropped until the
+    /// next SubscribeAck.
+    gap: bool,
 }
 
 /// The border router node.
@@ -102,9 +114,9 @@ pub struct BorderRouter {
     /// attached endpoints (VRF), ACL and external prefixes.
     switch: Switch,
     stats: BorderStats,
-    /// Per VN: highest publish sequence seen (gap detection) and the
-    /// synced slice's digest. A VN present here has completed at least
-    /// one acked subscription (or seen a Publish).
+    /// Per VN: the slice's watermark and digest, and whether a hole is
+    /// being recovered. A VN present here has completed at least one
+    /// acked subscription (or seen a Publish).
     synced: BTreeMap<VnId, Synced>,
     /// Subscribes in flight (their nonces), per VN, until the server's
     /// SubscribeAck. Unbounded and retried without budget: a border
@@ -184,8 +196,9 @@ impl BorderRouter {
     }
 
     /// Sends a Subscribe for `vn` and tracks it until acked. The server
-    /// answers with a SubscribeAck: `resumed` keeps the synced slice,
-    /// anything else resets it and a full snapshot follows.
+    /// answers with a SubscribeAck: `resumed` keeps the synced slice and
+    /// what followed its watermark comes as deltas; anything else resets
+    /// it and Publishes rebuild it.
     fn subscribe_vn(&mut self, ctx: &mut Context<'_, FabricMsg>, vn: VnId) {
         if self.pending_subscribes.contains(&vn) {
             return; // one in flight per VN is enough
@@ -215,9 +228,9 @@ impl BorderRouter {
         );
     }
 
-    /// A gap or regression was detected on `vn`'s publish stream: ask
-    /// for a fresh snapshot by resubscribing (unless one is already in
-    /// flight).
+    /// A hole was detected in `vn`'s publish stream: resubscribe from
+    /// the watermark (unless a Subscribe is already in flight — its
+    /// answer covers the hole too).
     fn request_resync(&mut self, ctx: &mut Context<'_, FabricMsg>, vn: VnId) {
         if self.pending_subscribes.contains(&vn) {
             return;
@@ -299,25 +312,37 @@ impl BorderRouter {
                 let Some(eid) = prefix.as_host() else {
                     return;
                 };
+                ctx.metrics().bump(self.dir.counters.border_publishes);
                 // Deltas carry the VN stream's next sequence number;
-                // snapshot entries all repeat the stream watermark. A
-                // jump past last+1 on a live stream means lost deltas;
-                // a *regression* means the publisher restarted with a
-                // fresh sequence space. Either way the synced slice can
-                // no longer be trusted — request a snapshot resync.
+                // snapshot entries all repeat the stream watermark, and
+                // the first publish on a reset slice sets it. Anything
+                // else would break the slice's prefix: past last+1 is a
+                // hole (lost deltas) — drop it and resubscribe from
+                // `last`, once per hole; below `last` is stale (a
+                // replay's head the slice already holds) — drop it.
                 let synced = self.synced.entry(vn).or_default();
                 let last = synced.seq;
-                let mut desynced = false;
                 if last != 0 && nonce > last + 1 {
-                    self.stats.publish_gaps += 1;
-                    ctx.metrics().bump(self.dir.counters.border_publish_gaps);
-                    desynced = true;
-                } else if nonce < last {
+                    if !synced.gap {
+                        synced.gap = true;
+                        self.stats.publish_gaps += 1;
+                        ctx.metrics().bump(self.dir.counters.border_publish_gaps);
+                        self.request_resync(ctx, vn);
+                    }
+                    return;
+                }
+                if nonce < last {
                     ctx.metrics()
                         .bump(self.dir.counters.border_publish_regressions);
-                    desynced = true;
+                    return;
                 }
-                synced.seq = last.max(nonce);
+                let rows = if nonce == last + 1 {
+                    self.dir.counters.border_delta_rows
+                } else {
+                    self.dir.counters.border_snapshot_rows
+                };
+                ctx.metrics().bump(rows);
+                synced.seq = nonce;
                 if let Some(old) = self.switch.map_cache().host_rloc(vn, eid) {
                     synced.digest = synced.digest.wrapping_sub(row_digest(&eid, old));
                 }
@@ -328,10 +353,6 @@ impl BorderRouter {
                     self.switch
                         .install_mapping(vn, EidPrefix::host(eid), rloc, SYNC_TTL, now);
                 }
-                ctx.metrics().bump(self.dir.counters.border_publishes);
-                if desynced {
-                    self.request_resync(ctx, vn);
-                }
             }
             Lisp::SubscribeAck { vn, resumed, .. } => {
                 if self.pending_subscribes.settle(&vn).is_none() {
@@ -339,14 +360,16 @@ impl BorderRouter {
                     return;
                 }
                 if resumed {
-                    // The server proved our slice current: keep it (the
-                    // entry marks the VN subscribed, as a reset does).
-                    self.synced.entry(vn).or_default();
+                    // The server proved our slice the VN as of our
+                    // watermark: keep it (the entry marks the VN
+                    // subscribed, as a reset does); what followed the
+                    // watermark comes next, as deltas.
+                    self.synced.entry(vn).or_default().gap = false;
                     ctx.metrics().bump(self.dir.counters.border_stream_resumes);
                 } else {
                     // The server reset our subscription: drop the VN's
                     // synced slice and restart the sequence space — the
-                    // snapshot that follows the ack rebuilds it.
+                    // Publishes that follow the ack rebuild it.
                     self.switch.purge_vn(vn);
                     let first = self.synced.insert(vn, Synced::default()).is_none();
                     if !first {

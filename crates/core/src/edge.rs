@@ -326,9 +326,9 @@ impl EdgeRouter {
     /// Arms the eviction sweep at the grid's next instant after now,
     /// unless it is armed already or the map-cache is empty. A sweep
     /// that finds the cache empty does not re-arm, so an idle edge fires
-    /// no timer at all; an install re-arms it at the instant its
-    /// unparked predecessor would have fired, and every eviction happens
-    /// when it always did.
+    /// no timer at all; an install re-arms it on the grid, so every
+    /// eviction falls on the instant a sweep that never parks would have
+    /// made it.
     fn arm_sweep(&mut self, ctx: &mut Context<'_, FabricMsg>) {
         let Some(origin) = self.sweep_origin else {
             return;

@@ -101,6 +101,8 @@ fabric_counters! {
     edge_restarts => "fabric.edge_restarts",
     // Border pub/sub.
     border_publishes => "border.publishes",
+    border_snapshot_rows => "border.snapshot_rows",
+    border_delta_rows => "border.delta_rows",
     border_publish_gaps => "border.publish_gaps",
     border_publish_regressions => "border.publish_regressions",
     border_resyncs_requested => "border.resyncs_requested",
@@ -109,6 +111,7 @@ fabric_counters! {
     border_subscribe_retries => "border.subscribe_retries",
     // Servers.
     ctrl_server_restarts => "ctrl.server_restarts",
+    ctrl_stream_replays => "ctrl.stream_replays",
     ctrl_shed_replies => "ctrl.shed_replies",
     ctrl_shard_drops => "ctrl.shard_drops",
     routing_server_arp_queries => "routing_server.arp_queries",
@@ -145,10 +148,13 @@ pub struct RoutingServerNode {
     /// Crashed (fault injection). All state here is volatile: a restart
     /// comes up with an empty mapping database, empty subscriber list
     /// and empty ARP table — edges repopulate it through registration
-    /// refreshes and borders resubscribe when they notice the publish
-    /// sequence regressed. The simulator drops every delivery to a
+    /// refreshes, and a border's next resubscribe finds no live stream
+    /// to resume and takes a snapshot. The simulator drops every delivery to a
     /// crashed node, so only the purge timer reads this.
     failed: bool,
+    /// The server's replay count as of the last `ctrl.stream_replays`
+    /// bump.
+    replays: u64,
 }
 
 impl RoutingServerNode {
@@ -159,6 +165,7 @@ impl RoutingServerNode {
             dir,
             arp_db: BTreeMap::new(),
             failed: false,
+            replays: 0,
         }
     }
 
@@ -216,6 +223,7 @@ impl Node<FabricMsg> for RoutingServerNode {
                 // it survives the reboot (with fresh full buckets).
                 self.server.set_admission(admission);
                 self.arp_db.clear();
+                self.replays = 0;
                 ctx.metrics().bump(self.dir.counters.ctrl_server_restarts);
             }
             // Shard-scoped faults: the node stays up; the partitioned
@@ -262,6 +270,12 @@ impl Node<FabricMsg> for RoutingServerNode {
                         ctx.metrics().bump(self.dir.counters.ctrl_shard_drops);
                     }
                 }
+                let replays = self.server.pubsub_replays();
+                (ctx.metrics()).bump_by(
+                    self.dir.counters.ctrl_stream_replays,
+                    replays - self.replays,
+                );
+                self.replays = replays;
                 self.transmit(ctx, out);
             }
             FabricMsg::Arp(ArpMsg::Register { vn, ip, mac }) => {

@@ -138,10 +138,12 @@ fn resolution_recovers_after_total_loss_window() {
     assert!(report.converged(), "fabric converged: {report:?}");
 }
 
-/// A publish gap (deltas lost on the server↔border link) must trigger
-/// a resync round-trip: Subscribe → SubscribeAck → purge → snapshot.
+/// A publish gap (deltas lost on the server↔border link) costs the gap:
+/// the border drops what arrives past the hole and resubscribes from its
+/// watermark, and the server — the log still holding the lost deltas —
+/// acks `resumed` and replays them. No snapshot, no purge.
 #[test]
-fn border_gap_detection_resyncs_by_snapshot() {
+fn border_gap_detection_fills_the_gap_from_the_log() {
     let mut b = FabricBuilder::new(11);
     let vn = b.add_vn(
         100,
@@ -173,15 +175,19 @@ fn border_gap_detection_resyncs_by_snapshot() {
     let stats = f.border(bh).stats();
     assert!(stats.publish_gaps >= 1, "gap detected: {stats:?}");
     assert!(stats.resyncs_requested >= 1, "resync requested: {stats:?}");
-    assert!(stats.resyncs_completed >= 1, "resync completed: {stats:?}");
-    assert_eq!(
-        f.metrics().counter("border.resyncs_completed"),
-        stats.resyncs_completed
+    assert_eq!(stats.resyncs_completed, 0, "no snapshot: {stats:?}");
+    let m = f.metrics();
+    assert_eq!(m.counter("border.resyncs_completed"), 0);
+    assert!(m.counter("border.stream_resumes") >= 1);
+    assert!(
+        m.counter("ctrl.stream_replays") >= 1,
+        "the gap was replayed"
     );
+    assert_eq!(m.counter("border.snapshot_rows"), 0);
     assert_eq!(
         f.border(bh).fib_len(),
         6,
-        "snapshot restored all 3 endpoints × 2 EIDs, bob's lost deltas included"
+        "all 3 endpoints × 2 EIDs, bob's lost deltas included"
     );
     assert_eq!(f.border(bh).pending_subscribe_len(), 0);
 }

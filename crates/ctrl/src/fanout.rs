@@ -13,27 +13,53 @@
 //! walk of the entry's subscriber list; a subscriber itself is only its
 //! locator and its delta queue.
 //!
-//! Snapshot resync rides the same path as initial subscription: a
-//! `(subscriber, VN)` stream is either `Live` (deltas flow) or pending
-//! `Snapshot` (deltas are suppressed; the next
-//! [`DeltaFanout::flush`] walks the owner shards' current state for
-//! that VN instead). Queue overflow — the subscriber fell too far
+//! Resync rides the same path as initial subscription: a `(subscriber,
+//! VN)` stream is either `Live` (deltas flow) or pending `Snapshot`
+//! (deltas are suppressed; the next [`DeltaFanout::flush`] walks the
+//! owner shards' current state for that VN instead). Queue overflow — the subscriber fell too far
 //! behind — drops that VN's queued deltas and flips the stream back to
 //! `Snapshot`: a gap never delivers a partial view, it re-synchronizes.
 //! The fan-out counts its pending snapshots, so a flush with none — every
 //! flush of a settled system — only drains the queues.
 //!
+//! **Delta log.** Beside the queues, one bounded log keeps the last
+//! [`LOG_CAP`] changes across all VNs, each as `(vn, eid, new, old)` —
+//! one write per change, not one per subscriber, allocated by the first
+//! change (a server that only answers requests and refreshes never
+//! holds one). A change's sequence number is implied: the log holds each
+//! VN's last changes, consecutive up to the VN's sequence.
+//!
 //! **Resume** (the "deltas if nothing was missed, snapshot otherwise"
 //! rule of BGP Enhanced Route Refresh, RFC 7313, and LISP pub/sub, RFC
 //! 9437). A Subscribe carries the border's watermark (`have_seq`) and
-//! its synced slice's digest (wrapping sum of [`sda_types::row_digest`]).
-//! The server acks `resumed` and sends nothing else only when the stream
-//! is `Live`, `have_seq` is the VN's sequence and the digest is the up
-//! shards' `MappingDb::vn_digest` sum — exactly what a snapshot would
-//! send; otherwise it subscribes as above. A watermark alone misses a
-//! lost snapshot publish (all carry the same one), a row count a stale
-//! slice under a lost ack. No epoch: a restarted server has no live
-//! stream, a crashed or partitioned shard changes the server's digest.
+//! its synced slice's digest (wrapping sum of [`sda_types::row_digest`]),
+//! and a border keeps its slice a prefix of the stream, so the claim is
+//! "I hold the VN as it stood at `have_seq`". The server acks `resumed`
+//! when the stream is `Live`, the log still holds every change of the
+//! VN in `(have_seq, seq]`, and the digest is the up shards'
+//! `MappingDb::vn_digest` sum minus those changes' steps `row(new) −
+//! row(old)` — the digest the VN had at `have_seq`. It then re-queues
+//! that range to that subscriber as ordinary deltas (its unflushed
+//! deltas of the VN dropped first), so `resumed` means "keep your slice;
+//! whatever follows `have_seq` arrives as deltas". `have_seq == seq` is
+//! the same rule with an empty range: nothing follows.
+//!
+//! **Reset.** Any other Subscribe — a new stream or a failed claim —
+//! resets the stream: the ack tells the subscriber to empty its slice,
+//! and the empty slice is itself the claim `(0, 0)` (the VN before its
+//! first change), which the same rule answers. When the log still holds
+//! the VN's whole history and it sums to the VN's digest, the history is
+//! re-queued as deltas; otherwise the stream waits for a snapshot at the
+//! next flush. The two rebuild the same rows, but a replayed history is
+//! sequenced, so a delta lost on the way is a hole the subscriber sees
+//! and asks for, where a lost snapshot row (all carry one watermark) is
+//! silent until the next claim fails. A watermark alone misses a lost
+//! snapshot publish, a row count a stale slice under a lost ack. No
+//! epoch: a restarted server has no live stream, and a crashed,
+//! restarted or partitioned shard changes the server's digest without a
+//! logged change to account for it, so a claim from before such a fault
+//! fails, and so does the empty claim until the log no longer reaches
+//! back past the fault — such a reset takes a snapshot.
 //!
 //! Sequence semantics on the wire ([`Message::Publish`]'s `nonce`):
 //! delta publishes carry the change's own per-VN sequence number;
@@ -43,12 +69,18 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use sda_types::{Eid, EidPrefix, Rloc, VnId};
+use sda_types::{row_digest, Eid, EidPrefix, Rloc, VnId};
 use sda_wire::lisp::Message;
 
 /// Default per-subscriber delta queue bound. A subscriber further than
 /// this many undelivered changes behind is resynced by snapshot instead.
 pub const DEFAULT_QUEUE_CAP: usize = 1024;
+
+/// Changes the delta log keeps, across all VNs. A claim further behind
+/// than the log reaches takes a snapshot. At 1024 the `fabric_storm`
+/// campaigns rebuild every reset from the log; at 256 a third of them
+/// fall back to snapshots.
+const LOG_CAP: usize = 1024;
 
 /// One pending mapping change for one subscriber.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -63,6 +95,39 @@ pub struct Delta {
     pub withdraw: bool,
     /// Per-VN publish sequence number.
     pub seq: u64,
+}
+
+/// One mapping change as the delta log keeps it (32 bytes: the log is
+/// written on every change, so its footprint is paid in cache lines).
+#[derive(Clone, Copy, Debug)]
+struct Change {
+    vn: VnId,
+    eid: Eid,
+    /// The row after the change; `None` for a withdrawal.
+    new: Option<Rloc>,
+    /// The row before it; `None` when the EID had none.
+    old: Option<Rloc>,
+}
+
+const _: () = assert!(std::mem::size_of::<Change>() == 32);
+
+impl Change {
+    /// The change, numbered `seq`, as a subscriber's queue holds it.
+    fn delta(&self, seq: u64) -> Delta {
+        Delta {
+            vn: self.vn,
+            eid: self.eid,
+            rloc: self.new.or(self.old).expect("a change has a row"),
+            withdraw: self.new.is_none(),
+            seq,
+        }
+    }
+
+    /// What the change added to the VN's slice digest.
+    fn step(&self) -> u64 {
+        let term = |rloc: Option<Rloc>| rloc.map_or(0, |r| row_digest(&self.eid, r));
+        term(self.new).wrapping_sub(term(self.old))
+    }
 }
 
 /// Sync state of one `(subscriber, VN)` stream.
@@ -96,12 +161,17 @@ struct VnStream {
 pub(crate) struct DeltaFanout {
     subs: Vec<Sub>,
     streams: BTreeMap<VnId, VnStream>,
+    /// The last [`LOG_CAP`] changes, oldest first.
+    log: VecDeque<Change>,
     /// `(subscriber, VN)` streams in [`VnSync::Snapshot`] state — what
     /// the next flush has to walk.
     pending_snapshots: usize,
     cap: usize,
     delivered: u64,
     gaps: u64,
+    /// Resumes that re-queued a non-empty range (rebuilds of a reset
+    /// stream not included).
+    replays: u64,
     /// High-water mark across all subscriber queues (cap audits).
     peak_depth: usize,
 }
@@ -116,10 +186,12 @@ impl DeltaFanout {
         DeltaFanout {
             subs: Vec::new(),
             streams: BTreeMap::new(),
+            log: VecDeque::new(),
             pending_snapshots: 0,
             cap,
             delivered: 0,
             gaps: 0,
+            replays: 0,
             peak_depth: 0,
         }
     }
@@ -139,9 +211,30 @@ impl DeltaFanout {
         self.streams.values().map(|s| s.subs.len()).sum()
     }
 
-    /// Subscribes `rloc` to `vn`'s stream, marking it for snapshot on
-    /// the next flush. Idempotent (re-subscribing forces a resync).
-    pub(crate) fn subscribe(&mut self, vn: VnId, rloc: Rloc) {
+    /// Answers a Subscribe from `rloc` for `vn` claiming its slice is
+    /// the VN as of `have_seq`, with digest `digest`; returns whether it
+    /// resumed. `vn_digest` walks the VN's slice digest now (the up
+    /// shards' rows); it runs at most once, and only for a range the log
+    /// covers.
+    ///
+    /// A live stream whose claim passes the resume rule (module doc)
+    /// resumes: the changes after `have_seq` are re-queued. Any other
+    /// claim resets the stream — its queued deltas of the VN dropped, the
+    /// subscriber told to empty its slice — and the reset slice, the VN as
+    /// of seq 0 with digest 0, is itself a claim the same rule answers: the
+    /// VN's whole history is re-queued as deltas when the log still holds
+    /// it and it sums to the VN's digest, and a snapshot is pending for
+    /// the next flush otherwise. A replayed history is sequenced, so a
+    /// lost delta of it is a hole the subscriber sees, where a lost
+    /// snapshot row (all carry one watermark) is not.
+    pub(crate) fn subscribe(
+        &mut self,
+        vn: VnId,
+        rloc: Rloc,
+        have_seq: u64,
+        digest: u64,
+        vn_digest: impl Fn() -> u64,
+    ) -> bool {
         let idx = match self.subs.iter().position(|s| s.rloc == rloc) {
             Some(i) => i,
             None => {
@@ -152,30 +245,94 @@ impl DeltaFanout {
                 self.subs.len() - 1
             }
         };
-        // A forced resync makes any queued deltas for this VN redundant.
-        self.subs[idx].queue.retain(|d| d.vn != vn);
+        let mut now = None;
+        let mut digest_now = || *now.get_or_insert_with(&vn_digest);
         let stream = self.streams.entry(vn).or_default();
-        match stream.subs.iter_mut().find(|(i, _)| *i == idx) {
-            Some((_, VnSync::Snapshot)) => {}
-            Some((_, state @ VnSync::Live)) => {
-                *state = VnSync::Snapshot;
-                self.pending_snapshots += 1;
-            }
-            None => {
-                stream.subs.push((idx, VnSync::Snapshot));
-                self.pending_snapshots += 1;
-            }
+        let at = stream.subs.iter().position(|&(i, _)| i == idx);
+        let live = at.is_some_and(|at| stream.subs[at].1 == VnSync::Live);
+        if live && self.replay(idx, vn, have_seq, digest, &mut digest_now) {
+            self.replays += u64::from(have_seq < self.current_seq(vn));
+            return true;
         }
+        // Reset: whatever was queued for the VN is superseded.
+        self.subs[idx].queue.retain(|d| d.vn != vn);
+        let state = if self.replay(idx, vn, 0, 0, &mut digest_now) {
+            VnSync::Live
+        } else {
+            VnSync::Snapshot
+        };
+        let stream = self.streams.get_mut(&vn).expect("entered above");
+        let was = match at {
+            Some(at) => Some(std::mem::replace(&mut stream.subs[at].1, state)),
+            None => {
+                stream.subs.push((idx, state));
+                None
+            }
+        };
+        let pending = |s: Option<VnSync>| usize::from(s == Some(VnSync::Snapshot));
+        self.pending_snapshots = self.pending_snapshots + pending(Some(state)) - pending(was);
+        false
     }
 
-    /// Records one mapping change, enqueueing a delta for every live
-    /// subscriber of `vn`. Allocates the change's per-VN sequence number
-    /// even when nobody listens (the stream must stay gap-free for
-    /// subscribers that join later).
-    pub(crate) fn publish(&mut self, vn: VnId, eid: Eid, rloc: Rloc, withdraw: bool) {
+    /// Re-queues `vn`'s changes after `have_seq` to subscriber `idx` when
+    /// the resume rule's conditions hold (module doc): the log holds every
+    /// one of them, `digest` is the VN's digest now minus their steps, and
+    /// they fit the queue beside its deltas of other VNs. The subscriber's
+    /// queued deltas of the VN are dropped first. Changes nothing and
+    /// returns false otherwise.
+    fn replay(
+        &mut self,
+        idx: usize,
+        vn: VnId,
+        have_seq: u64,
+        digest: u64,
+        digest_now: &mut dyn FnMut() -> u64,
+    ) -> bool {
+        let Some(missed) = self.current_seq(vn).checked_sub(have_seq) else {
+            return false; // ahead of the stream
+        };
+        // The log holds the VN's last `held` changes; the range is the
+        // last `missed` of them, covered when `held` reaches that far.
+        let held = self.log.iter().filter(|c| c.vn == vn).count() as u64;
+        let Some(older) = held.checked_sub(missed) else {
+            return false;
+        };
+        let range = || {
+            (self.log.iter())
+                .filter(|c| c.vn == vn)
+                .skip(older as usize)
+        };
+        let steps = range().fold(0u64, |d, c| d.wrapping_add(c.step()));
+        if digest != digest_now().wrapping_sub(steps) {
+            return false;
+        }
+        let queue = &mut self.subs[idx].queue;
+        let others = queue.iter().filter(|d| d.vn != vn).count();
+        if others + missed as usize > self.cap {
+            return false;
+        }
+        queue.retain(|d| d.vn != vn);
+        queue.extend(range().zip(have_seq + 1..).map(|(c, seq)| c.delta(seq)));
+        self.peak_depth = self.peak_depth.max(queue.len());
+        true
+    }
+
+    /// Records one mapping change of `eid` from row `old` to row `new`
+    /// (`None`: no row), enqueueing a delta for every live subscriber of
+    /// `vn` and writing it to the log. Allocates the change's per-VN
+    /// sequence number even when nobody listens (the stream must stay
+    /// gap-free for subscribers that join later).
+    pub(crate) fn publish(&mut self, vn: VnId, eid: Eid, new: Option<Rloc>, old: Option<Rloc>) {
         let stream = self.streams.entry(vn).or_default();
         stream.seq += 1;
         let seq = stream.seq;
+        let change = Change { vn, eid, new, old };
+        if self.log.len() == LOG_CAP {
+            self.log.pop_front();
+        } else if self.log.capacity() == 0 {
+            self.log.reserve_exact(LOG_CAP);
+        }
+        self.log.push_back(change);
         for (i, state) in &mut stream.subs {
             // Snapshot pending: the flush-time walk of current state
             // already covers this change; a delta would double it.
@@ -192,13 +349,7 @@ impl DeltaFanout {
                 queue.retain(|d| d.vn != vn);
                 self.gaps += 1;
             } else {
-                queue.push_back(Delta {
-                    vn,
-                    eid,
-                    rloc,
-                    withdraw,
-                    seq,
-                });
+                queue.push_back(change.delta(seq));
                 self.peak_depth = self.peak_depth.max(queue.len());
             }
         }
@@ -275,6 +426,11 @@ impl DeltaFanout {
         self.gaps
     }
 
+    /// Resumes so far that re-queued a non-empty range.
+    pub(crate) fn replays(&self) -> u64 {
+        self.replays
+    }
+
     /// High-water mark of any single subscriber queue so far — provably
     /// ≤ the configured cap (overflow resyncs instead of growing).
     pub(crate) fn peak_depth(&self) -> usize {
@@ -317,13 +473,16 @@ mod tests {
         assert_eq!(f.pending_snapshots, recount, "pending-snapshot drift");
     }
 
+    /// A Subscribe that neither resumes nor rebuilds from the log: its
+    /// claim is ahead of any stream and the world digest it is given
+    /// matches no history, so the stream waits for a snapshot.
     fn subscribe(f: &mut DeltaFanout, vn: VnId, rloc: Rloc) {
-        f.subscribe(vn, rloc);
+        assert!(!f.subscribe(vn, rloc, u64::MAX, 0, || 1));
         audit(f);
     }
 
     fn publish(f: &mut DeltaFanout, vn: VnId, eid: Eid, rloc: Rloc) {
-        f.publish(vn, eid, rloc, false);
+        f.publish(vn, eid, Some(rloc), None);
         audit(f);
     }
 
@@ -508,6 +667,168 @@ mod tests {
             ]
         );
         assert_eq!(f.delivered(), 6);
+    }
+
+    /// The rows the fan-out's changes describe, per VN: what a server's
+    /// shards would hold, digested as `MappingDb::vn_digest` does.
+    #[derive(Default)]
+    struct World(BTreeMap<(VnId, Eid), Rloc>);
+
+    impl World {
+        /// Applies one change through the fan-out and to the rows.
+        fn set(&mut self, f: &mut DeltaFanout, vn: VnId, eid: Eid, new: Option<Rloc>) {
+            let old = match new {
+                Some(rloc) => self.0.insert((vn, eid), rloc),
+                None => self.0.remove(&(vn, eid)),
+            };
+            f.publish(vn, eid, new, old);
+            audit(f);
+        }
+
+        fn digest(&self, vn: VnId) -> u64 {
+            (self.0.iter())
+                .filter(|((of, _), _)| *of == vn)
+                .fold(0, |d, ((_, e), r)| d.wrapping_add(row_digest(e, *r)))
+        }
+
+        /// A Subscribe claiming `(have_seq, digest)`, answered against
+        /// these rows.
+        fn subscribe(&self, f: &mut DeltaFanout, vn: VnId, rloc: Rloc, claim: (u64, u64)) -> bool {
+            let resumed = f.subscribe(vn, rloc, claim.0, claim.1, || self.digest(vn));
+            audit(f);
+            resumed
+        }
+    }
+
+    /// `(vn, seq, withdraw)` of each publish to `to`.
+    fn stream_of(out: &[(Rloc, Message)], to: Rloc) -> Vec<(VnId, u64, bool)> {
+        let of = |m: &Message| match *m {
+            Message::Publish {
+                vn,
+                nonce,
+                withdraw,
+                ..
+            } => (vn, nonce, withdraw),
+            ref other => panic!("expected Publish, got {other:?}"),
+        };
+        out.iter()
+            .filter(|(r, _)| *r == to)
+            .map(|(_, m)| of(m))
+            .collect()
+    }
+
+    #[test]
+    fn a_claim_behind_the_watermark_replays_only_that_vns_missed_range() {
+        let mut f = DeltaFanout::new(64);
+        let mut w = World::default();
+        assert!(!w.subscribe(&mut f, vn(1), rl(9), (0, 0)), "a new stream");
+        assert!(!w.subscribe(&mut f, vn(2), rl(9), (0, 0)));
+        assert!(
+            flush_empty(&mut f).is_empty(),
+            "empty VNs rebuild to nothing"
+        );
+        for i in 0..3 {
+            w.set(&mut f, vn(1), eid(i), Some(rl(1)));
+        }
+        let held = (3, w.digest(vn(1)));
+        flush_empty(&mut f);
+        // Lost on the way: a move and a withdrawal of vn 1. vn 2's change
+        // and vn 1's last one are still queued when the claim arrives.
+        w.set(&mut f, vn(1), eid(0), Some(rl(2)));
+        w.set(&mut f, vn(1), eid(1), None);
+        flush_empty(&mut f);
+        w.set(&mut f, vn(2), eid(7), Some(rl(1)));
+        w.set(&mut f, vn(1), eid(5), Some(rl(1)));
+        assert!(w.subscribe(&mut f, vn(1), rl(9), held));
+        assert_eq!(f.replays(), 1);
+        let got = stream_of(&flush_empty(&mut f), rl(9));
+        let want = [
+            (vn(2), 1, false),
+            (vn(1), 4, false),
+            (vn(1), 5, true),
+            (vn(1), 6, false),
+        ];
+        assert_eq!(got, want, "vn 2's delta kept, vn 1's replayed once");
+
+        // The same claim again replays the same range; one digest bit
+        // off, or a watermark ahead of the stream, resets it.
+        assert!(w.subscribe(&mut f, vn(1), rl(9), held));
+        assert_eq!(stream_of(&flush_empty(&mut f), rl(9)).len(), 3);
+        assert!(!w.subscribe(&mut f, vn(1), rl(9), (held.0, held.1 ^ 1)));
+        assert!(!w.subscribe(&mut f, vn(1), rl(9), (7, w.digest(vn(1)))));
+        assert_eq!(f.replays(), 2, "a reset is not a replay");
+    }
+
+    #[test]
+    fn a_reset_rebuilds_from_the_log_while_it_reaches_back_and_sums() {
+        let mut f = DeltaFanout::new(64);
+        let mut w = World::default();
+        w.set(&mut f, vn(1), eid(1), Some(rl(1)));
+        w.set(&mut f, vn(1), eid(2), Some(rl(1)));
+        w.set(&mut f, vn(1), eid(1), Some(rl(2)));
+        w.set(&mut f, vn(1), eid(2), None);
+        // A forged claim resets the stream; its history rebuilds it.
+        assert!(!w.subscribe(&mut f, vn(1), rl(9), (4, 99)));
+        assert_eq!(f.stream_live(vn(1), rl(9)), Some(true));
+        let got = stream_of(&flush_empty(&mut f), rl(9));
+        let seqs: Vec<u64> = got.iter().map(|&(_, seq, _)| seq).collect();
+        assert_eq!(seqs, [1, 2, 3, 4], "the whole history, in order");
+        assert!(got[3].2, "withdrawals included");
+
+        // Rows that left without a logged change (a crashed shard) make
+        // the history disagree with the digest: a snapshot instead.
+        w.0.clear();
+        assert!(!w.subscribe(&mut f, vn(1), rl(9), (4, 99)));
+        assert_eq!(f.stream_live(vn(1), rl(9)), Some(false));
+        assert!(flush_world(&mut f, &[]).is_empty());
+    }
+
+    #[test]
+    fn a_range_the_log_no_longer_holds_takes_a_snapshot() {
+        let mut f = DeltaFanout::new(8);
+        let mut w = World::default();
+        w.set(&mut f, vn(1), eid(1), Some(rl(1)));
+        assert!(!w.subscribe(&mut f, vn(1), rl(9), (0, 0)));
+        flush_empty(&mut f);
+        let held = (1, w.digest(vn(1)));
+        w.set(&mut f, vn(1), eid(2), Some(rl(1)));
+        for i in 0..LOG_CAP as u32 {
+            w.set(&mut f, vn(2), eid(i), Some(rl(1)));
+        }
+        assert_eq!(f.log.len(), LOG_CAP);
+        // vn 1's seq 2 has left the log: no resume, and its history is
+        // gone too.
+        assert!(!w.subscribe(&mut f, vn(1), rl(9), held));
+        assert_eq!(f.stream_live(vn(1), rl(9)), Some(false));
+        let snapshot = flush_world(&mut f, &[(EidPrefix::host(eid(1)), rl(1))]);
+        assert_eq!(stream_of(&snapshot, rl(9)), [(vn(1), 2, false)]);
+    }
+
+    #[test]
+    fn a_range_that_overflows_the_queue_takes_a_reset() {
+        let mut f = DeltaFanout::new(2);
+        let mut w = World::default();
+        assert!(!w.subscribe(&mut f, vn(1), rl(9), (0, 0)));
+        flush_empty(&mut f);
+        for i in 0..3 {
+            w.set(&mut f, vn(1), eid(i), Some(rl(1)));
+        }
+        assert_eq!(f.gaps(), 1, "the third change overflowed the queue");
+        assert!(!w.subscribe(&mut f, vn(1), rl(9), (0, 0)));
+        assert_eq!(f.stream_live(vn(1), rl(9)), Some(false), "3 > cap 2");
+    }
+
+    #[test]
+    fn the_log_is_allocated_by_the_first_change_and_stays_bounded() {
+        let mut f = DeltaFanout::new(8);
+        subscribe(&mut f, vn(1), rl(9));
+        flush_empty(&mut f);
+        assert_eq!(f.log.capacity(), 0, "subscribes and flushes log nothing");
+        for i in 0..LOG_CAP as u32 + 5 {
+            f.publish(vn(2), eid(i), Some(rl(1)), None);
+        }
+        assert_eq!((f.log.len(), f.log.capacity()), (LOG_CAP, LOG_CAP));
+        assert_eq!(f.log[0].eid, eid(5), "the oldest five left");
     }
 
     #[test]

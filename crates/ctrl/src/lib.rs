@@ -30,9 +30,9 @@
 //!   triggers a snapshot resync of exactly the affected `(subscriber,
 //!   VN)` stream on the next flush.
 //!
-//! The replicate-all `ShardedMapServer` lives in bench support
-//! (`sda_bench::shard`) for the §4.1 sharding study
-//! (`figs ablation_sharding`); `tests/differential_ctrl.rs` proves the
+//! The §4.1 sharding study (`figs ablation_sharding`) models the
+//! replicate-all deployment as queues over its request routing
+//! (`sda_bench::shard`); `tests/differential_ctrl.rs` proves the
 //! partitioned server agrees with the *single* reference server
 //! reply-for-reply and notify-for-notify over generated
 //! register/request/move/expiry interleavings.

@@ -4,8 +4,8 @@
 //! [`crate::partition`]: each shard owns its own [`MappingDb`] covering
 //! a prefix-aligned slice of EID space, so a register costs one shard's
 //! work and total memory is the world — not `shards × world` like the
-//! replicate-all `ShardedMapServer` of §4.1 (bench support,
-//! `sda_bench::shard`).
+//! replicate-all deployment of §4.1 (`figs ablation_sharding` models it
+//! as queues).
 //!
 //! [`PartitionedMapServer::handle`] returns replies and notifies only —
 //! byte-for-byte what the single reference map-server
@@ -14,9 +14,11 @@
 //! [`PartitionedMapServer::flush_publishes`] drains them (plus any
 //! pending snapshot resyncs). Callers embedding the server in a message
 //! loop flush after each handled message; batch loaders flush once at
-//! the end. A resubscribe whose watermark and slice digest prove the
-//! subscriber in sync is acked `resumed` and takes no snapshot (the
-//! rule: `fanout`'s module doc; the reference server applies it too).
+//! the end. A resubscribe whose watermark and slice digest prove what
+//! the subscriber holds is acked `resumed` and takes no snapshot: the
+//! changes after its watermark follow as deltas, from a short log of
+//! the last changes (the rule: `fanout`'s module doc; the reference
+//! server applies it too).
 //!
 //! ## Overload model
 //!
@@ -145,6 +147,15 @@ impl Shard {
         dead.sort_unstable_by_key(|&(vn, eid, _)| (vn, eid));
         dead
     }
+}
+
+/// The digest of what a snapshot of `vn` would send: every up shard's
+/// rows of the VN, live or expired.
+fn vn_digest(shards: &[Shard], vn: VnId) -> u64 {
+    shards
+        .iter()
+        .filter(|s| !s.down)
+        .fold(0, |d, s| d.wrapping_add(s.db.vn_digest(vn)))
 }
 
 /// The EID-partitioned routing server.
@@ -349,16 +360,15 @@ impl PartitionedMapServer {
                         )],
                     );
                 }
-                // Resume a subscriber that provably holds what a snapshot
-                // would send (the digest walk runs last). Otherwise the
-                // snapshot is assembled at the next flush, off the owner
-                // shards' live state. The ack mirrors the single server's.
-                let resumed = live == Some(true)
-                    && have_seq == self.fanout.current_seq(vn)
-                    && digest == self.vn_digest(vn);
-                if !resumed {
-                    self.fanout.subscribe(vn, subscriber);
-                }
+                // Resume a subscriber that provably holds the VN as of its
+                // watermark, re-queueing what followed; reset any other,
+                // rebuilding its slice from the log or, at the next flush,
+                // from a snapshot of the owner shards' live state (the
+                // digest walk runs last). The ack mirrors the single
+                // server's.
+                let shards = &self.shards;
+                let resumed = (self.fanout)
+                    .subscribe(vn, subscriber, have_seq, digest, || vn_digest(shards, vn));
                 (
                     Disposition::Served,
                     vec![(subscriber, Message::SubscribeAck { nonce, vn, resumed })],
@@ -372,15 +382,6 @@ impl PartitionedMapServer {
             | Message::SubscribeAck { .. }
             | Message::ServerBusy { .. } => (Disposition::Served, Outbox::new()),
         }
-    }
-
-    /// The digest of what a snapshot of `vn` would send: every up
-    /// shard's rows of the VN, live or expired.
-    fn vn_digest(&self, vn: VnId) -> u64 {
-        self.shards
-            .iter()
-            .filter(|s| !s.down)
-            .fold(0, |d, s| d.wrapping_add(s.db.vn_digest(vn)))
     }
 
     fn busy_reply(&self, nonce: u64, vn: VnId, eid: Eid, class: BusyClass) -> Message {
@@ -515,9 +516,12 @@ impl PartitionedMapServer {
         }
 
         // Refreshes change nothing for the data plane: no delta.
-        if !matches!(outcome, RegisterOutcome::Refreshed) {
-            self.fanout.publish(vn, eid, rloc, false);
-        }
+        let old = match outcome {
+            RegisterOutcome::Refreshed => return out,
+            RegisterOutcome::New { replaced } => replaced,
+            RegisterOutcome::Moved { previous } => Some(previous),
+        };
+        self.fanout.publish(vn, eid, Some(rloc), old);
         out
     }
 
@@ -527,7 +531,7 @@ impl PartitionedMapServer {
         let owner = partition::owner_of(&eid, self.shards.len());
         let shard = &mut self.shards[owner];
         if let Some(old) = shard.db.withdraw(vn, eid) {
-            self.fanout.publish(vn, eid, old.rloc, true);
+            self.fanout.publish(vn, eid, None, Some(old.rloc));
         }
     }
 
@@ -562,7 +566,7 @@ impl PartitionedMapServer {
             let dead = shard.sweep(now);
             total += dead.len();
             for (vn, eid, old_rloc) in dead {
-                self.fanout.publish(vn, eid, old_rloc, true);
+                self.fanout.publish(vn, eid, None, Some(old_rloc));
             }
         }
         total
@@ -645,6 +649,12 @@ impl PartitionedMapServer {
     /// Gap → snapshot resyncs forced by queue overflow so far.
     pub fn pubsub_gaps(&self) -> u64 {
         self.fanout.gaps()
+    }
+
+    /// Resubscribes so far that resumed behind the watermark: each
+    /// re-queued the changes its subscriber missed instead of a snapshot.
+    pub fn pubsub_replays(&self) -> u64 {
+        self.fanout.replays()
     }
 
     /// `(subscriber, VN)` streams the fan-out holds, live or
@@ -734,8 +744,8 @@ mod tests {
         }
     }
 
-    /// What a border holding exactly `publishes` would say it holds:
-    /// the highest sequence and the digest of the rows.
+    /// What a border holding exactly `publishes` (each a new row) would
+    /// say it holds: the highest sequence and the digest of the rows.
     fn held(publishes: &[(Rloc, Message)]) -> (u64, u64) {
         publishes.iter().fold((0, 0), |(seq, d), (_, m)| match m {
             Message::Publish {
@@ -841,7 +851,7 @@ mod tests {
         }
         s.handle(subscribe(vn(1), rl(9)), SimTime::ZERO);
         let out = s.flush_publishes();
-        assert_eq!(out.len(), 16, "snapshot of the subscribed VN");
+        assert_eq!(out.len(), 16, "the subscribed VN's rows, from the log");
         // One change -> exactly one delta publish, not a re-walk.
         s.handle(register(vn(1), eid(3), rl(2), 300), SimTime::ZERO);
         let out = s.flush_publishes();
@@ -858,11 +868,13 @@ mod tests {
         assert!(s.flush_publishes().is_empty());
     }
 
-    /// The resume rule: only a live stream whose subscriber holds the
-    /// VN's watermark and digest resumes. The server's watermark and row
-    /// count with one RLOC different is a snapshot; so is a wrong
-    /// watermark, a snapshot-pending stream and a shard leaving or
-    /// rejoining the sum.
+    /// The resume rule: a live stream resumes from any watermark the log
+    /// still covers, if its digest is the VN's digest as of that
+    /// watermark, and the changes after it follow as deltas. Any other
+    /// claim — one RLOC off, a watermark behind with the current digest,
+    /// one ahead — resets the stream, rebuilt from the log while its
+    /// history sums to the VN's digest, and by snapshot when a shard
+    /// leaves or rejoins the sum without a logged change.
     #[test]
     fn resubscribe_resumes_only_a_provably_synced_stream() {
         let mut s = server(4);
@@ -872,10 +884,12 @@ mod tests {
             s.handle(register(vn(1), eid(i), rl(1), 300), SimTime::ZERO);
         }
         s.handle(register(vn(2), eid(99), rl(1), 300), SimTime::ZERO);
+        // A new stream resets; the log rebuilds it: 17 changes as deltas.
         assert!(!resumed(&s.handle(subscribe(vn(1), rl(9)), SimTime::ZERO)));
-        let snapshot = s.flush_publishes();
-        assert_eq!(snapshot.len(), 17);
-        let (seq, digest) = held(&snapshot);
+        let rebuilt = s.flush_publishes();
+        let seqs: Vec<u64> = rebuilt.iter().map(|(_, m)| nonce_of(m)).collect();
+        assert_eq!(seqs, (1..=17).collect::<Vec<u64>>());
+        let (seq, digest) = held(&rebuilt);
         assert_eq!(seq, s.pubsub_seq(vn(1)));
 
         // In sync: acked as resumed, and nothing follows.
@@ -884,36 +898,46 @@ mod tests {
         assert!(s.flush_publishes().is_empty());
         assert_eq!(s.pubsub_streams(), 1);
 
-        // Same watermark, same row count, one RLOC off: a snapshot.
-        let mut off = snapshot.clone();
+        // Two changes behind: resumed, and exactly those two follow.
+        let (behind, behind_digest) = held(&rebuilt[..15]);
+        let out = s.handle(
+            resubscribe(vn(1), rl(9), behind, behind_digest),
+            SimTime::ZERO,
+        );
+        assert!(resumed(&out));
+        assert_eq!(s.flush_publishes(), rebuilt[15..]);
+        assert_eq!(s.pubsub_replays(), 1);
+
+        // Same watermark, same row count, one RLOC off: a reset.
+        let mut off = rebuilt.clone();
         if let Message::Publish { rloc, .. } = &mut off[5].1 {
             *rloc = rl(2);
         }
         assert_eq!(held(&off).0, seq);
         let out = s.handle(resubscribe(vn(1), rl(9), seq, held(&off).1), SimTime::ZERO);
         assert!(!resumed(&out));
-        assert_eq!(s.flush_publishes(), snapshot, "the full snapshot again");
+        assert_eq!(s.flush_publishes(), rebuilt, "the whole history again");
 
-        // A watermark behind or ahead: a snapshot.
+        // A watermark behind with the current digest, or one ahead: a reset.
         for have in [seq - 1, seq + 1] {
             let out = s.handle(resubscribe(vn(1), rl(9), have, digest), SimTime::ZERO);
             assert!(!resumed(&out));
-            assert_eq!(s.flush_publishes().len(), 17);
+            assert_eq!(s.flush_publishes(), rebuilt);
         }
+        assert_eq!(s.pubsub_replays(), 1, "resets are not replays");
 
-        // Snapshot pending is not live, whatever the pair says.
-        s.handle(subscribe(vn(1), rl(9)), SimTime::ZERO);
-        let out = s.handle(resubscribe(vn(1), rl(9), seq, digest), SimTime::ZERO);
-        assert!(!resumed(&out));
-        assert_eq!(s.flush_publishes().len(), 17);
-
-        // A partitioned shard leaves the server's digest, and rejoins it.
+        // A partitioned shard leaves the server's digest: the true claim
+        // fails and so does the history — a snapshot of the up shards,
+        // every row at the watermark.
         let victim = crate::partition::owner_of(&eid(0), 4);
         s.partition_shard(victim);
         let out = s.handle(resubscribe(vn(1), rl(9), seq, digest), SimTime::ZERO);
         assert!(!resumed(&out));
         let partial = s.flush_publishes();
         assert!(partial.len() < 17);
+        assert!(partial.iter().all(|(_, m)| nonce_of(m) == seq));
+        // Healed, the partial slice's claim is a reset and the log
+        // rebuilds it; the full slice resumes.
         s.heal_shard(victim);
         let (_, partial_digest) = held(&partial);
         let out = s.handle(
@@ -921,10 +945,17 @@ mod tests {
             SimTime::ZERO,
         );
         assert!(!resumed(&out), "the healed shard's rows are missing");
-        assert_eq!(s.flush_publishes(), snapshot);
+        assert_eq!(s.flush_publishes(), rebuilt);
         assert!(resumed(
             &s.handle(resubscribe(vn(1), rl(9), seq, digest), SimTime::ZERO)
         ));
+    }
+
+    fn nonce_of(m: &Message) -> u64 {
+        match m {
+            Message::Publish { nonce, .. } => *nonce,
+            other => panic!("expected a publish, got {other:?}"),
+        }
     }
 
     /// What `expire`'s doc promises of one sweep's withdraw deltas: shard

@@ -21,14 +21,23 @@
 //!   single one per publish, the partitioned one per change — so each
 //!   gets its own honest watermark; the digests are of equal views) or
 //!   forges one of the two, and both servers must answer `resumed` or
-//!   snapshot alike, ack for ack.
+//!   reset alike, ack for ack. A `Lose` step darkens one border: its
+//!   deltas are lost on both sides until its next Subscribe, and each
+//!   model drops a stream's deltas after a loss the way a border does
+//!   past a hole, until the next ack — so an honest claim is often
+//!   behind the watermark, and a resume must replay exactly what was
+//!   lost.
+//! * The partitioned model applies publishes as a border does (a reset
+//!   slice takes any first publish; then the watermark or its successor
+//!   only) and asserts it never meets a hole the test did not make: a
+//!   replay, a rebuild from the log and a snapshot all arrive whole.
 //!
 //! The gap → snapshot-resync path (bounded queues overflowing) is
 //! deterministic, not generated: `gap_resync_restores_consistency`
 //! forces an overflow through a capacity-4 queue and asserts the resync
 //! snapshot restores the exact view.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use sda_ctrl::PartitionedMapServer;
@@ -89,6 +98,9 @@ enum Op {
     Expire { secs: u32 },
     /// Explicit withdraw.
     Withdraw { v: u32, e: u32 },
+    /// Deltas to border `b` are lost until its next Subscribe (snapshots
+    /// and rebuilds of a stream a step resets arrive whole).
+    Lose { b: u32 },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -98,6 +110,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0u32..3, 0u32..4, 0u32..64).prop_map(|(v, b, claim)| Op::Subscribe { v, b, claim }),
         (1u32..200).prop_map(|secs| Op::Expire { secs }),
         (0u32..3, 0u32..200).prop_map(|(v, e)| Op::Withdraw { v, e }),
+        (0u32..4).prop_map(|b| Op::Lose { b }),
     ]
 }
 
@@ -153,92 +166,117 @@ fn claimed(vn: VnId, subscriber: Rloc, honest: (u64, u64), claim: u32) -> Messag
     }
 }
 
-/// Applies the single server's outbox to its subscriber views the way a
-/// border would: a snapshot ack empties the VN's slice and restarts its
-/// watermark, a publish lands and raises it.
-fn apply_single_publishes(
-    views: &mut BTreeMap<Rloc, View>,
-    seqs: &mut BTreeMap<(Rloc, VnId), u64>,
-    out: &[(Rloc, Message)],
-) {
+/// One side's subscriber model: views, per-stream watermarks, streams
+/// recovering from a loss, and the borders whose deltas are being lost.
+#[derive(Default)]
+struct Model {
+    views: BTreeMap<Rloc, View>,
+    seqs: BTreeMap<(Rloc, VnId), u64>,
+    /// Streams that lost a delta: what follows is dropped until an ack.
+    holed: BTreeSet<(Rloc, VnId)>,
+    dark: BTreeSet<Rloc>,
+}
+
+impl Model {
+    /// What border `b` says it holds of `vn`.
+    fn held(&self, b: Rloc, vn: VnId) -> (u64, u64) {
+        let digest = self.views.get(&b).map_or(0, |view| view.digest(vn));
+        (self.seqs.get(&(b, vn)).copied().unwrap_or(0), digest)
+    }
+
+    /// An ack for `key`: a reset empties the slice and its watermark.
+    fn ack(&mut self, key: (Rloc, VnId), resumed: bool) {
+        self.holed.remove(&key);
+        if !resumed {
+            self.views.entry(key.0).or_default().replace_vn(key.1, &[]);
+            self.seqs.insert(key, 0);
+        }
+    }
+
+    /// A delta for `key` unless the step loses it or a hole precedes it.
+    fn arrives(&mut self, key: (Rloc, VnId), reset: bool) -> bool {
+        if self.dark.contains(&key.0) && !reset {
+            self.holed.insert(key);
+        }
+        !self.holed.contains(&key)
+    }
+
+    fn apply(&mut self, to: Rloc, m: &Message) {
+        if let Message::Publish {
+            vn,
+            prefix,
+            rloc,
+            withdraw,
+            ..
+        } = m
+        {
+            (self.views.entry(to).or_default()).apply(*vn, *prefix, *rloc, *withdraw);
+        }
+    }
+}
+
+fn nonce_of(m: &Message) -> u64 {
+    match m {
+        Message::Publish { nonce, .. } => *nonce,
+        other => panic!("not a publish: {other:?}"),
+    }
+}
+
+/// Applies the single server's outbox to its subscriber model: an ack
+/// resets or keeps the slice, a publish lands and raises the watermark
+/// (its numbering is per publish across subscribers, so it has no holes
+/// to see — the model drops after a loss on its own).
+fn apply_single_publishes(model: &mut Model, out: &[(Rloc, Message)]) {
+    let mut reset = BTreeSet::new();
     for (to, m) in out {
         match m {
-            Message::SubscribeAck {
-                vn, resumed: false, ..
-            } => {
-                views.entry(*to).or_default().replace_vn(*vn, &[]);
-                seqs.insert((*to, *vn), 0);
+            Message::SubscribeAck { vn, resumed, .. } => {
+                model.ack((*to, *vn), *resumed);
+                if !resumed {
+                    reset.insert((*to, *vn));
+                }
             }
-            Message::Publish {
-                nonce,
-                vn,
-                prefix,
-                rloc,
-                withdraw,
-            } => {
-                views
-                    .entry(*to)
-                    .or_default()
-                    .apply(*vn, *prefix, *rloc, *withdraw);
-                let seq = seqs.entry((*to, *vn)).or_insert(0);
-                *seq = (*seq).max(*nonce);
+            Message::Publish { vn, .. } => {
+                let key = (*to, *vn);
+                if model.arrives(key, reset.contains(&key)) {
+                    model.apply(*to, m);
+                    let seq = model.seqs.entry(key).or_insert(0);
+                    *seq = (*seq).max(nonce_of(m));
+                }
             }
             _ => {}
         }
     }
 }
 
-/// Applies one partitioned-server flush to its subscriber views.
-///
-/// The driver knows which `(subscriber, vn)` streams expect a snapshot
-/// (set on every Subscribe the server did not resume), so snapshot
-/// groups are applied as replacement and everything else as deltas —
-/// asserting delta contiguity per VN along the way.
-fn apply_flush(
-    views: &mut BTreeMap<Rloc, View>,
-    seqs: &mut BTreeMap<(Rloc, VnId), u64>,
-    pending_snapshot: &mut std::collections::BTreeSet<(Rloc, VnId)>,
-    out: &[(Rloc, Message)],
-) {
-    // Group snapshot content per (subscriber, vn) first.
-    let mut snapshots: BTreeMap<(Rloc, VnId), Vec<(EidPrefix, Rloc)>> = BTreeMap::new();
-    let mut watermarks: BTreeMap<(Rloc, VnId), u64> = BTreeMap::new();
-    for (to, m) in out {
-        let Message::Publish {
-            nonce,
-            vn,
-            prefix,
-            rloc,
-            withdraw,
-        } = m
-        else {
+/// Applies one partitioned-server step — its acks, then its flush — to
+/// its subscriber model the way a border does, asserting that no
+/// publish ever lands past a hole the step did not make.
+fn apply_flush(model: &mut Model, acks: &[(Rloc, Message)], flushed: &[(Rloc, Message)]) {
+    let mut reset = BTreeSet::new();
+    for (to, m) in acks {
+        if let Message::SubscribeAck { vn, resumed, .. } = m {
+            model.ack((*to, *vn), *resumed);
+            if !resumed {
+                reset.insert((*to, *vn));
+            }
+        }
+    }
+    for (to, m) in flushed {
+        let Message::Publish { vn, .. } = m else {
             panic!("flush must only emit publishes, got {m:?}");
         };
         let key = (*to, *vn);
-        if pending_snapshot.contains(&key) {
-            assert!(!withdraw, "snapshots carry state, not withdrawals");
-            snapshots.entry(key).or_default().push((*prefix, *rloc));
-            watermarks.insert(key, *nonce);
-        } else {
-            let last = seqs.entry(key).or_insert(0);
-            assert_eq!(
-                *nonce,
-                *last + 1,
-                "delta stream of {key:?} must be contiguous"
-            );
-            *last = *nonce;
-            views
-                .entry(*to)
-                .or_default()
-                .apply(*vn, *prefix, *rloc, *withdraw);
+        if !model.arrives(key, reset.contains(&key)) {
+            continue;
         }
-    }
-    // Snapshot groups replace the VN slice and reset the stream cursor
-    // to the watermark. (An empty-world snapshot emits nothing — the
-    // driver syncs those cursors from `pubsub_seq` afterwards.)
-    for (key, content) in &snapshots {
-        views.entry(key.0).or_default().replace_vn(key.1, content);
-        seqs.insert(*key, watermarks[key]);
+        let (nonce, last) = (nonce_of(m), model.seqs.get(&key).copied().unwrap_or(0));
+        assert!(
+            last == 0 || nonce == last || nonce == last + 1,
+            "stream {key:?} at {last} got {nonce}: a hole or a stale delta"
+        );
+        model.apply(*to, m);
+        model.seqs.insert(key, nonce);
     }
 }
 
@@ -252,11 +290,9 @@ proptest! {
         let mut part = PartitionedMapServer::new(rloc, SHARDS);
 
         let mut now = SimTime::ZERO;
-        let mut single_views: BTreeMap<Rloc, View> = BTreeMap::new();
-        let mut single_seqs: BTreeMap<(Rloc, VnId), u64> = BTreeMap::new();
-        let mut part_views: BTreeMap<Rloc, View> = BTreeMap::new();
-        let mut part_seqs: BTreeMap<(Rloc, VnId), u64> = BTreeMap::new();
-        let mut pending: std::collections::BTreeSet<(Rloc, VnId)> = std::collections::BTreeSet::new();
+        let mut single_model = Model::default();
+        let mut part_model = Model::default();
+        let mut dark: BTreeSet<Rloc> = BTreeSet::new();
         let mut nonce = 0u64;
 
         for op in &ops {
@@ -289,27 +325,30 @@ proptest! {
                 }
                 Op::Subscribe { v, b, claim } => {
                     let (vn, b) = (vn(v), border(b));
-                    let held = |views: &BTreeMap<Rloc, View>, seqs: &BTreeMap<(Rloc, VnId), u64>| {
-                        let digest = views.get(&b).map_or(0, |view| view.digest(vn));
-                        (seqs.get(&(b, vn)).copied().unwrap_or(0), digest)
-                    };
                     Some((
-                        claimed(vn, b, held(&single_views, &single_seqs), claim),
-                        claimed(vn, b, held(&part_views, &part_seqs), claim),
+                        claimed(vn, b, single_model.held(b, vn), claim),
+                        claimed(vn, b, part_model.held(b, vn), claim),
                     ))
                 }
-                Op::Expire { .. } | Op::Withdraw { .. } => None,
+                Op::Expire { .. } | Op::Withdraw { .. } | Op::Lose { .. } => None,
             };
+            // A border's Subscribe ends its dark window.
+            match *op {
+                Op::Lose { b } => {
+                    dark.insert(border(b));
+                }
+                Op::Subscribe { b, .. } => {
+                    dark.remove(&border(b));
+                }
+                _ => {}
+            }
+            single_model.dark = dark.clone();
+            part_model.dark = dark.clone();
 
             match (op, msg) {
                 (_, Some((to_single, to_part))) => {
                     let out_single = single.handle(to_single, now);
                     let out_part = part.handle(to_part, now);
-                    for (to, m) in &out_part {
-                        if let Message::SubscribeAck { vn, resumed: false, .. } = m {
-                            pending.insert((*to, *vn));
-                        }
-                    }
 
                     // Reply-for-reply, notify-for-notify: everything the
                     // single server transmits except publishes must
@@ -327,49 +366,36 @@ proptest! {
                         prop_assert_eq!(*a, b);
                     }
 
-                    apply_single_publishes(&mut single_views, &mut single_seqs, &out_single);
+                    apply_single_publishes(&mut single_model, &out_single);
                     let flushed = part.flush_publishes();
-                    apply_flush(&mut part_views, &mut part_seqs, &mut pending, &flushed);
-                    // An empty-world snapshot emits nothing, so sync
-                    // every just-resynced cursor to the VN watermark.
-                    for key in &pending {
-                        part_seqs.insert(*key, part.pubsub_seq(key.1));
-                    }
-                    pending.clear();
+                    apply_flush(&mut part_model, &out_part, &flushed);
                 }
                 (Op::Expire { secs }, None) => {
                     now += SimDuration::from_secs(u64::from(*secs));
                     let out_single = single.expire(now);
                     part.expire(now);
-                    apply_single_publishes(&mut single_views, &mut single_seqs, &out_single);
+                    apply_single_publishes(&mut single_model, &out_single);
                     let flushed = part.flush_publishes();
-                    apply_flush(&mut part_views, &mut part_seqs, &mut pending, &flushed);
-                    for key in &pending {
-                        part_seqs.insert(*key, part.pubsub_seq(key.1));
-                    }
-                    pending.clear();
+                    apply_flush(&mut part_model, &[], &flushed);
                 }
                 (Op::Withdraw { v, e }, None) => {
                     let out_single = single.withdraw(vn(*v), eid(*e));
                     part.withdraw(vn(*v), eid(*e));
-                    apply_single_publishes(&mut single_views, &mut single_seqs, &out_single);
+                    apply_single_publishes(&mut single_model, &out_single);
                     let flushed = part.flush_publishes();
-                    apply_flush(&mut part_views, &mut part_seqs, &mut pending, &flushed);
-                    for key in &pending {
-                        part_seqs.insert(*key, part.pubsub_seq(key.1));
-                    }
-                    pending.clear();
+                    apply_flush(&mut part_model, &[], &flushed);
                 }
+                (Op::Lose { .. }, None) => {}
                 _ => unreachable!(),
             }
 
             prop_assert_eq!(single.db().len(), part.db_len(), "database sizes diverged");
             // Views agree after every step, so an honest claim is honest
             // on both sides.
-            for sub in single_views.keys().chain(part_views.keys()) {
+            for sub in single_model.views.keys().chain(part_model.views.keys()) {
                 let empty = View::default();
-                let a = single_views.get(sub).unwrap_or(&empty);
-                let b = part_views.get(sub).unwrap_or(&empty);
+                let a = single_model.views.get(sub).unwrap_or(&empty);
+                let b = part_model.views.get(sub).unwrap_or(&empty);
                 prop_assert_eq!(&a.map, &b.map, "subscriber {:?} view diverged", sub);
             }
         }
@@ -398,9 +424,9 @@ proptest! {
 
         // Subscriber views converge. (Views the single server never
         // published to stay empty on both sides.)
-        for (sub, view) in &single_views {
+        for (sub, view) in &single_model.views {
             let empty = View::default();
-            let got = part_views.get(sub).unwrap_or(&empty);
+            let got = part_model.views.get(sub).unwrap_or(&empty);
             prop_assert_eq!(&view.map, &got.map, "subscriber {:?} view diverged", sub);
         }
 

@@ -6,11 +6,16 @@
 //! [`PartitionedMapServer::handle`] with a flush after every message:
 //!
 //! * Nothing panics.
-//! * A claim that is not the server's own `(watermark, digest)` for the
-//!   VN never resumes, and the flush after it is exactly the VN's
-//!   snapshot: one publish per row, all at the watermark, no withdrawal.
-//! * The true claim resumes exactly when the stream is live (here: the
-//!   pair has been subscribed before — every op is followed by a flush).
+//! * A claim resumes exactly when the stream is live (here: the pair has
+//!   been subscribed before — every op is followed by a flush) and the
+//!   claim is one the VN really had, `(seq, digest)` as of some earlier
+//!   change or `(0, 0)` before the first (the log always reaches back
+//!   here). The flush after a resume is that VN's changes after the
+//!   claimed watermark, in order, to the subscriber — never another
+//!   VN's, never one outside the range.
+//! * The flush after any other claim rebuilds exactly the VN's rows from
+//!   nothing: as a snapshot (every row at the watermark) or as the VN's
+//!   history replayed.
 //! * The fan-out holds one stream per distinct `(subscriber, VN)` pair
 //!   that was ever acked, whatever the claims, and never more.
 //!
@@ -93,6 +98,16 @@ proptest! {
         let mut now = SimTime::ZERO;
         let mut acked: BTreeSet<(Rloc, VnId)> = BTreeSet::new();
         let mut attempted: BTreeSet<(Rloc, VnId)> = BTreeSet::new();
+        // Every `(seq, digest)` each VN has had, `(0, 0)` first.
+        let mut history: BTreeMap<VnId, Vec<(u64, u64)>> = BTreeMap::new();
+        let mut record = |server: &PartitionedMapServer, v: VnId| {
+            let had = history.entry(v).or_insert_with(|| vec![(0, 0)]);
+            let now = true_claim(server, v);
+            if had.last() != Some(&now) {
+                had.push(now);
+            }
+            had.clone()
+        };
 
         for w in words {
             now += SimDuration::from_millis(w >> 56);
@@ -109,6 +124,7 @@ proptest! {
                 3 => {
                     server.withdraw(v, eid(w >> 24));
                     server.flush_publishes();
+                    record(&server, v);
                     continue;
                 }
                 4 => {
@@ -129,8 +145,9 @@ proptest! {
                         Err(_) => continue,
                     }
                 }
-                // Claims: the true one, a near miss of it, or any pair
-                // (a small watermark so it sometimes is the true one).
+                // Claims: the true one, a near miss of it, an earlier true
+                // one, or any pair (a small watermark so it sometimes is
+                // a true one).
                 k => {
                     let truth = true_claim(&server, v);
                     let (have_seq, digest) = match k {
@@ -139,6 +156,11 @@ proptest! {
                             0 => (truth.0.wrapping_add(1 + (w >> 40) % 3), truth.1),
                             _ => (truth.0, truth.1 ^ (1 << ((w >> 40) % 64))),
                         },
+                        // A point the VN really had, possibly long past.
+                        _ if (w >> 62) & 1 == 1 => {
+                            let had = record(&server, v);
+                            had[(w >> 24) as usize % had.len()]
+                        }
                         _ => ((w >> 24) % 6, if (w >> 30) & 1 == 0 { 0 } else { w >> 32 }),
                     };
                     Message::Subscribe { nonce: w, vn: v, subscriber: sub, have_seq, digest }
@@ -147,34 +169,59 @@ proptest! {
 
             let claim = match msg {
                 Message::Subscribe { vn, subscriber, have_seq, digest, .. } => {
-                    Some((vn, subscriber, (have_seq, digest), true_claim(&server, vn)))
+                    Some((vn, subscriber, (have_seq, digest), record(&server, vn)))
                 }
                 _ => None,
             };
-            let was_live = claim.is_some_and(|(vn, sub, _, _)| acked.contains(&(sub, vn)));
+            let was_live = claim.as_ref().is_some_and(|(vn, sub, _, _)| acked.contains(&(*sub, *vn)));
+            let touched = match msg {
+                Message::MapRegister { vn, .. } => Some(vn),
+                _ => None,
+            };
             let out = server.handle(msg, now);
             let flushed = server.flush_publishes();
+            if let Some(v) = touched {
+                record(&server, v);
+            }
 
-            if let Some((vn, sub, claimed, truth)) = claim {
+            if let Some((vn, sub, claimed, had)) = claim {
                 attempted.insert((sub, vn));
+                let truth = *had.last().unwrap();
                 match out.as_slice() {
                     [(to, Message::SubscribeAck { resumed, .. })] => {
                         prop_assert_eq!(*to, sub);
                         acked.insert((sub, vn));
-                        prop_assert_eq!(*resumed, was_live && claimed == truth, "claim {:?} vs {:?}", claimed, truth);
-                        if *resumed {
-                            prop_assert!(flushed.is_empty(), "a resume sends nothing");
-                        } else {
-                            // Exactly the VN's snapshot, at the watermark.
-                            let rows = server.iter_db().filter(|(v, _, _)| *v == vn).count();
-                            prop_assert_eq!(flushed.len(), rows);
-                            for (to, m) in &flushed {
-                                prop_assert_eq!(*to, sub);
-                                let is_snapshot_row = matches!(m,
-                                    Message::Publish { nonce, vn: of, withdraw: false, .. }
-                                        if *nonce == truth.0 && *of == vn);
-                                prop_assert!(is_snapshot_row, "not a snapshot row: {:?}", m);
+                        let honest = had.contains(&claimed);
+                        prop_assert_eq!(*resumed, was_live && honest, "claim {:?} vs {:?}", claimed, had);
+                        let mut nonces = Vec::new();
+                        for (to, m) in &flushed {
+                            prop_assert_eq!(*to, sub);
+                            match *m {
+                                Message::Publish { nonce, vn: of, .. } if of == vn => nonces.push(nonce),
+                                ref other => prop_assert!(false, "not a publish of {:?}: {:?}", vn, other),
                             }
+                        }
+                        if *resumed {
+                            // Exactly the changes after the claimed watermark.
+                            let want: Vec<u64> = (claimed.0 + 1..=truth.0).collect();
+                            prop_assert_eq!(nonces, want);
+                        } else {
+                            // From nothing to exactly the VN's rows.
+                            let mut rebuilt = BTreeMap::new();
+                            for (_, m) in &flushed {
+                                if let Message::Publish { prefix, rloc, withdraw, .. } = *m {
+                                    match withdraw {
+                                        true => rebuilt.remove(&prefix),
+                                        false => rebuilt.insert(prefix, rloc),
+                                    };
+                                }
+                            }
+                            let rows: BTreeMap<EidPrefix, Rloc> = server
+                                .iter_db()
+                                .filter(|(v, _, _)| *v == vn)
+                                .map(|(_, p, rec)| (p, rec.rloc))
+                                .collect();
+                            prop_assert_eq!(rebuilt, rows);
                         }
                     }
                     [(to, Message::ServerBusy { .. })] => {

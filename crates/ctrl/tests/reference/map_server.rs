@@ -16,10 +16,13 @@
 //!   cache-cleaning effect of §4.2).
 //! * **Pub/sub** (§3.3): subscribed border routers receive a Publish for
 //!   every mapping change, plus a full snapshot on subscription — unless
-//!   the Subscribe proves the border in sync (the subscriber is already
-//!   subscribed, holds the last sequence sent to it on the VN, and its
-//!   digest equals the digest of the VN's rows, walked here in full),
-//!   in which case the ack says `resumed` and nothing follows.
+//!   the Subscribe proves what the border holds: it is already
+//!   subscribed, and its watermark and digest are a point its stream
+//!   passed since the last snapshot (the snapshot's end, or a publish
+//!   sent after it, with the digest the VN's rows had right then,
+//!   walked here in full). Then the ack says `resumed` and every publish
+//!   the stream sent after that point follows again, verbatim —
+//!   nothing when the point is the last one.
 //!
 //! What it is not: run by any node. The fabric builds
 //! `sda_ctrl::PartitionedMapServer` only; no production crate names this
@@ -27,11 +30,12 @@
 //!
 //! What holds it: `crates/ctrl/tests/differential_ctrl.rs` replays
 //! generated register/request/move/expiry interleavings through this
-//! server and the partitioned one and compares reply for reply. It is
-//! also the shard of the replicate-all `ShardedMapServer`
-//! (`sda_bench::shard`). Its subscriber table is `pubsub.rs` in this
+//! server and the partitioned one and compares reply for reply; its
+//! unit tests also run in `sda-bench`'s test build. Its subscriber
+//! table is `pubsub.rs` in this
 //! directory, which every includer mounts beside it as `pubsub`. Do not
-//! "fix" anything in either file — their behaviour is the specification.
+//! "fix" anything in either file — their behaviour is the specification
+//! (the resume rule above is the one deliberate change since the move).
 
 use super::pubsub::SubscriberTable;
 use sda_lisp::{MapServerStats, Outbox, NEGATIVE_TTL_SECS, REPLY_TTL_SECS};
@@ -42,15 +46,25 @@ use std::collections::BTreeMap;
 use sda_types::{row_digest, Eid, EidPrefix, Rloc, VnId};
 use sda_wire::lisp::Message;
 
+/// A point of one subscriber's stream: the sequence of the last publish
+/// sent (0: none since the snapshot began), the VN's row digest right
+/// then, and that publish — `None` for a snapshot's end, which a resume
+/// does not send again.
+struct Point {
+    seq: u64,
+    digest: u64,
+    publish: Option<Message>,
+}
+
 /// The routing server of Fig. 1.
 pub struct MapServer {
     /// This server's own locator (sources of its messages).
     rloc: Rloc,
     db: MappingDb,
     subs: SubscriberTable,
-    /// `(subscriber, vn)` → sequence of the last Publish sent on that
-    /// stream since its last snapshot began (0: none).
-    sent: BTreeMap<(Rloc, VnId), u64>,
+    /// `(subscriber, vn)` → the points the stream passed since its last
+    /// snapshot: where the snapshot left it, then one per publish sent.
+    sent: BTreeMap<(Rloc, VnId), Vec<Point>>,
     stats: MapServerStats,
     default_ttl: SimDuration,
 }
@@ -215,30 +229,48 @@ impl MapServer {
         // Pub/sub: push the change to subscribed borders (skip refreshes —
         // nothing changed for the data plane).
         if !matches!(outcome, RegisterOutcome::Refreshed) {
-            let subscribers: Vec<Rloc> = self.subs.subscribers(vn).to_vec();
-            for sub in subscribers {
-                let seq = self.next_publish(sub, vn);
-                out.push((
-                    sub,
-                    Message::Publish {
-                        nonce: seq,
-                        vn,
-                        prefix: EidPrefix::host(eid),
-                        rloc,
-                        withdraw: false,
-                    },
-                ));
-            }
+            self.publish_change(vn, eid, rloc, false, &mut out);
         }
         out
     }
 
-    /// Allocates the sequence of the next Publish to `sub` on `vn`.
-    fn next_publish(&mut self, sub: Rloc, vn: VnId) -> u64 {
-        let seq = self.subs.next_seq(vn);
-        self.sent.insert((sub, vn), seq);
+    /// Allocates the sequence of the next Publish on `vn`.
+    fn next_publish(&mut self, vn: VnId) -> u64 {
         self.stats.publishes += 1;
-        seq
+        self.subs.next_seq(vn)
+    }
+
+    /// The digest of the VN's rows, live or expired.
+    fn vn_digest(&self, vn: VnId) -> u64 {
+        self.db.iter_vn(vn).fold(0, |d, (prefix, rec)| {
+            let eid = prefix
+                .as_host()
+                .expect("the registry holds host routes only");
+            d.wrapping_add(row_digest(&eid, rec.rloc))
+        })
+    }
+
+    /// Streams one change of `eid` in `vn` to every subscriber of the VN,
+    /// each publish a new point of that subscriber's stream.
+    fn publish_change(&mut self, vn: VnId, eid: Eid, rloc: Rloc, withdraw: bool, out: &mut Outbox) {
+        let digest = self.vn_digest(vn);
+        let subscribers: Vec<Rloc> = self.subs.subscribers(vn).to_vec();
+        for sub in subscribers {
+            let publish = Message::Publish {
+                nonce: self.next_publish(vn),
+                vn,
+                prefix: EidPrefix::host(eid),
+                rloc,
+                withdraw,
+            };
+            let point = Point {
+                seq: self.subs.current_seq(vn),
+                digest,
+                publish: Some(publish.clone()),
+            };
+            self.sent.entry((sub, vn)).or_default().push(point);
+            out.push((sub, publish));
+        }
     }
 
     fn process_subscribe(
@@ -249,27 +281,28 @@ impl MapServer {
         have_seq: u64,
         digest: u64,
     ) -> Outbox {
-        // Resume: a subscriber that already has everything this stream
-        // sent it and exactly the VN's rows gets the ack and nothing else.
-        let rows = self.db.iter_vn(vn).map(|(prefix, rec)| {
-            let eid = prefix
-                .as_host()
-                .expect("the registry holds host routes only");
-            row_digest(&eid, rec.rloc)
-        });
-        if self.subs.subscribers(vn).contains(&subscriber)
-            && have_seq == self.sent.get(&(subscriber, vn)).copied().unwrap_or(0)
-            && digest == rows.fold(0, u64::wrapping_add)
-        {
+        // Resume: a subscriber that holds the VN as its stream left it at
+        // some point gets the ack and, again, everything sent after it.
+        let points = self
+            .sent
+            .get(&(subscriber, vn))
+            .map_or(&[][..], Vec::as_slice);
+        let at = points
+            .iter()
+            .position(|p| p.seq == have_seq && p.digest == digest);
+        if let Some(at) = at.filter(|_| self.subs.subscribers(vn).contains(&subscriber)) {
             let resumed = Message::SubscribeAck {
                 nonce,
                 vn,
                 resumed: true,
             };
-            return vec![(subscriber, resumed)];
+            let again = points[at + 1..].iter().filter_map(|p| p.publish.clone());
+            return std::iter::once(resumed)
+                .chain(again)
+                .map(|m| (subscriber, m))
+                .collect();
         }
         self.subs.subscribe(vn, subscriber);
-        self.sent.insert((subscriber, vn), 0);
         // Ack first: the subscriber resets its view of the VN on receipt,
         // then the snapshot publishes that follow rebuild it. Re-subscribe
         // is idempotent, so retransmitted Subscribes are safe.
@@ -283,8 +316,10 @@ impl MapServer {
             },
         ));
         // Full snapshot so the border starts synchronized.
-        for (prefix, rec) in self.db.iter_vn(vn) {
-            let seq = self.next_publish(subscriber, vn);
+        let rows: Vec<_> = self.db.iter_vn(vn).collect();
+        let mut seq = 0;
+        for (prefix, rec) in rows {
+            seq = self.next_publish(vn);
             out.push((
                 subscriber,
                 Message::Publish {
@@ -296,6 +331,13 @@ impl MapServer {
                 },
             ));
         }
+        let digest = self.vn_digest(vn);
+        let end = Point {
+            seq,
+            digest,
+            publish: None,
+        };
+        self.sent.insert((subscriber, vn), vec![end]);
         out
     }
 
@@ -331,20 +373,7 @@ impl MapServer {
     /// subscribers — the shared tail of [`MapServer::withdraw`] and
     /// [`MapServer::expire`].
     fn publish_withdraw(&mut self, vn: VnId, eid: Eid, old_rloc: Rloc, out: &mut Outbox) {
-        let subscribers: Vec<Rloc> = self.subs.subscribers(vn).to_vec();
-        for sub in subscribers {
-            let seq = self.next_publish(sub, vn);
-            out.push((
-                sub,
-                Message::Publish {
-                    nonce: seq,
-                    vn,
-                    prefix: EidPrefix::host(eid),
-                    rloc: old_rloc,
-                    withdraw: true,
-                },
-            ));
-        }
+        self.publish_change(vn, eid, old_rloc, true, out);
     }
 
     /// Explicit withdraw (endpoint offboarded or edge died); publishes

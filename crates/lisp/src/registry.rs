@@ -103,8 +103,13 @@ impl MappingRecord {
 /// Outcome of a register operation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RegisterOutcome {
-    /// First registration of this EID.
-    New,
+    /// First registration of this EID, or one over an expired
+    /// registration nobody swept yet — whose RLOC `replaced` carries, so
+    /// a caller that digests rows live or expired can take it out.
+    New {
+        /// The expired registration's RLOC, if one was overwritten.
+        replaced: Option<Rloc>,
+    },
     /// Same RLOC re-registered (refresh).
     Refreshed,
     /// The EID moved; carries the previous RLOC (Fig. 5: the server
@@ -419,9 +424,11 @@ impl MappingDb {
         match tables.insert(eid, rloc, expires_at) {
             None => {
                 self.total += 1;
-                RegisterOutcome::New
+                RegisterOutcome::New { replaced: None }
             }
-            Some(old) if old.expired(now) => RegisterOutcome::New,
+            Some(old) if old.expired(now) => RegisterOutcome::New {
+                replaced: Some(old.rloc),
+            },
             Some(old) if old.rloc == rloc => RegisterOutcome::Refreshed,
             Some(old) => RegisterOutcome::Moved { previous: old.rloc },
         }
@@ -565,7 +572,7 @@ mod tests {
     fn register_lookup_roundtrip() {
         let mut db = MappingDb::new();
         let out = db.register(vn(1), eid(1), Rloc::for_router_index(1), TTL, SimTime::ZERO);
-        assert_eq!(out, RegisterOutcome::New);
+        assert_eq!(out, RegisterOutcome::New { replaced: None });
         let (prefix, rec) = db.lookup(vn(1), eid(1), SimTime::ZERO).unwrap();
         assert!(prefix.is_host());
         assert_eq!(rec.rloc, Rloc::for_router_index(1));
@@ -608,7 +615,18 @@ mod tests {
         assert_eq!(db.len(), 0);
         // Registering after expiry counts as New, not Moved.
         let out = db.register(vn(1), eid(1), Rloc::for_router_index(2), TTL, later);
-        assert_eq!(out, RegisterOutcome::New);
+        assert_eq!(out, RegisterOutcome::New { replaced: None });
+    }
+
+    #[test]
+    fn register_over_an_unswept_expired_row_names_its_rloc() {
+        let mut db = MappingDb::new();
+        let (r1, r2) = (Rloc::for_router_index(1), Rloc::for_router_index(2));
+        db.register(vn(1), eid(1), r1, TTL, SimTime::ZERO);
+        let later = SimTime::ZERO + TTL + SimDuration::from_secs(1);
+        let out = db.register(vn(1), eid(1), r2, TTL, later);
+        assert_eq!(out, RegisterOutcome::New { replaced: Some(r1) });
+        assert_eq!(db.len(), 1);
     }
 
     #[test]
@@ -666,7 +684,7 @@ mod tests {
         for e in &keys {
             assert_eq!(
                 db.register(vn(1), *e, r1, TTL, SimTime::ZERO),
-                RegisterOutcome::New
+                RegisterOutcome::New { replaced: None }
             );
         }
         assert_eq!((db.len(), db.recount()), (KEYS, KEYS));
@@ -790,7 +808,7 @@ mod tests {
 
         assert_eq!(
             db.register(vn(1), zero, r1, TTL, SimTime::ZERO),
-            RegisterOutcome::New
+            RegisterOutcome::New { replaced: None }
         );
         assert_eq!(widths(&db), (3, 1));
         assert_eq!(db.mem_stats().capacity_bytes, MIN_SLOTS * (16 + 32));

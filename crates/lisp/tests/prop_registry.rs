@@ -369,7 +369,7 @@ proptest! {
                     let want = match stored {
                         Some(old) if !old.expired(now) && old.rloc == rloc => RegisterOutcome::Refreshed,
                         Some(old) if !old.expired(now) => RegisterOutcome::Moved { previous: old.rloc },
-                        _ => RegisterOutcome::New,
+                        expired => RegisterOutcome::New { replaced: expired.map(|old| old.rloc) },
                     };
                     prop_assert_eq!(db.register(vn(1), e, rloc, secs, now), want);
                     model.insert(e, MappingRecord { rloc, expires_at: now + secs });
@@ -446,7 +446,7 @@ proptest! {
                     let want = match stored {
                         Some(old) if !old.expired(now) && old.rloc == rloc => RegisterOutcome::Refreshed,
                         Some(old) if !old.expired(now) => RegisterOutcome::Moved { previous: old.rloc },
-                        _ => RegisterOutcome::New,
+                        expired => RegisterOutcome::New { replaced: expired.map(|old| old.rloc) },
                     };
                     prop_assert_eq!(db.register(v, e, rloc, secs, now), want);
                     model.insert((v, e), MappingRecord { rloc, expires_at: now + secs });

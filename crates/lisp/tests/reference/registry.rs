@@ -53,8 +53,10 @@ impl MappingDb {
             self.total += 1;
         }
         match prev {
-            None => RegisterOutcome::New,
-            Some(old) if old.expired(now) => RegisterOutcome::New,
+            None => RegisterOutcome::New { replaced: None },
+            Some(old) if old.expired(now) => RegisterOutcome::New {
+                replaced: Some(old.rloc),
+            },
             Some(old) if old.rloc == rloc => RegisterOutcome::Refreshed,
             Some(old) => RegisterOutcome::Moved { previous: old.rloc },
         }

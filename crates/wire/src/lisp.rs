@@ -14,8 +14,9 @@
 //! * **Subscribe / Publish** — the pub/sub extension the border router uses
 //!   to stay synchronized with the full mapping database (§3.3). A
 //!   Subscribe carries the border's sequence watermark and slice digest;
-//!   the SubscribeAck says whether the server resumed the stream or a
-//!   snapshot follows.
+//!   the SubscribeAck says whether the server resumed the stream (what
+//!   followed the watermark comes as deltas) or reset it (the VN is
+//!   rebuilt, from deltas or a snapshot).
 //!
 //! Encoding: a 9-byte common header (type+flags, 64-bit nonce) followed by
 //! a type-specific body. EIDs are encoded with a 16-bit address family
@@ -175,7 +176,8 @@ pub enum Message {
         vn: VnId,
         /// Where publishes should be sent.
         subscriber: Rloc,
-        /// Highest publish sequence the subscriber has seen on `vn`.
+        /// The watermark: the subscriber holds `vn` as it stood after
+        /// this publish sequence number (0: before the first change).
         have_seq: u64,
         /// Wrapping sum of [`sda_types::row_digest`] over the
         /// subscriber's synced rows of `vn`.
@@ -188,10 +190,12 @@ pub enum Message {
         nonce: u64,
         /// VN scope of the acknowledged subscription.
         vn: VnId,
-        /// Stream resumed: keep the synced slice, nothing follows. When
-        /// false the view of `vn` is reset and a snapshot follows as
-        /// Publishes. Carried in the flags nibble, where any value but
-        /// 0 or 1 is `Malformed`.
+        /// Stream resumed: keep the synced slice; whatever followed
+        /// `have_seq` arrives as delta Publishes (nothing when the
+        /// subscriber was current). When false the view of `vn` is reset
+        /// and Publishes rebuild it — the VN's changes from the first, or
+        /// a snapshot at the watermark. Carried in the flags nibble,
+        /// where any value but 0 or 1 is `Malformed`.
         resumed: bool,
     },
     /// Shed-load reply: the server's admission budget for `class` is

@@ -237,6 +237,9 @@ pub(crate) const CHAOS_COUNTERS: &[&str] = &[
     "border.resyncs_requested",
     "border.resyncs_completed",
     "border.stream_resumes",
+    "border.snapshot_rows",
+    "border.delta_rows",
+    "ctrl.stream_replays",
     "simnet.ingress_drops",
     "simnet.shard_crashes",
     "simnet.shard_restarts",

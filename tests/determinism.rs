@@ -93,40 +93,46 @@ fn simulator_event_order_is_stable_under_ties() {
 /// with the ingress queues tightened from 512 to 64 so that, at CI
 /// scale too, the routing server's queue fills and tail-drops: the run
 /// is a pure function of the seed. The block was last re-recorded when
-/// border resubscribes learned to resume a stream the server can prove
-/// in sync: 13 of 22 resubscribe acks resume, so far fewer snapshot
-/// publishes ride the lossy window and the loss draws land on other
-/// messages (every moved counter is traced in CHANGES.md).
+/// a lost delta started costing its gap: the border drops what arrives
+/// past a hole and resubscribes from its watermark, the routing server
+/// replays the missed range from its delta log, and a reset stream is
+/// rebuilt from the log instead of a snapshot. 23 of 24 resubscribe acks
+/// resume (13 of 22 before), 5 of them replaying a range; no snapshot
+/// row is sent, so the loss draws land on other messages (every moved
+/// counter is traced in CHANGES.md).
 #[test]
 fn overload_campaign_replays_and_matches_the_recorded_counters() {
     use sda_workloads::{ChaosParams, ChaosScenario};
 
-    const RECORDED: [(&str, u64); 28] = [
+    const RECORDED: [(&str, u64); 31] = [
         ("simnet.faults_injected", 70),
         ("simnet.node_crashes", 21),
         ("simnet.node_restarts", 21),
         ("simnet.fault_msg_drops", 322),
-        ("simnet.link_drops", 190),
-        ("fabric.map_request_retries", 32),
+        ("simnet.link_drops", 157),
+        ("fabric.map_request_retries", 30),
         ("fabric.resolve_timeouts", 0),
-        ("fabric.register_retries", 2132),
+        ("fabric.register_retries", 2117),
         ("fabric.register_timeouts", 0),
         ("fabric.edge_restarts", 20),
         ("ctrl.server_restarts", 1),
         ("border.subscribe_retries", 4),
-        ("border.publish_gaps", 3),
+        ("border.publish_gaps", 5),
         ("border.publish_regressions", 0),
-        ("border.resyncs_requested", 3),
-        ("border.resyncs_completed", 9),
-        ("border.stream_resumes", 13),
-        ("simnet.ingress_drops", 1244),
+        ("border.resyncs_requested", 5),
+        ("border.resyncs_completed", 1),
+        ("border.stream_resumes", 23),
+        ("border.snapshot_rows", 0),
+        ("border.delta_rows", 206),
+        ("ctrl.stream_replays", 5),
+        ("simnet.ingress_drops", 1257),
         ("simnet.shard_crashes", 1),
         ("simnet.shard_restarts", 1),
-        ("ctrl.shed_replies", 957),
+        ("ctrl.shed_replies", 945),
         ("ctrl.shard_drops", 0),
-        ("fabric.server_busy_backoffs", 953),
+        ("fabric.server_busy_backoffs", 938),
         ("fabric.negative_cache_hits", 0),
-        ("fabric.jittered_retries", 2164),
+        ("fabric.jittered_retries", 2147),
         ("fabric.resolve_evictions", 0),
         ("server_queue_peak", 64),
         ("probes_delivered", 48),
@@ -168,6 +174,6 @@ fn event_order_digests_are_pinned() {
     );
     assert_eq!(
         digests,
-        (16_684_203_758_935_735_674, 4_137_610_506_468_929_133)
+        (16_684_203_758_935_735_674, 5_048_697_228_220_734_171)
     );
 }
