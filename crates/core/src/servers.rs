@@ -152,9 +152,6 @@ pub struct RoutingServerNode {
     /// to resume and takes a snapshot. The simulator drops every delivery to a
     /// crashed node, so only the purge timer reads this.
     failed: bool,
-    /// The server's replay count as of the last `ctrl.stream_replays`
-    /// bump.
-    replays: u64,
 }
 
 impl RoutingServerNode {
@@ -165,7 +162,6 @@ impl RoutingServerNode {
             dir,
             arp_db: BTreeMap::new(),
             failed: false,
-            replays: 0,
         }
     }
 
@@ -223,7 +219,6 @@ impl Node<FabricMsg> for RoutingServerNode {
                 // it survives the reboot (with fresh full buckets).
                 self.server.set_admission(admission);
                 self.arp_db.clear();
-                self.replays = 0;
                 ctx.metrics().bump(self.dir.counters.ctrl_server_restarts);
             }
             // Shard-scoped faults: the node stays up; the partitioned
@@ -255,6 +250,7 @@ impl Node<FabricMsg> for RoutingServerNode {
         match msg {
             FabricMsg::Control(m) => {
                 let base = sda_lisp::service_time(&m);
+                let replays = self.server.pubsub_replays();
                 let (disposition, out) = self.server.handle_with_disposition(m, ctx.now());
                 match disposition {
                     Disposition::Served => {
@@ -270,12 +266,10 @@ impl Node<FabricMsg> for RoutingServerNode {
                         ctx.metrics().bump(self.dir.counters.ctrl_shard_drops);
                     }
                 }
-                let replays = self.server.pubsub_replays();
                 (ctx.metrics()).bump_by(
                     self.dir.counters.ctrl_stream_replays,
-                    replays - self.replays,
+                    self.server.pubsub_replays() - replays,
                 );
-                self.replays = replays;
                 self.transmit(ctx, out);
             }
             FabricMsg::Arp(ArpMsg::Register { vn, ip, mac }) => {

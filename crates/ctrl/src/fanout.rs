@@ -16,11 +16,21 @@
 //! Resync rides the same path as initial subscription: a `(subscriber,
 //! VN)` stream is either `Live` (deltas flow) or pending `Snapshot`
 //! (deltas are suppressed; the next [`DeltaFanout::flush`] walks the
-//! owner shards' current state for that VN instead). Queue overflow — the subscriber fell too far
-//! behind — drops that VN's queued deltas and flips the stream back to
-//! `Snapshot`: a gap never delivers a partial view, it re-synchronizes.
-//! The fan-out counts its pending snapshots, so a flush with none — every
-//! flush of a settled system — only drains the queues.
+//! owner shards' current state for that VN instead). The fan-out counts
+//! its pending snapshots, so a flush with none — every flush of a
+//! settled system — only drains the queues.
+//!
+//! **Overflow.** A subscriber more than the queue's cap behind drops
+//! that VN's queued deltas and the stream flips back to `Snapshot`, with
+//! no ack: its rows reach the subscriber at the watermark, after a hole.
+//! A border reads them against its own watermark (`sda_core::border`):
+//! with an empty slice it takes them as its slice; further behind than
+//! one change it drops them as a hole and resubscribes from its
+//! watermark, which the resume rule below answers with a replay — the
+//! snapshot walk was spent for nothing; exactly one change behind it
+//! installs them as that change, so a row the change withdrew stays in
+//! its slice until its next claim fails. Overflow needs more than the
+//! cap of changes queued for one subscriber between two flushes.
 //!
 //! **Delta log.** Beside the queues, one bounded log keeps the last
 //! [`LOG_CAP`] changes across all VNs, each as `(vn, eid, new, old)` —
@@ -781,6 +791,26 @@ mod tests {
         assert!(!w.subscribe(&mut f, vn(1), rl(9), (4, 99)));
         assert_eq!(f.stream_live(vn(1), rl(9)), Some(false));
         assert!(flush_world(&mut f, &[]).is_empty());
+    }
+
+    #[test]
+    fn a_snapshot_pending_stream_resets_on_a_true_claim() {
+        let mut f = DeltaFanout::new(64);
+        let mut w = World::default();
+        w.set(&mut f, vn(1), eid(1), Some(rl(1)));
+        w.set(&mut f, vn(1), eid(2), Some(rl(1)));
+        assert!(!w.subscribe(&mut f, vn(1), rl(9), (0, 0)));
+        flush_empty(&mut f);
+        let held = (2, w.digest(vn(1)));
+        subscribe(&mut f, vn(1), rl(9));
+        assert_eq!(f.stream_live(vn(1), rl(9)), Some(false));
+        // The claim is the VN as it stands, but the stream is not live:
+        // a reset, which the log rebuilds.
+        assert!(!w.subscribe(&mut f, vn(1), rl(9), held));
+        assert_eq!(f.stream_live(vn(1), rl(9)), Some(true));
+        let got = stream_of(&flush_empty(&mut f), rl(9));
+        assert_eq!(got, [(vn(1), 1, false), (vn(1), 2, false)]);
+        assert_eq!(f.replays(), 0);
     }
 
     #[test]

@@ -874,7 +874,8 @@ mod tests {
     /// claim — one RLOC off, a watermark behind with the current digest,
     /// one ahead — resets the stream, rebuilt from the log while its
     /// history sums to the VN's digest, and by snapshot when a shard
-    /// leaves or rejoins the sum without a logged change.
+    /// leaves or rejoins the sum without a logged change. A stream
+    /// waiting for that snapshot resets on any claim.
     #[test]
     fn resubscribe_resumes_only_a_provably_synced_stream() {
         let mut s = server(4);
@@ -949,6 +950,18 @@ mod tests {
         assert!(resumed(
             &s.handle(resubscribe(vn(1), rl(9), seq, digest), SimTime::ZERO)
         ));
+
+        // Snapshot pending is not live, whatever the pair says: with the
+        // shard partitioned a new Subscribe's rebuild fails its digest and
+        // waits for a snapshot; healed before the flush, a true claim
+        // still resets, and the log rebuilds the VN.
+        s.partition_shard(victim);
+        assert!(!resumed(&s.handle(subscribe(vn(1), rl(9)), SimTime::ZERO)));
+        s.heal_shard(victim);
+        let out = s.handle(resubscribe(vn(1), rl(9), seq, digest), SimTime::ZERO);
+        assert!(!resumed(&out));
+        assert_eq!(s.flush_publishes(), rebuilt);
+        assert_eq!(s.pubsub_replays(), 1);
     }
 
     fn nonce_of(m: &Message) -> u64 {
