@@ -155,11 +155,12 @@ fn overload_campaign_replays_and_matches_the_recorded_counters() {
     assert_eq!(block, RECORDED);
 }
 
-/// The event-order digest (`Simulator::event_digest`) of two pinned
-/// runs: the tiny campus and the reduced overload campaign as the
-/// `fabric_storm` workload's quick mode runs it. The counter blocks
-/// above miss a reordering that lands on the same totals; this does
-/// not. A change that keeps the total order keeps both values.
+/// The event-order digest (`Simulator::event_digest`) of three pinned
+/// runs: the tiny campus, the reduced overload campaign as the
+/// `fabric_storm` workload's quick mode runs it, and the reduced
+/// single-shard reboot storm. The counter blocks above miss a
+/// reordering that lands on the same totals; this does not. A change
+/// that keeps the total order keeps all three values.
 #[test]
 fn event_order_digests_are_pinned() {
     use sda_workloads::{ChaosParams, ChaosScenario};
@@ -168,12 +169,19 @@ fn event_order_digests_are_pinned() {
     campus.run();
     let mut chaos = ChaosScenario::build(ChaosParams::reduced().with_overload(4));
     assert!(chaos.run().report.converged());
+    let mut storm = ChaosScenario::build(ChaosParams::reduced());
+    assert!(storm.run().report.converged());
     let digests = (
         campus.fabric.sim_mut().event_digest(),
         chaos.fabric.sim_mut().event_digest(),
+        storm.fabric.sim_mut().event_digest(),
     );
     assert_eq!(
         digests,
-        (16_684_203_758_935_735_674, 5_048_697_228_220_734_171)
+        (
+            16_684_203_758_935_735_674,
+            5_048_697_228_220_734_171,
+            11_524_651_900_296_753_319
+        )
     );
 }
