@@ -127,7 +127,7 @@ fn main() {
             for m in w.subscriptions() {
                 server.handle(m, now);
             }
-            server.flush_publishes(); // initial snapshots, off the clock
+            server.flush_publishes(); // whatever the subscribes queued, off the clock
             let mut k = 0usize;
             group.bench_with_input(
                 BenchmarkId::new("pubsub_delta_s4", scale),

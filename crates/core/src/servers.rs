@@ -148,9 +148,10 @@ pub struct RoutingServerNode {
     /// Crashed (fault injection). All state here is volatile: a restart
     /// comes up with an empty mapping database, empty subscriber list
     /// and empty ARP table — edges repopulate it through registration
-    /// refreshes, and a border's next resubscribe finds no live stream
-    /// to resume and takes a snapshot. The simulator drops every delivery to a
-    /// crashed node, so only the purge timer reads this.
+    /// refreshes, and a border's next resubscribe finds no stream to
+    /// resume: it resets, rebuilt from the new server's delta log or a
+    /// snapshot. The simulator drops every delivery to a crashed node,
+    /// so only the purge timer reads this.
     failed: bool,
 }
 
@@ -175,7 +176,9 @@ impl RoutingServerNode {
         self.arp_db.len()
     }
 
-    /// Sends replies/notifies, then drains the pub/sub fan-out.
+    /// Sends the handled message's answer (replies, notifies, a
+    /// Subscribe's ack and any snapshot behind it), then drains the
+    /// queued pub/sub deltas.
     fn transmit(&mut self, ctx: &mut Context<'_, FabricMsg>, out: sda_lisp::Outbox) {
         for (rloc, msg) in out.into_iter().chain(self.server.flush_publishes()) {
             ctx.send(self.dir.node_of(rloc), FabricMsg::Control(msg));

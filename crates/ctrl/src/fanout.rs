@@ -2,35 +2,28 @@
 //!
 //! The single reference map-server walks the whole VN on every
 //! subscribe and touches every subscriber's stream through one global
-//! counter. Here every mapping change enqueues one [`Delta`] into the
+//! counter. Here every mapping change enqueues one delta into the
 //! bounded queue of each subscriber of *that VN* — O(changes ×
 //! subscribers-of-that-VN), never O(world) — stamped with a **per-VN**
 //! sequence number.
 //!
 //! All per-VN state lives in **one map**, `VnId → VnStream`: the VN's
-//! publish sequence and its subscribers, each with the sync state of that
-//! `(subscriber, VN)` stream. A publish is one probe of that map and a
-//! walk of the entry's subscriber list; a subscriber itself is only its
-//! locator and its delta queue.
+//! publish sequence and its subscribers. A publish is one probe of that
+//! map and a walk of the entry's subscriber list; a subscriber itself is
+//! only its locator and its delta queue. A stream has one state — once
+//! subscribed, deltas flow — and [`DeltaFanout::flush`] only drains the
+//! queues.
 //!
-//! Resync rides the same path as initial subscription: a `(subscriber,
-//! VN)` stream is either `Live` (deltas flow) or pending `Snapshot`
-//! (deltas are suppressed; the next [`DeltaFanout::flush`] walks the
-//! owner shards' current state for that VN instead). The fan-out counts
-//! its pending snapshots, so a flush with none — every flush of a
-//! settled system — only drains the queues.
-//!
-//! **Overflow.** A subscriber more than the queue's cap behind drops
-//! that VN's queued deltas and the stream flips back to `Snapshot`, with
-//! no ack: its rows reach the subscriber at the watermark, after a hole.
-//! A border reads them against its own watermark (`sda_core::border`):
-//! with an empty slice it takes them as its slice; further behind than
-//! one change it drops them as a hole and resubscribes from its
-//! watermark, which the resume rule below answers with a replay — the
-//! snapshot walk was spent for nothing; exactly one change behind it
-//! installs them as that change, so a row the change withdrew stays in
-//! its slice until its next claim fails. Overflow needs more than the
-//! cap of changes queued for one subscriber between two flushes.
+//! **Overflow.** A publish that finds a subscriber's queue at its cap
+//! compacts the queue in place: every VN keeps its first queued delta
+//! and its newest, the change being published counting as its VN's
+//! newest. A VN with at most two deltas queued loses nothing, and a
+//! queue holds at most max(cap, 2 × the subscriber's VN streams). The
+//! subscriber applies each first delta in sequence, meets a hole at the
+//! newest and heals it as it heals any lost delta: it resubscribes from
+//! its watermark, and the rules below answer with the missed range or a
+//! reset. Keeping the first delta lets a reset slice still rebuild from
+//! seq 1.
 //!
 //! **Delta log.** Beside the queues, one bounded log keeps the last
 //! [`LOG_CAP`] changes across all VNs, each as `(vn, eid, new, old)` —
@@ -45,31 +38,32 @@
 //! its synced slice's digest (wrapping sum of [`sda_types::row_digest`]),
 //! and a border keeps its slice a prefix of the stream, so the claim is
 //! "I hold the VN as it stood at `have_seq`". The server acks `resumed`
-//! when the stream is `Live`, the log still holds every change of the
-//! VN in `(have_seq, seq]`, and the digest is the up shards'
-//! `MappingDb::vn_digest` sum minus those changes' steps `row(new) −
-//! row(old)` — the digest the VN had at `have_seq`. It then re-queues
-//! that range to that subscriber as ordinary deltas (its unflushed
-//! deltas of the VN dropped first), so `resumed` means "keep your slice;
-//! whatever follows `have_seq` arrives as deltas". `have_seq == seq` is
-//! the same rule with an empty range: nothing follows.
+//! when the subscriber has a stream of the VN, the log still holds every
+//! change of the VN in `(have_seq, seq]`, and the digest is the up
+//! shards' `MappingDb::vn_digest` sum minus those changes' steps
+//! `row(new) − row(old)` — the digest the VN had at `have_seq`. It then
+//! re-queues that range to that subscriber as ordinary deltas (its
+//! unflushed deltas of the VN dropped first), so `resumed` means "keep
+//! your slice; whatever follows `have_seq` arrives as deltas". `have_seq
+//! == seq` is the same rule with an empty range: nothing follows.
 //!
 //! **Reset.** Any other Subscribe — a new stream or a failed claim —
 //! resets the stream: the ack tells the subscriber to empty its slice,
 //! and the empty slice is itself the claim `(0, 0)` (the VN before its
 //! first change), which the same rule answers. When the log still holds
 //! the VN's whole history and it sums to the VN's digest, the history is
-//! re-queued as deltas; otherwise the stream waits for a snapshot at the
-//! next flush. The two rebuild the same rows, but a replayed history is
-//! sequenced, so a delta lost on the way is a hole the subscriber sees
-//! and asks for, where a lost snapshot row (all carry one watermark) is
-//! silent until the next claim fails. A watermark alone misses a lost
-//! snapshot publish, a row count a stale slice under a lost ack. No
-//! epoch: a restarted server has no live stream, and a crashed,
-//! restarted or partitioned shard changes the server's digest without a
-//! logged change to account for it, so a claim from before such a fault
-//! fails, and so does the empty claim until the log no longer reaches
-//! back past the fault — such a reset takes a snapshot.
+//! re-queued as deltas; otherwise the Subscribe's own reply carries a
+//! snapshot right behind the ack: the up shards' rows of the VN. The two
+//! rebuild the same rows, but a replayed history is sequenced, so a
+//! delta lost on the way is a hole the subscriber sees and asks for,
+//! where a lost snapshot row (all carry one watermark) is silent until
+//! the next claim fails. A watermark alone misses a lost snapshot
+//! publish, a row count a stale slice under a lost ack. No epoch: a
+//! restarted server has no stream, and a crashed, restarted or
+//! partitioned shard changes the server's digest without a logged change
+//! to account for it, so a claim from before such a fault fails, and so
+//! does the empty claim until the log no longer reaches back past the
+//! fault — such a reset takes a snapshot.
 //!
 //! Sequence semantics on the wire ([`Message::Publish`]'s `nonce`):
 //! delta publishes carry the change's own per-VN sequence number;
@@ -77,13 +71,13 @@
 //! describe *state as of* that sequence, and must not advance the
 //! sequence or live subscribers of the same VN would see phantom gaps).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use sda_types::{row_digest, Eid, EidPrefix, Rloc, VnId};
 use sda_wire::lisp::Message;
 
-/// Default per-subscriber delta queue bound. A subscriber further than
-/// this many undelivered changes behind is resynced by snapshot instead.
+/// Default per-subscriber delta queue bound. A publish that finds a
+/// queue this deep compacts it (module doc).
 pub const DEFAULT_QUEUE_CAP: usize = 1024;
 
 /// Changes the delta log keeps, across all VNs. A claim further behind
@@ -92,23 +86,9 @@ pub const DEFAULT_QUEUE_CAP: usize = 1024;
 /// fall back to snapshots.
 const LOG_CAP: usize = 1024;
 
-/// One pending mapping change for one subscriber.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Delta {
-    /// The VN the change belongs to.
-    pub vn: VnId,
-    /// The (host) EID that changed.
-    pub eid: Eid,
-    /// The new RLOC (or, for withdrawals, the last one).
-    pub rloc: Rloc,
-    /// True when the mapping was removed.
-    pub withdraw: bool,
-    /// Per-VN publish sequence number.
-    pub seq: u64,
-}
-
-/// One mapping change as the delta log keeps it (32 bytes: the log is
-/// written on every change, so its footprint is paid in cache lines).
+/// One mapping change as the delta log keeps it, and — beside its per-VN
+/// sequence number — as a subscriber's queue holds it (32 bytes: the log
+/// is written on every change, so its footprint is paid in cache lines).
 #[derive(Clone, Copy, Debug)]
 struct Change {
     vn: VnId,
@@ -122,17 +102,6 @@ struct Change {
 const _: () = assert!(std::mem::size_of::<Change>() == 32);
 
 impl Change {
-    /// The change, numbered `seq`, as a subscriber's queue holds it.
-    fn delta(&self, seq: u64) -> Delta {
-        Delta {
-            vn: self.vn,
-            eid: self.eid,
-            rloc: self.new.or(self.old).expect("a change has a row"),
-            withdraw: self.new.is_none(),
-            seq,
-        }
-    }
-
     /// What the change added to the VN's slice digest.
     fn step(&self) -> u64 {
         let term = |rloc: Option<Rloc>| rloc.map_or(0, |r| row_digest(&self.eid, r));
@@ -140,20 +109,24 @@ impl Change {
     }
 }
 
-/// Sync state of one `(subscriber, VN)` stream.
+/// How [`DeltaFanout::subscribe`] answered a Subscribe.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum VnSync {
-    /// Snapshot pending: deltas suppressed until the next flush walks
-    /// the current state (initial subscribe, or gap recovery).
+pub(crate) enum Answer {
+    /// The claim holds: the slice stands, and the changes after its
+    /// watermark are queued.
+    Resumed,
+    /// A reset the log rebuilds: the VN's history is queued from seq 1.
+    Rebuilt,
+    /// A reset the log cannot rebuild: the caller sends the VN's rows
+    /// behind the ack, each stamped with the VN's watermark.
     Snapshot,
-    /// Deltas flow.
-    Live,
 }
 
 struct Sub {
     rloc: Rloc,
-    /// Bounded queue of undelivered deltas, across this subscriber's VNs.
-    queue: VecDeque<Delta>,
+    /// Bounded queue of undelivered `(seq, change)` deltas, across this
+    /// subscriber's VNs.
+    queue: VecDeque<(u64, Change)>,
 }
 
 /// Everything the fan-out knows about one VN.
@@ -162,9 +135,8 @@ struct VnStream {
     /// Publish sequence (the source of truth for gap detection). Counts
     /// from the first change, subscribers or not.
     seq: u64,
-    /// `(index into DeltaFanout::subs, stream state)`, in subscription
-    /// order.
-    subs: Vec<(usize, VnSync)>,
+    /// Indices into `DeltaFanout::subs`, in subscription order.
+    subs: Vec<usize>,
 }
 
 /// Per-subscriber delta queues plus the per-VN sequence authority.
@@ -173,9 +145,6 @@ pub(crate) struct DeltaFanout {
     streams: BTreeMap<VnId, VnStream>,
     /// The last [`LOG_CAP`] changes, oldest first.
     log: VecDeque<Change>,
-    /// `(subscriber, VN)` streams in [`VnSync::Snapshot`] state — what
-    /// the next flush has to walk.
-    pending_snapshots: usize,
     cap: usize,
     delivered: u64,
     gaps: u64,
@@ -190,14 +159,13 @@ impl DeltaFanout {
     /// Empty fan-out with per-subscriber queue bound `cap`.
     ///
     /// # Panics
-    /// Panics if `cap` is zero (a zero-length queue could never go live).
+    /// Panics if `cap` is zero (a zero-length queue could hold no delta).
     pub(crate) fn new(cap: usize) -> Self {
         assert!(cap > 0, "queue capacity must be positive");
         DeltaFanout {
             subs: Vec::new(),
             streams: BTreeMap::new(),
             log: VecDeque::new(),
-            pending_snapshots: 0,
             cap,
             delivered: 0,
             gaps: 0,
@@ -206,37 +174,26 @@ impl DeltaFanout {
         }
     }
 
-    /// Whether `rloc`'s stream for `vn` is `Live`; `None` when it has
-    /// none. A known stream's Subscribe is a resync, not a fresh
-    /// subscription: admission lets those self-healing resubscribes
-    /// bypass the subscribe budget, and only a live one can resume.
-    pub(crate) fn stream_live(&self, vn: VnId, rloc: Rloc) -> Option<bool> {
-        let subs = &self.streams.get(&vn)?.subs;
-        let &(_, state) = subs.iter().find(|&&(i, _)| self.subs[i].rloc == rloc)?;
-        Some(state == VnSync::Live)
+    /// Whether `rloc` has a stream of `vn`. A known stream's Subscribe is
+    /// a resync, not a fresh subscription: admission lets those
+    /// self-healing resubscribes bypass the subscribe budget, and only a
+    /// known stream can resume.
+    pub(crate) fn has_stream(&self, vn: VnId, rloc: Rloc) -> bool {
+        (self.streams.get(&vn)).is_some_and(|s| s.subs.iter().any(|&i| self.subs[i].rloc == rloc))
     }
 
-    /// `(subscriber, VN)` streams, live or snapshot-pending.
+    /// `(subscriber, VN)` streams.
     pub(crate) fn stream_count(&self) -> usize {
         self.streams.values().map(|s| s.subs.len()).sum()
     }
 
     /// Answers a Subscribe from `rloc` for `vn` claiming its slice is
-    /// the VN as of `have_seq`, with digest `digest`; returns whether it
-    /// resumed. `vn_digest` walks the VN's slice digest now (the up
-    /// shards' rows); it runs at most once, and only for a range the log
-    /// covers.
-    ///
-    /// A live stream whose claim passes the resume rule (module doc)
-    /// resumes: the changes after `have_seq` are re-queued. Any other
-    /// claim resets the stream — its queued deltas of the VN dropped, the
-    /// subscriber told to empty its slice — and the reset slice, the VN as
-    /// of seq 0 with digest 0, is itself a claim the same rule answers: the
-    /// VN's whole history is re-queued as deltas when the log still holds
-    /// it and it sums to the VN's digest, and a snapshot is pending for
-    /// the next flush otherwise. A replayed history is sequenced, so a
-    /// lost delta of it is a hole the subscriber sees, where a lost
-    /// snapshot row (all carry one watermark) is not.
+    /// the VN as of `have_seq`, with digest `digest`, by the resume and
+    /// reset rules (module doc): a known stream whose claim passes
+    /// resumes; any other resets, its queued deltas of the VN dropped,
+    /// and is rebuilt from the log or by the caller's snapshot.
+    /// `vn_digest` walks the VN's slice digest now (the up shards' rows);
+    /// it runs at most once, and only for a range the log covers.
     pub(crate) fn subscribe(
         &mut self,
         vn: VnId,
@@ -244,7 +201,7 @@ impl DeltaFanout {
         have_seq: u64,
         digest: u64,
         vn_digest: impl Fn() -> u64,
-    ) -> bool {
+    ) -> Answer {
         let idx = match self.subs.iter().position(|s| s.rloc == rloc) {
             Some(i) => i,
             None => {
@@ -258,30 +215,19 @@ impl DeltaFanout {
         let mut now = None;
         let mut digest_now = || *now.get_or_insert_with(&vn_digest);
         let stream = self.streams.entry(vn).or_default();
-        let at = stream.subs.iter().position(|&(i, _)| i == idx);
-        let live = at.is_some_and(|at| stream.subs[at].1 == VnSync::Live);
-        if live && self.replay(idx, vn, have_seq, digest, &mut digest_now) {
+        if !stream.subs.contains(&idx) {
+            stream.subs.push(idx);
+        } else if self.replay(idx, vn, have_seq, digest, &mut digest_now) {
             self.replays += u64::from(have_seq < self.current_seq(vn));
-            return true;
+            return Answer::Resumed;
         }
         // Reset: whatever was queued for the VN is superseded.
-        self.subs[idx].queue.retain(|d| d.vn != vn);
-        let state = if self.replay(idx, vn, 0, 0, &mut digest_now) {
-            VnSync::Live
+        self.subs[idx].queue.retain(|(_, c)| c.vn != vn);
+        if self.replay(idx, vn, 0, 0, &mut digest_now) {
+            Answer::Rebuilt
         } else {
-            VnSync::Snapshot
-        };
-        let stream = self.streams.get_mut(&vn).expect("entered above");
-        let was = match at {
-            Some(at) => Some(std::mem::replace(&mut stream.subs[at].1, state)),
-            None => {
-                stream.subs.push((idx, state));
-                None
-            }
-        };
-        let pending = |s: Option<VnSync>| usize::from(s == Some(VnSync::Snapshot));
-        self.pending_snapshots = self.pending_snapshots + pending(Some(state)) - pending(was);
-        false
+            Answer::Snapshot
+        }
     }
 
     /// Re-queues `vn`'s changes after `have_seq` to subscriber `idx` when
@@ -317,21 +263,22 @@ impl DeltaFanout {
             return false;
         }
         let queue = &mut self.subs[idx].queue;
-        let others = queue.iter().filter(|d| d.vn != vn).count();
+        let others = queue.iter().filter(|(_, c)| c.vn != vn).count();
         if others + missed as usize > self.cap {
             return false;
         }
-        queue.retain(|d| d.vn != vn);
-        queue.extend(range().zip(have_seq + 1..).map(|(c, seq)| c.delta(seq)));
+        queue.retain(|(_, c)| c.vn != vn);
+        queue.extend(range().zip(have_seq + 1..).map(|(c, seq)| (seq, *c)));
         self.peak_depth = self.peak_depth.max(queue.len());
         true
     }
 
     /// Records one mapping change of `eid` from row `old` to row `new`
-    /// (`None`: no row), enqueueing a delta for every live subscriber of
-    /// `vn` and writing it to the log. Allocates the change's per-VN
-    /// sequence number even when nobody listens (the stream must stay
-    /// gap-free for subscribers that join later).
+    /// (`None`: no row), enqueueing a delta for every subscriber of `vn`
+    /// — compacting a full queue first (module doc) — and writing it to
+    /// the log. Allocates the change's per-VN sequence number even when
+    /// nobody listens (the stream must stay gap-free for subscribers that
+    /// join later).
     pub(crate) fn publish(&mut self, vn: VnId, eid: Eid, new: Option<Rloc>, old: Option<Rloc>) {
         let stream = self.streams.entry(vn).or_default();
         stream.seq += 1;
@@ -343,78 +290,33 @@ impl DeltaFanout {
             self.log.reserve_exact(LOG_CAP);
         }
         self.log.push_back(change);
-        for (i, state) in &mut stream.subs {
-            // Snapshot pending: the flush-time walk of current state
-            // already covers this change; a delta would double it.
-            if *state == VnSync::Snapshot {
-                continue;
-            }
-            let queue = &mut self.subs[*i].queue;
+        for &i in &stream.subs {
+            let queue = &mut self.subs[i].queue;
             if queue.len() >= self.cap {
-                // Gap: this subscriber fell too far behind. Drop the
-                // VN's queued deltas and resync by snapshot — never
-                // deliver a stream with a hole in it.
-                *state = VnSync::Snapshot;
-                self.pending_snapshots += 1;
-                queue.retain(|d| d.vn != vn);
+                compact(queue, vn);
                 self.gaps += 1;
-            } else {
-                queue.push_back(change.delta(seq));
-                self.peak_depth = self.peak_depth.max(queue.len());
             }
+            queue.push_back((seq, change));
+            self.peak_depth = self.peak_depth.max(queue.len());
         }
     }
 
-    /// Drains every subscriber's stream into `(destination, Publish)`
-    /// pairs: pending snapshots first (state supplied by `snapshot`,
-    /// which must emit every `(prefix, rloc)` currently mapped in the
-    /// given VN), then queued deltas. Deterministic: subscribers in
-    /// subscription order, snapshot VNs in `VnId` order.
-    pub(crate) fn flush<F>(&mut self, mut snapshot: F) -> Vec<(Rloc, Message)>
-    where
-        F: FnMut(VnId, &mut dyn FnMut(EidPrefix, Rloc)),
-    {
+    /// Drains every subscriber's queue into `(destination, Publish)`
+    /// pairs: subscribers in subscription order, each queue in order.
+    pub(crate) fn flush(&mut self) -> Vec<(Rloc, Message)> {
         let queued: usize = self.subs.iter().map(|s| s.queue.len()).sum();
         let mut out = Vec::with_capacity(queued);
-        for (idx, sub) in self.subs.iter_mut().enumerate() {
+        for sub in &mut self.subs {
             let to = sub.rloc;
-            if self.pending_snapshots > 0 {
-                for (&vn, stream) in &mut self.streams {
-                    let watermark = stream.seq;
-                    let pending = stream
-                        .subs
-                        .iter_mut()
-                        .find(|(i, state)| *i == idx && *state == VnSync::Snapshot);
-                    let Some((_, state)) = pending else {
-                        continue;
-                    };
-                    snapshot(vn, &mut |prefix, rloc| {
-                        out.push((
-                            to,
-                            Message::Publish {
-                                nonce: watermark,
-                                vn,
-                                prefix,
-                                rloc,
-                                withdraw: false,
-                            },
-                        ));
-                    });
-                    *state = VnSync::Live;
-                    self.pending_snapshots -= 1;
-                }
-            }
-            out.extend(sub.queue.drain(..).map(|d| {
-                (
-                    to,
-                    Message::Publish {
-                        nonce: d.seq,
-                        vn: d.vn,
-                        prefix: EidPrefix::host(d.eid),
-                        rloc: d.rloc,
-                        withdraw: d.withdraw,
-                    },
-                )
+            out.extend(sub.queue.drain(..).map(|(seq, c)| {
+                let publish = Message::Publish {
+                    nonce: seq,
+                    vn: c.vn,
+                    prefix: EidPrefix::host(c.eid),
+                    rloc: c.new.or(c.old).expect("a change has a row"),
+                    withdraw: c.new.is_none(),
+                };
+                (to, publish)
             }));
         }
         self.delivered += out.len() as u64;
@@ -426,12 +328,12 @@ impl DeltaFanout {
         self.streams.get(&vn).map_or(0, |s| s.seq)
     }
 
-    /// Publishes emitted by flushes so far.
+    /// Delta publishes emitted by flushes so far.
     pub(crate) fn delivered(&self) -> u64 {
         self.delivered
     }
 
-    /// Queue-overflow resyncs forced so far.
+    /// Queue compactions forced by overflow so far.
     pub(crate) fn gaps(&self) -> u64 {
         self.gaps
     }
@@ -441,17 +343,31 @@ impl DeltaFanout {
         self.replays
     }
 
-    /// High-water mark of any single subscriber queue so far — provably
-    /// ≤ the configured cap (overflow resyncs instead of growing).
+    /// High-water mark of any single subscriber queue so far — at most
+    /// max(cap, 2 × that subscriber's VN streams) (module doc).
     pub(crate) fn peak_depth(&self) -> usize {
         self.peak_depth
     }
 }
 
-impl Default for DeltaFanout {
-    fn default() -> Self {
-        DeltaFanout::new(DEFAULT_QUEUE_CAP)
+/// Compacts a full queue before a change of `vn` joins it: every VN
+/// keeps its first queued delta and its newest, `vn` only its first (the
+/// change is its newest). What leaves is a hole its subscriber heals by
+/// resubscribing.
+#[cold]
+fn compact(queue: &mut VecDeque<(u64, Change)>, vn: VnId) {
+    let mut newest = BTreeMap::new();
+    for (i, (_, c)) in queue.iter().enumerate() {
+        newest.insert(c.vn, i);
     }
+    newest.remove(&vn);
+    let mut first = BTreeSet::new();
+    let mut i = 0;
+    queue.retain(|(_, c)| {
+        let keep = first.insert(c.vn) || newest.get(&c.vn) == Some(&i);
+        i += 1;
+        keep
+    });
 }
 
 #[cfg(test)]
@@ -471,243 +387,15 @@ mod tests {
         Rloc::for_router_index(n)
     }
 
-    /// The maintained pending-snapshot count against a recount of the
-    /// stream states. Every step of every test below ends with it.
-    fn audit(f: &DeltaFanout) {
-        let recount = f
-            .streams
-            .values()
-            .flat_map(|s| &s.subs)
-            .filter(|(_, state)| *state == VnSync::Snapshot)
-            .count();
-        assert_eq!(f.pending_snapshots, recount, "pending-snapshot drift");
-    }
-
     /// A Subscribe that neither resumes nor rebuilds from the log: its
     /// claim is ahead of any stream and the world digest it is given
-    /// matches no history, so the stream waits for a snapshot.
+    /// matches no history, so the caller would send a snapshot.
     fn subscribe(f: &mut DeltaFanout, vn: VnId, rloc: Rloc) {
-        assert!(!f.subscribe(vn, rloc, u64::MAX, 0, || 1));
-        audit(f);
+        assert_eq!(f.subscribe(vn, rloc, u64::MAX, 0, || 1), Answer::Snapshot);
     }
 
     fn publish(f: &mut DeltaFanout, vn: VnId, eid: Eid, rloc: Rloc) {
         f.publish(vn, eid, Some(rloc), None);
-        audit(f);
-    }
-
-    /// Flush against `world` as the content of whichever VN is asked for.
-    fn flush_world(f: &mut DeltaFanout, world: &[(EidPrefix, Rloc)]) -> Vec<(Rloc, Message)> {
-        let out = f.flush(|_, emit| {
-            for (p, r) in world {
-                emit(*p, *r);
-            }
-        });
-        audit(f);
-        assert_eq!(f.pending_snapshots, 0, "a flush serves every snapshot");
-        out
-    }
-
-    /// Flush against an empty world (no snapshot content).
-    fn flush_empty(f: &mut DeltaFanout) -> Vec<(Rloc, Message)> {
-        flush_world(f, &[])
-    }
-
-    #[test]
-    fn each_change_delivered_exactly_once() {
-        let mut f = DeltaFanout::new(64);
-        subscribe(&mut f, vn(1), rl(9));
-        flush_empty(&mut f); // empty snapshot -> Live
-        for i in 0..10 {
-            publish(&mut f, vn(1), eid(i), rl(1));
-        }
-        let out = flush_empty(&mut f);
-        assert_eq!(out.len(), 10);
-        let seqs: Vec<u64> = out
-            .iter()
-            .map(|(_, m)| match m {
-                Message::Publish { nonce, .. } => *nonce,
-                other => panic!("expected Publish, got {other:?}"),
-            })
-            .collect();
-        assert_eq!(seqs, (1..=10).collect::<Vec<u64>>(), "contiguous per-VN");
-        // Nothing left: a second flush is empty.
-        assert!(flush_empty(&mut f).is_empty());
-        assert_eq!(f.delivered(), 10);
-    }
-
-    #[test]
-    fn publish_only_reaches_that_vns_subscribers() {
-        let mut f = DeltaFanout::new(64);
-        subscribe(&mut f, vn(1), rl(9));
-        subscribe(&mut f, vn(2), rl(8));
-        flush_empty(&mut f);
-        publish(&mut f, vn(1), eid(1), rl(1));
-        let out = flush_empty(&mut f);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, rl(9), "vn-2 subscriber untouched");
-    }
-
-    #[test]
-    fn per_vn_sequences_are_independent() {
-        let mut f = DeltaFanout::new(64);
-        publish(&mut f, vn(1), eid(1), rl(1));
-        publish(&mut f, vn(1), eid(2), rl(1));
-        publish(&mut f, vn(2), eid(3), rl(1));
-        assert_eq!(f.current_seq(vn(1)), 2);
-        assert_eq!(
-            f.current_seq(vn(2)),
-            1,
-            "vn-1 traffic must not advance vn-2"
-        );
-    }
-
-    #[test]
-    fn overflow_gap_resyncs_by_snapshot() {
-        let mut f = DeltaFanout::new(4);
-        subscribe(&mut f, vn(1), rl(9));
-        flush_empty(&mut f);
-        // 4 fit, the 5th overflows -> gap -> queued deltas dropped.
-        for i in 0..5 {
-            publish(&mut f, vn(1), eid(i), rl(1));
-        }
-        assert_eq!(f.gaps(), 1);
-        // The flush must deliver a snapshot (here: the authoritative
-        // world has entries 0..5) stamped at the watermark, not deltas.
-        let world: Vec<(EidPrefix, Rloc)> =
-            (0..5).map(|i| (EidPrefix::host(eid(i)), rl(1))).collect();
-        let out = flush_world(&mut f, &world);
-        assert_eq!(out.len(), 5);
-        for (_, m) in &out {
-            match m {
-                Message::Publish { nonce, .. } => assert_eq!(*nonce, 5, "watermark"),
-                other => panic!("expected Publish, got {other:?}"),
-            }
-        }
-        // Stream is live again afterwards.
-        publish(&mut f, vn(1), eid(99), rl(1));
-        let out = flush_empty(&mut f);
-        assert_eq!(out.len(), 1);
-        assert!(matches!(out[0].1, Message::Publish { nonce: 6, .. }));
-    }
-
-    #[test]
-    fn changes_while_snapshot_pending_are_not_doubled() {
-        let mut f = DeltaFanout::new(64);
-        subscribe(&mut f, vn(1), rl(9));
-        // Change lands before the first flush: covered by the snapshot.
-        publish(&mut f, vn(1), eid(1), rl(1));
-        let world = [(EidPrefix::host(eid(1)), rl(1))];
-        let out = flush_world(&mut f, &world);
-        assert_eq!(out.len(), 1, "snapshot only, no duplicate delta");
-    }
-
-    #[test]
-    fn sequences_advance_even_with_no_subscribers() {
-        let mut f = DeltaFanout::new(64);
-        publish(&mut f, vn(1), eid(1), rl(1));
-        subscribe(&mut f, vn(1), rl(9));
-        publish(&mut f, vn(1), eid(2), rl(1));
-        let world = [
-            (EidPrefix::host(eid(1)), rl(1)),
-            (EidPrefix::host(eid(2)), rl(1)),
-        ];
-        let out = flush_world(&mut f, &world);
-        // Snapshot watermark reflects both changes.
-        assert!(out
-            .iter()
-            .all(|(_, m)| matches!(m, Message::Publish { nonce: 2, .. })));
-        publish(&mut f, vn(1), eid(3), rl(2));
-        let out = flush_empty(&mut f);
-        assert!(matches!(out[0].1, Message::Publish { nonce: 3, .. }));
-    }
-
-    #[test]
-    fn flush_orders_by_subscriber_then_vn_and_snapshots_only_the_pending() {
-        let mut f = DeltaFanout::new(64);
-        // Subscription order: rl(9) then rl(8); VNs out of order.
-        subscribe(&mut f, vn(2), rl(9));
-        subscribe(&mut f, vn(1), rl(8));
-        subscribe(&mut f, vn(1), rl(9));
-        assert_eq!(f.subs.len(), 2);
-        assert_eq!(f.stream_count(), 3);
-        assert_eq!(f.stream_live(vn(2), rl(9)), Some(false), "snapshot pending");
-        assert_eq!(f.stream_live(vn(2), rl(8)), None);
-        let mut asked = Vec::new();
-        let out = f.flush(|v, emit| {
-            asked.push(v);
-            emit(EidPrefix::host(eid(v.raw())), rl(1));
-        });
-        audit(&f);
-        assert_eq!(
-            asked,
-            [vn(1), vn(2), vn(1)],
-            "per subscriber, in VnId order"
-        );
-        let to: Vec<Rloc> = out.iter().map(|(to, _)| *to).collect();
-        assert_eq!(to, [rl(9), rl(9), rl(8)]);
-        // Resubscribing a live stream queues exactly that one snapshot,
-        // and drops the deltas it makes redundant; the other streams keep
-        // theirs and are not walked again.
-        publish(&mut f, vn(1), eid(5), rl(2));
-        publish(&mut f, vn(2), eid(6), rl(2));
-        subscribe(&mut f, vn(1), rl(9));
-        subscribe(&mut f, vn(1), rl(9));
-        assert_eq!(f.stream_count(), 3, "a resync is not a new stream");
-        let mut asked = Vec::new();
-        let out = f.flush(|v, emit| {
-            asked.push(v);
-            emit(EidPrefix::host(eid(5)), rl(2));
-        });
-        audit(&f);
-        assert_eq!(asked, [vn(1)]);
-        let got: Vec<(Rloc, u64, VnId)> = out
-            .iter()
-            .map(|(to, m)| match m {
-                Message::Publish { nonce, vn, .. } => (*to, *nonce, *vn),
-                other => panic!("expected Publish, got {other:?}"),
-            })
-            .collect();
-        assert_eq!(
-            got,
-            [
-                (rl(9), 1, vn(1)), // the snapshot, at vn 1's watermark
-                (rl(9), 1, vn(2)), // rl(9)'s surviving vn-2 delta
-                (rl(8), 1, vn(1)), // rl(8) stayed live on vn 1
-            ]
-        );
-        assert_eq!(f.delivered(), 6);
-    }
-
-    /// The rows the fan-out's changes describe, per VN: what a server's
-    /// shards would hold, digested as `MappingDb::vn_digest` does.
-    #[derive(Default)]
-    struct World(BTreeMap<(VnId, Eid), Rloc>);
-
-    impl World {
-        /// Applies one change through the fan-out and to the rows.
-        fn set(&mut self, f: &mut DeltaFanout, vn: VnId, eid: Eid, new: Option<Rloc>) {
-            let old = match new {
-                Some(rloc) => self.0.insert((vn, eid), rloc),
-                None => self.0.remove(&(vn, eid)),
-            };
-            f.publish(vn, eid, new, old);
-            audit(f);
-        }
-
-        fn digest(&self, vn: VnId) -> u64 {
-            (self.0.iter())
-                .filter(|((of, _), _)| *of == vn)
-                .fold(0, |d, ((_, e), r)| d.wrapping_add(row_digest(e, *r)))
-        }
-
-        /// A Subscribe claiming `(have_seq, digest)`, answered against
-        /// these rows.
-        fn subscribe(&self, f: &mut DeltaFanout, vn: VnId, rloc: Rloc, claim: (u64, u64)) -> bool {
-            let resumed = f.subscribe(vn, rloc, claim.0, claim.1, || self.digest(vn));
-            audit(f);
-            resumed
-        }
     }
 
     /// `(vn, seq, withdraw)` of each publish to `to`.
@@ -728,30 +416,285 @@ mod tests {
     }
 
     #[test]
-    fn a_claim_behind_the_watermark_replays_only_that_vns_missed_range() {
+    fn each_change_delivered_exactly_once() {
         let mut f = DeltaFanout::new(64);
-        let mut w = World::default();
-        assert!(!w.subscribe(&mut f, vn(1), rl(9), (0, 0)), "a new stream");
-        assert!(!w.subscribe(&mut f, vn(2), rl(9), (0, 0)));
-        assert!(
-            flush_empty(&mut f).is_empty(),
-            "empty VNs rebuild to nothing"
+        subscribe(&mut f, vn(1), rl(9));
+        assert!(f.flush().is_empty(), "a snapshot is not queued");
+        for i in 0..10 {
+            publish(&mut f, vn(1), eid(i), rl(1));
+        }
+        let seqs: Vec<u64> = stream_of(&f.flush(), rl(9)).iter().map(|d| d.1).collect();
+        assert_eq!(seqs, (1..=10).collect::<Vec<u64>>(), "contiguous per-VN");
+        // Nothing left: a second flush is empty.
+        assert!(f.flush().is_empty());
+        assert_eq!(f.delivered(), 10);
+    }
+
+    #[test]
+    fn publish_only_reaches_that_vns_subscribers() {
+        let mut f = DeltaFanout::new(64);
+        subscribe(&mut f, vn(1), rl(9));
+        subscribe(&mut f, vn(2), rl(8));
+        publish(&mut f, vn(1), eid(1), rl(1));
+        let out = f.flush();
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].0, rl(9), "vn-2 subscriber untouched");
+    }
+
+    #[test]
+    fn per_vn_sequences_are_independent() {
+        let mut f = DeltaFanout::new(64);
+        publish(&mut f, vn(1), eid(1), rl(1));
+        publish(&mut f, vn(1), eid(2), rl(1));
+        publish(&mut f, vn(2), eid(3), rl(1));
+        assert_eq!(f.current_seq(vn(1)), 2);
+        assert_eq!(
+            f.current_seq(vn(2)),
+            1,
+            "vn-1 traffic must not advance vn-2"
         );
+    }
+
+    #[test]
+    fn sequences_advance_even_with_no_subscribers() {
+        let mut f = DeltaFanout::new(64);
+        publish(&mut f, vn(1), eid(1), rl(1));
+        subscribe(&mut f, vn(1), rl(9));
+        // The snapshot the caller sends is stamped with this watermark.
+        assert_eq!(f.current_seq(vn(1)), 1);
+        publish(&mut f, vn(1), eid(2), rl(1));
+        assert_eq!(stream_of(&f.flush(), rl(9)), [(vn(1), 2, false)]);
+    }
+
+    #[test]
+    fn flush_drains_by_subscriber_and_a_reset_drops_only_its_streams_deltas() {
+        let mut f = DeltaFanout::new(64);
+        // Subscription order: rl(9) then rl(8).
+        subscribe(&mut f, vn(2), rl(9));
+        subscribe(&mut f, vn(1), rl(8));
+        subscribe(&mut f, vn(1), rl(9));
+        assert_eq!((f.subs.len(), f.stream_count()), (2, 3));
+        assert!(f.has_stream(vn(2), rl(9)) && !f.has_stream(vn(2), rl(8)));
+        publish(&mut f, vn(1), eid(5), rl(2));
+        publish(&mut f, vn(2), eid(6), rl(2));
+        let out = f.flush();
+        let to: Vec<Rloc> = out.iter().map(|(to, _)| *to).collect();
+        assert_eq!(to, [rl(9), rl(9), rl(8)], "per subscriber");
+        let want = [(vn(1), 1, false), (vn(2), 1, false)];
+        assert_eq!(stream_of(&out, rl(9)), want, "in publish order");
+        // Resetting a stream drops exactly its queued deltas; the other
+        // streams keep theirs.
+        publish(&mut f, vn(1), eid(5), rl(3));
+        publish(&mut f, vn(2), eid(6), rl(3));
+        subscribe(&mut f, vn(1), rl(9));
+        subscribe(&mut f, vn(1), rl(9));
+        assert_eq!(f.stream_count(), 3, "a resync is not a new stream");
+        let out = f.flush();
+        assert_eq!(stream_of(&out, rl(9)), [(vn(2), 2, false)]);
+        assert_eq!(stream_of(&out, rl(8)), [(vn(1), 2, false)]);
+        assert_eq!(f.delivered(), 5);
+    }
+
+    /// Rows by `(vn, eid)` — a server's shards, or a border's slice —
+    /// digested as `MappingDb::vn_digest` does.
+    #[derive(Default)]
+    struct World(BTreeMap<(VnId, Eid), Rloc>);
+
+    impl World {
+        /// Applies one change through the fan-out and to the rows.
+        fn set(&mut self, f: &mut DeltaFanout, vn: VnId, eid: Eid, new: Option<Rloc>) {
+            let old = match new {
+                Some(rloc) => self.0.insert((vn, eid), rloc),
+                None => self.0.remove(&(vn, eid)),
+            };
+            f.publish(vn, eid, new, old);
+        }
+
+        fn digest(&self, vn: VnId) -> u64 {
+            (self.0.iter())
+                .filter(|((of, _), _)| *of == vn)
+                .fold(0, |d, ((_, e), r)| d.wrapping_add(row_digest(e, *r)))
+        }
+
+        /// A Subscribe claiming `(have_seq, digest)`, answered against
+        /// these rows.
+        fn subscribe(
+            &self,
+            f: &mut DeltaFanout,
+            vn: VnId,
+            rloc: Rloc,
+            claim: (u64, u64),
+        ) -> Answer {
+            f.subscribe(vn, rloc, claim.0, claim.1, || self.digest(vn))
+        }
+    }
+
+    /// Subscriber `rl(9)`'s slices, kept as `sda_core::border` keeps
+    /// them: a prefix of the stream. A reset slice takes any first
+    /// publish; then one past `last + 1` is a hole (dropped, and the VN
+    /// marked to resubscribe) and one below `last` is stale.
+    #[derive(Default)]
+    struct Border {
+        seq: BTreeMap<VnId, u64>,
+        slice: World,
+        holes: BTreeSet<VnId>,
+    }
+
+    impl Border {
+        fn apply(&mut self, out: &[(Rloc, Message)]) {
+            for (vn, nonce, withdraw, eid, rloc) in out.iter().map(|(_, m)| match *m {
+                Message::Publish {
+                    nonce,
+                    vn,
+                    prefix,
+                    rloc,
+                    withdraw,
+                } => (vn, nonce, withdraw, prefix.as_host().unwrap(), rloc),
+                ref other => panic!("expected Publish, got {other:?}"),
+            }) {
+                let last = self.seq.get(&vn).copied().unwrap_or(0);
+                if self.holes.contains(&vn) || (last != 0 && nonce > last + 1) {
+                    self.holes.insert(vn);
+                } else if nonce >= last {
+                    self.seq.insert(vn, nonce);
+                    match withdraw {
+                        true => self.slice.0.remove(&(vn, eid)),
+                        false => self.slice.0.insert((vn, eid), rloc),
+                    };
+                }
+            }
+        }
+
+        /// Resubscribes `vn` from what the slice holds: a reset empties
+        /// it, and a snapshot answer installs `w`'s rows at the watermark.
+        fn resubscribe(&mut self, f: &mut DeltaFanout, w: &World, vn: VnId) -> Answer {
+            let claim = (
+                self.seq.get(&vn).copied().unwrap_or(0),
+                self.slice.digest(vn),
+            );
+            let answer = w.subscribe(f, vn, rl(9), claim);
+            self.holes.remove(&vn);
+            if answer != Answer::Resumed {
+                self.slice.0.retain(|(of, _), _| *of != vn);
+                self.seq.insert(vn, 0);
+            }
+            if answer == Answer::Snapshot {
+                for (&key, &rloc) in w.0.iter().filter(|((of, _), _)| *of == vn) {
+                    self.slice.0.insert(key, rloc);
+                    self.seq.insert(vn, f.current_seq(vn));
+                }
+            }
+            answer
+        }
+    }
+
+    #[test]
+    fn overflow_gap_resyncs_by_snapshot() {
+        let (mut f, mut w, mut b) = (DeltaFanout::new(4), World::default(), Border::default());
+        assert_eq!(b.resubscribe(&mut f, &w, vn(1)), Answer::Rebuilt);
+        // 4 fit; the 5th compacts the queue to seq 1 and itself, the 6th
+        // joins them. A withdrawal sits inside what was dropped.
+        for i in 0..3 {
+            w.set(&mut f, vn(1), eid(i), Some(rl(1)));
+        }
+        w.set(&mut f, vn(1), eid(1), None);
+        w.set(&mut f, vn(1), eid(7), Some(rl(2)));
+        assert_eq!(f.gaps(), 1);
+        w.set(&mut f, vn(1), eid(8), Some(rl(2)));
+        let out = f.flush();
+        assert_eq!(stream_of(&out, rl(9)).len(), 3);
+        b.apply(&out);
+        assert!(b.holes.contains(&vn(1)), "seq 5 follows seq 1");
+        // Five changes behind on a queue of 4: no resume, no rebuild —
+        // the snapshot rides the answer, and the withdrawn row is gone.
+        assert_eq!(b.resubscribe(&mut f, &w, vn(1)), Answer::Snapshot);
+        assert!(f.flush().is_empty());
+        assert_eq!(b.slice.0, w.0);
+        // The stream flows again from the watermark.
+        w.set(&mut f, vn(1), eid(9), Some(rl(1)));
+        let out = f.flush();
+        assert_eq!(stream_of(&out, rl(9)), [(vn(1), 7, false)]);
+        b.apply(&out);
+        assert_eq!(b.slice.0, w.0);
+    }
+
+    /// An overflow caused by another VN's deltas keeps every VN's first
+    /// and newest delta: a VN with at most two queued loses nothing. (A
+    /// snapshot at the watermark, stamped `last + 1`, was installed as a
+    /// delta and left the withdrawn row in the slice.)
+    #[test]
+    fn a_withdrawal_that_overflows_the_queue_reaches_a_border_one_change_behind() {
+        let (mut f, mut w, mut b) = (DeltaFanout::new(2), World::default(), Border::default());
+        w.set(&mut f, vn(1), eid(1), Some(rl(1)));
+        w.set(&mut f, vn(1), eid(2), Some(rl(1)));
+        assert_eq!(b.resubscribe(&mut f, &w, vn(1)), Answer::Rebuilt);
+        assert_eq!(b.resubscribe(&mut f, &w, vn(2)), Answer::Rebuilt);
+        b.apply(&f.flush());
+        assert_eq!(b.seq[&vn(1)], 2, "vn 1 synced at seq 2");
+        w.set(&mut f, vn(2), eid(3), Some(rl(1)));
+        w.set(&mut f, vn(2), eid(4), Some(rl(1)));
+        w.set(&mut f, vn(1), eid(1), None);
+        assert_eq!(f.gaps(), 1, "the withdrawal overflowed the queue");
+        let out = f.flush();
+        let want = [(vn(2), 1, false), (vn(2), 2, false), (vn(1), 3, true)];
+        assert_eq!(stream_of(&out, rl(9)), want);
+        b.apply(&out);
+        assert!(b.holes.is_empty());
+        assert_eq!(b.slice.0, w.0, "the withdrawn row is gone");
+    }
+
+    #[test]
+    fn a_compacted_queue_keeps_each_vns_first_and_newest_in_order() {
+        let mut f = DeltaFanout::new(6);
+        for v in 1..=3 {
+            subscribe(&mut f, vn(v), rl(9));
+        }
+        for (v, i) in [(1, 0), (2, 1), (1, 2), (2, 3), (1, 4), (3, 5), (1, 6)] {
+            publish(&mut f, vn(v), eid(i), rl(1));
+        }
+        assert_eq!(f.gaps(), 1);
+        // vn 1: its first (1) and the publishing change (4); vn 2: both;
+        // vn 3: its only one.
+        let want = [
+            (vn(1), 1, false),
+            (vn(2), 1, false),
+            (vn(2), 2, false),
+            (vn(3), 1, false),
+            (vn(1), 4, false),
+        ];
+        assert_eq!(stream_of(&f.flush(), rl(9)), want);
+        // Compaction can leave more than the cap: at most two per VN.
+        let mut f = DeltaFanout::new(2);
+        for v in 1..=3 {
+            subscribe(&mut f, vn(v), rl(9));
+        }
+        for v in [1, 2, 3, 1, 2, 3, 1] {
+            publish(&mut f, vn(v), eid(v), rl(1));
+        }
+        assert_eq!(f.peak_depth(), 6, "max(cap 2, 2 × 3 VN streams)");
+    }
+
+    #[test]
+    fn a_claim_behind_the_watermark_replays_only_that_vns_missed_range() {
+        let (mut f, mut w) = (DeltaFanout::new(64), World::default());
+        assert_eq!(w.subscribe(&mut f, vn(1), rl(9), (0, 0)), Answer::Rebuilt);
+        assert_eq!(w.subscribe(&mut f, vn(2), rl(9), (0, 0)), Answer::Rebuilt);
+        assert!(f.flush().is_empty(), "empty VNs rebuild to nothing");
         for i in 0..3 {
             w.set(&mut f, vn(1), eid(i), Some(rl(1)));
         }
         let held = (3, w.digest(vn(1)));
-        flush_empty(&mut f);
+        f.flush();
         // Lost on the way: a move and a withdrawal of vn 1. vn 2's change
         // and vn 1's last one are still queued when the claim arrives.
         w.set(&mut f, vn(1), eid(0), Some(rl(2)));
         w.set(&mut f, vn(1), eid(1), None);
-        flush_empty(&mut f);
+        f.flush();
         w.set(&mut f, vn(2), eid(7), Some(rl(1)));
         w.set(&mut f, vn(1), eid(5), Some(rl(1)));
-        assert!(w.subscribe(&mut f, vn(1), rl(9), held));
+        assert_eq!(w.subscribe(&mut f, vn(1), rl(9), held), Answer::Resumed);
         assert_eq!(f.replays(), 1);
-        let got = stream_of(&flush_empty(&mut f), rl(9));
+        let got = stream_of(&f.flush(), rl(9));
         let want = [
             (vn(2), 1, false),
             (vn(1), 4, false),
@@ -762,25 +705,24 @@ mod tests {
 
         // The same claim again replays the same range; one digest bit
         // off, or a watermark ahead of the stream, resets it.
-        assert!(w.subscribe(&mut f, vn(1), rl(9), held));
-        assert_eq!(stream_of(&flush_empty(&mut f), rl(9)).len(), 3);
-        assert!(!w.subscribe(&mut f, vn(1), rl(9), (held.0, held.1 ^ 1)));
-        assert!(!w.subscribe(&mut f, vn(1), rl(9), (7, w.digest(vn(1)))));
+        assert_eq!(w.subscribe(&mut f, vn(1), rl(9), held), Answer::Resumed);
+        assert_eq!(stream_of(&f.flush(), rl(9)).len(), 3);
+        for claim in [(held.0, held.1 ^ 1), (7, w.digest(vn(1)))] {
+            assert_eq!(w.subscribe(&mut f, vn(1), rl(9), claim), Answer::Rebuilt);
+        }
         assert_eq!(f.replays(), 2, "a reset is not a replay");
     }
 
     #[test]
     fn a_reset_rebuilds_from_the_log_while_it_reaches_back_and_sums() {
-        let mut f = DeltaFanout::new(64);
-        let mut w = World::default();
+        let (mut f, mut w) = (DeltaFanout::new(64), World::default());
         w.set(&mut f, vn(1), eid(1), Some(rl(1)));
         w.set(&mut f, vn(1), eid(2), Some(rl(1)));
         w.set(&mut f, vn(1), eid(1), Some(rl(2)));
         w.set(&mut f, vn(1), eid(2), None);
         // A forged claim resets the stream; its history rebuilds it.
-        assert!(!w.subscribe(&mut f, vn(1), rl(9), (4, 99)));
-        assert_eq!(f.stream_live(vn(1), rl(9)), Some(true));
-        let got = stream_of(&flush_empty(&mut f), rl(9));
+        assert_eq!(w.subscribe(&mut f, vn(1), rl(9), (4, 99)), Answer::Rebuilt);
+        let got = stream_of(&f.flush(), rl(9));
         let seqs: Vec<u64> = got.iter().map(|&(_, seq, _)| seq).collect();
         assert_eq!(seqs, [1, 2, 3, 4], "the whole history, in order");
         assert!(got[3].2, "withdrawals included");
@@ -788,38 +730,16 @@ mod tests {
         // Rows that left without a logged change (a crashed shard) make
         // the history disagree with the digest: a snapshot instead.
         w.0.clear();
-        assert!(!w.subscribe(&mut f, vn(1), rl(9), (4, 99)));
-        assert_eq!(f.stream_live(vn(1), rl(9)), Some(false));
-        assert!(flush_world(&mut f, &[]).is_empty());
-    }
-
-    #[test]
-    fn a_snapshot_pending_stream_resets_on_a_true_claim() {
-        let mut f = DeltaFanout::new(64);
-        let mut w = World::default();
-        w.set(&mut f, vn(1), eid(1), Some(rl(1)));
-        w.set(&mut f, vn(1), eid(2), Some(rl(1)));
-        assert!(!w.subscribe(&mut f, vn(1), rl(9), (0, 0)));
-        flush_empty(&mut f);
-        let held = (2, w.digest(vn(1)));
-        subscribe(&mut f, vn(1), rl(9));
-        assert_eq!(f.stream_live(vn(1), rl(9)), Some(false));
-        // The claim is the VN as it stands, but the stream is not live:
-        // a reset, which the log rebuilds.
-        assert!(!w.subscribe(&mut f, vn(1), rl(9), held));
-        assert_eq!(f.stream_live(vn(1), rl(9)), Some(true));
-        let got = stream_of(&flush_empty(&mut f), rl(9));
-        assert_eq!(got, [(vn(1), 1, false), (vn(1), 2, false)]);
-        assert_eq!(f.replays(), 0);
+        assert_eq!(w.subscribe(&mut f, vn(1), rl(9), (4, 99)), Answer::Snapshot);
+        assert!(f.flush().is_empty());
     }
 
     #[test]
     fn a_range_the_log_no_longer_holds_takes_a_snapshot() {
-        let mut f = DeltaFanout::new(8);
-        let mut w = World::default();
+        let (mut f, mut w) = (DeltaFanout::new(8), World::default());
         w.set(&mut f, vn(1), eid(1), Some(rl(1)));
-        assert!(!w.subscribe(&mut f, vn(1), rl(9), (0, 0)));
-        flush_empty(&mut f);
+        assert_eq!(w.subscribe(&mut f, vn(1), rl(9), (0, 0)), Answer::Rebuilt);
+        f.flush();
         let held = (1, w.digest(vn(1)));
         w.set(&mut f, vn(1), eid(2), Some(rl(1)));
         for i in 0..LOG_CAP as u32 {
@@ -827,32 +747,34 @@ mod tests {
         }
         assert_eq!(f.log.len(), LOG_CAP);
         // vn 1's seq 2 has left the log: no resume, and its history is
-        // gone too.
-        assert!(!w.subscribe(&mut f, vn(1), rl(9), held));
-        assert_eq!(f.stream_live(vn(1), rl(9)), Some(false));
-        let snapshot = flush_world(&mut f, &[(EidPrefix::host(eid(1)), rl(1))]);
-        assert_eq!(stream_of(&snapshot, rl(9)), [(vn(1), 2, false)]);
+        // gone too. Nothing of vn 1 stays queued.
+        assert_eq!(w.subscribe(&mut f, vn(1), rl(9), held), Answer::Snapshot);
+        assert_eq!(f.current_seq(vn(1)), 2, "the snapshot's watermark");
+        assert!(f.flush().is_empty());
     }
 
     #[test]
     fn a_range_that_overflows_the_queue_takes_a_reset() {
-        let mut f = DeltaFanout::new(2);
-        let mut w = World::default();
-        assert!(!w.subscribe(&mut f, vn(1), rl(9), (0, 0)));
-        flush_empty(&mut f);
+        let (mut f, mut w, mut b) = (DeltaFanout::new(2), World::default(), Border::default());
+        assert_eq!(b.resubscribe(&mut f, &w, vn(1)), Answer::Rebuilt);
         for i in 0..3 {
             w.set(&mut f, vn(1), eid(i), Some(rl(1)));
         }
-        assert_eq!(f.gaps(), 1, "the third change overflowed the queue");
-        assert!(!w.subscribe(&mut f, vn(1), rl(9), (0, 0)));
-        assert_eq!(f.stream_live(vn(1), rl(9)), Some(false), "3 > cap 2");
+        assert_eq!(f.gaps(), 1, "the third change compacted the queue");
+        // The border lost the whole flush: its claim `(0, 0)` is three
+        // changes behind, more than a queue of 2 holds, so the stream
+        // resets and the snapshot rebuilds the slice.
+        f.flush();
+        assert_eq!(b.resubscribe(&mut f, &w, vn(1)), Answer::Snapshot);
+        assert!(f.flush().is_empty());
+        assert_eq!((&b.slice.0, b.seq[&vn(1)]), (&w.0, 3));
     }
 
     #[test]
     fn the_log_is_allocated_by_the_first_change_and_stays_bounded() {
         let mut f = DeltaFanout::new(8);
         subscribe(&mut f, vn(1), rl(9));
-        flush_empty(&mut f);
+        f.flush();
         assert_eq!(f.log.capacity(), 0, "subscribes and flushes log nothing");
         for i in 0..LOG_CAP as u32 + 5 {
             f.publish(vn(2), eid(i), Some(rl(1)), None);

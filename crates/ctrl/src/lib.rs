@@ -24,11 +24,12 @@
 //!   worker spawn lost to this loop at every measured size; ROADMAP,
 //!   Parked).
 //! * **Pub/sub is incremental**: every mapping change enqueues one
-//!   [`Delta`] into per-subscriber bounded queues with per-VN
-//!   sequence numbers. Publishing is O(changes × subscribers-of-that-VN)
-//!   — never a whole-world re-walk. Queue overflow marks a gap and
-//!   triggers a snapshot resync of exactly the affected `(subscriber,
-//!   VN)` stream on the next flush.
+//!   delta into per-subscriber bounded queues with per-VN sequence
+//!   numbers. Publishing is O(changes × subscribers-of-that-VN) — never
+//!   a whole-world re-walk. A full queue compacts to each VN's first and
+//!   newest delta, leaving the subscriber a hole it heals by
+//!   resubscribing from its watermark; a reset the delta log cannot
+//!   rebuild answers the Subscribe with the VN's snapshot.
 //!
 //! The §4.1 sharding study (`figs ablation_sharding`) models the
 //! replicate-all deployment as queues over its request routing
@@ -55,11 +56,22 @@
 //!
 //! The crate **is** its root: [`PartitionedMapServer`] with its
 //! [`Disposition`] and [`OverloadStats`], the admission budgets
-//! ([`AdmissionConfig`], [`ClassBudget`]), and what a subscriber
-//! receives ([`Delta`], queued up to [`DEFAULT_QUEUE_CAP`] deep). The
-//! pub/sub queue and the partition function are private, as is every
-//! module. It **is not** a network node: `sda-core`'s
-//! routing-server node feeds it bytes and models the CPU it runs on.
+//! ([`AdmissionConfig`], [`ClassBudget`]), and the per-subscriber delta
+//! queue bound ([`DEFAULT_QUEUE_CAP`]). A subscriber receives `Publish`
+//! messages; the queued delta, the pub/sub queue and the partition
+//! function are private, as is every module. It **is not** a network
+//! node: `sda-core`'s routing-server node feeds it bytes and models the
+//! CPU it runs on.
+//!
+//! **Trusted inputs.** The embedding node's calls as given: a shard
+//! index below [`PartitionedMapServer::shard_count`] for the shard
+//! faults, and a positive shard count and queue bound at construction.
+//! Messages are not trusted: any [`Message`](sda_wire::lisp::Message),
+//! from any sender, may reach [`PartitionedMapServer::handle`].
+//!
+//! **Panics:** none on wire input — `tests/prop_hostile.rs` drives
+//! arbitrary and bit-flipped messages of every kind, forged and honest
+//! Subscribe claims, through `handle` and the flushes behind it.
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
@@ -70,5 +82,5 @@ mod partition;
 mod server;
 
 pub use admission::{AdmissionConfig, ClassBudget};
-pub use fanout::{Delta, DEFAULT_QUEUE_CAP};
+pub use fanout::DEFAULT_QUEUE_CAP;
 pub use server::{Disposition, OverloadStats, PartitionedMapServer};

@@ -7,18 +7,19 @@
 //! replicate-all deployment of §4.1 (`figs ablation_sharding` models it
 //! as queues).
 //!
-//! [`PartitionedMapServer::handle`] returns replies and notifies only —
+//! [`PartitionedMapServer::handle`] returns replies and notifies —
 //! byte-for-byte what the single reference map-server
-//! (`tests/reference/map_server.rs`) would transmit. Pub/sub rides the
-//! incremental [`DeltaFanout`] instead: changes enqueue deltas, and
-//! [`PartitionedMapServer::flush_publishes`] drains them (plus any
-//! pending snapshot resyncs). Callers embedding the server in a message
-//! loop flush after each handled message; batch loaders flush once at
-//! the end. A resubscribe whose watermark and slice digest prove what
-//! the subscriber holds is acked `resumed` and takes no snapshot: the
-//! changes after its watermark follow as deltas, from a short log of
-//! the last changes (the rule: `fanout`'s module doc; the reference
-//! server applies it too).
+//! (`tests/reference/map_server.rs`) would transmit — and a Subscribe's
+//! answer: its ack, and right behind it, for a reset the delta log
+//! cannot rebuild, the VN's snapshot. Deltas ride the incremental
+//! [`DeltaFanout`] instead: changes enqueue them, and
+//! [`PartitionedMapServer::flush_publishes`] drains them. Callers
+//! embedding the server in a message loop flush after each handled
+//! message; batch loaders flush once at the end. A resubscribe whose
+//! watermark and slice digest prove what the subscriber holds is acked
+//! `resumed` and takes no snapshot: the changes after its watermark
+//! follow as deltas, from a short log of the last changes (the rule:
+//! `fanout`'s module doc; the reference server applies it too).
 //!
 //! ## Overload model
 //!
@@ -33,8 +34,8 @@
 //!   retry-after hint, so the sender reschedules at the hinted time
 //!   instead of its (faster) loss-recovery backoff. Resubscribes of an
 //!   already-known `(VN, subscriber)` stream bypass the subscribe
-//!   bucket — snapshot resyncs are the self-healing path and must
-//!   never lose to churn.
+//!   bucket — resyncs are the self-healing path and must never lose
+//!   to churn.
 //! * **Shard faults** ([`PartitionedMapServer::crash_shard`] /
 //!   [`PartitionedMapServer::partition_shard`]): a down shard answers
 //!   nothing — owner-routed requests and registers are dropped with
@@ -54,7 +55,7 @@ use sda_types::{Eid, EidPrefix, MemStats, Rloc, VnId};
 use sda_wire::lisp::{BusyClass, Message};
 
 use crate::admission::{AdmissionConfig, TokenBucket};
-use crate::fanout::{DeltaFanout, DEFAULT_QUEUE_CAP};
+use crate::fanout::{Answer, DeltaFanout, DEFAULT_QUEUE_CAP};
 use crate::partition;
 
 /// How [`PartitionedMapServer::handle_with_disposition`] disposed of a
@@ -184,8 +185,8 @@ impl PartitionedMapServer {
     }
 
     /// As [`PartitionedMapServer::new`] with an explicit per-subscriber
-    /// delta queue bound (tests force tiny bounds to exercise the gap →
-    /// snapshot resync path).
+    /// delta queue bound (tests force tiny bounds to exercise the
+    /// overflow's compaction).
     pub fn with_queue_capacity(rloc: Rloc, shards: usize, queue_cap: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
         PartitionedMapServer {
@@ -270,8 +271,10 @@ impl PartitionedMapServer {
 
     /// Handles one control message, returning the replies/notifies to
     /// transmit — exactly what the single reference server would produce.
-    /// Mapping changes additionally enqueue pub/sub deltas; drain them
-    /// with [`PartitionedMapServer::flush_publishes`]. Shorthand for
+    /// A Subscribe answers with its ack, followed by the VN's snapshot
+    /// when the reset cannot be rebuilt from the delta log. Mapping
+    /// changes additionally enqueue pub/sub deltas; drain them with
+    /// [`PartitionedMapServer::flush_publishes`]. Shorthand for
     /// [`PartitionedMapServer::handle_with_disposition`] when the
     /// caller does not differentiate served/shed CPU cost.
     pub fn handle(&mut self, msg: Message, now: SimTime) -> Outbox {
@@ -348,8 +351,7 @@ impl PartitionedMapServer {
             } => {
                 // Resubscribes of a known stream are resyncs — the
                 // self-healing path — and bypass the subscribe budget.
-                let live = self.fanout.stream_live(vn, subscriber);
-                if live.is_none() && !self.admit_subscribe(now) {
+                if !self.fanout.has_stream(vn, subscriber) && !self.admit_subscribe(now) {
                     self.overload.shed_subscribes += 1;
                     let eid = Eid::V4(std::net::Ipv4Addr::UNSPECIFIED);
                     return (
@@ -362,17 +364,36 @@ impl PartitionedMapServer {
                 }
                 // Resume a subscriber that provably holds the VN as of its
                 // watermark, re-queueing what followed; reset any other,
-                // rebuilding its slice from the log or, at the next flush,
-                // from a snapshot of the owner shards' live state (the
-                // digest walk runs last). The ack mirrors the single
-                // server's.
+                // rebuilding its slice from the log or, right behind the
+                // ack, from a snapshot of the up shards' rows stamped with
+                // the VN's watermark (the digest walk runs last). The reply
+                // mirrors the single server's.
                 let shards = &self.shards;
-                let resumed = (self.fanout)
+                let answer = (self.fanout)
                     .subscribe(vn, subscriber, have_seq, digest, || vn_digest(shards, vn));
-                (
-                    Disposition::Served,
-                    vec![(subscriber, Message::SubscribeAck { nonce, vn, resumed })],
-                )
+                let resumed = answer == Answer::Resumed;
+                let mut out = vec![(subscriber, Message::SubscribeAck { nonce, vn, resumed })];
+                if answer == Answer::Snapshot {
+                    let nonce = self.fanout.current_seq(vn);
+                    // A down shard's slice is unreachable: the snapshot
+                    // omits it (subscribers pick the entries up through
+                    // deltas as edges re-register after the shard
+                    // recovers).
+                    for shard in self.shards.iter().filter(|s| !s.down) {
+                        out.extend(shard.db.iter_vn(vn).map(|(prefix, rec)| {
+                            let (rloc, withdraw) = (rec.rloc, false);
+                            let row = Message::Publish {
+                                nonce,
+                                vn,
+                                prefix,
+                                rloc,
+                                withdraw,
+                            };
+                            (subscriber, row)
+                        }));
+                    }
+                }
+                (Disposition::Served, out)
             }
             // Replies/notifies/publishes/acks/busy-signals are never
             // addressed to a server.
@@ -535,25 +556,10 @@ impl PartitionedMapServer {
         }
     }
 
-    /// Drains pending pub/sub work into `(destination, Publish)` pairs:
-    /// snapshot resyncs first (walking exactly the affected VN across
-    /// the owner shards, in shard order — deterministic), then queued
-    /// deltas.
+    /// Drains the queued pub/sub deltas into `(destination, Publish)`
+    /// pairs, subscribers in subscription order.
     pub fn flush_publishes(&mut self) -> Outbox {
-        let shards = &self.shards;
-        self.fanout.flush(|vn, emit| {
-            for shard in shards {
-                // A down shard's slice is unreachable: snapshots omit
-                // it (subscribers pick the entries up through deltas as
-                // edges re-register after the shard recovers).
-                if shard.down {
-                    continue;
-                }
-                for (prefix, rec) in shard.db.iter_vn(vn) {
-                    emit(prefix, rec.rloc);
-                }
-            }
-        })
+        self.fanout.flush()
     }
 
     /// Expires lapsed registrations, one sweep per shard on the calling
@@ -633,7 +639,8 @@ impl PartitionedMapServer {
     }
 
     /// Aggregated counters across shards, publish count from the
-    /// fan-out (publishes emitted by flushes).
+    /// fan-out (deltas emitted by flushes; a snapshot's rows ride its
+    /// Subscribe's reply and are not counted).
     pub fn stats(&self) -> MapServerStats {
         let mut total = MapServerStats::default();
         for s in &self.shards {
@@ -646,7 +653,8 @@ impl PartitionedMapServer {
         total
     }
 
-    /// Gap → snapshot resyncs forced by queue overflow so far.
+    /// Queue compactions forced by overflow so far; each leaves its
+    /// subscriber a hole that it heals by resubscribing.
     pub fn pubsub_gaps(&self) -> u64 {
         self.fanout.gaps()
     }
@@ -657,21 +665,22 @@ impl PartitionedMapServer {
         self.fanout.replays()
     }
 
-    /// `(subscriber, VN)` streams the fan-out holds, live or
-    /// snapshot-pending — bounded by the distinct pairs ever subscribed.
+    /// `(subscriber, VN)` streams the fan-out holds — bounded by the
+    /// distinct pairs ever subscribed.
     pub fn pubsub_streams(&self) -> usize {
         self.fanout.stream_count()
     }
 
     /// High-water mark across per-subscriber delta queues (bounded-queue
-    /// proofs: must never exceed the fan-out's queue cap).
+    /// proofs: at most the queue cap, or twice the subscriber's VN
+    /// streams if that is more).
     pub fn pubsub_peak_depth(&self) -> usize {
         self.fanout.peak_depth()
     }
 
     /// Current publish-sequence watermark of `vn`'s delta stream (0
-    /// before any change). Snapshot resyncs are stamped with this value,
-    /// so a subscriber that just resynced resumes its stream here.
+    /// before any change). Snapshots are stamped with this value, so a
+    /// subscriber that just took one resumes its stream here.
     pub fn pubsub_seq(&self, vn: VnId) -> u64 {
         self.fanout.current_seq(vn)
     }
@@ -762,11 +771,20 @@ mod tests {
         })
     }
 
-    fn resumed(out: &Outbox) -> bool {
+    /// Whether a Subscribe's reply acks `resumed`, and the snapshot rows
+    /// behind its ack.
+    fn answer(out: &Outbox) -> (bool, &[(Rloc, Message)]) {
         match out.as_slice() {
-            [(_, Message::SubscribeAck { resumed, .. })] => *resumed,
-            other => panic!("expected one SubscribeAck, got {other:?}"),
+            [(_, Message::SubscribeAck { resumed, .. }), rows @ ..] => (*resumed, rows),
+            other => panic!("expected a SubscribeAck, got {other:?}"),
         }
+    }
+
+    /// Whether a Subscribe that took no snapshot acks `resumed`.
+    fn resumed(out: &Outbox) -> bool {
+        let (resumed, rows) = answer(out);
+        assert!(rows.is_empty(), "no snapshot expected: {rows:?}");
+        resumed
     }
 
     fn request(vn_: VnId, eid_: Eid, itr: Rloc) -> Message {
@@ -873,9 +891,8 @@ mod tests {
     /// watermark, and the changes after it follow as deltas. Any other
     /// claim — one RLOC off, a watermark behind with the current digest,
     /// one ahead — resets the stream, rebuilt from the log while its
-    /// history sums to the VN's digest, and by snapshot when a shard
-    /// leaves or rejoins the sum without a logged change. A stream
-    /// waiting for that snapshot resets on any claim.
+    /// history sums to the VN's digest, and by a snapshot behind the ack
+    /// when a shard leaves or rejoins the sum without a logged change.
     #[test]
     fn resubscribe_resumes_only_a_provably_synced_stream() {
         let mut s = server(4);
@@ -928,19 +945,20 @@ mod tests {
         assert_eq!(s.pubsub_replays(), 1, "resets are not replays");
 
         // A partitioned shard leaves the server's digest: the true claim
-        // fails and so does the history — a snapshot of the up shards,
-        // every row at the watermark.
+        // fails and so does the history — a snapshot of the up shards
+        // behind the ack, every row at the watermark.
         let victim = crate::partition::owner_of(&eid(0), 4);
         s.partition_shard(victim);
         let out = s.handle(resubscribe(vn(1), rl(9), seq, digest), SimTime::ZERO);
-        assert!(!resumed(&out));
-        let partial = s.flush_publishes();
-        assert!(partial.len() < 17);
+        let (was_resumed, partial) = answer(&out);
+        assert!(!was_resumed);
+        assert!(s.flush_publishes().is_empty());
+        assert!(!partial.is_empty() && partial.len() < 17);
         assert!(partial.iter().all(|(_, m)| nonce_of(m) == seq));
         // Healed, the partial slice's claim is a reset and the log
         // rebuilds it; the full slice resumes.
         s.heal_shard(victim);
-        let (_, partial_digest) = held(&partial);
+        let (_, partial_digest) = held(partial);
         let out = s.handle(
             resubscribe(vn(1), rl(9), seq, partial_digest),
             SimTime::ZERO,
@@ -950,17 +968,6 @@ mod tests {
         assert!(resumed(
             &s.handle(resubscribe(vn(1), rl(9), seq, digest), SimTime::ZERO)
         ));
-
-        // Snapshot pending is not live, whatever the pair says: with the
-        // shard partitioned a new Subscribe's rebuild fails its digest and
-        // waits for a snapshot; healed before the flush, a true claim
-        // still resets, and the log rebuilds the VN.
-        s.partition_shard(victim);
-        assert!(!resumed(&s.handle(subscribe(vn(1), rl(9)), SimTime::ZERO)));
-        s.heal_shard(victim);
-        let out = s.handle(resubscribe(vn(1), rl(9), seq, digest), SimTime::ZERO);
-        assert!(!resumed(&out));
-        assert_eq!(s.flush_publishes(), rebuilt);
         assert_eq!(s.pubsub_replays(), 1);
     }
 
@@ -1217,9 +1224,10 @@ mod tests {
         s.partition_shard(victim);
         assert_eq!(s.db_len(), full, "partition keeps state");
         // A snapshot taken mid-partition omits the victim's slice.
-        s.handle(subscribe(vn(1), rl(9)), SimTime::ZERO);
-        let snap = s.flush_publishes();
-        assert!(snap.len() < full, "down shard excluded from snapshot");
+        let out = s.handle(subscribe(vn(1), rl(9)), SimTime::ZERO);
+        let (_, snap) = answer(&out);
+        assert!(!snap.is_empty() && snap.len() < full, "down shard excluded");
+        assert!(s.flush_publishes().is_empty(), "the snapshot rode the ack");
         s.heal_shard(victim);
         let (d, out) = s.handle_with_disposition(request(vn(1), eid(0), rl(9)), SimTime::ZERO);
         assert_eq!(d, Disposition::Served);

@@ -9,10 +9,11 @@
 //!   outbox, publishes set aside, must match exactly (destinations,
 //!   nonces, prefixes, TTLs, negatives, move-notify targets).
 //! * **Subscriber views converge**: applying the single server's
-//!   publishes and the partitioned server's flushed delta/snapshot
-//!   publishes must leave every subscriber with the same `(vn, eid) →
-//!   rloc` view — and with the partitioned server's per-VN delta
-//!   streams contiguous (no silent gaps at the default queue bound).
+//!   publishes and the partitioned server's snapshots (behind a
+//!   Subscribe's ack) and flushed deltas must leave every subscriber
+//!   with the same `(vn, eid) → rloc` view — and with the partitioned
+//!   server's per-VN delta streams contiguous (no silent gaps at the
+//!   default queue bound).
 //! * **Databases agree** after every expiry sweep (which runs the
 //!   *parallel* path on the partitioned side).
 //! * **Resumes agree**: a Subscribe states a watermark and a slice
@@ -32,10 +33,11 @@
 //!   only) and asserts it never meets a hole the test did not make: a
 //!   replay, a rebuild from the log and a snapshot all arrive whole.
 //!
-//! The gap → snapshot-resync path (bounded queues overflowing) is
-//! deterministic, not generated: `gap_resync_restores_consistency`
-//! forces an overflow through a capacity-4 queue and asserts the resync
-//! snapshot restores the exact view.
+//! The overflow path (bounded queues compacting to a hole the border
+//! heals) is deterministic, not generated:
+//! `gap_resync_restores_consistency` overflows a capacity-4 queue twice
+//! and asserts that the border's resubscribes — one answered by a
+//! snapshot, one by a replay — restore the exact view.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -249,22 +251,23 @@ fn apply_single_publishes(model: &mut Model, out: &[(Rloc, Message)]) {
     }
 }
 
-/// Applies one partitioned-server step — its acks, then its flush — to
-/// its subscriber model the way a border does, asserting that no
-/// publish ever lands past a hole the step did not make.
-fn apply_flush(model: &mut Model, acks: &[(Rloc, Message)], flushed: &[(Rloc, Message)]) {
+/// Applies one partitioned-server step — its reply (an ack and any
+/// snapshot behind it), then its flush — to its subscriber model the way
+/// a border does, asserting that no publish ever lands past a hole the
+/// step did not make.
+fn apply_flush(model: &mut Model, reply: &[(Rloc, Message)], flushed: &[(Rloc, Message)]) {
     let mut reset = BTreeSet::new();
-    for (to, m) in acks {
-        if let Message::SubscribeAck { vn, resumed, .. } = m {
-            model.ack((*to, *vn), *resumed);
-            if !resumed {
-                reset.insert((*to, *vn));
+    for (to, m) in reply.iter().chain(flushed) {
+        let vn = match m {
+            Message::SubscribeAck { vn, resumed, .. } => {
+                model.ack((*to, *vn), *resumed);
+                if !resumed {
+                    reset.insert((*to, *vn));
+                }
+                continue;
             }
-        }
-    }
-    for (to, m) in flushed {
-        let Message::Publish { vn, .. } = m else {
-            panic!("flush must only emit publishes, got {m:?}");
+            Message::Publish { vn, .. } => vn,
+            _ => continue,
         };
         let key = (*to, *vn);
         if !model.arrives(key, reset.contains(&key)) {
@@ -351,20 +354,15 @@ proptest! {
                     let out_part = part.handle(to_part, now);
 
                     // Reply-for-reply, notify-for-notify: everything the
-                    // single server transmits except publishes must
-                    // match exactly, in order.
-                    let non_pub: Vec<&(Rloc, Message)> = out_single
-                        .iter()
-                        .filter(|(_, m)| !matches!(m, Message::Publish { .. }))
-                        .collect();
-                    prop_assert_eq!(
-                        non_pub.len(),
-                        out_part.len(),
-                        "reply/notify count diverged"
-                    );
-                    for (a, b) in non_pub.iter().zip(out_part.iter()) {
-                        prop_assert_eq!(*a, b);
-                    }
+                    // two servers transmit except publishes must match
+                    // exactly, in order.
+                    let non_pub = |out: &[(Rloc, Message)]| -> Vec<(Rloc, Message)> {
+                        (out.iter())
+                            .filter(|(_, m)| !matches!(m, Message::Publish { .. }))
+                            .cloned()
+                            .collect()
+                    };
+                    prop_assert_eq!(non_pub(&out_single), non_pub(&out_part));
 
                     apply_single_publishes(&mut single_model, &out_single);
                     let flushed = part.flush_publishes();
@@ -453,10 +451,13 @@ fn part_lookup_all(part: &PartitionedMapServer, v: VnId, now: SimTime) -> Vec<(E
     out
 }
 
-/// The gap → resync path, deterministically: a capacity-4 queue
-/// overflows under a burst of changes, and the snapshot resync must
-/// restore the subscriber to the exact authoritative view — including
-/// a withdrawal that happened inside the dropped window.
+/// The overflow path, deterministically: a capacity-4 queue overflows
+/// under a burst of changes and compacts to the VN's first and newest
+/// deltas. A border applies the first, meets a hole and resubscribes from
+/// its watermark; the answer — a snapshot behind the ack when the missed
+/// range outgrows the queue, a replay when it fits — must restore the
+/// exact authoritative view, including a withdrawal that happened inside
+/// the dropped window.
 #[test]
 fn gap_resync_restores_consistency() {
     let rloc = Rloc::for_router_index(1000);
@@ -464,87 +465,110 @@ fn gap_resync_restores_consistency() {
     let b = border(0);
     let v = vn(0);
     let now = SimTime::ZERO;
-
-    part.handle(
-        Message::Subscribe {
-            nonce: 0,
-            vn: v,
-            subscriber: b,
-            have_seq: 0,
-            digest: 0,
-        },
-        now,
-    );
-    part.flush_publishes(); // empty snapshot, stream live
-
-    // Burst: 8 registrations + 1 withdrawal without a flush. Capacity 4
-    // forces an overflow -> gap -> pending snapshot.
-    for e in 0..8 {
-        part.handle(
-            Message::MapRegister {
-                nonce: 1,
-                vn: v,
-                eid: eid(e),
-                rloc: edge(e),
-                ttl_secs: TTL_SECS,
-                want_notify: false,
-            },
-            now,
-        );
-    }
-    part.withdraw(v, eid(3));
-    assert!(part.pubsub_gaps() >= 1, "burst must overflow the queue");
-
-    // The resync snapshot carries the full current state...
-    let out = part.flush_publishes();
+    let register = |e: u32, r: u32| Message::MapRegister {
+        nonce: 1,
+        vn: v,
+        eid: eid(e),
+        rloc: edge(r),
+        ttl_secs: TTL_SECS,
+        want_notify: false,
+    };
+    // The border as `sda_core::border` keeps its slice: a reset slice
+    // takes any first publish, then only the watermark's successor; a
+    // hole drops the rest until the resubscribe's answer.
     let mut view = View::default();
-    let content: Vec<(EidPrefix, Rloc)> = out
-        .iter()
-        .map(|(to, m)| {
+    let mut last = 0u64;
+    let apply = |view: &mut View, last: &mut u64, out: &[(Rloc, Message)]| {
+        let mut holed = false;
+        for (to, m) in out {
             assert_eq!(*to, b);
-            match m {
+            match *m {
+                Message::SubscribeAck { resumed: false, .. } => {
+                    view.replace_vn(v, &[]);
+                    (*last, holed) = (0, false);
+                }
+                Message::SubscribeAck { resumed: true, .. } => holed = false,
                 Message::Publish {
+                    nonce,
                     prefix,
                     rloc,
-                    withdraw: false,
+                    withdraw,
                     ..
-                } => (*prefix, *rloc),
-                other => panic!("resync must be a snapshot, got {other:?}"),
+                } => {
+                    holed |= *last != 0 && nonce > *last + 1;
+                    if !holed && nonce >= *last {
+                        view.apply(v, prefix, rloc, withdraw);
+                        *last = nonce;
+                    }
+                }
+                ref other => panic!("unexpected {other:?}"),
             }
-        })
-        .collect();
-    view.replace_vn(v, &content);
-
-    // ...and it equals the authoritative database: 7 live entries, the
-    // withdrawn one absent even though its withdrawal delta was lost.
-    assert_eq!(view.map.len(), 7);
-    assert!(!view.map.contains_key(&(v, EidPrefix::host(eid(3)))));
-    for e in 0..8 {
-        if e == 3 {
-            continue;
         }
-        assert_eq!(view.map.get(&(v, EidPrefix::host(eid(e)))), Some(&edge(e)));
-    }
+        holed
+    };
+    let subscribe = |view: &View, last: u64| Message::Subscribe {
+        nonce: 0,
+        vn: v,
+        subscriber: b,
+        have_seq: last,
+        digest: view.digest(v),
+    };
+    let want = |part: &PartitionedMapServer| -> BTreeMap<(VnId, EidPrefix), Rloc> {
+        (part.iter_db())
+            .filter(|(of, _, _)| *of == v)
+            .map(|(of, p, rec)| ((of, p), rec.rloc))
+            .collect()
+    };
 
-    // Stream is live again: the next change arrives as a lone delta.
-    part.handle(
-        Message::MapRegister {
-            nonce: 2,
-            vn: v,
-            eid: eid(100),
-            rloc: edge(1),
-            ttl_secs: TTL_SECS,
-            want_notify: false,
-        },
-        now,
-    );
+    let out = part.handle(subscribe(&view, last), now);
+    assert!(!apply(&mut view, &mut last, &out));
+    assert!(part.flush_publishes().is_empty(), "an empty VN");
+
+    // Burst: 8 registrations + 1 withdrawal without a flush. Capacity 4
+    // compacts twice: the flush carries seq 1, 8 and 9.
+    for e in 0..8 {
+        part.handle(register(e, e), now);
+    }
+    part.withdraw(v, eid(3));
+    assert_eq!(part.pubsub_gaps(), 2, "burst must overflow the queue");
     let out = part.flush_publishes();
+    assert_eq!(out.len(), 3);
+    assert!(apply(&mut view, &mut last, &out), "a hole after seq 1");
+    assert_eq!(last, 1);
+
+    // Eight changes behind on a queue of 4: the stream resets and the
+    // snapshot rides the ack — 7 live entries, the withdrawn one absent
+    // even though its withdrawal delta was dropped.
+    let out = part.handle(subscribe(&view, last), now);
+    assert!(matches!(
+        out[0].1,
+        Message::SubscribeAck { resumed: false, .. }
+    ));
+    assert_eq!(out.len(), 1 + 7);
+    assert!(!apply(&mut view, &mut last, &out));
+    assert!(part.flush_publishes().is_empty());
+    assert_eq!(view.map, want(&part));
+    assert!(!view.map.contains_key(&(v, EidPrefix::host(eid(3)))));
+    assert_eq!(last, 9, "the snapshot's watermark");
+
+    // A second burst of five compacts once; the four missed fit the
+    // queue, so the resubscribe resumes and replays exactly them.
+    for e in 10..15 {
+        part.handle(register(e, e + 1), now);
+    }
+    assert_eq!(part.pubsub_gaps(), 3);
+    let out = part.flush_publishes();
+    assert!(apply(&mut view, &mut last, &out), "a hole after seq 10");
+    let out = part.handle(subscribe(&view, last), now);
     assert_eq!(out.len(), 1);
     assert!(matches!(
         out[0].1,
-        Message::Publish {
-            withdraw: false,
-            ..
-        }
+        Message::SubscribeAck { resumed: true, .. }
     ));
+    let replayed = part.flush_publishes();
+    assert_eq!(replayed.len(), 4);
+    assert!(!apply(&mut view, &mut last, &out));
+    assert!(!apply(&mut view, &mut last, &replayed));
+    assert_eq!(view.map, want(&part));
+    assert_eq!((last, part.pubsub_replays()), (14, 1));
 }

@@ -6,16 +6,15 @@
 //! [`PartitionedMapServer::handle`] with a flush after every message:
 //!
 //! * Nothing panics.
-//! * A claim resumes exactly when the stream is live (here: the pair has
-//!   been subscribed before — every op is followed by a flush) and the
-//!   claim is one the VN really had, `(seq, digest)` as of some earlier
-//!   change or `(0, 0)` before the first (the log always reaches back
-//!   here). The flush after a resume is that VN's changes after the
+//! * A claim resumes exactly when the pair has been subscribed before
+//!   and the claim is one the VN really had, `(seq, digest)` as of some
+//!   earlier change or `(0, 0)` before the first (the log always reaches
+//!   back here). The flush after a resume is that VN's changes after the
 //!   claimed watermark, in order, to the subscriber — never another
 //!   VN's, never one outside the range.
-//! * The flush after any other claim rebuilds exactly the VN's rows from
-//!   nothing: as a snapshot (every row at the watermark) or as the VN's
-//!   history replayed.
+//! * Any other claim rebuilds exactly the VN's rows from nothing: as a
+//!   snapshot behind the ack (every row at the watermark) or as the VN's
+//!   history replayed by the flush, never both.
 //! * The fan-out holds one stream per distinct `(subscriber, VN)` pair
 //!   that was ever acked, whatever the claims, and never more.
 //!
@@ -188,13 +187,15 @@ proptest! {
                 attempted.insert((sub, vn));
                 let truth = *had.last().unwrap();
                 match out.as_slice() {
-                    [(to, Message::SubscribeAck { resumed, .. })] => {
+                    [(to, Message::SubscribeAck { resumed, .. }), snapshot @ ..] => {
                         prop_assert_eq!(*to, sub);
                         acked.insert((sub, vn));
                         let honest = had.contains(&claimed);
                         prop_assert_eq!(*resumed, was_live && honest, "claim {:?} vs {:?}", claimed, had);
+                        prop_assert!(snapshot.is_empty() || flushed.is_empty(), "a snapshot and a replay");
+                        prop_assert!(!*resumed || snapshot.is_empty(), "a resume sends no snapshot");
                         let mut nonces = Vec::new();
-                        for (to, m) in &flushed {
+                        for (to, m) in snapshot.iter().chain(&flushed) {
                             prop_assert_eq!(*to, sub);
                             match *m {
                                 Message::Publish { nonce, vn: of, .. } if of == vn => nonces.push(nonce),
@@ -208,7 +209,7 @@ proptest! {
                         } else {
                             // From nothing to exactly the VN's rows.
                             let mut rebuilt = BTreeMap::new();
-                            for (_, m) in &flushed {
+                            for (_, m) in snapshot.iter().chain(&flushed) {
                                 if let Message::Publish { prefix, rloc, withdraw, .. } = *m {
                                     match withdraw {
                                         true => rebuilt.remove(&prefix),

@@ -18,7 +18,7 @@ fn small_metro_through_partitioned_server() {
     let p = w.params().clone();
     // Queue sized for the mass-expiry finale: the whole population ages
     // out at once, and this test asserts exact delta fan-out rather
-    // than the gap → resync path (covered in `sda-ctrl`'s tests).
+    // than the overflow's compaction (covered in `sda-ctrl`'s tests).
     let mut server = PartitionedMapServer::with_queue_capacity(
         Rloc::for_router_index(1000),
         SHARDS,
@@ -40,12 +40,15 @@ fn small_metro_through_partitioned_server() {
     );
     server.flush_publishes(); // nobody subscribed yet
 
-    // Borders subscribe to every VN; the first flush is their snapshot
-    // of the whole world, each entry exactly once per subscriber.
+    // Borders subscribe to every VN; each answer (a snapshot behind the
+    // ack, or the VN's history from the delta log in the flush) brings
+    // the whole world, each entry exactly once per subscriber.
+    let mut snapshot = Vec::new();
     for m in w.subscriptions() {
-        server.handle(m, now);
+        let out = server.handle(m, now);
+        snapshot.extend(out.into_iter().skip(1));
     }
-    let snapshot = server.flush_publishes();
+    snapshot.extend(server.flush_publishes());
     assert_eq!(
         snapshot.len(),
         p.endpoints as usize * usize::from(p.borders),
