@@ -1,12 +1,12 @@
 //! Property tests for the map-server registry.
 //!
 //! 1. **Differential**: [`MappingDb`] (per-VN exact-match tables) against
-//!    the trie-backed registry it replaced, frozen in
-//!    `reference/registry.rs` — same outcomes, same answers, same
-//!    snapshot order after every operation.
+//!    the trie-backed registry it replaced, kept as an ordered-map
+//!    specification in `reference/registry.rs` — same outcomes, same
+//!    answers, same snapshot order after every operation.
 //! 2. **History independence**: what [`MappingDb::iter_vn`] yields
 //!    depends on the contents, not on how large the tables once were —
-//!    a statement the trie reference cannot make.
+//!    although the tables' slot order does.
 //! 3. The maintained entry counter: whatever mix of registers,
 //!    withdrawals, retains and expiry purges runs, [`MappingDb::len`]
 //!    (O(1)) must equal [`MappingDb::recount`] (the occupied slots).
@@ -58,7 +58,7 @@ const EIDS: u8 = 24;
 /// VNs the differential registers in; `vn(VNS + 1)` stays empty.
 const VNS: u32 = 3;
 
-/// The tables hand records out by value, the trie reference by `&`.
+/// The tables hand records out by value, the reference by `&`.
 fn owned<R: Borrow<MappingRecord>>(
     entries: impl Iterator<Item = (EidPrefix, R)>,
 ) -> Vec<(EidPrefix, MappingRecord)> {
@@ -212,7 +212,7 @@ fn wrapped_cluster_keeps_every_neighbour() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Every door of the registry against the trie-backed reference, over
+    /// Every door of the registry against the ordered-map reference, over
     /// IPv4, IPv6 and MAC registrations in three VNs. After each step
     /// both sides must report the same outcome, answer every probe alike
     /// — stored and live (hit), never stored (miss), stored but past its

@@ -1,30 +1,23 @@
-//! The routing server's registry as it stood while it was a Patricia
-//! trie per VN (the structure §4.1 of the paper cites for Fig. 7): the
-//! body of `sda_lisp::MappingDb` before it became per-VN exact-match
-//! tables, moved here verbatim minus `compact`/`mem_stats` (arena
-//! diagnostics the differential has no use for). It shares the crate's
-//! value types ([`MappingRecord`], [`RegisterOutcome`]) and nothing else;
-//! its record literal follows `MappingRecord`'s fields (a deadline, and
-//! no version counter, since the table became open-addressed).
-//! `prop_registry.rs` holds the production registry to it op for op. Do
+//! The routing server's registry as a specification: one ordered map
+//! from `(vn, eid)` to its record. It says what the Patricia trie per VN
+//! it was frozen from (the structure §4.1 of the paper cites for Fig. 7)
+//! said — the registry only ever stores host routes, so every lookup is
+//! an exact match and a VN's rows come out in ascending [`Eid`] order. It
+//! shares the crate's value types ([`MappingRecord`],
+//! [`RegisterOutcome`]) and nothing else. `prop_registry.rs` holds the
+//! production registry (per-VN exact-match tables) to it op for op. Do
 //! not "fix" anything in this file — its behaviour is the specification.
 
 use std::collections::BTreeMap;
 
 use sda_lisp::{MappingRecord, RegisterOutcome};
 use sda_simnet::{SimDuration, SimTime};
-use sda_trie::EidTrie;
 use sda_types::{Eid, EidPrefix, Rloc, VnId};
 
-/// The per-VN mapping database, one [`EidTrie`] per VN.
+/// The mapping database: every registration, live or expired, by key.
 #[derive(Default)]
 pub struct MappingDb {
-    vns: BTreeMap<VnId, EidTrie<MappingRecord>>,
-    /// Maintained entry count, so [`MappingDb::len`] is O(1) instead of
-    /// a sum over every per-VN trie (the map-server answers `len` on
-    /// every Fig. 7 sample). Invariant: always equals
-    /// [`MappingDb::recount`] (checked by the property tests).
-    total: usize,
+    rows: BTreeMap<(VnId, Eid), MappingRecord>,
 }
 
 impl MappingDb {
@@ -46,13 +39,7 @@ impl MappingDb {
             rloc,
             expires_at: SimTime::from_nanos(now.as_nanos().saturating_add(ttl.as_nanos())),
         };
-        let trie = self.vns.entry(vn).or_default();
-        let prefix = EidPrefix::host(eid);
-        let prev = trie.insert(prefix, record);
-        if prev.is_none() {
-            self.total += 1;
-        }
-        match prev {
+        match self.rows.insert((vn, eid), record) {
             None => RegisterOutcome::New { replaced: None },
             Some(old) if old.expired(now) => RegisterOutcome::New {
                 replaced: Some(old.rloc),
@@ -64,80 +51,62 @@ impl MappingDb {
 
     /// Removes the registration of `eid` in `vn`.
     pub fn withdraw(&mut self, vn: VnId, eid: Eid) -> Option<MappingRecord> {
-        let removed = self.vns.get_mut(&vn)?.remove(&EidPrefix::host(eid));
-        if removed.is_some() {
-            self.total -= 1;
-        }
-        removed
+        self.rows.remove(&(vn, eid))
     }
 
-    /// Longest-prefix lookup of `eid` in `vn`; expired records answer
-    /// `None` (the §4.2 "route resolution with a negative result").
+    /// The registration of `eid` in `vn`; expired records answer `None`
+    /// (the §4.2 "route resolution with a negative result").
     pub fn lookup(&self, vn: VnId, eid: Eid, now: SimTime) -> Option<(EidPrefix, MappingRecord)> {
-        let (prefix, rec) = self.vns.get(&vn)?.lookup(&eid)?;
-        if rec.expired(now) {
-            return None;
-        }
-        Some((prefix, *rec))
+        let rec = self.rows.get(&(vn, eid)).filter(|r| !r.expired(now))?;
+        Some((EidPrefix::host(eid), *rec))
     }
 
     /// Live registrations in `vn` at `now`.
     pub fn live_count(&self, vn: VnId, now: SimTime) -> usize {
-        self.vns
-            .get(&vn)
-            .map(|t| t.iter().filter(|(_, r)| !r.expired(now)).count())
-            .unwrap_or(0)
+        self.iter_vn(vn).filter(|(_, r)| !r.expired(now)).count()
     }
 
-    /// Total registrations (live or expired) across VNs. O(1): the
-    /// count is maintained across register/withdraw/retain, not
-    /// recomputed.
+    /// Total registrations (live or expired) across VNs.
     pub fn len(&self) -> usize {
-        self.total
+        self.rows.len()
     }
 
-    /// Recomputes the entry count from the tries (O(entries)). Exists so
-    /// tests can assert the maintained counter never drifts; production
-    /// callers should use [`MappingDb::len`].
+    /// Counts the registrations one by one — what the production
+    /// registry's maintained counter must equal.
     pub fn recount(&self) -> usize {
-        self.vns.values().map(EidTrie::len).sum()
+        self.iter().count()
     }
 
     /// True when nothing is registered.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.rows.is_empty()
     }
 
-    /// Iterates all `(vn, prefix, record)` entries.
+    /// Iterates all `(vn, prefix, record)` entries, by VN, then by EID.
     pub fn iter(&self) -> impl Iterator<Item = (VnId, EidPrefix, &MappingRecord)> {
-        self.vns
-            .iter()
-            .flat_map(|(vn, trie)| trie.iter().map(move |(p, r)| (*vn, p, r)))
+        (self.rows.iter()).map(|(&(vn, eid), r)| (vn, EidPrefix::host(eid), r))
     }
 
-    /// Iterates `(prefix, record)` entries of one VN only — O(that VN),
-    /// not O(database). Pub/sub snapshots walk exactly the subscribed VN
-    /// through this.
+    /// Iterates `(prefix, record)` entries of one VN, in ascending EID
+    /// order — the order a pub/sub snapshot of the VN is sent in.
     pub fn iter_vn(&self, vn: VnId) -> impl Iterator<Item = (EidPrefix, &MappingRecord)> {
-        self.vns.get(&vn).into_iter().flat_map(EidTrie::iter)
+        self.iter()
+            .filter(move |&(of, _, _)| of == vn)
+            .map(|(_, p, r)| (p, r))
     }
 
-    /// Keeps only registrations for which `f` returns true, in one
-    /// traversal per VN. Returns how many were removed.
+    /// Keeps only registrations for which `f` returns true, visiting
+    /// them in [`MappingDb::iter`] order. Returns how many were removed.
     pub fn retain<F: FnMut(VnId, &EidPrefix, &mut MappingRecord) -> bool>(
         &mut self,
         mut f: F,
     ) -> usize {
-        let mut removed = 0;
-        for (vn, trie) in self.vns.iter_mut() {
-            removed += trie.retain(|p, r| f(*vn, p, r));
-        }
-        self.total -= removed;
-        removed
+        let before = self.rows.len();
+        (self.rows).retain(|&(vn, eid), r| f(vn, &EidPrefix::host(eid), r));
+        before - self.rows.len()
     }
 
-    /// Drops expired registrations, returning how many were purged — a
-    /// single traversal per VN via [`EidTrie::retain`].
+    /// Drops expired registrations, returning how many were purged.
     pub fn purge_expired(&mut self, now: SimTime) -> usize {
         self.retain(|_, _, r| !r.expired(now))
     }
