@@ -12,9 +12,16 @@
 //! hands back what to resend, and the node sends and counts. Not the
 //! simulator's RNG: jitter never moves another node's draws.
 //!
-//! **Trusted inputs.** The `rtx_*` knobs as given: a cap below the
-//! initial delay is tolerated (jittered delays then stay at the initial
-//! delay); `now` never runs backwards on a table.
+//! **The schedule.** The shortest retry delay for unacknowledged
+//! Map-Requests, Map-Registers and Subscribes is [`RTX_INITIAL`]. With
+//! `FabricConfig::rtx_jitter` (the default) each delay is drawn
+//! uniformly from `[RTX_INITIAL, min(3 × the previous delay,
+//! RTX_MAX_BACKOFF)]`, the first with `RTX_INITIAL` as the previous
+//! delay; without it the delay starts at `RTX_INITIAL` and doubles per
+//! attempt up to [`RTX_MAX_BACKOFF`]. Map-Requests and Map-Registers give
+//! up after six sends; border Subscribes retry without bound.
+//!
+//! **Trusted inputs.** `now` never runs backwards on a table.
 //!
 //! **Panics:** none.
 //!
@@ -31,12 +38,19 @@ use sda_types::Rloc;
 use crate::controller::FabricConfig;
 use crate::msg::FabricMsg;
 
-/// One node's retransmit clock: the three `rtx_*` timing parameters,
-/// the private xorshift64* stream the jittered delays draw from (seeded
-/// from the node's RLOC) and the sweep timer's armed flag.
+/// The shortest retransmit delay (module doc).
+const RTX_INITIAL: SimDuration = SimDuration::from_millis(500);
+
+/// The cap on the retransmit backoff.
+const RTX_MAX_BACKOFF: SimDuration = SimDuration::from_secs(8);
+
+// The jittered draw's range `[RTX_INITIAL, cap]` is never inverted.
+const _: () = assert!(RTX_INITIAL.as_nanos() <= RTX_MAX_BACKOFF.as_nanos());
+
+/// One node's retransmit clock: whether its delays are jittered, the
+/// private xorshift64* stream they draw from (seeded from the node's
+/// RLOC) and the sweep timer's armed flag.
 pub(crate) struct Backoff {
-    initial: SimDuration,
-    max: SimDuration,
     jitter: bool,
     state: u64,
     /// Whether the sweep timer is pending.
@@ -46,8 +60,6 @@ pub(crate) struct Backoff {
 impl Backoff {
     pub(crate) fn new(rloc: Rloc, params: &FabricConfig) -> Self {
         Backoff {
-            initial: params.rtx_initial,
-            max: params.rtx_max_backoff,
             jitter: params.rtx_jitter,
             state: jitter_seed(rloc),
             armed: false,
@@ -70,14 +82,14 @@ impl Backoff {
 
     /// Exponential backoff after the `attempts`-th send, capped.
     fn exponential(&self, attempts: u32) -> SimDuration {
-        let mut d = self.initial;
+        let mut d = RTX_INITIAL;
         for _ in 1..attempts {
             d = d.saturating_mul(2);
-            if d >= self.max {
-                return self.max;
+            if d >= RTX_MAX_BACKOFF {
+                return RTX_MAX_BACKOFF;
             }
         }
-        d.min(self.max)
+        d.min(RTX_MAX_BACKOFF)
     }
 
     /// One step of this node's private xorshift64* stream.
@@ -91,15 +103,12 @@ impl Backoff {
     }
 
     /// Decorrelated-jitter backoff: uniform in
-    /// `[rtx_initial, min(3 × prev, rtx_max_backoff)]`. Consecutive
+    /// `[RTX_INITIAL, min(3 × prev, RTX_MAX_BACKOFF)]`. Consecutive
     /// draws decorrelate even nodes that started in lockstep (a mass
     /// reboot), so retry waves spread instead of arriving as one burst.
     fn decorrelated(&mut self, prev: SimDuration) -> SimDuration {
-        let base = self.initial.as_nanos();
-        // A cap configured below the initial delay means "never back
-        // off", not an inverted clamp range.
-        let cap = self.max.as_nanos().max(base);
-        let hi = prev.as_nanos().saturating_mul(3).clamp(base, cap);
+        let base = RTX_INITIAL.as_nanos();
+        let hi = (prev.as_nanos().saturating_mul(3)).clamp(base, RTX_MAX_BACKOFF.as_nanos());
         let span = hi - base;
         let off = if span == 0 {
             0
@@ -122,9 +131,9 @@ impl Backoff {
     /// The delay before the *first* retransmit of a fresh entry.
     fn initial_retry_delay(&mut self) -> SimDuration {
         if self.jitter {
-            self.decorrelated(self.initial)
+            self.decorrelated(RTX_INITIAL)
         } else {
-            self.initial
+            RTX_INITIAL
         }
     }
 
@@ -133,7 +142,7 @@ impl Backoff {
     /// grid instants no matter how decorrelated the per-entry deadlines
     /// are.
     fn sweep_delay(&mut self) -> SimDuration {
-        let mut d = self.initial;
+        let mut d = RTX_INITIAL;
         if self.jitter {
             let span = d.as_nanos() / 2;
             d = SimDuration::from_nanos(d.as_nanos() + self.draw() % (span + 1));

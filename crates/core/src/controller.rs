@@ -48,24 +48,14 @@ pub struct FabricConfig {
     /// Map-server shards the routing server partitions EID space over
     /// (1 = the paper's single routing server).
     pub ctrl_shards: usize,
-    /// Control-plane retransmit: the shortest retry delay for
-    /// unacknowledged Map-Requests, Map-Registers and Subscribes. With
-    /// `rtx_jitter` (the default) each delay is drawn uniformly from
-    /// `[rtx_initial, min(3 × the previous delay, rtx_max_backoff)]`,
-    /// the first with `rtx_initial` as the previous delay; without it
-    /// the delay starts here and doubles per attempt up to
-    /// `rtx_max_backoff`. Map-Requests and Map-Registers give up after
-    /// six sends; border Subscribes retry without bound.
-    pub rtx_initial: SimDuration,
-    /// Cap on the retransmit backoff.
-    pub rtx_max_backoff: SimDuration,
     /// Border re-subscribe period (None = subscribe once at start and
     /// only resync on detected gaps). A periodic resubscribe bounds how
     /// long a border can stay silently divergent after arbitrary loss.
     pub subscribe_refresh_interval: Option<SimDuration>,
     /// Decorrelated jitter on retransmit backoff (per-node deterministic
-    /// stream). `false` restores the synchronized exponential schedule —
-    /// the ablation showing why jitter exists.
+    /// stream; the schedule is `core::backoff`'s module doc). `false`
+    /// restores the synchronized exponential schedule — the ablation
+    /// showing why jitter exists.
     pub rtx_jitter: bool,
     /// Per-edge cap on each of its retry tables — concurrently
     /// resolving EIDs (the punt funnel's control-plane side) and unacked
@@ -93,8 +83,6 @@ impl Default for FabricConfig {
             fib_sample_interval: None,
             purge_interval: Some(SimDuration::from_mins(10)),
             ctrl_shards: 1,
-            rtx_initial: SimDuration::from_millis(500),
-            rtx_max_backoff: SimDuration::from_secs(8),
             subscribe_refresh_interval: None,
             rtx_jitter: true,
             max_pending: 4096,

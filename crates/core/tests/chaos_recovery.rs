@@ -328,39 +328,3 @@ fn chaos_runs_are_replay_identical() {
         "the chaos run still delivered traffic somewhere"
     );
 }
-
-/// Regression: the border clamped its decorrelated-jitter draw to
-/// `[rtx_initial, rtx_max_backoff]` unguarded where the edge guarded
-/// the cap, so a cap configured below the initial delay (both are
-/// public `FabricConfig` fields) panicked the border on its first
-/// Subscribe (`assertion failed: min <= max`) while an edge ran fine.
-/// Both node kinds now share one schedule, in which such a cap means
-/// "never back off".
-#[test]
-fn inverted_retransmit_bounds_do_not_panic_a_border() {
-    let mut b = FabricBuilder::new(3);
-    let vn = b.add_vn(
-        100,
-        Ipv4Prefix::new(Ipv4Addr::new(10, 100, 0, 0), 16).unwrap(),
-    );
-    let users = GroupId(10);
-    b.allow(vn, users, users);
-    let edge = b.add_edge("edge1");
-    let border = b.add_border("border", vec![]);
-    let alice = b.mint_endpoint(vn, users);
-    let cfg = b.config_mut();
-    cfg.rtx_initial = SimDuration::from_secs(10);
-    cfg.rtx_max_backoff = SimDuration::from_secs(8);
-    let mut fabric = b.build();
-
-    fabric.attach_at(SimTime::ZERO, edge, alice, PortId(1));
-    fabric.run_until(secs(60));
-
-    assert_eq!(fabric.edge(edge).attached(), 1, "the endpoint onboarded");
-    assert_eq!(
-        fabric.border(border).fib_len(),
-        2,
-        "the border subscribed and synced alice's IPv4 and MAC routes"
-    );
-    assert_eq!(fabric.border(border).pending_subscribe_len(), 0);
-}
