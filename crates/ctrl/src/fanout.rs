@@ -619,9 +619,9 @@ mod tests {
     }
 
     /// An overflow caused by another VN's deltas keeps every VN's first
-    /// and newest delta: a VN with at most two queued loses nothing. (A
-    /// snapshot at the watermark, stamped `last + 1`, was installed as a
-    /// delta and left the withdrawn row in the slice.)
+    /// and newest delta: a VN with at most two queued loses nothing. A
+    /// resync by snapshot would not do here: stamped `last + 1`, the
+    /// snapshot is installed as a delta and the withdrawn row stays.
     #[test]
     fn a_withdrawal_that_overflows_the_queue_reaches_a_border_one_change_behind() {
         let (mut f, mut w, mut b) = (DeltaFanout::new(2), World::default(), Border::default());
